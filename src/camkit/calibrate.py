@@ -23,24 +23,22 @@ from .errors import (
     SingularIntrinsics,
 )
 from .geometry import (
+    DISTORTION_NAMES,
+    INTRINSIC_NAMES,
     CameraIntrinsics,
     CameraPose,
     DistortionCoeffs,
-    axis_angle_to_rotation,
+    camera_depths,
     distort_normalized,
     nearest_rotation,
     normalized_to_pixel,
     pixel_to_normalized,
+    project_points,
     rotation_to_axis_angle,
 )
 from .homography import estimate_homography
 from .imageops import bilinear_sample, to_float
-from .optimize import (
-    LeastSquaresProblem,
-    LmConfig,
-    grouped_numeric_jacobian,
-    levenberg_marquardt,
-)
+from .optimize import LeastSquaresProblem, LmConfig, levenberg_marquardt
 
 MIN_VIEWS = 3
 
@@ -181,27 +179,27 @@ def extrinsics_from_homography(intrinsics: CameraIntrinsics,
 
 def _init_radial(intrinsics: CameraIntrinsics, poses, world: np.ndarray,
                  views, n_radial: int) -> np.ndarray:
-    """Linear least-squares bootstrap of the radial coefficients."""
+    """Linear least-squares bootstrap of the radial coefficients.
+
+    Pixels are linear in the distortion coefficients, so the kernel's
+    distortion block at zero distortion is the design matrix.
+    """
     lhs = []
     rhs = []
     for pose, grid in zip(poses, views):
-        cam = world @ pose.rotation.T + pose.translation
-        n = cam[:, :2] / cam[:, 2:3]
-        r2 = np.sum(n * n, axis=1)
-        ideal = normalized_to_pixel(n, intrinsics)
-        base = np.concatenate([ideal[:, 0] - intrinsics.cx,
-                               ideal[:, 1] - intrinsics.cy])
-        powers = np.stack([np.tile(r2 ** (p + 1), 2) for p in range(n_radial)], axis=1)
-        lhs.append(base[:, None] * powers)
-        rhs.append(np.concatenate([grid.corners[:, 0] - ideal[:, 0],
-                                   grid.corners[:, 1] - ideal[:, 1]]))
+        ideal, *_, d_dist = project_points(world, pose.axis_angle(), pose.translation,
+                                           intrinsics, None, jacobians=True)
+        lhs.append(d_dist[:, :, :n_radial].reshape(-1, n_radial))
+        rhs.append((grid.corners - ideal).ravel())
     coeffs, *_ = np.linalg.lstsq(np.vstack(lhs), np.concatenate(rhs), rcond=None)
     return coeffs
 
 
 @dataclass
 class _ParamLayout:
-    """Index bookkeeping for the joint refinement parameter vector."""
+    """Index bookkeeping for the joint refinement parameter vector: the
+    estimated entries of ``INTRINSIC_NAMES + DISTORTION_NAMES``, then six
+    pose parameters (axis-angle, translation) per view."""
 
     estimate_skew: bool
     estimate_k3: bool
@@ -209,24 +207,19 @@ class _ParamLayout:
     n_views: int
 
     @property
-    def intrinsic_names(self) -> list[str]:
-        names = ["fx", "fy", "cx", "cy"]
-        if self.estimate_skew:
-            names.append("skew")
-        return names
+    def free(self) -> np.ndarray:
+        """Mask of the estimated entries of INTRINSIC_NAMES + DISTORTION_NAMES."""
+        return np.array([True] * 4 + [self.estimate_skew, True, True, self.estimate_k3]
+                        + [self.estimate_tangential] * 2)
 
     @property
-    def distortion_names(self) -> list[str]:
-        names = ["k1", "k2"]
-        if self.estimate_k3:
-            names.append("k3")
-        if self.estimate_tangential:
-            names += ["p1", "p2"]
-        return names
+    def global_names(self) -> list[str]:
+        return [n for n, free in zip(INTRINSIC_NAMES + DISTORTION_NAMES, self.free)
+                if free]
 
     @property
     def n_global(self) -> int:
-        return len(self.intrinsic_names) + len(self.distortion_names)
+        return int(self.free.sum())
 
     @property
     def n_params(self) -> int:
@@ -238,60 +231,19 @@ class _ParamLayout:
 
     def pack(self, intrinsics: CameraIntrinsics, dist: DistortionCoeffs,
              poses) -> np.ndarray:
-        x = [getattr(intrinsics, n) for n in self.intrinsic_names]
-        x += [getattr(dist, n) for n in self.distortion_names]
-        for pose in poses:
-            x.extend(rotation_to_axis_angle(pose.rotation))
-            x.extend(pose.translation)
-        return np.array(x, dtype=np.float64)
+        k = [getattr(intrinsics, n) for n in INTRINSIC_NAMES]
+        x = [np.concatenate([k, dist.as_array()])[self.free]]
+        x += [np.concatenate([rotation_to_axis_angle(p.rotation), p.translation])
+              for p in poses]
+        return np.concatenate(x)
 
     def unpack(self, x: np.ndarray):
-        names = self.intrinsic_names
-        kvals = dict(zip(names, x[:len(names)]))
-        intrinsics = CameraIntrinsics(
-            fx=kvals["fx"], fy=kvals["fy"], cx=kvals["cx"], cy=kvals["cy"],
-            skew=kvals.get("skew", 0.0),
-        )
-        dvals = dict(zip(self.distortion_names,
-                         x[len(names):self.n_global]))
-        dist = DistortionCoeffs(**dvals)
-        poses = []
-        for v in range(self.n_views):
-            block = x[self.pose_slice(v)]
-            poses.append((block[:3], block[3:]))
-        return intrinsics, dist, poses
-
-
-def _project_all(x: np.ndarray, layout: _ParamLayout, world: np.ndarray) -> np.ndarray:
-    """Board projections for every view under packed parameters, (V, N, 2).
-
-    Depths are clamped to a small positive floor so trial steps that briefly
-    push the board behind the camera yield large finite residuals instead of
-    blowing up the solver.
-    """
-    intrinsics, dist, pose_params = layout.unpack(x)
-    out = np.empty((layout.n_views, len(world), 2))
-    for v, (rvec, t) in enumerate(pose_params):
-        rot = axis_angle_to_rotation(rvec)
-        cam = world @ rot.T + t
-        z = np.maximum(cam[:, 2], 1e-9)
-        n = cam[:, :2] / z[:, None]
-        nd = distort_normalized(n, dist)
-        out[v] = normalized_to_pixel(nd, intrinsics)
-    return out
-
-
-def _refinement_slots(layout: _ParamLayout, n_corners: int):
-    """Finite-difference coloring: global params alone, pose slots shared."""
-    total_rows = np.arange(2 * n_corners * layout.n_views)
-    slots = [[(p, total_rows)] for p in range(layout.n_global)]
-    for k in range(6):
-        slot = []
-        for v in range(layout.n_views):
-            rows = np.arange(2 * n_corners * v, 2 * n_corners * (v + 1))
-            slot.append((layout.n_global + 6 * v + k, rows))
-        slots.append(slot)
-    return slots
+        values = np.zeros(len(INTRINSIC_NAMES) + len(DISTORTION_NAMES))
+        values[self.free] = x[:self.n_global]
+        poses = [(x[s][:3], x[s][3:])
+                 for s in map(self.pose_slice, range(self.n_views))]
+        return (CameraIntrinsics(*values[:len(INTRINSIC_NAMES)]),
+                DistortionCoeffs(*values[len(INTRINSIC_NAMES):]), poses)
 
 
 def calibrate(dataset: CalibrationDataset, *, estimate_skew: bool = False,
@@ -329,35 +281,42 @@ def calibrate(dataset: CalibrationDataset, *, estimate_skew: bool = False,
     observed = np.stack([g.corners for g in views])
     x0 = layout.pack(k0, d0, poses0)
 
-    def residual(x):
-        return (_project_all(x, layout, world) - observed).ravel()
+    rows = 2 * len(world)
 
-    slots = _refinement_slots(layout, spec.corner_count)
+    def residual(x):
+        intrinsics, dist, pose_params = layout.unpack(x)
+        proj = np.stack([project_points(world, rvec, t, intrinsics, dist)
+                         for rvec, t in pose_params])
+        return (proj - observed).ravel()
 
     def jacobian(x):
-        return grouped_numeric_jacobian(residual, x, slots)
+        intrinsics, dist, pose_params = layout.unpack(x)
+        jac = np.zeros((rows * len(views), layout.n_params))
+        for v, (rvec, t) in enumerate(pose_params):
+            _, d_pose, _, d_k, d_dist = project_points(world, rvec, t, intrinsics,
+                                                       dist, jacobians=True)
+            block = jac[v * rows:(v + 1) * rows]
+            d_global = np.concatenate([d_k, d_dist], axis=2)[:, :, layout.free]
+            block[:, :layout.n_global] = d_global.reshape(rows, -1)
+            block[:, layout.pose_slice(v)] = d_pose.reshape(rows, 6)
+        return jac
 
     problem = LeastSquaresProblem(residual=residual, jacobian=jacobian)
     report = levenberg_marquardt(problem, x0, lm_config or LmConfig())
 
     intrinsics, dist, pose_params = layout.unpack(report.params)
-    poses = []
-    for rvec, t in pose_params:
-        pose = CameraPose(axis_angle_to_rotation(rvec), t)
-        depths = world @ pose.rotation[2] + pose.translation[2]
-        if np.any(depths <= 0):
-            raise BehindCamera("refined pose places the board behind the camera")
-        poses.append(pose)
+    poses = [CameraPose.from_axis_angle(rvec, t) for rvec, t in pose_params]
+    if any(np.any(camera_depths(world, pose) <= 0) for pose in poses):
+        raise BehindCamera("refined pose places the board behind the camera")
 
-    proj = _project_all(report.params, layout, world)
-    per_corner = np.linalg.norm(proj - observed, axis=2)
+    per_corner = np.linalg.norm(residual(report.params).reshape(observed.shape), axis=2)
     per_view = per_corner.mean(axis=1)
     overall = float(per_corner.mean())
 
-    stderr = _standard_errors(report, residual, jacobian, layout)
-    intr_err = {n: stderr[i] for i, n in enumerate(layout.intrinsic_names)}
-    dist_err = {n: stderr[len(layout.intrinsic_names) + i]
-                for i, n in enumerate(layout.distortion_names)}
+    stderr = _standard_errors(report, jacobian)
+    named = list(zip(layout.global_names, stderr))
+    intr_err = {n: e for n, e in named if n in INTRINSIC_NAMES}
+    dist_err = {n: e for n, e in named if n in DISTORTION_NAMES}
     pose_err = stderr[layout.n_global:].reshape(len(views), 6)
 
     return CalibrationResult(
@@ -373,7 +332,7 @@ def calibrate(dataset: CalibrationDataset, *, estimate_skew: bool = False,
     )
 
 
-def _standard_errors(report, residual, jacobian, layout: _ParamLayout) -> np.ndarray:
+def _standard_errors(report, jacobian) -> np.ndarray:
     jac = jacobian(report.params)
     m, n = jac.shape
     if m <= n:
@@ -407,10 +366,8 @@ def reprojection_stats(result: CalibrationResult,
             raise ShapeMismatch(
                 f"view {grid.view_id!r} has {len(grid)} corners, expected {expected}"
             )
-        cam = world @ pose.rotation.T + pose.translation
-        n = cam[:, :2] / cam[:, 2:3]
-        nd = distort_normalized(n, result.distortion)
-        proj = normalized_to_pixel(nd, result.intrinsics)
+        proj = project_points(world, pose.axis_angle(), pose.translation,
+                              result.intrinsics, result.distortion)
         vectors.append(proj - grid.corners)
     vectors = np.stack(vectors)
     per_corner = np.linalg.norm(vectors, axis=2)

@@ -145,7 +145,7 @@ def _cmd_calibrate(args) -> int:
     if args.report:
         lines = ["view,image,mean_error_px"]
         for i, (path, err) in enumerate(zip(paths, result.per_view_errors)):
-            lines.append(f"{i},{path.name},{err!r}")
+            lines.append(f"{i},{path.name},{float(err)!r}")
         lines.append(f"overall,,{result.overall_error!r}")
         Path(args.report).write_text("\n".join(lines) + "\n", encoding="ascii")
     print(f"calibrated {len(paths)} views: overall mean error "

@@ -11,7 +11,7 @@ from .errors import (
     NoModelFound,
     ZeroBaseline,
 )
-from .geometry import CameraPose, nearest_rotation
+from .geometry import CameraPose, camera_depths, nearest_rotation
 
 
 def _homogeneous(pts: np.ndarray) -> np.ndarray:
@@ -155,27 +155,38 @@ def triangulate_points(pose_i: CameraPose, pose_j: CameraPose,
     """
     if np.linalg.norm(pose_i.center - pose_j.center) <= 1e-9:
         raise ZeroBaseline("camera centers coincide")
-    x_i = np.asarray(x_i, dtype=np.float64)
-    x_j = np.asarray(x_j, dtype=np.float64)
-    p_i = np.hstack([pose_i.rotation, pose_i.translation[:, None]])
-    p_j = np.hstack([pose_j.rotation, pose_j.translation[:, None]])
+    x = np.stack([x_i, x_j], axis=1)
+    return triangulate_views([pose_i, pose_j], x, np.ones(x.shape[:2], dtype=bool))
 
-    n = len(x_i)
-    a = np.empty((n, 4, 4))
-    a[:, 0] = x_i[:, 0, None] * p_i[2] - p_i[0]
-    a[:, 1] = x_i[:, 1, None] * p_i[2] - p_i[1]
-    a[:, 2] = x_j[:, 0, None] * p_j[2] - p_j[0]
-    a[:, 3] = x_j[:, 1, None] * p_j[2] - p_j[1]
-    _, _, vt = np.linalg.svd(a)
+
+def triangulate_views(poses, normalized: np.ndarray, seen: np.ndarray):
+    """Linear (DLT) triangulation of points observed in several views.
+
+    ``normalized`` holds the ``(n, V, 2)`` normalized images of n points in
+    the V views of ``poses`` and ``seen`` the ``(n, V)`` mask of the
+    observations that exist. An unseen view contributes zero rows, which
+    leave the null vector unchanged. Returns ``(points, valid)`` where
+    ``valid`` flags finite solutions in front of every observing view;
+    points without a finite solution are zero.
+    """
+    x = np.asarray(normalized, dtype=np.float64)
+    seen = np.asarray(seen, dtype=bool)
+    p = np.stack([np.hstack([pose.rotation, pose.translation[:, None]])
+                  for pose in poses])
+    n, n_views = seen.shape
+    a = np.empty((n, n_views, 2, 4))
+    a[:, :, 0] = x[:, :, 0, None] * p[:, 2] - p[:, 0]
+    a[:, :, 1] = x[:, :, 1, None] * p[:, 2] - p[:, 1]
+    a[~seen] = 0.0
+    _, _, vt = np.linalg.svd(a.reshape(n, 2 * n_views, 4))
     hom = vt[:, -1, :]
     w = hom[:, 3]
     safe = np.abs(w) > 1e-12
     points = np.zeros((n, 3))
     points[safe] = hom[safe, :3] / w[safe, None]
 
-    z_i = points @ pose_i.rotation[2] + pose_i.translation[2]
-    z_j = points @ pose_j.rotation[2] + pose_j.translation[2]
-    valid = safe & (z_i > 0) & (z_j > 0)
+    depths = np.stack([camera_depths(points, pose) for pose in poses], axis=1)
+    valid = safe & np.all((depths > 0) | ~seen, axis=1)
     return points, valid
 
 

@@ -22,6 +22,9 @@ import numpy as np
 from .errors import InvalidRotation, NoConvergence, NonPositiveDepth
 
 _ORTHONORMALITY_TOL = 1e-9
+# Column order of the intrinsics and distortion Jacobian blocks.
+INTRINSIC_NAMES = ("fx", "fy", "cx", "cy", "skew")
+DISTORTION_NAMES = ("k1", "k2", "k3", "p1", "p2")
 
 
 def _as_batch(points, dim: int) -> tuple[np.ndarray, bool]:
@@ -257,11 +260,79 @@ def project(points, pose: CameraPose, intrinsics: CameraIntrinsics,
         raise NonPositiveDepth(
             f"{int(np.sum(z <= 1e-12))} point(s) at or behind the camera plane"
         )
-    normalized = cam[:, :2] / z[:, None]
-    if dist is not None and not dist.is_zero:
-        normalized = distort_normalized(normalized, dist)
-    out = normalized_to_pixel(normalized, intrinsics)
+    out = _pinhole(cam, intrinsics, dist)
     return out[0] if single else out
+
+
+def project_points(points, rvec, translation, intrinsics: CameraIntrinsics,
+                   dist: DistortionCoeffs | None, jacobians: bool = False):
+    """Project world points under an axis-angle pose; the solvers' kernel.
+
+    Depths are clamped to 1e-9 instead of rejected, so trial steps that push
+    points behind the camera give large finite residuals. Returns (n, 2)
+    pixels or, with ``jacobians``, ``(pixels, d_pose, d_point, d_intrinsics,
+    d_distortion)``: per-point blocks (n, 2, k) with respect to (rvec, t),
+    the point, :data:`INTRINSIC_NAMES` and :data:`DISTORTION_NAMES`
+    (Hartley & Zisserman, *Multiple View Geometry*, App. 6).
+    """
+    pts, _ = _as_batch(points, 3)
+    rot = axis_angle_to_rotation(rvec)
+    rotated = pts @ rot.T
+    cam = rotated + translation
+    in_front = cam[:, 2] > 1e-9
+    cam[:, 2] = np.maximum(cam[:, 2], 1e-9)
+    if not jacobians:
+        return _pinhole(cam, intrinsics, dist)
+    pixels, d_cam, d_intrinsics, d_dist = _pinhole(cam, intrinsics, dist,
+                                                   jacobians=True)
+    d_cam[:, :, 2] *= in_front[:, None]
+    # d(R X)/d rvec = -[R X]x R J_r(rvec), J_r the right Jacobian of SO(3).
+    rj = rot @ _rotation_right_jacobian(rvec)
+    d_rotated = -np.cross(rotated[:, None, :], rj.T).transpose(0, 2, 1)
+    d_pose = np.concatenate([d_cam @ d_rotated, d_cam], axis=2)
+    return pixels, d_pose, d_cam @ rot, d_intrinsics, d_dist
+
+
+def _pinhole(cam: np.ndarray, intrinsics: CameraIntrinsics,
+             dist: DistortionCoeffs | None, jacobians: bool = False):
+    """Perspective divide, distortion and intrinsic map of camera-frame
+    points at positive depth; with ``jacobians`` also the derivatives of the
+    pixels with respect to the camera-frame point, the intrinsics and the
+    distortion, as ``(pixels, d_cam, d_intrinsics, d_distortion)``."""
+    z = cam[:, 2]
+    normalized = cam[:, :2] / z[:, None]
+    distorted = normalized
+    if dist is not None and not dist.is_zero:
+        distorted = distort_normalized(normalized, dist)
+    pixels = normalized_to_pixel(distorted, intrinsics)
+    if not jacobians:
+        return pixels
+
+    x, y = normalized[:, 0], normalized[:, 1]
+    xd, yd = distorted[:, 0], distorted[:, 1]
+    k1, k2, k3, p1, p2 = (dist or DistortionCoeffs()).as_array()
+    r2 = x * x + y * y
+    radial = 1.0 + r2 * (k1 + r2 * (k2 + r2 * k3))
+    d_radial = k1 + r2 * (2.0 * k2 + 3.0 * k3 * r2)
+    mixed = 2.0 * x * y * d_radial + 2.0 * p1 * x + 2.0 * p2 * y
+    d_distorted = _blocks(  # d(xd, yd)/d(x, y)
+        (radial + 2.0 * x * x * d_radial + 2.0 * p1 * y + 6.0 * p2 * x, mixed),
+        (mixed, radial + 2.0 * y * y * d_radial + 6.0 * p1 * y + 2.0 * p2 * x))
+    k_map = np.array([[intrinsics.fx, intrinsics.skew], [0.0, intrinsics.fy]])
+    # d(x, y)/d(camera point) = [I | -(x, y)] / z
+    scaled = k_map @ d_distorted / z[:, None, None]
+    d_cam = np.concatenate([scaled, -scaled @ normalized[:, :, None]], axis=2)
+    d_intrinsics = _blocks((xd, 0.0, 1.0, 0.0, yd), (0.0, yd, 0.0, 1.0, 0.0))
+    d_dist = _blocks((x * r2, x * r2 ** 2, x * r2 ** 3, 2.0 * x * y, r2 + 2.0 * x * x),
+                     (y * r2, y * r2 ** 2, y * r2 ** 3, r2 + 2.0 * y * y, 2.0 * x * y))
+    return pixels, d_cam, d_intrinsics, k_map @ d_dist
+
+
+def _blocks(*rows) -> np.ndarray:
+    """Per-point matrices (n, len(rows), len(row)) from rows of (n,) arrays
+    and scalars."""
+    return np.stack([np.stack(np.broadcast_arrays(*row), axis=-1) for row in rows],
+                    axis=1)
 
 
 def camera_depths(points, pose: CameraPose) -> np.ndarray:
@@ -290,6 +361,16 @@ def axis_angle_to_rotation(rvec) -> np.ndarray:
     axis = r / theta
     k = _skew_matrix(axis)
     return np.eye(3) + np.sin(theta) * k + (1.0 - np.cos(theta)) * (k @ k)
+
+
+def _rotation_right_jacobian(rvec: np.ndarray) -> np.ndarray:
+    """``J_r`` with ``R(rvec + d) ~ R(rvec) R(J_r d)`` for small ``d``."""
+    theta = np.linalg.norm(rvec)
+    k = _skew_matrix(rvec)
+    a = 0.5 * np.sinc(theta / (2.0 * np.pi)) ** 2  # (1 - cos t) / t^2
+    # (t - sin t) / t^3, from its series where the closed form cancels.
+    b = (theta - np.sin(theta)) / theta ** 3 if theta > 1e-2 else 1 / 6 - theta**2 / 120
+    return np.eye(3) - a * k + b * (k @ k)
 
 
 def rotation_to_axis_angle(rotation) -> np.ndarray:

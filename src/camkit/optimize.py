@@ -90,37 +90,6 @@ def numeric_jacobian(problem: LeastSquaresProblem, x, eps: float = 1e-6) -> np.n
     return jac
 
 
-def grouped_numeric_jacobian(residual: Callable[[np.ndarray], np.ndarray], x,
-                             slots: list[list[tuple[int, np.ndarray]]],
-                             eps: float = 1e-6) -> np.ndarray:
-    """Central-difference Jacobian exploiting disjoint parameter support.
-
-    ``slots`` is a coloring of the parameter indices: each slot lists
-    ``(param_index, row_indices)`` entries whose residual supports are
-    pairwise disjoint, so all parameters in a slot can be perturbed by one
-    pair of residual evaluations. Every parameter must appear exactly once
-    across all slots. The result equals :func:`numeric_jacobian` up to
-    rounding.
-    """
-    x = np.asarray(x, dtype=np.float64).ravel()
-    r0 = np.asarray(residual(x), dtype=np.float64).ravel()
-    if not np.all(np.isfinite(r0)):
-        raise NonFiniteResidual("residual evaluator returned non-finite values")
-    jac = np.zeros((r0.size, x.size))
-    for slot in slots:
-        delta = np.zeros_like(x)
-        for pi, _ in slot:
-            delta[pi] = eps * max(1.0, abs(x[pi]))
-        rp = np.asarray(residual(x + delta), dtype=np.float64).ravel()
-        rm = np.asarray(residual(x - delta), dtype=np.float64).ravel()
-        if not (np.all(np.isfinite(rp)) and np.all(np.isfinite(rm))):
-            raise NonFiniteResidual("residual evaluator returned non-finite values")
-        diff = rp - rm
-        for pi, rows in slot:
-            jac[rows, pi] = diff[rows] / (2.0 * delta[pi])
-    return jac
-
-
 def _cost(r: np.ndarray) -> float:
     return 0.5 * float(r @ r)
 

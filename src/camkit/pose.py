@@ -13,10 +13,10 @@ from .geometry import (
     CameraIntrinsics,
     CameraPose,
     DistortionCoeffs,
-    axis_angle_to_rotation,
-    distort_normalized,
+    camera_depths,
     normalized_to_pixel,
     pixel_to_normalized,
+    project_points,
     rotation_to_axis_angle,
     undistort_normalized,
 )
@@ -38,18 +38,18 @@ def refine_pose(world_points: np.ndarray, observed_px: np.ndarray,
     obs = np.asarray(observed_px, dtype=np.float64)
 
     def residual(x):
-        rot = axis_angle_to_rotation(x[:3])
-        cam = world @ rot.T + x[3:]
-        z = np.maximum(cam[:, 2], 1e-9)
-        nd = distort_normalized(cam[:, :2] / z[:, None], dist)
-        return (normalized_to_pixel(nd, intrinsics) - obs).ravel()
+        return (project_points(world, x[:3], x[3:], intrinsics, dist) - obs).ravel()
+
+    def jacobian(x):
+        _, d_pose, *_ = project_points(world, x[:3], x[3:], intrinsics, dist,
+                                       jacobians=True)
+        return d_pose.reshape(-1, 6)
 
     x0 = np.concatenate([rotation_to_axis_angle(initial.rotation),
                          initial.translation])
-    report = levenberg_marquardt(LeastSquaresProblem(residual), x0,
+    report = levenberg_marquardt(LeastSquaresProblem(residual, jacobian), x0,
                                  lm_config or LmConfig())
-    pose = CameraPose(axis_angle_to_rotation(report.params[:3]),
-                      report.params[3:])
+    pose = CameraPose.from_axis_angle(report.params[:3], report.params[3:])
     res = residual(report.params).reshape(-1, 2)
     mean_err = float(np.linalg.norm(res, axis=1).mean())
     return pose, mean_err
@@ -73,8 +73,7 @@ def estimate_board_pose(intrinsics: CameraIntrinsics, dist: DistortionCoeffs,
     h = estimate_homography(world[:, :2], ideal)
     initial = extrinsics_from_homography(intrinsics, h)
     pose, mean_err = refine_pose(world, corners.corners, intrinsics, dist, initial)
-    depths = world @ pose.rotation[2] + pose.translation[2]
-    if np.any(depths <= 0):
+    if np.any(camera_depths(world, pose) <= 0):
         raise BehindCamera("estimated pose places board corners behind the camera")
     return pose, mean_err
 

@@ -17,7 +17,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .epipolar import essential_ransac, recover_relative_pose, triangulate_points
+from .epipolar import (essential_ransac, recover_relative_pose,
+                       triangulate_points, triangulate_views)
 from .errors import (
     CheiralityAmbiguous,
     EmptyScene,
@@ -31,21 +32,15 @@ from .geometry import (
     CameraIntrinsics,
     CameraPose,
     DistortionCoeffs,
-    axis_angle_to_rotation,
-    distort_normalized,
+    camera_depths,
     nearest_rotation,
-    normalized_to_pixel,
     pixel_to_normalized,
+    project_points,
     rotation_to_axis_angle,
     undistort_normalized,
 )
 from .imageops import bilinear_sample, to_float
-from .optimize import (
-    LeastSquaresProblem,
-    LmConfig,
-    grouped_numeric_jacobian,
-    levenberg_marquardt,
-)
+from .optimize import LeastSquaresProblem, LmConfig, levenberg_marquardt
 from .pose import refine_pose
 from .tracks import MatchPair, Track, build_tracks
 
@@ -91,17 +86,22 @@ class SfmScene:
     def observation_residuals(self) -> list[np.ndarray]:
         """Per valid track, the pixel residual norm of each registered
         observation."""
-        out = []
-        for track in self.valid_tracks():
-            errs = []
-            for view, fi in track.observations:
-                if view not in self.poses:
-                    continue
-                proj = _project_point(track.point, self.poses[view],
-                                      self.intrinsics, self.distortion)
-                errs.append(float(np.linalg.norm(proj - self.features[view][fi])))
-            out.append(np.array(errs))
-        return out
+        tracks = self.valid_tracks()
+        obs = [(k, v, fi) for k, track in enumerate(tracks)
+               for v, fi in track.observations if v in self.poses]
+        owner, views, feature = np.array(obs, dtype=np.int64).reshape(-1, 3).T
+        points = np.array([track.point for track in tracks]).reshape(-1, 3)
+        errors = np.empty(len(obs))
+        for v in np.unique(views).tolist():
+            sel = views == v
+            pose = self.poses[v]
+            proj = project_points(points[owner[sel]], pose.axis_angle(),
+                                  pose.translation, self.intrinsics,
+                                  self.distortion)
+            errors[sel] = np.linalg.norm(proj - self.features[v][feature[sel]],
+                                         axis=1)
+        counts = np.bincount(owner, minlength=len(tracks))
+        return np.split(errors, np.cumsum(counts)[:-1]) if tracks else []
 
 
 @dataclass(frozen=True)
@@ -113,13 +113,6 @@ class PointCloud:
 
     def __len__(self) -> int:
         return len(self.positions)
-
-
-def _project_point(point, pose, intrinsics, dist):
-    cam = pose.rotation @ np.asarray(point, dtype=np.float64) + pose.translation
-    z = max(cam[2], 1e-9)
-    nd = distort_normalized(np.array([cam[0] / z, cam[1] / z]), dist)
-    return normalized_to_pixel(nd, intrinsics)
 
 
 def _pair_seed(seed: int, i: int, j: int) -> int:
@@ -146,39 +139,25 @@ def _linear_resection(world: np.ndarray, norm_xy: np.ndarray) -> CameraPose:
     return CameraPose(rot, t)
 
 
-def _triangulate_multiview(track: Track, poses: dict[int, CameraPose],
-                           normalized: dict[int, np.ndarray]):
-    """DLT over all registered observations; returns (point, all_in_front)."""
-    rows = []
-    regs = [(v, fi) for v, fi in track.observations if v in poses]
-    for v, fi in regs:
-        pose = poses[v]
-        p = np.hstack([pose.rotation, pose.translation[:, None]])
-        x, y = normalized[v][fi]
-        rows.append(x * p[2] - p[0])
-        rows.append(y * p[2] - p[1])
-    _, _, vt = np.linalg.svd(np.array(rows))
-    hom = vt[-1]
-    if abs(hom[3]) < 1e-12:
-        return None, False
-    point = hom[:3] / hom[3]
-    in_front = all(
-        (poses[v].rotation[2] @ point + poses[v].translation[2]) > 0
-        for v, _ in regs
-    )
-    return point, in_front
-
-
 def _refresh_triangulations(scene: SfmScene, normalized) -> None:
-    for track in scene.tracks:
-        registered = sum(1 for v, _ in track.observations if v in scene.poses)
-        if registered < 2:
-            continue
-        if track.valid and track.point is not None:
-            continue
-        point, ok = _triangulate_multiview(track, scene.poses, normalized)
+    """Triangulate, in one batch, every track that is not yet valid and has
+    at least two registered observations."""
+    views = list(scene.poses)
+    column = {v: c for c, v in enumerate(views)}
+    pending = [track for track in scene.tracks
+               if not (track.valid and track.point is not None)
+               and sum(v in column for v, _ in track.observations) >= 2]
+    x = np.zeros((len(pending), len(views), 2))
+    seen = np.zeros((len(pending), len(views)), dtype=bool)
+    for k, track in enumerate(pending):
+        for v, fi in track.observations:
+            if v in column:
+                x[k, column[v]] = normalized[v][fi]
+                seen[k, column[v]] = True
+    points, valid = triangulate_views([scene.poses[v] for v in views], x, seen)
+    for track, point, ok in zip(pending, points, valid):
         track.point = point
-        track.valid = ok
+        track.valid = bool(ok)
 
 
 def reconstruct(images, intrinsics: CameraIntrinsics, dist: DistortionCoeffs,
@@ -335,9 +314,8 @@ def _register_view(scene: SfmScene, view: int, normalized,
 
 
 def _mean_residual(scene: SfmScene) -> float:
-    all_errs = np.concatenate([r for r in scene.observation_residuals()
-                               if len(r)]) if scene.valid_tracks() else np.array([])
-    return float(all_errs.mean()) if len(all_errs) else float("nan")
+    errors = np.concatenate([np.empty(0), *scene.observation_residuals()])
+    return float(errors.mean()) if errors.size else float("nan")
 
 
 # --- bundle adjustment -------------------------------------------------------
@@ -357,9 +335,9 @@ def _build_ba_problem(scene: SfmScene):
     """Assemble the bundle-adjustment least-squares problem for a scene.
 
     Returns ``(problem, x0, pose_of, point_start, track_ids)`` where
-    ``pose_of(view, x)`` evaluates a view's (rotation, translation) under a
-    parameter vector. The first registered pose is constant and the second
-    pose's translation is parameterized in the tangent plane of its current
+    ``pose_of(view, x)`` evaluates a view's CameraPose under a parameter
+    vector. The first registered pose is constant and the second pose's
+    translation is parameterized in the tangent plane of its current
     direction with its norm frozen.
     """
     order = scene.view_order
@@ -370,6 +348,8 @@ def _build_ba_problem(scene: SfmScene):
     if not track_ids:
         raise ValueError("bundle adjustment needs at least one triangulated track")
 
+    fixed = scene.poses[order[0]]
+    fixed_rvec = rotation_to_axis_angle(fixed.rotation)
     gauge_view = order[1]
     moving = list(order[1:])
     t2_init = scene.poses[gauge_view].translation
@@ -391,12 +371,10 @@ def _build_ba_problem(scene: SfmScene):
         for v, fi in scene.tracks[ti].observations:
             if v in scene.poses:
                 obs.append((v, local, fi))
-    # Rows grouped per view in registration order for the FD coloring.
-    view_rank = {v: r for r, v in enumerate(order)}
-    obs.sort(key=lambda o: (view_rank[o[0]], o[1]))
     obs_view = np.array([o[0] for o in obs])
     obs_track = np.array([o[1] for o in obs])
     obs_px = np.array([scene.features[v][fi] for v, _, fi in obs])
+    obs_of_view = [(v, np.flatnonzero(obs_view == v)) for v in order]
 
     x0 = np.zeros(n_params)
     for v in moving:
@@ -411,52 +389,49 @@ def _build_ba_problem(scene: SfmScene):
     intrinsics = scene.intrinsics
     dist = scene.distortion
 
-    def pose_of(v: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def view_params(v: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """A view's axis-angle and translation under ``x``."""
         if v == order[0]:
-            p = scene.poses[v]
-            return p.rotation, p.translation
+            return fixed_rvec, fixed.translation
         s = pose_start[v]
-        rot = axis_angle_to_rotation(x[s:s + 3])
         if v == gauge_view:
             t = t2_init + basis @ x[s + 3:s + 5]
-            t = t * (t2_norm / np.linalg.norm(t))
-        else:
-            t = x[s + 3:s + 6]
-        return rot, t
+            return x[s:s + 3], t * (t2_norm / np.linalg.norm(t))
+        return x[s:s + 3], x[s + 3:s + 6]
+
+    def pose_of(v: int, x: np.ndarray) -> CameraPose:
+        return CameraPose.from_axis_angle(*view_params(v, x))
 
     def residual(x: np.ndarray) -> np.ndarray:
         pts = x[point_start:].reshape(-1, 3)
         out = np.empty((len(obs), 2))
-        for v in order:
-            sel = obs_view == v
-            if not np.any(sel):
-                continue
-            rot, t = pose_of(v, x)
-            cam = pts[obs_track[sel]] @ rot.T + t
-            z = np.maximum(cam[:, 2], 1e-9)
-            nd = distort_normalized(cam[:, :2] / z[:, None], dist)
-            out[sel] = normalized_to_pixel(nd, intrinsics)
+        for v, sel in obs_of_view:
+            out[sel] = project_points(pts[obs_track[sel]], *view_params(v, x),
+                                      intrinsics, dist)
         return (out - obs_px).ravel()
 
-    row_of_obs = np.arange(len(obs))
-    rows_by_view = {v: np.concatenate([2 * row_of_obs[obs_view == v],
-                                       2 * row_of_obs[obs_view == v] + 1])
-                    for v in moving}
-    slots = []
-    for k in range(6):
-        slot = [(pose_start[v] + k, rows_by_view[v]) for v in moving
-                if not (v == gauge_view and k == 5)]
-        if slot:
-            slots.append(slot)
-    track_rows = [np.concatenate([2 * row_of_obs[obs_track == local],
-                                  2 * row_of_obs[obs_track == local] + 1])
-                  for local in range(len(track_ids))]
-    for c in range(3):
-        slots.append([(point_start + 3 * local + c, track_rows[local])
-                      for local in range(len(track_ids))])
-
-    def jacobian(x):
-        return grouped_numeric_jacobian(residual, x, slots)
+    def jacobian(x: np.ndarray) -> np.ndarray:
+        pts = x[point_start:].reshape(-1, 3)
+        jac = np.zeros((2 * len(obs), n_params))
+        for v, sel in obs_of_view:
+            _, d_pose, d_point, _, _ = project_points(
+                pts[obs_track[sel]], *view_params(v, x), intrinsics, dist,
+                jacobians=True)
+            rows = (2 * sel[:, None] + np.arange(2))[:, :, None]
+            cols = point_start + 3 * obs_track[sel][:, None] + np.arange(3)
+            jac[rows, cols[:, None, :]] = d_point
+            if v == order[0]:
+                continue
+            s = pose_start[v]
+            if v == gauge_view:
+                # Chain rule through t = t2_norm * w / |w|, w = t2_init + B u.
+                w = t2_init + basis @ x[s + 3:s + 5]
+                e = w / np.linalg.norm(w)
+                d_t = (t2_norm / np.linalg.norm(w)) * (basis - np.outer(e, e @ basis))
+                d_pose = np.concatenate([d_pose[:, :, :3], d_pose[:, :, 3:] @ d_t],
+                                        axis=2)
+            jac[rows, s + np.arange(d_pose.shape[2])] = d_pose
+        return jac
 
     problem = LeastSquaresProblem(residual=residual, jacobian=jacobian)
     return problem, x0, pose_of, point_start, track_ids
@@ -476,14 +451,13 @@ def bundle_adjust(scene: SfmScene, lm_config: LmConfig | None = None) -> SfmScen
 
     new_poses = dict(scene.poses)
     for v in scene.view_order[1:]:
-        rot, t = pose_of(v, x)
-        new_poses[v] = CameraPose(rot, np.asarray(t))
+        new_poses[v] = pose_of(v, x)
     new_tracks = [replace(t) for t in scene.tracks]
     pts = x[point_start:].reshape(-1, 3)
     for local, ti in enumerate(track_ids):
         point = pts[local]
         in_front = all(
-            (new_poses[v].rotation[2] @ point + new_poses[v].translation[2]) > 0
+            camera_depths(point, new_poses[v])[0] > 0
             for v, _ in new_tracks[ti].observations if v in new_poses
         )
         new_tracks[ti].point = point.copy()

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,7 +35,6 @@ class Track:
     observations: tuple[tuple[int, int], ...]
     point: np.ndarray | None = None
     valid: bool = False
-    intensity: float = field(default=float("nan"))
 
     def __len__(self) -> int:
         return len(self.observations)

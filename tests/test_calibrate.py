@@ -1,3 +1,5 @@
+import importlib
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from camkit import (
     CameraPose,
     CalibrationDataset,
     DistortionCoeffs,
+    LeastSquaresProblem,
     LmConfig,
     board_world_points,
     calibrate,
@@ -13,6 +16,8 @@ from camkit import (
     estimate_homography,
     extrinsics_from_homography,
     init_intrinsics,
+    levenberg_marquardt,
+    numeric_jacobian,
     render_board,
     reprojection_stats,
     rotation_to_axis_angle,
@@ -154,6 +159,31 @@ def test_calibrate_with_noise_stays_under_a_pixel(board_spec, ref_intrinsics,
                            board_poses, noise=0.5, seed=101)
     result = calibrate(dataset)
     assert 0.3 < result.overall_error < 0.7
+
+
+def test_refinement_jacobian_matches_central_differences(
+        board_spec, ref_intrinsics, ref_distortion, board_poses, monkeypatch):
+    problems = []
+
+    def solve(problem, x0, cfg=None):
+        report = levenberg_marquardt(problem, x0, cfg)
+        problems.append((problem, report.params))
+        return report
+
+    # The package's ``calibrate`` attribute is the function, not the module.
+    monkeypatch.setattr(importlib.import_module("camkit.calibrate"),
+                        "levenberg_marquardt", solve)
+    dataset = make_dataset(board_spec, ref_intrinsics, ref_distortion,
+                           board_poses[:5], noise=0.2, seed=7)
+    calibrate(dataset, estimate_skew=True, estimate_k3=True,
+              estimate_tangential=True)
+    (problem, params), = problems
+    rng = np.random.default_rng(0)
+    x = params + rng.normal(0, 1e-3, params.shape) * np.maximum(1, np.abs(params))
+    supplied = problem.jacobian(x)
+    dense = numeric_jacobian(LeastSquaresProblem(problem.residual), x)
+    assert supplied.shape == (5 * board_spec.corner_count * 2, 10 + 5 * 6)
+    assert np.max(np.abs(supplied - dense) / np.maximum(np.abs(dense), 1.0)) < 1e-5
 
 
 def test_calibrate_requires_three_views(board_spec, ref_intrinsics,

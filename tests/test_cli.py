@@ -64,6 +64,8 @@ def test_cli_calibration_recovers_camera(calibration_file):
     assert report_lines[0] == "view,image,mean_error_px"
     assert len(report_lines) == 1 + 8 + 1
     assert report_lines[-1].startswith("overall,,")
+    for line in report_lines[1:]:
+        float(line.split(",")[2])
 
 
 def test_cli_outputs_are_deterministic(board_dataset, tmp_path):

@@ -16,6 +16,8 @@ from camkit import (
     undistort_normalized,
 )
 from camkit.errors import InvalidRotation, NoConvergence, NonPositiveDepth
+from camkit.geometry import project_points
+from camkit.optimize import LeastSquaresProblem, numeric_jacobian
 
 from conftest import REF_CX, REF_CY
 
@@ -52,6 +54,55 @@ def test_project_rejects_points_behind_camera(ref_intrinsics):
     with pytest.raises(NonPositiveDepth):
         project(np.array([[0.0, 0.0, 2.0], [0.0, 0.0, 0.0]]),
                 CameraPose.identity(), ref_intrinsics)
+
+
+def _central_differences(fn, x):
+    return numeric_jacobian(LeastSquaresProblem(lambda p: fn(p).ravel()), x)
+
+
+def _relative_error(analytic, numeric):
+    return np.max(np.abs(analytic - numeric) / np.maximum(np.abs(numeric), 1.0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(axis=st.tuples(st.floats(-1, 1), st.floats(-1, 1), st.floats(-1, 1)),
+       angle=st.one_of(st.just(0.0), st.floats(1e-9, 1e-3), st.floats(1e-3, np.pi)),
+       t=st.tuples(st.floats(-1, 1), st.floats(-1, 1), st.floats(-1, 1)),
+       k=st.tuples(st.floats(200, 2000), st.floats(200, 2000), st.floats(0, 1000),
+                   st.floats(0, 1000), st.floats(-5, 5)),
+       d=st.tuples(st.floats(-0.5, 0.5), st.floats(-0.5, 0.5), st.floats(-0.5, 0.5),
+                   st.floats(-0.01, 0.01), st.floats(-0.01, 0.01)),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_project_points_jacobians_match_central_differences(axis, angle, t, k, d,
+                                                            seed):
+    axis = np.array(axis)
+    if np.linalg.norm(axis) < 1e-3:
+        axis = np.array([0.0, 0.0, 1.0])
+    rvec = angle * axis / np.linalg.norm(axis)
+    t = np.array(t)
+    rng = np.random.default_rng(seed)
+    depth = rng.uniform(0.5, 5.0, 4)
+    cam = np.column_stack([rng.uniform(-0.6, 0.6, (4, 2)) * depth[:, None], depth])
+    world = (cam - t) @ axis_angle_to_rotation(rvec)
+    intr = CameraIntrinsics(*k)
+    dist = DistortionCoeffs(*d)
+
+    _, d_pose, d_point, d_intr, d_dist = project_points(world, rvec, t, intr, dist,
+                                                        jacobians=True)
+    blocks = [
+        (d_pose, _central_differences(
+            lambda p: project_points(world, p[:3], p[3:], intr, dist),
+            np.concatenate([rvec, t]))),
+        (d_intr, _central_differences(
+            lambda p: project_points(world, rvec, t, CameraIntrinsics(*p), dist), k)),
+        (d_dist, _central_differences(
+            lambda p: project_points(world, rvec, t, intr, DistortionCoeffs(*p)), d)),
+    ]
+    for i, point in enumerate(world):
+        blocks.append((d_point[i:i + 1], _central_differences(
+            lambda p: project_points(p, rvec, t, intr, dist), point)))
+    for analytic, numeric in blocks:
+        assert _relative_error(analytic.reshape(numeric.shape), numeric) < 1e-5
 
 
 def test_pixel_to_normalized_principal_point(ref_intrinsics):

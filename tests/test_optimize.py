@@ -4,7 +4,6 @@ import scipy.optimize
 
 from camkit import LeastSquaresProblem, LmConfig, levenberg_marquardt, numeric_jacobian
 from camkit.errors import NonFiniteResidual, SingularNormalEquations
-from camkit.optimize import grouped_numeric_jacobian
 
 
 def test_numeric_jacobian_identity():
@@ -29,31 +28,6 @@ def test_numeric_jacobian_rejects_nan():
     problem = LeastSquaresProblem(lambda x: np.array([np.nan]))
     with pytest.raises(NonFiniteResidual):
         numeric_jacobian(problem, np.array([1.0]))
-
-
-def test_grouped_jacobian_matches_dense():
-    def residual(x):
-        return np.array([x[0] ** 2 + x[2], np.sin(x[1]) * x[2],
-                         x[0] - x[1], x[2] ** 3])
-
-    x = np.array([0.5, -1.2, 2.0])
-    rows = np.arange(4)
-    slots = [[(0, rows)], [(1, rows)], [(2, rows)]]
-    dense = numeric_jacobian(LeastSquaresProblem(residual), x)
-    grouped = grouped_numeric_jacobian(residual, x, slots)
-    assert np.max(np.abs(dense - grouped)) < 1e-12
-
-
-def test_grouped_jacobian_disjoint_blocks():
-    # Two independent sub-problems share one finite-difference slot.
-    def residual(x):
-        return np.array([x[0] * 2.0, x[0] ** 2, x[1] + 1.0, 3.0 * x[1] ** 2])
-
-    x = np.array([1.5, -0.5])
-    slots = [[(0, np.array([0, 1])), (1, np.array([2, 3]))]]
-    grouped = grouped_numeric_jacobian(residual, x, slots)
-    dense = numeric_jacobian(LeastSquaresProblem(residual), x)
-    assert np.max(np.abs(dense - grouped)) < 1e-9
 
 
 def test_lm_solves_linear_problem():
