@@ -19,7 +19,6 @@ from .board import CheckerboardSpec, render_board
 from .calibrate import CalibrationDataset, calibrate, undistort_image
 from .corners import detect_corners
 from .errors import CamkitError, IoFailure
-from .geometry import DistortionCoeffs
 from .pose import estimate_board_pose, export_extrinsics_scene
 from .sfm import SfmConfig, export_point_cloud, reconstruct
 from .synthetic import (
@@ -193,34 +192,15 @@ def _cmd_sfm(args) -> int:
     return 0
 
 
-def _load_render_spec(path):
-    doc = fileio._load_json(path)
-    ctx = str(path)
-    size = fileio._require(doc, "image_size", ctx)
-    width = int(fileio._require(size, "width", ctx))
-    height = int(fileio._require(size, "height", ctx))
-    intrinsics = fileio._intrinsics_from_json(
-        fileio._require(doc, "intrinsics", ctx), ctx)
-    dist = (fileio._distortion_from_json(doc["distortion"], ctx)
-            if "distortion" in doc else DistortionCoeffs())
-    return doc, width, height, intrinsics, dist
-
-
-def _spec_poses(doc, ctx):
-    if "poses" in doc:
-        return [fileio._pose_from_json(p, ctx) for p in doc["poses"]], None
-    return None, int(fileio._require(doc, "views", ctx))
-
-
 def _cmd_render_board(args) -> int:
-    doc, width, height, intrinsics, dist = _load_render_spec(args.spec)
-    board = fileio.board_from_json(fileio._require(doc, "board", args.spec),
-                                   args.spec)
-    poses, n_views = _spec_poses(doc, args.spec)
+    spec = fileio.read_render_spec(args.spec, "board")
+    width, height = spec["image_size"]
+    intrinsics, dist, board = spec["intrinsics"], spec["distortion"], spec["board"]
+    poses = spec["poses"]
     if poses is None:
         rng = np.random.default_rng(args.seed)
         poses = sample_board_poses(board, intrinsics, dist, width, height,
-                                   n_views, rng)
+                                   spec["views"], rng)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     names = []
@@ -237,16 +217,16 @@ def _cmd_render_board(args) -> int:
 
 
 def _cmd_render_scene(args) -> int:
-    doc, width, height, intrinsics, dist = _load_render_spec(args.spec)
-    cube_doc = fileio._require(doc, "cube", args.spec)
-    edge = float(fileio._require(cube_doc, "edge", args.spec))
-    scene = CubeScene(edge=edge,
-                      texture_seed=int(cube_doc.get("texture_seed", 7)))
-    poses, n_views = _spec_poses(doc, args.spec)
+    spec = fileio.read_render_spec(args.spec, "cube")
+    width, height = spec["image_size"]
+    intrinsics, dist, cube = spec["intrinsics"], spec["distortion"], spec["cube"]
+    edge = cube["edge"]
+    scene = CubeScene(edge=edge, texture_seed=cube["texture_seed"])
+    poses = spec["poses"]
     if poses is None:
-        ring = doc.get("ring", {})
+        ring = spec["ring"]
         poses = sample_ring_poses(
-            n_views,
+            spec["views"],
             radius=float(ring.get("radius", 2.5 * edge)),
             elevation_deg=float(ring.get("elevation_deg", 30.0)),
             sweep_deg=float(ring.get("sweep_deg", 48.0)),
@@ -262,9 +242,7 @@ def _cmd_render_scene(args) -> int:
         names.append(name)
     fileio.write_ground_truth(out / "ground_truth.json", intrinsics=intrinsics,
                               distortion=dist, image_size=(width, height),
-                              poses=poses, images=names,
-                              cube={"edge": edge,
-                                    "texture_seed": int(cube_doc.get("texture_seed", 7))})
+                              poses=poses, images=names, cube=cube)
     print(f"rendered {len(poses)} cube views into {out}")
     return 0
 

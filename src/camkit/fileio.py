@@ -347,6 +347,43 @@ def write_ground_truth(path, *, intrinsics: CameraIntrinsics,
     _dump_json(doc, path)
 
 
+def read_render_spec(path, subject: str) -> dict:
+    """Load a render spec for ``subject`` ("board" or "cube").
+
+    Returns plain objects: ``image_size`` (width, height), ``intrinsics``,
+    ``distortion`` (zero when absent), ``poses`` (a list of CameraPose, or
+    None when the spec gives a view count), ``views`` (that count, or None),
+    ``ring`` (the raw ring settings, possibly empty) and the subject: a
+    CheckerboardSpec under ``board``, or ``{"edge", "texture_seed"}`` under
+    ``cube`` (texture seed 7 when absent). Raises SchemaMismatch for missing
+    fields.
+    """
+    doc = _load_json(path)
+    ctx = str(path)
+    size = _require(doc, "image_size", ctx)
+    out = {
+        "image_size": (int(_require(size, "width", ctx)),
+                       int(_require(size, "height", ctx))),
+        "intrinsics": _intrinsics_from_json(_require(doc, "intrinsics", ctx), ctx),
+        "distortion": (_distortion_from_json(doc["distortion"], ctx)
+                       if "distortion" in doc else DistortionCoeffs()),
+        "ring": doc.get("ring", {}),
+    }
+    section = _require(doc, subject, ctx)
+    if subject == "board":
+        out["board"] = board_from_json(section, ctx)
+    else:
+        out["cube"] = {"edge": float(_require(section, "edge", ctx)),
+                       "texture_seed": int(section.get("texture_seed", 7))}
+    if "poses" in doc:
+        out["poses"] = [_pose_from_json(p, ctx) for p in doc["poses"]]
+        out["views"] = None
+    else:
+        out["poses"] = None
+        out["views"] = int(_require(doc, "views", ctx))
+    return out
+
+
 def read_ground_truth(path) -> dict:
     """Load a synthetic ground-truth file into plain objects."""
     doc = _load_json(path)

@@ -1,8 +1,12 @@
-"""Damped nonlinear least squares (Levenberg-Marquardt) on dense problems.
+"""Damped nonlinear least squares (Levenberg-Marquardt).
 
 The cost minimized is ``0.5 * sum(r(x)**2)``. The damped normal equations
-``(J^T J + lambda diag(J^T J)) step = -J^T r`` are solved by Cholesky
-factorization; steps are accepted only when the cost strictly decreases, so
+``(J^T J + lambda diag(J^T J)) step = -J^T r`` are solved by a dense
+Cholesky factorization when the Jacobian is an ndarray, and by a sparse LU
+factorization (SuperLU, COLAMD ordering, diagonal pivots) when it is a
+``scipy.sparse`` array, as the block-sparse bundle-adjustment Jacobian is.
+Only that linear solve differs: damping, step acceptance and termination
+are shared. Steps are accepted only when the cost strictly decreases, so
 the accepted-cost sequence is monotonically non-increasing. Everything is
 deterministic.
 """
@@ -14,6 +18,8 @@ from typing import Callable, Optional
 
 import numpy as np
 import scipy.linalg
+from scipy import sparse
+from scipy.sparse.linalg import splu
 
 from .errors import NonFiniteResidual, SingularNormalEquations
 
@@ -25,11 +31,12 @@ class LeastSquaresProblem:
     """A residual evaluator plus an optional analytic Jacobian.
 
     The evaluator must be deterministic and return a fixed-length residual
-    vector of dimension >= the parameter dimension.
+    vector of dimension >= the parameter dimension. The Jacobian may be an
+    ndarray or a ``scipy.sparse`` array; its type selects the linear solve.
     """
 
     residual: Callable[[np.ndarray], np.ndarray]
-    jacobian: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    jacobian: Optional[Callable[[np.ndarray], np.ndarray | sparse.sparray]] = None
 
 
 @dataclass
@@ -94,6 +101,25 @@ def _cost(r: np.ndarray) -> float:
     return 0.5 * float(r @ r)
 
 
+def _damped_step(jtj, diag: np.ndarray, lam: float, grad: np.ndarray):
+    """Solve ``(jtj + lam diag(diag)) step = -grad``; None if the
+    factorization fails."""
+    try:
+        if sparse.issparse(jtj):
+            # The damped matrix is symmetric positive definite unless J has
+            # a zero column, so diagonal pivots in a symmetric fill-reducing
+            # order are stable, as in Cholesky; row pivoting only adds fill.
+            damped = sparse.csc_array(jtj + sparse.diags_array(lam * diag))
+            lu = splu(damped, permc_spec="COLAMD", diag_pivot_thresh=0.0,
+                      options={"SymmetricMode": True})
+            return lu.solve(-grad)
+        chol = scipy.linalg.cho_factor(jtj + lam * np.diag(diag), lower=True)
+        return scipy.linalg.cho_solve(chol, -grad)
+    except (np.linalg.LinAlgError, scipy.linalg.LinAlgError, ValueError,
+            RuntimeError):  # SuperLU raises RuntimeError on a singular factor
+        return None
+
+
 def levenberg_marquardt(problem: LeastSquaresProblem, x0,
                         cfg: LmConfig | None = None) -> LmReport:
     """Minimize ``0.5*||r(x)||^2`` starting from ``x0``.
@@ -114,22 +140,23 @@ def levenberg_marquardt(problem: LeastSquaresProblem, x0,
 
     for iteration in range(1, cfg.max_iters + 1):
         if problem.jacobian is not None:
-            jac = np.asarray(problem.jacobian(x), dtype=np.float64)
-            if not np.all(np.isfinite(jac)):
+            jac = problem.jacobian(x)
+            if sparse.issparse(jac):
+                jac = sparse.csr_array(jac, dtype=np.float64)
+                values = jac.data
+            else:
+                jac = values = np.asarray(jac, dtype=np.float64)
+            if not np.all(np.isfinite(values)):
                 raise NonFiniteResidual("Jacobian evaluator returned non-finite values")
         else:
             jac = numeric_jacobian(problem, x)
         jtj = jac.T @ jac
         grad = jac.T @ r
-        diag = np.diag(jtj).copy()
+        diag = jtj.diagonal()
 
         accepted = False
         while True:
-            try:
-                chol = scipy.linalg.cho_factor(jtj + lam * np.diag(diag), lower=True)
-                step = scipy.linalg.cho_solve(chol, -grad)
-            except (np.linalg.LinAlgError, scipy.linalg.LinAlgError, ValueError):
-                step = None
+            step = _damped_step(jtj, diag, lam, grad)
             if step is None or not np.all(np.isfinite(step)):
                 if lam >= _MAX_DAMPING:
                     raise SingularNormalEquations(

@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+from scipy import sparse
 
 from .epipolar import (essential_ransac, recover_relative_pose,
                        triangulate_points, triangulate_views)
@@ -25,7 +26,9 @@ from .errors import (
     InitializationFailed,
     InsufficientMatches,
     NoModelFound,
+    NonFiniteResidual,
     RegistrationFailed,
+    SingularNormalEquations,
 )
 from .features import detect_features, match_features
 from .geometry import (
@@ -303,8 +306,10 @@ def _register_view(scene: SfmScene, view: int, normalized,
         pose0 = _linear_resection(world, obs_norm)
         pose, err = refine_pose(world, obs_px, scene.intrinsics,
                                 scene.distortion, pose0)
-    except np.linalg.LinAlgError as exc:
-        raise RegistrationFailed(view, f"view {view}: resection failed ({exc})")
+    except (np.linalg.LinAlgError, SingularNormalEquations,
+            NonFiniteResidual) as exc:
+        raise RegistrationFailed(
+            view, f"view {view}: resection failed ({exc})") from exc
     if err > cfg.max_resection_error:
         raise RegistrationFailed(
             view, f"view {view}: reprojection error {err:.2f} px after resection")
@@ -334,11 +339,14 @@ def _tangent_basis(t: np.ndarray) -> np.ndarray:
 def _build_ba_problem(scene: SfmScene):
     """Assemble the bundle-adjustment least-squares problem for a scene.
 
-    Returns ``(problem, x0, pose_of, point_start, track_ids)`` where
-    ``pose_of(view, x)`` evaluates a view's CameraPose under a parameter
-    vector. The first registered pose is constant and the second pose's
-    translation is parameterized in the tangent plane of its current
-    direction with its norm frozen.
+    Returns ``(problem, x0, pose_of, point_start, track_ids, (obs_view,
+    obs_track))`` where ``pose_of(view, x)`` evaluates a view's CameraPose
+    under a parameter vector and observation ``k`` (residual rows ``2k``
+    and ``2k+1``) is of local track ``obs_track[k]`` in view
+    ``obs_view[k]``. The Jacobian is a block-sparse ``csr_array``. The first
+    registered pose is constant and the second pose's translation is
+    parameterized in the tangent plane of its current direction with its
+    norm frozen.
     """
     order = scene.view_order
     if len(order) < 2:
@@ -374,7 +382,25 @@ def _build_ba_problem(scene: SfmScene):
     obs_view = np.array([o[0] for o in obs])
     obs_track = np.array([o[1] for o in obs])
     obs_px = np.array([scene.features[v][fi] for v, _, fi in obs])
-    obs_of_view = [(v, np.flatnonzero(obs_view == v)) for v in order]
+
+    # Jacobian sparsity: the two rows of an observation hold its view's pose
+    # block (none for the fixed view), then its point's 3 columns, so every
+    # CSR row lists its columns in increasing order. ``slots`` maps a view's
+    # (observation, row, block column) entries into the CSR data array.
+    width = {v: 0 if v == order[0] else 5 if v == gauge_view else 6
+             for v in order}
+    row_nnz = np.repeat([width[v] + 3 for v in obs_view.tolist()], 2)
+    indptr = np.concatenate([[0], np.cumsum(row_nnz)]).astype(np.int32)
+    indices = np.empty(indptr[-1], dtype=np.int32)
+    obs_of_view = []  # (view, observation indices, CSR slots)
+    for v in order:
+        sel = np.flatnonzero(obs_view == v)
+        rows = 2 * sel[:, None] + np.arange(2)
+        slots = indptr[rows][:, :, None] + np.arange(width[v] + 3)
+        point_cols = point_start + 3 * obs_track[sel][:, None] + np.arange(3)
+        indices[slots[:, :, width[v]:]] = point_cols[:, None, :]
+        indices[slots[:, :, :width[v]]] = pose_start.get(v, 0) + np.arange(width[v])
+        obs_of_view.append((v, sel, slots))
 
     x0 = np.zeros(n_params)
     for v in moving:
@@ -405,22 +431,20 @@ def _build_ba_problem(scene: SfmScene):
     def residual(x: np.ndarray) -> np.ndarray:
         pts = x[point_start:].reshape(-1, 3)
         out = np.empty((len(obs), 2))
-        for v, sel in obs_of_view:
+        for v, sel, _ in obs_of_view:
             out[sel] = project_points(pts[obs_track[sel]], *view_params(v, x),
                                       intrinsics, dist)
         return (out - obs_px).ravel()
 
-    def jacobian(x: np.ndarray) -> np.ndarray:
+    def jacobian(x: np.ndarray) -> sparse.csr_array:
         pts = x[point_start:].reshape(-1, 3)
-        jac = np.zeros((2 * len(obs), n_params))
-        for v, sel in obs_of_view:
+        data = np.empty(len(indices))
+        for v, sel, slots in obs_of_view:
             _, d_pose, d_point, _, _ = project_points(
                 pts[obs_track[sel]], *view_params(v, x), intrinsics, dist,
                 jacobians=True)
-            rows = (2 * sel[:, None] + np.arange(2))[:, :, None]
-            cols = point_start + 3 * obs_track[sel][:, None] + np.arange(3)
-            jac[rows, cols[:, None, :]] = d_point
             if v == order[0]:
+                data[slots] = d_point
                 continue
             s = pose_start[v]
             if v == gauge_view:
@@ -430,11 +454,12 @@ def _build_ba_problem(scene: SfmScene):
                 d_t = (t2_norm / np.linalg.norm(w)) * (basis - np.outer(e, e @ basis))
                 d_pose = np.concatenate([d_pose[:, :, :3], d_pose[:, :, 3:] @ d_t],
                                         axis=2)
-            jac[rows, s + np.arange(d_pose.shape[2])] = d_pose
-        return jac
+            data[slots] = np.concatenate([d_pose, d_point], axis=2)
+        return sparse.csr_array((data, indices.copy(), indptr.copy()),
+                                shape=(2 * len(obs), n_params))
 
     problem = LeastSquaresProblem(residual=residual, jacobian=jacobian)
-    return problem, x0, pose_of, point_start, track_ids
+    return problem, x0, pose_of, point_start, track_ids, (obs_view, obs_track)
 
 
 def bundle_adjust(scene: SfmScene, lm_config: LmConfig | None = None) -> SfmScene:
@@ -445,7 +470,8 @@ def bundle_adjust(scene: SfmScene, lm_config: LmConfig | None = None) -> SfmScen
     removes the gauge freedom. Intrinsics and distortion are not touched.
     Returns a new scene; the accepted cost never increases.
     """
-    problem, x0, pose_of, point_start, track_ids = _build_ba_problem(scene)
+    problem, x0, pose_of, point_start, track_ids, (obs_view, obs_track) = \
+        _build_ba_problem(scene)
     report = levenberg_marquardt(problem, x0, lm_config or LmConfig(max_iters=50))
     x = report.params
 
@@ -454,14 +480,14 @@ def bundle_adjust(scene: SfmScene, lm_config: LmConfig | None = None) -> SfmScen
         new_poses[v] = pose_of(v, x)
     new_tracks = [replace(t) for t in scene.tracks]
     pts = x[point_start:].reshape(-1, 3)
+    in_front = np.ones(len(track_ids), dtype=bool)
+    for v in new_poses:
+        owners = obs_track[obs_view == v]
+        depth = camera_depths(pts[owners], new_poses[v])
+        in_front[owners[~(depth > 0)]] = False
     for local, ti in enumerate(track_ids):
-        point = pts[local]
-        in_front = all(
-            camera_depths(point, new_poses[v])[0] > 0
-            for v, _ in new_tracks[ti].observations if v in new_poses
-        )
-        new_tracks[ti].point = point.copy()
-        new_tracks[ti].valid = in_front
+        new_tracks[ti].point = pts[local].copy()
+        new_tracks[ti].valid = bool(in_front[local])
 
     new_scene = SfmScene(
         intrinsics=scene.intrinsics,

@@ -21,6 +21,7 @@ from camkit.fileio import (
     format_ply,
     read_calibration,
     read_image,
+    read_render_spec,
     write_calibration,
     write_image,
     write_ply,
@@ -196,3 +197,26 @@ def test_garbage_is_corrupt_file(tmp_path):
     path.write_text("{not json")
     with pytest.raises(CorruptFile):
         read_calibration(path)
+
+
+def test_render_spec_defaults_and_required_fields(tmp_path):
+    doc = {"image_size": {"width": 64, "height": 48},
+           "intrinsics": {"fx": 80.0, "fy": 80.0, "cx": 32.0, "cy": 24.0},
+           "cube": {"edge": 20}, "views": 3}
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(doc))
+    spec = read_render_spec(path, "cube")
+    assert spec["image_size"] == (64, 48)
+    assert spec["distortion"] == DistortionCoeffs()
+    assert spec["cube"] == {"edge": 20.0, "texture_seed": 7}
+    assert (spec["poses"], spec["views"], spec["ring"]) == (None, 3, {})
+
+    doc["poses"] = [{"axis_angle": [0.0, 0.0, 0.1],
+                     "translation": [0.0, 0.0, 100.0]}]
+    del doc["views"]
+    path.write_text(json.dumps(doc))
+    spec = read_render_spec(path, "cube")
+    assert spec["views"] is None
+    assert spec["poses"][0].translation.tolist() == [0.0, 0.0, 100.0]
+    with pytest.raises(SchemaMismatch, match="'board'"):
+        read_render_spec(path, "board")

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
 import scipy.optimize
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import sparse
 
 from camkit import LeastSquaresProblem, LmConfig, levenberg_marquardt, numeric_jacobian
 from camkit.errors import NonFiniteResidual, SingularNormalEquations
@@ -84,6 +87,56 @@ def test_lm_invariant_to_residual_permutation():
 def test_lm_raises_on_dead_parameter():
     problem = LeastSquaresProblem(lambda x: np.array([x[0] - 1.0, x[0] + 2.0]))
     with pytest.raises(SingularNormalEquations):
+        levenberg_marquardt(problem, np.zeros(2))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_lm_sparse_jacobian_matches_dense(seed):
+    # A sparse, well-conditioned, mildly nonlinear problem with a nonzero
+    # residual at the optimum. cost_tol stays well above rounding: at the
+    # default 1e-10 a solve can end on a decrease of a few ulps, where
+    # whether the last step is accepted depends on the last bit of the cost.
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 10))
+    m = n + int(rng.integers(1, 20))
+    a = rng.normal(size=(m, n)) * (rng.random((m, n)) < 0.3)
+    a[:n] += np.diag(2.0 + rng.random(n))
+    b = rng.normal(size=m)
+
+    def residual(x):
+        u = a @ x
+        return u + 0.05 * u ** 3 - b
+
+    def jacobian(x):
+        u = a @ x
+        return (1.0 + 0.15 * u ** 2)[:, None] * a
+
+    x0 = rng.normal(size=n)
+    cfg = LmConfig(cost_tol=1e-6)
+    dense = levenberg_marquardt(LeastSquaresProblem(residual, jacobian), x0, cfg)
+    csr = levenberg_marquardt(
+        LeastSquaresProblem(residual, lambda x: sparse.csr_array(jacobian(x))),
+        x0, cfg)
+    scale = max(1.0, np.max(np.abs(dense.params)))
+    assert np.max(np.abs(csr.params - dense.params)) <= 1e-10 * scale
+    assert csr.iterations == dense.iterations
+    assert csr.reason == dense.reason
+
+
+def test_lm_raises_on_dead_parameter_of_sparse_jacobian():
+    problem = LeastSquaresProblem(
+        lambda x: np.array([x[0] - 1.0, x[0] + 2.0]),
+        lambda x: sparse.csr_array(np.array([[1.0, 0.0], [1.0, 0.0]])))
+    with pytest.raises(SingularNormalEquations):
+        levenberg_marquardt(problem, np.zeros(2))
+
+
+def test_lm_rejects_non_finite_sparse_jacobian():
+    problem = LeastSquaresProblem(
+        lambda x: x - np.array([1.0, 2.0]),
+        lambda x: sparse.csr_array(np.array([[1.0, 0.0], [np.nan, 1.0]])))
+    with pytest.raises(NonFiniteResidual):
         levenberg_marquardt(problem, np.zeros(2))
 
 

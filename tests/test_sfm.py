@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import sparse
 
 from camkit import (
     CameraPose,
@@ -11,9 +12,21 @@ from camkit import (
     reconstruct,
     similarity_align,
 )
-from camkit.errors import EmptyScene, InitializationFailed
-from camkit.optimize import LeastSquaresProblem, numeric_jacobian
-from camkit.sfm import SfmConfig, SfmScene, _build_ba_problem
+from camkit.errors import (
+    EmptyScene,
+    InitializationFailed,
+    NonFiniteResidual,
+    RegistrationFailed,
+    SingularNormalEquations,
+)
+from camkit.geometry import camera_depths, pixel_to_normalized
+from camkit.optimize import (
+    LeastSquaresProblem,
+    LmReport,
+    levenberg_marquardt,
+    numeric_jacobian,
+)
+from camkit.sfm import SfmConfig, SfmScene, _build_ba_problem, _register_view
 from camkit.synthetic import cube_ray_points
 from camkit.tracks import Track
 
@@ -167,6 +180,86 @@ def test_ba_gradient_vanishes_at_convergence(ref_intrinsics):
     jac = numeric_jacobian(LeastSquaresProblem(problem.residual), x)
     grad = jac.T @ problem.residual(x)
     assert np.linalg.norm(grad) < 1e-6
+
+
+@pytest.mark.parametrize("n_points, seed", [(40, 3), (40, 5), (12, 9)])
+def test_ba_sparse_solve_matches_dense_solve(ref_intrinsics, n_points, seed):
+    scene, _ = build_scene(ref_intrinsics, n_points=n_points, point_noise=2.0,
+                           seed=seed)
+    # Pixel noise keeps the final cost well above rounding, so a relative
+    # comparison means something; both solves must converge, since where an
+    # unconverged solve stops depends on rounding.
+    rng = np.random.default_rng(seed)
+    for v in scene.features:
+        scene.features[v] = scene.features[v] + rng.normal(0, 0.5, (n_points, 2))
+    problem, x0, *_ = _build_ba_problem(scene)
+    as_dense = LeastSquaresProblem(problem.residual,
+                                   lambda x: problem.jacobian(x).toarray())
+    csr = levenberg_marquardt(problem, x0)
+    dense = levenberg_marquardt(as_dense, x0)
+    assert "max-iter" not in (csr.reason, dense.reason)
+    assert csr.final_cost == pytest.approx(dense.final_cost, rel=1e-8)
+    assert csr.final_cost < 0.5 * csr.initial_cost
+
+
+def test_ba_jacobian_is_block_sparse(ref_intrinsics):
+    # Half the tracks miss view 2, so rows of different widths interleave.
+    scene, _ = build_scene(ref_intrinsics, n_points=10, n_views=3, seed=2)
+    for track in scene.tracks[::2]:
+        track.observations = track.observations[:2]
+    problem, x0, *_ = _build_ba_problem(scene)
+    jac = problem.jacobian(x0)
+    assert sparse.issparse(jac)
+    # Pose block widths: view 0 fixed, view 1 (gauge) 5, view 2 6.
+    widths = {0: 0, 1: 5, 2: 6}
+    observations = [v for t in scene.tracks for v, _ in t.observations]
+    assert jac.nnz == sum(2 * (widths[v] + 3) for v in observations)
+    oracle = numeric_jacobian(LeastSquaresProblem(problem.residual), x0)
+    assert np.max(np.abs(jac.toarray() - oracle)
+                  / np.maximum(np.abs(oracle), 1.0)) < 1e-5
+
+
+def test_ba_marks_tracks_behind_any_observing_view(ref_intrinsics, monkeypatch):
+    # Views 0 and 1 sit near the origin and view 2 80 mm behind them, so a
+    # point at z = -10 is behind views 0 and 1 and in front of view 2.
+    scene, _ = build_scene(ref_intrinsics, n_points=6, n_views=3, seed=4)
+    scene.tracks[5].observations = scene.tracks[5].observations[2:]
+    _, x0, _, point_start, *_ = _build_ba_problem(scene)
+    moved = x0.copy()
+    points = moved[point_start:].reshape(-1, 3)
+    points[0] = [0.0, 0.0, -50.0]  # behind every view
+    points[1] = [0.0, 0.0, -10.0]  # behind two of its three views
+    points[2] = np.nan
+    points[5] = [0.0, 0.0, -10.0]  # seen only by view 2, in front of it
+    monkeypatch.setattr(
+        "camkit.sfm.levenberg_marquardt",
+        lambda problem, x, cfg: LmReport(moved, 0.0, 0.0, 1, "cost-tol"))
+    adjusted = bundle_adjust(scene)
+    for track in adjusted.tracks:
+        expected = all(camera_depths(track.point, adjusted.poses[v])[0] > 0
+                       for v, _ in track.observations)
+        assert track.valid == expected
+    assert [t.valid for t in adjusted.tracks] == [False, False, False,
+                                                  True, True, True]
+
+
+@pytest.mark.parametrize("error", [SingularNormalEquations, NonFiniteResidual])
+def test_failed_pose_refinement_is_a_registration_failure(
+        ref_intrinsics, monkeypatch, error):
+    scene, _ = build_scene(ref_intrinsics, n_points=20, n_views=3, seed=1)
+    del scene.poses[2]
+    scene.view_order = (0, 1)
+    normalized = {v: pixel_to_normalized(px, ref_intrinsics)
+                  for v, px in scene.features.items()}
+
+    def failing_refine(*args, **kwargs):
+        raise error("injected")
+
+    monkeypatch.setattr("camkit.sfm.refine_pose", failing_refine)
+    with pytest.raises(RegistrationFailed) as caught:
+        _register_view(scene, 2, normalized, SfmConfig())
+    assert caught.value.view_id == 2
+    assert isinstance(caught.value.__cause__, error)
 
 
 def test_export_point_cloud_intensity_mean(ref_intrinsics):
