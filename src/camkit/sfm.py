@@ -455,6 +455,8 @@ def _build_ba_problem(scene: SfmScene):
                 d_pose = np.concatenate([d_pose[:, :, :3], d_pose[:, :, 3:] @ d_t],
                                         axis=2)
             data[slots] = np.concatenate([d_pose, d_point], axis=2)
+        # Copies: in-place sparse methods on the result must not reach the
+        # structure shared by later calls.
         return sparse.csr_array((data, indices.copy(), indptr.copy()),
                                 shape=(2 * len(obs), n_params))
 
