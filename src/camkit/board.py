@@ -23,8 +23,7 @@ from .geometry import (
     CameraPose,
     DistortionCoeffs,
     camera_depths,
-    pixel_to_normalized,
-    undistort_normalized,
+    subpixel_ray_grid,
 )
 
 BACKGROUND_GRAY = 128
@@ -144,9 +143,11 @@ def render_board(spec: CheckerboardSpec, intrinsics: CameraIntrinsics,
     """Render the board seen by the given camera, 4x4 supersampled.
 
     Each output pixel averages a 4x4 grid of sub-rays cast through the lens
-    model onto the board plane. Deterministic: identical inputs give
-    bit-identical images. Raises BoardBehindCamera when every board corner
-    has non-positive depth.
+    model onto the board plane. The rays are cached for the most recent
+    camera and image size (:func:`~camkit.geometry.subpixel_ray_grid`), so
+    views rendered in a row with one camera share them. Deterministic:
+    identical inputs give bit-identical images. Raises BoardBehindCamera when
+    every board corner has non-positive depth.
     """
     if np.all(camera_depths(board_outline(spec), pose) <= 0):
         raise BoardBehindCamera("all board corners have non-positive depth")
@@ -155,22 +156,15 @@ def render_board(spec: CheckerboardSpec, intrinsics: CameraIntrinsics,
     # Plane z=0 of the board frame, expressed in the camera frame.
     normal_cam = pose.rotation[:, 2]
     offset = float(normal_cam @ pose.translation)
-
-    sub = (np.arange(ss) + 0.5) / ss - 0.5
-    u_sub = (np.arange(width)[:, None] + sub[None, :]).ravel()
+    # 1e-8 in normalized units is far below the shading resolution.
+    rays = subpixel_ray_grid(intrinsics, dist, width, height, ss, 1e-8)
+    rays_per_row = ss * width * ss
 
     image = np.empty((height, width), dtype=np.uint8)
-    rows_per_chunk = max(1, 2 ** 21 // (width * ss * ss))
+    rows_per_chunk = max(1, 2 ** 21 // rays_per_row)
     for row0 in range(0, height, rows_per_chunk):
         row1 = min(row0 + rows_per_chunk, height)
-        v_sub = (np.arange(row0, row1)[:, None] + sub[None, :]).ravel()
-        uu, vv = np.meshgrid(u_sub, v_sub)
-        px = np.column_stack([uu.ravel(), vv.ravel()])
-
-        # 1e-8 in normalized units is far below the shading resolution.
-        rays = undistort_normalized(pixel_to_normalized(px, intrinsics), dist,
-                                    tol=1e-8)
-        dirs = np.column_stack([rays, np.ones(len(rays))])
+        dirs = rays[row0 * rays_per_row:row1 * rays_per_row]
         # Ray scale where n . (s*dir - t) = 0; non-positive scale never hits.
         denom = dirs @ normal_cam
         safe = np.abs(denom) > 1e-15

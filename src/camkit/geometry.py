@@ -15,6 +15,7 @@ Point arguments are numpy arrays, either a single ``(d,)`` vector or an
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -243,6 +244,37 @@ def undistort_normalized(normalized, dist: DistortionCoeffs, *,
         )
     out = np.column_stack([x, y])
     return out[0] if single else out
+
+
+@functools.lru_cache(maxsize=1)
+def subpixel_ray_grid(intrinsics: CameraIntrinsics, dist: DistortionCoeffs,
+                      width: int, height: int, supersample: int,
+                      tol: float = 1e-12) -> np.ndarray:
+    """Unit-depth camera rays through every sub-pixel sample of an image.
+
+    Each pixel is sampled on a ``supersample`` x ``supersample`` grid centred
+    on it. Returns a read-only ``(height * ss * width * ss, 3)`` array of
+    undistorted ``(x, y, 1)`` rays in row-major sub-pixel order (sub-rows,
+    then sub-columns), undistorted to ``tol`` by :func:`undistort_normalized`.
+    The rays depend on nothing but the arguments, so the most recent grid is
+    cached and shared by every caller (118 MB at 640x480 with 4x4 samples).
+    """
+    ss = supersample
+    sub = (np.arange(ss) + 0.5) / ss - 0.5
+    u = (np.arange(width)[:, None] + sub[None, :]).ravel()
+    v = (np.arange(height)[:, None] + sub[None, :]).ravel()
+    grid = np.empty((v.size * u.size, 3))
+    grid[:, 2] = 1.0
+    # In chunks of sub-rows: the lens model's temporaries for a whole grid
+    # would outweigh the grid itself.
+    chunk = max(1, 2 ** 20 // u.size) * u.size
+    for start in range(0, len(grid), chunk):
+        uu, vv = np.meshgrid(u, v[start // u.size:(start + chunk) // u.size])
+        px = np.column_stack([uu.ravel(), vv.ravel()])
+        grid[start:start + chunk, :2] = undistort_normalized(
+            pixel_to_normalized(px, intrinsics), dist, tol=tol)
+    grid.setflags(write=False)
+    return grid
 
 
 def project(points, pose: CameraPose, intrinsics: CameraIntrinsics,

@@ -16,6 +16,7 @@ from .geometry import (
     camera_depths,
     pixel_to_normalized,
     project,
+    subpixel_ray_grid,
     undistort_normalized,
 )
 
@@ -197,22 +198,21 @@ class CubeScene:
 def render_cube_view(scene: CubeScene, intrinsics: CameraIntrinsics,
                      dist: DistortionCoeffs, pose: CameraPose,
                      width: int, height: int, supersample: int = 2) -> np.ndarray:
-    """Ray-cast render of the cube, ``supersample`` x ``supersample`` per pixel."""
+    """Ray-cast render of the cube, ``supersample`` x ``supersample`` per pixel.
+
+    The rays are cached for the most recent camera, image size and
+    supersampling (:func:`~camkit.geometry.subpixel_ray_grid`).
+    """
     ss = supersample
-    sub = (np.arange(ss) + 0.5) / ss - 0.5
-    u = (np.arange(width)[:, None] + sub[None, :]).ravel()
+    rays = subpixel_ray_grid(intrinsics, dist, width, height, ss)
+    rays_per_row = ss * width * ss
     origin = pose.center
 
     image = np.empty((height, width), dtype=np.uint8)
-    rows_per_chunk = max(1, 2 ** 19 // (width * ss * ss))
+    rows_per_chunk = max(1, 2 ** 19 // rays_per_row)
     for row0 in range(0, height, rows_per_chunk):
         row1 = min(row0 + rows_per_chunk, height)
-        v = (np.arange(row0, row1)[:, None] + sub[None, :]).ravel()
-        uu, vv = np.meshgrid(u, v)
-        px = np.column_stack([uu.ravel(), vv.ravel()])
-        rays = undistort_normalized(pixel_to_normalized(px, intrinsics), dist)
-        dirs_cam = np.column_stack([rays, np.ones(len(rays))])
-        dirs_world = dirs_cam @ pose.rotation
+        dirs_world = rays[row0 * rays_per_row:row1 * rays_per_row] @ pose.rotation
         origins = np.broadcast_to(origin, dirs_world.shape)
         shade = scene.shade(origins, dirs_world)
         block = shade.reshape(row1 - row0, ss, width, ss).mean(axis=(1, 3))

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,7 +13,9 @@ from camkit import (
     project,
     render_board,
 )
+from camkit.board import SUPERSAMPLE
 from camkit.errors import BoardBehindCamera
+from camkit.geometry import subpixel_ray_grid
 from camkit.imageops import bilinear_sample, to_float
 from camkit.synthetic import frontoparallel_pose
 
@@ -48,11 +52,40 @@ def test_spec_validation():
         CheckerboardSpec(10, 7, 0.0)
 
 
+# SHA-256 of the conftest renders, in view order. The corner accuracy and
+# SfM acceptance criteria were tuned on exactly these images.
+GOLDEN_BOARD_SHA256 = "995f11fda3a4d2cb998d79bac577396bb8ce4146d1410cff5f1bcee087ed3673"
+GOLDEN_CUBE_SHA256 = "b946a7cd780fa3ef49fb2b5248e1a090758f08d42b0372975c8957f4bcc3df0b"
+
+
+def _sha256(images) -> str:
+    return hashlib.sha256(b"".join(image.tobytes() for image in images)).hexdigest()
+
+
+def test_renders_match_golden_hashes(rendered_views, cube_capture):
+    assert _sha256(rendered_views[0]) == GOLDEN_BOARD_SHA256
+    assert _sha256(cube_capture[2]) == GOLDEN_CUBE_SHA256
+
+
 def test_render_is_deterministic(board_spec, ref_intrinsics, ref_distortion):
-    pose = frontoparallel_pose(board_spec, ref_intrinsics, 18.0)
+    # Squares this large reach far enough from the principal point for the
+    # lens distortion to change the render.
+    pose = frontoparallel_pose(board_spec, ref_intrinsics, 40.0)
     a = render_board(board_spec, ref_intrinsics, ref_distortion, pose, 320, 240)
+    # Renders in between with another size and another lens replace the
+    # cached rays; neither may be served rays cached for different inputs.
+    larger = render_board(board_spec, ref_intrinsics, ref_distortion, pose, 336, 256)
+    straight = render_board(board_spec, ref_intrinsics, DistortionCoeffs(),
+                            pose, 320, 240)
     b = render_board(board_spec, ref_intrinsics, ref_distortion, pose, 320, 240)
+    assert larger.shape == (256, 336)
+    assert not np.array_equal(a, straight)
     assert np.array_equal(a, b)
+
+    rays = subpixel_ray_grid(ref_intrinsics, ref_distortion, 320, 240, SUPERSAMPLE)
+    assert rays.shape == (240 * SUPERSAMPLE * 320 * SUPERSAMPLE, 3)
+    with pytest.raises(ValueError):
+        rays[0, 0] = 0.0
 
 
 def test_render_square_shades(board_spec, ref_intrinsics):
