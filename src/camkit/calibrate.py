@@ -34,7 +34,6 @@ from .geometry import (
     normalized_to_pixel,
     pixel_to_normalized,
     project_points,
-    rotation_to_axis_angle,
 )
 from .homography import estimate_homography
 from .imageops import bilinear_sample, to_float
@@ -195,57 +194,6 @@ def _init_radial(intrinsics: CameraIntrinsics, poses, world: np.ndarray,
     return coeffs
 
 
-@dataclass
-class _ParamLayout:
-    """Index bookkeeping for the joint refinement parameter vector: the
-    estimated entries of ``INTRINSIC_NAMES + DISTORTION_NAMES``, then six
-    pose parameters (axis-angle, translation) per view."""
-
-    estimate_skew: bool
-    estimate_k3: bool
-    estimate_tangential: bool
-    n_views: int
-
-    @property
-    def free(self) -> np.ndarray:
-        """Mask of the estimated entries of INTRINSIC_NAMES + DISTORTION_NAMES."""
-        return np.array([True] * 4 + [self.estimate_skew, True, True, self.estimate_k3]
-                        + [self.estimate_tangential] * 2)
-
-    @property
-    def global_names(self) -> list[str]:
-        return [n for n, free in zip(INTRINSIC_NAMES + DISTORTION_NAMES, self.free)
-                if free]
-
-    @property
-    def n_global(self) -> int:
-        return int(self.free.sum())
-
-    @property
-    def n_params(self) -> int:
-        return self.n_global + 6 * self.n_views
-
-    def pose_slice(self, view: int) -> slice:
-        start = self.n_global + 6 * view
-        return slice(start, start + 6)
-
-    def pack(self, intrinsics: CameraIntrinsics, dist: DistortionCoeffs,
-             poses) -> np.ndarray:
-        k = [getattr(intrinsics, n) for n in INTRINSIC_NAMES]
-        x = [np.concatenate([k, dist.as_array()])[self.free]]
-        x += [np.concatenate([rotation_to_axis_angle(p.rotation), p.translation])
-              for p in poses]
-        return np.concatenate(x)
-
-    def unpack(self, x: np.ndarray):
-        values = np.zeros(len(INTRINSIC_NAMES) + len(DISTORTION_NAMES))
-        values[self.free] = x[:self.n_global]
-        poses = [(x[s][:3], x[s][3:])
-                 for s in map(self.pose_slice, range(self.n_views))]
-        return (CameraIntrinsics(*values[:len(INTRINSIC_NAMES)]),
-                DistortionCoeffs(*values[len(INTRINSIC_NAMES):]), poses)
-
-
 def calibrate(dataset: CalibrationDataset, *, estimate_skew: bool = False,
               estimate_k3: bool = False, estimate_tangential: bool = False,
               lm_config: LmConfig | None = None) -> CalibrationResult:
@@ -276,36 +224,50 @@ def calibrate(dataset: CalibrationDataset, *, estimate_skew: bool = False,
     d0 = DistortionCoeffs(k1=radial[0], k2=radial[1],
                           k3=radial[2] if estimate_k3 else 0.0)
 
-    layout = _ParamLayout(estimate_skew, estimate_k3, estimate_tangential,
-                          len(views))
+    # Parameter vector: the estimated entries of INTRINSIC_NAMES +
+    # DISTORTION_NAMES, then six pose parameters (axis-angle, translation)
+    # per view.
+    free = np.array([True] * 4 + [estimate_skew, True, True, estimate_k3]
+                    + [estimate_tangential] * 2)
+    n_global = int(free.sum())
+    n_k = len(INTRINSIC_NAMES)
+    global0 = np.concatenate([[getattr(k0, n) for n in INTRINSIC_NAMES],
+                              d0.as_array()])
+    x0 = np.concatenate([global0[free]] + [np.concatenate([p.axis_angle(), p.translation])
+                                           for p in poses0])
     observed = np.stack([g.corners for g in views])
-    x0 = layout.pack(k0, d0, poses0)
+
+    def unpack(x):
+        values = np.zeros(free.size)
+        values[free] = x[:n_global]
+        return (CameraIntrinsics(*values[:n_k]), DistortionCoeffs(*values[n_k:]),
+                x[n_global:].reshape(-1, 6))
 
     rows = 2 * len(world)
 
     def residual(x):
-        intrinsics, dist, pose_params = layout.unpack(x)
-        proj = np.stack([project_points(world, rvec, t, intrinsics, dist)
-                         for rvec, t in pose_params])
+        intrinsics, dist, pose_params = unpack(x)
+        proj = np.stack([project_points(world, p[:3], p[3:], intrinsics, dist)
+                         for p in pose_params])
         return (proj - observed).ravel()
 
     def jacobian(x):
-        intrinsics, dist, pose_params = layout.unpack(x)
-        jac = np.zeros((rows * len(views), layout.n_params))
-        for v, (rvec, t) in enumerate(pose_params):
-            _, d_pose, _, d_k, d_dist = project_points(world, rvec, t, intrinsics,
+        intrinsics, dist, pose_params = unpack(x)
+        jac = np.zeros((rows * len(views), x.size))
+        for v, p in enumerate(pose_params):
+            _, d_pose, _, d_k, d_dist = project_points(world, p[:3], p[3:], intrinsics,
                                                        dist, jacobians=True)
             block = jac[v * rows:(v + 1) * rows]
-            d_global = np.concatenate([d_k, d_dist], axis=2)[:, :, layout.free]
-            block[:, :layout.n_global] = d_global.reshape(rows, -1)
-            block[:, layout.pose_slice(v)] = d_pose.reshape(rows, 6)
+            d_global = np.concatenate([d_k, d_dist], axis=2)[:, :, free]
+            block[:, :n_global] = d_global.reshape(rows, -1)
+            block[:, n_global + 6 * v:n_global + 6 * v + 6] = d_pose.reshape(rows, 6)
         return jac
 
     problem = LeastSquaresProblem(residual=residual, jacobian=jacobian)
     report = levenberg_marquardt(problem, x0, lm_config or LmConfig())
 
-    intrinsics, dist, pose_params = layout.unpack(report.params)
-    poses = [CameraPose.from_axis_angle(rvec, t) for rvec, t in pose_params]
+    intrinsics, dist, pose_params = unpack(report.params)
+    poses = [CameraPose.from_axis_angle(p[:3], p[3:]) for p in pose_params]
     if any(np.any(camera_depths(world, pose) <= 0) for pose in poses):
         raise BehindCamera("refined pose places the board behind the camera")
 
@@ -314,10 +276,11 @@ def calibrate(dataset: CalibrationDataset, *, estimate_skew: bool = False,
     overall = float(per_corner.mean())
 
     stderr = _standard_errors(report, jacobian)
-    named = list(zip(layout.global_names, stderr))
+    names = np.array(INTRINSIC_NAMES + DISTORTION_NAMES)[free].tolist()
+    named = list(zip(names, stderr))
     intr_err = {n: e for n, e in named if n in INTRINSIC_NAMES}
     dist_err = {n: e for n, e in named if n in DISTORTION_NAMES}
-    pose_err = stderr[layout.n_global:].reshape(len(views), 6)
+    pose_err = stderr[n_global:].reshape(len(views), 6)
 
     return CalibrationResult(
         intrinsics=intrinsics,

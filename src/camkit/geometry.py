@@ -72,16 +72,6 @@ class CameraIntrinsics:
             ]
         )
 
-    @classmethod
-    def from_matrix(cls, k: np.ndarray) -> "CameraIntrinsics":
-        k = np.asarray(k, dtype=np.float64)
-        if k.shape != (3, 3):
-            raise ValueError("intrinsic matrix must be 3x3")
-        lower = [k[1, 0], k[2, 0], k[2, 1]]
-        if np.max(np.abs(lower)) > 1e-9 or abs(k[2, 2] - 1.0) > 1e-9:
-            raise ValueError("intrinsic matrix must be upper triangular with K[2,2]=1")
-        return cls(fx=k[0, 0], fy=k[1, 1], cx=k[0, 2], cy=k[1, 2], skew=k[0, 1])
-
 
 @dataclass(frozen=True)
 class DistortionCoeffs:

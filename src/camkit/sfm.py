@@ -48,19 +48,19 @@ from .pose import refine_pose
 from .tracks import MatchPair, Track, build_tracks
 
 
+MAX_FEATURES = 800
+MIN_PAIR_INLIERS = 20
+MIN_MEDIAN_ANGLE_DEG = 2.0
+MIN_RESECTION_POINTS = 6
+MAX_RESECTION_ERROR = 5.0  # pixels
+
+
 @dataclass
 class SfmConfig:
-    """Reconstruction settings; defaults suit small turntable-style captures."""
+    """Reconstruction settings: the RANSAC seed, and whether to match every
+    image pair rather than adjacent and skip-one pairs."""
 
-    max_features: int = 800
-    match_ratio: float = 0.8
-    ransac_threshold: float = 1e-3
-    ransac_iters: int = 1000
     seed: int = 0
-    min_pair_inliers: int = 20
-    min_median_angle_deg: float = 2.0
-    min_resection_points: int = 6
-    max_resection_error: float = 5.0  # pixels
     exhaustive_pairs: bool = False
 
 
@@ -90,11 +90,9 @@ class SfmScene:
         """Per valid track, the pixel residual norm of each registered
         observation."""
         tracks = self.valid_tracks()
-        obs = [(k, v, fi) for k, track in enumerate(tracks)
-               for v, fi in track.observations if v in self.poses]
-        owner, views, feature = np.array(obs, dtype=np.int64).reshape(-1, 3).T
+        owner, views, feature = _observations(tracks, self.poses)
         points = np.array([track.point for track in tracks]).reshape(-1, 3)
-        errors = np.empty(len(obs))
+        errors = np.empty(len(owner))
         for v in np.unique(views).tolist():
             sel = views == v
             pose = self.poses[v]
@@ -116,6 +114,14 @@ class PointCloud:
 
     def __len__(self) -> int:
         return len(self.positions)
+
+
+def _observations(tracks, views) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(track index, view, feature index) arrays of every observation of
+    ``tracks`` in ``views``, in track-then-view order."""
+    obs = [(k, v, fi) for k, track in enumerate(tracks)
+           for v, fi in track.observations if v in views]
+    return np.array(obs, dtype=np.int64).reshape(-1, 3).T
 
 
 def _pair_seed(seed: int, i: int, j: int) -> int:
@@ -152,11 +158,11 @@ def _refresh_triangulations(scene: SfmScene, normalized) -> None:
                and sum(v in column for v, _ in track.observations) >= 2]
     x = np.zeros((len(pending), len(views), 2))
     seen = np.zeros((len(pending), len(views)), dtype=bool)
-    for k, track in enumerate(pending):
-        for v, fi in track.observations:
-            if v in column:
-                x[k, column[v]] = normalized[v][fi]
-                seen[k, column[v]] = True
+    owner, obs_view, feature = _observations(pending, column)
+    for v, c in column.items():
+        sel = obs_view == v
+        x[owner[sel], c] = normalized[v][feature[sel]]
+        seen[owner[sel], c] = True
     points, valid = triangulate_views([scene.poses[v] for v in views], x, seen)
     for track, point, ok in zip(pending, points, valid):
         track.point = point
@@ -176,7 +182,7 @@ def reconstruct(images, intrinsics: CameraIntrinsics, dist: DistortionCoeffs,
     if n_views < 2:
         raise InitializationFailed(f"need at least 2 images, got {n_views}")
 
-    feats = [detect_features(img, cfg.max_features) for img in images]
+    feats = [detect_features(img, MAX_FEATURES) for img in images]
     positions = {}
     intensities = {}
     normalized = {}
@@ -185,9 +191,8 @@ def reconstruct(images, intrinsics: CameraIntrinsics, dist: DistortionCoeffs,
                else np.empty((0, 2)))
         positions[v] = pos
         intensities[v] = bilinear_sample(to_float(images[v]), pos) * 255.0
-        normalized[v] = (undistort_normalized(
-            pixel_to_normalized(pos, intrinsics), dist)
-            if len(pos) else np.empty((0, 2)))
+        normalized[v] = undistort_normalized(pixel_to_normalized(pos, intrinsics),
+                                             dist)
 
     if cfg.exhaustive_pairs:
         pair_ids = [(i, j) for i in range(n_views) for j in range(i + 1, n_views)]
@@ -199,19 +204,17 @@ def reconstruct(images, intrinsics: CameraIntrinsics, dist: DistortionCoeffs,
     match_pairs = []
     pair_models = {}
     for i, j in pair_ids:
-        raw = match_features(feats[i], feats[j], cfg.match_ratio)
+        raw = match_features(feats[i], feats[j])
         if len(raw) < 8:
             continue
         x1 = normalized[i][raw[:, 0]]
         x2 = normalized[j][raw[:, 1]]
         try:
-            e, mask = essential_ransac(
-                x1, x2, threshold=cfg.ransac_threshold,
-                seed=_pair_seed(cfg.seed, i, j), max_iters=cfg.ransac_iters)
+            e, mask = essential_ransac(x1, x2, seed=_pair_seed(cfg.seed, i, j))
         except (NoModelFound, InsufficientMatches):
             continue
         inliers = raw[mask]
-        if len(inliers) < cfg.min_pair_inliers:
+        if len(inliers) < MIN_PAIR_INLIERS:
             continue
         match_pairs.append(MatchPair(i, j, inliers))
         pair_models[(i, j)] = (e, inliers)
@@ -220,7 +223,7 @@ def reconstruct(images, intrinsics: CameraIntrinsics, dist: DistortionCoeffs,
         raise InitializationFailed("no image pair produced enough inlier matches")
     tracks = build_tracks(match_pairs)
 
-    init = _choose_initial_pair(pair_models, normalized, cfg)
+    init = _choose_initial_pair(pair_models, normalized)
     if init is None:
         raise InitializationFailed(
             "no pair had enough inliers and triangulation angle")
@@ -240,15 +243,13 @@ def reconstruct(images, intrinsics: CameraIntrinsics, dist: DistortionCoeffs,
 
     while len(scene.poses) < n_views:
         view = _next_view(scene)
-        scene = _register_view(scene, view, normalized, cfg)
+        scene = _register_view(scene, view, normalized)
         _refresh_triangulations(scene, normalized)
         scene = bundle_adjust(scene)
-
-    scene.mean_reprojection_error = _mean_residual(scene)
     return scene
 
 
-def _choose_initial_pair(pair_models, normalized, cfg: SfmConfig):
+def _choose_initial_pair(pair_models, normalized):
     best = None
     best_count = -1
     identity = CameraPose.identity()
@@ -260,14 +261,14 @@ def _choose_initial_pair(pair_models, normalized, cfg: SfmConfig):
         except CheiralityAmbiguous:
             continue
         pts, valid = triangulate_points(identity, rel, x1, x2)
-        if int(valid.sum()) < max(cfg.min_pair_inliers, 2):
+        if int(valid.sum()) < max(MIN_PAIR_INLIERS, 2):
             continue
         rays_i = pts[valid]
         rays_j = pts[valid] - rel.center
         cosang = np.sum(rays_i * rays_j, axis=1) / (
             np.linalg.norm(rays_i, axis=1) * np.linalg.norm(rays_j, axis=1))
         angles = np.degrees(np.arccos(np.clip(cosang, -1.0, 1.0)))
-        if np.median(angles) <= cfg.min_median_angle_deg:
+        if np.median(angles) <= MIN_MEDIAN_ANGLE_DEG:
             continue
         if len(inliers) > best_count:
             best_count = len(inliers)
@@ -276,32 +277,22 @@ def _choose_initial_pair(pair_models, normalized, cfg: SfmConfig):
 
 
 def _next_view(scene: SfmScene) -> int:
-    counts = {}
-    for track in scene.valid_tracks():
-        for v, _ in track.observations:
-            if v not in scene.poses:
-                counts[v] = counts.get(v, 0) + 1
-    unregistered = [v for v in scene.features if v not in scene.poses]
-    return max(sorted(unregistered), key=lambda v: counts.get(v, 0))
+    """The unregistered view observed by the most valid tracks, the lowest
+    id on a tie."""
+    unregistered = sorted(v for v in scene.features if v not in scene.poses)
+    _, views, _ = _observations(scene.valid_tracks(), unregistered)
+    return max(unregistered, key=lambda v: np.count_nonzero(views == v))
 
 
-def _register_view(scene: SfmScene, view: int, normalized,
-                   cfg: SfmConfig) -> SfmScene:
-    world = []
-    obs_px = []
-    obs_norm = []
-    for track in scene.valid_tracks():
-        for v, fi in track.observations:
-            if v == view:
-                world.append(track.point)
-                obs_px.append(scene.features[view][fi])
-                obs_norm.append(normalized[view][fi])
-    if len(world) < cfg.min_resection_points:
+def _register_view(scene: SfmScene, view: int, normalized) -> SfmScene:
+    tracks = scene.valid_tracks()
+    owner, _, feature = _observations(tracks, (view,))
+    if len(owner) < MIN_RESECTION_POINTS:
         raise RegistrationFailed(
-            view, f"view {view}: only {len(world)} usable track observations")
-    world = np.array(world)
-    obs_px = np.array(obs_px)
-    obs_norm = np.array(obs_norm)
+            view, f"view {view}: only {len(owner)} usable track observations")
+    world = np.array([tracks[k].point for k in owner])
+    obs_px = scene.features[view][feature]
+    obs_norm = normalized[view][feature]
     try:
         pose0 = _linear_resection(world, obs_norm)
         pose, err = refine_pose(world, obs_px, scene.intrinsics,
@@ -310,7 +301,7 @@ def _register_view(scene: SfmScene, view: int, normalized,
             NonFiniteResidual) as exc:
         raise RegistrationFailed(
             view, f"view {view}: resection failed ({exc})") from exc
-    if err > cfg.max_resection_error:
+    if err > MAX_RESECTION_ERROR:
         raise RegistrationFailed(
             view, f"view {view}: reprojection error {err:.2f} px after resection")
     scene.poses[view] = pose
@@ -374,14 +365,9 @@ def _build_ba_problem(scene: SfmScene):
     point_start = cursor
     n_params = cursor + 3 * len(track_ids)
 
-    obs = []  # (view, track local index, feature index)
-    for local, ti in enumerate(track_ids):
-        for v, fi in scene.tracks[ti].observations:
-            if v in scene.poses:
-                obs.append((v, local, fi))
-    obs_view = np.array([o[0] for o in obs])
-    obs_track = np.array([o[1] for o in obs])
-    obs_px = np.array([scene.features[v][fi] for v, _, fi in obs])
+    tracks = [scene.tracks[ti] for ti in track_ids]
+    obs_track, obs_view, obs_feature = _observations(tracks, scene.poses)
+    obs_px = np.empty((len(obs_view), 2))
 
     # Jacobian sparsity: the two rows of an observation hold its view's pose
     # block (none for the fixed view), then its point's 3 columns, so every
@@ -395,6 +381,7 @@ def _build_ba_problem(scene: SfmScene):
     obs_of_view = []  # (view, observation indices, CSR slots)
     for v in order:
         sel = np.flatnonzero(obs_view == v)
+        obs_px[sel] = scene.features[v][obs_feature[sel]]
         rows = 2 * sel[:, None] + np.arange(2)
         slots = indptr[rows][:, :, None] + np.arange(width[v] + 3)
         point_cols = point_start + 3 * obs_track[sel][:, None] + np.arange(3)
@@ -408,9 +395,7 @@ def _build_ba_problem(scene: SfmScene):
         x0[s:s + 3] = rotation_to_axis_angle(scene.poses[v].rotation)
         if v != gauge_view:
             x0[s + 3:s + 6] = scene.poses[v].translation
-    for local, ti in enumerate(track_ids):
-        x0[point_start + 3 * local:point_start + 3 * local + 3] = \
-            scene.tracks[ti].point
+    x0[point_start:] = np.ravel([t.point for t in tracks])
 
     intrinsics = scene.intrinsics
     dist = scene.distortion
@@ -430,7 +415,7 @@ def _build_ba_problem(scene: SfmScene):
 
     def residual(x: np.ndarray) -> np.ndarray:
         pts = x[point_start:].reshape(-1, 3)
-        out = np.empty((len(obs), 2))
+        out = np.empty((len(obs_view), 2))
         for v, sel, _ in obs_of_view:
             out[sel] = project_points(pts[obs_track[sel]], *view_params(v, x),
                                       intrinsics, dist)
@@ -458,7 +443,7 @@ def _build_ba_problem(scene: SfmScene):
         # Copies: in-place sparse methods on the result must not reach the
         # structure shared by later calls.
         return sparse.csr_array((data, indices.copy(), indptr.copy()),
-                                shape=(2 * len(obs), n_params))
+                                shape=(2 * len(obs_view), n_params))
 
     problem = LeastSquaresProblem(residual=residual, jacobian=jacobian)
     return problem, x0, pose_of, point_start, track_ids, (obs_view, obs_track)
@@ -491,15 +476,7 @@ def bundle_adjust(scene: SfmScene, lm_config: LmConfig | None = None) -> SfmScen
         new_tracks[ti].point = pts[local].copy()
         new_tracks[ti].valid = bool(in_front[local])
 
-    new_scene = SfmScene(
-        intrinsics=scene.intrinsics,
-        distortion=scene.distortion,
-        poses=new_poses,
-        view_order=scene.view_order,
-        tracks=new_tracks,
-        features=scene.features,
-        intensities=scene.intensities,
-    )
+    new_scene = replace(scene, poses=new_poses, tracks=new_tracks)
     new_scene.mean_reprojection_error = _mean_residual(new_scene)
     return new_scene
 

@@ -119,6 +119,7 @@ def synthesize_corner_views(spec: CheckerboardSpec, intrinsics: CameraIntrinsics
 # --- textured cube scenes for structure-from-motion ------------------------
 
 _CUBE_BACKGROUND = 90
+CUBE_SUPERSAMPLE = 2
 
 
 class CubeScene:
@@ -197,13 +198,13 @@ class CubeScene:
 
 def render_cube_view(scene: CubeScene, intrinsics: CameraIntrinsics,
                      dist: DistortionCoeffs, pose: CameraPose,
-                     width: int, height: int, supersample: int = 2) -> np.ndarray:
-    """Ray-cast render of the cube, ``supersample`` x ``supersample`` per pixel.
+                     width: int, height: int) -> np.ndarray:
+    """Ray-cast render of the cube, 2x2 supersampled.
 
-    The rays are cached for the most recent camera, image size and
-    supersampling (:func:`~camkit.geometry.subpixel_ray_grid`).
+    The rays are cached for the most recent camera and image size
+    (:func:`~camkit.geometry.subpixel_ray_grid`).
     """
-    ss = supersample
+    ss = CUBE_SUPERSAMPLE
     rays = subpixel_ray_grid(intrinsics, dist, width, height, ss)
     rays_per_row = ss * width * ss
     origin = pose.center

@@ -288,6 +288,26 @@ def test_stderr_schema(board_spec, ref_intrinsics, ref_distortion, board_poses):
     assert all(v > 0 for v in result.intrinsic_stderr.values())
 
 
+@pytest.mark.parametrize("skew", [False, True])
+@pytest.mark.parametrize("k3", [False, True])
+@pytest.mark.parametrize("tangential", [False, True])
+def test_stderr_names_the_estimated_parameters(board_spec, ref_intrinsics,
+                                               ref_distortion, board_poses,
+                                               skew, k3, tangential):
+    dataset = make_dataset(board_spec, ref_intrinsics, ref_distortion,
+                           board_poses[:8], noise=0.3, seed=4)
+    result = calibrate(dataset, estimate_skew=skew, estimate_k3=k3,
+                       estimate_tangential=tangential)
+    intrinsic = ["fx", "fy", "cx", "cy"] + ["skew"] * skew
+    distortion = ["k1", "k2"] + ["k3"] * k3 + ["p1", "p2"] * tangential
+    assert list(result.intrinsic_stderr) == intrinsic
+    assert list(result.distortion_stderr) == distortion
+    assert all(type(name) is str
+               for name in [*result.intrinsic_stderr, *result.distortion_stderr])
+    assert result.pose_stderr.shape == (8, 6)
+    assert np.all(np.isfinite(result.pose_stderr))
+
+
 def test_undistort_identity_with_zero_coefficients(board_spec, ref_intrinsics,
                                                    rendered_views):
     image = rendered_views[0][0]

@@ -173,6 +173,17 @@ def test_roundtrip_with_tangential_terms(x, y, p1, p2):
     assert np.linalg.norm(back - pt) < 1e-10
 
 
+@pytest.mark.parametrize("dist", [DistortionCoeffs(),
+                                  DistortionCoeffs(k1=0.1, k2=-0.2, k3=0.01,
+                                                   p1=1e-3, p2=-1e-3)])
+def test_empty_batch_maps_to_empty_batch(ref_intrinsics, dist):
+    normalized = pixel_to_normalized(np.empty((0, 2)), ref_intrinsics)
+    assert normalized.shape == (0, 2)
+    undistorted = undistort_normalized(normalized, dist)
+    assert undistorted.shape == (0, 2)
+    assert undistorted.dtype == np.float64
+
+
 def test_undistort_no_convergence_for_extreme_coefficients():
     with pytest.raises(NoConvergence):
         undistort_normalized(np.array([0.9, 0.0]), DistortionCoeffs(k1=-3.0))

@@ -26,7 +26,8 @@ from camkit.optimize import (
     levenberg_marquardt,
     numeric_jacobian,
 )
-from camkit.sfm import SfmConfig, SfmScene, _build_ba_problem, _register_view
+from camkit.sfm import (SfmConfig, SfmScene, _build_ba_problem, _next_view,
+                         _register_view)
 from camkit.synthetic import cube_ray_points
 from camkit.tracks import Track
 
@@ -257,9 +258,41 @@ def test_failed_pose_refinement_is_a_registration_failure(
 
     monkeypatch.setattr("camkit.sfm.refine_pose", failing_refine)
     with pytest.raises(RegistrationFailed) as caught:
-        _register_view(scene, 2, normalized, SfmConfig())
+        _register_view(scene, 2, normalized)
     assert caught.value.view_id == 2
     assert isinstance(caught.value.__cause__, error)
+
+
+def test_next_view_has_most_valid_tracks_lowest_id_on_tie(ref_intrinsics):
+    scene, _ = build_scene(ref_intrinsics, n_points=6, n_views=5)
+    for v in (2, 3, 4):
+        del scene.poses[v]
+    scene.view_order = (0, 1)
+    seen_by = {2: range(0, 4), 3: range(0, 3), 4: range(2, 6)}
+    for k, track in enumerate(scene.tracks):
+        track.observations = tuple((v, fi) for v, fi in track.observations
+                                   if v < 2 or k in seen_by[v])
+    assert _next_view(scene) == 2  # views 2 and 4 tie at four tracks
+    scene.tracks[0].valid = False
+    assert _next_view(scene) == 4  # view 2 keeps three valid tracks
+
+
+def test_register_view_needs_six_observations(ref_intrinsics):
+    scene, _ = build_scene(ref_intrinsics, n_points=8, n_views=3, seed=1)
+    truth = scene.poses.pop(2)
+    scene.view_order = (0, 1)
+    normalized = {v: pixel_to_normalized(px, ref_intrinsics)
+                  for v, px in scene.features.items()}
+    for track in scene.tracks[5:]:
+        track.valid = False
+    with pytest.raises(RegistrationFailed, match="only 5 usable") as caught:
+        _register_view(scene, 2, normalized)
+    assert caught.value.view_id == 2
+    scene.tracks[5].valid = True
+    registered = _register_view(scene, 2, normalized)
+    assert registered.view_order == (0, 1, 2)
+    assert np.allclose(registered.poses[2].translation, truth.translation,
+                       atol=1e-6)
 
 
 def test_export_point_cloud_intensity_mean(ref_intrinsics):
