@@ -85,17 +85,12 @@ def _build_parser() -> _Parser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--exhaustive-pairs", action="store_true")
 
-    p = sub.add_parser("render-board",
-                       help="render a synthetic calibration dataset")
-    p.add_argument("spec", help="ground-truth spec JSON")
-    p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--seed", type=int, default=0)
-
-    p = sub.add_parser("render-scene",
-                       help="render a synthetic textured-cube capture")
-    p.add_argument("spec", help="ground-truth spec JSON")
-    p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--seed", type=int, default=0)
+    for name, what in (("render-board", "calibration dataset"),
+                       ("render-scene", "textured-cube capture")):
+        p = sub.add_parser(name, help=f"render a synthetic {what}")
+        p.add_argument("spec", help="ground-truth spec JSON")
+        p.add_argument("--out", required=True, help="output directory")
+        p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("extrinsics", help="export the extrinsics visualization")
     p.add_argument("--calib", required=True)
@@ -117,6 +112,13 @@ def _list_images(directory: str) -> list[Path]:
     return paths
 
 
+def _detect(image: np.ndarray, board: CheckerboardSpec, name: str):
+    try:
+        return detect_corners(image, board, view_id=name)
+    except CamkitError as exc:
+        raise type(exc)(f"corner detection failed on {name}: {exc}") from exc
+
+
 def _detect_all(paths: list[Path], board: CheckerboardSpec):
     grids = []
     size = None
@@ -126,10 +128,7 @@ def _detect_all(paths: list[Path], board: CheckerboardSpec):
             size = (image.shape[1], image.shape[0])
         elif (image.shape[1], image.shape[0]) != size:
             raise IoFailure(f"image {path.name} size differs from the first image")
-        try:
-            grids.append(detect_corners(image, board, view_id=path.name))
-        except CamkitError as exc:
-            raise type(exc)(f"corner detection failed on {path.name}: {exc}") from exc
+        grids.append(_detect(image, board, path.name))
     return grids, size
 
 
@@ -156,12 +155,8 @@ def _cmd_pose(args) -> int:
     calib = fileio.read_calibration(args.calib)
     image = fileio.read_image(args.image)
     name = Path(args.image).name
-    try:
-        grid = detect_corners(image, args.board, view_id=name)
-    except CamkitError as exc:
-        raise type(exc)(f"corner detection failed on {name}: {exc}") from exc
     pose, err = estimate_board_pose(calib.intrinsics, calib.distortion,
-                                    grid, args.board)
+                                    _detect(image, args.board, name), args.board)
     fileio.write_pose(pose, err, args.out)
     print(f"pose of {name}: mean reprojection {err:.4f} px -> {args.out}")
     return 0
@@ -192,58 +187,39 @@ def _cmd_sfm(args) -> int:
     return 0
 
 
-def _cmd_render_board(args) -> int:
-    spec = fileio.read_render_spec(args.spec, "board")
+def _cmd_render(args) -> int:
+    subject = "board" if args.command == "render-board" else "cube"
+    spec = fileio.read_render_spec(args.spec, subject)
     width, height = spec["image_size"]
-    intrinsics, dist, board = spec["intrinsics"], spec["distortion"], spec["board"]
-    poses = spec["poses"]
-    if poses is None:
-        rng = np.random.default_rng(args.seed)
-        poses = sample_board_poses(board, intrinsics, dist, width, height,
-                                   spec["views"], rng)
+    intrinsics, dist, poses = spec["intrinsics"], spec["distortion"], spec["poses"]
+    if subject == "board":
+        target, renderer = spec["board"], render_board
+        if poses is None:
+            poses = sample_board_poses(target, intrinsics, dist, width, height,
+                                       spec["views"],
+                                       np.random.default_rng(args.seed))
+    else:
+        target, renderer = CubeScene(**spec["cube"]), render_cube_view
+        if poses is None:
+            ring = spec["ring"]
+            poses = sample_ring_poses(
+                spec["views"],
+                radius=float(ring.get("radius", 2.5 * target.edge)),
+                elevation_deg=float(ring.get("elevation_deg", 30.0)),
+                sweep_deg=float(ring.get("sweep_deg", 48.0)),
+                start_deg=float(ring.get("start_deg", 21.0)),
+            )
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    names = []
-    for i, pose in enumerate(poses):
-        name = f"view_{i:03d}.pgm"
-        fileio.write_image(render_board(board, intrinsics, dist, pose,
-                                        width, height), out / name)
-        names.append(name)
+    names = [f"view_{i:03d}.pgm" for i in range(len(poses))]
+    for name, pose in zip(names, poses):
+        fileio.write_image(renderer(target, intrinsics, dist, pose, width, height),
+                           out / name)
     fileio.write_ground_truth(out / "ground_truth.json", intrinsics=intrinsics,
                               distortion=dist, image_size=(width, height),
-                              poses=poses, images=names, board=board)
-    print(f"rendered {len(poses)} board views into {out}")
-    return 0
-
-
-def _cmd_render_scene(args) -> int:
-    spec = fileio.read_render_spec(args.spec, "cube")
-    width, height = spec["image_size"]
-    intrinsics, dist, cube = spec["intrinsics"], spec["distortion"], spec["cube"]
-    edge = cube["edge"]
-    scene = CubeScene(edge=edge, texture_seed=cube["texture_seed"])
-    poses = spec["poses"]
-    if poses is None:
-        ring = spec["ring"]
-        poses = sample_ring_poses(
-            spec["views"],
-            radius=float(ring.get("radius", 2.5 * edge)),
-            elevation_deg=float(ring.get("elevation_deg", 30.0)),
-            sweep_deg=float(ring.get("sweep_deg", 48.0)),
-            start_deg=float(ring.get("start_deg", 21.0)),
-        )
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    names = []
-    for i, pose in enumerate(poses):
-        name = f"view_{i:03d}.pgm"
-        fileio.write_image(render_cube_view(scene, intrinsics, dist, pose,
-                                            width, height), out / name)
-        names.append(name)
-    fileio.write_ground_truth(out / "ground_truth.json", intrinsics=intrinsics,
-                              distortion=dist, image_size=(width, height),
-                              poses=poses, images=names, cube=cube)
-    print(f"rendered {len(poses)} cube views into {out}")
+                              poses=poses, images=names,
+                              **{subject: spec[subject]})
+    print(f"rendered {len(poses)} {subject} views into {out}")
     return 0
 
 
@@ -261,8 +237,8 @@ _COMMANDS = {
     "pose": _cmd_pose,
     "undistort": _cmd_undistort,
     "sfm": _cmd_sfm,
-    "render-board": _cmd_render_board,
-    "render-scene": _cmd_render_scene,
+    "render-board": _cmd_render,
+    "render-scene": _cmd_render,
     "extrinsics": _cmd_extrinsics,
 }
 

@@ -350,6 +350,9 @@ def write_ground_truth(path, *, intrinsics: CameraIntrinsics,
 def read_render_spec(path, subject: str) -> dict:
     """Load a render spec for ``subject`` ("board" or "cube").
 
+    A ``ground_truth.json`` written by a render is itself a render spec: its
+    listed poses re-render the same capture.
+
     Returns plain objects: ``image_size`` (width, height), ``intrinsics``,
     ``distortion`` (zero when absent), ``poses`` (a list of CameraPose, or
     None when the spec gives a view count), ``views`` (that count, or None),
@@ -381,24 +384,4 @@ def read_render_spec(path, subject: str) -> dict:
     else:
         out["poses"] = None
         out["views"] = int(_require(doc, "views", ctx))
-    return out
-
-
-def read_ground_truth(path) -> dict:
-    """Load a synthetic ground-truth file into plain objects."""
-    doc = _load_json(path)
-    ctx = str(path)
-    size = _require(doc, "image_size", ctx)
-    out = {
-        "image_size": (int(_require(size, "width", ctx)),
-                       int(_require(size, "height", ctx))),
-        "intrinsics": _intrinsics_from_json(_require(doc, "intrinsics", ctx), ctx),
-        "distortion": _distortion_from_json(_require(doc, "distortion", ctx), ctx),
-        "poses": [_pose_from_json(p, ctx) for p in _require(doc, "poses", ctx)],
-        "images": doc.get("images", []),
-    }
-    if "board" in doc:
-        out["board"] = board_from_json(doc["board"], ctx)
-    if "cube" in doc:
-        out["cube"] = doc["cube"]
     return out

@@ -6,9 +6,10 @@ Cholesky factorization when the Jacobian is an ndarray, and by a sparse LU
 factorization (SuperLU, COLAMD ordering, diagonal pivots) when it is a
 ``scipy.sparse`` array, as the block-sparse bundle-adjustment Jacobian is.
 Only that linear solve differs: damping, step acceptance and termination
-are shared. Steps are accepted only when the cost strictly decreases, so
-the accepted-cost sequence is monotonically non-increasing. Everything is
-deterministic.
+are shared. The damping starts at 1e-3 and is multiplied by 10 after a
+rejected step and by 0.1 after an accepted one. Steps are accepted only
+when the cost strictly decreases, so the accepted-cost sequence is
+monotonically non-increasing. Everything is deterministic.
 """
 
 from __future__ import annotations
@@ -23,6 +24,9 @@ from scipy.sparse.linalg import splu
 
 from .errors import NonFiniteResidual, SingularNormalEquations
 
+_INITIAL_DAMPING = 1e-3
+_DAMPING_UP = 10.0
+_DAMPING_DOWN = 0.1
 _MAX_DAMPING = 1e10
 
 
@@ -41,22 +45,15 @@ class LeastSquaresProblem:
 
 @dataclass
 class LmConfig:
-    """Tuning knobs for :func:`levenberg_marquardt`."""
+    """Iteration cap and stopping tolerances for :func:`levenberg_marquardt`."""
 
-    initial_damping: float = 1e-3
-    damping_up: float = 10.0
-    damping_down: float = 0.1
     max_iters: int = 100
     cost_tol: float = 1e-10  # relative cost decrease
     step_tol: float = 1e-12
 
     def __post_init__(self):
-        values = (self.initial_damping, self.damping_up, self.damping_down,
-                  self.max_iters, self.cost_tol, self.step_tol)
-        if any(v <= 0 for v in values):
+        if any(v <= 0 for v in (self.max_iters, self.cost_tol, self.step_tol)):
             raise ValueError("all LM configuration values must be positive")
-        if not (self.damping_up > 1.0 > self.damping_down):
-            raise ValueError("damping factors must straddle 1")
 
 
 @dataclass
@@ -134,7 +131,7 @@ def levenberg_marquardt(problem: LeastSquaresProblem, x0,
     cost = _cost(r)
     initial_cost = cost
     history = [cost]
-    lam = cfg.initial_damping
+    lam = _INITIAL_DAMPING
     reason = "max-iter"
     iteration = 0
 
@@ -162,7 +159,7 @@ def levenberg_marquardt(problem: LeastSquaresProblem, x0,
                     raise SingularNormalEquations(
                         f"normal equations singular at damping {lam:.1e}"
                     )
-                lam *= cfg.damping_up
+                lam *= _DAMPING_UP
                 continue
 
             if np.linalg.norm(step) < cfg.step_tol * (1.0 + np.linalg.norm(x)):
@@ -175,12 +172,12 @@ def levenberg_marquardt(problem: LeastSquaresProblem, x0,
             if trial_cost < cost:
                 accepted = True
                 break
-            lam *= cfg.damping_up
+            lam *= _DAMPING_UP
 
         decrease = cost - trial_cost
         x, r, cost = x_trial, r_trial, trial_cost
         history.append(cost)
-        lam = max(lam * cfg.damping_down, 1e-32)
+        lam = max(lam * _DAMPING_DOWN, 1e-32)
         if decrease <= cfg.cost_tol * max(cost, np.finfo(float).tiny):
             reason = "cost-tol"
             break

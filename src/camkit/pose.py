@@ -21,13 +21,12 @@ from .geometry import (
     undistort_normalized,
 )
 from .homography import estimate_homography
-from .optimize import LeastSquaresProblem, LmConfig, levenberg_marquardt
+from .optimize import LeastSquaresProblem, levenberg_marquardt
 
 
 def refine_pose(world_points: np.ndarray, observed_px: np.ndarray,
                 intrinsics: CameraIntrinsics, dist: DistortionCoeffs,
-                initial: CameraPose,
-                lm_config: LmConfig | None = None) -> tuple[CameraPose, float]:
+                initial: CameraPose) -> tuple[CameraPose, float]:
     """Levenberg-Marquardt refinement of one 6-DoF pose.
 
     Minimizes pixel reprojection error of ``world_points`` against
@@ -47,8 +46,7 @@ def refine_pose(world_points: np.ndarray, observed_px: np.ndarray,
 
     x0 = np.concatenate([rotation_to_axis_angle(initial.rotation),
                          initial.translation])
-    report = levenberg_marquardt(LeastSquaresProblem(residual, jacobian), x0,
-                                 lm_config or LmConfig())
+    report = levenberg_marquardt(LeastSquaresProblem(residual, jacobian), x0)
     pose = CameraPose.from_axis_angle(report.params[:3], report.params[3:])
     res = residual(report.params).reshape(-1, 2)
     mean_err = float(np.linalg.norm(res, axis=1).mean())

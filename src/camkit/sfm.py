@@ -86,24 +86,6 @@ class SfmScene:
     def valid_tracks(self) -> list[Track]:
         return [t for t in self.tracks if t.valid and t.point is not None]
 
-    def observation_residuals(self) -> list[np.ndarray]:
-        """Per valid track, the pixel residual norm of each registered
-        observation."""
-        tracks = self.valid_tracks()
-        owner, views, feature = _observations(tracks, self.poses)
-        points = np.array([track.point for track in tracks]).reshape(-1, 3)
-        errors = np.empty(len(owner))
-        for v in np.unique(views).tolist():
-            sel = views == v
-            pose = self.poses[v]
-            proj = project_points(points[owner[sel]], pose.axis_angle(),
-                                  pose.translation, self.intrinsics,
-                                  self.distortion)
-            errors[sel] = np.linalg.norm(proj - self.features[v][feature[sel]],
-                                         axis=1)
-        counts = np.bincount(owner, minlength=len(tracks))
-        return np.split(errors, np.cumsum(counts)[:-1]) if tracks else []
-
 
 @dataclass(frozen=True)
 class PointCloud:
@@ -309,11 +291,6 @@ def _register_view(scene: SfmScene, view: int, normalized) -> SfmScene:
     return scene
 
 
-def _mean_residual(scene: SfmScene) -> float:
-    errors = np.concatenate([np.empty(0), *scene.observation_residuals()])
-    return float(errors.mean()) if errors.size else float("nan")
-
-
 # --- bundle adjustment -------------------------------------------------------
 
 def _tangent_basis(t: np.ndarray) -> np.ndarray:
@@ -455,7 +432,10 @@ def bundle_adjust(scene: SfmScene, lm_config: LmConfig | None = None) -> SfmScen
     The first registered pose stays fixed and the second pose's translation
     keeps its norm (direction parameterized in its 2D tangent plane), which
     removes the gauge freedom. Intrinsics and distortion are not touched.
-    Returns a new scene; the accepted cost never increases.
+    Returns a new scene; the accepted cost never increases. Tracks that end
+    behind a camera are marked invalid, and the scene's
+    ``mean_reprojection_error`` is the mean pixel error over the observations
+    of the tracks that stay valid, taken from the final BA residual.
     """
     problem, x0, pose_of, point_start, track_ids, (obs_view, obs_track) = \
         _build_ba_problem(scene)
@@ -476,9 +456,11 @@ def bundle_adjust(scene: SfmScene, lm_config: LmConfig | None = None) -> SfmScen
         new_tracks[ti].point = pts[local].copy()
         new_tracks[ti].valid = bool(in_front[local])
 
-    new_scene = replace(scene, poses=new_poses, tracks=new_tracks)
-    new_scene.mean_reprojection_error = _mean_residual(new_scene)
-    return new_scene
+    errors = np.linalg.norm(problem.residual(x).reshape(-1, 2), axis=1)
+    errors = errors[in_front[obs_track]]
+    return replace(scene, poses=new_poses, tracks=new_tracks,
+                   mean_reprojection_error=float(errors.mean()) if errors.size
+                   else float("nan"))
 
 
 def export_point_cloud(scene: SfmScene) -> PointCloud:

@@ -221,8 +221,8 @@ def render_cube_view(scene: CubeScene, intrinsics: CameraIntrinsics,
     return image
 
 
-def sample_ring_poses(n_views: int, radius: float, elevation_deg: float = 18.0,
-                      sweep_deg: float = 75.0, start_deg: float = 0.0) -> list[CameraPose]:
+def sample_ring_poses(n_views: int, radius: float, elevation_deg: float,
+                      sweep_deg: float, start_deg: float) -> list[CameraPose]:
     """Cameras on an arc around the origin, all looking at the origin."""
     poses = []
     angles = np.deg2rad(start_deg + np.linspace(0.0, sweep_deg, n_views))

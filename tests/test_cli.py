@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from camkit.cli import run_cli
-from camkit.fileio import read_calibration, read_ground_truth, read_image
+from camkit.fileio import (read_calibration, read_image, read_render_spec,
+                           write_image)
 
 from conftest import REF_CX, REF_CY, REF_FX, REF_FY, REF_K1, REF_K2
 
@@ -48,7 +49,7 @@ def calibration_file(board_dataset, tmp_path_factory):
 def test_render_board_outputs(board_dataset):
     images = sorted(board_dataset.glob("*.pgm"))
     assert len(images) == 8
-    truth = read_ground_truth(board_dataset / "ground_truth.json")
+    truth = read_render_spec(board_dataset / "ground_truth.json", "board")
     assert len(truth["poses"]) == 8
     assert truth["board"].squares_x == 10
     assert read_image(images[0]).shape == (360, 480)
@@ -114,7 +115,7 @@ def test_pose_command(board_dataset, calibration_file, tmp_path):
                     "--board", "10x7:23mm", "--out", str(out)]) == 0
     doc = json.loads(out.read_text())
     assert doc["mean_error"] < 0.2
-    truth = read_ground_truth(board_dataset / "ground_truth.json")
+    truth = read_render_spec(board_dataset / "ground_truth.json", "board")
     gt_t = truth["poses"][0].translation
     assert np.linalg.norm(np.array(doc["translation"]) - gt_t) < 2.0
 
@@ -175,3 +176,66 @@ def test_render_scene_and_sfm_commands(tmp_path, calibration_file):
     scene_doc = json.loads(ply.with_suffix(".scene.json").read_text())
     assert len(scene_doc["views"]) == 5
     assert scene_doc["mean_reprojection_error"] < 0.5
+
+
+def small_cube_spec_doc(**extra):
+    scale = 160 / 640.0
+    return dict({
+        "cube": {"edge": 200.0, "texture_seed": 7},
+        "image_size": {"width": 160, "height": 120},
+        "intrinsics": {"fx": REF_FX * scale, "fy": REF_FY * scale,
+                       "cx": REF_CX * scale, "cy": REF_CY * scale},
+    }, **extra)
+
+
+@pytest.mark.parametrize("command, subject, doc", [
+    ("render-board", "board", board_spec_doc(views=3, width=160, height=120)),
+    ("render-scene", "cube", small_cube_spec_doc(views=3)),
+], ids=["board", "cube"])
+def test_ground_truth_rerenders_its_capture(tmp_path, command, subject, doc):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(doc))
+    first, again = tmp_path / "first", tmp_path / "again"
+    assert run_cli([command, str(spec_path), "--out", str(first),
+                    "--seed", "3"]) == 0
+    assert run_cli([command, str(first / "ground_truth.json"),
+                    "--out", str(again)]) == 0
+    names = sorted(p.name for p in first.glob("*.pgm"))
+    assert names == sorted(p.name for p in again.glob("*.pgm"))
+    assert len(names) == 3
+    for name in names:
+        assert (first / name).read_bytes() == (again / name).read_bytes()
+    truth = read_render_spec(first / "ground_truth.json", subject)
+    redone = read_render_spec(again / "ground_truth.json", subject)
+    assert truth[subject] == redone[subject]
+    # Poses pass through axis-angle twice, so rotations agree to rounding.
+    for a, b in zip(truth["poses"], redone["poses"], strict=True):
+        np.testing.assert_allclose(a.rotation, b.rotation, rtol=0, atol=1e-14)
+        np.testing.assert_array_equal(a.translation, b.translation)
+
+
+def test_render_scene_from_listed_poses(tmp_path):
+    poses = [{"axis_angle": [1.9, -0.6, -0.5], "translation": [0.0, 0.0, 500.0]},
+             {"axis_angle": [1.7, 0.4, 0.3], "translation": [5.0, -3.0, 480.0]}]
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(small_cube_spec_doc(poses=poses)))
+    out = tmp_path / "capture"
+    assert run_cli(["render-scene", str(spec_path), "--out", str(out)]) == 0
+    assert sorted(p.name for p in out.glob("*.pgm")) == ["view_000.pgm",
+                                                          "view_001.pgm"]
+    truth = read_render_spec(out / "ground_truth.json", "cube")
+    listed = read_render_spec(spec_path, "cube")
+    for a, b in zip(truth["poses"], listed["poses"], strict=True):
+        np.testing.assert_allclose(a.rotation, b.rotation, rtol=0, atol=1e-14)
+        np.testing.assert_array_equal(a.translation, b.translation)
+    # The cube is in view: the image is not all background.
+    assert len(np.unique(read_image(out / "view_000.pgm"))) > 10
+
+
+def test_pose_without_board_exits_two(calibration_file, tmp_path, capsys):
+    image = tmp_path / "blank.pgm"
+    write_image(np.full((120, 160), 128, dtype=np.uint8), image)
+    code = run_cli(["pose", str(image), "--calib", str(calibration_file),
+                    "--board", "10x7:23mm", "--out", str(tmp_path / "p.json")])
+    assert code == 2
+    assert "corner detection failed on blank.pgm" in capsys.readouterr().err

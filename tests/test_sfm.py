@@ -19,7 +19,7 @@ from camkit.errors import (
     RegistrationFailed,
     SingularNormalEquations,
 )
-from camkit.geometry import camera_depths, pixel_to_normalized
+from camkit.geometry import camera_depths, pixel_to_normalized, project_points
 from camkit.optimize import (
     LeastSquaresProblem,
     LmReport,
@@ -160,6 +160,32 @@ def test_ba_reduces_cost_of_perturbed_points(ref_intrinsics):
     assert adjusted.mean_reprojection_error < 0.01
     assert np.linalg.norm(
         adjusted.poses[1].translation) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_ba_mean_error_matches_reprojection_of_result(ref_intrinsics):
+    scene, _ = build_scene(ref_intrinsics, point_noise=2.0, seed=3)
+    rng = np.random.default_rng(3)
+    for v in scene.features:
+        scene.features[v] = scene.features[v] + rng.normal(0, 0.5, (40, 2))
+    # A track observed exactly where a point behind the cameras projects
+    # stays there with zero residual; it must not count in the mean.
+    behind = np.array([[20.0, -10.0, -400.0]])
+    for v, pose in scene.poses.items():
+        scene.features[v] = np.vstack(
+            [scene.features[v],
+             project_points(behind, pose.axis_angle(), pose.translation,
+                            ref_intrinsics, scene.distortion)])
+    scene.tracks.append(Track(observations=tuple((v, 40) for v in scene.poses),
+                              point=behind[0].copy(), valid=True))
+    adjusted = bundle_adjust(scene)
+    assert not adjusted.tracks[-1].valid
+    errors = [np.linalg.norm(project(t.point[None], adjusted.poses[v],
+                                     ref_intrinsics, adjusted.distortion)[0]
+                             - adjusted.features[v][fi])
+              for t in adjusted.valid_tracks() for v, fi in t.observations]
+    assert len(errors) == 40 * len(scene.poses)
+    assert adjusted.mean_reprojection_error == pytest.approx(np.mean(errors),
+                                                             rel=1e-12)
 
 
 def test_ba_is_deterministic(ref_intrinsics):
