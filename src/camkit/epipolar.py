@@ -1,5 +1,12 @@
 """Two-view geometry in normalized coordinates: essential matrix, RANSAC,
-relative pose, triangulation."""
+relative pose, triangulation.
+
+RANSAC draws all of its minimal samples up front, from the same seeded
+stream as one draw per iteration, and fits and scores them in blocks with
+stacked eight-point fits; ``eight_point`` and ``sampson_distance`` are the
+one-matrix case of the same code, so the outputs equal those of fitting one
+sample per iteration, bit for bit.
+"""
 
 from __future__ import annotations
 
@@ -13,25 +20,58 @@ from .errors import (
 )
 from .geometry import CameraPose, camera_depths, nearest_rotation
 
+# RANSAC hypotheses fitted and scored together; bounds the (B, n, 3)
+# temporaries of one block's Sampson scores.
+_BLOCK = 128
+
 
 def _homogeneous(pts: np.ndarray) -> np.ndarray:
-    return np.column_stack([pts, np.ones(len(pts))])
+    return np.concatenate([pts, np.ones(pts.shape[:-1] + (1,))], axis=-1)
 
 
-def _conditioning_transform(pts: np.ndarray) -> np.ndarray:
-    centroid = pts.mean(axis=0)
-    scale = np.sqrt(2.0) / max(np.mean(np.linalg.norm(pts - centroid, axis=1)), 1e-12)
-    return np.array([
-        [scale, 0.0, -scale * centroid[0]],
-        [0.0, scale, -scale * centroid[1]],
-        [0.0, 0.0, 1.0],
-    ])
+def _conditioning_transforms(pts: np.ndarray) -> np.ndarray:
+    """Hartley conditioning of each ``(m, 2)`` point set in a ``(B, m, 2)``
+    stack: the ``(B, 3, 3)`` similarities that move the centroid to the
+    origin and the mean distance from it to sqrt(2)."""
+    centroid = pts.mean(axis=1)
+    spread = np.mean(np.linalg.norm(pts - centroid[:, None, :], axis=2), axis=1)
+    scale = np.sqrt(2.0) / np.maximum(spread, 1e-12)
+    t = np.zeros((len(pts), 3, 3))
+    t[:, 0, 0] = t[:, 1, 1] = scale
+    t[:, :2, 2] = -scale[:, None] * centroid
+    t[:, 2, 2] = 1.0
+    return t
 
 
-def _enforce_rank2(e: np.ndarray) -> np.ndarray:
+def _fit_essential(x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
+    """Conditioned eight-point fits of a ``(B, m, 2)`` stack of samples.
+
+    One stacked SVD solves the ``(B, m, 9)`` linear systems and a second
+    projects every solution onto rank 2 with equal leading singular values.
+    Returns the ``(B, 3, 3)`` unit-norm matrices with a positive
+    largest-magnitude entry. Raises LinAlgError if any SVD of the stack
+    fails to converge.
+    """
+    t1 = _conditioning_transforms(x1)
+    t2 = _conditioning_transforms(x2)
+    h1 = _homogeneous(x1) @ np.swapaxes(t1, 1, 2)
+    h2 = _homogeneous(x2) @ np.swapaxes(t2, 1, 2)
+    a = (h2[:, :, :, None] * h1[:, :, None, :]).reshape(len(x1), -1, 9)
+    _, _, vt = np.linalg.svd(a)
+    e = np.swapaxes(t2, 1, 2) @ vt[:, -1].reshape(-1, 3, 3) @ t1
+
     u, s, vt = np.linalg.svd(e)
-    mean = (s[0] + s[1]) / 2.0
-    return u @ np.diag([mean, mean, 0.0]) @ vt
+    mean = (s[:, 0] + s[:, 1]) / 2.0
+    diag = np.zeros_like(e)
+    diag[:, 0, 0] = diag[:, 1, 1] = mean
+    e = u @ diag @ vt
+    # The Frobenius norm as a dot product, the same BLAS ddot that
+    # np.linalg.norm(e) calls for a single matrix; a norm over axes (1, 2)
+    # sums in another order and changes the last bit.
+    flat = e.reshape(len(e), 9)
+    e = e / np.sqrt(flat[:, None, :] @ flat[:, :, None])
+    lead = flat[np.arange(len(e)), np.argmax(np.abs(flat), axis=1)]
+    return np.where((lead < 0)[:, None, None], -e, e)
 
 
 def eight_point(x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
@@ -45,37 +85,57 @@ def eight_point(x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
     x2 = np.asarray(x2, dtype=np.float64)
     if len(x1) < 8 or len(x1) != len(x2):
         raise InsufficientMatches(f"need >= 8 pairs, got {len(x1)}/{len(x2)}")
-    t1 = _conditioning_transform(x1)
-    t2 = _conditioning_transform(x2)
-    h1 = _homogeneous(x1) @ t1.T
-    h2 = _homogeneous(x2) @ t2.T
+    return _fit_essential(x1[None], x2[None])[0]
 
-    a = (h2[:, :, None] * h1[:, None, :]).reshape(len(x1), 9)
-    _, _, vt = np.linalg.svd(a)
-    e = t2.T @ vt[-1].reshape(3, 3) @ t1
-    e = _enforce_rank2(e)
-    e = e / np.linalg.norm(e)
-    flat = e.ravel()
-    lead = flat[np.argmax(np.abs(flat))]
-    if lead < 0:
-        e = -e
-    return e
+
+def _sampson_distances(e: np.ndarray, x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
+    """``(B, n)`` Sampson distances of n pairs to each of B essential matrices."""
+    h1 = _homogeneous(np.asarray(x1, dtype=np.float64))
+    h2 = _homogeneous(np.asarray(x2, dtype=np.float64))
+    ex1 = h1 @ np.swapaxes(e, 1, 2)  # rows: E x1
+    etx2 = h2 @ e  # rows: E^T x2
+    num = np.sum(h2 * ex1, axis=2)
+    denom = (ex1[:, :, 0] ** 2 + ex1[:, :, 1] ** 2
+             + etx2[:, :, 0] ** 2 + etx2[:, :, 1] ** 2)
+    return np.abs(num) / np.sqrt(np.maximum(denom, 1e-300))
 
 
 def sampson_distance(e: np.ndarray, x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
     """First-order geometric distance to the epipolar constraint, per pair."""
-    h1 = _homogeneous(np.asarray(x1, dtype=np.float64))
-    h2 = _homogeneous(np.asarray(x2, dtype=np.float64))
-    ex1 = h1 @ e.T  # rows: E x1
-    etx2 = h2 @ e  # rows: E^T x2
-    num = np.sum(h2 * ex1, axis=1)
-    denom = ex1[:, 0] ** 2 + ex1[:, 1] ** 2 + etx2[:, 0] ** 2 + etx2[:, 1] ** 2
-    return np.abs(num) / np.sqrt(np.maximum(denom, 1e-300))
+    return _sampson_distances(np.asarray(e, dtype=np.float64)[None], x1, x2)[0]
+
+
+def _fit_block(x1: np.ndarray, x2: np.ndarray):
+    """Fit a ``(B, 8, 2)`` block of samples; returns ``(E, fitted)``.
+
+    Samples with a non-finite point are left out, as is any sample whose own
+    SVD fails: when the stacked fit raises, the block is refitted one sample
+    at a time to find it.
+    """
+    fitted = (np.isfinite(x1).all(axis=(1, 2))
+              & np.isfinite(x2).all(axis=(1, 2)))
+    e = np.zeros((len(x1), 3, 3))
+    try:
+        e[fitted] = _fit_essential(x1[fitted], x2[fitted])
+    except np.linalg.LinAlgError:
+        for b in np.flatnonzero(fitted):
+            try:
+                e[b] = _fit_essential(x1[b:b + 1], x2[b:b + 1])[0]
+            except np.linalg.LinAlgError:
+                fitted[b] = False
+    return e, fitted
 
 
 def essential_ransac(x1: np.ndarray, x2: np.ndarray, threshold: float = 1e-3,
                      seed: int = 0, max_iters: int = 1000):
     """RANSAC essential-matrix fit on normalized correspondences.
+
+    All ``max_iters`` minimal samples are drawn first, from the same
+    ``default_rng(seed)`` stream as one draw per iteration, then fitted and
+    scored in blocks of ``_BLOCK`` hypotheses by stacked eight-point fits and
+    one Sampson matrix per block. The hypotheses are then visited in draw
+    order with locally optimized refits (Chum et al. 2003), so the result is
+    the same as fitting and scoring one sample per iteration.
 
     Returns ``(E, inlier_mask)``; deterministic given ``seed``. Raises
     InsufficientMatches below 8 pairs and NoModelFound when no model reaches
@@ -106,18 +166,20 @@ def essential_ransac(x1: np.ndarray, x2: np.ndarray, threshold: float = 1e-3,
         return e, mask, count
 
     rng = np.random.default_rng(seed)
+    samples = np.array([rng.choice(n, size=8, replace=False)
+                        for _ in range(max_iters)], dtype=np.int64).reshape(-1, 8)
     best = (None, None, 0)  # (E, mask, count)
-    for _ in range(max_iters):
-        idx = rng.choice(n, size=8, replace=False)
-        try:
-            e = eight_point(x1[idx], x2[idx])
-        except np.linalg.LinAlgError:
-            continue
-        mask, count = consensus(e)
-        if count >= 8 and 2 * count > best[2]:
-            e, mask, count = locally_optimize(e, mask, count)
-            if count > best[2]:
-                best = (e, mask, count)
+    for start in range(0, max_iters, _BLOCK):
+        idx = samples[start:start + _BLOCK]
+        es, fitted = _fit_block(x1[idx], x2[idx])
+        masks = _sampson_distances(es, x1, x2) < threshold
+        counts = np.where(fitted, masks.sum(axis=1), 0)
+        for b in np.flatnonzero(counts >= 8):
+            count = int(counts[b])
+            if 2 * count > best[2]:
+                e, mask, count = locally_optimize(es[b], masks[b], count)
+                if count > best[2]:
+                    best = (e, mask, count)
     e, mask, count = best
     if count < 8:
         raise NoModelFound(f"best sample had {count} inliers")

@@ -5,7 +5,9 @@ octaves. Each feature gets a dominant gradient orientation and a descriptor
 built from a 4x4 spatial grid of 4-bin gradient-orientation histograms
 (64 dimensions, L2-normalized), sampled in a frame rotated to the feature
 orientation so matching tolerates in-plane rotation and moderate scale
-change.
+change. Orientations and descriptors are computed for all keypoints of one
+pyramid level at once; the result is the same as computing them one
+keypoint at a time, bit for bit.
 """
 
 from __future__ import annotations
@@ -55,62 +57,100 @@ def _gaussian_pyramid(img: np.ndarray) -> list[list[np.ndarray]]:
 
 
 def _scale_space_extrema(dog: np.ndarray) -> np.ndarray:
-    """(level, v, u) indices of 26-neighborhood extrema above threshold."""
-    maxf = ndimage.maximum_filter(dog, size=3, mode="nearest")
-    minf = ndimage.minimum_filter(dog, size=3, mode="nearest")
-    strong = np.abs(dog) > CONTRAST_THRESHOLD
-    peaks = ((dog == maxf) | (dog == minf)) & strong
-    peaks[0] = peaks[-1] = False
-    peaks[:, :2, :] = peaks[:, -2:, :] = False
-    peaks[:, :, :2] = peaks[:, :, -2:] = False
-    return np.argwhere(peaks)
+    """(level, v, u) indices of 26-neighborhood extrema above threshold.
+
+    Only interior voxels (not the first or last level, nor within two pixels
+    of the border) can be extrema, so their 3x3x3 neighborhoods never leave
+    the stack; the 26 neighbors are compared only at interior voxels above
+    the contrast threshold. Rows come in C order of the stack.
+    """
+    _, h, w = dog.shape
+    strong = np.abs(dog[1:-1, 2:-2, 2:-2]) > CONTRAST_THRESHOLD
+    cand = np.argwhere(strong) + [1, 2, 2]
+    flat = dog.ravel()
+    at = np.ravel_multi_index(cand.T, dog.shape)
+    center = flat[at]
+    is_max = np.ones(len(at), dtype=bool)
+    is_min = np.ones(len(at), dtype=bool)
+    for dl in (-1, 0, 1):
+        for dv in (-1, 0, 1):
+            for du in (-1, 0, 1):
+                if dl or dv or du:
+                    neighbor = flat[at + (dl * h + dv) * w + du]
+                    is_max &= center >= neighbor
+                    is_min &= center <= neighbor
+    return cand[is_max | is_min]
 
 
-def _passes_edge_test(slice2d: np.ndarray, v: int, u: int) -> bool:
-    dxx = slice2d[v, u + 1] - 2 * slice2d[v, u] + slice2d[v, u - 1]
-    dyy = slice2d[v + 1, u] - 2 * slice2d[v, u] + slice2d[v - 1, u]
-    dxy = (slice2d[v + 1, u + 1] - slice2d[v + 1, u - 1]
-           - slice2d[v - 1, u + 1] + slice2d[v - 1, u - 1]) / 4.0
+def _passes_edge_test(dog: np.ndarray, cand: np.ndarray) -> np.ndarray:
+    """Mask of the (level, v, u) extrema whose principal curvature ratio in
+    the image plane is below ``EDGE_RATIO``."""
+    li, v, u = cand.T
+
+    def at(dv, du):
+        return dog[li, v + dv, u + du]
+
+    dxx = at(0, 1) - 2 * at(0, 0) + at(0, -1)
+    dyy = at(1, 0) - 2 * at(0, 0) + at(-1, 0)
+    dxy = (at(1, 1) - at(1, -1) - at(-1, 1) + at(-1, -1)) / 4.0
     det = dxx * dyy - dxy * dxy
-    if det <= 0:
-        return False
     trace = dxx + dyy
-    return trace * trace / det < (EDGE_RATIO + 1.0) ** 2 / EDGE_RATIO
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return (det > 0) & (trace * trace / det < (EDGE_RATIO + 1.0) ** 2 / EDGE_RATIO)
 
 
-def _dominant_orientation(gx: np.ndarray, gy: np.ndarray,
-                          u: float, v: float, sigma: float) -> float:
+def _orientations(gx: np.ndarray, gy: np.ndarray, u: np.ndarray,
+                  v: np.ndarray, sigma: float) -> np.ndarray:
+    """Dominant gradient orientation of each keypoint of one level.
+
+    One 36-bin histogram per keypoint of Gaussian-weighted gradient
+    magnitudes over the part of its window inside the image, accumulated in
+    row-major window order; then a circular smoothing and a parabolic peak.
+    """
     h, w = gx.shape
     radius = max(3, int(round(4.0 * sigma)))
-    u0, v0 = int(round(u)), int(round(v))
-    x0, x1 = max(u0 - radius, 0), min(u0 + radius + 1, w)
-    y0, y1 = max(v0 - radius, 0), min(v0 + radius + 1, h)
-    px = gx[y0:y1, x0:x1]
-    py = gy[y0:y1, x0:x1]
-    yy, xx = np.mgrid[y0:y1, x0:x1]
-    d2 = (xx - u) ** 2 + (yy - v) ** 2
+    offsets = np.arange(-radius, radius + 1)
+    xx = np.rint(u).astype(np.int64)[:, None, None] + offsets[None, None, :]
+    yy = np.rint(v).astype(np.int64)[:, None, None] + offsets[None, :, None]
+    xx, yy = np.broadcast_arrays(xx, yy)
+    inside = (xx >= 0) & (xx < w) & (yy >= 0) & (yy < h)
+    key = np.broadcast_to(np.arange(len(u))[:, None, None], inside.shape)[inside]
+    xx = xx[inside]
+    yy = yy[inside]
+    px = gx[yy, xx]
+    py = gy[yy, xx]
+    d2 = (xx - u[key]) ** 2 + (yy - v[key]) ** 2
     weight = np.exp(-d2 / (2.0 * (1.5 * sigma) ** 2))
     mag = np.hypot(px, py) * weight
     ang = np.arctan2(py, px)
 
     nbins = 36
     bins = np.floor((ang + np.pi) / (2 * np.pi) * nbins).astype(np.int64) % nbins
-    hist = np.bincount(bins.ravel(), weights=mag.ravel(), minlength=nbins)
+    hists = np.bincount(key * nbins + bins, weights=mag,
+                        minlength=len(u) * nbins).reshape(len(u), nbins)
     kernel = np.array([1.0, 4.0, 6.0, 4.0, 1.0]) / 16.0
-    for _ in range(2):
-        hist = np.convolve(np.concatenate([hist[-2:], hist, hist[:2]]),
-                           kernel, mode="valid")[:nbins]
-    peak = int(np.argmax(hist))
-    left = hist[(peak - 1) % nbins]
-    right = hist[(peak + 1) % nbins]
-    denom = left - 2 * hist[peak] + right
-    shift = 0.0 if abs(denom) < 1e-12 else 0.5 * (left - right) / denom
-    theta = (peak + 0.5 + shift) / nbins * 2 * np.pi - np.pi
-    return float(theta)
+    thetas = np.empty(len(u))
+    for k, hist in enumerate(hists):
+        for _ in range(2):
+            hist = np.convolve(np.concatenate([hist[-2:], hist, hist[:2]]),
+                               kernel, mode="valid")[:nbins]
+        peak = int(np.argmax(hist))
+        left = hist[(peak - 1) % nbins]
+        right = hist[(peak + 1) % nbins]
+        denom = left - 2 * hist[peak] + right
+        shift = 0.0 if abs(denom) < 1e-12 else 0.5 * (left - right) / denom
+        thetas[k] = (peak + 0.5 + shift) / nbins * 2 * np.pi - np.pi
+    return thetas
 
 
-def _descriptor(gx: np.ndarray, gy: np.ndarray, u: float, v: float,
-                sigma: float, orientation: float) -> np.ndarray | None:
+def _descriptors(gx: np.ndarray, gy: np.ndarray, u: np.ndarray, v: np.ndarray,
+                 sigma: float, orientation: np.ndarray):
+    """Descriptors of the keypoints of one level; returns ``(desc, ok)``.
+
+    ``desc`` is ``(N, 64)``; ``ok`` is False where the rotated sampling grid
+    leaves the image or the gradient histogram is empty, and those rows are
+    meaningless.
+    """
     grid = DESCRIPTOR_GRID
     nbins = DESCRIPTOR_BINS
     cell = 3.0 * sigma
@@ -121,14 +161,19 @@ def _descriptor(gx: np.ndarray, gy: np.ndarray, u: float, v: float,
     sx = sx.ravel()
     sy = sy.ravel()
 
-    cos_o, sin_o = np.cos(orientation), np.sin(orientation)
+    # cos and sin one value at a time: some numpy builds evaluate them on
+    # arrays with SIMD kernels that round differently from the scalar path.
+    cos_o = np.array([np.cos(o) for o in orientation])[:, None]
+    sin_o = np.array([np.sin(o) for o in orientation])[:, None]
     du = cell * (cos_o * sx - sin_o * sy)
     dv = cell * (sin_o * sx + cos_o * sy)
-    pu = u + du
-    pv = v + dv
+    pu = u[:, None] + du
+    pv = v[:, None] + dv
     h, w = gx.shape
-    if (pu.min() < 1 or pu.max() > w - 2 or pv.min() < 1 or pv.max() > h - 2):
-        return None
+    ok = ((pu.min(axis=1) >= 1) & (pu.max(axis=1) <= w - 2)
+          & (pv.min(axis=1) >= 1) & (pv.max(axis=1) <= h - 2))
+    pu = pu[ok]
+    pv = pv[ok]
 
     u0 = pu.astype(np.int64)
     v0 = pv.astype(np.int64)
@@ -145,7 +190,7 @@ def _descriptor(gx: np.ndarray, gy: np.ndarray, u: float, v: float,
     gyi = bil(gy)
     mag = np.hypot(gxi, gyi)
     mag *= np.exp(-(sx ** 2 + sy ** 2) / (2.0 * half ** 2))
-    ang = np.arctan2(gyi, gxi) - orientation
+    ang = np.arctan2(gyi, gxi) - orientation[ok, None]
 
     cell_i = np.clip(np.floor(sx + half).astype(np.int64), 0, grid - 1)
     cell_j = np.clip(np.floor(sy + half).astype(np.int64), 0, grid - 1)
@@ -153,18 +198,24 @@ def _descriptor(gx: np.ndarray, gy: np.ndarray, u: float, v: float,
     b0 = np.floor(obin).astype(np.int64) % nbins
     fb = obin - np.floor(obin)
 
-    desc = np.zeros((grid, grid, nbins))
-    np.add.at(desc, (cell_j, cell_i, b0), mag * (1 - fb))
-    np.add.at(desc, (cell_j, cell_i, (b0 + 1) % nbins), mag * fb)
-    vec = desc.ravel()
-    norm = np.linalg.norm(vec)
-    if norm < 1e-12:
-        return None
-    return vec / norm
+    key = np.arange(len(pu))[:, None]
+    desc = np.zeros((len(pu), grid, grid, nbins))
+    np.add.at(desc, (key, cell_j, cell_i, b0), mag * (1 - fb))
+    np.add.at(desc, (key, cell_j, cell_i, (b0 + 1) % nbins), mag * fb)
+    vec = desc.reshape(len(pu), grid * grid * nbins)
+    # Per-row dot products, the BLAS ddot that np.linalg.norm uses on a vector.
+    norm = np.sqrt(vec[:, None, :] @ vec[:, :, None])[:, 0]
+    out = np.zeros((len(u), grid * grid * nbins))
+    out[ok] = vec / np.maximum(norm, 1e-12)
+    ok[ok] = norm[:, 0] >= 1e-12
+    return out, ok
 
 
 def detect_features(image: np.ndarray, max_features: int = 1000) -> list[Feature]:
     """Detect up to ``max_features`` scale-space features, strongest first.
+
+    Orientations and descriptors are computed for all keypoints of one
+    pyramid level at once, in the order the extrema are found.
 
     Raises ImageTooSmall below 32x32. A featureless (uniform) image yields an
     empty list.
@@ -181,32 +232,31 @@ def detect_features(image: np.ndarray, max_features: int = 1000) -> list[Feature
         if min(levels[0].shape) < 16:
             break
         dog = np.stack([levels[i + 1] - levels[i] for i in range(len(levels) - 1)])
-        gradients = {}
-        for li, v, u in _scale_space_extrema(dog):
-            if not _passes_edge_test(dog[li], v, u):
-                continue
-            offset = quadratic_peak_offset(dog[li, v - 1:v + 2, u - 1:u + 2])
-            uo = u + offset[0]
-            vo = v + offset[1]
+        cand = _scale_space_extrema(dog)
+        cand = cand[_passes_edge_test(dog, cand)]
+        offsets = np.array([
+            quadratic_peak_offset(dog[li, v - 1:v + 2, u - 1:u + 2])
+            for li, v, u in cand]).reshape(-1, 2)
+        refined_u = cand[:, 2] + offsets[:, 0]
+        refined_v = cand[:, 1] + offsets[:, 1]
+        responses = np.abs(dog[tuple(cand.T)])
+        # Extrema come sorted by level, so level by level keeps their order.
+        for li in np.unique(cand[:, 0]):
+            at = np.flatnonzero(cand[:, 0] == li)
+            uo, vo = refined_u[at], refined_v[at]
             sigma_oct = SIGMA0 * step ** li
-            if li not in gradients:
-                gl = levels[li]
-                gradients[li] = (
-                    ndimage.sobel(gl, axis=1, mode="nearest") / 8.0,
-                    ndimage.sobel(gl, axis=0, mode="nearest") / 8.0,
-                )
-            gx, gy = gradients[li]
-            theta = _dominant_orientation(gx, gy, uo, vo, sigma_oct)
-            desc = _descriptor(gx, gy, uo, vo, sigma_oct, theta)
-            if desc is None:
-                continue
-            found.append(Feature(
-                position=np.array([uo, vo]) * (2 ** octave),
-                scale=sigma_oct * (2 ** octave),
-                orientation=theta,
-                descriptor=desc,
-                response=float(abs(dog[li, v, u])),
-            ))
+            gx = ndimage.sobel(levels[li], axis=1, mode="nearest") / 8.0
+            gy = ndimage.sobel(levels[li], axis=0, mode="nearest") / 8.0
+            thetas = _orientations(gx, gy, uo, vo, sigma_oct)
+            descs, ok = _descriptors(gx, gy, uo, vo, sigma_oct, thetas)
+            for k in np.flatnonzero(ok):
+                found.append(Feature(
+                    position=np.array([uo[k], vo[k]]) * (2 ** octave),
+                    scale=sigma_oct * (2 ** octave),
+                    orientation=float(thetas[k]),
+                    descriptor=descs[k],
+                    response=float(responses[at[k]]),
+                ))
 
     found.sort(key=lambda f: (-f.response, f.position[1], f.position[0]))
     return found[:max_features]
@@ -245,12 +295,8 @@ def match_features(a: list[Feature], b: list[Feature],
     fwd, d1a, d2a = nearest_two(d2)
     bwd, d1b, d2b = nearest_two(d2.T)
 
-    pairs = []
-    for i, j in enumerate(fwd):
-        if bwd[j] != i:
-            continue
-        ok_a = d1a[i] < ratio * d2a[i] if np.isfinite(d2a[i]) else True
-        ok_b = d1b[j] < ratio * d2b[j] if np.isfinite(d2b[j]) else True
-        if ok_a and ok_b:
-            pairs.append((i, int(j)))
-    return np.array(pairs, dtype=np.int64) if pairs else np.empty((0, 2), dtype=np.int64)
+    ia = np.arange(len(fwd))
+    ok_a = np.where(np.isfinite(d2a), d1a < ratio * d2a, True)
+    ok_b = np.where(np.isfinite(d2b), d1b < ratio * d2b, True)
+    keep = (bwd[fwd] == ia) & ok_a & ok_b[fwd]
+    return np.column_stack([ia[keep], fwd[keep]]).astype(np.int64)

@@ -10,9 +10,11 @@ from camkit import (
     CheckerboardSpec,
     DistortionCoeffs,
     board_world_points,
+    detect_features,
     project,
     render_board,
 )
+from camkit.sfm import MAX_FEATURES
 from camkit.synthetic import (
     CubeScene,
     render_cube_view,
@@ -78,6 +80,12 @@ def cube_capture(ref_intrinsics):
     images = [render_cube_view(scene3d, ref_intrinsics, dist, p, 640, 480)
               for p in poses]
     return scene3d, poses, images, dist
+
+
+@pytest.fixture(scope="session")
+def cube_features(cube_capture):
+    """The features ``reconstruct`` detects in each cube view."""
+    return [detect_features(img, MAX_FEATURES) for img in cube_capture[2]]
 
 
 _acceptance_outcomes = []

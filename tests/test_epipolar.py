@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from camkit import (
     CameraPose,
@@ -11,7 +13,8 @@ from camkit import (
     sampson_distance,
     triangulate_points,
 )
-from camkit.epipolar import _homogeneous
+from camkit.epipolar import _fit_block, _fit_essential, _homogeneous
+from camkit.geometry import pixel_to_normalized, undistort_normalized
 from camkit.errors import (
     CheiralityAmbiguous,
     InsufficientMatches,
@@ -190,3 +193,198 @@ def test_sampson_distance_zero_on_exact_data():
     x1, x2, _, _ = synthetic_pair(rng, 40)
     e = eight_point(x1, x2)
     assert sampson_distance(e, x1, x2).max() < 1e-10
+
+
+# Oracle: the one-sample-per-iteration RANSAC that essential_ransac batches,
+# kept verbatim so the batched path can be checked bit for bit.
+
+def _oracle_conditioning(pts):
+    centroid = pts.mean(axis=0)
+    scale = np.sqrt(2.0) / max(np.mean(np.linalg.norm(pts - centroid, axis=1)), 1e-12)
+    return np.array([
+        [scale, 0.0, -scale * centroid[0]],
+        [0.0, scale, -scale * centroid[1]],
+        [0.0, 0.0, 1.0],
+    ])
+
+
+def _oracle_homogeneous(pts):
+    return np.column_stack([pts, np.ones(len(pts))])
+
+
+def _oracle_eight_point(x1, x2):
+    t1 = _oracle_conditioning(x1)
+    t2 = _oracle_conditioning(x2)
+    h1 = _oracle_homogeneous(x1) @ t1.T
+    h2 = _oracle_homogeneous(x2) @ t2.T
+    a = (h2[:, :, None] * h1[:, None, :]).reshape(len(x1), 9)
+    _, _, vt = np.linalg.svd(a)
+    e = t2.T @ vt[-1].reshape(3, 3) @ t1
+    u, s, vt = np.linalg.svd(e)
+    mean = (s[0] + s[1]) / 2.0
+    e = u @ np.diag([mean, mean, 0.0]) @ vt
+    e = e / np.linalg.norm(e)
+    flat = e.ravel()
+    if flat[np.argmax(np.abs(flat))] < 0:
+        e = -e
+    return e
+
+
+def _oracle_sampson(e, x1, x2):
+    h1 = _oracle_homogeneous(x1)
+    h2 = _oracle_homogeneous(x2)
+    ex1 = h1 @ e.T
+    etx2 = h2 @ e
+    num = np.sum(h2 * ex1, axis=1)
+    denom = ex1[:, 0] ** 2 + ex1[:, 1] ** 2 + etx2[:, 0] ** 2 + etx2[:, 1] ** 2
+    return np.abs(num) / np.sqrt(np.maximum(denom, 1e-300))
+
+
+def _oracle_ransac(x1, x2, threshold=1e-3, seed=0, max_iters=1000, refits=None):
+    def refit(mask):
+        if refits is not None:
+            refits.append(x1[mask])
+        return _oracle_eight_point(x1[mask], x2[mask])
+
+    def consensus(e):
+        mask = _oracle_sampson(e, x1, x2) < threshold
+        return mask, int(mask.sum())
+
+    def locally_optimize(e, mask, count):
+        for _ in range(10):
+            if count < 8:
+                break
+            e_next = refit(mask)
+            mask_next, count_next = consensus(e_next)
+            if count_next <= count:
+                break
+            e, mask, count = e_next, mask_next, count_next
+        return e, mask, count
+
+    rng = np.random.default_rng(seed)
+    best = (None, None, 0)
+    for _ in range(max_iters):
+        idx = rng.choice(len(x1), size=8, replace=False)
+        try:
+            e = _oracle_eight_point(x1[idx], x2[idx])
+        except np.linalg.LinAlgError:
+            continue
+        mask, count = consensus(e)
+        if count >= 8 and 2 * count > best[2]:
+            e, mask, count = locally_optimize(e, mask, count)
+            if count > best[2]:
+                best = (e, mask, count)
+    e, mask, count = best
+    if count < 8:
+        raise NoModelFound(f"best sample had {count} inliers")
+    e_refit = refit(mask)
+    mask_refit, count_refit = consensus(e_refit)
+    if count_refit >= count:
+        return e_refit, mask_refit
+    return e, mask
+
+
+def _outcome(ransac, x1, x2, **kwargs):
+    try:
+        return ransac(x1, x2, **kwargs)
+    except NoModelFound:
+        return "NoModelFound"
+
+
+def _assert_same_fit(got, want):
+    if isinstance(want, str):
+        assert got == want
+        return
+    assert np.array_equal(got[0], want[0])
+    assert np.array_equal(got[1], want[1])
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), size=st.integers(1, 40),
+       points=st.integers(8, 30))
+def test_stacked_fit_equals_single_fits_bitwise(seed, size, points):
+    rng = np.random.default_rng(seed)
+    x1 = rng.normal(0, 0.4, (size, points, 2))
+    x2 = x1 + rng.normal(0, 0.05, (size, points, 2))
+    stacked = _fit_essential(x1, x2)
+    for b in range(size):
+        assert np.array_equal(stacked[b], eight_point(x1[b], x2[b]))
+        assert np.array_equal(stacked[b], _oracle_eight_point(x1[b], x2[b]))
+    e = stacked[0]
+    assert np.array_equal(sampson_distance(e, x1[1 % size], x2[1 % size]),
+                          _oracle_sampson(e, x1[1 % size], x2[1 % size]))
+
+
+@pytest.fixture(scope="module")
+def cube_pairs(cube_features, ref_intrinsics, cube_capture):
+    """Normalized raw matches of the pairs ``reconstruct`` runs RANSAC on."""
+    from camkit import match_features
+
+    dist = cube_capture[3]
+    normalized = [
+        undistort_normalized(pixel_to_normalized(
+            np.array([f.position for f in feats]), ref_intrinsics), dist)
+        for feats in cube_features]
+    pairs = []
+    for i, j in [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3), (2, 4), (3, 4)]:
+        raw = match_features(cube_features[i], cube_features[j])
+        if len(raw) >= 8:  # reconstruct skips a pair with fewer
+            pairs.append((normalized[i][raw[:, 0]],
+                          normalized[j][raw[:, 1]]))
+    return pairs
+
+
+@pytest.mark.parametrize("seed", [0, 5])
+def test_ransac_matches_per_sample_oracle_on_cube_pairs(cube_pairs, seed,
+                                                        monkeypatch):
+    import camkit.epipolar as epipolar
+
+    # Every refit on a consensus set, in order: the hypotheses are visited
+    # in draw order, not only to the same final answer.
+    refits = []
+
+    def recording_eight_point(a, b):
+        refits.append(a)
+        return eight_point(a, b)
+
+    monkeypatch.setattr(epipolar, "eight_point", recording_eight_point)
+    for x1, x2 in cube_pairs:
+        want_refits = []
+        want = _outcome(_oracle_ransac, x1, x2, seed=seed, max_iters=150,
+                        refits=want_refits)
+        refits.clear()
+        _assert_same_fit(
+            _outcome(essential_ransac, x1, x2, seed=seed, max_iters=150), want)
+        assert len(refits) == len(want_refits)
+        for got_points, want_points in zip(refits, want_refits):
+            assert np.array_equal(got_points, want_points)
+
+
+def test_ransac_skips_samples_with_a_nan_point():
+    rng = np.random.default_rng(17)
+    x1, x2, _, _ = synthetic_pair(rng, 40, outliers=10)
+    x1 = x1 + rng.normal(0, 1e-4, x1.shape)
+    x2[5] = np.nan
+    got = essential_ransac(x1, x2, seed=3, max_iters=300)
+    _assert_same_fit(got, _oracle_ransac(x1, x2, seed=3, max_iters=300))
+    assert not got[1][5]
+
+
+def test_fit_block_refits_one_sample_at_a_time_when_the_stack_fails(monkeypatch):
+    import camkit.epipolar as epipolar
+
+    rng = np.random.default_rng(2)
+    x1 = rng.normal(0, 0.4, (6, 8, 2))
+    x2 = x1 + rng.normal(0, 0.05, (6, 8, 2))
+    bad = x1[3, 0].copy()
+    fit = epipolar._fit_essential
+
+    def failing_fit(a, b):
+        if np.any(np.all(a[:, 0] == bad, axis=1)):
+            raise np.linalg.LinAlgError("SVD did not converge")
+        return fit(a, b)
+
+    monkeypatch.setattr(epipolar, "_fit_essential", failing_fit)
+    e, fitted = _fit_block(x1, x2)
+    assert fitted.tolist() == [True, True, True, False, True, True]
+    assert np.array_equal(e[fitted], fit(x1[fitted], x2[fitted]))

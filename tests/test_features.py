@@ -4,6 +4,15 @@ from scipy import ndimage
 
 from camkit import Feature, detect_features, match_features
 from camkit.errors import ImageTooSmall
+from camkit.features import (
+    CONTRAST_THRESHOLD,
+    SIGMA0,
+    _descriptors,
+    _gaussian_pyramid,
+    _orientations,
+    _scale_space_extrema,
+)
+from camkit.imageops import to_float
 
 
 def textured_image(seed=0, size=(256, 256)):
@@ -92,7 +101,172 @@ def test_matching_is_symmetric():
     assert {(i, j) for i, j in ab} == {(j, i) for i, j in ba}
 
 
+def test_matching_equals_the_per_pair_loop(cube_features):
+    for a, b in [(cube_features[0], cube_features[1]),
+                 (cube_features[2], cube_features[4]),
+                 (cube_features[3][:1], cube_features[4])]:
+        da = np.stack([f.descriptor for f in a])
+        db = np.stack([f.descriptor for f in b])
+        d2 = np.maximum(np.sum(da * da, axis=1)[:, None]
+                        + np.sum(db * db, axis=1)[None, :]
+                        - 2.0 * (da @ db.T), 0.0)
+        order_a = np.argsort(d2, axis=1)
+        order_b = np.argsort(d2.T, axis=1)
+        dist = np.sqrt(d2)
+        want = []
+        for i in range(len(a)):
+            j = order_a[i, 0]
+            if order_b[j, 0] != i:
+                continue
+            second_a = dist[i, order_a[i, 1]] if len(b) > 1 else np.inf
+            second_b = dist[order_b[j, 1], j] if len(a) > 1 else np.inf
+            if dist[i, j] < 0.8 * second_a and dist[i, j] < 0.8 * second_b:
+                want.append([i, int(j)])
+        got = match_features(a, b)
+        assert got.dtype == np.int64
+        assert got.tolist() == want
+
+
 def test_empty_input_gives_empty_result():
     feats = random_features(np.random.default_rng(0), 4)
     assert match_features([], feats).shape == (0, 2)
     assert match_features(feats, []).shape == (0, 2)
+
+
+# Oracles: the per-keypoint orientation and descriptor and the filter-based
+# extremum test that detect_features batches, kept verbatim so the batched
+# versions can be checked bit for bit.
+
+def _oracle_orientation(gx, gy, u, v, sigma):
+    h, w = gx.shape
+    radius = max(3, int(round(4.0 * sigma)))
+    u0, v0 = int(round(u)), int(round(v))
+    x0, x1 = max(u0 - radius, 0), min(u0 + radius + 1, w)
+    y0, y1 = max(v0 - radius, 0), min(v0 + radius + 1, h)
+    px = gx[y0:y1, x0:x1]
+    py = gy[y0:y1, x0:x1]
+    yy, xx = np.mgrid[y0:y1, x0:x1]
+    d2 = (xx - u) ** 2 + (yy - v) ** 2
+    weight = np.exp(-d2 / (2.0 * (1.5 * sigma) ** 2))
+    mag = np.hypot(px, py) * weight
+    ang = np.arctan2(py, px)
+    nbins = 36
+    bins = np.floor((ang + np.pi) / (2 * np.pi) * nbins).astype(np.int64) % nbins
+    hist = np.bincount(bins.ravel(), weights=mag.ravel(), minlength=nbins)
+    kernel = np.array([1.0, 4.0, 6.0, 4.0, 1.0]) / 16.0
+    for _ in range(2):
+        hist = np.convolve(np.concatenate([hist[-2:], hist, hist[:2]]),
+                           kernel, mode="valid")[:nbins]
+    peak = int(np.argmax(hist))
+    left = hist[(peak - 1) % nbins]
+    right = hist[(peak + 1) % nbins]
+    denom = left - 2 * hist[peak] + right
+    shift = 0.0 if abs(denom) < 1e-12 else 0.5 * (left - right) / denom
+    return float((peak + 0.5 + shift) / nbins * 2 * np.pi - np.pi)
+
+
+def _oracle_descriptor(gx, gy, u, v, sigma, orientation):
+    grid, nbins = 4, 4
+    cell = 3.0 * sigma
+    half = grid / 2.0
+    coords = (np.arange(grid * 4) + 0.5) / 4.0 - half
+    sx, sy = np.meshgrid(coords, coords)
+    sx = sx.ravel()
+    sy = sy.ravel()
+    cos_o, sin_o = np.cos(orientation), np.sin(orientation)
+    pu = u + cell * (cos_o * sx - sin_o * sy)
+    pv = v + cell * (sin_o * sx + cos_o * sy)
+    h, w = gx.shape
+    if pu.min() < 1 or pu.max() > w - 2 or pv.min() < 1 or pv.max() > h - 2:
+        return None
+    u0 = pu.astype(np.int64)
+    v0 = pv.astype(np.int64)
+    fu = pu - u0
+    fv = pv - v0
+
+    def bil(img):
+        return (img[v0, u0] * (1 - fu) * (1 - fv)
+                + img[v0, u0 + 1] * fu * (1 - fv)
+                + img[v0 + 1, u0] * (1 - fu) * fv
+                + img[v0 + 1, u0 + 1] * fu * fv)
+
+    gxi = bil(gx)
+    gyi = bil(gy)
+    mag = np.hypot(gxi, gyi)
+    mag *= np.exp(-(sx ** 2 + sy ** 2) / (2.0 * half ** 2))
+    ang = np.arctan2(gyi, gxi) - orientation
+    cell_i = np.clip(np.floor(sx + half).astype(np.int64), 0, grid - 1)
+    cell_j = np.clip(np.floor(sy + half).astype(np.int64), 0, grid - 1)
+    obin = (ang + 2 * np.pi) % (2 * np.pi) / (2 * np.pi) * nbins
+    b0 = np.floor(obin).astype(np.int64) % nbins
+    fb = obin - np.floor(obin)
+    desc = np.zeros((grid, grid, nbins))
+    np.add.at(desc, (cell_j, cell_i, b0), mag * (1 - fb))
+    np.add.at(desc, (cell_j, cell_i, (b0 + 1) % nbins), mag * fb)
+    vec = desc.ravel()
+    norm = np.linalg.norm(vec)
+    if norm < 1e-12:
+        return None
+    return vec / norm
+
+
+def _oracle_extrema(dog):
+    maxf = ndimage.maximum_filter(dog, size=3, mode="nearest")
+    minf = ndimage.minimum_filter(dog, size=3, mode="nearest")
+    peaks = ((dog == maxf) | (dog == minf)) & (np.abs(dog) > CONTRAST_THRESHOLD)
+    peaks[0] = peaks[-1] = False
+    peaks[:, :2, :] = peaks[:, -2:, :] = False
+    peaks[:, :, :2] = peaks[:, :, -2:] = False
+    return np.argwhere(peaks)
+
+
+def _gradients(level):
+    return (ndimage.sobel(level, axis=1, mode="nearest") / 8.0,
+            ndimage.sobel(level, axis=0, mode="nearest") / 8.0)
+
+
+def test_batched_orientation_and_descriptor_match_per_keypoint_oracle(
+        cube_capture, cube_features):
+    for view in (0, 3):
+        pyramid = _gaussian_pyramid(to_float(cube_capture[2][view]))
+        by_level = {}
+        for f in cube_features[view]:
+            # scale = SIGMA0 * 2 ** (level / 3 + octave), level in 1..3
+            k = int(round(3 * np.log2(f.scale / SIGMA0)))
+            octave = (k - 1) // 3
+            by_level.setdefault((octave, k - 3 * octave), []).append(f)
+        for (octave, level), feats in by_level.items():
+            gx, gy = _gradients(pyramid[octave][level])
+            # The same expression as detect_features, whose level is an int64.
+            sigma = SIGMA0 * (2.0 ** (1.0 / 3)) ** np.int64(level)
+            for f in feats:
+                u, v = f.position / 2 ** octave
+                theta = _oracle_orientation(gx, gy, u, v, sigma)
+                assert theta == f.orientation
+                assert np.array_equal(
+                    _oracle_descriptor(gx, gy, u, v, sigma, theta), f.descriptor)
+
+            # Keypoints whose descriptor grid leaves the image are dropped.
+            h, w = gx.shape
+            u = np.array([2.0, w / 2, w - 3.0, 40.5, w / 3])
+            v = np.array([h / 2, 2.5, h / 2, h - 2.0, h / 3])
+            thetas = _orientations(gx, gy, u, v, sigma)
+            descs, ok = _descriptors(gx, gy, u, v, sigma, thetas)
+            for i in range(len(u)):
+                assert thetas[i] == _oracle_orientation(gx, gy, u[i], v[i], sigma)
+                want = _oracle_descriptor(gx, gy, u[i], v[i], sigma, thetas[i])
+                assert ok[i] == (want is not None)
+                if ok[i]:
+                    assert np.array_equal(descs[i], want)
+
+
+def test_extremum_test_matches_the_filter_version(cube_capture):
+    pyramid = _gaussian_pyramid(to_float(cube_capture[2][1]))
+    stacks = [np.stack([b - a for a, b in zip(levels, levels[1:])])
+              for levels in pyramid]
+    rng = np.random.default_rng(0)
+    # Coarsely quantized stacks: many ties between a voxel and its neighbors.
+    stacks += [rng.integers(-3, 4, (5, 20, 24)) * 0.01 for _ in range(5)]
+    for dog in stacks:
+        got = _scale_space_extrema(dog)
+        assert np.array_equal(got, _oracle_extrema(dog))
