@@ -5,7 +5,9 @@ peaks sharply at X-junction centers where gradient-based responses plateau),
 non-maximum suppression, quadratic-surface subpixel refinement on the
 response, an intensity ring test that keeps only X-junctions (interior
 corners), then greedy lattice growth from the strongest corner to establish
-the grid ordering. The 180-degree ambiguity of the asymmetric board is
+the grid ordering. The subpixel refinement and the ring test each handle all
+candidates at once, through the batched helpers of
+:mod:`camkit.imageops`. The 180-degree ambiguity of the asymmetric board is
 resolved by requiring the square diagonally inward from the origin corner to
 be black.
 """
@@ -15,6 +17,7 @@ from __future__ import annotations
 from collections import deque
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy import ndimage
 
 from .board import CheckerboardSpec, CornerGrid
@@ -24,19 +27,25 @@ from .imageops import bilinear_sample, quadratic_peak_offset, to_float
 
 _RESPONSE_FLOOR = 1e-9
 _RELATIVE_THRESHOLD = 5e-3
+_RESPONSE_SIGMA = 2.0
+_RING_RADIUS = 4.0
+_RING_SAMPLES = 16
+_RING_ANGLES = 2 * np.pi * np.arange(_RING_SAMPLES) / _RING_SAMPLES
+_RING = _RING_RADIUS * np.column_stack([np.cos(_RING_ANGLES), np.sin(_RING_ANGLES)])
 
 
-def corner_response(image: np.ndarray, sigma: float = 2.0) -> np.ndarray:
+def corner_response(image: np.ndarray) -> np.ndarray:
     """Saddle-point response of a grayscale image: ``Ixy^2 - Ixx Iyy``.
 
-    This is the negated determinant of the Gaussian-smoothed Hessian. It is
-    rotation invariant, strongly positive exactly at checkerboard X-junction
-    centers, negative at blobs, and near zero along straight edges.
+    This is the negated determinant of the Hessian smoothed by a Gaussian of
+    ``_RESPONSE_SIGMA`` = 2 pixels. It is rotation invariant, strongly
+    positive exactly at checkerboard X-junction centers, negative at blobs,
+    and near zero along straight edges.
     """
     img = to_float(image)
-    ixx = ndimage.gaussian_filter(img, sigma, order=(0, 2), mode="nearest")
-    iyy = ndimage.gaussian_filter(img, sigma, order=(2, 0), mode="nearest")
-    ixy = ndimage.gaussian_filter(img, sigma, order=(1, 1), mode="nearest")
+    ixx = ndimage.gaussian_filter(img, _RESPONSE_SIGMA, order=(0, 2), mode="nearest")
+    iyy = ndimage.gaussian_filter(img, _RESPONSE_SIGMA, order=(2, 0), mode="nearest")
+    ixy = ndimage.gaussian_filter(img, _RESPONSE_SIGMA, order=(1, 1), mode="nearest")
     return ixy * ixy - ixx * iyy
 
 
@@ -51,34 +60,20 @@ def _local_maxima(resp: np.ndarray, radius: int, threshold: float) -> np.ndarray
     return np.column_stack([us, vs])
 
 
-def _refine_subpixel(resp: np.ndarray, u: int, v: int) -> np.ndarray:
-    """Stationary point of the LSQ quadratic over the 3x3 response patch."""
-    offset = quadratic_peak_offset(resp[v - 1:v + 2, u - 1:u + 2])
-    return np.array([u + offset[0], v + offset[1]])
-
-
-def _x_junction_mask(img: np.ndarray, candidates: np.ndarray,
-                     radius: float = 4.0, n_angles: int = 16) -> np.ndarray:
+def _x_junction_mask(img: np.ndarray, candidates: np.ndarray) -> np.ndarray:
     """Keep candidates whose surrounding intensity ring is point-symmetric.
 
     Interior board corners see the same color on opposite sides of the ring;
     L-junctions on the board boundary (and the margin's outer corners) do
-    not, so this separates the interior grid from everything else.
+    not, so this separates the interior grid from everything else. A ring
+    that leaves the image rejects its candidate.
     """
-    angles = 2 * np.pi * np.arange(n_angles) / n_angles
-    ring = radius * np.column_stack([np.cos(angles), np.sin(angles)])
-    keep = np.zeros(len(candidates), dtype=bool)
-    for idx, c in enumerate(candidates):
-        vals = bilinear_sample(img, c[None, :] + ring, fill=np.nan)
-        if np.any(np.isnan(vals)):
-            continue
-        contrast = vals.max() - vals.min()
-        if contrast < 0.15:
-            continue
-        half = n_angles // 2
-        asym = np.mean(np.abs(vals[:half] - vals[half:]))
-        keep[idx] = asym < 0.3 * contrast
-    return keep
+    vals = bilinear_sample(img, candidates[:, None, :] + _RING, fill=np.nan)
+    contrast = vals.max(axis=1) - vals.min(axis=1)
+    half = _RING_SAMPLES // 2
+    asym = np.mean(np.abs(vals[:, :half] - vals[:, half:]), axis=1)
+    return (~np.isnan(vals).any(axis=1) & (contrast >= 0.15)
+            & (asym < 0.3 * contrast))
 
 
 def _grow_lattice(points: np.ndarray, responses: np.ndarray,
@@ -160,7 +155,9 @@ def detect_corners(image: np.ndarray, spec: CheckerboardSpec,
     if len(candidates) < 4:
         raise BoardNotFound(f"only {len(candidates)} corner candidates")
 
-    refined = np.array([_refine_subpixel(resp, int(u), int(v)) for u, v in candidates])
+    us, vs = candidates.T
+    patches = sliding_window_view(resp, (3, 3))[vs - 1, us - 1]
+    refined = candidates + quadratic_peak_offset(patches)
 
     smooth = ndimage.gaussian_filter(img, 1.0, mode="nearest")
     keep = _x_junction_mask(smooth, refined)

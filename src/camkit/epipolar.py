@@ -19,6 +19,7 @@ from .errors import (
     ZeroBaseline,
 )
 from .geometry import CameraPose, camera_depths, nearest_rotation
+from .homography import conditioning_transforms
 
 # RANSAC hypotheses fitted and scored together; bounds the (B, n, 3)
 # temporaries of one block's Sampson scores.
@@ -27,20 +28,6 @@ _BLOCK = 128
 
 def _homogeneous(pts: np.ndarray) -> np.ndarray:
     return np.concatenate([pts, np.ones(pts.shape[:-1] + (1,))], axis=-1)
-
-
-def _conditioning_transforms(pts: np.ndarray) -> np.ndarray:
-    """Hartley conditioning of each ``(m, 2)`` point set in a ``(B, m, 2)``
-    stack: the ``(B, 3, 3)`` similarities that move the centroid to the
-    origin and the mean distance from it to sqrt(2)."""
-    centroid = pts.mean(axis=1)
-    spread = np.mean(np.linalg.norm(pts - centroid[:, None, :], axis=2), axis=1)
-    scale = np.sqrt(2.0) / np.maximum(spread, 1e-12)
-    t = np.zeros((len(pts), 3, 3))
-    t[:, 0, 0] = t[:, 1, 1] = scale
-    t[:, :2, 2] = -scale[:, None] * centroid
-    t[:, 2, 2] = 1.0
-    return t
 
 
 def _fit_essential(x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
@@ -52,12 +39,14 @@ def _fit_essential(x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
     largest-magnitude entry. Raises LinAlgError if any SVD of the stack
     fails to converge.
     """
-    t1 = _conditioning_transforms(x1)
-    t2 = _conditioning_transforms(x2)
+    t1 = conditioning_transforms(x1)
+    t2 = conditioning_transforms(x2)
     h1 = _homogeneous(x1) @ np.swapaxes(t1, 1, 2)
     h2 = _homogeneous(x2) @ np.swapaxes(t2, 1, 2)
     a = (h2[:, :, :, None] * h1[:, :, None, :]).reshape(len(x1), -1, 9)
-    _, _, vt = np.linalg.svd(a)
+    # The null vector is V's 9th row: 8-row systems need the full V, taller
+    # ones get all 9 rows without forming the m x m U.
+    _, _, vt = np.linalg.svd(a, full_matrices=a.shape[1] < 9)
     e = np.swapaxes(t2, 1, 2) @ vt[:, -1].reshape(-1, 3, 3) @ t1
 
     u, s, vt = np.linalg.svd(e)

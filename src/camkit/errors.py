@@ -132,7 +132,8 @@ class TruncatedData(CamkitError):
 
 
 class SchemaMismatch(CamkitError):
-    """A JSON document is missing required fields or has wrong types."""
+    """A JSON document is missing required fields or has wrong types or
+    out-of-range values."""
 
 
 class CorruptFile(CamkitError):

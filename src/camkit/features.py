@@ -5,9 +5,11 @@ octaves. Each feature gets a dominant gradient orientation and a descriptor
 built from a 4x4 spatial grid of 4-bin gradient-orientation histograms
 (64 dimensions, L2-normalized), sampled in a frame rotated to the feature
 orientation so matching tolerates in-plane rotation and moderate scale
-change. Orientations and descriptors are computed for all keypoints of one
-pyramid level at once; the result is the same as computing them one
-keypoint at a time, bit for bit.
+change. The sub-pixel peak fits of one octave, and the orientations and
+descriptors of one pyramid level, are computed for all their keypoints at
+once, with the peak fit and bilinear sampler of :mod:`camkit.imageops`
+that corner detection also uses; the result is the same as computing them
+one keypoint at a time, bit for bit.
 """
 
 from __future__ import annotations
@@ -15,10 +17,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy import ndimage
 
 from .errors import ImageTooSmall
-from .imageops import quadratic_peak_offset, to_float
+from .imageops import bilinear_sample, quadratic_peak_offset, to_float
 
 N_OCTAVES = 3
 INTERVALS = 3
@@ -175,19 +178,9 @@ def _descriptors(gx: np.ndarray, gy: np.ndarray, u: np.ndarray, v: np.ndarray,
     pu = pu[ok]
     pv = pv[ok]
 
-    u0 = pu.astype(np.int64)
-    v0 = pv.astype(np.int64)
-    fu = pu - u0
-    fv = pv - v0
-
-    def bil(img):
-        return (img[v0, u0] * (1 - fu) * (1 - fv)
-                + img[v0, u0 + 1] * fu * (1 - fv)
-                + img[v0 + 1, u0] * (1 - fu) * fv
-                + img[v0 + 1, u0 + 1] * fu * fv)
-
-    gxi = bil(gx)
-    gyi = bil(gy)
+    pts = np.stack([pu, pv], axis=-1)
+    gxi = bilinear_sample(gx, pts)
+    gyi = bilinear_sample(gy, pts)
     mag = np.hypot(gxi, gyi)
     mag *= np.exp(-(sx ** 2 + sy ** 2) / (2.0 * half ** 2))
     ang = np.arctan2(gyi, gxi) - orientation[ok, None]
@@ -214,8 +207,9 @@ def _descriptors(gx: np.ndarray, gy: np.ndarray, u: np.ndarray, v: np.ndarray,
 def detect_features(image: np.ndarray, max_features: int = 1000) -> list[Feature]:
     """Detect up to ``max_features`` scale-space features, strongest first.
 
-    Orientations and descriptors are computed for all keypoints of one
-    pyramid level at once, in the order the extrema are found.
+    Sub-pixel offsets are fitted for all extrema of an octave at once, and
+    orientations and descriptors for all keypoints of one pyramid level at
+    once, in the order the extrema are found.
 
     Raises ImageTooSmall below 32x32. A featureless (uniform) image yields an
     empty list.
@@ -234,16 +228,14 @@ def detect_features(image: np.ndarray, max_features: int = 1000) -> list[Feature
         dog = np.stack([levels[i + 1] - levels[i] for i in range(len(levels) - 1)])
         cand = _scale_space_extrema(dog)
         cand = cand[_passes_edge_test(dog, cand)]
-        offsets = np.array([
-            quadratic_peak_offset(dog[li, v - 1:v + 2, u - 1:u + 2])
-            for li, v, u in cand]).reshape(-1, 2)
-        refined_u = cand[:, 2] + offsets[:, 0]
-        refined_v = cand[:, 1] + offsets[:, 1]
-        responses = np.abs(dog[tuple(cand.T)])
+        level, v, u = cand.T
+        patches = sliding_window_view(dog, (3, 3), axis=(1, 2))[level, v - 1, u - 1]
+        refined = np.column_stack([u, v]) + quadratic_peak_offset(patches)
+        responses = np.abs(dog[level, v, u])
         # Extrema come sorted by level, so level by level keeps their order.
-        for li in np.unique(cand[:, 0]):
-            at = np.flatnonzero(cand[:, 0] == li)
-            uo, vo = refined_u[at], refined_v[at]
+        for li in np.unique(level):
+            at = np.flatnonzero(level == li)
+            uo, vo = refined[at].T
             sigma_oct = SIGMA0 * step ** li
             gx = ndimage.sobel(levels[li], axis=1, mode="nearest") / 8.0
             gy = ndimage.sobel(levels[li], axis=0, mode="nearest") / 8.0

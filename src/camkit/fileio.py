@@ -5,6 +5,7 @@ truth."""
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -141,6 +142,16 @@ def _require(doc: dict, key: str, context: str):
     return doc[key]
 
 
+@contextmanager
+def _schema(context: str):
+    """Report a value that the camkit types reject, or that does not convert
+    to the expected number, as a SchemaMismatch of the document."""
+    try:
+        yield
+    except (TypeError, ValueError) as exc:
+        raise SchemaMismatch(f"{context}: {exc}") from exc
+
+
 def _intrinsics_to_json(k: CameraIntrinsics) -> dict:
     mat = k.matrix()
     return {
@@ -236,38 +247,39 @@ def read_calibration(path) -> CalibrationResult:
     """Load a calibration JSON written by :func:`write_calibration`.
 
     Raises CorruptFile for undecodable files and SchemaMismatch for missing
-    fields.
+    fields or values the camera model rejects.
     """
     doc = _load_json(path)
     ctx = str(path)
     version = _require(doc, "schema_version", ctx)
     if version != CALIBRATION_SCHEMA_VERSION:
         raise SchemaMismatch(f"{ctx}: unsupported schema version {version}")
-    size = _require(doc, "image_size", ctx)
-    intrinsics = _intrinsics_from_json(_require(doc, "intrinsics", ctx), ctx)
-    distortion = _distortion_from_json(_require(doc, "distortion", ctx), ctx)
-    views = _require(doc, "views", ctx)
-    poses = []
-    errors = []
-    pose_stderr = []
-    for view in views:
-        poses.append(_pose_from_json(view, ctx))
-        errors.append(_require(view, "mean_error", ctx))
-        pose_stderr.append(view.get("stderr", [float("nan")] * 6))
-    stderr = _require(doc, "stderr", ctx)
-    return CalibrationResult(
-        intrinsics=intrinsics,
-        distortion=distortion,
-        poses=tuple(poses),
-        per_view_errors=np.array(errors, dtype=np.float64),
-        overall_error=float(_require(doc, "overall_mean_error", ctx)),
-        intrinsic_stderr=dict(_require(stderr, "intrinsics", ctx)),
-        distortion_stderr=dict(_require(stderr, "distortion", ctx)),
-        pose_stderr=np.array(pose_stderr, dtype=np.float64),
-        image_size=(int(_require(size, "width", ctx)),
-                    int(_require(size, "height", ctx))),
-        error_metric=doc.get("error_metric", "mean_euclidean"),
-    )
+    with _schema(ctx):
+        size = _require(doc, "image_size", ctx)
+        intrinsics = _intrinsics_from_json(_require(doc, "intrinsics", ctx), ctx)
+        distortion = _distortion_from_json(_require(doc, "distortion", ctx), ctx)
+        views = _require(doc, "views", ctx)
+        poses = []
+        errors = []
+        pose_stderr = []
+        for view in views:
+            poses.append(_pose_from_json(view, ctx))
+            errors.append(_require(view, "mean_error", ctx))
+            pose_stderr.append(view.get("stderr", [float("nan")] * 6))
+        stderr = _require(doc, "stderr", ctx)
+        return CalibrationResult(
+            intrinsics=intrinsics,
+            distortion=distortion,
+            poses=tuple(poses),
+            per_view_errors=np.array(errors, dtype=np.float64),
+            overall_error=float(_require(doc, "overall_mean_error", ctx)),
+            intrinsic_stderr=dict(_require(stderr, "intrinsics", ctx)),
+            distortion_stderr=dict(_require(stderr, "distortion", ctx)),
+            pose_stderr=np.array(pose_stderr, dtype=np.float64),
+            image_size=(int(_require(size, "width", ctx)),
+                        int(_require(size, "height", ctx))),
+            error_metric=doc.get("error_metric", "mean_euclidean"),
+        )
 
 
 # --- other outputs ------------------------------------------------------------
@@ -359,29 +371,45 @@ def read_render_spec(path, subject: str) -> dict:
     ``ring`` (the raw ring settings, possibly empty) and the subject: a
     CheckerboardSpec under ``board``, or ``{"edge", "texture_seed"}`` under
     ``cube`` (texture seed 7 when absent). Raises SchemaMismatch for missing
-    fields.
+    fields, for values the camera model or board rejects, and unless the
+    image size, the view count and the cube edge are positive and the
+    texture seed is not negative.
     """
     doc = _load_json(path)
     ctx = str(path)
-    size = _require(doc, "image_size", ctx)
-    out = {
-        "image_size": (int(_require(size, "width", ctx)),
-                       int(_require(size, "height", ctx))),
-        "intrinsics": _intrinsics_from_json(_require(doc, "intrinsics", ctx), ctx),
-        "distortion": (_distortion_from_json(doc["distortion"], ctx)
-                       if "distortion" in doc else DistortionCoeffs()),
-        "ring": doc.get("ring", {}),
-    }
-    section = _require(doc, subject, ctx)
-    if subject == "board":
-        out["board"] = board_from_json(section, ctx)
-    else:
-        out["cube"] = {"edge": float(_require(section, "edge", ctx)),
-                       "texture_seed": int(section.get("texture_seed", 7))}
-    if "poses" in doc:
-        out["poses"] = [_pose_from_json(p, ctx) for p in doc["poses"]]
-        out["views"] = None
-    else:
-        out["poses"] = None
-        out["views"] = int(_require(doc, "views", ctx))
+    with _schema(ctx):
+        size = _require(doc, "image_size", ctx)
+        out = {
+            "image_size": (int(_require(size, "width", ctx)),
+                           int(_require(size, "height", ctx))),
+            "intrinsics": _intrinsics_from_json(_require(doc, "intrinsics", ctx),
+                                                ctx),
+            "distortion": (_distortion_from_json(doc["distortion"], ctx)
+                           if "distortion" in doc else DistortionCoeffs()),
+            "ring": doc.get("ring", {}),
+        }
+        section = _require(doc, subject, ctx)
+        if subject == "board":
+            out["board"] = board_from_json(section, ctx)
+        else:
+            out["cube"] = {"edge": float(_require(section, "edge", ctx)),
+                           "texture_seed": int(section.get("texture_seed", 7))}
+        if "poses" in doc:
+            out["poses"] = [_pose_from_json(p, ctx) for p in doc["poses"]]
+            out["views"] = None
+        else:
+            out["poses"] = None
+            out["views"] = int(_require(doc, "views", ctx))
+    width, height = out["image_size"]
+    if width < 1 or height < 1:
+        raise SchemaMismatch(f"{ctx}: image size must be positive, "
+                             f"got {width}x{height}")
+    n_views = len(out["poses"]) if out["views"] is None else out["views"]
+    if n_views < 1:
+        raise SchemaMismatch(f"{ctx}: need at least one view, got {n_views}")
+    if subject == "cube":
+        edge, seed = out["cube"]["edge"], out["cube"]["texture_seed"]
+        if not edge > 0 or seed < 0:
+            raise SchemaMismatch(f"{ctx}: need a positive cube edge and a "
+                                 f"non-negative texture seed, got {edge} and {seed}")
     return out

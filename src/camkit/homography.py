@@ -1,4 +1,5 @@
-"""Planar homography estimation by the normalized direct linear transform."""
+"""Planar homography estimation by the normalized direct linear transform,
+with the Hartley conditioning that the eight-point essential fit shares."""
 
 from __future__ import annotations
 
@@ -7,20 +8,21 @@ import numpy as np
 from .errors import DegenerateConfiguration
 
 _MAX_CONDITION = 1e12
+_MIN_SPREAD = 1e-12
 
 
-def _normalizing_transform(pts: np.ndarray) -> np.ndarray:
-    """Similarity moving the centroid to the origin, mean distance sqrt(2)."""
-    centroid = pts.mean(axis=0)
-    mean_dist = np.mean(np.linalg.norm(pts - centroid, axis=1))
-    if mean_dist < 1e-12:
-        raise DegenerateConfiguration("all points coincide")
-    s = np.sqrt(2.0) / mean_dist
-    return np.array([
-        [s, 0.0, -s * centroid[0]],
-        [0.0, s, -s * centroid[1]],
-        [0.0, 0.0, 1.0],
-    ])
+def conditioning_transforms(pts: np.ndarray) -> np.ndarray:
+    """Hartley conditioning of each ``(m, 2)`` point set in a ``(B, m, 2)``
+    stack: the ``(B, 3, 3)`` similarities that move the centroid to the origin
+    and the mean distance from it, floored at ``_MIN_SPREAD``, to sqrt(2)."""
+    centroid = pts.mean(axis=1)
+    spread = np.mean(np.linalg.norm(pts - centroid[:, None, :], axis=2), axis=1)
+    scale = np.sqrt(2.0) / np.maximum(spread, _MIN_SPREAD)
+    t = np.zeros((len(pts), 3, 3))
+    t[:, 0, 0] = t[:, 1, 1] = scale
+    t[:, :2, 2] = -scale[:, None] * centroid
+    t[:, 2, 2] = 1.0
+    return t
 
 
 def apply_homography(h: np.ndarray, pts) -> np.ndarray:
@@ -36,7 +38,8 @@ def estimate_homography(world_xy, image_xy) -> np.ndarray:
     Both point sets are isotropically normalized, the stacked 2n x 9 system
     is solved by SVD, and the result is denormalized and scaled so the
     bottom-right entry is 1. Raises DegenerateConfiguration for fewer than
-    four points, collinear configurations, or a rank-deficient result.
+    four points, a point set whose points all coincide, collinear
+    configurations, or a rank-deficient result.
     """
     src = np.atleast_2d(np.asarray(world_xy, dtype=np.float64))
     dst = np.atleast_2d(np.asarray(image_xy, dtype=np.float64))
@@ -46,8 +49,9 @@ def estimate_homography(world_xy, image_xy) -> np.ndarray:
     if n < 4:
         raise DegenerateConfiguration("need at least 4 correspondences")
 
-    t_src = _normalizing_transform(src)
-    t_dst = _normalizing_transform(dst)
+    t_src, t_dst = conditioning_transforms(np.stack([src, dst]))
+    if max(t_src[0, 0], t_dst[0, 0]) >= np.sqrt(2.0) / _MIN_SPREAD:
+        raise DegenerateConfiguration("all points coincide")
     sn = apply_homography(t_src, src)
     dn = apply_homography(t_dst, dst)
 

@@ -1,4 +1,5 @@
-"""Small shared raster helpers."""
+"""Small shared raster helpers: sub-pixel peak fits and bilinear samples,
+each over a whole batch of patches or points."""
 
 from __future__ import annotations
 
@@ -17,16 +18,22 @@ _QUAD_PINV = np.linalg.pinv(np.column_stack([
 ]))
 
 
-def quadratic_peak_offset(patch: np.ndarray) -> np.ndarray:
-    """Subpixel offset of the extremum of a 3x3 patch's LSQ quadratic fit.
+def quadratic_peak_offset(patches: np.ndarray) -> np.ndarray:
+    """Subpixel offsets of the extrema of the LSQ quadratic fits to an
+    ``(n, 3, 3)`` stack of patches, as an ``(n, 2)`` array.
 
-    The offset is clamped to [-1, 1] per axis; a singular fit returns (0, 0).
+    Offsets are clamped to [-1, 1] per axis; a singular fit gives (0, 0).
+    Each patch gets the same BLAS and LAPACK calls as it would alone, so its
+    offset does not depend on the rest of the stack.
     """
-    a, b, c, d, e, _ = _QUAD_PINV @ np.asarray(patch, dtype=np.float64).ravel()
-    hess = np.array([[2 * a, c], [c, 2 * b]])
-    if abs(np.linalg.det(hess)) < 1e-18:
-        return np.zeros(2)
-    return np.clip(np.linalg.solve(hess, [-d, -e]), -1.0, 1.0)
+    patches = np.asarray(patches, dtype=np.float64).reshape(-1, 9, 1)
+    a, b, c, d, e, _ = (_QUAD_PINV @ patches)[:, :, 0].T  # one gemv per patch
+    hess = np.stack([2 * a, c, c, 2 * b], axis=1).reshape(-1, 2, 2)
+    rhs = np.stack([-d, -e], axis=1)[:, :, None]
+    regular = ~(np.abs(np.linalg.det(hess)) < 1e-18)
+    offsets = np.zeros((len(patches), 2))
+    offsets[regular] = np.linalg.solve(hess[regular], rhs[regular])[:, :, 0]
+    return np.clip(offsets, -1.0, 1.0)
 
 
 def to_float(image: np.ndarray) -> np.ndarray:
@@ -41,18 +48,19 @@ def bilinear_sample(image: np.ndarray, points, fill: float = 0.0) -> np.ndarray:
     """Sample a float image at (u, v) positions with bilinear interpolation.
 
     Points outside ``[0, w-1] x [0, h-1]`` return ``fill``. ``points`` has
-    shape (n, 2) with u along columns, v along rows.
+    shape (..., 2) with u along columns, v along rows; the result has shape
+    (...), one value per point.
     """
     img = np.asarray(image, dtype=np.float64)
     pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
     h, w = img.shape
-    u, v = pts[:, 0], pts[:, 1]
+    u, v = pts[..., 0], pts[..., 1]
 
     inside = (u >= 0) & (u <= w - 1) & (v >= 0) & (v <= h - 1)
     uc = np.clip(u, 0, w - 1)
     vc = np.clip(v, 0, h - 1)
-    u0 = np.clip(np.floor(uc).astype(np.int64), 0, w - 2) if w > 1 else np.zeros(len(uc), np.int64)
-    v0 = np.clip(np.floor(vc).astype(np.int64), 0, h - 2) if h > 1 else np.zeros(len(vc), np.int64)
+    u0 = np.clip(np.floor(uc).astype(np.int64), 0, max(w - 2, 0))
+    v0 = np.clip(np.floor(vc).astype(np.int64), 0, max(h - 2, 0))
     fu = uc - u0
     fv = vc - v0
 

@@ -239,3 +239,49 @@ def test_pose_without_board_exits_two(calibration_file, tmp_path, capsys):
                     "--board", "10x7:23mm", "--out", str(tmp_path / "p.json")])
     assert code == 2
     assert "corner detection failed on blank.pgm" in capsys.readouterr().err
+
+
+def _board_with(**changes):
+    return ("render-board", dict(board_spec_doc(views=3), **changes))
+
+
+def _cube_with(**changes):
+    return ("render-scene", dict(small_cube_spec_doc(views=3), **changes))
+
+
+MALFORMED = {
+    "board-negative-views": _board_with(views=-1),
+    "board-zero-width": _board_with(image_size={"width": 0, "height": 360}),
+    "board-square-board": _board_with(board={"squares_x": 5, "squares_y": 5,
+                                             "square_size": 23.0}),
+    "board-no-poses": _board_with(poses=[]),
+    "cube-negative-views": _cube_with(views=-1),
+    "cube-zero-width": _cube_with(image_size={"width": 0, "height": 120}),
+    "cube-negative-edge": _cube_with(cube={"edge": -5.0}),
+    "cube-negative-texture-seed": _cube_with(cube={"edge": 200.0,
+                                                   "texture_seed": -1}),
+    "cube-text-views": _cube_with(views="three"),
+    "calibration-negative-fx": ("undistort", None),
+}
+
+
+@pytest.mark.parametrize("command, doc", list(MALFORMED.values()),
+                         ids=list(MALFORMED))
+def test_malformed_input_is_schema_mismatch(command, doc, calibration_file,
+                                            tmp_path, capsys):
+    path = tmp_path / "input.json"
+    out = tmp_path / "out"
+    if command == "undistort":
+        calib = json.loads(calibration_file.read_text())
+        calib["intrinsics"]["fx"] = -80.0
+        path.write_text(json.dumps(calib))
+        image = tmp_path / "image.pgm"
+        write_image(np.zeros((120, 160), dtype=np.uint8), image)
+        argv = ["undistort", str(image), "--calib", str(path),
+                "--out", str(out)]
+    else:
+        path.write_text(json.dumps(doc))
+        argv = [command, str(path), "--out", str(out)]
+    assert run_cli(argv) == 2
+    assert "SchemaMismatch" in capsys.readouterr().err
+    assert not out.exists()
