@@ -23,6 +23,7 @@ from .geometry import (
     CameraPose,
     DistortionCoeffs,
     camera_depths,
+    render_ray_grid,
     subpixel_ray_grid,
 )
 
@@ -119,24 +120,6 @@ def board_outline(spec: CheckerboardSpec) -> np.ndarray:
     ])
 
 
-def _board_shade(spec: CheckerboardSpec, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Intensity of board-plane points: squares, white margin, or background."""
-    s = spec.square_size
-    x0, x1 = -s, (spec.squares_x - 1) * s
-    y0, y1 = -s, (spec.squares_y - 1) * s
-    shade = np.full(x.shape, float(BACKGROUND_GRAY))
-
-    margin = (x >= x0 - s) & (x <= x1 + s) & (y >= y0 - s) & (y <= y1 + s)
-    shade[margin] = WHITE
-
-    on_board = (x >= x0) & (x < x1) & (y >= y0) & (y < y1)
-    ix = np.floor(x / s).astype(np.int64)
-    iy = np.floor(y / s).astype(np.int64)
-    black = on_board & (((ix + iy) & 1) == 0)
-    shade[black] = BLACK
-    return shade
-
-
 def render_board(spec: CheckerboardSpec, intrinsics: CameraIntrinsics,
                  dist: DistortionCoeffs, pose: CameraPose,
                  width: int, height: int) -> np.ndarray:
@@ -145,39 +128,41 @@ def render_board(spec: CheckerboardSpec, intrinsics: CameraIntrinsics,
     Each output pixel averages a 4x4 grid of sub-rays cast through the lens
     model onto the board plane. The rays are cached for the most recent
     camera and image size (:func:`~camkit.geometry.subpixel_ray_grid`), so
-    views rendered in a row with one camera share them. Deterministic:
-    identical inputs give bit-identical images. Raises BoardBehindCamera when
-    every board corner has non-positive depth.
+    views rendered in a row with one camera share them. They are shaded in
+    chunks of about 2^16 (:func:`~camkit.geometry.render_ray_grid`): one
+    matrix product with the rotation gives every ray's plane scale and board
+    coordinates, and each sample is black, white or background. A pixel's
+    16 shades sum exactly, so its mean is exact. Deterministic: identical
+    inputs give bit-identical images. Raises BoardBehindCamera when every
+    board corner has non-positive depth.
     """
     if np.all(camera_depths(board_outline(spec), pose) <= 0):
         raise BoardBehindCamera("all board corners have non-positive depth")
 
-    ss = SUPERSAMPLE
-    # Plane z=0 of the board frame, expressed in the camera frame.
-    normal_cam = pose.rotation[:, 2]
-    offset = float(normal_cam @ pose.translation)
+    rot, t = pose.rotation, pose.translation
+    # The board plane in the camera frame is r2 . (scale * d - t) = 0, and a
+    # hit point's board coordinates are (d . r_k) * scale - t . r_k.
+    offset, tx, ty = float(rot[:, 2] @ t), float(rot[:, 0] @ t), float(rot[:, 1] @ t)
+    s = spec.square_size
+    x0, x1 = -s, (spec.squares_x - 1) * s
+    y0, y1 = -s, (spec.squares_y - 1) * s
+
+    def shade(dirs):
+        abc = dirs @ rot
+        denom = abc[:, 2]
+        # A ray along the plane gets an inf or NaN scale; the mask below
+        # drops it along with every non-positive scale.
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            scale = offset / denom
+            x = abc[:, 0] * scale - tx
+            y = abc[:, 1] * scale - ty
+            cell = np.floor(x / s).astype(np.int64) + np.floor(y / s).astype(np.int64)
+        margin = ((np.abs(denom) > 1e-15) & (scale > 1e-12)
+                  & (x >= x0 - s) & (x <= x1 + s) & (y >= y0 - s) & (y <= y1 + s))
+        black = margin & (x >= x0) & (x < x1) & (y >= y0) & (y < y1) & ((cell & 1) == 0)
+        return np.where(margin, np.where(black, float(BLACK), float(WHITE)),
+                        float(BACKGROUND_GRAY))
+
     # 1e-8 in normalized units is far below the shading resolution.
-    rays = subpixel_ray_grid(intrinsics, dist, width, height, ss, 1e-8)
-    rays_per_row = ss * width * ss
-
-    image = np.empty((height, width), dtype=np.uint8)
-    rows_per_chunk = max(1, 2 ** 21 // rays_per_row)
-    for row0 in range(0, height, rows_per_chunk):
-        row1 = min(row0 + rows_per_chunk, height)
-        dirs = rays[row0 * rays_per_row:row1 * rays_per_row]
-        # Ray scale where n . (s*dir - t) = 0; non-positive scale never hits.
-        denom = dirs @ normal_cam
-        safe = np.abs(denom) > 1e-15
-        scale = np.full(len(dirs), -1.0)
-        scale[safe] = offset / denom[safe]
-
-        hit = scale > 1e-12
-        pts_cam = dirs[hit] * scale[hit, None] - pose.translation
-        pts_board = pts_cam @ pose.rotation  # == R^T applied row-wise
-
-        shade = np.full(len(dirs), float(BACKGROUND_GRAY))
-        shade[hit] = _board_shade(spec, pts_board[:, 0], pts_board[:, 1])
-
-        block = shade.reshape(row1 - row0, ss, width, ss).mean(axis=(1, 3))
-        image[row0:row1] = np.clip(np.rint(block), 0, 255).astype(np.uint8)
-    return image
+    rays = subpixel_ray_grid(intrinsics, dist, width, height, SUPERSAMPLE, 1e-8)
+    return render_ray_grid(rays, width, height, SUPERSAMPLE, shade, 1.0)

@@ -201,14 +201,7 @@ def _cmd_render(args) -> int:
     else:
         target, renderer = CubeScene(**spec["cube"]), render_cube_view
         if poses is None:
-            ring = spec["ring"]
-            poses = sample_ring_poses(
-                spec["views"],
-                radius=float(ring.get("radius", 2.5 * target.edge)),
-                elevation_deg=float(ring.get("elevation_deg", 30.0)),
-                sweep_deg=float(ring.get("sweep_deg", 48.0)),
-                start_deg=float(ring.get("start_deg", 21.0)),
-            )
+            poses = sample_ring_poses(spec["views"], **spec["ring"])
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     names = [f"view_{i:03d}.pgm" for i in range(len(poses))]

@@ -367,13 +367,15 @@ def read_render_spec(path, subject: str) -> dict:
 
     Returns plain objects: ``image_size`` (width, height), ``intrinsics``,
     ``distortion`` (zero when absent), ``poses`` (a list of CameraPose, or
-    None when the spec gives a view count), ``views`` (that count, or None),
-    ``ring`` (the raw ring settings, possibly empty) and the subject: a
-    CheckerboardSpec under ``board``, or ``{"edge", "texture_seed"}`` under
-    ``cube`` (texture seed 7 when absent). Raises SchemaMismatch for missing
-    fields, for values the camera model or board rejects, and unless the
-    image size, the view count and the cube edge are positive and the
-    texture seed is not negative.
+    None when the spec gives a view count), ``views`` (that count, or None)
+    and the subject: a CheckerboardSpec under ``board``, or
+    ``{"edge", "texture_seed"}`` under ``cube`` (texture seed 7 when absent).
+    A cube spec also has ``ring``: the :func:`~camkit.synthetic.sample_ring_poses`
+    keywords ``radius``, ``elevation_deg``, ``sweep_deg`` and ``start_deg``
+    as floats, 2.5 x edge, 30, 48 and 21 when absent. Raises SchemaMismatch
+    for missing fields, for values the camera model or board rejects, and
+    unless the image size, the view count, the cube edge and the ring radius
+    are positive, the ring values finite and the texture seed not negative.
     """
     doc = _load_json(path)
     ctx = str(path)
@@ -386,14 +388,18 @@ def read_render_spec(path, subject: str) -> dict:
                                                 ctx),
             "distortion": (_distortion_from_json(doc["distortion"], ctx)
                            if "distortion" in doc else DistortionCoeffs()),
-            "ring": doc.get("ring", {}),
         }
         section = _require(doc, subject, ctx)
         if subject == "board":
             out["board"] = board_from_json(section, ctx)
         else:
-            out["cube"] = {"edge": float(_require(section, "edge", ctx)),
+            edge = float(_require(section, "edge", ctx))
+            out["cube"] = {"edge": edge,
                            "texture_seed": int(section.get("texture_seed", 7))}
+            ring = dict(doc.get("ring", {}))
+            out["ring"] = {key: float(ring.get(key, default)) for key, default in (
+                ("radius", 2.5 * edge), ("elevation_deg", 30.0),
+                ("sweep_deg", 48.0), ("start_deg", 21.0))}
         if "poses" in doc:
             out["poses"] = [_pose_from_json(p, ctx) for p in doc["poses"]]
             out["views"] = None
@@ -412,4 +418,8 @@ def read_render_spec(path, subject: str) -> dict:
         if not edge > 0 or seed < 0:
             raise SchemaMismatch(f"{ctx}: need a positive cube edge and a "
                                  f"non-negative texture seed, got {edge} and {seed}")
+        ring = out["ring"]
+        if not (np.all(np.isfinite(list(ring.values()))) and ring["radius"] > 0):
+            raise SchemaMismatch(f"{ctx}: need a finite positive ring radius and "
+                                 f"finite ring angles, got {ring}")
     return out

@@ -267,6 +267,28 @@ def subpixel_ray_grid(intrinsics: CameraIntrinsics, dist: DistortionCoeffs,
     return grid
 
 
+def render_ray_grid(rays: np.ndarray, width: int, height: int, supersample: int,
+                    shade, gain: float) -> np.ndarray:
+    """Average shaded sub-pixel rays into a ``(height, width)`` uint8 image.
+
+    ``rays`` is a :func:`subpixel_ray_grid`. ``shade`` maps an ``(n, 3)``
+    block of whole sub-pixel rows to ``n`` values; blocks hold about 2^16
+    rays so that the shading temporaries stay in cache. Each pixel is
+    ``gain`` times the mean of its ``supersample``² values, rounded half to
+    even and clipped to 0..255.
+    """
+    ss = supersample
+    rays_per_row = ss * width * ss
+    rows_per_chunk = max(1, 2 ** 16 // rays_per_row)
+    image = np.empty((height, width), dtype=np.uint8)
+    for row0 in range(0, height, rows_per_chunk):
+        row1 = min(row0 + rows_per_chunk, height)
+        values = shade(rays[row0 * rays_per_row:row1 * rays_per_row])
+        block = values.reshape(row1 - row0, ss, width, ss).mean(axis=(1, 3))
+        image[row0:row1] = np.clip(np.rint(block * gain), 0, 255)
+    return image
+
+
 def project(points, pose: CameraPose, intrinsics: CameraIntrinsics,
             dist: DistortionCoeffs | None = None):
     """Project world points to pixel coordinates.

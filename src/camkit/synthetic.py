@@ -16,6 +16,7 @@ from .geometry import (
     camera_depths,
     pixel_to_normalized,
     project,
+    render_ray_grid,
     subpixel_ray_grid,
     undistort_normalized,
 )
@@ -168,8 +169,10 @@ class CubeScene:
         t_hi = (half - origins) * inv
         t1 = np.minimum(t_lo, t_hi)
         t2 = np.maximum(t_lo, t_hi)
-        t_near = np.nanmax(t1, axis=1)
-        t_far = np.nanmin(t2, axis=1)
+        # fmax/fmin skip the NaN (0 * inf) of a ray parallel to a slab whose
+        # origin lies on one of the slab's planes.
+        t_near = np.fmax(np.fmax(t1[:, 0], t1[:, 1]), t1[:, 2])
+        t_far = np.fmin(np.fmin(t2[:, 0], t2[:, 1]), t2[:, 2])
         hit = (t_near < t_far) & (t_near > 1e-9)
         pts = origins + dirs * t_near[:, None]
         # Face id: axis with |coordinate| == half, signed.
@@ -202,23 +205,17 @@ def render_cube_view(scene: CubeScene, intrinsics: CameraIntrinsics,
     """Ray-cast render of the cube, 2x2 supersampled.
 
     The rays are cached for the most recent camera and image size
-    (:func:`~camkit.geometry.subpixel_ray_grid`).
+    (:func:`~camkit.geometry.subpixel_ray_grid`) and shaded in chunks of
+    about 2^16 (:func:`~camkit.geometry.render_ray_grid`).
     """
-    ss = CUBE_SUPERSAMPLE
-    rays = subpixel_ray_grid(intrinsics, dist, width, height, ss)
-    rays_per_row = ss * width * ss
-    origin = pose.center
+    rays = subpixel_ray_grid(intrinsics, dist, width, height, CUBE_SUPERSAMPLE)
+    rot, origin = pose.rotation, pose.center
 
-    image = np.empty((height, width), dtype=np.uint8)
-    rows_per_chunk = max(1, 2 ** 19 // rays_per_row)
-    for row0 in range(0, height, rows_per_chunk):
-        row1 = min(row0 + rows_per_chunk, height)
-        dirs_world = rays[row0 * rays_per_row:row1 * rays_per_row] @ pose.rotation
-        origins = np.broadcast_to(origin, dirs_world.shape)
-        shade = scene.shade(origins, dirs_world)
-        block = shade.reshape(row1 - row0, ss, width, ss).mean(axis=(1, 3))
-        image[row0:row1] = np.clip(np.rint(block * 255.0), 0, 255).astype(np.uint8)
-    return image
+    def shade(dirs):
+        dirs_world = dirs @ rot
+        return scene.shade(np.broadcast_to(origin, dirs_world.shape), dirs_world)
+
+    return render_ray_grid(rays, width, height, CUBE_SUPERSAMPLE, shade, 255.0)
 
 
 def sample_ring_poses(n_views: int, radius: float, elevation_deg: float,

@@ -6,14 +6,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from camkit import (
+    CameraIntrinsics,
     CameraPose,
     CheckerboardSpec,
     DistortionCoeffs,
+    axis_angle_to_rotation,
     board_world_points,
     project,
     render_board,
 )
-from camkit.board import SUPERSAMPLE
+from camkit.board import BACKGROUND_GRAY, BLACK, SUPERSAMPLE, WHITE
 from camkit.errors import BoardBehindCamera
 from camkit.geometry import subpixel_ray_grid
 from camkit.imageops import bilinear_sample, to_float
@@ -128,3 +130,67 @@ def test_render_raises_when_board_behind(board_spec, ref_intrinsics):
     pose = CameraPose(np.eye(3), np.array([0.0, 0.0, -500.0]))
     with pytest.raises(BoardBehindCamera):
         render_board(board_spec, ref_intrinsics, DistortionCoeffs(), pose, 64, 48)
+
+
+def _oracle_render_board(spec, intrinsics, dist, pose, width, height):
+    """The masked per-ray render: intersect only the rays with a positive
+    plane scale, shade those hits, scatter them back, average 4x4 blocks."""
+    ss = SUPERSAMPLE
+    rays = subpixel_ray_grid(intrinsics, dist, width, height, ss, 1e-8)
+    normal_cam = pose.rotation[:, 2]
+    offset = float(normal_cam @ pose.translation)
+    denom = rays @ normal_cam
+    safe = np.abs(denom) > 1e-15
+    scale = np.full(len(rays), -1.0)
+    scale[safe] = offset / denom[safe]
+    hit = scale > 1e-12
+    pts = (rays[hit] * scale[hit, None] - pose.translation) @ pose.rotation
+    x, y = pts[:, 0], pts[:, 1]
+
+    s = spec.square_size
+    x0, x1 = -s, (spec.squares_x - 1) * s
+    y0, y1 = -s, (spec.squares_y - 1) * s
+    hit_shade = np.full(x.shape, float(BACKGROUND_GRAY))
+    hit_shade[(x >= x0 - s) & (x <= x1 + s) & (y >= y0 - s) & (y <= y1 + s)] = WHITE
+    on_board = (x >= x0) & (x < x1) & (y >= y0) & (y < y1)
+    ix = np.floor(x / s).astype(np.int64)
+    iy = np.floor(y / s).astype(np.int64)
+    hit_shade[on_board & (((ix + iy) & 1) == 0)] = BLACK
+
+    shade = np.full(len(rays), float(BACKGROUND_GRAY))
+    shade[hit] = hit_shade
+    block = shade.reshape(height, ss, width, ss).mean(axis=(1, 3))
+    return np.clip(np.rint(block), 0, 255).astype(np.uint8), ~hit
+
+
+def _horizon_pose(spec):
+    """A camera 10 mm above the board, looking along it 10 degrees down: rays
+    above the horizon meet the board behind the camera (scale <= 0), and
+    those samples must stay background."""
+    rot = axis_angle_to_rotation([np.deg2rad(-80.0), 0.0, 0.0])
+    return CameraPose(rot, -rot @ np.array([92.0, 40.0, -10.0]))
+
+
+@pytest.mark.parametrize("case", ["horizon", "partial-chunk", "front"])
+def test_render_matches_masked_per_ray_oracle(case, board_spec, ref_intrinsics,
+                                              ref_distortion):
+    # 96x80 at 4x4 samples is 42 pixel rows per 2^16-ray chunk, so the
+    # last chunk holds 38; 64x48 fits in one chunk.
+    width, height = (96, 80) if case == "partial-chunk" else (64, 48)
+    if case == "horizon":
+        intrinsics = CameraIntrinsics(fx=30.0, fy=30.0, cx=31.5, cy=23.5)
+        dist, pose = DistortionCoeffs(), _horizon_pose(board_spec)
+    else:
+        scale = width / 640.0
+        intrinsics = CameraIntrinsics(fx=ref_intrinsics.fx * scale,
+                                      fy=ref_intrinsics.fy * scale,
+                                      cx=ref_intrinsics.cx * scale,
+                                      cy=ref_intrinsics.cy * scale)
+        dist = ref_distortion if case == "partial-chunk" else DistortionCoeffs()
+        pose = frontoparallel_pose(board_spec, intrinsics, 6.0)
+    expected, missed = _oracle_render_board(board_spec, intrinsics, dist, pose,
+                                            width, height)
+    image = render_board(board_spec, intrinsics, dist, pose, width, height)
+    assert np.array_equal(image, expected)
+    assert missed.any() == (case == "horizon")
+    assert {BLACK, WHITE, BACKGROUND_GRAY} <= set(np.unique(image).tolist())

@@ -261,6 +261,8 @@ MALFORMED = {
     "cube-negative-texture-seed": _cube_with(cube={"edge": 200.0,
                                                    "texture_seed": -1}),
     "cube-text-views": _cube_with(views="three"),
+    "cube-zero-ring-radius": _cube_with(ring={"radius": 0.0}),
+    "cube-infinite-ring-angle": _cube_with(ring={"sweep_deg": float("inf")}),
     "calibration-negative-fx": ("undistort", None),
 }
 

@@ -209,7 +209,9 @@ def test_render_spec_defaults_and_required_fields(tmp_path):
     assert spec["image_size"] == (64, 48)
     assert spec["distortion"] == DistortionCoeffs()
     assert spec["cube"] == {"edge": 20.0, "texture_seed": 7}
-    assert (spec["poses"], spec["views"], spec["ring"]) == (None, 3, {})
+    assert (spec["poses"], spec["views"]) == (None, 3)
+    assert spec["ring"] == {"radius": 50.0, "elevation_deg": 30.0,
+                            "sweep_deg": 48.0, "start_deg": 21.0}
 
     doc["poses"] = [{"axis_angle": [0.0, 0.0, 0.1],
                      "translation": [0.0, 0.0, 100.0]}]
