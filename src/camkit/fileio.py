@@ -15,6 +15,7 @@ from .calibrate import CalibrationResult
 from .errors import (
     CorruptFile,
     CorruptHeader,
+    InvalidRotation,
     IoFailure,
     SchemaMismatch,
     TruncatedData,
@@ -148,7 +149,7 @@ def _schema(context: str):
     to the expected number, as a SchemaMismatch of the document."""
     try:
         yield
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, InvalidRotation) as exc:
         raise SchemaMismatch(f"{context}: {exc}") from exc
 
 

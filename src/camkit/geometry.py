@@ -112,6 +112,8 @@ class CameraPose:
         t = np.array(self.translation, dtype=np.float64).reshape(-1)
         if r.shape != (3, 3) or t.shape != (3,):
             raise ValueError("rotation must be 3x3 and translation length 3")
+        if not np.all(np.isfinite(t)):
+            raise ValueError("translation must be finite")
         _check_rotation(r)
         r.setflags(write=False)
         t.setflags(write=False)
@@ -155,7 +157,7 @@ class CameraPose:
 def _check_rotation(r: np.ndarray) -> None:
     err = np.max(np.abs(r.T @ r - np.eye(3)))
     det = np.linalg.det(r)
-    if err >= _ORTHONORMALITY_TOL or abs(det - 1.0) >= _ORTHONORMALITY_TOL:
+    if not (err < _ORTHONORMALITY_TOL and abs(det - 1.0) < _ORTHONORMALITY_TOL):
         raise InvalidRotation(
             f"not a rotation matrix: |R^T R - I|_max={err:.3e}, det={det:.12f}"
         )

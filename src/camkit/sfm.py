@@ -7,8 +7,8 @@ from the surviving pair with the most inliers and enough triangulation
 angle, then register the remaining views one at a time by 3D-2D resection,
 triangulating newly covered tracks and bundle-adjusting after every
 registration. Intrinsics and distortion stay fixed throughout; the gauge is
-pinned by freezing the first registered pose and the norm of the second
-pose's translation.
+pinned by freezing the first registered pose and the largest-magnitude
+coordinate of the second pose's translation.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from .errors import (
     EmptyScene,
     InitializationFailed,
     InsufficientMatches,
+    InvalidRotation,
     NoModelFound,
     NonFiniteResidual,
     RegistrationFailed,
@@ -279,7 +280,7 @@ def _register_view(scene: SfmScene, view: int, normalized) -> SfmScene:
         pose0 = _linear_resection(world, obs_norm)
         pose, err = refine_pose(world, obs_px, scene.intrinsics,
                                 scene.distortion, pose0)
-    except (np.linalg.LinAlgError, SingularNormalEquations,
+    except (np.linalg.LinAlgError, InvalidRotation, SingularNormalEquations,
             NonFiniteResidual) as exc:
         raise RegistrationFailed(
             view, f"view {view}: resection failed ({exc})") from exc
@@ -293,28 +294,19 @@ def _register_view(scene: SfmScene, view: int, normalized) -> SfmScene:
 
 # --- bundle adjustment -------------------------------------------------------
 
-def _tangent_basis(t: np.ndarray) -> np.ndarray:
-    """3x2 orthonormal basis of the plane perpendicular to t."""
-    e = t / np.linalg.norm(t)
-    helper = np.zeros(3)
-    helper[int(np.argmin(np.abs(e)))] = 1.0
-    b1 = np.cross(e, helper)
-    b1 /= np.linalg.norm(b1)
-    b2 = np.cross(e, b1)
-    return np.column_stack([b1, b2])
-
-
 def _build_ba_problem(scene: SfmScene):
     """Assemble the bundle-adjustment least-squares problem for a scene.
 
     Returns ``(problem, x0, pose_of, point_start, track_ids, (obs_view,
     obs_track))`` where ``pose_of(view, x)`` evaluates a view's CameraPose
-    under a parameter vector and observation ``k`` (residual rows ``2k``
-    and ``2k+1``) is of local track ``obs_track[k]`` in view
-    ``obs_view[k]``. The Jacobian is a block-sparse ``csr_array``. The first
-    registered pose is constant and the second pose's translation is
-    parameterized in the tangent plane of its current direction with its
-    norm frozen.
+    under a parameter vector, ``x[point_start:]`` holds the track points and
+    observation ``k`` (residual rows ``2k`` and ``2k+1``) is of local track
+    ``obs_track[k]`` in view ``obs_view[k]``. The Jacobian is a block-sparse
+    ``csr_array``. Every view of ``view_order`` has 6 parameters (axis-angle,
+    translation) and every point 3; ``x`` holds the free ones. The gauge
+    freezes the first view's 6 and the second view's translation coordinate
+    of largest magnitude, which fixes the 7 degrees of freedom of a
+    similarity.
     """
     order = scene.view_order
     if len(order) < 2:
@@ -324,114 +316,82 @@ def _build_ba_problem(scene: SfmScene):
     if not track_ids:
         raise ValueError("bundle adjustment needs at least one triangulated track")
 
-    fixed = scene.poses[order[0]]
-    fixed_rvec = rotation_to_axis_angle(fixed.rotation)
-    gauge_view = order[1]
-    moving = list(order[1:])
-    t2_init = scene.poses[gauge_view].translation
-    t2_norm = np.linalg.norm(t2_init)
-    basis = _tangent_basis(t2_init)
-
-    # Parameter layout: per moving view 6 (gauge view: 3 rvec + 2 tangent),
-    # then 3 per track point.
-    pose_start = {}
-    cursor = 0
-    for v in moving:
-        pose_start[v] = cursor
-        cursor += 5 if v == gauge_view else 6
-    point_start = cursor
-    n_params = cursor + 3 * len(track_ids)
-
     tracks = [scene.tracks[ti] for ti in track_ids]
     obs_track, obs_view, obs_feature = _observations(tracks, scene.poses)
+    n_poses = 6 * len(order)
+    full0 = np.concatenate(
+        [np.concatenate([rotation_to_axis_angle(scene.poses[v].rotation),
+                         scene.poses[v].translation]) for v in order]
+        + [t.point for t in tracks])
+    free = np.ones(len(full0), dtype=bool)
+    free[:6] = False
+    free[9 + np.argmax(np.abs(full0[9:12]))] = False
+
+    def expand(x: np.ndarray) -> np.ndarray:
+        full = full0.copy()
+        full[free] = x
+        return full
+
+    slot = {v: i for i, v in enumerate(order)}
+    obs_slot = np.array([slot[v] for v in obs_view.tolist()], dtype=np.int64)
+    obs_of_view = [np.flatnonzero(obs_slot == i) for i in range(len(order))]
     obs_px = np.empty((len(obs_view), 2))
-
-    # Jacobian sparsity: the two rows of an observation hold its view's pose
-    # block (none for the fixed view), then its point's 3 columns, so every
-    # CSR row lists its columns in increasing order. ``slots`` maps a view's
-    # (observation, row, block column) entries into the CSR data array.
-    width = {v: 0 if v == order[0] else 5 if v == gauge_view else 6
-             for v in order}
-    row_nnz = np.repeat([width[v] + 3 for v in obs_view.tolist()], 2)
-    indptr = np.concatenate([[0], np.cumsum(row_nnz)]).astype(np.int32)
-    indices = np.empty(indptr[-1], dtype=np.int32)
-    obs_of_view = []  # (view, observation indices, CSR slots)
-    for v in order:
-        sel = np.flatnonzero(obs_view == v)
+    for v, sel in zip(order, obs_of_view):
         obs_px[sel] = scene.features[v][obs_feature[sel]]
-        rows = 2 * sel[:, None] + np.arange(2)
-        slots = indptr[rows][:, :, None] + np.arange(width[v] + 3)
-        point_cols = point_start + 3 * obs_track[sel][:, None] + np.arange(3)
-        indices[slots[:, :, width[v]:]] = point_cols[:, None, :]
-        indices[slots[:, :, :width[v]]] = pose_start.get(v, 0) + np.arange(width[v])
-        obs_of_view.append((v, sel, slots))
 
-    x0 = np.zeros(n_params)
-    for v in moving:
-        s = pose_start[v]
-        x0[s:s + 3] = rotation_to_axis_angle(scene.poses[v].rotation)
-        if v != gauge_view:
-            x0[s + 3:s + 6] = scene.poses[v].translation
-    x0[point_start:] = np.ravel([t.point for t in tracks])
+    # Jacobian sparsity: observation k fills a (2, 9) block, its view's 6
+    # pose columns then its point's 3, and ``kept`` drops the frozen ones.
+    # Free columns keep the order of the full ones, so every CSR row lists
+    # its columns in increasing order.
+    full_cols = np.repeat(np.concatenate(
+        [6 * obs_slot[:, None] + np.arange(6),
+         n_poses + 3 * obs_track[:, None] + np.arange(3)], axis=1), 2, axis=0)
+    kept = free[full_cols]
+    indices = (np.cumsum(free) - 1)[full_cols[kept]].astype(np.int32)
+    indptr = np.concatenate([[0], np.cumsum(kept.sum(axis=1))]).astype(np.int32)
 
-    intrinsics = scene.intrinsics
-    dist = scene.distortion
-
-    def view_params(v: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """A view's axis-angle and translation under ``x``."""
-        if v == order[0]:
-            return fixed_rvec, fixed.translation
-        s = pose_start[v]
-        if v == gauge_view:
-            t = t2_init + basis @ x[s + 3:s + 5]
-            return x[s:s + 3], t * (t2_norm / np.linalg.norm(t))
-        return x[s:s + 3], x[s + 3:s + 6]
+    def per_view(x: np.ndarray):
+        """Each view's observations, their points, and the view's axis-angle
+        and translation under ``x``."""
+        full = expand(x)
+        poses = full[:n_poses].reshape(-1, 6)
+        pts = full[n_poses:].reshape(-1, 3)
+        for i, sel in enumerate(obs_of_view):
+            yield sel, pts[obs_track[sel]], poses[i, :3], poses[i, 3:]
 
     def pose_of(v: int, x: np.ndarray) -> CameraPose:
-        return CameraPose.from_axis_angle(*view_params(v, x))
+        pose = expand(x)[6 * slot[v]:][:6]
+        return CameraPose.from_axis_angle(pose[:3], pose[3:])
 
     def residual(x: np.ndarray) -> np.ndarray:
-        pts = x[point_start:].reshape(-1, 3)
         out = np.empty((len(obs_view), 2))
-        for v, sel, _ in obs_of_view:
-            out[sel] = project_points(pts[obs_track[sel]], *view_params(v, x),
-                                      intrinsics, dist)
+        for sel, *view in per_view(x):
+            out[sel] = project_points(*view, scene.intrinsics, scene.distortion)
         return (out - obs_px).ravel()
 
     def jacobian(x: np.ndarray) -> sparse.csr_array:
-        pts = x[point_start:].reshape(-1, 3)
-        data = np.empty(len(indices))
-        for v, sel, slots in obs_of_view:
+        blocks = np.empty((len(obs_view), 2, 9))
+        for sel, *view in per_view(x):
             _, d_pose, d_point, _, _ = project_points(
-                pts[obs_track[sel]], *view_params(v, x), intrinsics, dist,
-                jacobians=True)
-            if v == order[0]:
-                data[slots] = d_point
-                continue
-            s = pose_start[v]
-            if v == gauge_view:
-                # Chain rule through t = t2_norm * w / |w|, w = t2_init + B u.
-                w = t2_init + basis @ x[s + 3:s + 5]
-                e = w / np.linalg.norm(w)
-                d_t = (t2_norm / np.linalg.norm(w)) * (basis - np.outer(e, e @ basis))
-                d_pose = np.concatenate([d_pose[:, :, :3], d_pose[:, :, 3:] @ d_t],
-                                        axis=2)
-            data[slots] = np.concatenate([d_pose, d_point], axis=2)
+                *view, scene.intrinsics, scene.distortion, jacobians=True)
+            blocks[sel] = np.concatenate([d_pose, d_point], axis=2)
         # Copies: in-place sparse methods on the result must not reach the
         # structure shared by later calls.
-        return sparse.csr_array((data, indices.copy(), indptr.copy()),
-                                shape=(2 * len(obs_view), n_params))
+        return sparse.csr_array(
+            (blocks.reshape(-1, 9)[kept], indices.copy(), indptr.copy()),
+            shape=(2 * len(obs_view), int(free.sum())))
 
     problem = LeastSquaresProblem(residual=residual, jacobian=jacobian)
-    return problem, x0, pose_of, point_start, track_ids, (obs_view, obs_track)
+    return (problem, full0[free], pose_of, n_poses - 7, track_ids,
+            (obs_view, obs_track))
 
 
 def bundle_adjust(scene: SfmScene, lm_config: LmConfig | None = None) -> SfmScene:
     """Jointly refine all free poses and 3D points of the scene.
 
-    The first registered pose stays fixed and the second pose's translation
-    keeps its norm (direction parameterized in its 2D tangent plane), which
-    removes the gauge freedom. Intrinsics and distortion are not touched.
+    The first registered pose stays fixed and so does the coordinate of the
+    second pose's translation with the largest magnitude, which removes the
+    gauge freedom. Intrinsics and distortion are not touched.
     Returns a new scene; the accepted cost never increases. Tracks that end
     behind a camera are marked invalid, and the scene's
     ``mean_reprojection_error`` is the mean pixel error over the observations

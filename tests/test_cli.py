@@ -255,6 +255,10 @@ MALFORMED = {
     "board-square-board": _board_with(board={"squares_x": 5, "squares_y": 5,
                                              "square_size": 23.0}),
     "board-no-poses": _board_with(poses=[]),
+    "board-nan-translation": _board_with(poses=[
+        {"axis_angle": [0.1, 0.0, 0.0], "translation": [float("nan"), 0.0, 600.0]}]),
+    "board-nan-axis-angle": _board_with(poses=[
+        {"axis_angle": [float("nan"), 0.0, 0.0], "translation": [0.0, 0.0, 600.0]}]),
     "cube-negative-views": _cube_with(views=-1),
     "cube-zero-width": _cube_with(image_size={"width": 0, "height": 120}),
     "cube-negative-edge": _cube_with(cube={"edge": -5.0}),

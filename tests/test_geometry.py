@@ -231,6 +231,24 @@ def test_camera_pose_validates_rotation():
         CameraPose(np.eye(3) + 1e-6, np.zeros(3))
 
 
+@pytest.mark.parametrize("rotation", [np.full((3, 3), np.nan),
+                                      np.diag([1.0, np.nan, 1.0])],
+                         ids=["all-nan", "one-nan"])
+def test_nan_rotation_is_rejected(rotation):
+    with pytest.raises(InvalidRotation):
+        CameraPose(rotation, np.zeros(3))
+    with pytest.raises(InvalidRotation):
+        rotation_to_axis_angle(rotation)
+
+
+@pytest.mark.parametrize("translation", [[np.nan, 0.0, 600.0],
+                                         [0.0, np.inf, 600.0]],
+                         ids=["nan", "inf"])
+def test_camera_pose_rejects_non_finite_translation(translation):
+    with pytest.raises(ValueError, match="finite"):
+        CameraPose(np.eye(3), translation)
+
+
 def test_pose_composition_matches_sequential_projection(ref_intrinsics, ref_distortion):
     rng = np.random.default_rng(3)
     errs = []

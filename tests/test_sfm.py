@@ -15,6 +15,7 @@ from camkit import (
 from camkit.errors import (
     EmptyScene,
     InitializationFailed,
+    InvalidRotation,
     NonFiniteResidual,
     RegistrationFailed,
     SingularNormalEquations,
@@ -229,21 +230,44 @@ def test_ba_sparse_solve_matches_dense_solve(ref_intrinsics, n_points, seed):
     assert csr.final_cost < 0.5 * csr.initial_cost
 
 
-def test_ba_jacobian_is_block_sparse(ref_intrinsics):
+@pytest.mark.parametrize("t1", [None, [1.0, 0.2, -0.3], [0.2, -1.0, 0.3],
+                                [0.2, 0.3, 1.0]],
+                         ids=["minus-x", "plus-x", "y", "z"])
+def test_ba_jacobian_is_block_sparse(ref_intrinsics, t1):
     # Half the tracks miss view 2, so rows of different widths interleave.
     scene, _ = build_scene(ref_intrinsics, n_points=10, n_views=3, seed=2)
     for track in scene.tracks[::2]:
         track.observations = track.observations[:2]
+    if t1 is not None:
+        scene.poses[1] = CameraPose(scene.poses[1].rotation, t1)
     problem, x0, *_ = _build_ba_problem(scene)
     jac = problem.jacobian(x0)
     assert sparse.issparse(jac)
-    # Pose block widths: view 0 fixed, view 1 (gauge) 5, view 2 6.
+    # Pose block widths: view 0 frozen, view 1 without its frozen largest
+    # translation coordinate 5, view 2 6.
     widths = {0: 0, 1: 5, 2: 6}
     observations = [v for t in scene.tracks for v, _ in t.observations]
     assert jac.nnz == sum(2 * (widths[v] + 3) for v in observations)
     oracle = numeric_jacobian(LeastSquaresProblem(problem.residual), x0)
     assert np.max(np.abs(jac.toarray() - oracle)
                   / np.maximum(np.abs(oracle), 1.0)) < 1e-5
+
+
+def test_ba_gauge_freezes_first_pose_and_largest_second_coordinate(
+        ref_intrinsics):
+    scene, _ = build_scene(ref_intrinsics, point_noise=2.0, seed=5)
+    rng = np.random.default_rng(5)
+    for v in scene.features:
+        scene.features[v] = scene.features[v] + rng.normal(0, 0.5, (40, 2))
+    adjusted = bundle_adjust(scene)
+    assert np.array_equal(adjusted.poses[0].rotation, scene.poses[0].rotation)
+    assert np.array_equal(adjusted.poses[0].translation,
+                          scene.poses[0].translation)
+    before = scene.poses[1].translation
+    after = adjusted.poses[1].translation
+    assert np.argmax(np.abs(before)) == 0  # the baseline runs along -x
+    assert after[0] == before[0]
+    assert np.all(np.abs(after[1:] - before[1:]) > 1e-6)
 
 
 def test_ba_marks_tracks_behind_any_observing_view(ref_intrinsics, monkeypatch):
@@ -287,6 +311,21 @@ def test_failed_pose_refinement_is_a_registration_failure(
         _register_view(scene, 2, normalized)
     assert caught.value.view_id == 2
     assert isinstance(caught.value.__cause__, error)
+
+
+def test_non_finite_resection_is_a_registration_failure(ref_intrinsics,
+                                                         monkeypatch):
+    scene, _ = build_scene(ref_intrinsics, n_points=20, n_views=3, seed=1)
+    del scene.poses[2]
+    scene.view_order = (0, 1)
+    normalized = {v: pixel_to_normalized(px, ref_intrinsics)
+                  for v, px in scene.features.items()}
+    monkeypatch.setattr("camkit.sfm.nearest_rotation",
+                        lambda m: np.full((3, 3), np.nan))
+    with pytest.raises(RegistrationFailed) as caught:
+        _register_view(scene, 2, normalized)
+    assert caught.value.view_id == 2
+    assert isinstance(caught.value.__cause__, InvalidRotation)
 
 
 def test_next_view_has_most_valid_tracks_lowest_id_on_tie(ref_intrinsics):
