@@ -155,6 +155,8 @@ class CameraPose:
 
 
 def _check_rotation(r: np.ndarray) -> None:
+    if not np.isfinite(r).all():
+        raise InvalidRotation("not a rotation matrix: non-finite entries")
     err = np.max(np.abs(r.T @ r - np.eye(3)))
     det = np.linalg.det(r)
     if not (err < _ORTHONORMALITY_TOL and abs(det - 1.0) < _ORTHONORMALITY_TOL):

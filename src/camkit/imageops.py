@@ -1,5 +1,6 @@
-"""Small shared raster helpers: sub-pixel peak fits and bilinear samples,
-each over a whole batch of patches or points."""
+"""Small shared raster helpers: Gaussian filtering of an image's structure
+box, and sub-pixel peak fits and bilinear samples, each over a whole batch of
+patches or points."""
 
 from __future__ import annotations
 
@@ -42,6 +43,39 @@ def to_float(image: np.ndarray) -> np.ndarray:
     if img.dtype == np.uint8:
         return img.astype(np.float64) / 255.0
     return img.astype(np.float64)
+
+
+def structure_box_filter(image: np.ndarray, sigma: float, filt) -> np.ndarray:
+    """``filt(image)``, computed only on the image's structure box.
+
+    The structure box bounds the pixels that differ from a 4-neighbour.
+    Outside it the image is the box's nearest-neighbour extension, so a
+    ``mode="nearest"`` separable filter run on the box grown by the
+    Gaussian radius ``int(4 * sigma + 0.5)`` equals the full-frame filter
+    there bit for bit, and beyond it equals the grown box's edge values.
+    ``filt`` may therefore apply ``mode="nearest"`` Gaussian filters of at
+    most ``sigma`` at scipy's default truncation to the 2-D float array it
+    gets, then combine them pixel by pixel. An image without structure
+    filters its corner; a noisy one filters the full frame.
+    """
+    h, w = image.shape
+    dx = image[:, 1:] != image[:, :-1]  # steps between columns c and c + 1
+    dy = image[1:] != image[:-1]  # steps between rows r and r + 1
+    step_r, step_c = dy.any(axis=1), dx.any(axis=0)
+    rows, cols = dx.any(axis=1), dy.any(axis=0)
+    rows[:-1] |= step_r
+    rows[1:] |= step_r
+    cols[:-1] |= step_c
+    cols[1:] |= step_c
+    r = np.flatnonzero(rows)
+    c = np.flatnonzero(cols)
+    halo = int(4 * sigma + 0.5)
+    r0, r1 = (r[0], r[-1] + 1) if len(r) else (0, 1)
+    c0, c1 = (c[0], c[-1] + 1) if len(c) else (0, 1)
+    r0, r1 = max(r0 - halo, 0), min(r1 + halo, h)
+    c0, c1 = max(c0 - halo, 0), min(c1 + halo, w)
+    out = filt(image[r0:r1, c0:c1])
+    return np.pad(out, ((r0, h - r1), (c0, w - c1)), mode="edge")
 
 
 def bilinear_sample(image: np.ndarray, points, fill: float = 0.0) -> np.ndarray:

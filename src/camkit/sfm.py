@@ -112,16 +112,27 @@ def _pair_seed(seed: int, i: int, j: int) -> int:
 
 
 def _linear_resection(world: np.ndarray, norm_xy: np.ndarray) -> CameraPose:
-    """DLT estimate of a pose from >= 6 3D points and normalized 2D images."""
+    """DLT estimate of a pose from >= 6 3D points and normalized 2D images.
+
+    The world points are conditioned first (Hartley & Zisserman, section
+    4.4.4): moved to their centroid and scaled to a mean distance of
+    sqrt(3). The DLT solves for ``P'`` on the conditioned points, and
+    ``P = P' T`` undoes the conditioning ``T``.
+    """
     n = len(world)
     hom = np.column_stack([world, np.ones(n)])
+    centroid = world.mean(axis=0)
+    s = np.sqrt(3.0) / np.mean(np.linalg.norm(world - centroid, axis=1))
+    cond = np.diag([s, s, s, 1.0])
+    cond[:3, 3] = -s * centroid
+    conditioned = hom @ cond.T
     a = np.zeros((2 * n, 12))
-    a[0::2, 0:4] = -hom
-    a[0::2, 8:12] = norm_xy[:, 0:1] * hom
-    a[1::2, 4:8] = -hom
-    a[1::2, 8:12] = norm_xy[:, 1:2] * hom
+    a[0::2, 0:4] = -conditioned
+    a[0::2, 8:12] = norm_xy[:, 0:1] * conditioned
+    a[1::2, 4:8] = -conditioned
+    a[1::2, 8:12] = norm_xy[:, 1:2] * conditioned
     _, _, vt = np.linalg.svd(a)
-    p = vt[-1].reshape(3, 4)
+    p = vt[-1].reshape(3, 4) @ cond
     scale = 1.0 / np.linalg.norm(p[2, :3])
     depths = hom @ p[2] * scale
     if np.median(depths) < 0:

@@ -53,8 +53,22 @@ def test_ordering_consistent_with_homography(board_spec, ref_intrinsics):
 
 
 def test_uniform_image_has_no_board(board_spec):
-    with pytest.raises(BoardNotFound):
-        detect_corners(np.full((240, 320), 128, dtype=np.uint8), board_spec)
+    for value in (0, 128, 255):
+        with pytest.raises(BoardNotFound):
+            detect_corners(np.full((240, 320), value, dtype=np.uint8), board_spec)
+
+
+def test_detection_matches_full_frame_oracle(board_spec, rendered_views,
+                                             monkeypatch):
+    # The oracle filters the full frame: the structure-box helper bypassed.
+    images, _ = rendered_views
+    cropped = [(corner_response(img), detect_corners(img, board_spec).corners)
+               for img in images]
+    monkeypatch.setattr("camkit.corners.structure_box_filter",
+                        lambda image, sigma, filt: filt(image))
+    for image, (resp, corners) in zip(images, cropped):
+        assert resp.tobytes() == corner_response(image).tobytes()
+        assert corners.tobytes() == detect_corners(image, board_spec).corners.tobytes()
 
 
 def test_wrong_board_size_is_count_mismatch(board_spec, ref_intrinsics):

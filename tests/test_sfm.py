@@ -68,6 +68,17 @@ def test_all_views_register(cube_reconstruction):
             assert pose.rotation[2] @ track.point + pose.translation[2] > 0
 
 
+@pytest.mark.parametrize("seed", [8, 10])
+def test_conditioned_resection_registers_every_view(cube_capture,
+                                                    ref_intrinsics, seed):
+    # With an unconditioned DLT, RANSAC seed 8 resected view 4 at 11.2 px
+    # and seed 10 left view 0's normal equations singular.
+    _, _, images, dist = cube_capture
+    scene = reconstruct(images, ref_intrinsics, dist, SfmConfig(seed=seed))
+    assert sorted(scene.poses) == [0, 1, 2, 3, 4]
+    assert scene.mean_reprojection_error < 0.5
+
+
 def test_similarity_aligned_rms(cube_reconstruction, cube_capture, ref_intrinsics):
     aligned, truth = aligned_to_truth(cube_reconstruction, cube_capture,
                                       ref_intrinsics)
