@@ -34,10 +34,11 @@ from .geometry import (
     normalized_to_pixel,
     pixel_to_normalized,
     project_points,
+    reprojection_problem,
 )
 from .homography import estimate_homography
 from .imageops import bilinear_sample, to_float
-from .optimize import LeastSquaresProblem, LmConfig, levenberg_marquardt
+from .optimize import LmConfig, levenberg_marquardt
 
 MIN_VIEWS = 3
 
@@ -176,31 +177,17 @@ def extrinsics_from_homography(intrinsics: CameraIntrinsics,
     return CameraPose(rot, t)
 
 
-def _init_radial(intrinsics: CameraIntrinsics, poses, world: np.ndarray,
-                 views, n_radial: int) -> np.ndarray:
-    """Linear least-squares bootstrap of the radial coefficients.
-
-    Pixels are linear in the distortion coefficients, so the kernel's
-    distortion block at zero distortion is the design matrix.
-    """
-    lhs = []
-    rhs = []
-    for pose, grid in zip(poses, views):
-        ideal, *_, d_dist = project_points(world, pose.axis_angle(), pose.translation,
-                                           intrinsics, None, jacobians=True)
-        lhs.append(d_dist[:, :, :n_radial].reshape(-1, n_radial))
-        rhs.append((grid.corners - ideal).ravel())
-    coeffs, *_ = np.linalg.lstsq(np.vstack(lhs), np.concatenate(rhs), rcond=None)
-    return coeffs
-
-
 def calibrate(dataset: CalibrationDataset, *, estimate_skew: bool = False,
               estimate_k3: bool = False, estimate_tangential: bool = False,
               lm_config: LmConfig | None = None) -> CalibrationResult:
     """Run the full calibration pipeline on a corner dataset.
 
-    Deterministic. Raises InsufficientViews for fewer than three views and
-    propagates degeneracy errors from the individual stages.
+    The radial bootstrap and the refinement solve one
+    :func:`camkit.geometry.reprojection_problem` over every corner: the
+    first frees only the radial terms, the second the estimated intrinsics
+    and distortion and every view pose. Deterministic. Raises
+    InsufficientViews for fewer than three views and propagates degeneracy
+    errors from the individual stages.
     """
     spec = dataset.spec
     views = dataset.views
@@ -214,73 +201,47 @@ def calibrate(dataset: CalibrationDataset, *, estimate_skew: bool = False,
             )
 
     world = board_world_points(spec)
-    world_xy = world[:, :2]
-    homs = [estimate_homography(world_xy, g.corners) for g in views]
+    homs = [estimate_homography(world[:, :2], g.corners) for g in views]
     k0 = init_intrinsics(homs, estimate_skew=estimate_skew)
-    poses0 = [extrinsics_from_homography(k0, h) for h in homs]
+    poses0 = np.stack([np.concatenate([p.axis_angle(), p.translation])
+                       for p in (extrinsics_from_homography(k0, h) for h in homs)])
+    n_views, n_corners = len(views), len(world)
+    obs = (np.repeat(np.arange(n_views), n_corners),
+           np.tile(np.arange(n_corners), n_views),
+           np.concatenate([g.corners for g in views]))
 
-    n_radial = 3 if estimate_k3 else 2
-    radial = _init_radial(k0, poses0, world, views, n_radial)
-    d0 = DistortionCoeffs(k1=radial[0], k2=radial[1],
-                          k3=radial[2] if estimate_k3 else 0.0)
+    def problem_for(dist, global_free, poses_free):
+        free = np.concatenate([global_free, np.full(poses0.size, poses_free),
+                               np.zeros(world.size, dtype=bool)])
+        return reprojection_problem(world, poses0, k0, dist, *obs, free)
 
-    # Parameter vector: the estimated entries of INTRINSIC_NAMES +
-    # DISTORTION_NAMES, then six pose parameters (axis-angle, translation)
-    # per view.
+    # Pixels are linear in the distortion coefficients: one Gauss-Newton step
+    # from zero distortion, with only the radial terms free, solves for them.
+    radial = np.array([False] * 5 + [True, True, estimate_k3, False, False])
+    problem, x0, unpack = problem_for(DistortionCoeffs(), radial, False)
+    step, *_ = np.linalg.lstsq(problem.jacobian(x0), -problem.residual(x0), rcond=None)
+    _, d0, _, _ = unpack(x0 + step)
+
     free = np.array([True] * 4 + [estimate_skew, True, True, estimate_k3]
                     + [estimate_tangential] * 2)
-    n_global = int(free.sum())
-    n_k = len(INTRINSIC_NAMES)
-    global0 = np.concatenate([[getattr(k0, n) for n in INTRINSIC_NAMES],
-                              d0.as_array()])
-    x0 = np.concatenate([global0[free]] + [np.concatenate([p.axis_angle(), p.translation])
-                                           for p in poses0])
-    observed = np.stack([g.corners for g in views])
-
-    def unpack(x):
-        values = np.zeros(free.size)
-        values[free] = x[:n_global]
-        return (CameraIntrinsics(*values[:n_k]), DistortionCoeffs(*values[n_k:]),
-                x[n_global:].reshape(-1, 6))
-
-    rows = 2 * len(world)
-
-    def residual(x):
-        intrinsics, dist, pose_params = unpack(x)
-        proj = np.stack([project_points(world, p[:3], p[3:], intrinsics, dist)
-                         for p in pose_params])
-        return (proj - observed).ravel()
-
-    def jacobian(x):
-        intrinsics, dist, pose_params = unpack(x)
-        jac = np.zeros((rows * len(views), x.size))
-        for v, p in enumerate(pose_params):
-            _, d_pose, _, d_k, d_dist = project_points(world, p[:3], p[3:], intrinsics,
-                                                       dist, jacobians=True)
-            block = jac[v * rows:(v + 1) * rows]
-            d_global = np.concatenate([d_k, d_dist], axis=2)[:, :, free]
-            block[:, :n_global] = d_global.reshape(rows, -1)
-            block[:, n_global + 6 * v:n_global + 6 * v + 6] = d_pose.reshape(rows, 6)
-        return jac
-
-    problem = LeastSquaresProblem(residual=residual, jacobian=jacobian)
+    problem, x0, unpack = problem_for(d0, free, True)
     report = levenberg_marquardt(problem, x0, lm_config or LmConfig())
 
-    intrinsics, dist, pose_params = unpack(report.params)
+    intrinsics, dist, pose_params, _ = unpack(report.params)
     poses = [CameraPose.from_axis_angle(p[:3], p[3:]) for p in pose_params]
     if any(np.any(camera_depths(world, pose) <= 0) for pose in poses):
         raise BehindCamera("refined pose places the board behind the camera")
 
-    per_corner = np.linalg.norm(residual(report.params).reshape(observed.shape), axis=2)
+    per_corner = np.linalg.norm(report.residual.reshape(n_views, n_corners, 2), axis=2)
     per_view = per_corner.mean(axis=1)
     overall = float(per_corner.mean())
 
-    stderr = _standard_errors(report, jacobian)
+    stderr = _standard_errors(report, problem.jacobian)
     names = np.array(INTRINSIC_NAMES + DISTORTION_NAMES)[free].tolist()
     named = list(zip(names, stderr))
     intr_err = {n: e for n, e in named if n in INTRINSIC_NAMES}
     dist_err = {n: e for n, e in named if n in DISTORTION_NAMES}
-    pose_err = stderr[n_global:].reshape(len(views), 6)
+    pose_err = stderr[int(free.sum()):].reshape(n_views, 6)
 
     return CalibrationResult(
         intrinsics=intrinsics,

@@ -63,13 +63,21 @@ def _smooth(img: np.ndarray) -> np.ndarray:
 
 
 def _local_maxima(resp: np.ndarray, radius: int, threshold: float) -> np.ndarray:
-    footprint = np.ones((2 * radius + 1, 2 * radius + 1), dtype=bool)
-    peaks = (resp == ndimage.maximum_filter(resp, footprint=footprint)) & (resp > threshold)
-    peaks[:radius + 1, :] = False
-    peaks[-radius - 1:, :] = False
-    peaks[:, :radius + 1] = False
-    peaks[:, -radius - 1:] = False
-    vs, us = np.nonzero(peaks)
+    """(u, v) pixels above ``threshold`` and at least ``radius + 1`` from the
+    border that are the maximum of their ``(2 radius + 1)``-square window,
+    in row-major order; only those pixels are compared with their window."""
+    h, w = resp.shape
+    b = radius + 1
+    cand = np.argwhere(resp[b:h - b, b:w - b] > threshold) + b
+    flat = resp.ravel()
+    at = cand[:, 0] * w + cand[:, 1]
+    center = flat[at]
+    is_max = np.ones(len(at), dtype=bool)
+    for dv in range(-radius, radius + 1):
+        for du in range(-radius, radius + 1):
+            if dv or du:
+                is_max &= center >= flat[at + dv * w + du]
+    vs, us = cand[is_max].T
     return np.column_stack([us, vs])
 
 

@@ -19,8 +19,10 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 
 from .errors import InvalidRotation, NoConvergence, NonPositiveDepth
+from .optimize import LeastSquaresProblem
 
 _ORTHONORMALITY_TOL = 1e-9
 # Column order of the intrinsics and distortion Jacobian blocks.
@@ -381,6 +383,79 @@ def _blocks(*rows) -> np.ndarray:
     and scalars."""
     return np.stack([np.stack(np.broadcast_arrays(*row), axis=-1) for row in rows],
                     axis=1)
+
+
+def reprojection_problem(points, poses, intrinsics: CameraIntrinsics,
+                         dist: DistortionCoeffs, obs_pose, obs_point, obs_px, free):
+    """The pixel reprojection least-squares problem of calibration, pose
+    refinement and bundle adjustment, which differ only in ``free``.
+
+    Observation k is point ``obs_point[k]`` seen at pixel ``obs_px[k]`` under
+    pose ``obs_pose[k]`` (integer arrays), in residual rows 2k and 2k+1. The
+    full parameter vector is :data:`INTRINSIC_NAMES` + :data:`DISTORTION_NAMES`,
+    then 6 per pose (axis-angle, translation), then 3 per point; the boolean
+    array ``free`` selects the entries the problem's ``x`` holds. Returns
+    ``(problem, x0, unpack)`` with ``unpack(x) -> (intrinsics, dist, (n, 6)
+    poses, (m, 3) points)``. Row k's Jacobian blocks are the free global
+    columns, then the pose's 6, then the point's 3; the Jacobian is a dense
+    ndarray when no point is free and a block-sparse ``csr_array`` otherwise.
+    """
+    poses = np.asarray(poses, dtype=np.float64).reshape(-1, 6)
+    n_global = len(INTRINSIC_NAMES + DISTORTION_NAMES)
+    point_start = n_global + poses.size
+    full0 = np.concatenate([[getattr(intrinsics, n) for n in INTRINSIC_NAMES],
+                            dist.as_array(), poses.ravel(),
+                            np.asarray(points, dtype=np.float64).ravel()])
+    obs_px = np.asarray(obs_px, dtype=np.float64).reshape(-1, 2)
+    of_pose = [np.flatnonzero(obs_pose == i) for i in range(len(poses))]
+
+    # Observation k fills a (2, g + 9) block: the g free global columns, its
+    # pose's 6 and its point's 3; ``kept`` drops the frozen ones. Free columns
+    # keep the full order, so every CSR row lists its columns increasingly.
+    free_global = free[:n_global]
+    full_cols = np.repeat(np.concatenate(
+        [np.broadcast_to(np.flatnonzero(free_global), (len(obs_px), free_global.sum())),
+         n_global + 6 * obs_pose[:, None] + np.arange(6),
+         point_start + 3 * obs_point[:, None] + np.arange(3)], axis=1), 2, axis=0)
+    kept = free[full_cols]
+    indices = (np.cumsum(free) - 1)[full_cols[kept]].astype(np.int32)
+    indptr = np.concatenate([[0], np.cumsum(kept.sum(axis=1))]).astype(np.int32)
+    dense = not free[point_start:].any()
+
+    def unpack(x: np.ndarray):
+        full = full0.copy()
+        full[free] = x
+        return (CameraIntrinsics(*full[:len(INTRINSIC_NAMES)]),
+                DistortionCoeffs(*full[len(INTRINSIC_NAMES):n_global]),
+                full[n_global:point_start].reshape(-1, 6),
+                full[point_start:].reshape(-1, 3))
+
+    def per_pose(x: np.ndarray):
+        """Each pose's observations and their ``project_points`` arguments."""
+        k, d, pose_params, pts = unpack(x)
+        for sel, p in zip(of_pose, pose_params):
+            yield sel, (pts[obs_point[sel]], p[:3], p[3:], k, d)
+
+    def residual(x: np.ndarray) -> np.ndarray:
+        out = np.empty_like(obs_px)
+        for sel, args in per_pose(x):
+            out[sel] = project_points(*args)
+        return (out - obs_px).ravel()
+
+    def jacobian(x: np.ndarray):
+        blocks = np.empty((len(obs_px), 2, full_cols.shape[1]))
+        for sel, args in per_pose(x):
+            _, d_pose, d_point, d_k, d_dist = project_points(*args, jacobians=True)
+            d_global = np.concatenate([d_k, d_dist], axis=2)[:, :, free_global]
+            blocks[sel] = np.concatenate([d_global, d_pose, d_point], axis=2)
+        # Copies: in-place sparse methods on the result must not reach the
+        # structure shared by later calls.
+        jac = sparse.csr_array(
+            (blocks.reshape(kept.shape)[kept], indices.copy(), indptr.copy()),
+            shape=(kept.shape[0], int(free.sum())))
+        return jac.toarray() if dense else jac
+
+    return LeastSquaresProblem(residual, jacobian), full0[free], unpack
 
 
 def camera_depths(points, pose: CameraPose) -> np.ndarray:

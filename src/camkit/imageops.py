@@ -38,11 +38,12 @@ def quadratic_peak_offset(patches: np.ndarray) -> np.ndarray:
 
 
 def to_float(image: np.ndarray) -> np.ndarray:
-    """uint8 image to float64 in [0, 1]; float input passes through."""
+    """uint8 image to float64 in [0, 1]; other input passes through as
+    float64, not copied if it already is. Callers must not write to it."""
     img = np.asarray(image)
     if img.dtype == np.uint8:
         return img.astype(np.float64) / 255.0
-    return img.astype(np.float64)
+    return np.asarray(img, dtype=np.float64)
 
 
 def structure_box_filter(image: np.ndarray, sigma: float, filt) -> np.ndarray:

@@ -61,7 +61,8 @@ class LmReport:
     """Outcome of one Levenberg-Marquardt solve.
 
     ``cost_history`` lists the cost after every accepted step, starting with
-    the initial cost; it is non-increasing by construction.
+    the initial cost; it is non-increasing by construction. ``residual`` is
+    the residual vector at ``params``.
     """
 
     params: np.ndarray
@@ -70,6 +71,7 @@ class LmReport:
     iterations: int
     reason: str  # "cost-tol" | "step-tol" | "max-iter"
     cost_history: Optional[list] = None
+    residual: Optional[np.ndarray] = None
 
 
 def _eval_residual(problem: LeastSquaresProblem, x: np.ndarray) -> np.ndarray:
@@ -164,7 +166,7 @@ def levenberg_marquardt(problem: LeastSquaresProblem, x0,
 
             if np.linalg.norm(step) < cfg.step_tol * (1.0 + np.linalg.norm(x)):
                 return LmReport(x, initial_cost, cost, iteration, "step-tol",
-                                history)
+                                history, r)
 
             x_trial = x + step
             r_trial = np.asarray(problem.residual(x_trial), dtype=np.float64).ravel()
@@ -182,4 +184,4 @@ def levenberg_marquardt(problem: LeastSquaresProblem, x0,
             reason = "cost-tol"
             break
 
-    return LmReport(x, initial_cost, cost, iteration, reason, history)
+    return LmReport(x, initial_cost, cost, iteration, reason, history, r)

@@ -10,18 +10,19 @@ from .board import CheckerboardSpec, CornerGrid, board_outline, board_world_poin
 from .calibrate import CalibrationResult, extrinsics_from_homography
 from .errors import BehindCamera
 from .geometry import (
+    DISTORTION_NAMES,
+    INTRINSIC_NAMES,
     CameraIntrinsics,
     CameraPose,
     DistortionCoeffs,
     camera_depths,
     normalized_to_pixel,
     pixel_to_normalized,
-    project_points,
-    rotation_to_axis_angle,
+    reprojection_problem,
     undistort_normalized,
 )
 from .homography import estimate_homography
-from .optimize import LeastSquaresProblem, levenberg_marquardt
+from .optimize import levenberg_marquardt
 
 
 def refine_pose(world_points: np.ndarray, observed_px: np.ndarray,
@@ -34,22 +35,16 @@ def refine_pose(world_points: np.ndarray, observed_px: np.ndarray,
     reprojection error.
     """
     world = np.asarray(world_points, dtype=np.float64)
-    obs = np.asarray(observed_px, dtype=np.float64)
-
-    def residual(x):
-        return (project_points(world, x[:3], x[3:], intrinsics, dist) - obs).ravel()
-
-    def jacobian(x):
-        _, d_pose, *_ = project_points(world, x[:3], x[3:], intrinsics, dist,
-                                       jacobians=True)
-        return d_pose.reshape(-1, 6)
-
-    x0 = np.concatenate([rotation_to_axis_angle(initial.rotation),
-                         initial.translation])
-    report = levenberg_marquardt(LeastSquaresProblem(residual, jacobian), x0)
-    pose = CameraPose.from_axis_angle(report.params[:3], report.params[3:])
-    res = residual(report.params).reshape(-1, 2)
-    mean_err = float(np.linalg.norm(res, axis=1).mean())
+    pose0 = np.concatenate([initial.axis_angle(), initial.translation])
+    free = np.repeat([False, True, False],
+                     [len(INTRINSIC_NAMES + DISTORTION_NAMES), 6, world.size])
+    problem, x0, unpack = reprojection_problem(
+        world, pose0, intrinsics, dist, np.zeros(len(world), dtype=np.int64),
+        np.arange(len(world)), observed_px, free)
+    report = levenberg_marquardt(problem, x0)
+    _, _, (params,), _ = unpack(report.params)
+    pose = CameraPose.from_axis_angle(params[:3], params[3:])
+    mean_err = float(np.linalg.norm(report.residual.reshape(-1, 2), axis=1).mean())
     return pose, mean_err
 
 

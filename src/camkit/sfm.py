@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy import sparse
 
 from .epipolar import (essential_ransac, recover_relative_pose,
                        triangulate_points, triangulate_views)
@@ -33,18 +32,19 @@ from .errors import (
 )
 from .features import detect_features, match_features
 from .geometry import (
+    DISTORTION_NAMES,
+    INTRINSIC_NAMES,
     CameraIntrinsics,
     CameraPose,
     DistortionCoeffs,
     camera_depths,
     nearest_rotation,
     pixel_to_normalized,
-    project_points,
-    rotation_to_axis_angle,
+    reprojection_problem,
     undistort_normalized,
 )
 from .imageops import bilinear_sample, to_float
-from .optimize import LeastSquaresProblem, LmConfig, levenberg_marquardt
+from .optimize import LmConfig, levenberg_marquardt
 from .pose import refine_pose
 from .tracks import MatchPair, Track, build_tracks
 
@@ -308,16 +308,16 @@ def _register_view(scene: SfmScene, view: int, normalized) -> SfmScene:
 def _build_ba_problem(scene: SfmScene):
     """Assemble the bundle-adjustment least-squares problem for a scene.
 
-    Returns ``(problem, x0, pose_of, point_start, track_ids, (obs_view,
-    obs_track))`` where ``pose_of(view, x)`` evaluates a view's CameraPose
-    under a parameter vector, ``x[point_start:]`` holds the track points and
+    Returns ``(problem, x0, unpack, track_ids, (obs_view, obs_track))``, the
+    :func:`camkit.geometry.reprojection_problem` over the valid tracks'
+    observations in the registered views: ``unpack(x)`` gives the poses of
+    ``view_order`` and the points of ``track_ids`` under ``x``, and
     observation ``k`` (residual rows ``2k`` and ``2k+1``) is of local track
-    ``obs_track[k]`` in view ``obs_view[k]``. The Jacobian is a block-sparse
-    ``csr_array``. Every view of ``view_order`` has 6 parameters (axis-angle,
-    translation) and every point 3; ``x`` holds the free ones. The gauge
-    freezes the first view's 6 and the second view's translation coordinate
-    of largest magnitude, which fixes the 7 degrees of freedom of a
-    similarity.
+    ``obs_track[k]`` in view ``obs_view[k]``. Intrinsics and distortion are
+    frozen, and so are the first view's 6 pose entries and the second
+    view's translation coordinate of largest magnitude, which fixes the 7
+    degrees of freedom of a similarity. The Jacobian is a block-sparse
+    ``csr_array``.
     """
     order = scene.view_order
     if len(order) < 2:
@@ -329,72 +329,22 @@ def _build_ba_problem(scene: SfmScene):
 
     tracks = [scene.tracks[ti] for ti in track_ids]
     obs_track, obs_view, obs_feature = _observations(tracks, scene.poses)
-    n_poses = 6 * len(order)
-    full0 = np.concatenate(
-        [np.concatenate([rotation_to_axis_angle(scene.poses[v].rotation),
-                         scene.poses[v].translation]) for v in order]
-        + [t.point for t in tracks])
-    free = np.ones(len(full0), dtype=bool)
-    free[:6] = False
-    free[9 + np.argmax(np.abs(full0[9:12]))] = False
-
-    def expand(x: np.ndarray) -> np.ndarray:
-        full = full0.copy()
-        full[free] = x
-        return full
-
     slot = {v: i for i, v in enumerate(order)}
     obs_slot = np.array([slot[v] for v in obs_view.tolist()], dtype=np.int64)
-    obs_of_view = [np.flatnonzero(obs_slot == i) for i in range(len(order))]
     obs_px = np.empty((len(obs_view), 2))
-    for v, sel in zip(order, obs_of_view):
+    for v in order:
+        sel = obs_view == v
         obs_px[sel] = scene.features[v][obs_feature[sel]]
-
-    # Jacobian sparsity: observation k fills a (2, 9) block, its view's 6
-    # pose columns then its point's 3, and ``kept`` drops the frozen ones.
-    # Free columns keep the order of the full ones, so every CSR row lists
-    # its columns in increasing order.
-    full_cols = np.repeat(np.concatenate(
-        [6 * obs_slot[:, None] + np.arange(6),
-         n_poses + 3 * obs_track[:, None] + np.arange(3)], axis=1), 2, axis=0)
-    kept = free[full_cols]
-    indices = (np.cumsum(free) - 1)[full_cols[kept]].astype(np.int32)
-    indptr = np.concatenate([[0], np.cumsum(kept.sum(axis=1))]).astype(np.int32)
-
-    def per_view(x: np.ndarray):
-        """Each view's observations, their points, and the view's axis-angle
-        and translation under ``x``."""
-        full = expand(x)
-        poses = full[:n_poses].reshape(-1, 6)
-        pts = full[n_poses:].reshape(-1, 3)
-        for i, sel in enumerate(obs_of_view):
-            yield sel, pts[obs_track[sel]], poses[i, :3], poses[i, 3:]
-
-    def pose_of(v: int, x: np.ndarray) -> CameraPose:
-        pose = expand(x)[6 * slot[v]:][:6]
-        return CameraPose.from_axis_angle(pose[:3], pose[3:])
-
-    def residual(x: np.ndarray) -> np.ndarray:
-        out = np.empty((len(obs_view), 2))
-        for sel, *view in per_view(x):
-            out[sel] = project_points(*view, scene.intrinsics, scene.distortion)
-        return (out - obs_px).ravel()
-
-    def jacobian(x: np.ndarray) -> sparse.csr_array:
-        blocks = np.empty((len(obs_view), 2, 9))
-        for sel, *view in per_view(x):
-            _, d_pose, d_point, _, _ = project_points(
-                *view, scene.intrinsics, scene.distortion, jacobians=True)
-            blocks[sel] = np.concatenate([d_pose, d_point], axis=2)
-        # Copies: in-place sparse methods on the result must not reach the
-        # structure shared by later calls.
-        return sparse.csr_array(
-            (blocks.reshape(-1, 9)[kept], indices.copy(), indptr.copy()),
-            shape=(2 * len(obs_view), int(free.sum())))
-
-    problem = LeastSquaresProblem(residual=residual, jacobian=jacobian)
-    return (problem, full0[free], pose_of, n_poses - 7, track_ids,
-            (obs_view, obs_track))
+    poses = np.array([np.concatenate([scene.poses[v].axis_angle(),
+                                      scene.poses[v].translation]) for v in order])
+    n_global = len(INTRINSIC_NAMES + DISTORTION_NAMES)
+    free = np.ones(n_global + poses.size + 3 * len(tracks), dtype=bool)
+    free[:n_global + 6] = False
+    free[n_global + 9 + np.argmax(np.abs(poses[1, 3:]))] = False
+    problem, x0, unpack = reprojection_problem(
+        [t.point for t in tracks], poses, scene.intrinsics, scene.distortion,
+        obs_slot, obs_track, obs_px, free)
+    return problem, x0, unpack, track_ids, (obs_view, obs_track)
 
 
 def bundle_adjust(scene: SfmScene, lm_config: LmConfig | None = None) -> SfmScene:
@@ -408,16 +358,14 @@ def bundle_adjust(scene: SfmScene, lm_config: LmConfig | None = None) -> SfmScen
     ``mean_reprojection_error`` is the mean pixel error over the observations
     of the tracks that stay valid, taken from the final BA residual.
     """
-    problem, x0, pose_of, point_start, track_ids, (obs_view, obs_track) = \
-        _build_ba_problem(scene)
+    problem, x0, unpack, track_ids, (obs_view, obs_track) = _build_ba_problem(scene)
     report = levenberg_marquardt(problem, x0, lm_config or LmConfig(max_iters=50))
-    x = report.params
+    _, _, pose_params, pts = unpack(report.params)
 
     new_poses = dict(scene.poses)
-    for v in scene.view_order[1:]:
-        new_poses[v] = pose_of(v, x)
+    for v, p in zip(scene.view_order[1:], pose_params[1:]):
+        new_poses[v] = CameraPose.from_axis_angle(p[:3], p[3:])
     new_tracks = [replace(t) for t in scene.tracks]
-    pts = x[point_start:].reshape(-1, 3)
     in_front = np.ones(len(track_ids), dtype=bool)
     for v in new_poses:
         owners = obs_track[obs_view == v]
@@ -427,8 +375,7 @@ def bundle_adjust(scene: SfmScene, lm_config: LmConfig | None = None) -> SfmScen
         new_tracks[ti].point = pts[local].copy()
         new_tracks[ti].valid = bool(in_front[local])
 
-    errors = np.linalg.norm(problem.residual(x).reshape(-1, 2), axis=1)
-    errors = errors[in_front[obs_track]]
+    errors = np.linalg.norm(report.residual.reshape(-1, 2), axis=1)[in_front[obs_track]]
     return replace(scene, poses=new_poses, tracks=new_tracks,
                    mean_reprojection_error=float(errors.mean()) if errors.size
                    else float("nan"))

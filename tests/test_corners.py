@@ -71,6 +71,38 @@ def test_detection_matches_full_frame_oracle(board_spec, rendered_views,
         assert corners.tobytes() == detect_corners(image, board_spec).corners.tobytes()
 
 
+# Oracle: the full-frame non-maximum suppression that _local_maxima replaces,
+# kept verbatim so the candidate-only version can be checked bit for bit.
+
+def _oracle_local_maxima(resp, radius, threshold):
+    footprint = np.ones((2 * radius + 1, 2 * radius + 1), dtype=bool)
+    peaks = (resp == ndimage.maximum_filter(resp, footprint=footprint)) & (resp > threshold)
+    peaks[:radius + 1, :] = False
+    peaks[-radius - 1:, :] = False
+    peaks[:, :radius + 1] = False
+    peaks[:, -radius - 1:] = False
+    vs, us = np.nonzero(peaks)
+    return np.column_stack([us, vs])
+
+
+def test_local_maxima_match_full_frame_oracle(rendered_views):
+    responses = [corner_response(image) for image in rendered_views[0]]
+    # Plateaus and ties, peaks at every distance from the border, and
+    # images smaller than one window.
+    rng = np.random.default_rng(3)
+    responses += [rng.integers(0, 4, (40, 50)).astype(np.float64)
+                  for _ in range(5)]
+    responses += [rng.random((h, w)) for h, w in ((7, 9), (8, 8), (9, 30), (3, 3))]
+    for resp in responses:
+        for radius in (1, 3):
+            threshold = _RELATIVE_THRESHOLD * resp.max()
+            found = _local_maxima(resp, radius, threshold)
+            expected = _oracle_local_maxima(resp, radius, threshold)
+            assert found.dtype == expected.dtype
+            assert found.tobytes() == expected.tobytes()
+            assert found.shape == expected.shape
+
+
 def test_wrong_board_size_is_count_mismatch(board_spec, ref_intrinsics):
     other = CheckerboardSpec(9, 6, 23.0)
     pose = frontoparallel_pose(other, ref_intrinsics, 40.0)

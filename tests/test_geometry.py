@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 
 from camkit import (
     CameraIntrinsics,
@@ -16,7 +17,7 @@ from camkit import (
     undistort_normalized,
 )
 from camkit.errors import InvalidRotation, NoConvergence, NonPositiveDepth
-from camkit.geometry import project_points
+from camkit.geometry import project_points, reprojection_problem
 from camkit.optimize import LeastSquaresProblem, numeric_jacobian
 
 from conftest import REF_CX, REF_CY
@@ -103,6 +104,47 @@ def test_project_points_jacobians_match_central_differences(axis, angle, t, k, d
             lambda p: project_points(p, rvec, t, intr, dist), point)))
     for analytic, numeric in blocks:
         assert _relative_error(analytic.reshape(numeric.shape), numeric) < 1e-5
+
+
+@pytest.mark.parametrize("points_free", [True, False])
+def test_reprojection_problem_jacobian_matches_central_differences(points_free):
+    # Three views of four points, with point 3 unseen by view 0. Frozen:
+    # skew, k2, k3, p1, view 0, view 1's translation z, point 0 and point
+    # 1's y; every point when ``points_free`` is off.
+    rng = np.random.default_rng(5)
+    intr = CameraIntrinsics(fx=800.0, fy=780.0, cx=320.0, cy=240.0, skew=0.5)
+    dist = DistortionCoeffs(k1=-0.2, k2=0.05, k3=0.01, p1=1e-3, p2=-2e-3)
+    poses = np.array([[0.0, 0.0, 0.0, 0.0, 0.0, 500.0],
+                      [0.05, -0.2, 0.01, 80.0, 5.0, 510.0],
+                      [-0.03, 0.25, 0.02, -90.0, -3.0, 490.0]])
+    points = rng.uniform(-100.0, 100.0, (4, 3))
+    obs_pose = np.array([0, 0, 0, 1, 1, 1, 1, 2, 2, 2, 2])
+    obs_point = np.array([0, 1, 2, 0, 1, 2, 3, 0, 1, 2, 3])
+    obs_px = np.array([project_points(points[j], p[:3], p[3:], intr, dist)
+                       for p, j in zip(poses[obs_pose], obs_point)])
+    obs_px += rng.normal(0.0, 0.5, obs_px.shape)
+    free = np.ones(10 + 18 + 12, dtype=bool)
+    free[[4, 6, 7, 8]] = False
+    free[10:16] = False
+    free[10 + 11] = False
+    free[28:31] = False
+    free[28 + 4] = False
+    free[28:] &= points_free
+
+    problem, x0, unpack = reprojection_problem(points, poses, intr, dist, obs_pose,
+                                               obs_point, obs_px, free)
+    k, d, p, pts = unpack(x0)
+    assert (k, d) == (intr, dist)
+    assert np.array_equal(p, poses) and np.array_equal(pts, points)
+    x = x0 + rng.normal(0.0, 1e-3, x0.shape) * np.maximum(1.0, np.abs(x0))
+    supplied = problem.jacobian(x)
+    assert isinstance(supplied, sparse.csr_array) == points_free
+    assert isinstance(supplied, np.ndarray) != points_free
+    if points_free:
+        supplied = supplied.toarray()
+    numeric = numeric_jacobian(LeastSquaresProblem(problem.residual), x)
+    assert supplied.shape == (2 * len(obs_pose), int(free.sum()))
+    assert _relative_error(supplied, numeric) < 1e-5
 
 
 def test_pixel_to_normalized_principal_point(ref_intrinsics):

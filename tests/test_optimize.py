@@ -70,6 +70,23 @@ def test_lm_cost_history_is_non_increasing():
         assert np.all(np.diff(hist) <= 0)
 
 
+def inconsistent(x):
+    """A problem with a nonzero residual at its optimum."""
+    return np.array([x[0] ** 2 - 2.0, x[0] * x[1] - 1.0, x[1] - 0.5])
+
+
+@pytest.mark.parametrize("residual, x0, max_iters, reason", [
+    (inconsistent, [1.0, 1.0], 100, "cost-tol"),
+    (rosenbrock, [-1.2, 1.0], 100, "step-tol"),
+    (rosenbrock, [-1.2, 1.0], 3, "max-iter"),
+])
+def test_lm_report_carries_final_residual(residual, x0, max_iters, reason):
+    problem = LeastSquaresProblem(residual)
+    report = levenberg_marquardt(problem, np.array(x0), LmConfig(max_iters=max_iters))
+    assert report.reason == reason
+    assert report.residual.tobytes() == problem.residual(report.params).tobytes()
+
+
 def test_lm_invariant_to_residual_permutation():
     rng = np.random.default_rng(0)
     a = rng.normal(size=(12, 3))

@@ -286,16 +286,18 @@ def test_ba_marks_tracks_behind_any_observing_view(ref_intrinsics, monkeypatch):
     # point at z = -10 is behind views 0 and 1 and in front of view 2.
     scene, _ = build_scene(ref_intrinsics, n_points=6, n_views=3, seed=4)
     scene.tracks[5].observations = scene.tracks[5].observations[2:]
-    _, x0, _, point_start, *_ = _build_ba_problem(scene)
+    _, x0, _, track_ids, _ = _build_ba_problem(scene)
     moved = x0.copy()
-    points = moved[point_start:].reshape(-1, 3)
+    # The points are the last free entries, 3 per track.
+    points = moved[x0.size - 3 * len(track_ids):].reshape(-1, 3)
     points[0] = [0.0, 0.0, -50.0]  # behind every view
     points[1] = [0.0, 0.0, -10.0]  # behind two of its three views
     points[2] = np.nan
     points[5] = [0.0, 0.0, -10.0]  # seen only by view 2, in front of it
     monkeypatch.setattr(
         "camkit.sfm.levenberg_marquardt",
-        lambda problem, x, cfg: LmReport(moved, 0.0, 0.0, 1, "cost-tol"))
+        lambda problem, x, cfg: LmReport(moved, 0.0, 0.0, 1, "cost-tol",
+                                         residual=problem.residual(moved)))
     adjusted = bundle_adjust(scene)
     for track in adjusted.tracks:
         expected = all(camera_depths(track.point, adjusted.poses[v])[0] > 0
