@@ -136,7 +136,8 @@ def render_board(spec: CheckerboardSpec, intrinsics: CameraIntrinsics,
     inputs give bit-identical images. Raises BoardBehindCamera when every
     board corner has non-positive depth.
     """
-    if np.all(camera_depths(board_outline(spec), pose) <= 0):
+    outline = board_outline(spec)
+    if np.all(camera_depths(outline, pose) <= 0):
         raise BoardBehindCamera("all board corners have non-positive depth")
 
     rot, t = pose.rotation, pose.translation
@@ -144,8 +145,7 @@ def render_board(spec: CheckerboardSpec, intrinsics: CameraIntrinsics,
     # hit point's board coordinates are (d . r_k) * scale - t . r_k.
     offset, tx, ty = float(rot[:, 2] @ t), float(rot[:, 0] @ t), float(rot[:, 1] @ t)
     s = spec.square_size
-    x0, x1 = -s, (spec.squares_x - 1) * s
-    y0, y1 = -s, (spec.squares_y - 1) * s
+    (x0, y0), (x1, y1) = outline[0, :2], outline[2, :2]
 
     def shade(dirs):
         abc = dirs @ rot

@@ -10,9 +10,14 @@ the image's structure box (the pixels that differ from a neighbour, grown by
 the filter radius) and edge-pad the result: the same arrays as full-frame
 filtering, from a tenth to a fifth of the pixels of a board render. The
 subpixel refinement and the ring test each handle all candidates at once,
-through the batched helpers of :mod:`camkit.imageops`. The 180-degree
-ambiguity of the asymmetric board is resolved by requiring the square
-diagonally inward from the origin corner to be black.
+through the batched helpers of :mod:`camkit.imageops`.
+
+Orientation: one homography H maps the board's corners to the grid as
+assembled. Reversing the grid's rows or columns reflects the board frame
+about its centre, so the sign of ``det(H) w`` there (the Jacobian
+determinant is ``det(H) / w^3``), flipped once per reversal, keeps two of
+the four orderings; the board's is the one that sees a black square
+diagonally inward from the origin corner and a white one beside it.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy import ndimage
 
-from .board import CheckerboardSpec, CornerGrid
+from .board import CheckerboardSpec, CornerGrid, board_world_points
 from .errors import AmbiguousGrid, BoardNotFound, CountMismatch
 from .homography import apply_homography, estimate_homography
 from .imageops import (bilinear_sample, quadratic_peak_offset,
@@ -148,14 +153,6 @@ def _grow_lattice(points: np.ndarray, responses: np.ndarray,
     return lattice
 
 
-def _map_jacobian_sign(h: np.ndarray, center: np.ndarray) -> float:
-    eps = 1e-3
-    probe = np.array([center, center + [eps, 0.0], center + [0.0, eps]])
-    mapped = apply_homography(h, probe)
-    j = np.column_stack([mapped[1] - mapped[0], mapped[2] - mapped[0]])
-    return float(np.linalg.det(j))
-
-
 def detect_corners(image: np.ndarray, spec: CheckerboardSpec,
                    view_id: str = "") -> CornerGrid:
     """Find all interior corners of ``spec``'s board in a grayscale image.
@@ -202,37 +199,38 @@ def detect_corners(image: np.ndarray, spec: CheckerboardSpec,
         )
 
     nx, ny = spec.corners_x, spec.corners_y
-    if dims == (nx, ny):
-        cell_of = lambda p, q: (p - p0, q - q0)
-    elif dims == (ny, nx):
-        cell_of = lambda p, q: (q - q0, p - p0)
-    else:
+    if dims not in ((nx, ny), (ny, nx)):
         raise CountMismatch(f"found a {dims[0]}x{dims[1]} grid, expected {nx}x{ny}")
 
-    grid = np.empty((ny, nx, 2))
+    grid = np.empty((dims[1], dims[0], 2))
     for (p, q), idx in lattice.items():
-        i, j = cell_of(p, q)
-        grid[j, i] = refined[idx]
+        grid[q - q0, p - p0] = refined[idx]
+    if dims != (nx, ny):
+        grid = grid.transpose(1, 0, 2)
 
-    world = np.array([(i * spec.square_size, j * spec.square_size)
-                      for j in range(ny) for i in range(nx)])
-    s = spec.square_size
+    return CornerGrid(corners=_orient_grid(grid, smooth, spec), view_id=view_id)
+
+
+def _orient_grid(grid: np.ndarray, smooth: np.ndarray,
+                 spec: CheckerboardSpec) -> np.ndarray:
+    """The corners of an assembled ``(ny, nx, 2)`` grid in board order."""
+    world = board_world_points(spec)[:, :2]
+    far = world[-1]  # the corner opposite the origin
+    h = estimate_homography(world, grid.reshape(-1, 2))
+    handed = np.linalg.det(h) * (h[2] @ np.append(far / 2.0, 1.0))
+    probes = spec.square_size * np.array([[0.5, 0.5], [1.5, 0.5]])
     accepted = None
     for flip_i in (False, True):
         for flip_j in (False, True):
-            cand = grid[::-1] if flip_j else grid
-            cand = cand[:, ::-1] if flip_i else cand
-            pixels = cand.reshape(-1, 2)
-            h = estimate_homography(world, pixels)
-            center = np.array([(nx - 1) * s / 2.0, (ny - 1) * s / 2.0])
-            if _map_jacobian_sign(h, center) <= 0:
+            if handed * (-1) ** (flip_i + flip_j) <= 0:
                 continue
-            inner = bilinear_sample(smooth, apply_homography(h, [[s / 2, s / 2]]))[0]
-            outer = bilinear_sample(smooth, apply_homography(h, [[3 * s / 2, s / 2]]))[0]
+            mirrored = np.where([flip_i, flip_j], far - probes, probes)
+            inner, outer = bilinear_sample(smooth, apply_homography(h, mirrored))
             if inner < 0.4 and outer > 0.6:
                 if accepted is not None:
                     raise AmbiguousGrid("two orientations both look valid")
-                accepted = pixels
+                cand = grid[::-1] if flip_j else grid
+                accepted = (cand[:, ::-1] if flip_i else cand).reshape(-1, 2)
     if accepted is None:
         raise AmbiguousGrid("no orientation satisfies the coloring rule")
-    return CornerGrid(corners=accepted, view_id=view_id)
+    return accepted

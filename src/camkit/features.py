@@ -31,6 +31,7 @@ EDGE_RATIO = 10.0
 DESCRIPTOR_GRID = 4
 DESCRIPTOR_BINS = 4
 MIN_IMAGE_SIDE = 32
+MATCH_RATIO = 0.8
 
 
 @dataclass(frozen=True)
@@ -254,14 +255,13 @@ def detect_features(image: np.ndarray, max_features: int = 1000) -> list[Feature
     return found[:max_features]
 
 
-def match_features(a: list[Feature], b: list[Feature],
-                   ratio: float = 0.8) -> np.ndarray:
+def match_features(a: list[Feature], b: list[Feature]) -> np.ndarray:
     """Mutual-nearest-neighbor descriptor matching with a ratio test.
 
     Returns an (m, 2) array of (index in a, index in b) pairs, sorted by the
     first index. A pair is kept only when each side is the other's nearest
-    neighbor and passes the nearest/second-nearest ratio test, which makes
-    the result symmetric in ``a`` and ``b``.
+    neighbor and passes the nearest/second-nearest ratio test at
+    ``MATCH_RATIO``, which makes the result symmetric in ``a`` and ``b``.
     """
     if not a or not b:
         return np.empty((0, 2), dtype=np.int64)
@@ -288,7 +288,7 @@ def match_features(a: list[Feature], b: list[Feature],
     bwd, d1b, d2b = nearest_two(d2.T)
 
     ia = np.arange(len(fwd))
-    ok_a = np.where(np.isfinite(d2a), d1a < ratio * d2a, True)
-    ok_b = np.where(np.isfinite(d2b), d1b < ratio * d2b, True)
+    ok_a = np.where(np.isfinite(d2a), d1a < MATCH_RATIO * d2a, True)
+    ok_b = np.where(np.isfinite(d2b), d1b < MATCH_RATIO * d2b, True)
     keep = (bwd[fwd] == ia) & ok_a & ok_b[fwd]
     return np.column_stack([ia[keep], fwd[keep]]).astype(np.int64)

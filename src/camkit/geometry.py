@@ -25,6 +25,7 @@ from .errors import InvalidRotation, NoConvergence, NonPositiveDepth
 from .optimize import LeastSquaresProblem
 
 _ORTHONORMALITY_TOL = 1e-9
+_UNDISTORT_ITERS = 50
 # Column order of the intrinsics and distortion Jacobian blocks.
 INTRINSIC_NAMES = ("fx", "fy", "cx", "cy", "skew")
 DISTORTION_NAMES = ("k1", "k2", "k3", "p1", "p2")
@@ -204,14 +205,13 @@ def distort_normalized(normalized, dist: DistortionCoeffs):
     return out[0] if single else out
 
 
-def undistort_normalized(normalized, dist: DistortionCoeffs, *,
-                         tol: float = 1e-12, max_iters: int = 50):
+def undistort_normalized(normalized, dist: DistortionCoeffs, *, tol: float = 1e-12):
     """Invert :func:`distort_normalized` by fixed-point iteration.
 
     Starting from the distorted point, each step removes the tangential shift
     and divides out the radial factor evaluated at the current estimate.
-    Raises NoConvergence if the step size stays above ``tol`` after
-    ``max_iters`` iterations (out-of-domain input or extreme coefficients).
+    Raises NoConvergence when steps stay above ``tol`` for ``_UNDISTORT_ITERS``
+    iterations (out-of-domain input or extreme coefficients).
     """
     pts, single = _as_batch(normalized, 2)
     if dist.is_zero:
@@ -220,7 +220,7 @@ def undistort_normalized(normalized, dist: DistortionCoeffs, *,
     xd, yd = pts[:, 0], pts[:, 1]
     x, y = xd.copy(), yd.copy()
     active = np.arange(len(x))  # points whose last step was still >= tol
-    for _ in range(max_iters):
+    for _ in range(_UNDISTORT_ITERS):
         xa, ya = x[active], y[active]
         r2 = xa * xa + ya * ya
         radial = 1.0 + r2 * (dist.k1 + r2 * (dist.k2 + r2 * dist.k3))
@@ -236,7 +236,7 @@ def undistort_normalized(normalized, dist: DistortionCoeffs, *,
             break
     else:
         raise NoConvergence(
-            f"undistortion did not converge in {max_iters} iterations"
+            f"undistortion did not converge in {_UNDISTORT_ITERS} iterations"
         )
     out = np.column_stack([x, y])
     return out[0] if single else out
@@ -510,32 +510,20 @@ def rotation_to_axis_angle(rotation) -> np.ndarray:
     _check_rotation(r)
 
     tr = r[0, 0] + r[1, 1] + r[2, 2]
-    pivots = (tr, r[0, 0], r[1, 1], r[2, 2])
-    case = int(np.argmax(pivots))
-    if case == 0:
-        s = 2.0 * np.sqrt(1.0 + tr)
-        q = np.array([0.25 * s,
-                      (r[2, 1] - r[1, 2]) / s,
-                      (r[0, 2] - r[2, 0]) / s,
-                      (r[1, 0] - r[0, 1]) / s])
-    elif case == 1:
-        s = 2.0 * np.sqrt(1.0 + r[0, 0] - r[1, 1] - r[2, 2])
-        q = np.array([(r[2, 1] - r[1, 2]) / s,
-                      0.25 * s,
-                      (r[0, 1] + r[1, 0]) / s,
-                      (r[0, 2] + r[2, 0]) / s])
-    elif case == 2:
-        s = 2.0 * np.sqrt(1.0 + r[1, 1] - r[0, 0] - r[2, 2])
-        q = np.array([(r[0, 2] - r[2, 0]) / s,
-                      (r[0, 1] + r[1, 0]) / s,
-                      0.25 * s,
-                      (r[1, 2] + r[2, 1]) / s])
-    else:
-        s = 2.0 * np.sqrt(1.0 + r[2, 2] - r[0, 0] - r[1, 1])
-        q = np.array([(r[1, 0] - r[0, 1]) / s,
-                      (r[0, 2] + r[2, 0]) / s,
-                      (r[1, 2] + r[2, 1]) / s,
-                      0.25 * s])
+    # Row c holds 4 q_c q; its diagonal entry 4 q_c^2 gives s = 4 |q_c|.
+    rows = np.array([
+        [1.0 + tr, r[2, 1] - r[1, 2], r[0, 2] - r[2, 0], r[1, 0] - r[0, 1]],
+        [r[2, 1] - r[1, 2], 1.0 + r[0, 0] - r[1, 1] - r[2, 2],
+         r[0, 1] + r[1, 0], r[0, 2] + r[2, 0]],
+        [r[0, 2] - r[2, 0], r[0, 1] + r[1, 0],
+         1.0 + r[1, 1] - r[0, 0] - r[2, 2], r[1, 2] + r[2, 1]],
+        [r[1, 0] - r[0, 1], r[0, 2] + r[2, 0], r[1, 2] + r[2, 1],
+         1.0 + r[2, 2] - r[0, 0] - r[1, 1]],
+    ])
+    c = int(np.argmax((tr, r[0, 0], r[1, 1], r[2, 2])))
+    s = 2.0 * np.sqrt(rows[c, c])
+    q = rows[c] / s
+    q[c] = 0.25 * s
     if q[0] < 0:
         q = -q
 

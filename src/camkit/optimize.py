@@ -28,6 +28,7 @@ _INITIAL_DAMPING = 1e-3
 _DAMPING_UP = 10.0
 _DAMPING_DOWN = 0.1
 _MAX_DAMPING = 1e10
+_FD_EPS = 1e-6
 
 
 @dataclass
@@ -81,13 +82,13 @@ def _eval_residual(problem: LeastSquaresProblem, x: np.ndarray) -> np.ndarray:
     return r
 
 
-def numeric_jacobian(problem: LeastSquaresProblem, x, eps: float = 1e-6) -> np.ndarray:
-    """Central-difference Jacobian with per-parameter step ``eps*max(1,|x_j|)``."""
+def numeric_jacobian(problem: LeastSquaresProblem, x) -> np.ndarray:
+    """Central-difference Jacobian, step ``_FD_EPS * max(1, |x_j|)`` per parameter."""
     x = np.asarray(x, dtype=np.float64).ravel()
     r0 = _eval_residual(problem, x)
     jac = np.empty((r0.size, x.size))
     for j in range(x.size):
-        h = eps * max(1.0, abs(x[j]))
+        h = _FD_EPS * max(1.0, abs(x[j]))
         xp = x.copy()
         xp[j] += h
         xm = x.copy()

@@ -14,6 +14,7 @@ coordinate of the second pose's translation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from itertools import chain
 
 import numpy as np
 
@@ -102,9 +103,12 @@ class PointCloud:
 def _observations(tracks, views) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(track index, view, feature index) arrays of every observation of
     ``tracks`` in ``views``, in track-then-view order."""
-    obs = [(k, v, fi) for k, track in enumerate(tracks)
-           for v, fi in track.observations if v in views]
-    return np.array(obs, dtype=np.int64).reshape(-1, 3).T
+    lengths = [len(t.observations) for t in tracks]
+    flat = chain.from_iterable(chain.from_iterable(t.observations for t in tracks))
+    pairs = np.fromiter(flat, dtype=np.int64, count=2 * sum(lengths)).reshape(-1, 2)
+    keep = np.isin(pairs[:, 0], list(views))
+    owner = np.repeat(np.arange(len(tracks)), lengths)[keep]
+    return owner, pairs[keep, 0], pairs[keep, 1]
 
 
 def _pair_seed(seed: int, i: int, j: int) -> int:
@@ -144,23 +148,22 @@ def _linear_resection(world: np.ndarray, norm_xy: np.ndarray) -> CameraPose:
 
 def _refresh_triangulations(scene: SfmScene, normalized) -> None:
     """Triangulate, in one batch, every track that is not yet valid and has
-    at least two registered observations."""
+    at least two registered observations, replacing each in ``scene.tracks``."""
     views = list(scene.poses)
     column = {v: c for c, v in enumerate(views)}
-    pending = [track for track in scene.tracks
+    pending = [k for k, track in enumerate(scene.tracks)
                if not (track.valid and track.point is not None)
                and sum(v in column for v, _ in track.observations) >= 2]
     x = np.zeros((len(pending), len(views), 2))
     seen = np.zeros((len(pending), len(views)), dtype=bool)
-    owner, obs_view, feature = _observations(pending, column)
+    owner, obs_view, feature = _observations([scene.tracks[k] for k in pending], column)
     for v, c in column.items():
         sel = obs_view == v
         x[owner[sel], c] = normalized[v][feature[sel]]
         seen[owner[sel], c] = True
     points, valid = triangulate_views([scene.poses[v] for v in views], x, seen)
-    for track, point, ok in zip(pending, points, valid):
-        track.point = point
-        track.valid = bool(ok)
+    for k, point, ok in zip(pending, points, valid):
+        scene.tracks[k] = replace(scene.tracks[k], point=point, valid=bool(ok))
 
 
 def reconstruct(images, intrinsics: CameraIntrinsics, dist: DistortionCoeffs,
@@ -353,10 +356,11 @@ def bundle_adjust(scene: SfmScene, lm_config: LmConfig | None = None) -> SfmScen
     The first registered pose stays fixed and so does the coordinate of the
     second pose's translation with the largest magnitude, which removes the
     gauge freedom. Intrinsics and distortion are not touched.
-    Returns a new scene; the accepted cost never increases. Tracks that end
-    behind a camera are marked invalid, and the scene's
-    ``mean_reprojection_error`` is the mean pixel error over the observations
-    of the tracks that stay valid, taken from the final BA residual.
+    Returns a new scene, sharing the tracks it did not adjust with the
+    input; the accepted cost never increases. Tracks that end behind a
+    camera are marked invalid, and the scene's ``mean_reprojection_error``
+    is the mean pixel error over the observations of the tracks that stay
+    valid, taken from the final BA residual.
     """
     problem, x0, unpack, track_ids, (obs_view, obs_track) = _build_ba_problem(scene)
     report = levenberg_marquardt(problem, x0, lm_config or LmConfig(max_iters=50))
@@ -365,15 +369,15 @@ def bundle_adjust(scene: SfmScene, lm_config: LmConfig | None = None) -> SfmScen
     new_poses = dict(scene.poses)
     for v, p in zip(scene.view_order[1:], pose_params[1:]):
         new_poses[v] = CameraPose.from_axis_angle(p[:3], p[3:])
-    new_tracks = [replace(t) for t in scene.tracks]
     in_front = np.ones(len(track_ids), dtype=bool)
     for v in new_poses:
         owners = obs_track[obs_view == v]
         depth = camera_depths(pts[owners], new_poses[v])
         in_front[owners[~(depth > 0)]] = False
+    new_tracks = list(scene.tracks)
     for local, ti in enumerate(track_ids):
-        new_tracks[ti].point = pts[local].copy()
-        new_tracks[ti].valid = bool(in_front[local])
+        new_tracks[ti] = replace(new_tracks[ti], point=pts[local].copy(),
+                                 valid=bool(in_front[local]))
 
     errors = np.linalg.norm(report.residual.reshape(-1, 2), axis=1)[in_front[obs_track]]
     return replace(scene, poses=new_poses, tracks=new_tracks,

@@ -21,6 +21,8 @@ from .geometry import (
     undistort_normalized,
 )
 
+MAX_TILT_DEG = 40.0
+
 
 def _rot_xyz(ax: float, ay: float, az: float) -> np.ndarray:
     cx, sx = np.cos(ax), np.sin(ax)
@@ -37,29 +39,20 @@ def frontoparallel_pose(spec: CheckerboardSpec, intrinsics: CameraIntrinsics,
     """Board facing the camera head-on with one square ~``square_px`` wide,
     centered on the principal axis."""
     depth = intrinsics.fx * spec.square_size / square_px
-    center = np.array([
-        (spec.squares_x - 2) * spec.square_size / 2.0,
-        (spec.squares_y - 2) * spec.square_size / 2.0,
-        0.0,
-    ])
+    center = board_world_points(spec)[-1] / 2.0  # corner 0 is the origin
     return CameraPose(np.eye(3), np.array([0.0, 0.0, depth]) - center)
 
 
 def sample_board_poses(spec: CheckerboardSpec, intrinsics: CameraIntrinsics,
                        dist: DistortionCoeffs, width: int, height: int,
-                       n_views: int, rng: np.random.Generator,
-                       max_tilt_deg: float = 40.0) -> list[CameraPose]:
+                       n_views: int, rng: np.random.Generator) -> list[CameraPose]:
     """Random front-facing poses keeping the whole board inside the image.
 
-    Tilts about both board axes are drawn up to ``max_tilt_deg`` and the
+    Tilts about both board axes are drawn up to ``MAX_TILT_DEG`` and the
     in-plane angle freely, with the board center aimed near a random image
     point; candidates that clip the image border are rejected and redrawn.
     """
-    board_center = np.array([
-        (spec.squares_x - 2) * spec.square_size / 2.0,
-        (spec.squares_y - 2) * spec.square_size / 2.0,
-        0.0,
-    ])
+    board_center = board_world_points(spec)[-1] / 2.0  # corner 0 is the origin
     diag_mm = np.hypot(spec.squares_x, spec.squares_y) * spec.square_size
     f = 0.5 * (intrinsics.fx + intrinsics.fy)
     base_depth = f * diag_mm / (0.55 * min(width, height))
@@ -71,7 +64,7 @@ def sample_board_poses(spec: CheckerboardSpec, intrinsics: CameraIntrinsics,
         attempts += 1
         if attempts > 200 * n_views:
             raise RuntimeError("could not sample enough valid board poses")
-        tilt = np.deg2rad(max_tilt_deg)
+        tilt = np.deg2rad(MAX_TILT_DEG)
         ax, ay = rng.uniform(-tilt, tilt, size=2)
         az = rng.uniform(-np.pi, np.pi)
         rot = _rot_xyz(ax, ay, az)

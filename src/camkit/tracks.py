@@ -1,10 +1,12 @@
-"""Multi-view correspondence tracks via union-find over feature nodes."""
+"""Multi-view correspondence tracks: connected components of the match graph."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
+from scipy.sparse.csgraph import connected_components
 
 
 @dataclass(frozen=True)
@@ -29,7 +31,8 @@ class Track:
     """One physical point observed in several views.
 
     ``observations`` holds (view id, feature index) sorted by view id, at
-    most one per view. ``point`` is filled in once triangulated.
+    most one per view. ``point`` is filled in once triangulated, by a new
+    Track: the pipeline replaces tracks and never changes one in place.
     """
 
     observations: tuple[tuple[int, int], ...]
@@ -40,50 +43,31 @@ class Track:
         return len(self.observations)
 
 
-class _UnionFind:
-    def __init__(self):
-        self.parent: dict = {}
-
-    def find(self, u):
-        root = u
-        while self.parent.setdefault(root, root) != root:
-            root = self.parent[root]
-        while self.parent[u] != root:  # path compression
-            self.parent[u], u = root, self.parent[u]
-        return root
-
-    def union(self, u, v):
-        ru, rv = self.find(u), self.find(v)
-        if ru != rv:
-            # Deterministic: smaller node becomes the root.
-            if rv < ru:
-                ru, rv = rv, ru
-            self.parent[rv] = ru
-
-
 def build_tracks(match_pairs: list[MatchPair]) -> list[Track]:
     """Connected components of the match graph, as consistent tracks.
 
-    Components containing two features of the same view are contradictory
-    and dropped entirely; only tracks of length >= 2 are returned. The
-    result is independent of the order of ``match_pairs``.
+    The graph's nodes are the distinct (view, feature index) pairs and each
+    match is an edge. Components containing two features of the same view
+    are contradictory and dropped entirely; only tracks of length >= 2 are
+    returned. The result is independent of the order of ``match_pairs``.
     """
-    uf = _UnionFind()
-    for mp in match_pairs:
-        for fi, fj in mp.pairs:
-            uf.union((mp.view_i, int(fi)), (mp.view_j, int(fj)))
-
-    groups: dict = {}
-    for node in sorted(uf.parent):
-        groups.setdefault(uf.find(node), []).append(node)
-
+    edges = np.concatenate([np.empty((0, 4), dtype=np.int64)] + [
+        np.column_stack([np.full(len(mp.pairs), mp.view_i), mp.pairs[:, 0],
+                         np.full(len(mp.pairs), mp.view_j), mp.pairs[:, 1]])
+        for mp in match_pairs])
+    if not len(edges):
+        return []
+    nodes, index = np.unique(edges.reshape(-1, 2), axis=0, return_inverse=True)
+    index = index.reshape(-1, 2)
+    graph = sparse.coo_array((np.ones(len(index)), (index[:, 0], index[:, 1])),
+                             shape=(len(nodes), len(nodes)))
+    _, labels = connected_components(graph, directed=False)
+    # A stable sort keeps each component's nodes in (view, feature) order.
+    order = np.argsort(labels, kind="stable")
     tracks = []
-    for _, nodes in sorted(groups.items()):
-        views = [v for v, _ in nodes]
-        if len(set(views)) != len(views):
-            continue  # same view twice: inconsistent component
-        if len(nodes) < 2:
-            continue
-        tracks.append(Track(observations=tuple(sorted(nodes))))
+    for group in np.split(nodes[order], np.flatnonzero(np.diff(labels[order])) + 1):
+        if len(group) < 2 or np.any(group[1:, 0] == group[:-1, 0]):
+            continue  # a lone node, or the same view twice: inconsistent
+        tracks.append(Track(observations=tuple(map(tuple, group.tolist()))))
     tracks.sort(key=lambda t: t.observations)
     return tracks

@@ -1,3 +1,5 @@
+import contextlib
+
 import numpy as np
 import pytest
 from scipy import ndimage
@@ -14,10 +16,11 @@ from camkit import (
 from camkit.corners import (
     _RELATIVE_THRESHOLD,
     _local_maxima,
+    _orient_grid,
     _x_junction_mask,
     corner_response,
 )
-from camkit.errors import BoardNotFound, CountMismatch
+from camkit.errors import AmbiguousGrid, BoardNotFound, CountMismatch
 from camkit.imageops import bilinear_sample, to_float
 from camkit.synthetic import frontoparallel_pose, sample_board_poses
 
@@ -169,3 +172,69 @@ def test_ring_test_matches_per_candidate_oracle(rendered_views):
         faint = 0.5 + 0.1 * (smooth - 0.5)
         assert np.array_equal(_x_junction_mask(faint, points),
                               _oracle_x_junction_mask(faint, points))
+
+
+# Oracle: the orientation search that _orient_grid replaces, one homography
+# fit and one finite-difference handedness test per corner ordering, kept
+# verbatim so the one-fit version can be checked on the same grids.
+
+def _oracle_map_jacobian_sign(h, center):
+    eps = 1e-3
+    probe = np.array([center, center + [eps, 0.0], center + [0.0, eps]])
+    mapped = apply_homography(h, probe)
+    j = np.column_stack([mapped[1] - mapped[0], mapped[2] - mapped[0]])
+    return float(np.linalg.det(j))
+
+
+def _oracle_orient_grid(grid, smooth, spec):
+    nx, ny = spec.corners_x, spec.corners_y
+    world = np.array([(i * spec.square_size, j * spec.square_size)
+                      for j in range(ny) for i in range(nx)])
+    s = spec.square_size
+    accepted = None
+    for flip_i in (False, True):
+        for flip_j in (False, True):
+            cand = grid[::-1] if flip_j else grid
+            cand = cand[:, ::-1] if flip_i else cand
+            pixels = cand.reshape(-1, 2)
+            h = estimate_homography(world, pixels)
+            center = np.array([(nx - 1) * s / 2.0, (ny - 1) * s / 2.0])
+            if _oracle_map_jacobian_sign(h, center) <= 0:
+                continue
+            inner = bilinear_sample(smooth, apply_homography(h, [[s / 2, s / 2]]))[0]
+            outer = bilinear_sample(smooth, apply_homography(h, [[3 * s / 2, s / 2]]))[0]
+            if inner < 0.4 and outer > 0.6:
+                if accepted is not None:
+                    raise AmbiguousGrid("two orientations both look valid")
+                accepted = pixels
+    if accepted is None:
+        raise AmbiguousGrid("no orientation satisfies the coloring rule")
+    return accepted
+
+
+def _orientation_outcome(orient, *args):
+    try:
+        return orient(*args).tobytes()
+    except AmbiguousGrid as exc:
+        return str(exc)
+
+
+def test_orientation_matches_four_fit_oracle(board_spec, rendered_views,
+                                             monkeypatch):
+    # Mirrored and transposed views show a reflected board, which no other
+    # test feeds to the detector.
+    outcomes = []
+
+    def both(*args):
+        outcomes.append([_orientation_outcome(orient, *args)
+                         for orient in (_orient_grid, _oracle_orient_grid)])
+        return _orient_grid(*args)
+
+    monkeypatch.setattr("camkit.corners._orient_grid", both)
+    for image in rendered_views[0]:
+        for view in (image, image[:, ::-1], image[::-1], image.T):
+            with contextlib.suppress(AmbiguousGrid):
+                detect_corners(view, board_spec)
+    assert len(outcomes) == 4 * len(rendered_views[0])
+    for found, expected in outcomes:
+        assert found == expected

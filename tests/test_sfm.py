@@ -28,7 +28,7 @@ from camkit.optimize import (
     numeric_jacobian,
 )
 from camkit.sfm import (SfmConfig, SfmScene, _build_ba_problem, _next_view,
-                         _register_view)
+                         _refresh_triangulations, _register_view)
 from camkit.synthetic import cube_ray_points
 from camkit.tracks import Track
 
@@ -371,6 +371,30 @@ def test_register_view_needs_six_observations(ref_intrinsics):
     assert registered.view_order == (0, 1, 2)
     assert np.allclose(registered.poses[2].translation, truth.translation,
                        atol=1e-6)
+
+
+def test_adjusting_and_retriangulating_leave_input_tracks(ref_intrinsics):
+    # Tracks are values: bundle adjustment and re-triangulation replace the
+    # tracks they change, so the input scene's tracks keep their state even
+    # where the returned scene still shares them.
+    scene, _ = build_scene(ref_intrinsics, n_points=20, seed=2, point_noise=1.0)
+    for track in scene.tracks[15:]:
+        track.point, track.valid = None, False
+    before = [(None if t.point is None else t.point.copy(), t.valid)
+              for t in scene.tracks]
+
+    def unchanged():
+        return all(t.valid == valid and (t.point is None if point is None
+                                         else np.array_equal(t.point, point))
+                   for t, (point, valid) in zip(scene.tracks, before))
+
+    adjusted = bundle_adjust(scene)
+    assert unchanged()
+    normalized = {v: pixel_to_normalized(px, ref_intrinsics)
+                  for v, px in scene.features.items()}
+    _refresh_triangulations(adjusted, normalized)
+    assert all(t.valid for t in adjusted.tracks)
+    assert unchanged()
 
 
 def test_export_point_cloud_intensity_mean(ref_intrinsics):
