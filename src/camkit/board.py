@@ -19,11 +19,11 @@ import numpy as np
 
 from .errors import BoardBehindCamera
 from .geometry import (
+    RENDER_TILE,
     CameraIntrinsics,
     CameraPose,
     DistortionCoeffs,
     camera_depths,
-    render_ray_grid,
     subpixel_ray_grid,
 )
 
@@ -126,15 +126,19 @@ def render_board(spec: CheckerboardSpec, intrinsics: CameraIntrinsics,
     """Render the board seen by the given camera, 4x4 supersampled.
 
     Each output pixel averages a 4x4 grid of sub-rays cast through the lens
-    model onto the board plane. The rays are cached for the most recent
-    camera and image size (:func:`~camkit.geometry.subpixel_ray_grid`), so
-    views rendered in a row with one camera share them. They are shaded in
-    chunks of about 2^16 (:func:`~camkit.geometry.render_ray_grid`): one
-    matrix product with the rotation gives every ray's plane scale and board
-    coordinates, and each sample is black, white or background. A pixel's
-    16 shades sum exactly, so its mean is exact. Deterministic: identical
-    inputs give bit-identical images. Raises BoardBehindCamera when every
-    board corner has non-positive depth.
+    model onto the board plane; each sample is black, white or background.
+    The rays, with the bounds of the rays through each ``RENDER_TILE`` x
+    ``RENDER_TILE``-pixel tile, are cached for the most recent camera and
+    image size (:func:`~camkit.geometry.subpixel_ray_grid`), so views
+    rendered in a row with one camera share them. A tile whose four bound
+    corners all land in one square or margin cell, or all beyond one margin
+    line, takes that shade whole. Only the other tiles, which a square edge,
+    the margin or the horizon crosses or which reach behind the camera, cast
+    their rays one by one, about 2^16 at a time. A pixel's 16 shades sum
+    exactly, so its mean is exact, and deciding a tile whole gives the image
+    that shading every ray would. Deterministic: identical inputs give
+    bit-identical images. Raises BoardBehindCamera when every board corner
+    has non-positive depth.
     """
     outline = board_outline(spec)
     if np.all(camera_depths(outline, pose) <= 0):
@@ -147,15 +151,17 @@ def render_board(spec: CheckerboardSpec, intrinsics: CameraIntrinsics,
     s = spec.square_size
     (x0, y0), (x1, y1) = outline[0, :2], outline[2, :2]
 
-    def shade(dirs):
+    def board_coords(dirs):
         abc = dirs @ rot
-        denom = abc[:, 2]
-        # A ray along the plane gets an inf or NaN scale; the mask below
-        # drops it along with every non-positive scale.
+        denom = abc[..., 2]
+        # A ray along the plane gets an inf or NaN scale; callers mask it.
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             scale = offset / denom
-            x = abc[:, 0] * scale - tx
-            y = abc[:, 1] * scale - ty
+            return denom, scale, abc[..., 0] * scale - tx, abc[..., 1] * scale - ty
+
+    def shade(dirs):
+        denom, scale, x, y = board_coords(dirs)
+        with np.errstate(invalid="ignore"):
             cell = np.floor(x / s).astype(np.int64) + np.floor(y / s).astype(np.int64)
         margin = ((np.abs(denom) > 1e-15) & (scale > 1e-12)
                   & (x >= x0 - s) & (x <= x1 + s) & (y >= y0 - s) & (y <= y1 + s))
@@ -164,5 +170,51 @@ def render_board(spec: CheckerboardSpec, intrinsics: CameraIntrinsics,
                         float(BACKGROUND_GRAY))
 
     # 1e-8 in normalized units is far below the shading resolution.
-    rays = subpixel_ray_grid(intrinsics, dist, width, height, SUPERSAMPLE, 1e-8)
-    return render_ray_grid(rays, width, height, SUPERSAMPLE, shade, 1.0)
+    grid = subpixel_ray_grid(intrinsics, dist, width, height, SUPERSAMPLE, 1e-8)
+    box = np.stack([grid.tile_min, grid.tile_max])
+    n_ty, n_tx = box.shape[1:3]
+    # Corner (i, j) of each tile's box takes x from bound j, y from bound i.
+    corners = np.ones((2, 2, n_ty, n_tx, 3))
+    corners[..., 0] = box[None, :, ..., 0]
+    corners[..., 1] = box[:, None, ..., 1]
+    denom, scale, x, y = (v.reshape(4, n_ty, n_tx)
+                          for v in board_coords(corners.reshape(-1, 3)))
+    # Why a tile can be decided from the four corners of its ray box: the
+    # plane denominator is affine in the ray, so over the box it lies between
+    # its corner values. When all four are safely in front, board coordinates
+    # are a projective map of the box, whose image is the convex quadrilateral
+    # of the corner images. Every shade boundary is a line x = k s or y = k s
+    # (painted area, white margin, squares), so when the corners share
+    # floor(x / s +- 1e-6) and floor(y / s +- 1e-6), a margin far above
+    # rounding, every sample in the tile gets that cell's shade; and a tile
+    # wholly beyond a margin line is background.
+    front = np.all((np.abs(denom) > 1e-9) & (scale > 1e-9), axis=0)
+    nx, ny = spec.squares_x, spec.squares_y
+    with np.errstate(invalid="ignore"):
+        (x_lo, x_hi), (y_lo, y_hi) = (
+            (np.floor(v.min(axis=0) / s - 1e-6), np.floor(v.max(axis=0) / s + 1e-6))
+            for v in (x, y))
+        beyond = (x_hi < -2) | (x_lo >= nx) | (y_hi < -2) | (y_lo >= ny)
+        black = ((x_lo >= -1) & (x_lo < nx - 1) & (y_lo >= -1) & (y_lo < ny - 1)
+                 & ((x_lo + y_lo) % 2 == 0))
+    decided = front & (beyond | ((x_lo == x_hi) & (y_lo == y_hi)))
+    tiles = np.where(beyond, BACKGROUND_GRAY, np.where(black, BLACK, WHITE))
+
+    image = np.empty((n_ty, RENDER_TILE, n_tx, RENDER_TILE), dtype=np.uint8)
+    image[:] = tiles[:, None, :, None]
+    side = RENDER_TILE * SUPERSAMPLE
+    sub = np.arange(side)
+    undecided = np.flatnonzero(~decided)
+    tiles_per_chunk = max(1, 2 ** 16 // side ** 2)
+    for start in range(0, undecided.size, tiles_per_chunk):
+        row, col = np.divmod(undecided[start:start + tiles_per_chunk], n_tx)
+        # A partial tile at the right or bottom edge repeats its last sample
+        # column or row; the crop below drops the pixels they fill.
+        rows = np.minimum(row[:, None] * side + sub, height * SUPERSAMPLE - 1)
+        cols = np.minimum(col[:, None] * side + sub, width * SUPERSAMPLE - 1)
+        index = rows[:, :, None] * (width * SUPERSAMPLE) + cols[:, None, :]
+        values = shade(np.take(grid.rays, index.ravel(), axis=0))
+        image[row, :, col, :] = np.rint(values.reshape(
+            -1, RENDER_TILE, SUPERSAMPLE, RENDER_TILE, SUPERSAMPLE).mean(axis=(2, 4)))
+    image = image.reshape(n_ty * RENDER_TILE, n_tx * RENDER_TILE)
+    return np.ascontiguousarray(image[:height, :width])

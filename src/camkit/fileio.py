@@ -184,14 +184,26 @@ def _distortion_from_json(doc: dict, context: str) -> DistortionCoeffs:
 def _pose_to_json(pose: CameraPose) -> dict:
     return {
         "axis_angle": rotation_to_axis_angle(pose.rotation).tolist(),
+        "rotation": pose.rotation.tolist(),
         "translation": pose.translation.tolist(),
     }
 
 
 def _pose_from_json(doc: dict, context: str) -> CameraPose:
+    """Read a pose from its ``axis_angle``, or from its ``rotation`` matrix
+    when the document lists one: axis-angle to matrix and back is not exact,
+    so only the matrix a file was written from reads back as that pose.
+    Raises SchemaMismatch when the two disagree beyond 1e-12."""
     rvec = np.array(_require(doc, "axis_angle", context), dtype=np.float64)
     t = np.array(_require(doc, "translation", context), dtype=np.float64)
-    return CameraPose(axis_angle_to_rotation(rvec), t)
+    rotation = axis_angle_to_rotation(rvec)
+    if "rotation" in doc:
+        listed = np.array(doc["rotation"], dtype=np.float64)
+        if listed.shape != (3, 3) or not np.max(np.abs(listed - rotation)) <= 1e-12:
+            raise SchemaMismatch(f"{context}: a pose's rotation does not match "
+                                 f"its axis_angle")
+        rotation = listed
+    return CameraPose(rotation, t)
 
 
 def _load_json(path) -> dict:
@@ -287,7 +299,6 @@ def read_calibration(path) -> CalibrationResult:
 
 def write_pose(pose: CameraPose, mean_error: float, path) -> None:
     doc = dict(_pose_to_json(pose),
-               rotation=pose.rotation.tolist(),
                camera_center=pose.center.tolist(),
                mean_error=mean_error,
                units="mm")

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy import sparse
@@ -26,6 +27,8 @@ from .optimize import LeastSquaresProblem
 
 _ORTHONORMALITY_TOL = 1e-9
 _UNDISTORT_ITERS = 50
+# Side, in pixels, of the image tiles whose ray bounds subpixel_ray_grid keeps.
+RENDER_TILE = 4
 # Column order of the intrinsics and distortion Jacobian blocks.
 INTRINSIC_NAMES = ("fx", "fy", "cx", "cy", "skew")
 DISTORTION_NAMES = ("k1", "k2", "k3", "p1", "p2")
@@ -242,46 +245,79 @@ def undistort_normalized(normalized, dist: DistortionCoeffs, *, tol: float = 1e-
     return out[0] if single else out
 
 
+class RayGrid(NamedTuple):
+    """The sub-pixel rays of an image and the bounds of each tile's rays.
+
+    ``rays`` is a read-only ``(height * ss * width * ss, 3)`` array of
+    undistorted ``(x, y, 1)`` rays in row-major sub-pixel order (sub-rows,
+    then sub-columns). The image is cut into ``RENDER_TILE`` x
+    ``RENDER_TILE``-pixel tiles from its top-left corner, partial at the
+    right and bottom edges; ``tile_min`` and ``tile_max`` are read-only
+    ``(tile rows, tile columns, 2)`` arrays holding the least and greatest
+    ``(x, y)`` of the rays through each tile.
+    """
+
+    rays: np.ndarray
+    tile_min: np.ndarray
+    tile_max: np.ndarray
+
+
 @functools.lru_cache(maxsize=1)
 def subpixel_ray_grid(intrinsics: CameraIntrinsics, dist: DistortionCoeffs,
                       width: int, height: int, supersample: int,
-                      tol: float = 1e-12) -> np.ndarray:
+                      tol: float = 1e-12) -> RayGrid:
     """Unit-depth camera rays through every sub-pixel sample of an image.
 
     Each pixel is sampled on a ``supersample`` x ``supersample`` grid centred
-    on it. Returns a read-only ``(height * ss * width * ss, 3)`` array of
-    undistorted ``(x, y, 1)`` rays in row-major sub-pixel order (sub-rows,
-    then sub-columns), undistorted to ``tol`` by :func:`undistort_normalized`.
-    The rays depend on nothing but the arguments, so the most recent grid is
-    cached and shared by every caller (118 MB at 640x480 with 4x4 samples).
+    on it, and the rays are undistorted to ``tol`` by
+    :func:`undistort_normalized`; see :class:`RayGrid` for the layout and the
+    tile bounds. The rays depend on nothing but the arguments, so the most
+    recent grid is cached and shared by every caller (118 MB at 640x480 with
+    4x4 samples).
     """
     ss = supersample
+    side = RENDER_TILE * ss  # samples along a tile side
     sub = (np.arange(ss) + 0.5) / ss - 0.5
     u = (np.arange(width)[:, None] + sub[None, :]).ravel()
     v = (np.arange(height)[:, None] + sub[None, :]).ravel()
-    grid = np.empty((v.size * u.size, 3))
-    grid[:, 2] = 1.0
-    # In chunks of sub-rows: the lens model's temporaries for a whole grid
-    # would outweigh the grid itself.
-    chunk = max(1, 2 ** 20 // u.size) * u.size
-    for start in range(0, len(grid), chunk):
-        uu, vv = np.meshgrid(u, v[start // u.size:(start + chunk) // u.size])
-        px = np.column_stack([uu.ravel(), vv.ravel()])
-        grid[start:start + chunk, :2] = undistort_normalized(
-            pixel_to_normalized(px, intrinsics), dist, tol=tol)
-    grid.setflags(write=False)
+    rays = np.empty((v.size, u.size, 3))
+    rays[..., 2] = 1.0
+    tile_shape = (-(-height // RENDER_TILE), -(-width // RENDER_TILE), 2)
+    tile_min, tile_max = np.empty(tile_shape), np.empty(tile_shape)
+    tile_cols = np.arange(0, u.size, side)
+    # In bands of whole tile rows of about 2^16 rays: the lens model's
+    # temporaries for a whole grid would outweigh the grid itself, and a
+    # band's stay in cache. Undistortion is elementwise, so the bands give
+    # the rays a single call would.
+    band = max(1, 2 ** 16 // (side * u.size)) * side
+    for row0 in range(0, v.size, band):
+        uu, vv = np.meshgrid(u, v[row0:row0 + band])
+        xy = undistort_normalized(
+            pixel_to_normalized(np.column_stack([uu.ravel(), vv.ravel()]),
+                                intrinsics),
+            dist, tol=tol).reshape(uu.shape + (2,))
+        rays[row0:row0 + band, :, :2] = xy
+        tile_rows = np.arange(0, len(xy), side)
+        tiles = slice(row0 // side, row0 // side + tile_rows.size)
+        for reduce, bound in ((np.minimum, tile_min), (np.maximum, tile_max)):
+            bound[tiles] = reduce.reduceat(reduce.reduceat(xy, tile_rows, axis=0),
+                                           tile_cols, axis=1)
+    grid = RayGrid(rays.reshape(-1, 3), tile_min, tile_max)
+    for array in grid:
+        array.setflags(write=False)
     return grid
 
 
 def render_ray_grid(rays: np.ndarray, width: int, height: int, supersample: int,
                     shade, gain: float) -> np.ndarray:
-    """Average shaded sub-pixel rays into a ``(height, width)`` uint8 image.
+    """Average every shaded sub-pixel ray into a ``(height, width)`` uint8 image.
 
-    ``rays`` is a :func:`subpixel_ray_grid`. ``shade`` maps an ``(n, 3)``
-    block of whole sub-pixel rows to ``n`` values; blocks hold about 2^16
-    rays so that the shading temporaries stay in cache. Each pixel is
-    ``gain`` times the mean of its ``supersample``² values, rounded half to
-    even and clipped to 0..255.
+    ``rays`` is the ``rays`` of a :func:`subpixel_ray_grid`. ``shade`` maps
+    an ``(n, 3)`` block of whole sub-pixel rows to ``n`` values; blocks hold
+    about 2^16 rays so that the shading temporaries stay in cache. Each pixel
+    is ``gain`` times the mean of its ``supersample``² values, rounded half to
+    even and clipped to 0..255. The cube renderer shades this way; the board
+    renderer shades only the tiles its square edges cross.
     """
     ss = supersample
     rays_per_row = ss * width * ss

@@ -201,7 +201,7 @@ def render_cube_view(scene: CubeScene, intrinsics: CameraIntrinsics,
     (:func:`~camkit.geometry.subpixel_ray_grid`) and shaded in chunks of
     about 2^16 (:func:`~camkit.geometry.render_ray_grid`).
     """
-    rays = subpixel_ray_grid(intrinsics, dist, width, height, CUBE_SUPERSAMPLE)
+    rays = subpixel_ray_grid(intrinsics, dist, width, height, CUBE_SUPERSAMPLE).rays
     rot, origin = pose.rotation, pose.center
 
     def shade(dirs):

@@ -2,7 +2,7 @@ import hashlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from camkit import (
@@ -17,7 +17,12 @@ from camkit import (
 )
 from camkit.board import BACKGROUND_GRAY, BLACK, SUPERSAMPLE, WHITE
 from camkit.errors import BoardBehindCamera
-from camkit.geometry import subpixel_ray_grid
+from camkit.geometry import (
+    RENDER_TILE,
+    pixel_to_normalized,
+    subpixel_ray_grid,
+    undistort_normalized,
+)
 from camkit.imageops import bilinear_sample, to_float
 from camkit.synthetic import frontoparallel_pose
 
@@ -84,10 +89,12 @@ def test_render_is_deterministic(board_spec, ref_intrinsics, ref_distortion):
     assert not np.array_equal(a, straight)
     assert np.array_equal(a, b)
 
-    rays = subpixel_ray_grid(ref_intrinsics, ref_distortion, 320, 240, SUPERSAMPLE)
-    assert rays.shape == (240 * SUPERSAMPLE * 320 * SUPERSAMPLE, 3)
-    with pytest.raises(ValueError):
-        rays[0, 0] = 0.0
+    grid = subpixel_ray_grid(ref_intrinsics, ref_distortion, 320, 240, SUPERSAMPLE)
+    assert grid.rays.shape == (240 * SUPERSAMPLE * 320 * SUPERSAMPLE, 3)
+    assert grid.tile_min.shape == grid.tile_max.shape == (60, 80, 2)
+    for array in grid:
+        with pytest.raises(ValueError):
+            array[0, 0] = 0.0
 
 
 def test_render_square_shades(board_spec, ref_intrinsics):
@@ -136,7 +143,7 @@ def _oracle_render_board(spec, intrinsics, dist, pose, width, height):
     """The masked per-ray render: intersect only the rays with a positive
     plane scale, shade those hits, scatter them back, average 4x4 blocks."""
     ss = SUPERSAMPLE
-    rays = subpixel_ray_grid(intrinsics, dist, width, height, ss, 1e-8)
+    rays = subpixel_ray_grid(intrinsics, dist, width, height, ss, 1e-8).rays
     normal_cam = pose.rotation[:, 2]
     offset = float(normal_cam @ pose.translation)
     denom = rays @ normal_cam
@@ -171,26 +178,120 @@ def _horizon_pose(spec):
     return CameraPose(rot, -rot @ np.array([92.0, 40.0, -10.0]))
 
 
-@pytest.mark.parametrize("case", ["horizon", "partial-chunk", "front"])
-def test_render_matches_masked_per_ray_oracle(case, board_spec, ref_intrinsics,
-                                              ref_distortion):
-    # 96x80 at 4x4 samples is 42 pixel rows per 2^16-ray chunk, so the
-    # last chunk holds 38; 64x48 fits in one chunk.
+def _look_at(center, target, roll):
+    """The camera at ``center`` with its optical axis through ``target``,
+    turned ``roll`` radians about that axis."""
+    forward = (target - center) / np.linalg.norm(target - center)
+    helper = [0.0, 0.0, 1.0] if abs(forward[2]) < 0.9 else [1.0, 0.0, 0.0]
+    right = np.cross(forward, helper)
+    right /= np.linalg.norm(right)
+    rot = axis_angle_to_rotation([0.0, 0.0, roll]) @ np.stack(
+        [right, np.cross(forward, right), forward])
+    return CameraPose(rot, -rot @ center)
+
+
+def _scaled_intrinsics(intrinsics, width):
+    scale = width / 640.0
+    return CameraIntrinsics(fx=intrinsics.fx * scale, fy=intrinsics.fy * scale,
+                            cx=intrinsics.cx * scale, cy=intrinsics.cy * scale)
+
+
+_unit = st.floats(0.0, 1.0)
+
+
+@st.composite
+def _oracle_views(draw, case, intrinsics, distortion):
+    """Random board views. "front" aims at a point on or beside the board
+    from 1.5 to 80 squares away, up to 80 degrees off the board normal, so
+    the board may be grazing, partly outside the frame or larger than it;
+    "horizon" looks along the board from close above it with the horizon
+    inside the frame; "partial-chunk" takes the "front" views at image sizes
+    4 does not divide, whose right and bottom tiles are partial and whose
+    per-sample tiles can fill more than one chunk."""
+    size = draw(st.sampled_from([0.3, 23.0]))
+    spec = CheckerboardSpec(10, 7, size)
+    width, height = draw(st.sampled_from(
+        [(161, 117), (97, 83), (123, 61)] if case == "partial-chunk"
+        else [(64, 48), (96, 80)]))
+    intrinsics = _scaled_intrinsics(intrinsics, width)
+    dist = draw(st.sampled_from([DistortionCoeffs(), distortion]))
+    target = size * np.array([draw(st.floats(-3.0, 11.0)),
+                              draw(st.floats(-3.0, 8.0)), 0.0])
+    roll = 2 * np.pi * draw(_unit)
+    if case == "horizon":
+        # Optical axis pitched at most 14 degrees from the board plane: the
+        # frame reaches about 17 degrees from the axis at every roll.
+        height_above = size * draw(st.floats(0.2, 20.0))
+        pitch = np.deg2rad(draw(st.floats(-14.0, 14.0)))
+        yaw = 2 * np.pi * draw(_unit)
+        center = target - size * 30 * np.array([np.cos(yaw), np.sin(yaw), 0.0])
+        center[2] = -height_above
+        forward = np.array([np.cos(yaw), np.sin(yaw), np.tan(pitch)])
+        pose = _look_at(center, center + forward, roll)
+    else:
+        tilt = np.deg2rad(draw(st.floats(0.0, 80.0)))
+        azimuth = 2 * np.pi * draw(_unit)
+        away = np.array([np.sin(tilt) * np.cos(azimuth),
+                         np.sin(tilt) * np.sin(azimuth), -np.cos(tilt)])
+        pose = _look_at(target + size * draw(st.floats(1.5, 80.0)) * away,
+                        target, roll)
+    return spec, intrinsics, dist, pose, width, height
+
+
+def _fixed_oracle_view(case, spec, intrinsics, distortion):
+    """One hand-picked view per case: the horizon seen through a wide lens,
+    and a fronto-parallel board filling a small frame."""
     width, height = (96, 80) if case == "partial-chunk" else (64, 48)
     if case == "horizon":
-        intrinsics = CameraIntrinsics(fx=30.0, fy=30.0, cx=31.5, cy=23.5)
-        dist, pose = DistortionCoeffs(), _horizon_pose(board_spec)
-    else:
-        scale = width / 640.0
-        intrinsics = CameraIntrinsics(fx=ref_intrinsics.fx * scale,
-                                      fy=ref_intrinsics.fy * scale,
-                                      cx=ref_intrinsics.cx * scale,
-                                      cy=ref_intrinsics.cy * scale)
-        dist = ref_distortion if case == "partial-chunk" else DistortionCoeffs()
-        pose = frontoparallel_pose(board_spec, intrinsics, 6.0)
-    expected, missed = _oracle_render_board(board_spec, intrinsics, dist, pose,
+        return (spec, CameraIntrinsics(fx=30.0, fy=30.0, cx=31.5, cy=23.5),
+                DistortionCoeffs(), _horizon_pose(spec), width, height)
+    intrinsics = _scaled_intrinsics(intrinsics, width)
+    dist = distortion if case == "partial-chunk" else DistortionCoeffs()
+    return (spec, intrinsics, dist, frontoparallel_pose(spec, intrinsics, 6.0),
+            width, height)
+
+
+@pytest.mark.parametrize("case", ["horizon", "partial-chunk", "front"])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_render_matches_masked_per_ray_oracle(case, data, board_spec,
+                                              ref_intrinsics, ref_distortion):
+    # The renderer decides most 4x4-pixel tiles from their ray bounds; the
+    # oracle shades every ray.
+    spec, intrinsics, dist, pose, width, height = data.draw(st.one_of(
+        st.just(_fixed_oracle_view(case, board_spec, ref_intrinsics, ref_distortion)),
+        _oracle_views(case, ref_intrinsics, ref_distortion)))
+    try:
+        image = render_board(spec, intrinsics, dist, pose, width, height)
+    except BoardBehindCamera:
+        reject()
+    expected, missed = _oracle_render_board(spec, intrinsics, dist, pose,
                                             width, height)
-    image = render_board(board_spec, intrinsics, dist, pose, width, height)
     assert np.array_equal(image, expected)
-    assert missed.any() == (case == "horizon")
-    assert {BLACK, WHITE, BACKGROUND_GRAY} <= set(np.unique(image).tolist())
+    if case == "horizon":
+        assert missed.any()
+
+
+@pytest.mark.parametrize("width, height", [(160, 120), (161, 117)])
+def test_ray_grid_matches_one_shot_undistortion(width, height, ref_intrinsics,
+                                               ref_distortion):
+    # At 4x4 samples these grids take several bands of tile rows.
+    ss = SUPERSAMPLE
+    grid = subpixel_ray_grid(ref_intrinsics, ref_distortion, width, height, ss)
+    sub = (np.arange(ss) + 0.5) / ss - 0.5
+    u = (np.arange(width)[:, None] + sub).ravel()
+    v = (np.arange(height)[:, None] + sub).ravel()
+    uu, vv = np.meshgrid(u, v)
+    xy = undistort_normalized(pixel_to_normalized(
+        np.column_stack([uu.ravel(), vv.ravel()]), ref_intrinsics), ref_distortion)
+    assert np.array_equal(grid.rays[:, :2], xy)
+    assert np.all(grid.rays[:, 2] == 1.0)
+
+    # Tile bounds: pad by edge replication to whole tiles, then reduce.
+    side = RENDER_TILE * ss
+    n_ty, n_tx = -(-height // RENDER_TILE), -(-width // RENDER_TILE)
+    padded = np.pad(xy.reshape(v.size, u.size, 2),
+                    ((0, n_ty * side - v.size), (0, n_tx * side - u.size), (0, 0)),
+                    mode="edge").reshape(n_ty, side, n_tx, side, 2)
+    assert np.array_equal(grid.tile_min, padded.min(axis=(1, 3)))
+    assert np.array_equal(grid.tile_max, padded.max(axis=(1, 3)))

@@ -195,23 +195,19 @@ def small_cube_spec_doc(**extra):
 def test_ground_truth_rerenders_its_capture(tmp_path, command, subject, doc):
     spec_path = tmp_path / "spec.json"
     spec_path.write_text(json.dumps(doc))
-    first, again = tmp_path / "first", tmp_path / "again"
-    assert run_cli([command, str(spec_path), "--out", str(first),
+    renders = [tmp_path / name for name in ("first", "again", "third")]
+    assert run_cli([command, str(spec_path), "--out", str(renders[0]),
                     "--seed", "3"]) == 0
-    assert run_cli([command, str(first / "ground_truth.json"),
-                    "--out", str(again)]) == 0
-    names = sorted(p.name for p in first.glob("*.pgm"))
-    assert names == sorted(p.name for p in again.glob("*.pgm"))
-    assert len(names) == 3
-    for name in names:
-        assert (first / name).read_bytes() == (again / name).read_bytes()
-    truth = read_render_spec(first / "ground_truth.json", subject)
-    redone = read_render_spec(again / "ground_truth.json", subject)
-    assert truth[subject] == redone[subject]
-    # Poses pass through axis-angle twice, so rotations agree to rounding.
-    for a, b in zip(truth["poses"], redone["poses"], strict=True):
-        np.testing.assert_allclose(a.rotation, b.rotation, rtol=0, atol=1e-14)
-        np.testing.assert_array_equal(a.translation, b.translation)
+    # Each capture re-renders from the previous one's ground truth.
+    for source, out in zip(renders, renders[1:]):
+        assert run_cli([command, str(source / "ground_truth.json"),
+                        "--out", str(out)]) == 0
+    names = sorted(p.name for p in renders[0].iterdir())
+    assert len(names) == 4 and "ground_truth.json" in names
+    for out in renders[1:]:
+        assert sorted(p.name for p in out.iterdir()) == names
+        for name in names:
+            assert (out / name).read_bytes() == (renders[0] / name).read_bytes()
 
 
 def test_render_scene_from_listed_poses(tmp_path):

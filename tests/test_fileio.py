@@ -8,6 +8,7 @@ from camkit import (
     CameraIntrinsics,
     DistortionCoeffs,
     PointCloud,
+    axis_angle_to_rotation,
     calibrate,
 )
 from camkit.errors import (
@@ -222,3 +223,25 @@ def test_render_spec_defaults_and_required_fields(tmp_path):
     assert spec["poses"][0].translation.tolist() == [0.0, 0.0, 100.0]
     with pytest.raises(SchemaMismatch, match="'board'"):
         read_render_spec(path, "board")
+
+
+@pytest.mark.parametrize("rotation", [
+    [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
+    [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]],
+], ids=["other-rotation", "not-3x3"])
+def test_listed_rotation_must_match_axis_angle(tmp_path, rotation):
+    pose = {"axis_angle": [0.0, 0.0, 0.1], "rotation": rotation,
+            "translation": [0.0, 0.0, 100.0]}
+    doc = {"image_size": {"width": 64, "height": 48},
+           "intrinsics": {"fx": 80.0, "fy": 80.0, "cx": 32.0, "cy": 24.0},
+           "cube": {"edge": 20}, "poses": [pose]}
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(SchemaMismatch, match="does not match"):
+        read_render_spec(path, "cube")
+    # A rotation that matches to rounding is read as listed.
+    pose["rotation"] = (axis_angle_to_rotation(pose["axis_angle"])
+                        + 1e-14 * np.eye(3)).tolist()
+    path.write_text(json.dumps(doc))
+    read = read_render_spec(path, "cube")["poses"][0]
+    assert read.rotation.tolist() == pose["rotation"]
