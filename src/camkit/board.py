@@ -20,6 +20,7 @@ import numpy as np
 from .errors import BoardBehindCamera
 from .geometry import (
     RENDER_TILE,
+    SHADE_BLOCK,
     CameraIntrinsics,
     CameraPose,
     DistortionCoeffs,
@@ -134,8 +135,8 @@ def render_board(spec: CheckerboardSpec, intrinsics: CameraIntrinsics,
     corners all land in one square or margin cell, or all beyond one margin
     line, takes that shade whole. Only the other tiles, which a square edge,
     the margin or the horizon crosses or which reach behind the camera, cast
-    their rays one by one, about 2^16 at a time. A pixel's 16 shades sum
-    exactly, so its mean is exact, and deciding a tile whole gives the image
+    their rays one by one, ``SHADE_BLOCK`` at a time. A pixel's 16 shades
+    sum exactly, so its mean is exact, and deciding a tile whole gives the image
     that shading every ray would. Deterministic: identical inputs give
     bit-identical images. Raises BoardBehindCamera when every board corner
     has non-positive depth.
@@ -205,9 +206,9 @@ def render_board(spec: CheckerboardSpec, intrinsics: CameraIntrinsics,
     side = RENDER_TILE * SUPERSAMPLE
     sub = np.arange(side)
     undecided = np.flatnonzero(~decided)
-    tiles_per_chunk = max(1, 2 ** 16 // side ** 2)
-    for start in range(0, undecided.size, tiles_per_chunk):
-        row, col = np.divmod(undecided[start:start + tiles_per_chunk], n_tx)
+    tiles_per_block = max(1, SHADE_BLOCK // side ** 2)
+    for start in range(0, undecided.size, tiles_per_block):
+        row, col = np.divmod(undecided[start:start + tiles_per_block], n_tx)
         # A partial tile at the right or bottom edge repeats its last sample
         # column or row; the crop below drops the pixels they fill.
         rows = np.minimum(row[:, None] * side + sub, height * SUPERSAMPLE - 1)

@@ -7,10 +7,14 @@ response, an intensity ring test that keeps only X-junctions (interior
 corners), then greedy lattice growth from the strongest corner to establish
 the grid ordering. The response and the ring test's smoothing filter only
 the image's structure box (the pixels that differ from a neighbour, grown by
-the filter radius) and edge-pad the result: the same arrays as full-frame
-filtering, from a tenth to a fifth of the pixels of a board render. The
-subpixel refinement and the ring test each handle all candidates at once,
-through the batched helpers of :mod:`camkit.imageops`.
+the filter radius), from a tenth to a fifth of the pixels of a board render,
+and keep only that box: beyond it each pixel takes the value of the nearest
+box pixel, as full-frame filtering gives there (an
+:class:`~camkit.imageops.EdgeFrame`). Every later step reads pixels through
+the box, so detection never holds a full-frame float array and finds the
+corners that full-frame filtering would. The subpixel refinement and the ring
+test each handle all candidates at once, through the batched helpers of
+:mod:`camkit.imageops`.
 
 Orientation: one homography H maps the board's corners to the grid as
 assembled. Reversing the grid's rows or columns reflects the board frame
@@ -25,14 +29,13 @@ from __future__ import annotations
 from collections import deque
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 from scipy import ndimage
 
 from .board import CheckerboardSpec, CornerGrid, board_world_points
 from .errors import AmbiguousGrid, BoardNotFound, CountMismatch
 from .homography import apply_homography, estimate_homography
-from .imageops import (bilinear_sample, quadratic_peak_offset,
-                       structure_box_filter, to_float)
+from .imageops import (EdgeFrame, bilinear_sample, quadratic_peak_offset,
+                       structure_box_filter)
 
 _RESPONSE_FLOOR = 1e-9
 _RELATIVE_THRESHOLD = 5e-3
@@ -44,16 +47,17 @@ _RING_ANGLES = 2 * np.pi * np.arange(_RING_SAMPLES) / _RING_SAMPLES
 _RING = _RING_RADIUS * np.column_stack([np.cos(_RING_ANGLES), np.sin(_RING_ANGLES)])
 
 
-def corner_response(image: np.ndarray) -> np.ndarray:
+def corner_response(image: np.ndarray) -> EdgeFrame:
     """Saddle-point response of a grayscale image: ``Ixy^2 - Ixx Iyy``.
 
     This is the negated determinant of the Hessian smoothed by a Gaussian of
     ``_RESPONSE_SIGMA`` = 2 pixels. It is rotation invariant, strongly
     positive exactly at checkerboard X-junction centers, negative at blobs,
     and near zero along straight edges. The filters run on the image's
-    structure box, with the same output as on the full frame.
+    structure box and return it as an :class:`~camkit.imageops.EdgeFrame`,
+    whose ``full()`` is the full-frame response.
     """
-    return structure_box_filter(to_float(image), _RESPONSE_SIGMA, _saddle)
+    return structure_box_filter(image, _RESPONSE_SIGMA, _saddle)
 
 
 def _saddle(img: np.ndarray) -> np.ndarray:
@@ -67,26 +71,30 @@ def _smooth(img: np.ndarray) -> np.ndarray:
     return ndimage.gaussian_filter(img, _SMOOTH_SIGMA, mode="nearest")
 
 
-def _local_maxima(resp: np.ndarray, radius: int, threshold: float) -> np.ndarray:
+def _local_maxima(resp, radius: int, threshold: float) -> np.ndarray:
     """(u, v) pixels above ``threshold`` and at least ``radius + 1`` from the
     border that are the maximum of their ``(2 radius + 1)``-square window,
-    in row-major order; only those pixels are compared with their window."""
-    h, w = resp.shape
+    in row-major order; only those pixels are compared with their window.
+    ``resp`` is an array or an :class:`~camkit.imageops.EdgeFrame`."""
+    resp = EdgeFrame.of(resp)
+    (h, w), (r0, c0), (bh, bw) = resp.shape, resp.origin, resp.box.shape
     b = radius + 1
-    cand = np.argwhere(resp[b:h - b, b:w - b] > threshold) + b
-    flat = resp.ravel()
-    at = cand[:, 0] * w + cand[:, 1]
-    center = flat[at]
-    is_max = np.ones(len(at), dtype=bool)
+    # The frame's interior rows and columns, as rows and columns of the box.
+    rows = np.clip(np.arange(b, h - b) - r0, 0, bh - 1)
+    cols = np.clip(np.arange(b, w - b) - c0, 0, bw - 1)
+    cand = np.argwhere((resp.box > threshold).take(rows, axis=0).take(cols, axis=1)) + b
+    vs, us = cand.T
+    center = resp.at(vs, us)
+    is_max = np.ones(len(cand), dtype=bool)
     for dv in range(-radius, radius + 1):
         for du in range(-radius, radius + 1):
             if dv or du:
-                is_max &= center >= flat[at + dv * w + du]
+                is_max &= center >= resp.at(vs + dv, us + du)
     vs, us = cand[is_max].T
     return np.column_stack([us, vs])
 
 
-def _x_junction_mask(img: np.ndarray, candidates: np.ndarray) -> np.ndarray:
+def _x_junction_mask(img, candidates: np.ndarray) -> np.ndarray:
     """Keep candidates whose surrounding intensity ring is point-symmetric.
 
     Interior board corners see the same color on opposite sides of the ring;
@@ -163,9 +171,8 @@ def detect_corners(image: np.ndarray, spec: CheckerboardSpec,
     exists, and CountMismatch when a complete grid of the wrong size is
     found.
     """
-    img = to_float(image)
-    resp = corner_response(img)
-    max_resp = float(resp.max())
+    resp = corner_response(image)
+    max_resp = float(resp.box.max())
     if max_resp <= _RESPONSE_FLOOR:
         raise BoardNotFound("no corner response above the noise floor")
 
@@ -174,15 +181,16 @@ def detect_corners(image: np.ndarray, spec: CheckerboardSpec,
         raise BoardNotFound(f"only {len(candidates)} corner candidates")
 
     us, vs = candidates.T
-    patches = sliding_window_view(resp, (3, 3))[vs - 1, us - 1]
+    step = np.arange(-1, 2)
+    patches = resp.at(vs[:, None, None] + step[:, None], us[:, None, None] + step)
     refined = candidates + quadratic_peak_offset(patches)
 
-    smooth = structure_box_filter(img, _SMOOTH_SIGMA, _smooth)
+    smooth = structure_box_filter(image, _SMOOTH_SIGMA, _smooth)
     keep = _x_junction_mask(smooth, refined)
     refined = refined[keep]
     if len(refined) < 4:
         raise BoardNotFound("too few X-junction candidates")
-    responses = resp[candidates[keep][:, 1], candidates[keep][:, 0]]
+    responses = resp.at(vs[keep], us[keep])
 
     lattice = _grow_lattice(refined, responses, min_separation=4.0)
     if len(lattice) < 4:
@@ -211,7 +219,7 @@ def detect_corners(image: np.ndarray, spec: CheckerboardSpec,
     return CornerGrid(corners=_orient_grid(grid, smooth, spec), view_id=view_id)
 
 
-def _orient_grid(grid: np.ndarray, smooth: np.ndarray,
+def _orient_grid(grid: np.ndarray, smooth: EdgeFrame,
                  spec: CheckerboardSpec) -> np.ndarray:
     """The corners of an assembled ``(ny, nx, 2)`` grid in board order."""
     world = board_world_points(spec)[:, :2]

@@ -4,6 +4,8 @@ patches or points."""
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 # Pseudo-inverse of the quadratic design [x^2, y^2, xy, x, y, 1] on the 3x3
@@ -46,19 +48,57 @@ def to_float(image: np.ndarray) -> np.ndarray:
     return np.asarray(img, dtype=np.float64)
 
 
-def structure_box_filter(image: np.ndarray, sigma: float, filt) -> np.ndarray:
-    """``filt(image)``, computed only on the image's structure box.
+class EdgeFrame(NamedTuple):
+    """An image held as one box of it: every pixel outside the box has the
+    value of the box pixel nearest to it, as ``np.pad(mode="edge")`` gives.
+
+    ``origin`` is the frame row and column of ``box[0, 0]`` and ``shape`` the
+    frame's shape. An array is the frame that is all box.
+    """
+
+    box: np.ndarray
+    origin: tuple[int, int]
+    shape: tuple[int, int]
+
+    @classmethod
+    def of(cls, image) -> EdgeFrame:
+        """``image`` itself if it is an EdgeFrame, else the float array as one."""
+        if isinstance(image, cls):
+            return image
+        image = np.asarray(image, dtype=np.float64)
+        return cls(image, (0, 0), image.shape)
+
+    def at(self, rows, cols) -> np.ndarray:
+        """The pixels at integer frame ``rows`` and ``cols`` (broadcast)."""
+        h, w = self.box.shape
+        if (h, w) == tuple(self.shape):
+            return self.box[rows, cols]
+        r0, c0 = self.origin
+        return self.box[np.clip(rows - r0, 0, h - 1), np.clip(cols - c0, 0, w - 1)]
+
+    def full(self) -> np.ndarray:
+        """The whole frame as one array."""
+        (r0, c0), (h, w) = self.origin, self.shape
+        bh, bw = self.box.shape
+        return np.pad(self.box, ((r0, h - r0 - bh), (c0, w - c0 - bw)), mode="edge")
+
+
+def structure_box_filter(image: np.ndarray, sigma: float, filt) -> EdgeFrame:
+    """``filt(to_float(image))``, computed only on the image's structure box.
 
     The structure box bounds the pixels that differ from a 4-neighbour.
     Outside it the image is the box's nearest-neighbour extension, so a
     ``mode="nearest"`` separable filter run on the box grown by the
     Gaussian radius ``int(4 * sigma + 0.5)`` equals the full-frame filter
-    there bit for bit, and beyond it equals the grown box's edge values.
-    ``filt`` may therefore apply ``mode="nearest"`` Gaussian filters of at
-    most ``sigma`` at scipy's default truncation to the 2-D float array it
-    gets, then combine them pixel by pixel. An image without structure
-    filters its corner; a noisy one filters the full frame.
+    there bit for bit, and beyond it equals the grown box's edge values:
+    the result is an :class:`EdgeFrame` of the grown box. ``filt`` may
+    therefore apply ``mode="nearest"`` Gaussian filters of at most
+    ``sigma`` at scipy's default truncation to the 2-D float array it gets,
+    then combine them pixel by pixel. Only the grown box is converted to
+    float. An image without structure filters its corner; a noisy one
+    filters the full frame.
     """
+    image = np.asarray(image)
     h, w = image.shape
     dx = image[:, 1:] != image[:, :-1]  # steps between columns c and c + 1
     dy = image[1:] != image[:-1]  # steps between rows r and r + 1
@@ -75,18 +115,18 @@ def structure_box_filter(image: np.ndarray, sigma: float, filt) -> np.ndarray:
     c0, c1 = (c[0], c[-1] + 1) if len(c) else (0, 1)
     r0, r1 = max(r0 - halo, 0), min(r1 + halo, h)
     c0, c1 = max(c0 - halo, 0), min(c1 + halo, w)
-    out = filt(image[r0:r1, c0:c1])
-    return np.pad(out, ((r0, h - r1), (c0, w - c1)), mode="edge")
+    return EdgeFrame(filt(to_float(image[r0:r1, c0:c1])), (int(r0), int(c0)), (h, w))
 
 
-def bilinear_sample(image: np.ndarray, points, fill: float = 0.0) -> np.ndarray:
+def bilinear_sample(image, points, fill: float = 0.0) -> np.ndarray:
     """Sample a float image at (u, v) positions with bilinear interpolation.
 
-    Points outside ``[0, w-1] x [0, h-1]`` return ``fill``. ``points`` has
-    shape (..., 2) with u along columns, v along rows; the result has shape
-    (...), one value per point.
+    ``image`` is an array or an :class:`EdgeFrame`. Points outside
+    ``[0, w-1] x [0, h-1]`` return ``fill``. ``points`` has shape (..., 2)
+    with u along columns, v along rows; the result has shape (...), one
+    value per point.
     """
-    img = np.asarray(image, dtype=np.float64)
+    img = EdgeFrame.of(image)
     pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
     h, w = img.shape
     u, v = pts[..., 0], pts[..., 1]
@@ -99,10 +139,11 @@ def bilinear_sample(image: np.ndarray, points, fill: float = 0.0) -> np.ndarray:
     fu = uc - u0
     fv = vc - v0
 
-    i00 = img[v0, u0]
-    i01 = img[v0, np.minimum(u0 + 1, w - 1)]
-    i10 = img[np.minimum(v0 + 1, h - 1), u0]
-    i11 = img[np.minimum(v0 + 1, h - 1), np.minimum(u0 + 1, w - 1)]
+    u1, v1 = np.minimum(u0 + 1, w - 1), np.minimum(v0 + 1, h - 1)
+    i00 = img.at(v0, u0)
+    i01 = img.at(v0, u1)
+    i10 = img.at(v1, u0)
+    i11 = img.at(v1, u1)
     out = (i00 * (1 - fu) * (1 - fv) + i01 * fu * (1 - fv)
            + i10 * (1 - fu) * fv + i11 * fu * fv)
     return np.where(inside, out, fill)

@@ -251,23 +251,37 @@ def _fixed_oracle_view(case, spec, intrinsics, distortion):
             width, height)
 
 
+def _assert_matches_oracle(view):
+    """Render a view and compare it with the masked per-ray oracle; returns
+    the image and the oracle's mask of rays that miss the board plane."""
+    image = render_board(*view)
+    expected, missed = _oracle_render_board(*view)
+    assert np.array_equal(image, expected)
+    return image, missed
+
+
+@pytest.mark.parametrize("case", ["horizon", "partial-chunk", "front"])
+def test_render_matches_masked_per_ray_oracle(case, board_spec, ref_intrinsics,
+                                              ref_distortion):
+    # The renderer decides most 4x4-pixel tiles from their ray bounds; the
+    # oracle shades every ray. Each fixed view shows all three shades, and
+    # only the horizon view has rays that miss the board plane.
+    image, missed = _assert_matches_oracle(
+        _fixed_oracle_view(case, board_spec, ref_intrinsics, ref_distortion))
+    assert missed.any() == (case == "horizon")
+    assert {BLACK, WHITE, BACKGROUND_GRAY} <= set(np.unique(image).tolist())
+
+
 @pytest.mark.parametrize("case", ["horizon", "partial-chunk", "front"])
 @settings(max_examples=25, deadline=None)
 @given(data=st.data())
-def test_render_matches_masked_per_ray_oracle(case, data, board_spec,
-                                              ref_intrinsics, ref_distortion):
-    # The renderer decides most 4x4-pixel tiles from their ray bounds; the
-    # oracle shades every ray.
-    spec, intrinsics, dist, pose, width, height = data.draw(st.one_of(
-        st.just(_fixed_oracle_view(case, board_spec, ref_intrinsics, ref_distortion)),
-        _oracle_views(case, ref_intrinsics, ref_distortion)))
+def test_render_matches_masked_per_ray_oracle_on_drawn_views(
+        case, data, ref_intrinsics, ref_distortion):
+    view = data.draw(_oracle_views(case, ref_intrinsics, ref_distortion))
     try:
-        image = render_board(spec, intrinsics, dist, pose, width, height)
+        _, missed = _assert_matches_oracle(view)
     except BoardBehindCamera:
         reject()
-    expected, missed = _oracle_render_board(spec, intrinsics, dist, pose,
-                                            width, height)
-    assert np.array_equal(image, expected)
     if case == "horizon":
         assert missed.any()
 

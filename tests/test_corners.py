@@ -21,7 +21,7 @@ from camkit.corners import (
     corner_response,
 )
 from camkit.errors import AmbiguousGrid, BoardNotFound, CountMismatch
-from camkit.imageops import bilinear_sample, to_float
+from camkit.imageops import EdgeFrame, bilinear_sample, to_float
 from camkit.synthetic import frontoparallel_pose, sample_board_poses
 
 from conftest import IMAGE_HEIGHT, IMAGE_WIDTH
@@ -65,12 +65,12 @@ def test_detection_matches_full_frame_oracle(board_spec, rendered_views,
                                              monkeypatch):
     # The oracle filters the full frame: the structure-box helper bypassed.
     images, _ = rendered_views
-    cropped = [(corner_response(img), detect_corners(img, board_spec).corners)
+    cropped = [(corner_response(img).full(), detect_corners(img, board_spec).corners)
                for img in images]
     monkeypatch.setattr("camkit.corners.structure_box_filter",
-                        lambda image, sigma, filt: filt(image))
+                        lambda image, sigma, filt: EdgeFrame.of(filt(to_float(image))))
     for image, (resp, corners) in zip(images, cropped):
-        assert resp.tobytes() == corner_response(image).tobytes()
+        assert resp.tobytes() == corner_response(image).full().tobytes()
         assert corners.tobytes() == detect_corners(image, board_spec).corners.tobytes()
 
 
@@ -89,7 +89,7 @@ def _oracle_local_maxima(resp, radius, threshold):
 
 
 def test_local_maxima_match_full_frame_oracle(rendered_views):
-    responses = [corner_response(image) for image in rendered_views[0]]
+    responses = [corner_response(image).full() for image in rendered_views[0]]
     # Plateaus and ties, peaks at every distance from the border, and
     # images smaller than one window.
     rng = np.random.default_rng(3)
@@ -104,6 +104,18 @@ def test_local_maxima_match_full_frame_oracle(rendered_views):
             assert found.dtype == expected.dtype
             assert found.tobytes() == expected.tobytes()
             assert found.shape == expected.shape
+
+    # The same frames held as boxes of them: candidates in the edge-padded
+    # margins and windows that reach past the box must come out alike.
+    for resp in responses[-9:]:
+        h, w = resp.shape
+        r0, c0 = rng.integers(0, h), rng.integers(0, w)
+        box = resp[r0:rng.integers(r0 + 1, h + 1), c0:rng.integers(c0 + 1, w + 1)]
+        frame = EdgeFrame(box, (int(r0), int(c0)), (h, w))
+        for radius in (1, 3):
+            threshold = _RELATIVE_THRESHOLD * box.max()
+            assert (_local_maxima(frame, radius, threshold).tobytes()
+                    == _oracle_local_maxima(frame.full(), radius, threshold).tobytes())
 
 
 def test_wrong_board_size_is_count_mismatch(board_spec, ref_intrinsics):
@@ -152,7 +164,7 @@ def _oracle_x_junction_mask(img, candidates, radius=4.0, n_angles=16):
 def test_ring_test_matches_per_candidate_oracle(rendered_views):
     for image in rendered_views[0]:
         img = to_float(image)
-        resp = corner_response(img)
+        resp = corner_response(img).full()
         candidates = _local_maxima(resp, radius=3,
                                    threshold=_RELATIVE_THRESHOLD * resp.max())
         refined = np.array([

@@ -7,6 +7,8 @@ from scipy import ndimage
 
 from camkit.imageops import (
     _QUAD_PINV,
+    EdgeFrame,
+    bilinear_sample,
     quadratic_peak_offset,
     structure_box_filter,
     to_float,
@@ -81,7 +83,7 @@ def test_structure_box_filter_matches_full_frame(image):
     for sigma, order in [(2.0, (0, 2)), (2.0, (2, 0)), (2.0, (1, 1)), (1.0, 0)]:
         filt = partial(ndimage.gaussian_filter, sigma=sigma, order=order,
                        mode="nearest")
-        got = structure_box_filter(img, sigma, filt)
+        got = structure_box_filter(image, sigma, filt).full()
         want = filt(img)
         assert got.shape == want.shape
         assert got.tobytes() == want.tobytes()
@@ -100,3 +102,19 @@ def test_structure_box_filter_filters_only_the_grown_box():
     # The 10 x 5 patch and the background ring next to it make a 12 x 7
     # structure box, grown by int(4 sigma + 0.5) = 8 and 4 pixels a side.
     assert shapes == [(28, 23), (20, 15)]
+
+
+def test_edge_frame_samples_like_its_full_array():
+    # Points inside the box, in each padded margin, on the frame's edges and
+    # outside the frame.
+    rng = np.random.default_rng(7)
+    frame = EdgeFrame(rng.random((6, 9)), (4, 11), (17, 30))
+    full = frame.full()
+    assert full.shape == (17, 30)
+    points = np.concatenate([rng.uniform(-2.0, 32.0, (400, 2)),
+                             [[0.0, 0.0], [29.0, 16.0], [29.0, 0.0], [0.0, 16.0]]])
+    for fill in (0.0, np.nan):
+        assert (bilinear_sample(frame, points, fill).tobytes()
+                == bilinear_sample(full, points, fill).tobytes())
+    rows, cols = rng.integers(0, 17, 50), rng.integers(0, 30, 50)
+    assert np.array_equal(frame.at(rows, cols), full[rows, cols])
