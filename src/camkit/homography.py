@@ -1,5 +1,9 @@
-"""Planar homography estimation by the normalized direct linear transform,
-with the Hartley conditioning that the eight-point essential fit shares."""
+"""Projective direct linear transforms under Hartley conditioning.
+
+One conditioned DLT, :func:`projective_dlt`, fits both the planar board
+homographies (Hartley & Zisserman, Alg. 4.2) and the camera matrix of SfM
+resection (Alg. 7.1); the eight-point essential fit shares its conditioning.
+"""
 
 from __future__ import annotations
 
@@ -12,16 +16,18 @@ _MIN_SPREAD = 1e-12
 
 
 def conditioning_transforms(pts: np.ndarray) -> np.ndarray:
-    """Hartley conditioning of each ``(m, 2)`` point set in a ``(B, m, 2)``
-    stack: the ``(B, 3, 3)`` similarities that move the centroid to the origin
-    and the mean distance from it, floored at ``_MIN_SPREAD``, to sqrt(2)."""
+    """Hartley conditioning of each ``(m, d)`` point set in a ``(B, m, d)``
+    stack: the ``(B, d+1, d+1)`` similarities that move the centroid to the
+    origin and the mean distance from it, floored at ``_MIN_SPREAD``, to
+    sqrt(d)."""
+    d = pts.shape[2]
     centroid = pts.mean(axis=1)
     spread = np.mean(np.linalg.norm(pts - centroid[:, None, :], axis=2), axis=1)
-    scale = np.sqrt(2.0) / np.maximum(spread, _MIN_SPREAD)
-    t = np.zeros((len(pts), 3, 3))
-    t[:, 0, 0] = t[:, 1, 1] = scale
-    t[:, :2, 2] = -scale[:, None] * centroid
-    t[:, 2, 2] = 1.0
+    scale = np.sqrt(d) / np.maximum(spread, _MIN_SPREAD)
+    t = np.zeros((len(pts), d + 1, d + 1))
+    t[:, np.arange(d), np.arange(d)] = scale[:, None]
+    t[:, :d, d] = -scale[:, None] * centroid
+    t[:, d, d] = 1.0
     return t
 
 
@@ -32,11 +38,38 @@ def apply_homography(h: np.ndarray, pts) -> np.ndarray:
     return ph[:, :2] / ph[:, 2:3]
 
 
+def projective_dlt(src: np.ndarray, dst: np.ndarray):
+    """Conditioned DLT of the ``3 x (d+1)`` projective map ``P`` that takes
+    ``(n, d)`` source points to ``(n, 2)`` image points.
+
+    Both sides are conditioned, the interleaved ``2n x 3(d+1)`` system is
+    solved by its last right singular vector, and both conditionings are
+    undone. Returns ``(P, singular_values)``; ``P`` has an arbitrary scale
+    and sign. Raises DegenerateConfiguration when either point set
+    coincides.
+    """
+    n, d = src.shape
+    t_src = conditioning_transforms(src[None])[0]
+    t_dst = conditioning_transforms(dst[None])[0]
+    if (t_src[0, 0] >= np.sqrt(d) / _MIN_SPREAD
+            or t_dst[0, 0] >= np.sqrt(2.0) / _MIN_SPREAD):
+        raise DegenerateConfiguration("all points coincide")
+    sn, dn = (np.column_stack([p, np.ones(n)]) @ t.T
+              for p, t in ((src, t_src), (dst, t_dst)))
+
+    k = d + 1
+    a = np.zeros((2 * n, 3 * k))
+    a[0::2, :k] = a[1::2, k:2 * k] = sn
+    a[0::2, 2 * k:] = -dn[:, 0:1] * sn
+    a[1::2, 2 * k:] = -dn[:, 1:2] * sn
+    _, s, vt = np.linalg.svd(a)
+    return np.linalg.inv(t_dst) @ vt[-1].reshape(3, k) @ t_src, s
+
+
 def estimate_homography(world_xy, image_xy) -> np.ndarray:
     """Least-squares homography from plane points to image points.
 
-    Both point sets are isotropically normalized, the stacked 2n x 9 system
-    is solved by SVD, and the result is denormalized and scaled so the
+    The :func:`projective_dlt` of the two point sets, scaled so the
     bottom-right entry is 1. Raises DegenerateConfiguration for fewer than
     four points, a point set whose points all coincide, collinear
     configurations, or a rank-deficient result.
@@ -45,40 +78,14 @@ def estimate_homography(world_xy, image_xy) -> np.ndarray:
     dst = np.atleast_2d(np.asarray(image_xy, dtype=np.float64))
     if src.shape != dst.shape or src.shape[1] != 2:
         raise ValueError("point lists must both have shape (n, 2)")
-    n = len(src)
-    if n < 4:
+    if len(src) < 4:
         raise DegenerateConfiguration("need at least 4 correspondences")
 
-    t_src, t_dst = conditioning_transforms(np.stack([src, dst]))
-    if max(t_src[0, 0], t_dst[0, 0]) >= np.sqrt(2.0) / _MIN_SPREAD:
-        raise DegenerateConfiguration("all points coincide")
-    sn = apply_homography(t_src, src)
-    dn = apply_homography(t_dst, dst)
-
-    a = np.zeros((2 * n, 9))
-    x, y = sn[:, 0], sn[:, 1]
-    u, v = dn[:, 0], dn[:, 1]
-    a[0::2, 0] = x
-    a[0::2, 1] = y
-    a[0::2, 2] = 1.0
-    a[0::2, 6] = -u * x
-    a[0::2, 7] = -u * y
-    a[0::2, 8] = -u
-    a[1::2, 3] = x
-    a[1::2, 4] = y
-    a[1::2, 5] = 1.0
-    a[1::2, 6] = -v * x
-    a[1::2, 7] = -v * y
-    a[1::2, 8] = -v
-
-    _, s, vt = np.linalg.svd(a)
+    h, s = projective_dlt(src, dst)
     # A second (near-)zero singular value means the solution is not unique,
     # which happens exactly for degenerate (e.g. collinear) configurations.
     if s[-2] <= 1e-10 * s[0]:
         raise DegenerateConfiguration("correspondences do not determine a homography")
-    h_norm = vt[-1].reshape(3, 3)
-
-    h = np.linalg.inv(t_dst) @ h_norm @ t_src
     if abs(h[2, 2]) > 1e-12:
         h = h / h[2, 2]
     if np.linalg.cond(h) >= _MAX_CONDITION:

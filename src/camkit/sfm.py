@@ -22,6 +22,7 @@ from .epipolar import (essential_ransac, recover_relative_pose,
                        triangulate_points, triangulate_views)
 from .errors import (
     CheiralityAmbiguous,
+    DegenerateConfiguration,
     EmptyScene,
     InitializationFailed,
     InsufficientMatches,
@@ -44,6 +45,7 @@ from .geometry import (
     reprojection_problem,
     undistort_normalized,
 )
+from .homography import projective_dlt
 from .imageops import bilinear_sample, to_float
 from .optimize import LmConfig, levenberg_marquardt
 from .pose import refine_pose
@@ -118,32 +120,18 @@ def _pair_seed(seed: int, i: int, j: int) -> int:
 def _linear_resection(world: np.ndarray, norm_xy: np.ndarray) -> CameraPose:
     """DLT estimate of a pose from >= 6 3D points and normalized 2D images.
 
-    The world points are conditioned first (Hartley & Zisserman, section
-    4.4.4): moved to their centroid and scaled to a mean distance of
-    sqrt(3). The DLT solves for ``P'`` on the conditioned points, and
-    ``P = P' T`` undoes the conditioning ``T``.
+    The camera matrix is the conditioned
+    :func:`camkit.homography.projective_dlt` of the world points to their
+    normalized images, scaled so its third rotation row has unit norm and
+    signed so the median point depth is positive; its left 3x3 block is
+    projected onto the nearest rotation. Raises DegenerateConfiguration when
+    the world points or their images all coincide.
     """
-    n = len(world)
-    hom = np.column_stack([world, np.ones(n)])
-    centroid = world.mean(axis=0)
-    s = np.sqrt(3.0) / np.mean(np.linalg.norm(world - centroid, axis=1))
-    cond = np.diag([s, s, s, 1.0])
-    cond[:3, 3] = -s * centroid
-    conditioned = hom @ cond.T
-    a = np.zeros((2 * n, 12))
-    a[0::2, 0:4] = -conditioned
-    a[0::2, 8:12] = norm_xy[:, 0:1] * conditioned
-    a[1::2, 4:8] = -conditioned
-    a[1::2, 8:12] = norm_xy[:, 1:2] * conditioned
-    _, _, vt = np.linalg.svd(a)
-    p = vt[-1].reshape(3, 4) @ cond
+    p, _ = projective_dlt(world, norm_xy)
     scale = 1.0 / np.linalg.norm(p[2, :3])
-    depths = hom @ p[2] * scale
-    if np.median(depths) < 0:
+    if np.median(world @ p[2, :3] + p[2, 3]) < 0:
         scale = -scale
-    rot = nearest_rotation(scale * p[:, :3])
-    t = scale * p[:, 3]
-    return CameraPose(rot, t)
+    return CameraPose(nearest_rotation(scale * p[:, :3]), scale * p[:, 3])
 
 
 def _refresh_triangulations(scene: SfmScene, normalized) -> None:
@@ -294,8 +282,8 @@ def _register_view(scene: SfmScene, view: int, normalized) -> SfmScene:
         pose0 = _linear_resection(world, obs_norm)
         pose, err = refine_pose(world, obs_px, scene.intrinsics,
                                 scene.distortion, pose0)
-    except (np.linalg.LinAlgError, InvalidRotation, SingularNormalEquations,
-            NonFiniteResidual) as exc:
+    except (np.linalg.LinAlgError, DegenerateConfiguration, InvalidRotation,
+            SingularNormalEquations, NonFiniteResidual) as exc:
         raise RegistrationFailed(
             view, f"view {view}: resection failed ({exc})") from exc
     if err > MAX_RESECTION_ERROR:

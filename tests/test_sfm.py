@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy import sparse
@@ -13,6 +15,7 @@ from camkit import (
     similarity_align,
 )
 from camkit.errors import (
+    DegenerateConfiguration,
     EmptyScene,
     InitializationFailed,
     InvalidRotation,
@@ -27,9 +30,10 @@ from camkit.optimize import (
     levenberg_marquardt,
     numeric_jacobian,
 )
-from camkit.sfm import (SfmConfig, SfmScene, _build_ba_problem, _next_view,
+from camkit.sfm import (SfmConfig, SfmScene, _build_ba_problem,
+                         _linear_resection, _next_view,
                          _refresh_triangulations, _register_view)
-from camkit.synthetic import cube_ray_points
+from camkit.synthetic import cube_ray_points, render_cube_view, sample_ring_poses
 from camkit.tracks import Track
 
 from conftest import CUBE_EDGE
@@ -68,16 +72,38 @@ def test_all_views_register(cube_reconstruction):
             assert pose.rotation[2] @ track.point + pose.translation[2] > 0
 
 
-@pytest.mark.parametrize("seed", [8, 10])
+@pytest.mark.parametrize("start_deg, seed", [(21.0, 8), (21.0, 10), (201.0, 0)],
+                         ids=["8", "10", "start201-seed0"])
 def test_conditioned_resection_registers_every_view(cube_capture,
-                                                    ref_intrinsics, seed):
+                                                    ref_intrinsics, start_deg,
+                                                    seed):
     # With an unconditioned DLT, RANSAC seed 8 resected view 4 at 11.2 px
-    # and seed 10 left view 0's normal equations singular.
-    _, _, images, dist = cube_capture
+    # and seed 10 left view 0's normal equations singular. With only the
+    # world side conditioned, the ring turned by 180 degrees left RANSAC
+    # seed 0's normal equations singular.
+    scene3d, _, images, dist = cube_capture
+    if start_deg != 21.0:
+        poses = sample_ring_poses(5, radius=450.0, elevation_deg=30.0,
+                                  sweep_deg=48.0, start_deg=start_deg)
+        images = [render_cube_view(scene3d, ref_intrinsics, dist, p, 640, 480)
+                  for p in poses]
     scene = reconstruct(images, ref_intrinsics, dist, SfmConfig(seed=seed))
     assert sorted(scene.poses) == [0, 1, 2, 3, 4]
     assert scene.mean_reprojection_error < 0.5
 
+
+def test_linear_resection_recovers_a_camera_far_from_the_origin():
+    rng = np.random.default_rng(21)
+    centroid = np.array([1e4, -2e3, 3e3])
+    world = centroid + rng.uniform(-100, 100, (30, 3))
+    rot = axis_angle_to_rotation(rng.normal(0, 0.3, 3))
+    center = centroid - rot.T @ [0.0, 0.0, 600.0]
+    truth = CameraPose(rot, -rot @ center)
+    cam = world @ rot.T + truth.translation
+    pose = _linear_resection(world, cam[:, :2] / cam[:, 2:])
+    assert np.max(np.abs(pose.rotation - truth.rotation)) < 1e-9
+    assert (np.max(np.abs(pose.translation - truth.translation))
+            < 1e-9 * np.linalg.norm(truth.translation))
 
 def test_similarity_aligned_rms(cube_reconstruction, cube_capture, ref_intrinsics):
     aligned, truth = aligned_to_truth(cube_reconstruction, cube_capture,
@@ -339,6 +365,20 @@ def test_non_finite_resection_is_a_registration_failure(ref_intrinsics,
         _register_view(scene, 2, normalized)
     assert caught.value.view_id == 2
     assert isinstance(caught.value.__cause__, InvalidRotation)
+
+
+def test_coincident_world_points_are_a_registration_failure(ref_intrinsics):
+    scene, _ = build_scene(ref_intrinsics, n_points=20, n_views=3, seed=1)
+    del scene.poses[2]
+    scene.view_order = (0, 1)
+    scene.tracks = [replace(t, point=np.array([5.0, -3.0, 500.0]))
+                    for t in scene.tracks]
+    normalized = {v: pixel_to_normalized(px, ref_intrinsics)
+                  for v, px in scene.features.items()}
+    with pytest.raises(RegistrationFailed) as caught:
+        _register_view(scene, 2, normalized)
+    assert caught.value.view_id == 2
+    assert isinstance(caught.value.__cause__, DegenerateConfiguration)
 
 
 def test_next_view_has_most_valid_tracks_lowest_id_on_tie(ref_intrinsics):
