@@ -104,9 +104,9 @@ def init_intrinsics(homographies, estimate_skew: bool = False) -> CameraIntrinsi
     """Closed-form intrinsics from >= 3 board homographies (2 if skew is 0).
 
     Solves the orthonormality constraints on the homography columns for the
-    symmetric matrix ``B ~ K^-T K^-1`` and factors it. Raises DegenerateMotion
-    when the board orientations leave B underdetermined or not positive
-    definite.
+    symmetric matrix ``B ~ K^-T K^-1`` and reads K off its Cholesky factor.
+    Raises DegenerateMotion when the board orientations leave B
+    underdetermined or not positive definite.
     """
     hs = list(homographies)
     needed = 3 if estimate_skew else 2
@@ -131,24 +131,14 @@ def init_intrinsics(homographies, estimate_skew: bool = False) -> CameraIntrinsi
     b11, b12, b22, b13, b23, b33 = b
     bmat = np.array([[b11, b12, b13], [b12, b22, b23], [b13, b23, b33]])
     try:
-        np.linalg.cholesky(bmat)
+        lower = np.linalg.cholesky(bmat)
     except np.linalg.LinAlgError:
         raise DegenerateMotion("conic estimate is not positive definite") from None
-
-    denom = b11 * b22 - b12 * b12
-    with np.errstate(invalid="raise", divide="raise"):
-        try:
-            v0 = (b12 * b13 - b11 * b23) / denom
-            lam = b33 - (b13 * b13 + v0 * (b12 * b13 - b11 * b23)) / b11
-            alpha = np.sqrt(lam / b11)
-            beta = np.sqrt(lam * b11 / denom)
-            gamma = -b12 * alpha * alpha * beta / lam
-            u0 = gamma * v0 / beta - b13 * alpha * alpha / lam
-        except FloatingPointError:
-            raise DegenerateMotion("conic estimate does not factor") from None
-    if not estimate_skew:
-        gamma = 0.0
-    return CameraIntrinsics(fx=alpha, fy=beta, cx=u0, cy=v0, skew=gamma)
+    # B ~ K^-T K^-1, so its Cholesky factor is K^-T up to a positive scale.
+    k = np.linalg.inv(lower.T)
+    k /= k[2, 2]
+    return CameraIntrinsics(fx=k[0, 0], fy=k[1, 1], cx=k[0, 2], cy=k[1, 2],
+                            skew=k[0, 1] if estimate_skew else 0.0)
 
 
 def extrinsics_from_homography(intrinsics: CameraIntrinsics,
