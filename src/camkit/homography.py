@@ -1,9 +1,6 @@
-"""Projective direct linear transforms under Hartley conditioning.
-
-One conditioned DLT, :func:`projective_dlt`, fits both the planar board
-homographies (Hartley & Zisserman, Alg. 4.2) and the camera matrix of SfM
-resection (Alg. 7.1); the eight-point essential fit shares its conditioning.
-"""
+"""One Hartley-conditioned DLT for the board homographies (Hartley &
+Zisserman, Alg. 4.2) and SfM resection (Alg. 7.1); the eight-point essential
+fit shares its conditioning."""
 
 from __future__ import annotations
 
@@ -39,20 +36,14 @@ def apply_homography(h: np.ndarray, pts) -> np.ndarray:
 
 
 def projective_dlt(src: np.ndarray, dst: np.ndarray):
-    """Conditioned DLT of the ``3 x (d+1)`` projective map ``P`` that takes
-    ``(n, d)`` source points to ``(n, 2)`` image points.
-
-    Both sides are conditioned, the interleaved ``2n x 3(d+1)`` system is
-    solved by its last right singular vector, and both conditionings are
-    undone. Returns ``(P, singular_values)``; ``P`` has an arbitrary scale
-    and sign. Raises DegenerateConfiguration when either point set
-    coincides.
-    """
+    """Conditioned DLT of the ``3 x (d+1)`` map ``P`` from ``(n, d)`` source
+    to ``(n, 2)`` image points: the last right singular vector of the
+    interleaved ``2n x 3(d+1)`` system, with both conditionings undone.
+    Returns ``(P, singular_values)``, ``P`` up to scale and sign. Raises
+    DegenerateConfiguration when either point set coincides."""
     n, d = src.shape
-    t_src = conditioning_transforms(src[None])[0]
-    t_dst = conditioning_transforms(dst[None])[0]
-    if (t_src[0, 0] >= np.sqrt(d) / _MIN_SPREAD
-            or t_dst[0, 0] >= np.sqrt(2.0) / _MIN_SPREAD):
+    t_src, t_dst = (conditioning_transforms(p[None])[0] for p in (src, dst))
+    if any(t[0, 0] >= np.sqrt(len(t) - 1) / _MIN_SPREAD for t in (t_src, t_dst)):
         raise DegenerateConfiguration("all points coincide")
     sn, dn = (np.column_stack([p, np.ones(n)]) @ t.T
               for p, t in ((src, t_src), (dst, t_dst)))

@@ -4,8 +4,9 @@ Reconstruction plan: detect features, match adjacent and skip-one image
 pairs (all pairs with the exhaustive flag), filter every pair through
 essential-matrix RANSAC, build tracks from the inlier matches, initialize
 from the surviving pair with the most inliers and enough triangulation
-angle, then register the remaining views one at a time by 3D-2D resection,
-triangulating newly covered tracks and bundle-adjusting after every
+angle, then register the remaining views one at a time by 3D-2D resection
+(the conditioned DLT that also fits the board homographies, refined by
+pose LM), triangulating newly covered tracks and bundle-adjusting after every
 registration. Intrinsics and distortion stay fixed throughout; the gauge is
 pinned by freezing the first registered pose and the largest-magnitude
 coordinate of the second pose's translation.
@@ -118,15 +119,11 @@ def _pair_seed(seed: int, i: int, j: int) -> int:
 
 
 def _linear_resection(world: np.ndarray, norm_xy: np.ndarray) -> CameraPose:
-    """DLT estimate of a pose from >= 6 3D points and normalized 2D images.
-
-    The camera matrix is the conditioned
-    :func:`camkit.homography.projective_dlt` of the world points to their
-    normalized images, scaled so its third rotation row has unit norm and
-    signed so the median point depth is positive; its left 3x3 block is
-    projected onto the nearest rotation. Raises DegenerateConfiguration when
-    the world points or their images all coincide.
-    """
+    """Pose from >= 6 3D points and their normalized images: the
+    :func:`camkit.homography.projective_dlt` camera matrix, scaled to a unit
+    third rotation row, signed for a positive median depth, and with its
+    left 3x3 block projected onto the nearest rotation. Raises
+    DegenerateConfiguration when either point set coincides."""
     p, _ = projective_dlt(world, norm_xy)
     scale = 1.0 / np.linalg.norm(p[2, :3])
     if np.median(world @ p[2, :3] + p[2, 3]) < 0:
