@@ -208,17 +208,6 @@ def test_homography_matches_the_pre_dlt_oracle(seed, n, log_scale, shape):
             == _outcome(_oracle_estimate_homography, src, dst))
 
 
-def test_dlt_recovers_a_camera_matrix():
-    rng = np.random.default_rng(3)
-    p_true = np.column_stack([np.eye(3) + rng.normal(0, 0.1, (3, 3)),
-                              [5.0, -2.0, 900.0]])
-    world = rng.uniform(-100, 100, (20, 3))
-    img = np.column_stack([world, np.ones(20)]) @ p_true.T
-    p, s = projective_dlt(world, img[:, :2] / img[:, 2:])
-    assert p.shape == (3, 4) and s.shape == (12,)
-    assert np.max(np.abs(p / p[2, 3] - p_true / p_true[2, 3])) < 1e-10
-
-
 @pytest.mark.parametrize("which", ["src", "dst"])
 def test_dlt_rejects_coincident_points(which):
     rng = np.random.default_rng(8)
