@@ -5,16 +5,15 @@ peaks sharply at X-junction centers where gradient-based responses plateau),
 non-maximum suppression, quadratic-surface subpixel refinement on the
 response, an intensity ring test that keeps only X-junctions (interior
 corners), then greedy lattice growth from the strongest corner to establish
-the grid ordering. The response and the ring test's smoothing filter only
-the image's structure box (the pixels that differ from a neighbour, grown by
-the filter radius), from a tenth to a fifth of the pixels of a board render,
-and keep only that box: beyond it each pixel takes the value of the nearest
-box pixel, as full-frame filtering gives there (an
-:class:`~camkit.imageops.EdgeFrame`). Every later step reads pixels through
-the box, so detection never holds a full-frame float array and finds the
-corners that full-frame filtering would. The subpixel refinement and the ring
-test each handle all candidates at once, through the batched helpers of
-:mod:`camkit.imageops`.
+the grid ordering. Every step works on one crop of the image: its structure
+box (the pixels that differ from a neighbour) grown by ``_HALO``, the reach
+of the filters, suppression and ring test, from a tenth to a fifth of the
+pixels of a board render. Beyond the box each row and column repeats its
+nearest box pixel, so filtering the crop gives the full-frame values on it,
+and detection finds the corners that full-frame filtering would; the crop's
+origin is added back to the candidates before the subpixel offsets. The
+subpixel refinement and the ring test each handle all candidates at once,
+through the batched helpers of :mod:`camkit.imageops`.
 
 Orientation: one homography H maps the board's corners to the grid as
 assembled. Reversing the grid's rows or columns reflects the board frame
@@ -34,8 +33,7 @@ from scipy import ndimage
 from .board import CheckerboardSpec, CornerGrid, board_world_points
 from .errors import AmbiguousGrid, BoardNotFound, CountMismatch
 from .homography import apply_homography, estimate_homography
-from .imageops import (EdgeFrame, bilinear_sample, quadratic_peak_offset,
-                       structure_box_filter)
+from .imageops import bilinear_sample, quadratic_peak_offset, structure_box, to_float
 
 _RESPONSE_FLOOR = 1e-9
 _RELATIVE_THRESHOLD = 5e-3
@@ -45,64 +43,54 @@ _RING_RADIUS = 4.0
 _RING_SAMPLES = 16
 _RING_ANGLES = 2 * np.pi * np.arange(_RING_SAMPLES) / _RING_SAMPLES
 _RING = _RING_RADIUS * np.column_stack([np.cos(_RING_ANGLES), np.sin(_RING_ANGLES)])
+# Detection reads the image's structure box grown by this many pixels: the
+# response filter's radius (8), the suppression reach (radius + 1 = 4) and
+# the ring test's reach (4, plus 1 for the bilinear neighbour).
+_HALO = 17
 
 
-def corner_response(image: np.ndarray) -> EdgeFrame:
+def corner_response(image: np.ndarray) -> np.ndarray:
     """Saddle-point response of a grayscale image: ``Ixy^2 - Ixx Iyy``.
 
     This is the negated determinant of the Hessian smoothed by a Gaussian of
     ``_RESPONSE_SIGMA`` = 2 pixels. It is rotation invariant, strongly
     positive exactly at checkerboard X-junction centers, negative at blobs,
-    and near zero along straight edges. The filters run on the image's
-    structure box and return it as an :class:`~camkit.imageops.EdgeFrame`,
-    whose ``full()`` is the full-frame response.
+    and near zero along straight edges.
     """
-    return structure_box_filter(image, _RESPONSE_SIGMA, _saddle)
-
-
-def _saddle(img: np.ndarray) -> np.ndarray:
+    img = to_float(image)
     ixx = ndimage.gaussian_filter(img, _RESPONSE_SIGMA, order=(0, 2), mode="nearest")
     iyy = ndimage.gaussian_filter(img, _RESPONSE_SIGMA, order=(2, 0), mode="nearest")
     ixy = ndimage.gaussian_filter(img, _RESPONSE_SIGMA, order=(1, 1), mode="nearest")
     return ixy * ixy - ixx * iyy
 
 
-def _smooth(img: np.ndarray) -> np.ndarray:
-    return ndimage.gaussian_filter(img, _SMOOTH_SIGMA, mode="nearest")
-
-
-def _local_maxima(resp, radius: int, threshold: float) -> np.ndarray:
+def _local_maxima(resp: np.ndarray, radius: int, threshold: float) -> np.ndarray:
     """(u, v) pixels above ``threshold`` and at least ``radius + 1`` from the
     border that are the maximum of their ``(2 radius + 1)``-square window,
-    in row-major order; only those pixels are compared with their window.
-    ``resp`` is an array or an :class:`~camkit.imageops.EdgeFrame`."""
-    resp = EdgeFrame.of(resp)
-    (h, w), (r0, c0), (bh, bw) = resp.shape, resp.origin, resp.box.shape
+    in row-major order; only those pixels are compared with their window."""
     b = radius + 1
-    # The frame's interior rows and columns, as rows and columns of the box.
-    rows = np.clip(np.arange(b, h - b) - r0, 0, bh - 1)
-    cols = np.clip(np.arange(b, w - b) - c0, 0, bw - 1)
-    cand = np.argwhere((resp.box > threshold).take(rows, axis=0).take(cols, axis=1)) + b
+    cand = np.argwhere(resp[b:-b, b:-b] > threshold) + b
     vs, us = cand.T
-    center = resp.at(vs, us)
+    center = resp[vs, us]
     is_max = np.ones(len(cand), dtype=bool)
     for dv in range(-radius, radius + 1):
         for du in range(-radius, radius + 1):
             if dv or du:
-                is_max &= center >= resp.at(vs + dv, us + du)
+                is_max &= center >= resp[vs + dv, us + du]
     vs, us = cand[is_max].T
     return np.column_stack([us, vs])
 
 
-def _x_junction_mask(img, candidates: np.ndarray) -> np.ndarray:
+def _x_junction_mask(img: np.ndarray, origin, candidates: np.ndarray) -> np.ndarray:
     """Keep candidates whose surrounding intensity ring is point-symmetric.
 
     Interior board corners see the same color on opposite sides of the ring;
     L-junctions on the board boundary (and the margin's outer corners) do
-    not, so this separates the interior grid from everything else. A ring
-    that leaves the image rejects its candidate.
+    not, so this separates the interior grid from everything else. ``img``
+    is a crop whose pixel (0, 0) is at ``origin``; a ring that leaves it
+    rejects its candidate.
     """
-    vals = bilinear_sample(img, candidates[:, None, :] + _RING, fill=np.nan)
+    vals = bilinear_sample(img, candidates[:, None, :] + _RING - origin, fill=np.nan)
     contrast = vals.max(axis=1) - vals.min(axis=1)
     half = _RING_SAMPLES // 2
     asym = np.mean(np.abs(vals[:, :half] - vals[:, half:]), axis=1)
@@ -171,8 +159,11 @@ def detect_corners(image: np.ndarray, spec: CheckerboardSpec,
     exists, and CountMismatch when a complete grid of the wrong size is
     found.
     """
-    resp = corner_response(image)
-    max_resp = float(resp.box.max())
+    rows, cols = structure_box(image, _HALO)
+    img = to_float(np.asarray(image)[rows, cols])
+    origin = np.array([cols.start, rows.start])  # the (u, v) of img[0, 0]
+    resp = corner_response(img)
+    max_resp = float(resp.max())
     if max_resp <= _RESPONSE_FLOOR:
         raise BoardNotFound("no corner response above the noise floor")
 
@@ -182,15 +173,15 @@ def detect_corners(image: np.ndarray, spec: CheckerboardSpec,
 
     us, vs = candidates.T
     step = np.arange(-1, 2)
-    patches = resp.at(vs[:, None, None] + step[:, None], us[:, None, None] + step)
-    refined = candidates + quadratic_peak_offset(patches)
+    patches = resp[vs[:, None, None] + step[:, None], us[:, None, None] + step]
+    refined = (candidates + origin) + quadratic_peak_offset(patches)
 
-    smooth = structure_box_filter(image, _SMOOTH_SIGMA, _smooth)
-    keep = _x_junction_mask(smooth, refined)
+    smooth = ndimage.gaussian_filter(img, _SMOOTH_SIGMA, mode="nearest")
+    keep = _x_junction_mask(smooth, origin, refined)
     refined = refined[keep]
     if len(refined) < 4:
         raise BoardNotFound("too few X-junction candidates")
-    responses = resp.at(vs[keep], us[keep])
+    responses = resp[vs[keep], us[keep]]
 
     lattice = _grow_lattice(refined, responses, min_separation=4.0)
     if len(lattice) < 4:
@@ -216,12 +207,14 @@ def detect_corners(image: np.ndarray, spec: CheckerboardSpec,
     if dims != (nx, ny):
         grid = grid.transpose(1, 0, 2)
 
-    return CornerGrid(corners=_orient_grid(grid, smooth, spec), view_id=view_id)
+    return CornerGrid(corners=_orient_grid(grid, smooth, origin, spec), view_id=view_id)
 
 
-def _orient_grid(grid: np.ndarray, smooth: EdgeFrame,
+def _orient_grid(grid: np.ndarray, smooth: np.ndarray, origin,
                  spec: CheckerboardSpec) -> np.ndarray:
-    """The corners of an assembled ``(ny, nx, 2)`` grid in board order."""
+    """The corners of an assembled ``(ny, nx, 2)`` grid in board order.
+
+    ``smooth`` is the smoothed crop whose pixel (0, 0) is at ``origin``."""
     world = board_world_points(spec)[:, :2]
     far = world[-1]  # the corner opposite the origin
     h = estimate_homography(world, grid.reshape(-1, 2))
@@ -233,7 +226,7 @@ def _orient_grid(grid: np.ndarray, smooth: EdgeFrame,
             if handed * (-1) ** (flip_i + flip_j) <= 0:
                 continue
             mirrored = np.where([flip_i, flip_j], far - probes, probes)
-            inner, outer = bilinear_sample(smooth, apply_homography(h, mirrored))
+            inner, outer = bilinear_sample(smooth, apply_homography(h, mirrored) - origin)
             if inner < 0.4 and outer > 0.6:
                 if accepted is not None:
                     raise AmbiguousGrid("two orientations both look valid")

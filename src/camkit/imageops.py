@@ -1,10 +1,8 @@
-"""Small shared raster helpers: Gaussian filtering of an image's structure
-box, and sub-pixel peak fits and bilinear samples, each over a whole batch of
-patches or points."""
+"""Small shared raster helpers: the crop of an image's structure box, and
+sub-pixel peak fits and bilinear samples, each over a whole batch of patches
+or points."""
 
 from __future__ import annotations
-
-from typing import NamedTuple
 
 import numpy as np
 
@@ -48,55 +46,16 @@ def to_float(image: np.ndarray) -> np.ndarray:
     return np.asarray(img, dtype=np.float64)
 
 
-class EdgeFrame(NamedTuple):
-    """An image held as one box of it: every pixel outside the box has the
-    value of the box pixel nearest to it, as ``np.pad(mode="edge")`` gives.
+def structure_box(image: np.ndarray, halo: int) -> tuple[slice, slice]:
+    """Row and column slices of the image's structure box grown by ``halo``
+    pixels a side and clipped to the image.
 
-    ``origin`` is the frame row and column of ``box[0, 0]`` and ``shape`` the
-    frame's shape. An array is the frame that is all box.
-    """
-
-    box: np.ndarray
-    origin: tuple[int, int]
-    shape: tuple[int, int]
-
-    @classmethod
-    def of(cls, image) -> EdgeFrame:
-        """``image`` itself if it is an EdgeFrame, else the float array as one."""
-        if isinstance(image, cls):
-            return image
-        image = np.asarray(image, dtype=np.float64)
-        return cls(image, (0, 0), image.shape)
-
-    def at(self, rows, cols) -> np.ndarray:
-        """The pixels at integer frame ``rows`` and ``cols`` (broadcast)."""
-        h, w = self.box.shape
-        if (h, w) == tuple(self.shape):
-            return self.box[rows, cols]
-        r0, c0 = self.origin
-        return self.box[np.clip(rows - r0, 0, h - 1), np.clip(cols - c0, 0, w - 1)]
-
-    def full(self) -> np.ndarray:
-        """The whole frame as one array."""
-        (r0, c0), (h, w) = self.origin, self.shape
-        bh, bw = self.box.shape
-        return np.pad(self.box, ((r0, h - r0 - bh), (c0, w - c0 - bw)), mode="edge")
-
-
-def structure_box_filter(image: np.ndarray, sigma: float, filt) -> EdgeFrame:
-    """``filt(to_float(image))``, computed only on the image's structure box.
-
-    The structure box bounds the pixels that differ from a 4-neighbour.
-    Outside it the image is the box's nearest-neighbour extension, so a
-    ``mode="nearest"`` separable filter run on the box grown by the
-    Gaussian radius ``int(4 * sigma + 0.5)`` equals the full-frame filter
-    there bit for bit, and beyond it equals the grown box's edge values:
-    the result is an :class:`EdgeFrame` of the grown box. ``filt`` may
-    therefore apply ``mode="nearest"`` Gaussian filters of at most
-    ``sigma`` at scipy's default truncation to the 2-D float array it gets,
-    then combine them pixel by pixel. Only the grown box is converted to
-    float. An image without structure filters its corner; a noisy one
-    filters the full frame.
+    The structure box bounds the pixels that differ from a 4-neighbour; an
+    image without structure has its top-left pixel as the box. Outside the
+    box each row and column repeats its nearest box pixel, so
+    ``mode="nearest"`` separable filters run on the crop equal the
+    full-frame filters on it, bit for bit; ``halo`` keeps the pixels near
+    the box where a filtered image still varies.
     """
     image = np.asarray(image)
     h, w = image.shape
@@ -110,23 +69,20 @@ def structure_box_filter(image: np.ndarray, sigma: float, filt) -> EdgeFrame:
     cols[1:] |= step_c
     r = np.flatnonzero(rows)
     c = np.flatnonzero(cols)
-    halo = int(4 * sigma + 0.5)
     r0, r1 = (r[0], r[-1] + 1) if len(r) else (0, 1)
     c0, c1 = (c[0], c[-1] + 1) if len(c) else (0, 1)
-    r0, r1 = max(r0 - halo, 0), min(r1 + halo, h)
-    c0, c1 = max(c0 - halo, 0), min(c1 + halo, w)
-    return EdgeFrame(filt(to_float(image[r0:r1, c0:c1])), (int(r0), int(c0)), (h, w))
+    return (slice(int(max(r0 - halo, 0)), int(min(r1 + halo, h))),
+            slice(int(max(c0 - halo, 0)), int(min(c1 + halo, w))))
 
 
 def bilinear_sample(image, points, fill: float = 0.0) -> np.ndarray:
     """Sample a float image at (u, v) positions with bilinear interpolation.
 
-    ``image`` is an array or an :class:`EdgeFrame`. Points outside
-    ``[0, w-1] x [0, h-1]`` return ``fill``. ``points`` has shape (..., 2)
-    with u along columns, v along rows; the result has shape (...), one
-    value per point.
+    Points outside ``[0, w-1] x [0, h-1]`` return ``fill``. ``points`` has
+    shape (..., 2) with u along columns, v along rows; the result has shape
+    (...), one value per point.
     """
-    img = EdgeFrame.of(image)
+    img = np.asarray(image, dtype=np.float64)
     pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
     h, w = img.shape
     u, v = pts[..., 0], pts[..., 1]
@@ -140,10 +96,10 @@ def bilinear_sample(image, points, fill: float = 0.0) -> np.ndarray:
     fv = vc - v0
 
     u1, v1 = np.minimum(u0 + 1, w - 1), np.minimum(v0 + 1, h - 1)
-    i00 = img.at(v0, u0)
-    i01 = img.at(v0, u1)
-    i10 = img.at(v1, u0)
-    i11 = img.at(v1, u1)
+    i00 = img[v0, u0]
+    i01 = img[v0, u1]
+    i10 = img[v1, u0]
+    i11 = img[v1, u1]
     out = (i00 * (1 - fu) * (1 - fv) + i01 * fu * (1 - fv)
            + i10 * (1 - fu) * fv + i11 * fu * fv)
     return np.where(inside, out, fill)

@@ -21,7 +21,7 @@ from camkit.corners import (
     corner_response,
 )
 from camkit.errors import AmbiguousGrid, BoardNotFound, CountMismatch
-from camkit.imageops import EdgeFrame, bilinear_sample, to_float
+from camkit.imageops import bilinear_sample, to_float
 from camkit.synthetic import frontoparallel_pose, sample_board_poses
 
 from conftest import IMAGE_HEIGHT, IMAGE_WIDTH
@@ -61,17 +61,40 @@ def test_uniform_image_has_no_board(board_spec):
             detect_corners(np.full((240, 320), value, dtype=np.uint8), board_spec)
 
 
+def _detection_outcome(image, spec):
+    try:
+        return detect_corners(image, spec).corners.tobytes()
+    except (BoardNotFound, AmbiguousGrid, CountMismatch) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
 def test_detection_matches_full_frame_oracle(board_spec, rendered_views,
-                                             monkeypatch):
-    # The oracle filters the full frame: the structure-box helper bypassed.
-    images, _ = rendered_views
-    cropped = [(corner_response(img).full(), detect_corners(img, board_spec).corners)
-               for img in images]
-    monkeypatch.setattr("camkit.corners.structure_box_filter",
-                        lambda image, sigma, filt: EdgeFrame.of(filt(to_float(image))))
-    for image, (resp, corners) in zip(images, cropped):
-        assert resp.tobytes() == corner_response(image).full().tobytes()
-        assert corners.tobytes() == detect_corners(image, board_spec).corners.tobytes()
+                                             ref_intrinsics, monkeypatch):
+    # The README views; head-on boards whose grown structure box the frame
+    # clips; blurred, noisy views, whose box is the whole frame; and small
+    # marks whose response peaks lie outside their structure box.
+    images = list(rendered_views[0])
+    images += [render_board(board_spec, ref_intrinsics, DistortionCoeffs(),
+                            frontoparallel_pose(board_spec, ref_intrinsics, s),
+                            IMAGE_WIDTH, IMAGE_HEIGHT)
+               for s in (40.0, 50.0, 60.0, 70.0)]
+    rng = np.random.default_rng(5)
+    for i, sigma in enumerate((0.7, 1.2, 2.0, 3.0)):
+        blurred = ndimage.gaussian_filter(images[i].astype(np.float64), sigma)
+        noisy = blurred + rng.normal(0.0, 5.0, blurred.shape)
+        images.append(np.clip(np.rint(noisy), 0, 255).astype(np.uint8))
+    x_mark = np.full((60, 60), 200, dtype=np.uint8)
+    x_mark[28:30, 28:30] = x_mark[30:32, 30:32] = 20
+    speck = np.full((60, 60), 128, dtype=np.uint8)
+    speck[25:35, 25:35] = rng.integers(0, 256, (10, 10))
+    images += [x_mark, speck]
+    cropped = [_detection_outcome(image, board_spec) for image in images]
+    # The oracle works on the full frame: the structure box bypassed.
+    monkeypatch.setattr("camkit.corners.structure_box",
+                        lambda image, halo: (slice(0, image.shape[0]),
+                                             slice(0, image.shape[1])))
+    for image, outcome in zip(images, cropped):
+        assert outcome == _detection_outcome(image, board_spec)
 
 
 # Oracle: the full-frame non-maximum suppression that _local_maxima replaces,
@@ -89,7 +112,7 @@ def _oracle_local_maxima(resp, radius, threshold):
 
 
 def test_local_maxima_match_full_frame_oracle(rendered_views):
-    responses = [corner_response(image).full() for image in rendered_views[0]]
+    responses = [corner_response(image) for image in rendered_views[0]]
     # Plateaus and ties, peaks at every distance from the border, and
     # images smaller than one window.
     rng = np.random.default_rng(3)
@@ -104,18 +127,6 @@ def test_local_maxima_match_full_frame_oracle(rendered_views):
             assert found.dtype == expected.dtype
             assert found.tobytes() == expected.tobytes()
             assert found.shape == expected.shape
-
-    # The same frames held as boxes of them: candidates in the edge-padded
-    # margins and windows that reach past the box must come out alike.
-    for resp in responses[-9:]:
-        h, w = resp.shape
-        r0, c0 = rng.integers(0, h), rng.integers(0, w)
-        box = resp[r0:rng.integers(r0 + 1, h + 1), c0:rng.integers(c0 + 1, w + 1)]
-        frame = EdgeFrame(box, (int(r0), int(c0)), (h, w))
-        for radius in (1, 3):
-            threshold = _RELATIVE_THRESHOLD * box.max()
-            assert (_local_maxima(frame, radius, threshold).tobytes()
-                    == _oracle_local_maxima(frame.full(), radius, threshold).tobytes())
 
 
 def test_wrong_board_size_is_count_mismatch(board_spec, ref_intrinsics):
@@ -164,7 +175,7 @@ def _oracle_x_junction_mask(img, candidates, radius=4.0, n_angles=16):
 def test_ring_test_matches_per_candidate_oracle(rendered_views):
     for image in rendered_views[0]:
         img = to_float(image)
-        resp = corner_response(img).full()
+        resp = corner_response(img)
         candidates = _local_maxima(resp, radius=3,
                                    threshold=_RELATIVE_THRESHOLD * resp.max())
         refined = np.array([
@@ -176,13 +187,13 @@ def test_ring_test_matches_per_candidate_oracle(rendered_views):
                                 [w / 2, h - 1.5], [4.0, 4.0], [-1.0, -1.0]])
         points = np.concatenate([refined, near_border])
         smooth = ndimage.gaussian_filter(img, 1.0, mode="nearest")
-        keep = _x_junction_mask(smooth, points)
+        keep = _x_junction_mask(smooth, (0, 0), points)
         assert np.array_equal(keep, _oracle_x_junction_mask(smooth, points))
         assert not keep[[-6, -5, -4, -3, -1]].any()
         assert keep.sum() >= 54  # at least the 9 x 6 interior corners
         # At a tenth of the contrast the rings fall below the contrast floor.
         faint = 0.5 + 0.1 * (smooth - 0.5)
-        assert np.array_equal(_x_junction_mask(faint, points),
+        assert np.array_equal(_x_junction_mask(faint, (0, 0), points),
                               _oracle_x_junction_mask(faint, points))
 
 
@@ -198,7 +209,7 @@ def _oracle_map_jacobian_sign(h, center):
     return float(np.linalg.det(j))
 
 
-def _oracle_orient_grid(grid, smooth, spec):
+def _oracle_orient_grid(grid, smooth, origin, spec):
     nx, ny = spec.corners_x, spec.corners_y
     world = np.array([(i * spec.square_size, j * spec.square_size)
                       for j in range(ny) for i in range(nx)])
@@ -213,8 +224,8 @@ def _oracle_orient_grid(grid, smooth, spec):
             center = np.array([(nx - 1) * s / 2.0, (ny - 1) * s / 2.0])
             if _oracle_map_jacobian_sign(h, center) <= 0:
                 continue
-            inner = bilinear_sample(smooth, apply_homography(h, [[s / 2, s / 2]]))[0]
-            outer = bilinear_sample(smooth, apply_homography(h, [[3 * s / 2, s / 2]]))[0]
+            inner = bilinear_sample(smooth, apply_homography(h, [[s / 2, s / 2]]) - origin)[0]
+            outer = bilinear_sample(smooth, apply_homography(h, [[3 * s / 2, s / 2]]) - origin)[0]
             if inner < 0.4 and outer > 0.6:
                 if accepted is not None:
                     raise AmbiguousGrid("two orientations both look valid")

@@ -7,10 +7,8 @@ from scipy import ndimage
 
 from camkit.imageops import (
     _QUAD_PINV,
-    EdgeFrame,
-    bilinear_sample,
     quadratic_peak_offset,
-    structure_box_filter,
+    structure_box,
     to_float,
 )
 
@@ -76,45 +74,23 @@ def _patch_images(draw):
                       constant_values=17))                        # one pixel
 @example(image=np.full((25, 35), 77, dtype=np.uint8))             # constant
 @example(image=_patch_image((5, 7), 40, (1, 4, 2, 6), 5))         # < halo
-def test_structure_box_filter_matches_full_frame(image):
+def test_structure_box_crop_filters_like_the_full_frame(image):
     # The corner response's three derivatives at sigma 2 and the smoothing
-    # at sigma 1, each bit for bit.
+    # at sigma 1, each bit for bit on the crop grown by its filter radius.
     img = to_float(image)
     for sigma, order in [(2.0, (0, 2)), (2.0, (2, 0)), (2.0, (1, 1)), (1.0, 0)]:
         filt = partial(ndimage.gaussian_filter, sigma=sigma, order=order,
                        mode="nearest")
-        got = structure_box_filter(image, sigma, filt).full()
-        want = filt(img)
-        assert got.shape == want.shape
-        assert got.tobytes() == want.tobytes()
+        box = structure_box(image, int(4 * sigma + 0.5))
+        assert filt(img[box]).tobytes() == filt(img)[box].tobytes()
 
 
-def test_structure_box_filter_filters_only_the_grown_box():
+def test_structure_box_grows_and_clips_the_box():
     image = _patch_image((100, 120), 30, (40, 50, 60, 65), 6)
-    shapes = []
-
-    def filt(crop):
-        shapes.append(crop.shape)
-        return ndimage.gaussian_filter(crop, 2.0, mode="nearest")
-
-    structure_box_filter(to_float(image), 2.0, filt)
-    structure_box_filter(to_float(image), 1.0, filt)
     # The 10 x 5 patch and the background ring next to it make a 12 x 7
-    # structure box, grown by int(4 sigma + 0.5) = 8 and 4 pixels a side.
-    assert shapes == [(28, 23), (20, 15)]
-
-
-def test_edge_frame_samples_like_its_full_array():
-    # Points inside the box, in each padded margin, on the frame's edges and
-    # outside the frame.
-    rng = np.random.default_rng(7)
-    frame = EdgeFrame(rng.random((6, 9)), (4, 11), (17, 30))
-    full = frame.full()
-    assert full.shape == (17, 30)
-    points = np.concatenate([rng.uniform(-2.0, 32.0, (400, 2)),
-                             [[0.0, 0.0], [29.0, 16.0], [29.0, 0.0], [0.0, 16.0]]])
-    for fill in (0.0, np.nan):
-        assert (bilinear_sample(frame, points, fill).tobytes()
-                == bilinear_sample(full, points, fill).tobytes())
-    rows, cols = rng.integers(0, 17, 50), rng.integers(0, 30, 50)
-    assert np.array_equal(frame.at(rows, cols), full[rows, cols])
+    # structure box at rows 39-50 and columns 59-65.
+    assert structure_box(image, 0) == (slice(39, 51), slice(59, 66))
+    assert structure_box(image, 8) == (slice(31, 59), slice(51, 74))
+    assert structure_box(image, 60) == (slice(0, 100), slice(0, 120))
+    # An image without structure keeps its top-left pixel as the box.
+    assert structure_box(np.full((30, 40), 5, np.uint8), 4) == (slice(0, 5), slice(0, 5))
