@@ -29,6 +29,10 @@ class BoardBehindCamera(CamkitError):
     """The whole board lies behind the camera; nothing can be rendered."""
 
 
+class BoardOutOfView(CamkitError):
+    """No sampled pose keeps the whole board inside the image."""
+
+
 class BoardNotFound(CamkitError):
     """Too few corner candidates to assemble any checkerboard grid."""
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from .board import CheckerboardSpec, CornerGrid, board_outline, board_world_points
+from .errors import BoardOutOfView
 from .geometry import (
     SHADE_BLOCK,
     CameraIntrinsics,
@@ -51,6 +52,7 @@ def sample_board_poses(spec: CheckerboardSpec, intrinsics: CameraIntrinsics,
     Tilts about both board axes are drawn up to ``MAX_TILT_DEG`` and the
     in-plane angle freely, with the board center aimed near a random image
     point; candidates that clip the image border are rejected and redrawn.
+    Raises BoardOutOfView when 200 draws per view do not find ``n_views``.
     """
     board_center = board_world_points(spec)[-1] / 2.0  # corner 0 is the origin
     diag_mm = np.hypot(spec.squares_x, spec.squares_y) * spec.square_size
@@ -63,7 +65,9 @@ def sample_board_poses(spec: CheckerboardSpec, intrinsics: CameraIntrinsics,
     while len(poses) < n_views:
         attempts += 1
         if attempts > 200 * n_views:
-            raise RuntimeError("could not sample enough valid board poses")
+            raise BoardOutOfView(f"{len(poses)} of {n_views} poses in {attempts - 1} "
+                                 f"draws keep the board inside the "
+                                 f"{width}x{height} image")
         tilt = np.deg2rad(MAX_TILT_DEG)
         ax, ay = rng.uniform(-tilt, tilt, size=2)
         az = rng.uniform(-np.pi, np.pi)

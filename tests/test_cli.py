@@ -102,6 +102,19 @@ def test_calibrate_with_two_images_exits_two(board_dataset, tmp_path, capsys):
     assert "InsufficientViews" in capsys.readouterr().err
 
 
+def test_render_board_without_a_fitting_pose_exits_two(tmp_path, capsys):
+    # A principal point far outside the image leaves no pose that frames
+    # the board: a processing error, with nothing written.
+    doc = board_spec_doc()
+    doc["intrinsics"]["cx"] = 5000.0
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(doc))
+    out = tmp_path / "views"
+    assert run_cli(["render-board", str(spec_path), "--out", str(out)]) == 2
+    assert "BoardOutOfView" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_missing_image_dir_exits_two(tmp_path, capsys):
     code = run_cli(["calibrate", str(tmp_path / "nope"), "--board",
                     "10x7:23mm", "--out", str(tmp_path / "c.json")])
