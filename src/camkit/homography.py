@@ -53,7 +53,9 @@ def projective_dlt(src: np.ndarray, dst: np.ndarray):
     a[0::2, :k] = a[1::2, k:2 * k] = sn
     a[0::2, 2 * k:] = -dn[:, 0:1] * sn
     a[1::2, 2 * k:] = -dn[:, 1:2] * sn
-    _, s, vt = np.linalg.svd(a)
+    # Only a system with fewer rows than columns needs the full V for its
+    # null vector; otherwise the thin SVD skips the unused 2n x 2n U.
+    _, s, vt = np.linalg.svd(a, full_matrices=len(a) < a.shape[1])
     return np.linalg.inv(t_dst) @ vt[-1].reshape(3, k) @ t_src, s
 
 
