@@ -20,7 +20,6 @@ Usage: python scripts/parity_digest.py
 import hashlib
 
 import numpy as np
-from scipy import ndimage
 
 from camkit import (
     CalibrationDataset,
@@ -47,11 +46,26 @@ def readme_views(seed):
     return [render_board(SPEC, K, DIST, pose, WIDTH, HEIGHT) for pose in poses]
 
 
+def blur(image, sigma):
+    """Separable Gaussian blur truncated at 4 sigma, edges repeated."""
+    r = int(4 * sigma + 0.5)
+    kernel = np.exp(-np.arange(-r, r + 1) ** 2 / (2 * sigma ** 2))
+    kernel /= kernel.sum()
+    out = np.asarray(image, dtype=np.float64)
+    for axis in (0, 1):
+        padded = np.pad(out, [(r, r) if a == axis else (0, 0) for a in (0, 1)],
+                        mode="edge")
+        n = out.shape[axis]
+        out = sum(w * padded.take(np.arange(i, i + n), axis=axis)
+                  for i, w in enumerate(kernel))
+    return out
+
+
 def degraded(images):
     rng = np.random.default_rng(7)
     out = []
     for i, sigma in enumerate(np.linspace(0.7, 3.0, 24)):
-        blurred = ndimage.gaussian_filter(images[i % len(images)].astype(float), sigma)
+        blurred = blur(images[i % len(images)], sigma)
         noisy = blurred + rng.normal(0.0, 5.0, blurred.shape)
         out.append(np.clip(np.rint(noisy), 0, 255).astype(np.uint8))
     return out

@@ -174,6 +174,8 @@ def detect_corners(image: np.ndarray, spec: CheckerboardSpec,
     us, vs = candidates.T
     step = np.arange(-1, 2)
     patches = resp[vs[:, None, None] + step[:, None], us[:, None, None] + step]
+    # Frame coordinates before the offsets, so that corners round as they do
+    # on the full frame; crop samples subtract the origin last, exactly.
     refined = (candidates + origin) + quadratic_peak_offset(patches)
 
     smooth = ndimage.gaussian_filter(img, _SMOOTH_SIGMA, mode="nearest")
