@@ -208,10 +208,7 @@ def _cmd_render(args) -> int:
     for name, pose in zip(names, poses):
         fileio.write_image(renderer(target, intrinsics, dist, pose, width, height),
                            out / name)
-    fileio.write_ground_truth(out / "ground_truth.json", intrinsics=intrinsics,
-                              distortion=dist, image_size=(width, height),
-                              poses=poses, images=names,
-                              **{subject: spec[subject]})
+    fileio.write_ground_truth(out / "ground_truth.json", spec, poses, names)
     print(f"rendered {len(poses)} {subject} views into {out}")
     return 0
 

@@ -1,11 +1,19 @@
 """File formats: portable graymap/pixmap images, ASCII PLY, and JSON schemas
 for calibration results, poses, visualization scenes, and synthetic ground
-truth."""
+truth.
+
+A PNM header is the magic ``P5`` or ``P6``, then width, height and maxval as
+decimal numbers, then one whitespace byte before the raster. Whitespace or
+comments (``#`` to the end of the line) may follow the magic and must
+separate the numbers; maxval must be 255 and the dimensions positive.
+"""
 
 from __future__ import annotations
 
 import json
+import re
 from contextlib import contextmanager
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -36,39 +44,25 @@ CALIBRATION_SCHEMA_VERSION = 1
 
 # --- portable graymap / pixmap ----------------------------------------------
 
+_SEP = rb"\s|#[^\r\n]*[\r\n]"
+_PNM_HEADER = re.compile(rb"(P[56])(?:%s)*(\d+)(?:%s)+(\d+)(?:%s)+(\d+)\s"
+                         % ((_SEP,) * 3))
+
+
 def _parse_pnm_header(data: bytes):
     if len(data) < 2:
         raise CorruptHeader("file too short for a PNM header")
-    magic = data[:2]
-    if magic not in (b"P5", b"P6"):
-        raise UnsupportedFormat(f"unsupported magic {magic!r}; only P5/P6 binary maps")
-    pos = 2
-    values = []
-    while len(values) < 3:
-        if pos >= len(data):
-            raise CorruptHeader("header ended before width/height/maxval")
-        c = data[pos:pos + 1]
-        if c.isspace():
-            pos += 1
-        elif c == b"#":
-            while pos < len(data) and data[pos:pos + 1] not in (b"\n", b"\r"):
-                pos += 1
-        elif c.isdigit():
-            start = pos
-            while pos < len(data) and data[pos:pos + 1].isdigit():
-                pos += 1
-            values.append(int(data[start:pos]))
-        else:
-            raise CorruptHeader(f"unexpected byte {c!r} in header")
-    if pos >= len(data) or not data[pos:pos + 1].isspace():
-        raise CorruptHeader("missing whitespace after maxval")
-    pos += 1
-    width, height, maxval = values
+    if data[:2] not in (b"P5", b"P6"):
+        raise UnsupportedFormat(f"unsupported magic {data[:2]!r}; only P5/P6 binary maps")
+    m = _PNM_HEADER.match(data)
+    if m is None:
+        raise CorruptHeader("malformed width/height/maxval header")
+    width, height, maxval = map(int, m.group(2, 3, 4))
     if maxval != 255:
         raise UnsupportedFormat(f"only maxval 255 supported, got {maxval}")
     if width <= 0 or height <= 0:
         raise CorruptHeader(f"invalid dimensions {width}x{height}")
-    return magic, width, height, pos
+    return m.group(1), width, height, m.end()
 
 
 def read_image(path) -> np.ndarray:
@@ -155,23 +149,24 @@ def _schema(context: str):
 
 def _intrinsics_to_json(k: CameraIntrinsics) -> dict:
     mat = k.matrix()
-    return {
-        "fx": k.fx, "fy": k.fy, "cx": k.cx, "cy": k.cy, "skew": k.skew,
-        "matrix": mat.tolist(),
-        "matrix_transposed": mat.T.tolist(),
-    }
+    return dict(asdict(k), matrix=mat.tolist(), matrix_transposed=mat.T.tolist())
 
 
-def _intrinsics_from_json(doc: dict, context: str) -> CameraIntrinsics:
-    return CameraIntrinsics(
-        fx=_require(doc, "fx", context), fy=_require(doc, "fy", context),
-        cx=_require(doc, "cx", context), cy=_require(doc, "cy", context),
-        skew=doc.get("skew", 0.0),
+def _camera_from_json(doc: dict, context: str):
+    """The ``image_size`` (width, height) and ``intrinsics`` of a calibration
+    or render spec. Raises SchemaMismatch unless the size is positive."""
+    size = _require(doc, "image_size", context)
+    width = int(_require(size, "width", context))
+    height = int(_require(size, "height", context))
+    if width < 1 or height < 1:
+        raise SchemaMismatch(f"{context}: image size must be positive, "
+                             f"got {width}x{height}")
+    k = _require(doc, "intrinsics", context)
+    return (width, height), CameraIntrinsics(
+        fx=_require(k, "fx", context), fy=_require(k, "fy", context),
+        cx=_require(k, "cx", context), cy=_require(k, "cy", context),
+        skew=k.get("skew", 0.0),
     )
-
-
-def _distortion_to_json(d: DistortionCoeffs) -> dict:
-    return {"k1": d.k1, "k2": d.k2, "k3": d.k3, "p1": d.p1, "p2": d.p2}
 
 
 def _distortion_from_json(doc: dict, context: str) -> DistortionCoeffs:
@@ -239,7 +234,7 @@ def write_calibration(result: CalibrationResult, path) -> None:
                        "height": result.image_size[1]},
         "error_metric": result.error_metric,
         "intrinsics": _intrinsics_to_json(result.intrinsics),
-        "distortion": _distortion_to_json(result.distortion),
+        "distortion": asdict(result.distortion),
         "views": [
             dict(_pose_to_json(pose),
                  mean_error=float(err),
@@ -260,7 +255,8 @@ def read_calibration(path) -> CalibrationResult:
     """Load a calibration JSON written by :func:`write_calibration`.
 
     Raises CorruptFile for undecodable files and SchemaMismatch for missing
-    fields or values the camera model rejects.
+    fields, values the camera model rejects or an image size that is not
+    positive.
     """
     doc = _load_json(path)
     ctx = str(path)
@@ -268,8 +264,7 @@ def read_calibration(path) -> CalibrationResult:
     if version != CALIBRATION_SCHEMA_VERSION:
         raise SchemaMismatch(f"{ctx}: unsupported schema version {version}")
     with _schema(ctx):
-        size = _require(doc, "image_size", ctx)
-        intrinsics = _intrinsics_from_json(_require(doc, "intrinsics", ctx), ctx)
+        image_size, intrinsics = _camera_from_json(doc, ctx)
         distortion = _distortion_from_json(_require(doc, "distortion", ctx), ctx)
         views = _require(doc, "views", ctx)
         poses = []
@@ -289,8 +284,7 @@ def read_calibration(path) -> CalibrationResult:
             intrinsic_stderr=dict(_require(stderr, "intrinsics", ctx)),
             distortion_stderr=dict(_require(stderr, "distortion", ctx)),
             pose_stderr=np.array(pose_stderr, dtype=np.float64),
-            image_size=(int(_require(size, "width", ctx)),
-                        int(_require(size, "height", ctx))),
+            image_size=image_size,
             error_metric=doc.get("error_metric", "mean_euclidean"),
         )
 
@@ -339,35 +333,20 @@ def write_sfm_scene(scene: SfmScene, path) -> None:
 
 # --- synthetic ground truth ---------------------------------------------------
 
-def _board_to_json(spec: CheckerboardSpec) -> dict:
-    return {"squares_x": spec.squares_x, "squares_y": spec.squares_y,
-            "square_size": spec.square_size}
-
-
-def board_from_json(doc: dict, context: str = "board") -> CheckerboardSpec:
-    return CheckerboardSpec(
-        squares_x=int(_require(doc, "squares_x", context)),
-        squares_y=int(_require(doc, "squares_y", context)),
-        square_size=float(_require(doc, "square_size", context)),
-    )
-
-
-def write_ground_truth(path, *, intrinsics: CameraIntrinsics,
-                       distortion: DistortionCoeffs, image_size,
-                       poses, images: list[str],
-                       board: CheckerboardSpec | None = None,
-                       cube: dict | None = None) -> None:
+def write_ground_truth(path, spec: dict, poses, images: list[str]) -> None:
+    """Write the render spec ``spec`` (as :func:`read_render_spec` returns it)
+    with the rendered ``poses`` listed and the image file names."""
     doc = {
-        "image_size": {"width": image_size[0], "height": image_size[1]},
-        "intrinsics": _intrinsics_to_json(intrinsics),
-        "distortion": _distortion_to_json(distortion),
+        "image_size": dict(zip(("width", "height"), spec["image_size"])),
+        "intrinsics": _intrinsics_to_json(spec["intrinsics"]),
+        "distortion": asdict(spec["distortion"]),
         "poses": [_pose_to_json(p) for p in poses],
         "images": images,
     }
-    if board is not None:
-        doc["board"] = _board_to_json(board)
-    if cube is not None:
-        doc["cube"] = cube
+    if "board" in spec:
+        doc["board"] = asdict(spec["board"])
+    else:
+        doc["cube"] = spec["cube"]
     _dump_json(doc, path)
 
 
@@ -392,18 +371,20 @@ def read_render_spec(path, subject: str) -> dict:
     doc = _load_json(path)
     ctx = str(path)
     with _schema(ctx):
-        size = _require(doc, "image_size", ctx)
+        image_size, intrinsics = _camera_from_json(doc, ctx)
         out = {
-            "image_size": (int(_require(size, "width", ctx)),
-                           int(_require(size, "height", ctx))),
-            "intrinsics": _intrinsics_from_json(_require(doc, "intrinsics", ctx),
-                                                ctx),
+            "image_size": image_size,
+            "intrinsics": intrinsics,
             "distortion": (_distortion_from_json(doc["distortion"], ctx)
                            if "distortion" in doc else DistortionCoeffs()),
         }
         section = _require(doc, subject, ctx)
         if subject == "board":
-            out["board"] = board_from_json(section, ctx)
+            out["board"] = CheckerboardSpec(
+                squares_x=int(_require(section, "squares_x", ctx)),
+                squares_y=int(_require(section, "squares_y", ctx)),
+                square_size=float(_require(section, "square_size", ctx)),
+            )
         else:
             edge = float(_require(section, "edge", ctx))
             out["cube"] = {"edge": edge,
@@ -418,10 +399,6 @@ def read_render_spec(path, subject: str) -> dict:
         else:
             out["poses"] = None
             out["views"] = int(_require(doc, "views", ctx))
-    width, height = out["image_size"]
-    if width < 1 or height < 1:
-        raise SchemaMismatch(f"{ctx}: image size must be positive, "
-                             f"got {width}x{height}")
     n_views = len(out["poses"]) if out["views"] is None else out["views"]
     if n_views < 1:
         raise SchemaMismatch(f"{ctx}: need at least one view, got {n_views}")
