@@ -52,8 +52,8 @@ class CheckerboardSpec:
             raise ValueError("need at least 3 squares per side")
         if self.squares_x == self.squares_y:
             raise ValueError("square counts must differ to fix the orientation")
-        if not (self.square_size > 0):
-            raise ValueError("square_size must be positive")
+        if not 0 < self.square_size < np.inf:
+            raise ValueError("square_size must be finite and positive")
 
     @property
     def corners_x(self) -> int:

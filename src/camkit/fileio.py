@@ -143,7 +143,7 @@ def _schema(context: str):
     to the expected number, as a SchemaMismatch of the document."""
     try:
         yield
-    except (TypeError, ValueError, InvalidRotation) as exc:
+    except (TypeError, ValueError, OverflowError, InvalidRotation) as exc:
         raise SchemaMismatch(f"{context}: {exc}") from exc
 
 
@@ -366,7 +366,8 @@ def read_render_spec(path, subject: str) -> dict:
     as floats, 2.5 x edge, 30, 48 and 21 when absent. Raises SchemaMismatch
     for missing fields, for values the camera model or board rejects, and
     unless the image size, the view count, the cube edge and the ring radius
-    are positive, the ring values finite and the texture seed not negative.
+    are positive, the cube edge and the ring values finite and the texture
+    seed not negative.
     """
     doc = _load_json(path)
     ctx = str(path)
@@ -404,8 +405,8 @@ def read_render_spec(path, subject: str) -> dict:
         raise SchemaMismatch(f"{ctx}: need at least one view, got {n_views}")
     if subject == "cube":
         edge, seed = out["cube"]["edge"], out["cube"]["texture_seed"]
-        if not edge > 0 or seed < 0:
-            raise SchemaMismatch(f"{ctx}: need a positive cube edge and a "
+        if not 0 < edge < np.inf or seed < 0:
+            raise SchemaMismatch(f"{ctx}: need a finite positive cube edge and a "
                                  f"non-negative texture seed, got {edge} and {seed}")
         ring = out["ring"]
         if not (np.all(np.isfinite(list(ring.values()))) and ring["radius"] > 0):

@@ -91,6 +91,13 @@ def test_bad_board_flag_is_usage_error(capsys):
     assert "board" in err
 
 
+def test_infinite_board_square_is_usage_error(capsys):
+    # 400 nines overflow to an infinite square size.
+    assert run_cli(["calibrate", "somewhere", "--board", f"10x7:{'9' * 400}mm",
+                    "--out", "x.json"]) == 1
+    assert "usage error:" in capsys.readouterr().err
+
+
 def test_calibrate_with_two_images_exits_two(board_dataset, tmp_path, capsys):
     small = tmp_path / "two"
     small.mkdir()
@@ -258,6 +265,12 @@ def _cube_with(**changes):
     return ("render-scene", dict(small_cube_spec_doc(views=3), **changes))
 
 
+def _calibration_with(command, **sections):
+    """A calibration edit: each keyword names a section of the calibration
+    file and the fields to overwrite in it."""
+    return (command, sections)
+
+
 MALFORMED = {
     "board-negative-views": _board_with(views=-1),
     "board-zero-width": _board_with(image_size={"width": 0, "height": 360}),
@@ -268,15 +281,26 @@ MALFORMED = {
         {"axis_angle": [0.1, 0.0, 0.0], "translation": [float("nan"), 0.0, 600.0]}]),
     "board-nan-axis-angle": _board_with(poses=[
         {"axis_angle": [float("nan"), 0.0, 0.0], "translation": [0.0, 0.0, 600.0]}]),
+    "board-infinite-square": _board_with(board={"squares_x": 10, "squares_y": 7,
+                                                "square_size": float("inf")}),
     "cube-negative-views": _cube_with(views=-1),
     "cube-zero-width": _cube_with(image_size={"width": 0, "height": 120}),
     "cube-negative-edge": _cube_with(cube={"edge": -5.0}),
+    "cube-infinite-edge": _cube_with(cube={"edge": float("inf")},
+                                     ring={"radius": 450.0}),
+    "cube-infinite-width": _cube_with(image_size={"width": float("inf"),
+                                                  "height": 120}),
     "cube-negative-texture-seed": _cube_with(cube={"edge": 200.0,
                                                    "texture_seed": -1}),
     "cube-text-views": _cube_with(views="three"),
     "cube-zero-ring-radius": _cube_with(ring={"radius": 0.0}),
     "cube-infinite-ring-angle": _cube_with(ring={"sweep_deg": float("inf")}),
-    "calibration-negative-fx": ("undistort", None),
+    "calibration-negative-fx": _calibration_with("undistort",
+                                                 intrinsics={"fx": -80.0}),
+    "calibration-zero-width": _calibration_with("extrinsics",
+                                                image_size={"width": 0}),
+    "calibration-infinite-width": _calibration_with(
+        "extrinsics", image_size={"width": float("inf")}),
 }
 
 
@@ -286,17 +310,19 @@ def test_malformed_input_is_schema_mismatch(command, doc, calibration_file,
                                             tmp_path, capsys):
     path = tmp_path / "input.json"
     out = tmp_path / "out"
-    if command == "undistort":
+    if command.startswith("render-"):
+        path.write_text(json.dumps(doc))
+        argv = [command, str(path), "--out", str(out)]
+    else:
         calib = json.loads(calibration_file.read_text())
-        calib["intrinsics"]["fx"] = -80.0
+        for section, fields in doc.items():
+            calib[section].update(fields)
         path.write_text(json.dumps(calib))
         image = tmp_path / "image.pgm"
         write_image(np.zeros((120, 160), dtype=np.uint8), image)
-        argv = ["undistort", str(image), "--calib", str(path),
-                "--out", str(out)]
-    else:
-        path.write_text(json.dumps(doc))
-        argv = [command, str(path), "--out", str(out)]
+        extra = {"undistort": [str(image)],
+                 "extrinsics": ["--board", "10x7:23mm", "--mode", "pattern"]}
+        argv = [command, "--calib", str(path), "--out", str(out), *extra[command]]
     assert run_cli(argv) == 2
     assert "SchemaMismatch" in capsys.readouterr().err
     assert not out.exists()
