@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from camkit import (
     CalibrationDataset,
@@ -19,6 +21,7 @@ from camkit.errors import (
     UnsupportedFormat,
 )
 from camkit.fileio import (
+    _parse_pnm_header,
     format_ply,
     read_calibration,
     read_image,
@@ -89,6 +92,87 @@ def test_header_comments_are_skipped(tmp_path):
     path = tmp_path / "c.pgm"
     path.write_bytes(b"P5\n# made by hand\n2 1\n# another\n255\n" + bytes([9, 9]))
     assert read_image(path).shape == (1, 2)
+
+
+def _byte_loop_pnm_header(data: bytes):
+    """The byte-by-byte header parser that the header grammar replaced, kept
+    as the oracle for it."""
+    if len(data) < 2:
+        raise CorruptHeader("file too short for a PNM header")
+    magic = data[:2]
+    if magic not in (b"P5", b"P6"):
+        raise UnsupportedFormat(f"unsupported magic {magic!r}; only P5/P6 binary maps")
+    pos = 2
+    values = []
+    while len(values) < 3:
+        if pos >= len(data):
+            raise CorruptHeader("header ended before width/height/maxval")
+        c = data[pos:pos + 1]
+        if c.isspace():
+            pos += 1
+        elif c == b"#":
+            while pos < len(data) and data[pos:pos + 1] not in (b"\n", b"\r"):
+                pos += 1
+        elif c.isdigit():
+            start = pos
+            while pos < len(data) and data[pos:pos + 1].isdigit():
+                pos += 1
+            values.append(int(data[start:pos]))
+        else:
+            raise CorruptHeader(f"unexpected byte {c!r} in header")
+    if pos >= len(data) or not data[pos:pos + 1].isspace():
+        raise CorruptHeader("missing whitespace after maxval")
+    pos += 1
+    width, height, maxval = values
+    if maxval != 255:
+        raise UnsupportedFormat(f"only maxval 255 supported, got {maxval}")
+    if width <= 0 or height <= 0:
+        raise CorruptHeader(f"invalid dimensions {width}x{height}")
+    return magic, width, height, pos
+
+
+def _header_outcome(parse, data):
+    try:
+        return parse(data)
+    except (CorruptHeader, UnsupportedFormat) as exc:
+        return type(exc)
+
+
+# A run of separators is one to three of these tokens; b"" makes it empty.
+_SEPARATORS = st.lists(st.sampled_from([
+    b"", b" ", b"\t", b"\n", b"\r", b"\v", b"\f", b"# note\n", b"#\r",
+    b"# no line break", b"# a # second\n", b"##"]), min_size=1, max_size=3).map(b"".join)
+_NUMBERS = st.one_of(
+    st.just(b"255"),
+    st.integers(0, 700).map(lambda n: str(n).encode()),
+    st.sampled_from([b"0", b"00", b"0255", b"007", b"65535",
+                     b"x", b"-1", b"2.5", b"1e3", b"\xff"]))
+
+
+@st.composite
+def _pnm_headers(draw):
+    """A header built from tokens: a magic (or a file too short for one), two
+    to four fields each after a run of separators, then any byte or none.
+    Half the draws have a P5/P6 magic, three fields or a whitespace byte
+    after the last field."""
+    data = draw(st.one_of(st.sampled_from([b"P5", b"P6"]),
+                          st.sampled_from([b"", b"P", b"P4"])))
+    for _ in range(draw(st.one_of(st.just(3), st.sampled_from([2, 4])))):
+        data += draw(_SEPARATORS) + draw(_NUMBERS)
+    return data + draw(st.one_of(st.sampled_from([b" ", b"\n"]),
+                                 st.binary(max_size=1)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=_pnm_headers())
+@example(data=b"P52 1 255\n")
+@example(data=b"P5 21 1 255\n")
+@example(data=b"P6#c\n2#c\r1\x0b0255\x0c")
+@example(data=b"P5 2 1 255")
+@example(data=b"P5 2 1 " + b"#" * 4096)
+def test_header_grammar_matches_the_byte_loop(data):
+    assert (_header_outcome(_parse_pnm_header, data)
+            == _header_outcome(_byte_loop_pnm_header, data))
 
 
 GOLDEN_SINGLE_POINT_PLY = """ply
