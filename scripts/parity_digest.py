@@ -9,15 +9,27 @@ Prints one digest for each of:
   (40-70 px) reach the frame edge, and 4 head-on 64x48 frames. Each image
   adds its corners, or its exception's type and message;
 - ``calibrate`` on the detected corners of the 20 README views (seed 42);
-- ``estimate_board_pose`` on those views under that calibration.
+- ``estimate_board_pose`` on those views under that calibration;
+- every file the README's CLI workflow writes, by name and bytes: the README
+  board spec rendered with ``--seed 42`` and re-rendered from its
+  ``ground_truth.json``, ``calibrate --report``, ``pose``, ``undistort`` and
+  ``extrinsics`` on it, the acceptance cube capture, and ``sfm`` on that
+  capture under an exact calibration (README intrinsics, zero distortion).
+  The workflow runs in-process through ``camkit.cli.run_cli`` in a temporary
+  directory.
 
-A refactor that must not move any output prints the same three lines as its
+A refactor that must not move any output prints the same four lines as its
 parent.
 
 Usage: python scripts/parity_digest.py
 """
 
+import contextlib
 import hashlib
+import io
+import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 
@@ -31,6 +43,7 @@ from camkit import (
     estimate_board_pose,
     render_board,
 )
+from camkit.cli import run_cli
 from camkit.errors import CamkitError
 from camkit.synthetic import frontoparallel_pose, sample_board_poses
 
@@ -77,6 +90,45 @@ def head_on(square_pxs, intrinsics, width, height):
             for s in square_pxs]
 
 
+def cli_workflow(root):
+    """Run the README's CLI workflow in ``root``; return the files it wrote."""
+    camera = {"image_size": {"width": WIDTH, "height": HEIGHT},
+              "intrinsics": {"fx": K.fx, "fy": K.fy, "cx": K.cx, "cy": K.cy}}
+    inputs = {
+        "board_spec.json": dict(
+            board={"squares_x": 10, "squares_y": 7, "square_size": 23.0},
+            **camera, distortion={"k1": DIST.k1, "k2": DIST.k2}, views=20),
+        "cube_spec.json": dict(cube={"edge": 200.0, "texture_seed": 7},
+                               **camera, views=5),
+        "cube_calib.json": dict(
+            schema_version=1, image_size=camera["image_size"],
+            intrinsics=dict(camera["intrinsics"], skew=0.0),
+            distortion={"k1": 0.0, "k2": 0.0}, views=[], overall_mean_error=0.0,
+            stderr={"intrinsics": {}, "distortion": {}}),
+    }
+    for name, doc in inputs.items():
+        (root / name).write_text(json.dumps(doc))
+    commands = [
+        "render-board {r}/board_spec.json --out {r}/views --seed 42",
+        "render-board {r}/views/ground_truth.json --out {r}/again",
+        "calibrate {r}/views --board 10x7:23mm --out {r}/calib.json"
+        " --report {r}/errors.csv",
+        "pose {r}/views/view_000.pgm --calib {r}/calib.json --board 10x7:23mm"
+        " --out {r}/pose.json",
+        "undistort {r}/views/view_000.pgm --calib {r}/calib.json --out {r}/flat.pgm",
+        "extrinsics --calib {r}/calib.json --board 10x7:23mm --mode pattern"
+        " --out {r}/scene.json",
+        "render-scene {r}/cube_spec.json --out {r}/capture",
+        "sfm {r}/capture --calib {r}/cube_calib.json --out {r}/cloud.ply --seed 0",
+    ]
+    for command in commands:
+        argv = [token.format(r=root) for token in command.split()]
+        with contextlib.redirect_stdout(io.StringIO()):
+            if run_cli(argv) != 0:
+                raise SystemExit(f"camkit {command} failed")
+    return sorted(p for p in root.rglob("*") if p.is_file())
+
+
 def add(digest, *arrays):
     for a in arrays:
         digest.update(np.ascontiguousarray(a, dtype=np.float64).tobytes())
@@ -115,6 +167,16 @@ def main():
         pose, err = estimate_board_pose(k, d, grid, SPEC)
         add(poses, pose.rotation, pose.translation, [err])
     print(f"estimate_board_pose {len(grids)} views   {poses.hexdigest()}")
+
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        files = hashlib.sha256()
+        paths = cli_workflow(root)
+        for path in paths:
+            data = path.read_bytes()
+            files.update(f"{path.relative_to(root).as_posix()}\0{len(data)}\0".encode())
+            files.update(data)
+    print(f"cli workflow        {len(paths)} files   {files.hexdigest()}")
 
 
 if __name__ == "__main__":
