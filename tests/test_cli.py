@@ -265,12 +265,6 @@ def _cube_with(**changes):
     return ("render-scene", dict(small_cube_spec_doc(views=3), **changes))
 
 
-def _calibration_with(command, **sections):
-    """A calibration edit: each keyword names a section of the calibration
-    file and the fields to overwrite in it."""
-    return (command, sections)
-
-
 MALFORMED = {
     "board-negative-views": _board_with(views=-1),
     "board-zero-width": _board_with(image_size={"width": 0, "height": 360}),
@@ -295,12 +289,12 @@ MALFORMED = {
     "cube-text-views": _cube_with(views="three"),
     "cube-zero-ring-radius": _cube_with(ring={"radius": 0.0}),
     "cube-infinite-ring-angle": _cube_with(ring={"sweep_deg": float("inf")}),
-    "calibration-negative-fx": _calibration_with("undistort",
-                                                 intrinsics={"fx": -80.0}),
-    "calibration-zero-width": _calibration_with("extrinsics",
-                                                image_size={"width": 0}),
-    "calibration-infinite-width": _calibration_with(
-        "extrinsics", image_size={"width": float("inf")}),
+    # A calibration case is a command and the fields it overwrites, by
+    # section, in a written calibration.
+    "calibration-negative-fx": ("undistort", {"intrinsics": {"fx": -80.0}}),
+    "calibration-zero-width": ("extrinsics", {"image_size": {"width": 0}}),
+    "calibration-infinite-width": ("extrinsics",
+                                   {"image_size": {"width": float("inf")}}),
 }
 
 
