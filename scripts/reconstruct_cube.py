@@ -22,7 +22,6 @@ from camkit import (
     similarity_align,
 )
 from camkit.fileio import write_ply
-from camkit.sfm import SfmConfig
 from camkit.synthetic import (
     CubeScene,
     cube_ray_points,
@@ -52,7 +51,7 @@ def main():
     print(f"rendered 5 views in {time.time() - t0:.1f} s")
 
     t0 = time.time()
-    scene = reconstruct(images, intrinsics, dist, SfmConfig(seed=args.seed))
+    scene = reconstruct(images, intrinsics, dist, seed=args.seed)
     print(f"reconstructed in {time.time() - t0:.1f} s: "
           f"{len(scene.poses)}/5 views, {len(scene.valid_tracks())} points, "
           f"mean reprojection {scene.mean_reprojection_error:.3f} px")

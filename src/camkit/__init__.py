@@ -56,13 +56,12 @@ from .pose import (
 )
 from .sfm import (
     PointCloud,
-    SfmConfig,
     SfmScene,
     bundle_adjust,
     export_point_cloud,
     reconstruct,
     similarity_align,
 )
-from .tracks import MatchPair, Track, build_tracks
+from .tracks import Track, build_tracks
 
 __version__ = "0.1.0"

@@ -20,7 +20,7 @@ from .calibrate import CalibrationDataset, calibrate, undistort_image
 from .corners import detect_corners
 from .errors import CamkitError, IoFailure
 from .pose import estimate_board_pose, export_extrinsics_scene
-from .sfm import SfmConfig, export_point_cloud, reconstruct
+from .sfm import export_point_cloud, reconstruct
 from .synthetic import (
     CubeScene,
     render_cube_view,
@@ -83,7 +83,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--scene", help="scene JSON output path "
                                    "(default: OUT with .scene.json)")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--exhaustive-pairs", action="store_true")
 
     for name, what in (("render-board", "calibration dataset"),
                        ("render-scene", "textured-cube capture")):
@@ -175,8 +174,7 @@ def _cmd_sfm(args) -> int:
     calib = fileio.read_calibration(args.calib)
     paths = _list_images(args.images)
     images = [fileio.read_image(p) for p in paths]
-    cfg = SfmConfig(seed=args.seed, exhaustive_pairs=args.exhaustive_pairs)
-    scene = reconstruct(images, calib.intrinsics, calib.distortion, cfg)
+    scene = reconstruct(images, calib.intrinsics, calib.distortion, args.seed)
     cloud = export_point_cloud(scene)
     fileio.write_ply(cloud, args.out)
     scene_path = args.scene or str(Path(args.out).with_suffix(".scene.json"))

@@ -241,12 +241,13 @@ def triangulate_views(poses, normalized: np.ndarray, seen: np.ndarray):
     return points, valid
 
 
-def recover_relative_pose(e: np.ndarray, x_i: np.ndarray,
-                          x_j: np.ndarray) -> CameraPose:
+def recover_relative_pose(e: np.ndarray, x_i: np.ndarray, x_j: np.ndarray):
     """Pick the (R, t) candidate that places the most points in front.
 
-    The returned pose maps view-i camera coordinates to view-j camera
-    coordinates with unit-norm translation (the scale is unobservable).
+    Returns ``(pose, points, valid)``: the pose maps view-i camera
+    coordinates to view-j camera coordinates with unit-norm translation (the
+    scale is unobservable), and ``points`` and ``valid`` are its
+    :func:`triangulate_points` result with view i at the identity.
     Raises CheiralityAmbiguous unless one candidate puts a strict majority
     of the correspondences in front of both cameras.
     """
@@ -260,11 +261,12 @@ def recover_relative_pose(e: np.ndarray, x_i: np.ndarray,
     for rot, t in decompose_essential(e):
         pose = CameraPose(rot, t)
         try:
-            _, valid = triangulate_points(identity, pose, x_i, x_j)
+            points, valid = triangulate_points(identity, pose, x_i, x_j)
             counts.append(int(valid.sum()))
         except ZeroBaseline:
+            points, valid = None, None
             counts.append(-1)
-        candidates.append(pose)
+        candidates.append((pose, points, valid))
     order = np.argsort(counts)
     best, second = order[-1], order[-2]
     if counts[best] <= len(x_i) / 2.0 or counts[best] == counts[second]:

@@ -1,15 +1,14 @@
 """Incremental structure from motion with bundle adjustment.
 
 Reconstruction plan: detect features, match adjacent and skip-one image
-pairs (all pairs with the exhaustive flag), filter every pair through
-essential-matrix RANSAC, build tracks from the inlier matches, initialize
-from the surviving pair with the most inliers and enough triangulation
-angle, then register the remaining views one at a time by 3D-2D resection
-(the conditioned DLT that also fits the board homographies, refined by
-pose LM), triangulating newly covered tracks and bundle-adjusting after every
-registration. Intrinsics and distortion stay fixed throughout; the gauge is
-pinned by freezing the first registered pose and the largest-magnitude
-coordinate of the second pose's translation.
+pairs, filter every pair through essential-matrix RANSAC, build tracks from
+the inlier matches, initialize from the surviving pair with the most inliers
+and enough triangulation angle, then register the remaining views one at a
+time by 3D-2D resection (the conditioned DLT that also fits the board
+homographies, refined by pose LM), triangulating newly covered tracks and
+bundle-adjusting after every registration. Intrinsics and distortion stay
+fixed throughout; the gauge is pinned by freezing the first registered pose
+and the largest-magnitude coordinate of the second pose's translation.
 """
 
 from __future__ import annotations
@@ -19,8 +18,7 @@ from itertools import chain
 
 import numpy as np
 
-from .epipolar import (essential_ransac, recover_relative_pose,
-                       triangulate_points, triangulate_views)
+from .epipolar import essential_ransac, recover_relative_pose, triangulate_views
 from .errors import (
     CheiralityAmbiguous,
     DegenerateConfiguration,
@@ -50,7 +48,7 @@ from .homography import projective_dlt
 from .imageops import bilinear_sample, to_float
 from .optimize import LmConfig, levenberg_marquardt
 from .pose import refine_pose
-from .tracks import MatchPair, Track, build_tracks
+from .tracks import Track, build_tracks
 
 
 MAX_FEATURES = 800
@@ -58,15 +56,6 @@ MIN_PAIR_INLIERS = 20
 MIN_MEDIAN_ANGLE_DEG = 2.0
 MIN_RESECTION_POINTS = 6
 MAX_RESECTION_ERROR = 5.0  # pixels
-
-
-@dataclass
-class SfmConfig:
-    """Reconstruction settings: the RANSAC seed, and whether to match every
-    image pair rather than adjacent and skip-one pairs."""
-
-    seed: int = 0
-    exhaustive_pairs: bool = False
 
 
 @dataclass
@@ -152,14 +141,13 @@ def _refresh_triangulations(scene: SfmScene, normalized) -> None:
 
 
 def reconstruct(images, intrinsics: CameraIntrinsics, dist: DistortionCoeffs,
-                cfg: SfmConfig | None = None) -> SfmScene:
+                seed: int = 0) -> SfmScene:
     """Run the full incremental pipeline on an ordered image list.
 
-    Deterministic given ``cfg.seed``. Raises InitializationFailed when no
-    image pair provides enough inliers and baseline, and
+    Deterministic given the RANSAC ``seed``. Raises InitializationFailed
+    when no image pair provides enough inliers and baseline, and
     RegistrationFailed(view) when a view cannot be resected.
     """
-    cfg = cfg or SfmConfig()
     n_views = len(images)
     if n_views < 2:
         raise InitializationFailed(f"need at least 2 images, got {n_views}")
@@ -176,34 +164,27 @@ def reconstruct(images, intrinsics: CameraIntrinsics, dist: DistortionCoeffs,
         normalized[v] = undistort_normalized(pixel_to_normalized(pos, intrinsics),
                                              dist)
 
-    if cfg.exhaustive_pairs:
-        pair_ids = [(i, j) for i in range(n_views) for j in range(i + 1, n_views)]
-    else:
-        pair_ids = [(i, i + step) for step in (1, 2)
-                    for i in range(n_views - step)]
-        pair_ids.sort()
-
-    match_pairs = []
     pair_models = {}
-    for i, j in pair_ids:
+    for i, j in sorted((i, i + step) for step in (1, 2)
+                       for i in range(n_views - step)):
         raw = match_features(feats[i], feats[j])
         if len(raw) < 8:
             continue
         x1 = normalized[i][raw[:, 0]]
         x2 = normalized[j][raw[:, 1]]
         try:
-            e, mask = essential_ransac(x1, x2, seed=_pair_seed(cfg.seed, i, j))
+            e, mask = essential_ransac(x1, x2, seed=_pair_seed(seed, i, j))
         except (NoModelFound, InsufficientMatches):
             continue
         inliers = raw[mask]
         if len(inliers) < MIN_PAIR_INLIERS:
             continue
-        match_pairs.append(MatchPair(i, j, inliers))
         pair_models[(i, j)] = (e, inliers)
 
-    if not match_pairs:
+    if not pair_models:
         raise InitializationFailed("no image pair produced enough inlier matches")
-    tracks = build_tracks(match_pairs)
+    tracks = build_tracks((i, j, inliers)
+                          for (i, j), (_, inliers) in pair_models.items())
 
     init = _choose_initial_pair(pair_models, normalized)
     if init is None:
@@ -234,15 +215,13 @@ def reconstruct(images, intrinsics: CameraIntrinsics, dist: DistortionCoeffs,
 def _choose_initial_pair(pair_models, normalized):
     best = None
     best_count = -1
-    identity = CameraPose.identity()
     for (i, j), (e, inliers) in sorted(pair_models.items()):
         x1 = normalized[i][inliers[:, 0]]
         x2 = normalized[j][inliers[:, 1]]
         try:
-            rel = recover_relative_pose(e, x1, x2)
+            rel, pts, valid = recover_relative_pose(e, x1, x2)
         except CheiralityAmbiguous:
             continue
-        pts, valid = triangulate_points(identity, rel, x1, x2)
         if int(valid.sum()) < max(MIN_PAIR_INLIERS, 2):
             continue
         rays_i = pts[valid]

@@ -9,23 +9,6 @@ from scipy import sparse
 from scipy.sparse.csgraph import connected_components
 
 
-@dataclass(frozen=True)
-class MatchPair:
-    """Index pairs matched between two views; one-to-one on both sides."""
-
-    view_i: int
-    view_j: int
-    pairs: np.ndarray  # (m, 2) of (feature index in i, feature index in j)
-
-    def __post_init__(self):
-        p = np.asarray(self.pairs, dtype=np.int64).reshape(-1, 2)
-        if (len(np.unique(p[:, 0])) != len(p)
-                or len(np.unique(p[:, 1])) != len(p)):
-            raise ValueError("match pairs must be one-to-one within the pair")
-        p.setflags(write=False)
-        object.__setattr__(self, "pairs", p)
-
-
 @dataclass
 class Track:
     """One physical point observed in several views.
@@ -43,18 +26,23 @@ class Track:
         return len(self.observations)
 
 
-def build_tracks(match_pairs: list[MatchPair]) -> list[Track]:
+def build_tracks(match_pairs) -> list[Track]:
     """Connected components of the match graph, as consistent tracks.
 
-    The graph's nodes are the distinct (view, feature index) pairs and each
+    ``match_pairs`` holds ``(view_i, view_j, pairs)`` triples, ``pairs``
+    the ``(m, 2)`` feature indices matched between the two views. The
+    graph's nodes are the distinct (view, feature index) pairs and each
     match is an edge. Components containing two features of the same view
-    are contradictory and dropped entirely; only tracks of length >= 2 are
-    returned. The result is independent of the order of ``match_pairs``.
+    (a feature matched to two others of one view, say) are contradictory and
+    dropped entirely; only tracks of length >= 2 are returned. The result is
+    independent of the order of ``match_pairs``.
     """
-    edges = np.concatenate([np.empty((0, 4), dtype=np.int64)] + [
-        np.column_stack([np.full(len(mp.pairs), mp.view_i), mp.pairs[:, 0],
-                         np.full(len(mp.pairs), mp.view_j), mp.pairs[:, 1]])
-        for mp in match_pairs])
+    edges = [np.empty((0, 4), dtype=np.int64)]
+    for view_i, view_j, pairs in match_pairs:
+        pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+        edges.append(np.column_stack([np.full(len(pairs), view_i), pairs[:, 0],
+                                      np.full(len(pairs), view_j), pairs[:, 1]]))
+    edges = np.concatenate(edges)
     if not len(edges):
         return []
     nodes, index = np.unique(edges.reshape(-1, 2), axis=0, return_inverse=True)

@@ -26,7 +26,7 @@ from camkit import (
 )
 from camkit.fileio import format_ply, read_calibration, read_image, write_calibration, write_image
 from camkit.epipolar import _homogeneous
-from camkit.sfm import SfmConfig, _build_ba_problem
+from camkit.sfm import _build_ba_problem
 from camkit.synthetic import cube_ray_points, sample_board_poses, synthesize_corner_views
 
 from conftest import (
@@ -127,7 +127,7 @@ def test_criterion_two_view_geometry():
 def test_criterion_sfm_end_to_end(cube_capture, ref_intrinsics):
     scene3d, poses, images, dist = cube_capture
     start = time.monotonic()
-    scene = reconstruct(images, ref_intrinsics, dist, SfmConfig(seed=0))
+    scene = reconstruct(images, ref_intrinsics, dist, seed=0)
     elapsed = time.monotonic() - start
     assert sorted(scene.poses) == list(range(5))
     assert scene.mean_reprojection_error < 0.5

@@ -105,7 +105,11 @@ def test_recover_relative_pose():
     for _ in range(5):
         x1, x2, truth, _ = synthetic_pair(rng, 50)
         e = eight_point(x1, x2)
-        pose = recover_relative_pose(e, x1, x2)
+        pose, pts, valid = recover_relative_pose(e, x1, x2)
+        again, valid_again = triangulate_points(CameraPose.identity(), pose,
+                                                x1, x2)
+        assert np.array_equal(pts, again) and np.array_equal(valid, valid_again)
+        assert valid.all()
         angle = np.linalg.norm(rotation_to_axis_angle(
             pose.rotation @ truth.rotation.T))
         assert angle < 1e-6
@@ -118,7 +122,7 @@ def test_recover_pose_translation_case():
     rng = np.random.default_rng(2)
     x1, x2, truth, _ = synthetic_pair(rng, 30, rotation=np.eye(3),
                                       translation=np.array([1.0, 0.0, 0.0]))
-    pose = recover_relative_pose(eight_point(x1, x2), x1, x2)
+    pose, _, _ = recover_relative_pose(eight_point(x1, x2), x1, x2)
     assert np.max(np.abs(pose.rotation - np.eye(3))) < 1e-9
     assert pose.translation == pytest.approx([1.0, 0.0, 0.0], abs=1e-9)
 

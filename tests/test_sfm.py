@@ -30,7 +30,7 @@ from camkit.optimize import (
     levenberg_marquardt,
     numeric_jacobian,
 )
-from camkit.sfm import (SfmConfig, SfmScene, _build_ba_problem,
+from camkit.sfm import (SfmScene, _build_ba_problem,
                          _linear_resection, _next_view,
                          _refresh_triangulations, _register_view)
 from camkit.synthetic import cube_ray_points, render_cube_view, sample_ring_poses
@@ -42,7 +42,7 @@ from conftest import CUBE_EDGE
 @pytest.fixture(scope="session")
 def cube_reconstruction(cube_capture, ref_intrinsics):
     _, _, images, dist = cube_capture
-    return reconstruct(images, ref_intrinsics, dist, SfmConfig(seed=0))
+    return reconstruct(images, ref_intrinsics, dist, seed=0)
 
 
 def aligned_to_truth(scene, cube_capture, ref_intrinsics):
@@ -87,7 +87,7 @@ def test_conditioned_resection_registers_every_view(cube_capture,
                                   sweep_deg=48.0, start_deg=start_deg)
         images = [render_cube_view(scene3d, ref_intrinsics, dist, p, 640, 480)
                   for p in poses]
-    scene = reconstruct(images, ref_intrinsics, dist, SfmConfig(seed=seed))
+    scene = reconstruct(images, ref_intrinsics, dist, seed=seed)
     assert sorted(scene.poses) == [0, 1, 2, 3, 4]
     assert scene.mean_reprojection_error < 0.5
 
@@ -123,7 +123,7 @@ def test_points_concentrate_on_faces(cube_reconstruction, cube_capture,
 def test_reconstruction_is_deterministic(cube_capture, cube_reconstruction,
                                          ref_intrinsics):
     _, _, images, dist = cube_capture
-    again = reconstruct(images, ref_intrinsics, dist, SfmConfig(seed=0))
+    again = reconstruct(images, ref_intrinsics, dist, seed=0)
     assert again.view_order == cube_reconstruction.view_order
     for v in cube_reconstruction.poses:
         assert np.array_equal(again.poses[v].rotation,
@@ -139,7 +139,7 @@ def test_identical_images_fail_initialization(cube_capture, ref_intrinsics):
     _, _, images, dist = cube_capture
     with pytest.raises(InitializationFailed):
         reconstruct([images[0], images[0].copy()], ref_intrinsics, dist,
-                    SfmConfig(seed=0))
+                    seed=0)
 
 
 # --- bundle adjustment on hand-built scenes ----------------------------------

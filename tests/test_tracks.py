@@ -1,22 +1,23 @@
 from collections import deque
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from camkit import MatchPair, build_tracks
+from camkit import build_tracks
 
 
 def mp(i, j, pairs):
-    return MatchPair(view_i=i, view_j=j, pairs=np.array(pairs))
+    return i, j, np.array(pairs)
 
 
-def test_match_pair_must_be_one_to_one():
-    with pytest.raises(ValueError):
-        mp(0, 1, [(1, 1), (1, 2)])
-    with pytest.raises(ValueError):
-        mp(0, 1, [(1, 1), (2, 1)])
+def test_feature_matched_twice_in_one_pair_yields_no_track():
+    # View-0 feature 1 matched to two view-1 features, and view-1 feature 1
+    # matched to two view-0 features: each puts two features of one view in
+    # one component. The one-to-one match (3, 3) still forms its track.
+    for twice in ([(1, 1), (1, 2)], [(1, 1), (2, 1)]):
+        tracks = build_tracks([mp(0, 1, twice + [(3, 3)]), mp(1, 2, [(1, 7)])])
+        assert [t.observations for t in tracks] == [((0, 3), (1, 3))]
 
 
 def test_transitive_chain_forms_one_track():
@@ -63,10 +64,10 @@ def test_min_track_length_two():
 
 def _oracle_tracks(match_pairs):
     adjacent = {}
-    for m in match_pairs:
-        for fi, fj in m.pairs.tolist():
-            adjacent.setdefault((m.view_i, fi), set()).add((m.view_j, fj))
-            adjacent.setdefault((m.view_j, fj), set()).add((m.view_i, fi))
+    for view_i, view_j, pairs in match_pairs:
+        for fi, fj in pairs.reshape(-1, 2).tolist():
+            adjacent.setdefault((view_i, fi), set()).add((view_j, fj))
+            adjacent.setdefault((view_j, fj), set()).add((view_i, fi))
     seen = set()
     tracks = []
     for start in sorted(adjacent):
@@ -94,9 +95,10 @@ def _match_graphs(draw):
     for _ in range(draw(st.integers(0, 8))):
         i = draw(st.integers(0, n_views - 1))
         j = draw(st.integers(0, n_views - 1))
-        side = st.permutations(range(n_features))
+        # Each side may repeat a feature: a feature matched twice.
         m = draw(st.integers(0, n_features))
-        graph.append(mp(i, j, list(zip(draw(side)[:m], draw(side)[:m]))))
+        side = st.lists(st.integers(0, n_features - 1), min_size=m, max_size=m)
+        graph.append(mp(i, j, list(zip(draw(side), draw(side)))))
     return graph
 
 
