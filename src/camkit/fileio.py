@@ -57,7 +57,10 @@ def _parse_pnm_header(data: bytes):
     m = _PNM_HEADER.match(data)
     if m is None:
         raise CorruptHeader("malformed width/height/maxval header")
-    width, height, maxval = map(int, m.group(2, 3, 4))
+    try:
+        width, height, maxval = map(int, m.group(2, 3, 4))
+    except ValueError as exc:  # past the interpreter's int digit limit
+        raise CorruptHeader(f"header number too long: {exc}") from exc
     if maxval != 255:
         raise UnsupportedFormat(f"only maxval 255 supported, got {maxval}")
     if width <= 0 or height <= 0:
@@ -208,7 +211,7 @@ def _load_json(path) -> dict:
         raise IoFailure(f"cannot read {path}: {exc}") from exc
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an int past the digit limit
         raise CorruptFile(f"{path} is not valid JSON: {exc}") from exc
 
 

@@ -1,4 +1,5 @@
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -319,4 +320,32 @@ def test_malformed_input_is_schema_mismatch(command, doc, calibration_file,
         argv = [command, "--calib", str(path), "--out", str(out), *extra[command]]
     assert run_cli(argv) == 2
     assert "SchemaMismatch" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits")
+                    or sys.get_int_max_str_digits() == 0,
+                    reason="no limit on the digits of an int")
+@pytest.mark.parametrize("part, error", [("image", "CorruptHeader"),
+                                         ("calibration", "CorruptFile")])
+def test_number_past_the_int_digit_limit_exits_two(part, error, calibration_file,
+                                                   tmp_path, capsys):
+    # int() refuses a decimal string longer than the interpreter's limit
+    # with a bare ValueError; json.dumps cannot write such an int, so the
+    # calibration text is edited by hand.
+    huge = "1" * (sys.get_int_max_str_digits() + 1)
+    image = tmp_path / "image.pgm"
+    calib = tmp_path / "calib.json"
+    if part == "image":
+        image.write_bytes(f"P5 {huge} 1 255\n".encode() + bytes(8))
+        calib.write_bytes(calibration_file.read_bytes())
+    else:
+        write_image(np.zeros((120, 160), dtype=np.uint8), image)
+        doc = json.loads(calibration_file.read_text())
+        doc["image_size"]["width"] = "HUGE"
+        calib.write_text(json.dumps(doc).replace('"HUGE"', huge))
+    out = tmp_path / "flat.pgm"
+    assert run_cli(["undistort", str(image), "--calib", str(calib),
+                    "--out", str(out)]) == 2
+    assert error in capsys.readouterr().err
     assert not out.exists()
