@@ -154,7 +154,6 @@ def levenberg_marquardt(problem: LeastSquaresProblem, x0,
         grad = jac.T @ r
         diag = jtj.diagonal()
 
-        accepted = False
         while True:
             step = _damped_step(jtj, diag, lam, grad)
             if step is None or not np.all(np.isfinite(step)):
@@ -173,7 +172,6 @@ def levenberg_marquardt(problem: LeastSquaresProblem, x0,
             r_trial = np.asarray(problem.residual(x_trial), dtype=np.float64).ravel()
             trial_cost = _cost(r_trial) if np.all(np.isfinite(r_trial)) else np.inf
             if trial_cost < cost:
-                accepted = True
                 break
             lam *= _DAMPING_UP
 
