@@ -9,8 +9,10 @@ the row axis. Lens distortion acts on normalized coordinates (camera-frame
 coordinates divided by depth), after the perspective divide and before the
 intrinsic map.
 
-Point arguments are numpy arrays, either a single ``(d,)`` vector or an
-``(n, d)`` batch; outputs match the input shape. All functions are pure.
+Point arguments are numpy arrays, a single ``(d,)`` point or an ``(n, d)``
+batch, and outputs keep that shape; only :func:`camera_depths` and
+:func:`project_points` always return batches. The lens is one Brown-Conrady
+model, :class:`DistortionCoeffs`, zero by default. All functions are pure.
 """
 
 from __future__ import annotations
@@ -38,14 +40,12 @@ INTRINSIC_NAMES = ("fx", "fy", "cx", "cy", "skew")
 DISTORTION_NAMES = ("k1", "k2", "k3", "p1", "p2")
 
 
-def _as_batch(points, dim: int) -> tuple[np.ndarray, bool]:
-    """Coerce a point or point batch to float64 (n, dim); report if single."""
+def _points(points, dim: int) -> np.ndarray:
+    """A float64 ``(dim,)`` point or ``(n, dim)`` batch; ValueError otherwise."""
     pts = np.asarray(points, dtype=np.float64)
-    single = pts.ndim == 1
-    pts = np.atleast_2d(pts)
-    if pts.ndim != 2 or pts.shape[1] != dim:
+    if pts.ndim not in (1, 2) or pts.shape[-1] != dim:
         raise ValueError(f"expected points of dimension {dim}, got shape {pts.shape}")
-    return pts, single
+    return pts
 
 
 @dataclass(frozen=True)
@@ -143,9 +143,7 @@ class CameraPose:
 
     def transform(self, points):
         """Map world points into the camera frame."""
-        pts, single = _as_batch(points, 3)
-        out = pts @ self.rotation.T + self.translation
-        return out[0] if single else out
+        return _points(points, 3) @ self.rotation.T + self.translation
 
     def inverse(self) -> "CameraPose":
         rt = self.rotation.T
@@ -177,20 +175,28 @@ def _check_rotation(r: np.ndarray) -> None:
 
 def normalized_to_pixel(normalized, intrinsics: CameraIntrinsics):
     """Apply the intrinsic map: ``u = fx x + skew y + cx``, ``v = fy y + cy``."""
-    pts, single = _as_batch(normalized, 2)
-    u = intrinsics.fx * pts[:, 0] + intrinsics.skew * pts[:, 1] + intrinsics.cx
-    v = intrinsics.fy * pts[:, 1] + intrinsics.cy
-    out = np.column_stack([u, v])
-    return out[0] if single else out
+    pts = _points(normalized, 2)
+    u = intrinsics.fx * pts[..., 0] + intrinsics.skew * pts[..., 1] + intrinsics.cx
+    v = intrinsics.fy * pts[..., 1] + intrinsics.cy
+    return np.stack([u, v], axis=-1)
 
 
 def pixel_to_normalized(pixels, intrinsics: CameraIntrinsics):
     """Invert the intrinsic map exactly, including skew."""
-    pts, single = _as_batch(pixels, 2)
-    y = (pts[:, 1] - intrinsics.cy) / intrinsics.fy
-    x = (pts[:, 0] - intrinsics.cx - intrinsics.skew * y) / intrinsics.fx
-    out = np.column_stack([x, y])
-    return out[0] if single else out
+    pts = _points(pixels, 2)
+    y = (pts[..., 1] - intrinsics.cy) / intrinsics.fy
+    x = (pts[..., 0] - intrinsics.cx - intrinsics.skew * y) / intrinsics.fx
+    return np.stack([x, y], axis=-1)
+
+
+def _lens_terms(x, y, dist: DistortionCoeffs):
+    """``r^2``, the radial factor and the tangential shift ``(tx, ty)`` at
+    normalized ``(x, y)``; the distorted point is ``(x, y) * radial + (tx, ty)``."""
+    r2 = x * x + y * y
+    radial = 1.0 + r2 * (dist.k1 + r2 * (dist.k2 + r2 * dist.k3))
+    tx = 2.0 * dist.p1 * x * y + dist.p2 * (r2 + 2.0 * x * x)
+    ty = dist.p1 * (r2 + 2.0 * y * y) + 2.0 * dist.p2 * x * y
+    return r2, radial, (tx, ty)
 
 
 def distort_normalized(normalized, dist: DistortionCoeffs):
@@ -199,17 +205,12 @@ def distort_normalized(normalized, dist: DistortionCoeffs):
     ``x_d = x (1 + k1 r^2 + k2 r^4 + k3 r^6) + 2 p1 x y + p2 (r^2 + 2 x^2)``
     and symmetrically for ``y_d``, with ``r^2 = x^2 + y^2``.
     """
-    pts, single = _as_batch(normalized, 2)
+    pts = _points(normalized, 2)
     if dist.is_zero:
-        out = pts.copy()
-        return out[0] if single else out
-    x, y = pts[:, 0], pts[:, 1]
-    r2 = x * x + y * y
-    radial = 1.0 + r2 * (dist.k1 + r2 * (dist.k2 + r2 * dist.k3))
-    xd = x * radial + 2.0 * dist.p1 * x * y + dist.p2 * (r2 + 2.0 * x * x)
-    yd = y * radial + dist.p1 * (r2 + 2.0 * y * y) + 2.0 * dist.p2 * x * y
-    out = np.column_stack([xd, yd])
-    return out[0] if single else out
+        return pts.copy()
+    x, y = pts[..., 0], pts[..., 1]
+    _, radial, (tx, ty) = _lens_terms(x, y, dist)
+    return np.stack([x * radial + tx, y * radial + ty], axis=-1)
 
 
 def undistort_normalized(normalized, dist: DistortionCoeffs, *, tol: float = 1e-12):
@@ -220,19 +221,15 @@ def undistort_normalized(normalized, dist: DistortionCoeffs, *, tol: float = 1e-
     Raises NoConvergence when steps stay above ``tol`` for ``_UNDISTORT_ITERS``
     iterations (out-of-domain input or extreme coefficients).
     """
-    pts, single = _as_batch(normalized, 2)
+    pts = _points(normalized, 2)
     if dist.is_zero:
-        out = pts.copy()
-        return out[0] if single else out
-    xd, yd = pts[:, 0], pts[:, 1]
+        return pts.copy()
+    xd, yd = pts.reshape(-1, 2).T
     x, y = xd.copy(), yd.copy()
     active = np.arange(len(x))  # points whose last step was still >= tol
     for _ in range(_UNDISTORT_ITERS):
         xa, ya = x[active], y[active]
-        r2 = xa * xa + ya * ya
-        radial = 1.0 + r2 * (dist.k1 + r2 * (dist.k2 + r2 * dist.k3))
-        tx = 2.0 * dist.p1 * xa * ya + dist.p2 * (r2 + 2.0 * xa * xa)
-        ty = dist.p1 * (r2 + 2.0 * ya * ya) + 2.0 * dist.p2 * xa * ya
+        _, radial, (tx, ty) = _lens_terms(xa, ya, dist)
         x_new = (xd[active] - tx) / radial
         y_new = (yd[active] - ty) / radial
         moved = np.hypot(x_new - xa, y_new - ya) >= tol
@@ -245,8 +242,7 @@ def undistort_normalized(normalized, dist: DistortionCoeffs, *, tol: float = 1e-
         raise NoConvergence(
             f"undistortion did not converge in {_UNDISTORT_ITERS} iterations"
         )
-    out = np.column_stack([x, y])
-    return out[0] if single else out
+    return np.stack([x, y], axis=-1).reshape(pts.shape)
 
 
 class RayGrid(NamedTuple):
@@ -316,26 +312,24 @@ def subpixel_ray_grid(intrinsics: CameraIntrinsics, dist: DistortionCoeffs,
 
 
 def project(points, pose: CameraPose, intrinsics: CameraIntrinsics,
-            dist: DistortionCoeffs | None = None):
+            dist: DistortionCoeffs = DistortionCoeffs()):
     """Project world points to pixel coordinates.
 
     World -> camera (pose), perspective divide, distortion in normalized
     coordinates, then the intrinsic map. Raises NonPositiveDepth if any
     point has camera-frame depth <= 1e-12.
     """
-    pts, single = _as_batch(points, 3)
-    cam = pts @ pose.rotation.T + pose.translation
-    z = cam[:, 2]
+    cam = pose.transform(points)
+    z = cam[..., 2]
     if np.any(z <= 1e-12):
         raise NonPositiveDepth(
             f"{int(np.sum(z <= 1e-12))} point(s) at or behind the camera plane"
         )
-    out = _pinhole(cam, intrinsics, dist)
-    return out[0] if single else out
+    return _pinhole(cam, intrinsics, dist)
 
 
 def project_points(points, rvec, translation, intrinsics: CameraIntrinsics,
-                   dist: DistortionCoeffs | None, jacobians: bool = False):
+                   dist: DistortionCoeffs, jacobians: bool = False):
     """Project world points under an axis-angle pose; the solvers' kernel.
 
     Depths are clamped to 1e-9 instead of rejected, so trial steps that push
@@ -345,7 +339,7 @@ def project_points(points, rvec, translation, intrinsics: CameraIntrinsics,
     the point, :data:`INTRINSIC_NAMES` and :data:`DISTORTION_NAMES`
     (Hartley & Zisserman, *Multiple View Geometry*, App. 6).
     """
-    pts, _ = _as_batch(points, 3)
+    pts = _points(points, 3).reshape(-1, 3)
     rot = axis_angle_to_rotation(rvec)
     rotated = pts @ rot.T
     cam = rotated + translation
@@ -364,25 +358,21 @@ def project_points(points, rvec, translation, intrinsics: CameraIntrinsics,
 
 
 def _pinhole(cam: np.ndarray, intrinsics: CameraIntrinsics,
-             dist: DistortionCoeffs | None, jacobians: bool = False):
+             dist: DistortionCoeffs, jacobians: bool = False):
     """Perspective divide, distortion and intrinsic map of camera-frame
-    points at positive depth; with ``jacobians`` also the derivatives of the
-    pixels with respect to the camera-frame point, the intrinsics and the
-    distortion, as ``(pixels, d_cam, d_intrinsics, d_distortion)``."""
-    z = cam[:, 2]
-    normalized = cam[:, :2] / z[:, None]
-    distorted = normalized
-    if dist is not None and not dist.is_zero:
-        distorted = distort_normalized(normalized, dist)
+    points at positive depth; with ``jacobians`` (an ``(n, 3)`` batch) also the
+    derivatives of the pixels with respect to the camera-frame point, the
+    intrinsics and the distortion, as ``(pixels, d_cam, d_intrinsics, d_distortion)``."""
+    normalized = cam[..., :2] / cam[..., 2:]
+    distorted = distort_normalized(normalized, dist)
     pixels = normalized_to_pixel(distorted, intrinsics)
     if not jacobians:
         return pixels
 
     x, y = normalized[:, 0], normalized[:, 1]
     xd, yd = distorted[:, 0], distorted[:, 1]
-    k1, k2, k3, p1, p2 = (dist or DistortionCoeffs()).as_array()
-    r2 = x * x + y * y
-    radial = 1.0 + r2 * (k1 + r2 * (k2 + r2 * k3))
+    k1, k2, k3, p1, p2 = dist.as_array()
+    r2, radial, _ = _lens_terms(x, y, dist)
     d_radial = k1 + r2 * (2.0 * k2 + 3.0 * k3 * r2)
     mixed = 2.0 * x * y * d_radial + 2.0 * p1 * x + 2.0 * p2 * y
     d_distorted = _blocks(  # d(xd, yd)/d(x, y)
@@ -390,7 +380,7 @@ def _pinhole(cam: np.ndarray, intrinsics: CameraIntrinsics,
         (mixed, radial + 2.0 * y * y * d_radial + 6.0 * p1 * y + 2.0 * p2 * x))
     k_map = np.array([[intrinsics.fx, intrinsics.skew], [0.0, intrinsics.fy]])
     # d(x, y)/d(camera point) = [I | -(x, y)] / z
-    scaled = k_map @ d_distorted / z[:, None, None]
+    scaled = k_map @ d_distorted / cam[:, 2, None, None]
     d_cam = np.concatenate([scaled, -scaled @ normalized[:, :, None]], axis=2)
     d_intrinsics = _blocks((xd, 0.0, 1.0, 0.0, yd), (0.0, yd, 0.0, 1.0, 0.0))
     d_dist = _blocks((x * r2, x * r2 ** 2, x * r2 ** 3, 2.0 * x * y, r2 + 2.0 * x * x),
@@ -480,8 +470,7 @@ def reprojection_problem(points, poses, intrinsics: CameraIntrinsics,
 
 def camera_depths(points, pose: CameraPose) -> np.ndarray:
     """Camera-frame depth (z) of world points under ``pose``."""
-    pts, _ = _as_batch(points, 3)
-    return pts @ pose.rotation[2] + pose.translation[2]
+    return _points(points, 3).reshape(-1, 3) @ pose.rotation[2] + pose.translation[2]
 
 
 def _skew_matrix(v: np.ndarray) -> np.ndarray:

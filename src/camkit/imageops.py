@@ -83,23 +83,23 @@ def bilinear_sample(image, points, fill: float = 0.0) -> np.ndarray:
     (...), one value per point.
     """
     img = np.asarray(image, dtype=np.float64)
-    pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
+    pts = np.asarray(points, dtype=np.float64)
     h, w = img.shape
     u, v = pts[..., 0], pts[..., 1]
 
-    inside = (u >= 0) & (u <= w - 1) & (v >= 0) & (v <= h - 1)
     uc = np.clip(u, 0, w - 1)
     vc = np.clip(v, 0, h - 1)
-    u0 = np.clip(np.floor(uc).astype(np.int64), 0, max(w - 2, 0))
-    v0 = np.clip(np.floor(vc).astype(np.int64), 0, max(h - 2, 0))
-    fu = uc - u0
-    fv = vc - v0
+    inside = (uc == u) & (vc == v)  # clipping moves outside points; NaN equals nothing
+    # Each cell's top-left node (the cast floors the non-negative uc, vc); the
+    # other three lie du, dv and du + dv entries on in the flat image.
+    u0 = np.clip(uc.astype(np.int64), 0, max(w - 2, 0))
+    v0 = np.clip(vc.astype(np.int64), 0, max(h - 2, 0))
+    fu, fv = uc - u0, vc - v0
+    gu, gv = 1 - fu, 1 - fv
 
-    u1, v1 = np.minimum(u0 + 1, w - 1), np.minimum(v0 + 1, h - 1)
-    i00 = img[v0, u0]
-    i01 = img[v0, u1]
-    i10 = img[v1, u0]
-    i11 = img[v1, u1]
-    out = (i00 * (1 - fu) * (1 - fv) + i01 * fu * (1 - fv)
-           + i10 * (1 - fu) * fv + i11 * fu * fv)
+    flat = img.ravel()
+    i00 = v0 * w + u0
+    du, dv = int(w > 1), w * int(h > 1)
+    out = (flat[i00] * gu * gv + flat[i00 + du] * fu * gv
+           + flat[i00 + dv] * gu * fv + flat[i00 + (du + dv)] * fu * fv)
     return np.where(inside, out, fill)

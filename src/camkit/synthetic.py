@@ -21,6 +21,7 @@ from .geometry import (
     subpixel_ray_grid,
     undistort_normalized,
 )
+from .imageops import bilinear_sample
 
 MAX_TILT_DEG = 40.0
 
@@ -125,6 +126,8 @@ class CubeScene:
 
     def __init__(self, edge: float = 200.0, texture_seed: int = 7):
         self.edge = float(edge)
+        if not 0 < self.edge < np.inf:
+            raise ValueError("cube edge must be finite and positive")
         rng = np.random.default_rng(texture_seed)
         # Three octaves of value noise per face, interpolated bilinearly.
         self._coarse = rng.uniform(0.0, 1.0, size=(6, 9, 9))
@@ -133,16 +136,7 @@ class CubeScene:
 
     def _noise(self, grid: np.ndarray, s: np.ndarray, t: np.ndarray) -> np.ndarray:
         n = grid.shape[0] - 1
-        gs = np.clip(s * n, 0, n - 1e-9)
-        gt = np.clip(t * n, 0, n - 1e-9)
-        i0 = gs.astype(np.int64)
-        j0 = gt.astype(np.int64)
-        fs = gs - i0
-        ft = gt - j0
-        return (grid[i0, j0] * (1 - fs) * (1 - ft)
-                + grid[i0 + 1, j0] * fs * (1 - ft)
-                + grid[i0, j0 + 1] * (1 - fs) * ft
-                + grid[i0 + 1, j0 + 1] * fs * ft)
+        return bilinear_sample(grid.T, np.clip(np.stack([s, t], -1) * n, 0, n - 1e-9))
 
     def face_intensity(self, face: np.ndarray, s: np.ndarray, t: np.ndarray) -> np.ndarray:
         """Texture value in [0, 1] at face-local coordinates in [0, 1]."""

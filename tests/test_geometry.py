@@ -17,7 +17,7 @@ from camkit import (
     undistort_normalized,
 )
 from camkit.errors import InvalidRotation, NoConvergence, NonPositiveDepth
-from camkit.geometry import project_points, reprojection_problem
+from camkit.geometry import camera_depths, project_points, reprojection_problem
 from camkit.optimize import LeastSquaresProblem, numeric_jacobian
 
 from conftest import REF_CX, REF_CY
@@ -224,6 +224,68 @@ def test_empty_batch_maps_to_empty_batch(ref_intrinsics, dist):
     undistorted = undistort_normalized(normalized, dist)
     assert undistorted.shape == (0, 2)
     assert undistorted.dtype == np.float64
+
+
+# Oracle: distort_normalized with the lens terms written out in place, kept
+# verbatim from before the terms had one helper. Only the association of the
+# tangential shift differs: x * radial + a + b against x * radial + (a + b).
+
+def _oracle_distort(pts, dist):
+    x, y = pts[:, 0], pts[:, 1]
+    r2 = x * x + y * y
+    radial = 1.0 + r2 * (dist.k1 + r2 * (dist.k2 + r2 * dist.k3))
+    xd = x * radial + 2.0 * dist.p1 * x * y + dist.p2 * (r2 + 2.0 * x * x)
+    yd = y * radial + dist.p1 * (r2 + 2.0 * y * y) + 2.0 * dist.p2 * x * y
+    return np.column_stack([xd, yd])
+
+
+@pytest.mark.parametrize("tangential", [False, True])
+def test_distortion_matches_the_written_out_formula(tangential):
+    rng = np.random.default_rng(5)
+    pts = rng.uniform(-0.6, 0.6, (20000, 2))
+    for _ in range(10):
+        p1, p2 = rng.uniform(-0.01, 0.01, 2) if tangential else (0.0, 0.0)
+        dist = DistortionCoeffs(*rng.uniform(-0.3, 0.3, 3), p1, p2)
+        out, expected = distort_normalized(pts, dist), _oracle_distort(pts, dist)
+        if tangential:
+            moved = np.linalg.norm(out - expected, axis=1)
+            assert np.all(moved <= 1e-14 * np.linalg.norm(expected, axis=1))
+        else:
+            assert out.tobytes() == expected.tobytes()
+
+
+def test_single_point_matches_one_row_batch():
+    rng = np.random.default_rng(8)
+    k = CameraIntrinsics(fx=800.0, fy=810.0, cx=320.0, cy=240.0, skew=0.5)
+    dist = DistortionCoeffs(k1=0.02, k2=-0.18, k3=0.01, p1=1e-3, p2=-2e-3)
+    for _ in range(300):
+        pose = CameraPose.from_axis_angle(rng.normal(0.0, 0.3, 3),
+                                          [*rng.normal(0.0, 1.0, 2), 5.0])
+        point, xy = rng.uniform(-1.0, 1.0, 3), rng.uniform(-0.5, 0.5, 2)
+        calls = [(pose.transform, point),
+                 (lambda p: project(p, pose, k, dist), point),
+                 (lambda p: project(p, pose, k), point),
+                 (lambda p: normalized_to_pixel(p, k), xy),
+                 (lambda p: pixel_to_normalized(p, k), 300.0 * xy),
+                 (lambda p: distort_normalized(p, dist), xy),
+                 (lambda p: undistort_normalized(p, dist), xy)]
+        for fn, p in calls:
+            single, batch = fn(p), fn(p[None])
+            assert batch.shape == (1,) + single.shape
+            assert single.tobytes() == batch[0].tobytes()
+
+
+def test_depths_and_the_solver_kernel_return_batches(ref_intrinsics, ref_distortion):
+    point = np.array([0.1, -0.2, 3.0])
+    assert camera_depths(point, CameraPose.identity()).shape == (1,)
+    assert project_points(point, np.zeros(3), np.zeros(3), ref_intrinsics,
+                          ref_distortion).shape == (1, 2)
+
+
+@pytest.mark.parametrize("shape", [(), (3,), (4, 3), (1, 1, 2)])
+def test_point_functions_reject_other_shapes(ref_intrinsics, shape):
+    with pytest.raises(ValueError, match="dimension 2"):
+        normalized_to_pixel(np.zeros(shape), ref_intrinsics)
 
 
 def test_undistort_no_convergence_for_extreme_coefficients():

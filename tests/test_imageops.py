@@ -1,12 +1,14 @@
 from functools import partial
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import ndimage
 
 from camkit.imageops import (
     _QUAD_PINV,
+    bilinear_sample,
     quadratic_peak_offset,
     structure_box,
     to_float,
@@ -94,3 +96,45 @@ def test_structure_box_grows_and_clips_the_box():
     assert structure_box(image, 60) == (slice(0, 100), slice(0, 120))
     # An image without structure keeps its top-left pixel as the box.
     assert structure_box(np.full((30, 40), 5, np.uint8), 4) == (slice(0, 5), slice(0, 5))
+
+
+# Oracle: the sampler with two-index gathers and range tests, kept verbatim
+# from before it gathered from the flat image.
+
+def _oracle_bilinear_sample(img, pts, fill):
+    h, w = img.shape
+    u, v = pts[..., 0], pts[..., 1]
+    inside = (u >= 0) & (u <= w - 1) & (v >= 0) & (v <= h - 1)
+    uc = np.clip(u, 0, w - 1)
+    vc = np.clip(v, 0, h - 1)
+    u0 = np.clip(np.floor(uc).astype(np.int64), 0, max(w - 2, 0))
+    v0 = np.clip(np.floor(vc).astype(np.int64), 0, max(h - 2, 0))
+    fu = uc - u0
+    fv = vc - v0
+    u1, v1 = np.minimum(u0 + 1, w - 1), np.minimum(v0 + 1, h - 1)
+    out = (img[v0, u0] * (1 - fu) * (1 - fv) + img[v0, u1] * fu * (1 - fv)
+           + img[v1, u0] * (1 - fu) * fv + img[v1, u1] * fu * fv)
+    return np.where(inside, out, fill)
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 5), (5, 1), (2, 2), (48, 64)])
+@pytest.mark.parametrize("fill", [0.0, np.nan])
+def test_bilinear_sample_matches_the_two_index_oracle(shape, fill):
+    rng = np.random.default_rng(6)
+    h, w = shape
+    img = rng.uniform(size=shape)
+    pts = np.concatenate([rng.uniform(-2.0, max(h, w) + 1.0, (3000, 2)),
+                          rng.integers(-1, max(h, w) + 1, (300, 2)).astype(float),
+                          [[w - 1, h - 1], [w - 1 + 1e-12, 0.0], [-1e-300, 0.0]]])
+    for points in (pts, pts[:3297].reshape(-1, 7, 2)):
+        expected = _oracle_bilinear_sample(img, points, fill)
+        assert bilinear_sample(img, points, fill).tobytes() == expected.tobytes()
+
+
+def test_single_point_sample_is_a_zero_d_one_row_sample():
+    rng = np.random.default_rng(4)
+    image = rng.uniform(size=(12, 17))
+    for point in rng.uniform(-2.0, 19.0, (500, 2)):
+        single = bilinear_sample(image, point, fill=np.nan)
+        assert single.shape == ()
+        assert single.tobytes() == bilinear_sample(image, point[None], fill=np.nan)[0].tobytes()

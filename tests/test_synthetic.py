@@ -61,3 +61,37 @@ def test_slab_test_matches_nan_skipping_oracle(rays):
     # The cases exercise the NaN entries, on rays that hit and rays that miss.
     assert (zero_times_inf.any(axis=1) & hit).any()
     assert (zero_times_inf.any(axis=1) & ~hit).any()
+
+
+# Oracle: the cube texture's own bilinear interpolation, kept verbatim from
+# before CubeScene._noise went through imageops.bilinear_sample.
+
+def _oracle_noise(grid, s, t):
+    n = grid.shape[0] - 1
+    gs = np.clip(s * n, 0, n - 1e-9)
+    gt = np.clip(t * n, 0, n - 1e-9)
+    i0 = gs.astype(np.int64)
+    j0 = gt.astype(np.int64)
+    fs = gs - i0
+    ft = gt - j0
+    return (grid[i0, j0] * (1 - fs) * (1 - ft)
+            + grid[i0 + 1, j0] * fs * (1 - ft)
+            + grid[i0, j0 + 1] * (1 - fs) * ft
+            + grid[i0 + 1, j0 + 1] * fs * ft)
+
+
+@pytest.mark.parametrize("octave", ["_coarse", "_mid", "_fine"])
+def test_texture_noise_matches_the_written_out_interpolation(octave):
+    scene = CubeScene()
+    rng = np.random.default_rng(12)
+    random = rng.uniform(0.0, 1.0, (2, 5000))
+    corners = np.array([[0.0, 0.0, 1.0, 1.0], [0.0, 1.0, 0.0, 1.0]])
+    for grid in getattr(scene, octave):
+        for s, t in (random, corners):
+            assert scene._noise(grid, s, t).tobytes() == _oracle_noise(grid, s, t).tobytes()
+
+
+@pytest.mark.parametrize("edge", [0.0, -1.0, np.inf, np.nan])
+def test_cube_edge_must_be_finite_and_positive(edge):
+    with pytest.raises(ValueError, match="edge"):
+        CubeScene(edge=edge)
