@@ -1,7 +1,9 @@
 #!/usr/bin/env python3
 """SHA-256 digests of the board path's outputs, for comparing two trees.
 
-Prints one digest for each of:
+Prints a host line first: the Python, numpy and scipy versions, numpy's BLAS
+name and build configuration, the machine, the CPU count and the BLAS
+thread variables (it needs numpy 1.25 or later). Then one digest for each of:
 
 - ``detect_corners`` over 232 images: the 20 README views of pose seeds
   40-49, 24 README views (pose seed 42) blurred at sigma 0.7-3 with noise of
@@ -18,8 +20,11 @@ Prints one digest for each of:
   The workflow runs in-process through ``camkit.cli.run_cli`` in a temporary
   directory.
 
-A refactor that must not move any output prints the same four lines as its
-parent.
+A refactor that must not move any output prints the same four digests as
+its parent. Digests compare only under an equal host line: the calibration's
+last bits follow the BLAS build and its thread count, so ``calibrate`` and
+the CLI workflow digests differ between one and two OpenBLAS threads on the
+same machine.
 
 Usage: python scripts/parity_digest.py
 """
@@ -28,10 +33,13 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import platform
 import tempfile
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from camkit import (
     CalibrationDataset,
@@ -129,12 +137,23 @@ def cli_workflow(root):
     return sorted(p for p in root.rglob("*") if p.is_file())
 
 
+def host_line():
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    config = blas.get("openblas configuration", blas.get("version"))
+    threads = "  ".join(f"{name}={os.environ.get(name, '-')}"
+                        for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"))
+    return (f"host  python {platform.python_version()}  numpy {np.__version__}  "
+            f"scipy {scipy.__version__}  blas {blas['name']} [{config}]  "
+            f"{platform.machine()}  cpus {os.cpu_count()}  {threads}")
+
+
 def add(digest, *arrays):
     for a in arrays:
         digest.update(np.ascontiguousarray(a, dtype=np.float64).tobytes())
 
 
 def main():
+    print(host_line())
     readme = readme_views(42)
     small = CameraIntrinsics(fx=K.fx / 10, fy=K.fy / 10, cx=K.cx / 10, cy=K.cy / 10)
     images = [img for seed in range(40, 50)
