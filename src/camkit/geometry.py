@@ -22,10 +22,9 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy import sparse
 
 from .errors import InvalidRotation, NoConvergence, NonPositiveDepth
-from .optimize import LeastSquaresProblem
+from .optimize import LeastSquaresProblem, PointBlockJacobian
 
 _ORTHONORMALITY_TOL = 1e-9
 _UNDISTORT_ITERS = 50
@@ -406,9 +405,11 @@ def reprojection_problem(points, poses, intrinsics: CameraIntrinsics,
     then 6 per pose (axis-angle, translation), then 3 per point; the boolean
     array ``free`` selects the entries the problem's ``x`` holds. Returns
     ``(problem, x0, unpack)`` with ``unpack(x) -> (intrinsics, dist, (n, 6)
-    poses, (m, 3) points)``. Row k's Jacobian blocks are the free global
-    columns, then the pose's 6, then the point's 3; the Jacobian is a dense
-    ndarray when no point is free and a block-sparse ``csr_array`` otherwise.
+    poses, (m, 3) points)``. The Jacobian is a
+    :class:`~camkit.optimize.PointBlockJacobian` when a point is free: row k's
+    camera block is the free global columns, then the pose's 6, and its point
+    block the point's 3, so the solver eliminates the points. When no point
+    is free it is the dense ndarray of the same blocks.
     """
     poses = np.asarray(poses, dtype=np.float64).reshape(-1, 6)
     n_global = len(INTRINSIC_NAMES + DISTORTION_NAMES)
@@ -419,17 +420,15 @@ def reprojection_problem(points, poses, intrinsics: CameraIntrinsics,
     obs_px = np.asarray(obs_px, dtype=np.float64).reshape(-1, 2)
     of_pose = [np.flatnonzero(obs_pose == i) for i in range(len(poses))]
 
-    # Observation k fills a (2, g + 9) block: the g free global columns, its
-    # pose's 6 and its point's 3; ``kept`` drops the frozen ones. Free columns
-    # keep the full order, so every CSR row lists its columns increasingly.
+    # Column of each full entry in ``x``, -1 where frozen.
+    column = np.where(free, np.cumsum(free) - 1, -1)
     free_global = free[:n_global]
-    full_cols = np.repeat(np.concatenate(
-        [np.broadcast_to(np.flatnonzero(free_global), (len(obs_px), free_global.sum())),
-         n_global + 6 * obs_pose[:, None] + np.arange(6),
-         point_start + 3 * obs_point[:, None] + np.arange(3)], axis=1), 2, axis=0)
-    kept = free[full_cols]
-    indices = (np.cumsum(free) - 1)[full_cols[kept]].astype(np.int32)
-    indptr = np.concatenate([[0], np.cumsum(kept.sum(axis=1))]).astype(np.int32)
+    camera_cols = np.concatenate(
+        [np.broadcast_to(column[:n_global][free_global], (len(obs_px), free_global.sum())),
+         column[n_global + 6 * obs_pose[:, None] + np.arange(6)]], axis=1)
+    point_cols = column[point_start:].reshape(-1, 3)
+    for shared in (camera_cols, point_cols):  # by every Jacobian returned
+        shared.setflags(write=False)
     dense = not free[point_start:].any()
 
     def unpack(x: np.ndarray):
@@ -453,17 +452,16 @@ def reprojection_problem(points, poses, intrinsics: CameraIntrinsics,
         return (out - obs_px).ravel()
 
     def jacobian(x: np.ndarray):
-        blocks = np.empty((len(obs_px), 2, full_cols.shape[1]))
+        camera = np.empty((len(obs_px), 2, camera_cols.shape[1]))
+        points = np.empty((len(obs_px), 2, 3))
         for sel, args in per_pose(x):
             _, d_pose, d_point, d_k, d_dist = project_points(*args, jacobians=True)
             d_global = np.concatenate([d_k, d_dist], axis=2)[:, :, free_global]
-            blocks[sel] = np.concatenate([d_global, d_pose, d_point], axis=2)
-        # Copies: in-place sparse methods on the result must not reach the
-        # structure shared by later calls.
-        jac = sparse.csr_array(
-            (blocks.reshape(kept.shape)[kept], indices.copy(), indptr.copy()),
-            shape=(kept.shape[0], int(free.sum())))
-        return jac.toarray() if dense else jac
+            camera[sel] = np.concatenate([d_global, d_pose], axis=2)
+            points[sel] = d_point
+        jac = PointBlockJacobian(camera, camera_cols, points, obs_point, point_cols,
+                                 (2 * len(obs_px), int(free.sum())))
+        return np.asarray(jac) if dense else jac
 
     return LeastSquaresProblem(residual, jacobian), full0[free], unpack
 

@@ -2,14 +2,16 @@
 
 The cost minimized is ``0.5 * sum(r(x)**2)``. The damped normal equations
 ``(J^T J + lambda diag(J^T J)) step = -J^T r`` are solved by a dense
-Cholesky factorization when the Jacobian is an ndarray, and by a sparse LU
-factorization (SuperLU, COLAMD ordering, diagonal pivots) when it is a
-``scipy.sparse`` array, as the block-sparse bundle-adjustment Jacobian is.
-Only that linear solve differs: damping, step acceptance and termination
-are shared. The damping starts at 1e-3 and is multiplied by 10 after a
-rejected step and by 0.1 after an accepted one. Steps are accepted only
-when the cost strictly decreases, so the accepted-cost sequence is
-monotonically non-increasing. Everything is deterministic.
+Cholesky factorization when the Jacobian is an ndarray. When it is a
+:class:`PointBlockJacobian`, as the bundle-adjustment Jacobian is, each
+point's 3x3 block is eliminated first and only the reduced camera system
+(the Schur complement) is factored. Only that linear solve differs: damping
+over all free parameters, step acceptance and termination are shared. A
+``scipy.sparse`` Jacobian is not accepted; converting it fails with an
+error. The damping starts at 1e-3 and is multiplied by 10 after a rejected
+step and by 0.1 after an accepted one. Steps are accepted only when the
+cost strictly decreases, so the accepted-cost sequence is monotonically
+non-increasing. Everything is deterministic.
 """
 
 from __future__ import annotations
@@ -19,8 +21,6 @@ from typing import Callable, Optional
 
 import numpy as np
 import scipy.linalg
-from scipy import sparse
-from scipy.sparse.linalg import splu
 
 from .errors import NonFiniteResidual, SingularNormalEquations
 
@@ -36,12 +36,49 @@ class LeastSquaresProblem:
     """A residual evaluator plus an optional analytic Jacobian.
 
     The evaluator must be deterministic and return a fixed-length residual
-    vector of dimension >= the parameter dimension. The Jacobian may be an
-    ndarray or a ``scipy.sparse`` array; its type selects the linear solve.
+    vector of dimension >= the parameter dimension. The Jacobian is anything
+    ``np.asarray`` turns into a float matrix, or a :class:`PointBlockJacobian`;
+    its type selects the linear solve. A ``scipy.sparse`` array is neither,
+    and the solver raises on it.
     """
 
     residual: Callable[[np.ndarray], np.ndarray]
-    jacobian: Optional[Callable[[np.ndarray], np.ndarray | sparse.sparray]] = None
+    jacobian: Optional[Callable[[np.ndarray], np.ndarray | PointBlockJacobian]] = None
+
+
+@dataclass(eq=False)
+class PointBlockJacobian:
+    """A Jacobian whose columns are camera columns and the columns of 3D
+    points, stored as per-observation blocks.
+
+    Observation k owns residual rows 2k and 2k+1, and its only nonzero
+    entries are two blocks: ``camera[k]``, (2, c), in the columns
+    ``camera_cols[k]``, and ``points[k]``, (2, 3), in the columns
+    ``point_cols[point[k]]`` of its point. A column index of -1 marks a
+    frozen entry, whose values are ignored. Columns that no point owns are
+    camera columns; one may appear in every observation (a shared global) or
+    in some (a view's pose). A point may be observed more than once in one
+    view. ``np.asarray`` gives the dense ``shape`` matrix.
+    """
+
+    camera: np.ndarray  # (m, 2, c) float
+    camera_cols: np.ndarray  # (m, c) int
+    points: np.ndarray  # (m, 2, 3) float
+    point: np.ndarray  # (m,) int
+    point_cols: np.ndarray  # (n_points, 3) int
+    shape: tuple
+
+    def __array__(self, dtype=None, copy=None):
+        n_cols = self.shape[1]
+        cols = np.concatenate([self.camera_cols, self.point_cols[self.point]], axis=1)
+        values = np.concatenate([self.camera, self.points], axis=2)
+        kept = cols >= 0
+        # Flat positions in each observation's first row; the second follows.
+        at = (cols + 2 * n_cols * np.arange(len(cols))[:, None])[kept]
+        dense = np.zeros(self.shape)
+        dense.ravel()[at] = values[:, 0][kept]
+        dense.ravel()[at + n_cols] = values[:, 1][kept]
+        return dense if dtype is None else dense.astype(dtype, copy=False)
 
 
 @dataclass
@@ -53,8 +90,12 @@ class LmConfig:
     step_tol: float = 1e-12
 
     def __post_init__(self):
-        if any(v <= 0 for v in (self.max_iters, self.cost_tol, self.step_tol)):
-            raise ValueError("all LM configuration values must be positive")
+        # ``not v > 0`` also rejects NaN, which would disable a tolerance.
+        if (not isinstance(self.max_iters, (int, np.integer))
+                or any(not v > 0 for v in (self.max_iters, self.cost_tol,
+                                           self.step_tol))):
+            raise ValueError("LM configuration needs a positive integer max_iters "
+                             "and positive tolerances")
 
 
 @dataclass
@@ -101,23 +142,89 @@ def _cost(r: np.ndarray) -> float:
     return 0.5 * float(r @ r)
 
 
-def _damped_step(jtj, diag: np.ndarray, lam: float, grad: np.ndarray):
-    """Solve ``(jtj + lam diag(diag)) step = -grad``; None if the
-    factorization fails."""
-    try:
-        if sparse.issparse(jtj):
-            # The damped matrix is symmetric positive definite unless J has
-            # a zero column, so diagonal pivots in a symmetric fill-reducing
-            # order are stable, as in Cholesky; row pivoting only adds fill.
-            damped = sparse.csc_array(jtj + sparse.diags_array(lam * diag))
-            lu = splu(damped, permc_spec="COLAMD", diag_pivot_thresh=0.0,
-                      options={"SymmetricMode": True})
-            return lu.solve(-grad)
-        chol = scipy.linalg.cho_factor(jtj + lam * np.diag(diag), lower=True)
-        return scipy.linalg.cho_solve(chol, -grad)
-    except (np.linalg.LinAlgError, scipy.linalg.LinAlgError, ValueError,
-            RuntimeError):  # SuperLU raises RuntimeError on a singular factor
-        return None
+def _dense_solver(jac: np.ndarray, r: np.ndarray):
+    """The damped solve of a dense Jacobian by Cholesky factorization of the
+    damped normal equations."""
+    jtj = jac.T @ jac
+    grad = jac.T @ r
+    diag = jtj.diagonal()
+
+    def solve(lam: float):
+        try:
+            chol = scipy.linalg.cho_factor(jtj + lam * np.diag(diag), lower=True)
+            return scipy.linalg.cho_solve(chol, -grad)
+        except (np.linalg.LinAlgError, scipy.linalg.LinAlgError, ValueError):
+            return None
+
+    return solve
+
+
+def _point_block_solver(jac: PointBlockJacobian, r: np.ndarray):
+    """The damped solve of a point-block Jacobian: each point's 3x3 block is
+    eliminated and the reduced camera system (the Schur complement) is solved
+    by Cholesky factorization, then the point steps follow by back-substitution
+    (Triggs et al., "Bundle Adjustment - A Modern Synthesis", 2000, sec. 6).
+
+    With U the camera block of ``J^T J``, V_p point p's 3x3 block and W the
+    camera-point coupling, all damped on their diagonals, the camera step
+    solves ``(U - W V^-1 W^T) dc = -g_c + W V^-1 g_p`` and each point step is
+    ``dp = V_p^-1 (-g_p - W_p^T dc)``. Everything but the damping is formed
+    once per Jacobian, with sums over observations and no sparse product.
+    """
+    n_cols = jac.shape[1]
+    n_points = len(jac.point_cols)
+    point_free = jac.point_cols >= 0
+    is_point = np.zeros(n_cols, dtype=bool)
+    is_point[jac.point_cols[point_free]] = True
+    n_cam = n_cols - int(is_point.sum())
+    # Frozen entries get zero values, so their (clipped) index adds nothing.
+    cam_row = (np.cumsum(~is_point) - 1)[np.maximum(jac.camera_cols, 0)]
+    a = np.where(jac.camera_cols[:, None, :] >= 0, jac.camera, 0.0)
+    b = np.where(point_free[jac.point][:, None, :], jac.points, 0.0)
+    # Contiguous transposes: numpy's stacked products run several times
+    # faster with a contiguous left operand.
+    a_t = np.ascontiguousarray(a.transpose(0, 2, 1))
+    b_t = np.ascontiguousarray(b.transpose(0, 2, 1))
+    point_row = 3 * jac.point[:, None] + np.arange(3)  # (m, 3) rows of V and W
+    res = r.reshape(-1, 2, 1)
+
+    def sums(index, values, size):
+        return np.bincount(index.ravel(), values.ravel(), size)[:size]
+
+    grad_c = sums(cam_row, a_t @ res, n_cam)
+    grad_p = sums(point_row, b_t @ res, 3 * n_points)
+    u = sums(cam_row[:, :, None] * n_cam + cam_row[:, None, :], a_t @ a,
+             n_cam * n_cam).reshape(n_cam, n_cam)
+    v = sums(point_row[:, :, None] * 3 + np.arange(3), b_t @ b,
+             9 * n_points).reshape(n_points, 3, 3)
+    w = sums(point_row[:, :, None] * n_cam + cam_row[:, None, :], b_t @ a,
+             3 * n_points * n_cam).reshape(-1, n_cam)
+    # A frozen point coordinate keeps a unit diagonal and a zero step.
+    frozen_point, frozen_axis = np.nonzero(~point_free)
+    v[frozen_point, frozen_axis, frozen_axis] = 1.0
+    u_diag = u.diagonal().copy()
+    v_diag = np.diagonal(v, axis1=1, axis2=2).copy()
+    axis = np.arange(3)
+
+    def solve(lam: float):
+        v_damped = v.copy()
+        v_damped[:, axis, axis] += lam * v_diag
+        try:
+            v_inv = np.linalg.inv(v_damped)
+            v_inv_w = v_inv @ w.reshape(n_points, 3, n_cam)
+            v_inv_g = (v_inv @ grad_p.reshape(n_points, 3, 1)).ravel()
+            schur = u + lam * np.diag(u_diag) - w.T @ v_inv_w.reshape(-1, n_cam)
+            chol = scipy.linalg.cho_factor(schur, lower=True)
+            step_c = scipy.linalg.cho_solve(chol, w.T @ v_inv_g - grad_c)
+        except (np.linalg.LinAlgError, scipy.linalg.LinAlgError, ValueError):
+            return None
+        step_p = -(v_inv_g + v_inv_w.reshape(-1, n_cam) @ step_c)
+        step = np.empty(n_cols)
+        step[~is_point] = step_c
+        step[jac.point_cols[point_free]] = step_p.reshape(n_points, 3)[point_free]
+        return step
+
+    return solve
 
 
 def levenberg_marquardt(problem: LeastSquaresProblem, x0,
@@ -139,23 +246,21 @@ def levenberg_marquardt(problem: LeastSquaresProblem, x0,
     iteration = 0
 
     for iteration in range(1, cfg.max_iters + 1):
-        if problem.jacobian is not None:
-            jac = problem.jacobian(x)
-            if sparse.issparse(jac):
-                jac = sparse.csr_array(jac, dtype=np.float64)
-                values = jac.data
-            else:
-                jac = values = np.asarray(jac, dtype=np.float64)
-            if not np.all(np.isfinite(values)):
-                raise NonFiniteResidual("Jacobian evaluator returned non-finite values")
+        if problem.jacobian is None:
+            solve = _dense_solver(numeric_jacobian(problem, x), r)
         else:
-            jac = numeric_jacobian(problem, x)
-        jtj = jac.T @ jac
-        grad = jac.T @ r
-        diag = jtj.diagonal()
+            jac = problem.jacobian(x)
+            if isinstance(jac, PointBlockJacobian):
+                values, solver = (jac.camera, jac.points), _point_block_solver
+            else:
+                jac = np.asarray(jac, dtype=np.float64)
+                values, solver = (jac,), _dense_solver
+            if not all(np.all(np.isfinite(v)) for v in values):
+                raise NonFiniteResidual("Jacobian evaluator returned non-finite values")
+            solve = solver(jac, r)
 
         while True:
-            step = _damped_step(jtj, diag, lam, grad)
+            step = solve(lam)
             if step is None or not np.all(np.isfinite(step)):
                 if lam >= _MAX_DAMPING:
                     raise SingularNormalEquations(

@@ -283,8 +283,10 @@ def _build_ba_problem(scene: SfmScene):
     ``obs_track[k]`` in view ``obs_view[k]``. Intrinsics and distortion are
     frozen, and so are the first view's 6 pose entries and the second
     view's translation coordinate of largest magnitude, which fixes the 7
-    degrees of freedom of a similarity. The Jacobian is a block-sparse
-    ``csr_array``.
+    degrees of freedom of a similarity. The Jacobian is a
+    :class:`~camkit.optimize.PointBlockJacobian` with no free globals: each
+    observation's camera block is its view's 6 pose columns, so the solver
+    eliminates the points and factors only the poses' reduced system.
     """
     order = scene.view_order
     if len(order) < 2:

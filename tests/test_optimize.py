@@ -1,12 +1,22 @@
 import numpy as np
 import pytest
 import scipy.optimize
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 
-from camkit import LeastSquaresProblem, LmConfig, levenberg_marquardt, numeric_jacobian
+from camkit import (
+    CameraIntrinsics,
+    DistortionCoeffs,
+    LeastSquaresProblem,
+    LmConfig,
+    levenberg_marquardt,
+    numeric_jacobian,
+)
 from camkit.errors import NonFiniteResidual, SingularNormalEquations
+from camkit.geometry import project_points, reprojection_problem
+from camkit.optimize import PointBlockJacobian, _dense_solver, _point_block_solver
+from camkit.synthetic import sample_ring_poses
 
 
 def test_numeric_jacobian_identity():
@@ -39,6 +49,11 @@ def test_lm_solves_linear_problem():
     assert report.params == pytest.approx([1.0, 2.0], abs=1e-9)
     assert report.final_cost < 1e-18
     assert report.final_cost <= report.initial_cost
+    # A scipy.sparse Jacobian is refused, not densified; numpy's conversion
+    # error is a TypeError or a ValueError depending on its version.
+    with pytest.raises((TypeError, ValueError)):
+        levenberg_marquardt(LeastSquaresProblem(
+            problem.residual, lambda x: sparse.csr_array(np.eye(2))), np.zeros(2))
 
 
 def rosenbrock(x):
@@ -107,54 +122,105 @@ def test_lm_raises_on_dead_parameter():
         levenberg_marquardt(problem, np.zeros(2))
 
 
-@settings(max_examples=60, deadline=None)
-@given(seed=st.integers(0, 2 ** 32 - 1))
-def test_lm_sparse_jacobian_matches_dense(seed):
-    # A sparse, well-conditioned, mildly nonlinear problem with a nonzero
-    # residual at the optimum. cost_tol stays well above rounding: at the
-    # default 1e-10 a solve can end on a decrease of a few ulps, where
-    # whether the last step is accepted depends on the last bit of the cost.
-    rng = np.random.default_rng(seed)
-    n = int(rng.integers(2, 10))
-    m = n + int(rng.integers(1, 20))
-    a = rng.normal(size=(m, n)) * (rng.random((m, n)) < 0.3)
-    a[:n] += np.diag(2.0 + rng.random(n))
-    b = rng.normal(size=m)
+def random_reprojection_problem(rng: np.random.Generator, free_globals: bool):
+    """A bundle-adjustment-like problem for the point-block solve: 2-6 ring
+    views of 3-40 points, each point seen by one view up to all and each view
+    seeing at least 4 points, 0.5 px noise, and one observation repeated.
+    Frozen: the first pose, the second pose's largest translation coordinate
+    (the gauge), about a fifth of the other pose entries, and the coordinate
+    along the viewing axis of each point seen once. With ``free_globals``
+    some of fx, fy and k1 are free too. Returns ``(problem, x0)``."""
+    n_poses, n_points = int(rng.integers(2, 7)), int(rng.integers(3, 41))
+    intr = CameraIntrinsics(fx=800.0, fy=780.0, cx=320.0, cy=240.0, skew=0.5)
+    dist = DistortionCoeffs(k1=-0.2, k2=0.05, k3=0.01, p1=1e-3, p2=-2e-3)
+    ring = sample_ring_poses(n_poses, radius=500.0, elevation_deg=25.0,
+                             sweep_deg=float(rng.uniform(30.0, 120.0)),
+                             start_deg=float(rng.uniform(0.0, 360.0)))
+    poses = np.array([np.concatenate([p.axis_angle(), p.translation]) for p in ring])
+    points = rng.uniform(-100.0, 100.0, (n_points, 3))
+    obs = [(v, j) for j in range(n_points)
+           for v in rng.choice(n_poses, int(rng.integers(1, n_poses + 1)), replace=False)]
+    for v in range(n_poses):
+        unseen = sorted(set(range(n_points)) - {j for w, j in obs if w == v})
+        missing = min(4, n_points) - (n_points - len(unseen))
+        obs += [(v, j) for j in rng.choice(unseen, max(missing, 0), replace=False)]
+    obs.append(obs[int(rng.integers(len(obs)))])
+    obs_pose, obs_point = np.array(obs).T
+    obs_px = np.array([project_points(points[j], poses[v, :3], poses[v, 3:], intr, dist)[0]
+                       for v, j in obs]) + rng.normal(0.0, 0.5, (len(obs), 2))
 
-    def residual(x):
-        u = a @ x
-        return u + 0.05 * u ** 3 - b
+    point_start = 10 + poses.size
+    free = np.zeros(point_start + points.size, dtype=bool)
+    free[[0, 1, 5]] = free_globals & (rng.random(3) < 0.7)
+    free[16:point_start] = rng.random(poses.size - 6) < 0.8
+    free[19 + np.argmax(np.abs(poses[1, 3:]))] = False
+    free[point_start:] = True
+    seen = np.bincount(obs_point, minlength=n_points)
+    for j in np.flatnonzero(seen == 1):
+        axis = ring[obs_pose[obs_point == j][0]].rotation[2]
+        free[point_start + 3 * j + np.argmax(np.abs(axis))] = False
+    start = points + rng.normal(0.0, 2.0, points.shape)
+    problem, x0, _ = reprojection_problem(start, poses, intr, dist, obs_pose,
+                                          obs_point, obs_px, free)
+    return problem, x0
 
-    def jacobian(x):
-        u = a @ x
-        return (1.0 + 0.15 * u ** 2)[:, None] * a
 
-    x0 = rng.normal(size=n)
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), free_globals=st.booleans())
+def test_point_block_solve_matches_dense_cholesky(seed, free_globals):
+    problem, x0 = random_reprojection_problem(np.random.default_rng(seed), free_globals)
+    jac = problem.jacobian(x0)
+    assert isinstance(jac, PointBlockJacobian)
+    dense_jac = np.asarray(jac)
+    r = problem.residual(x0)
+    for lam in (1e-3, 1.0):  # the starting damping and a heavy one
+        blocks = _point_block_solver(jac, r)(lam)
+        dense = _dense_solver(dense_jac, r)(lam)
+        assert np.linalg.norm(blocks - dense) <= 1e-9 * np.linalg.norm(dense)
+
+    # Whole solves agree only where the data fix the answer: with a nearly
+    # rank-deficient Jacobian the two solves drift apart along its null space.
+    # cost_tol stays well above rounding: at the default 1e-10 a solve can end
+    # on a decrease of a few ulps, where whether the last step is accepted
+    # depends on the last bit of the cost.
+    sv = np.linalg.svd(dense_jac / np.linalg.norm(dense_jac, axis=0), compute_uv=False)
+    assume(sv[-1] > 1e-6 * sv[0])
     cfg = LmConfig(cost_tol=1e-6)
-    dense = levenberg_marquardt(LeastSquaresProblem(residual, jacobian), x0, cfg)
-    csr = levenberg_marquardt(
-        LeastSquaresProblem(residual, lambda x: sparse.csr_array(jacobian(x))),
+    via_blocks = levenberg_marquardt(problem, x0, cfg)
+    via_dense = levenberg_marquardt(
+        LeastSquaresProblem(problem.residual, lambda x: np.asarray(problem.jacobian(x))),
         x0, cfg)
-    scale = max(1.0, np.max(np.abs(dense.params)))
-    assert np.max(np.abs(csr.params - dense.params)) <= 1e-10 * scale
-    assert csr.iterations == dense.iterations
-    assert csr.reason == dense.reason
+    scale = max(1.0, np.max(np.abs(via_dense.params)))
+    assert np.max(np.abs(via_blocks.params - via_dense.params)) <= 1e-8 * scale
+    assert via_blocks.iterations == via_dense.iterations
+    assert via_blocks.reason == via_dense.reason
 
 
-def test_lm_raises_on_dead_parameter_of_sparse_jacobian():
-    problem = LeastSquaresProblem(
-        lambda x: np.array([x[0] - 1.0, x[0] + 2.0]),
-        lambda x: sparse.csr_array(np.array([[1.0, 0.0], [1.0, 0.0]])))
+def one_point_problem(points_block):
+    """A linear problem in one camera column and one point, observed twice,
+    whose Jacobian is the point-block form with the given (2, 2, 3) point
+    blocks."""
+    jac = PointBlockJacobian(np.array([[[1.0], [0.5]], [[0.2], [1.0]]]),
+                             np.zeros((2, 1), dtype=np.int64), points_block,
+                             np.zeros(2, dtype=np.int64), np.array([[1, 2, 3]]), (4, 4))
+    target = np.array([1.0, 2.0, 3.0, 4.0])
+    return LeastSquaresProblem(lambda x: np.nan_to_num(np.asarray(jac)) @ x - target,
+                               lambda x: jac)
+
+
+def test_lm_raises_on_dead_point_column():
+    # No residual depends on the point's z.
+    problem = one_point_problem(np.array([[[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]],
+                                          [[1.0, 1.0, 0.0], [0.0, 2.0, 0.0]]]))
     with pytest.raises(SingularNormalEquations):
-        levenberg_marquardt(problem, np.zeros(2))
+        levenberg_marquardt(problem, np.zeros(4))
 
 
-def test_lm_rejects_non_finite_sparse_jacobian():
-    problem = LeastSquaresProblem(
-        lambda x: x - np.array([1.0, 2.0]),
-        lambda x: sparse.csr_array(np.array([[1.0, 0.0], [np.nan, 1.0]])))
+def test_lm_rejects_non_finite_point_block():
+    problem = one_point_problem(np.array([[[1.0, 0.0, 0.5], [0.0, 1.0, 0.0]],
+                                          [[1.0, np.nan, 0.0], [0.0, 2.0, 1.0]]]))
     with pytest.raises(NonFiniteResidual):
-        levenberg_marquardt(problem, np.zeros(2))
+        levenberg_marquardt(problem, np.zeros(4))
 
 
 def test_lm_raises_on_non_finite_start():
@@ -164,5 +230,7 @@ def test_lm_raises_on_non_finite_start():
 
 
 def test_lm_config_validation():
-    with pytest.raises(ValueError):
-        LmConfig(max_iters=0)
+    for bad in ({"max_iters": 0}, {"max_iters": 2.5}, {"cost_tol": np.nan},
+                {"step_tol": -1e-12}):
+        with pytest.raises(ValueError):
+            LmConfig(**bad)

@@ -2,7 +2,6 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy import sparse
 
 from camkit import (
     CameraPose,
@@ -27,6 +26,7 @@ from camkit.geometry import camera_depths, pixel_to_normalized, project_points
 from camkit.optimize import (
     LeastSquaresProblem,
     LmReport,
+    PointBlockJacobian,
     levenberg_marquardt,
     numeric_jacobian,
 )
@@ -259,12 +259,12 @@ def test_ba_sparse_solve_matches_dense_solve(ref_intrinsics, n_points, seed):
         scene.features[v] = scene.features[v] + rng.normal(0, 0.5, (n_points, 2))
     problem, x0, *_ = _build_ba_problem(scene)
     as_dense = LeastSquaresProblem(problem.residual,
-                                   lambda x: problem.jacobian(x).toarray())
-    csr = levenberg_marquardt(problem, x0)
+                                   lambda x: np.asarray(problem.jacobian(x)))
+    blocks = levenberg_marquardt(problem, x0)
     dense = levenberg_marquardt(as_dense, x0)
-    assert "max-iter" not in (csr.reason, dense.reason)
-    assert csr.final_cost == pytest.approx(dense.final_cost, rel=1e-8)
-    assert csr.final_cost < 0.5 * csr.initial_cost
+    assert "max-iter" not in (blocks.reason, dense.reason)
+    assert blocks.final_cost == pytest.approx(dense.final_cost, rel=1e-8)
+    assert blocks.final_cost < 0.5 * blocks.initial_cost
 
 
 @pytest.mark.parametrize("t1", [None, [1.0, 0.2, -0.3], [0.2, -1.0, 0.3],
@@ -277,16 +277,20 @@ def test_ba_jacobian_is_block_sparse(ref_intrinsics, t1):
         track.observations = track.observations[:2]
     if t1 is not None:
         scene.poses[1] = CameraPose(scene.poses[1].rotation, t1)
-    problem, x0, *_ = _build_ba_problem(scene)
+    problem, x0, _, _, (obs_view, obs_track) = _build_ba_problem(scene)
     jac = problem.jacobian(x0)
-    assert sparse.issparse(jac)
+    assert isinstance(jac, PointBlockJacobian)
     # Pose block widths: view 0 frozen, view 1 without its frozen largest
-    # translation coordinate 5, view 2 6.
+    # translation coordinate 5, view 2 6; every point has its 3 columns.
     widths = {0: 0, 1: 5, 2: 6}
     observations = [v for t in scene.tracks for v, _ in t.observations]
-    assert jac.nnz == sum(2 * (widths[v] + 3) for v in observations)
+    assert sorted(obs_view.tolist()) == sorted(observations)
+    assert np.array_equal(jac.point, obs_track)
+    assert np.array_equal((jac.camera_cols >= 0).sum(axis=1),
+                          [widths[v] for v in obs_view.tolist()])
+    assert np.all(jac.point_cols >= 0)
     oracle = numeric_jacobian(LeastSquaresProblem(problem.residual), x0)
-    assert np.max(np.abs(jac.toarray() - oracle)
+    assert np.max(np.abs(np.asarray(jac) - oracle)
                   / np.maximum(np.abs(oracle), 1.0)) < 1e-5
 
 
