@@ -2,8 +2,9 @@
 """SHA-256 digests of the board path's outputs, for comparing two trees.
 
 Prints a host line first: the Python, numpy and scipy versions, numpy's BLAS
-name and build configuration, the machine, the CPU count and the BLAS
-thread variables (it needs numpy 1.25 or later). Then one digest for each of:
+name and build configuration (``blas unknown`` before numpy 1.25, which has no
+``np.show_config(mode="dicts")``), the machine, the CPU count and the BLAS
+thread variables. Then one digest for each of:
 
 - ``detect_corners`` over 232 images: the 20 README views of pose seeds
   40-49, 24 README views (pose seed 42) blurred at sigma 0.7-3 with noise of
@@ -138,12 +139,15 @@ def cli_workflow(root):
 
 
 def host_line():
-    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    config = blas.get("openblas configuration", blas.get("version"))
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = f"{blas['name']} [{blas.get('openblas configuration', blas.get('version'))}]"
+    except TypeError:  # numpy < 1.25: show_config() takes no mode
+        blas = "unknown"
     threads = "  ".join(f"{name}={os.environ.get(name, '-')}"
                         for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"))
     return (f"host  python {platform.python_version()}  numpy {np.__version__}  "
-            f"scipy {scipy.__version__}  blas {blas['name']} [{config}]  "
+            f"scipy {scipy.__version__}  blas {blas}  "
             f"{platform.machine()}  cpus {os.cpu_count()}  {threads}")
 
 

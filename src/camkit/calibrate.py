@@ -4,8 +4,9 @@ Pipeline: per-view homographies (DLT), closed-form intrinsics from the
 image-of-the-absolute-conic constraints, homography decomposition for the
 per-view extrinsics, a linear bootstrap of the radial coefficients, then a
 joint Levenberg-Marquardt refinement of intrinsics, distortion, and all view
-poses against every corner observation. Reported uncertainties are
-first-order standard errors from the final Jacobian.
+poses against every corner observation, which eliminates each view's pose
+block. Reported uncertainties are first-order standard errors of the same
+elimination at the final parameters.
 """
 
 from __future__ import annotations
@@ -33,12 +34,11 @@ from .geometry import (
     nearest_rotation,
     normalized_to_pixel,
     pixel_to_normalized,
-    project_points,
     reprojection_problem,
 )
 from .homography import estimate_homography
 from .imageops import bilinear_sample, to_float
-from .optimize import LmConfig, levenberg_marquardt
+from .optimize import LmConfig, levenberg_marquardt, standard_errors
 
 MIN_VIEWS = 3
 
@@ -175,46 +175,34 @@ def calibrate(dataset: CalibrationDataset, *, estimate_skew: bool = False,
     The radial bootstrap and the refinement solve one
     :func:`camkit.geometry.reprojection_problem` over every corner: the
     first frees only the radial terms, the second the estimated intrinsics
-    and distortion and every view pose. Deterministic. Raises
-    InsufficientViews for fewer than three views and propagates degeneracy
-    errors from the individual stages.
+    and distortion and every view pose. Standard errors, from
+    :func:`camkit.optimize.standard_errors`, are NaN when the data do not fix
+    every estimated parameter. Deterministic. Raises InsufficientViews for
+    fewer than three views and propagates degeneracy errors from the
+    individual stages.
     """
     spec = dataset.spec
     views = dataset.views
     if len(views) < MIN_VIEWS:
         raise InsufficientViews(f"need >= {MIN_VIEWS} views, got {len(views)}")
-    for grid in views:
-        if len(grid) != spec.corner_count:
-            raise ShapeMismatch(
-                f"view {grid.view_id!r} has {len(grid)} corners, "
-                f"expected {spec.corner_count}"
-            )
+    _check_corner_counts(spec, views)
 
     world = board_world_points(spec)
     homs = [estimate_homography(world[:, :2], g.corners) for g in views]
     k0 = init_intrinsics(homs, estimate_skew=estimate_skew)
-    poses0 = np.stack([np.concatenate([p.axis_angle(), p.translation])
-                       for p in (extrinsics_from_homography(k0, h) for h in homs)])
-    n_views, n_corners = len(views), len(world)
-    obs = (np.repeat(np.arange(n_views), n_corners),
-           np.tile(np.arange(n_corners), n_views),
-           np.concatenate([g.corners for g in views]))
-
-    def problem_for(dist, global_free, poses_free):
-        free = np.concatenate([global_free, np.full(poses0.size, poses_free),
-                               np.zeros(world.size, dtype=bool)])
-        return reprojection_problem(world, poses0, k0, dist, *obs, free)
+    poses0 = [extrinsics_from_homography(k0, h) for h in homs]
 
     # Pixels are linear in the distortion coefficients: one Gauss-Newton step
     # from zero distortion, with only the radial terms free, solves for them.
     radial = np.array([False] * 5 + [True, True, estimate_k3, False, False])
-    problem, x0, unpack = problem_for(DistortionCoeffs(), radial, False)
+    problem, x0, unpack = _corner_problem(world, views, k0, DistortionCoeffs(),
+                                          poses0, radial, False)
     step, *_ = np.linalg.lstsq(problem.jacobian(x0), -problem.residual(x0), rcond=None)
     _, d0, _, _ = unpack(x0 + step)
 
     free = np.array([True] * 4 + [estimate_skew, True, True, estimate_k3]
                     + [estimate_tangential] * 2)
-    problem, x0, unpack = problem_for(d0, free, True)
+    problem, x0, unpack = _corner_problem(world, views, k0, d0, poses0, free, True)
     report = levenberg_marquardt(problem, x0, lm_config or LmConfig())
 
     intrinsics, dist, pose_params, _ = unpack(report.params)
@@ -222,42 +210,44 @@ def calibrate(dataset: CalibrationDataset, *, estimate_skew: bool = False,
     if any(np.any(camera_depths(world, pose) <= 0) for pose in poses):
         raise BehindCamera("refined pose places the board behind the camera")
 
-    per_corner = np.linalg.norm(report.residual.reshape(n_views, n_corners, 2), axis=2)
-    per_view = per_corner.mean(axis=1)
-    overall = float(per_corner.mean())
-
-    stderr = _standard_errors(report, problem.jacobian)
-    names = np.array(INTRINSIC_NAMES + DISTORTION_NAMES)[free].tolist()
-    named = list(zip(names, stderr))
-    intr_err = {n: e for n, e in named if n in INTRINSIC_NAMES}
-    dist_err = {n: e for n, e in named if n in DISTORTION_NAMES}
-    pose_err = stderr[int(free.sum()):].reshape(n_views, 6)
+    stats = _stats(report.residual.reshape(len(views), len(world), 2))
+    stderr = standard_errors(problem.jacobian(report.params), report.residual)
+    named = dict(zip(np.array(INTRINSIC_NAMES + DISTORTION_NAMES)[free].tolist(), stderr))
 
     return CalibrationResult(
         intrinsics=intrinsics,
         distortion=dist,
         poses=tuple(poses),
-        per_view_errors=per_view,
-        overall_error=overall,
-        intrinsic_stderr=intr_err,
-        distortion_stderr=dist_err,
-        pose_stderr=pose_err,
+        per_view_errors=stats.per_view_means,
+        overall_error=stats.overall_mean,
+        intrinsic_stderr={n: named[n] for n in INTRINSIC_NAMES if n in named},
+        distortion_stderr={n: named[n] for n in DISTORTION_NAMES if n in named},
+        pose_stderr=stderr[int(free.sum()):].reshape(-1, 6),
         image_size=(dataset.image_width, dataset.image_height),
     )
 
 
-def _standard_errors(report, jacobian) -> np.ndarray:
-    jac = jacobian(report.params)
-    m, n = jac.shape
-    if m <= n:
-        return np.full(n, np.nan)
-    sigma2 = 2.0 * report.final_cost / (m - n)
-    jtj = jac.T @ jac
-    try:
-        cov = np.linalg.inv(jtj)
-    except np.linalg.LinAlgError:
-        cov = np.linalg.pinv(jtj)
-    return np.sqrt(np.maximum(sigma2 * np.diag(cov), 0.0))
+def _check_corner_counts(spec: CheckerboardSpec, views) -> None:
+    for grid in views:
+        if len(grid) != spec.corner_count:
+            raise ShapeMismatch(
+                f"view {grid.view_id!r} has {len(grid)} corners, "
+                f"expected {spec.corner_count}"
+            )
+
+
+def _corner_problem(world, views, intrinsics, dist, poses, free_globals, poses_free):
+    """The reprojection problem of every corner of ``views`` (view-major)
+    under ``poses``, with the globals ``free_globals`` and, if ``poses_free``,
+    the poses free."""
+    n_views, n_corners = len(views), len(world)
+    params = np.stack([np.concatenate([p.axis_angle(), p.translation]) for p in poses])
+    free = np.concatenate([free_globals, np.full(params.size, poses_free),
+                           np.zeros(world.size, dtype=bool)])
+    return reprojection_problem(world, params, intrinsics, dist,
+                                np.repeat(np.arange(n_views), n_corners),
+                                np.tile(np.arange(n_corners), n_views),
+                                np.concatenate([g.corners for g in views]), free)
 
 
 def reprojection_stats(result: CalibrationResult,
@@ -272,26 +262,18 @@ def reprojection_stats(result: CalibrationResult,
         raise ShapeMismatch(
             f"result has {len(result.poses)} poses, dataset {len(dataset.views)} views"
         )
+    _check_corner_counts(dataset.spec, dataset.views)
     world = board_world_points(dataset.spec)
-    expected = dataset.spec.corner_count
-    vectors = []
-    for pose, grid in zip(result.poses, dataset.views):
-        if len(grid) != expected:
-            raise ShapeMismatch(
-                f"view {grid.view_id!r} has {len(grid)} corners, expected {expected}"
-            )
-        proj = project_points(world, pose.axis_angle(), pose.translation,
-                              result.intrinsics, result.distortion)
-        vectors.append(proj - grid.corners)
-    vectors = np.stack(vectors)
+    frozen = np.zeros(len(INTRINSIC_NAMES + DISTORTION_NAMES), dtype=bool)
+    problem, x0, _ = _corner_problem(world, dataset.views, result.intrinsics,
+                                     result.distortion, result.poses, frozen, False)
+    return _stats(problem.residual(x0).reshape(len(dataset.views), len(world), 2))
+
+
+def _stats(vectors: np.ndarray) -> ReprojectionStats:
     per_corner = np.linalg.norm(vectors, axis=2)
-    per_view = per_corner.mean(axis=1)
-    return ReprojectionStats(
-        residual_vectors=vectors,
-        per_corner_errors=per_corner,
-        per_view_means=per_view,
-        overall_mean=float(per_corner.mean()),
-    )
+    return ReprojectionStats(vectors, per_corner, per_corner.mean(axis=1),
+                             float(per_corner.mean()))
 
 
 def undistort_image(image: np.ndarray, intrinsics: CameraIntrinsics,

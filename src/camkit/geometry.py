@@ -24,7 +24,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InvalidRotation, NoConvergence, NonPositiveDepth
-from .optimize import LeastSquaresProblem, PointBlockJacobian
+from .optimize import BlockJacobian, LeastSquaresProblem
 
 _ORTHONORMALITY_TOL = 1e-9
 _UNDISTORT_ITERS = 50
@@ -406,10 +406,9 @@ def reprojection_problem(points, poses, intrinsics: CameraIntrinsics,
     array ``free`` selects the entries the problem's ``x`` holds. Returns
     ``(problem, x0, unpack)`` with ``unpack(x) -> (intrinsics, dist, (n, 6)
     poses, (m, 3) points)``. The Jacobian is a
-    :class:`~camkit.optimize.PointBlockJacobian` when a point is free: row k's
-    camera block is the free global columns, then the pose's 6, and its point
-    block the point's 3, so the solver eliminates the points. When no point
-    is free it is the dense ndarray of the same blocks.
+    :class:`~camkit.optimize.BlockJacobian` that eliminates the points when
+    any is free (row k keeps the free globals and its pose's 6), otherwise
+    the poses (row k keeps only the free globals).
     """
     poses = np.asarray(poses, dtype=np.float64).reshape(-1, 6)
     n_global = len(INTRINSIC_NAMES + DISTORTION_NAMES)
@@ -423,13 +422,16 @@ def reprojection_problem(points, poses, intrinsics: CameraIntrinsics,
     # Column of each full entry in ``x``, -1 where frozen.
     column = np.where(free, np.cumsum(free) - 1, -1)
     free_global = free[:n_global]
-    camera_cols = np.concatenate(
-        [np.broadcast_to(column[:n_global][free_global], (len(obs_px), free_global.sum())),
-         column[n_global + 6 * obs_pose[:, None] + np.arange(6)]], axis=1)
-    point_cols = column[point_start:].reshape(-1, 3)
-    for shared in (camera_cols, point_cols):  # by every Jacobian returned
+    kept_cols = np.broadcast_to(column[:n_global][free_global],
+                                (len(obs_px), free_global.sum()))
+    pose_cols = column[n_global:point_start].reshape(-1, 6)
+    by_point = free[point_start:].any()
+    if by_point:
+        kept_cols = np.concatenate([kept_cols, pose_cols[obs_pose]], axis=1)
+    block, block_cols = ((obs_point, column[point_start:].reshape(-1, 3)) if by_point
+                         else (obs_pose, pose_cols))
+    for shared in (kept_cols, block_cols):  # by every Jacobian returned
         shared.setflags(write=False)
-    dense = not free[point_start:].any()
 
     def unpack(x: np.ndarray):
         full = full0.copy()
@@ -451,17 +453,18 @@ def reprojection_problem(points, poses, intrinsics: CameraIntrinsics,
             out[sel] = project_points(*args)
         return (out - obs_px).ravel()
 
-    def jacobian(x: np.ndarray):
-        camera = np.empty((len(obs_px), 2, camera_cols.shape[1]))
-        points = np.empty((len(obs_px), 2, 3))
+    def jacobian(x: np.ndarray) -> BlockJacobian:
+        d_global = np.empty((len(obs_px), 2, free_global.sum()))
+        d_pose = np.empty((len(obs_px), 2, 6))
+        d_point = np.empty((len(obs_px), 2, 3))
         for sel, args in per_pose(x):
-            _, d_pose, d_point, d_k, d_dist = project_points(*args, jacobians=True)
-            d_global = np.concatenate([d_k, d_dist], axis=2)[:, :, free_global]
-            camera[sel] = np.concatenate([d_global, d_pose], axis=2)
-            points[sel] = d_point
-        jac = PointBlockJacobian(camera, camera_cols, points, obs_point, point_cols,
-                                 (2 * len(obs_px), int(free.sum())))
-        return np.asarray(jac) if dense else jac
+            _, d_pose[sel], d_point[sel], d_k, d_dist = project_points(
+                *args, jacobians=True)
+            d_global[sel] = np.concatenate([d_k, d_dist], axis=2)[:, :, free_global]
+        kept, blocks = ((np.concatenate([d_global, d_pose], axis=2), d_point) if by_point
+                        else (d_global, d_pose))
+        return BlockJacobian(kept, kept_cols, blocks, block, block_cols,
+                             (2 * len(obs_px), int(free.sum())))
 
     return LeastSquaresProblem(residual, jacobian), full0[free], unpack
 

@@ -2,16 +2,17 @@
 
 The cost minimized is ``0.5 * sum(r(x)**2)``. The damped normal equations
 ``(J^T J + lambda diag(J^T J)) step = -J^T r`` are solved by a dense
-Cholesky factorization when the Jacobian is an ndarray. When it is a
-:class:`PointBlockJacobian`, as the bundle-adjustment Jacobian is, each
-point's 3x3 block is eliminated first and only the reduced camera system
-(the Schur complement) is factored. Only that linear solve differs: damping
-over all free parameters, step acceptance and termination are shared. A
-``scipy.sparse`` Jacobian is not accepted; converting it fails with an
-error. The damping starts at 1e-3 and is multiplied by 10 after a rejected
-step and by 0.1 after an accepted one. Steps are accepted only when the
-cost strictly decreases, so the accepted-cost sequence is monotonically
-non-increasing. Everything is deterministic.
+Cholesky factorization when the Jacobian is an ndarray or not supplied.
+When it is a :class:`BlockJacobian`, as every reprojection Jacobian is, its
+blocks are eliminated first and only the reduced system of the kept columns
+(the Schur complement) is factored; :func:`standard_errors` reads the same
+elimination. Only that linear solve differs: damping over all free
+parameters, step acceptance and termination are shared. A ``scipy.sparse``
+Jacobian is not accepted; converting it fails with an error. The damping
+starts at 1e-3 and is multiplied by 10 after a rejected step and by 0.1
+after an accepted one. Steps are accepted only when the cost strictly
+decreases, so the accepted-cost sequence is monotonically non-increasing.
+Everything is deterministic.
 """
 
 from __future__ import annotations
@@ -37,47 +38,42 @@ class LeastSquaresProblem:
 
     The evaluator must be deterministic and return a fixed-length residual
     vector of dimension >= the parameter dimension. The Jacobian is anything
-    ``np.asarray`` turns into a float matrix, or a :class:`PointBlockJacobian`;
+    ``np.asarray`` turns into a float matrix, or a :class:`BlockJacobian`;
     its type selects the linear solve. A ``scipy.sparse`` array is neither,
     and the solver raises on it.
     """
 
     residual: Callable[[np.ndarray], np.ndarray]
-    jacobian: Optional[Callable[[np.ndarray], np.ndarray | PointBlockJacobian]] = None
+    jacobian: Optional[Callable[[np.ndarray], np.ndarray | BlockJacobian]] = None
 
 
 @dataclass(eq=False)
-class PointBlockJacobian:
-    """A Jacobian whose columns are camera columns and the columns of 3D
-    points, stored as per-observation blocks.
+class BlockJacobian:
+    """A Jacobian stored as per-observation blocks: kept columns, and the
+    columns of eliminated blocks of width b.
 
-    Observation k owns residual rows 2k and 2k+1, and its only nonzero
-    entries are two blocks: ``camera[k]``, (2, c), in the columns
-    ``camera_cols[k]``, and ``points[k]``, (2, 3), in the columns
-    ``point_cols[point[k]]`` of its point. A column index of -1 marks a
-    frozen entry, whose values are ignored. Columns that no point owns are
-    camera columns; one may appear in every observation (a shared global) or
-    in some (a view's pose). A point may be observed more than once in one
-    view. ``np.asarray`` gives the dense ``shape`` matrix.
+    Observation k owns residual rows 2k and 2k+1; its only nonzero entries
+    are ``kept[k]``, (2, c), in the columns ``kept_cols[k]``, and
+    ``blocks[k]``, (2, b), in the columns ``block_cols[block[k]]``. A column
+    index of -1 marks a frozen entry, whose values are ignored. Columns that
+    no block owns are kept; observations may share a block and its kept
+    columns. ``np.asarray`` gives the dense ``shape`` matrix.
     """
 
-    camera: np.ndarray  # (m, 2, c) float
-    camera_cols: np.ndarray  # (m, c) int
-    points: np.ndarray  # (m, 2, 3) float
-    point: np.ndarray  # (m,) int
-    point_cols: np.ndarray  # (n_points, 3) int
+    kept: np.ndarray  # (m, 2, c) float
+    kept_cols: np.ndarray  # (m, c) int
+    blocks: np.ndarray  # (m, 2, b) float
+    block: np.ndarray  # (m,) int
+    block_cols: np.ndarray  # (n_blocks, b) int
     shape: tuple
 
     def __array__(self, dtype=None, copy=None):
-        n_cols = self.shape[1]
-        cols = np.concatenate([self.camera_cols, self.point_cols[self.point]], axis=1)
-        values = np.concatenate([self.camera, self.points], axis=2)
-        kept = cols >= 0
-        # Flat positions in each observation's first row; the second follows.
-        at = (cols + 2 * n_cols * np.arange(len(cols))[:, None])[kept]
-        dense = np.zeros(self.shape)
-        dense.ravel()[at] = values[:, 0][kept]
-        dense.ravel()[at + n_cols] = values[:, 1][kept]
+        cols = np.concatenate([self.kept_cols, self.block_cols[self.block]], axis=1)
+        values = np.concatenate([self.kept, self.blocks], axis=2)
+        obs, slot = np.nonzero(cols >= 0)
+        dense = np.zeros((len(cols), 2, self.shape[1]))
+        dense[obs, :, cols[obs, slot]] = values[obs, :, slot]
+        dense = dense.reshape(self.shape)
         return dense if dtype is None else dense.astype(dtype, copy=False)
 
 
@@ -142,89 +138,118 @@ def _cost(r: np.ndarray) -> float:
     return 0.5 * float(r @ r)
 
 
+def _spd_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a^-1 b`` by Cholesky factorization; an empty ``a`` skips scipy."""
+    if not len(a):
+        return b
+    return scipy.linalg.cho_solve(scipy.linalg.cho_factor(a, lower=True), b)
+
+
+_SINGULAR = (np.linalg.LinAlgError, scipy.linalg.LinAlgError, ValueError)
+
+
 def _dense_solver(jac: np.ndarray, r: np.ndarray):
-    """The damped solve of a dense Jacobian by Cholesky factorization of the
+    """The damped step of a dense Jacobian, by Cholesky factorization of the
     damped normal equations."""
     jtj = jac.T @ jac
     grad = jac.T @ r
-    diag = jtj.diagonal()
-
-    def solve(lam: float):
-        try:
-            chol = scipy.linalg.cho_factor(jtj + lam * np.diag(diag), lower=True)
-            return scipy.linalg.cho_solve(chol, -grad)
-        except (np.linalg.LinAlgError, scipy.linalg.LinAlgError, ValueError):
-            return None
-
-    return solve
+    return lambda lam: _spd_solve(jtj + lam * np.diag(jtj.diagonal()), -grad)
 
 
-def _point_block_solver(jac: PointBlockJacobian, r: np.ndarray):
-    """The damped solve of a point-block Jacobian: each point's 3x3 block is
-    eliminated and the reduced camera system (the Schur complement) is solved
-    by Cholesky factorization, then the point steps follow by back-substitution
-    (Triggs et al., "Bundle Adjustment - A Modern Synthesis", 2000, sec. 6).
+def _elimination(jac: BlockJacobian, r: np.ndarray):
+    """Eliminate a block Jacobian's blocks from its normal equations (Triggs
+    et al., "Bundle Adjustment - A Modern Synthesis", 2000, sec. 6).
 
-    With U the camera block of ``J^T J``, V_p point p's 3x3 block and W the
-    camera-point coupling, all damped on their diagonals, the camera step
-    solves ``(U - W V^-1 W^T) dc = -g_c + W V^-1 g_p`` and each point step is
-    ``dp = V_p^-1 (-g_p - W_p^T dc)``. Everything but the damping is formed
-    once per Jacobian, with sums over observations and no sparse product.
+    ``J^T J`` has the kept columns' block U, block i's (b, b) block V_i (a
+    unit diagonal for a frozen entry) and their coupling W; ``J^T r`` is
+    (g_k, g_b). Returns ``(reduce, join)``: ``reduce(lam)`` damps U and V by
+    ``lam`` times their diagonals and gives ``V^-1``, ``V^-1 W^T``,
+    ``V^-1 g_b``, ``S = U - W V^-1 W^T`` and ``W V^-1 g_b - g_k``; ``join``
+    places a kept and a block-major vector in column order.
     """
     n_cols = jac.shape[1]
-    n_points = len(jac.point_cols)
-    point_free = jac.point_cols >= 0
-    is_point = np.zeros(n_cols, dtype=bool)
-    is_point[jac.point_cols[point_free]] = True
-    n_cam = n_cols - int(is_point.sum())
+    n_blocks, width = jac.block_cols.shape
+    axis = np.arange(width)
+    block_free = jac.block_cols >= 0
+    is_block = np.zeros(n_cols, dtype=bool)
+    is_block[jac.block_cols[block_free]] = True
+    n_kept = n_cols - int(is_block.sum())
     # Frozen entries get zero values, so their (clipped) index adds nothing.
-    cam_row = (np.cumsum(~is_point) - 1)[np.maximum(jac.camera_cols, 0)]
-    a = np.where(jac.camera_cols[:, None, :] >= 0, jac.camera, 0.0)
-    b = np.where(point_free[jac.point][:, None, :], jac.points, 0.0)
+    kept_row = (np.cumsum(~is_block) - 1)[np.maximum(jac.kept_cols, 0)]
+    a = np.where(jac.kept_cols[:, None, :] >= 0, jac.kept, 0.0)
+    b = np.where(block_free[jac.block][:, None, :], jac.blocks, 0.0)
     # Contiguous transposes: numpy's stacked products run several times
     # faster with a contiguous left operand.
     a_t = np.ascontiguousarray(a.transpose(0, 2, 1))
     b_t = np.ascontiguousarray(b.transpose(0, 2, 1))
-    point_row = 3 * jac.point[:, None] + np.arange(3)  # (m, 3) rows of V and W
+    block_row = width * jac.block[:, None] + axis  # (m, b) rows of V and W
     res = r.reshape(-1, 2, 1)
 
     def sums(index, values, size):
         return np.bincount(index.ravel(), values.ravel(), size)[:size]
 
-    grad_c = sums(cam_row, a_t @ res, n_cam)
-    grad_p = sums(point_row, b_t @ res, 3 * n_points)
-    u = sums(cam_row[:, :, None] * n_cam + cam_row[:, None, :], a_t @ a,
-             n_cam * n_cam).reshape(n_cam, n_cam)
-    v = sums(point_row[:, :, None] * 3 + np.arange(3), b_t @ b,
-             9 * n_points).reshape(n_points, 3, 3)
-    w = sums(point_row[:, :, None] * n_cam + cam_row[:, None, :], b_t @ a,
-             3 * n_points * n_cam).reshape(-1, n_cam)
-    # A frozen point coordinate keeps a unit diagonal and a zero step.
-    frozen_point, frozen_axis = np.nonzero(~point_free)
-    v[frozen_point, frozen_axis, frozen_axis] = 1.0
-    u_diag = u.diagonal().copy()
-    v_diag = np.diagonal(v, axis1=1, axis2=2).copy()
-    axis = np.arange(3)
+    grad_kept = sums(kept_row, a_t @ res, n_kept)
+    grad_block = sums(block_row, b_t @ res, width * n_blocks).reshape(n_blocks, width, 1)
+    u = sums(kept_row[:, :, None] * n_kept + kept_row[:, None, :], a_t @ a,
+             n_kept * n_kept).reshape(n_kept, n_kept)
+    v = sums(block_row[:, :, None] * width + axis, b_t @ b,
+             width * width * n_blocks).reshape(n_blocks, width, width)
+    w = sums(block_row[:, :, None] * n_kept + kept_row[:, None, :], b_t @ a,
+             width * n_blocks * n_kept).reshape(width * n_blocks, n_kept)
+    frozen_block, frozen_axis = np.nonzero(~block_free)
+    v[frozen_block, frozen_axis, frozen_axis] = 1.0
+
+    def reduce(lam: float):
+        v_damped = v.copy()
+        v_damped[:, axis, axis] += lam * v[:, axis, axis]
+        v_inv = np.linalg.inv(v_damped)
+        v_inv_w = (v_inv @ w.reshape(n_blocks, width, n_kept)).reshape(len(w), n_kept)
+        v_inv_g = (v_inv @ grad_block).ravel()
+        schur = u + lam * np.diag(u.diagonal()) - w.T @ v_inv_w
+        return v_inv, v_inv_w, v_inv_g, schur, w.T @ v_inv_g - grad_kept
+
+    def join(kept: np.ndarray, block: np.ndarray) -> np.ndarray:
+        out = np.empty(n_cols)
+        out[~is_block] = kept
+        out[jac.block_cols[block_free]] = block.reshape(n_blocks, width)[block_free]
+        return out
+
+    return reduce, join
+
+
+def _block_solver(jac: BlockJacobian, r: np.ndarray):
+    """The damped step of a block Jacobian: ``S dk = W V^-1 g_b - g_k`` by
+    Cholesky factorization, then ``db_i = -V_i^-1 (g_b + W_i^T dk)``."""
+    reduce, join = _elimination(jac, r)
 
     def solve(lam: float):
-        v_damped = v.copy()
-        v_damped[:, axis, axis] += lam * v_diag
-        try:
-            v_inv = np.linalg.inv(v_damped)
-            v_inv_w = v_inv @ w.reshape(n_points, 3, n_cam)
-            v_inv_g = (v_inv @ grad_p.reshape(n_points, 3, 1)).ravel()
-            schur = u + lam * np.diag(u_diag) - w.T @ v_inv_w.reshape(-1, n_cam)
-            chol = scipy.linalg.cho_factor(schur, lower=True)
-            step_c = scipy.linalg.cho_solve(chol, w.T @ v_inv_g - grad_c)
-        except (np.linalg.LinAlgError, scipy.linalg.LinAlgError, ValueError):
-            return None
-        step_p = -(v_inv_g + v_inv_w.reshape(-1, n_cam) @ step_c)
-        step = np.empty(n_cols)
-        step[~is_point] = step_c
-        step[jac.point_cols[point_free]] = step_p.reshape(n_points, 3)[point_free]
-        return step
+        _, v_inv_w, v_inv_g, schur, rhs = reduce(lam)
+        step_k = _spd_solve(schur, rhs)
+        return join(step_k, -(v_inv_g + v_inv_w @ step_k))
 
     return solve
+
+
+def standard_errors(jac: BlockJacobian, residual: np.ndarray) -> np.ndarray:
+    """First-order standard errors, ``sqrt(diag(sigma^2 (J^T J)^-1))`` with
+    ``sigma^2 = r^T r / (m - n)``, in ``jac``'s column order. From the undamped
+    elimination: the kept block is ``S^-1`` and block i's is
+    ``V_i^-1 + V_i^-1 W_i^T S^-1 W_i V_i^-1``. All NaN when ``m <= n`` or V or
+    S is singular, as the data then do not fix every parameter.
+    """
+    m, n = jac.shape
+    if m <= n:
+        return np.full(n, np.nan)
+    reduce, join = _elimination(jac, residual)
+    try:
+        v_inv, v_inv_w, _, schur, _ = reduce(0.0)
+        s_inv = _spd_solve(schur, np.eye(len(schur)))
+    except _SINGULAR:
+        return np.full(n, np.nan)
+    v_inv_w = v_inv_w.reshape(*v_inv.shape[:2], len(schur))
+    var = join(s_inv.diagonal(), np.diagonal(v_inv, axis1=1, axis2=2)
+               + ((v_inv_w @ s_inv) * v_inv_w).sum(axis=2))
+    return np.sqrt(np.maximum(residual @ residual / (m - n) * var, 0.0))
 
 
 def levenberg_marquardt(problem: LeastSquaresProblem, x0,
@@ -246,21 +271,22 @@ def levenberg_marquardt(problem: LeastSquaresProblem, x0,
     iteration = 0
 
     for iteration in range(1, cfg.max_iters + 1):
-        if problem.jacobian is None:
-            solve = _dense_solver(numeric_jacobian(problem, x), r)
+        jac = (numeric_jacobian(problem, x) if problem.jacobian is None
+               else problem.jacobian(x))
+        if isinstance(jac, BlockJacobian):
+            values, solver = (jac.kept, jac.blocks), _block_solver
         else:
-            jac = problem.jacobian(x)
-            if isinstance(jac, PointBlockJacobian):
-                values, solver = (jac.camera, jac.points), _point_block_solver
-            else:
-                jac = np.asarray(jac, dtype=np.float64)
-                values, solver = (jac,), _dense_solver
-            if not all(np.all(np.isfinite(v)) for v in values):
-                raise NonFiniteResidual("Jacobian evaluator returned non-finite values")
-            solve = solver(jac, r)
+            jac = np.asarray(jac, dtype=np.float64)
+            values, solver = (jac,), _dense_solver
+        if not all(np.all(np.isfinite(v)) for v in values):
+            raise NonFiniteResidual("Jacobian evaluator returned non-finite values")
+        solve = solver(jac, r)
 
         while True:
-            step = solve(lam)
+            try:
+                step = solve(lam)
+            except _SINGULAR:
+                step = None
             if step is None or not np.all(np.isfinite(step)):
                 if lam >= _MAX_DAMPING:
                     raise SingularNormalEquations(

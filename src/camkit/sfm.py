@@ -284,9 +284,9 @@ def _build_ba_problem(scene: SfmScene):
     frozen, and so are the first view's 6 pose entries and the second
     view's translation coordinate of largest magnitude, which fixes the 7
     degrees of freedom of a similarity. The Jacobian is a
-    :class:`~camkit.optimize.PointBlockJacobian` with no free globals: each
-    observation's camera block is its view's 6 pose columns, so the solver
-    eliminates the points and factors only the poses' reduced system.
+    :class:`~camkit.optimize.BlockJacobian` with no free globals: each
+    observation keeps its view's 6 pose columns and eliminates its point's 3,
+    so the solver factors only the poses' reduced system.
     """
     order = scene.view_order
     if len(order) < 2:

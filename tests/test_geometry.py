@@ -17,7 +17,7 @@ from camkit import (
 )
 from camkit.errors import InvalidRotation, NoConvergence, NonPositiveDepth
 from camkit.geometry import camera_depths, project_points, reprojection_problem
-from camkit.optimize import LeastSquaresProblem, PointBlockJacobian, numeric_jacobian
+from camkit.optimize import BlockJacobian, LeastSquaresProblem, numeric_jacobian
 
 from conftest import REF_CX, REF_CY
 
@@ -137,8 +137,9 @@ def test_reprojection_problem_jacobian_matches_central_differences(points_free):
     assert np.array_equal(p, poses) and np.array_equal(pts, points)
     x = x0 + rng.normal(0.0, 1e-3, x0.shape) * np.maximum(1.0, np.abs(x0))
     supplied = problem.jacobian(x)
-    assert isinstance(supplied, PointBlockJacobian) == points_free
-    assert isinstance(supplied, np.ndarray) != points_free
+    # The points are eliminated when any is free, otherwise the poses.
+    assert isinstance(supplied, BlockJacobian)
+    assert supplied.blocks.shape[2] == (3 if points_free else 6)
     supplied = np.asarray(supplied)
     numeric = numeric_jacobian(LeastSquaresProblem(problem.residual), x)
     assert supplied.shape == (2 * len(obs_pose), int(free.sum()))

@@ -15,7 +15,7 @@ from camkit import (
 )
 from camkit.errors import NonFiniteResidual, SingularNormalEquations
 from camkit.geometry import project_points, reprojection_problem
-from camkit.optimize import PointBlockJacobian, _dense_solver, _point_block_solver
+from camkit.optimize import BlockJacobian, _block_solver, _dense_solver, standard_errors
 from camkit.synthetic import sample_ring_poses
 
 
@@ -122,15 +122,27 @@ def test_lm_raises_on_dead_parameter():
         levenberg_marquardt(problem, np.zeros(2))
 
 
-def random_reprojection_problem(rng: np.random.Generator, free_globals: bool):
-    """A bundle-adjustment-like problem for the point-block solve: 2-6 ring
-    views of 3-40 points, each point seen by one view up to all and each view
-    seeing at least 4 points, 0.5 px noise, and one observation repeated.
-    Frozen: the first pose, the second pose's largest translation coordinate
-    (the gauge), about a fifth of the other pose entries, and the coordinate
-    along the viewing axis of each point seen once. With ``free_globals``
-    some of fx, fy and k1 are free too. Returns ``(problem, x0)``."""
-    n_poses, n_points = int(rng.integers(2, 7)), int(rng.integers(3, 41))
+KINDS = ("points", "points+globals", "poses", "pose")
+
+
+def random_reprojection_problem(rng: np.random.Generator, kind: str):
+    """A reprojection problem for the block solve, of one of four kinds.
+
+    The ``points`` kinds are bundle-adjustment-like, so the points are
+    eliminated: 2-6 ring views of 3-40 free points, each point seen by one
+    view up to all and each view seeing at least 4 points. Frozen: the first
+    pose, the second pose's largest translation coordinate (the gauge),
+    about a fifth of the other pose entries, and the coordinate along the
+    viewing axis of each point seen once; the points start 2 mm off. With
+    ``points+globals`` some of fx, fy and k1 are free too. ``poses`` is
+    calibration-like, so the poses are eliminated: the points are frozen,
+    some of fx, fy, cx, cy and k1 are free, about a fifth of the pose entries
+    are frozen and the poses start off their truth. ``pose`` is
+    ``refine_pose``-like: the same with one view and nothing kept. Every
+    kind has 0.5 px noise and one observation repeated. Returns
+    ``(problem, x0)``."""
+    n_poses = 1 if kind == "pose" else int(rng.integers(2, 7))
+    n_points = int(rng.integers(3, 41))
     intr = CameraIntrinsics(fx=800.0, fy=780.0, cx=320.0, cy=240.0, skew=0.5)
     dist = DistortionCoeffs(k1=-0.2, k2=0.05, k3=0.01, p1=1e-3, p2=-2e-3)
     ring = sample_ring_poses(n_poses, radius=500.0, elevation_deg=25.0,
@@ -151,30 +163,46 @@ def random_reprojection_problem(rng: np.random.Generator, free_globals: bool):
 
     point_start = 10 + poses.size
     free = np.zeros(point_start + points.size, dtype=bool)
-    free[[0, 1, 5]] = free_globals & (rng.random(3) < 0.7)
-    free[16:point_start] = rng.random(poses.size - 6) < 0.8
-    free[19 + np.argmax(np.abs(poses[1, 3:]))] = False
-    free[point_start:] = True
-    seen = np.bincount(obs_point, minlength=n_points)
-    for j in np.flatnonzero(seen == 1):
-        axis = ring[obs_pose[obs_point == j][0]].rotation[2]
-        free[point_start + 3 * j + np.argmax(np.abs(axis))] = False
-    start = points + rng.normal(0.0, 2.0, points.shape)
+    start = points
+    if kind.startswith("points"):
+        free[[0, 1, 5]] = (kind == "points+globals") & (rng.random(3) < 0.7)
+        free[16:point_start] = rng.random(poses.size - 6) < 0.8
+        free[19 + np.argmax(np.abs(poses[1, 3:]))] = False
+        free[point_start:] = True
+        seen = np.bincount(obs_point, minlength=n_points)
+        for j in np.flatnonzero(seen == 1):
+            axis = ring[obs_pose[obs_point == j][0]].rotation[2]
+            free[point_start + 3 * j + np.argmax(np.abs(axis))] = False
+        start = points + rng.normal(0.0, 2.0, points.shape)
+    else:
+        free[[0, 1, 2, 3, 5]] = (kind == "poses") & (rng.random(5) < 0.7)
+        free[10:point_start] = rng.random(poses.size) < 0.8
+        poses = poses + rng.normal(0.0, 1.0, poses.shape) * ([0.01] * 3 + [2.0] * 3)
     problem, x0, _ = reprojection_problem(start, poses, intr, dist, obs_pose,
                                           obs_point, obs_px, free)
     return problem, x0
 
 
+def conditioned(jac, ratio: float) -> bool:
+    """Whether the column-scaled Jacobian's singular values stay within
+    ``ratio`` of its largest, far from rank deficient."""
+    dense = np.asarray(jac)
+    sv = np.linalg.svd(dense / np.linalg.norm(dense, axis=0), compute_uv=False)
+    return sv[-1] > ratio * sv[0]
+
+
 @settings(max_examples=40, deadline=None)
-@given(seed=st.integers(0, 2 ** 32 - 1), free_globals=st.booleans())
-def test_point_block_solve_matches_dense_cholesky(seed, free_globals):
-    problem, x0 = random_reprojection_problem(np.random.default_rng(seed), free_globals)
+@given(seed=st.integers(0, 2 ** 32 - 1), kind=st.sampled_from(KINDS))
+def test_point_block_solve_matches_dense_cholesky(seed, kind):
+    problem, x0 = random_reprojection_problem(np.random.default_rng(seed), kind)
     jac = problem.jacobian(x0)
-    assert isinstance(jac, PointBlockJacobian)
+    assert jac.blocks.shape[2] == (3 if kind.startswith("points") else 6)
+    if kind == "pose":
+        assert jac.kept.shape[2] == 0
     dense_jac = np.asarray(jac)
     r = problem.residual(x0)
     for lam in (1e-3, 1.0):  # the starting damping and a heavy one
-        blocks = _point_block_solver(jac, r)(lam)
+        blocks = _block_solver(jac, r)(lam)
         dense = _dense_solver(dense_jac, r)(lam)
         assert np.linalg.norm(blocks - dense) <= 1e-9 * np.linalg.norm(dense)
 
@@ -183,8 +211,7 @@ def test_point_block_solve_matches_dense_cholesky(seed, free_globals):
     # cost_tol stays well above rounding: at the default 1e-10 a solve can end
     # on a decrease of a few ulps, where whether the last step is accepted
     # depends on the last bit of the cost.
-    sv = np.linalg.svd(dense_jac / np.linalg.norm(dense_jac, axis=0), compute_uv=False)
-    assume(sv[-1] > 1e-6 * sv[0])
+    assume(conditioned(jac, 1e-6))
     cfg = LmConfig(cost_tol=1e-6)
     via_blocks = levenberg_marquardt(problem, x0, cfg)
     via_dense = levenberg_marquardt(
@@ -196,11 +223,26 @@ def test_point_block_solve_matches_dense_cholesky(seed, free_globals):
     assert via_blocks.reason == via_dense.reason
 
 
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), kind=st.sampled_from(KINDS))
+def test_standard_errors_match_dense_inverse(seed, kind):
+    problem, x0 = random_reprojection_problem(np.random.default_rng(seed), kind)
+    jac = problem.jacobian(x0)
+    r = problem.residual(x0)
+    m, n = jac.shape
+    # The inverse's rounding grows with the square of the condition number.
+    assume(m > n and conditioned(jac, 1e-4))
+    dense = np.asarray(jac)
+    cost = 0.5 * float(r @ r)
+    expected = np.sqrt(2.0 * cost / (m - n) * np.diag(np.linalg.inv(dense.T @ dense)))
+    assert np.max(np.abs(standard_errors(jac, r) - expected) / expected) < 1e-6
+
+
 def one_point_problem(points_block):
     """A linear problem in one camera column and one point, observed twice,
     whose Jacobian is the point-block form with the given (2, 2, 3) point
     blocks."""
-    jac = PointBlockJacobian(np.array([[[1.0], [0.5]], [[0.2], [1.0]]]),
+    jac = BlockJacobian(np.array([[[1.0], [0.5]], [[0.2], [1.0]]]),
                              np.zeros((2, 1), dtype=np.int64), points_block,
                              np.zeros(2, dtype=np.int64), np.array([[1, 2, 3]]), (4, 4))
     target = np.array([1.0, 2.0, 3.0, 4.0])
@@ -214,6 +256,33 @@ def test_lm_raises_on_dead_point_column():
                                           [[1.0, 1.0, 0.0], [0.0, 2.0, 0.0]]]))
     with pytest.raises(SingularNormalEquations):
         levenberg_marquardt(problem, np.zeros(4))
+
+
+def test_standard_errors_are_nan_on_dead_point_column():
+    problem = one_point_problem(np.array([[[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]],
+                                          [[1.0, 1.0, 0.0], [0.0, 2.0, 0.0]]]))
+    # Five residuals for the four columns, so only the dead column fails.
+    jac = problem.jacobian(None)
+    jac = BlockJacobian(np.concatenate([jac.kept, [[[0.3], [0.0]]]]),
+                        np.zeros((3, 1), dtype=np.int64),
+                        np.concatenate([jac.blocks, [[[0.5, 0.0, 0.0], [0.0, 0.0, 0.0]]]]),
+                        np.zeros(3, dtype=np.int64), jac.block_cols, (6, 4))
+    assert np.all(np.isnan(standard_errors(jac, np.ones(6))))
+
+
+def test_standard_errors_are_nan_without_redundancy():
+    # One pose seen through three points: six residuals for six columns.
+    world = np.array([[0.0, 0.0, 0.0], [50.0, 0.0, 0.0], [0.0, 50.0, 0.0]])
+    intr = CameraIntrinsics(fx=800.0, fy=800.0, cx=320.0, cy=240.0)
+    pose = np.array([0.1, -0.2, 0.05, 10.0, -5.0, 500.0])
+    px = project_points(world, pose[:3], pose[3:], intr, DistortionCoeffs()) + 0.3
+    free = np.repeat([False, True, False], [10, 6, world.size])
+    problem, x0, _ = reprojection_problem(world, pose, intr, DistortionCoeffs(),
+                                          np.zeros(3, dtype=np.int64), np.arange(3),
+                                          px, free)
+    jac = problem.jacobian(x0)
+    assert jac.shape == (6, 6)
+    assert np.all(np.isnan(standard_errors(jac, problem.residual(x0))))
 
 
 def test_lm_rejects_non_finite_point_block():

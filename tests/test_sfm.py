@@ -24,9 +24,9 @@ from camkit.errors import (
 )
 from camkit.geometry import camera_depths, pixel_to_normalized, project_points
 from camkit.optimize import (
+    BlockJacobian,
     LeastSquaresProblem,
     LmReport,
-    PointBlockJacobian,
     levenberg_marquardt,
     numeric_jacobian,
 )
@@ -279,16 +279,16 @@ def test_ba_jacobian_is_block_sparse(ref_intrinsics, t1):
         scene.poses[1] = CameraPose(scene.poses[1].rotation, t1)
     problem, x0, _, _, (obs_view, obs_track) = _build_ba_problem(scene)
     jac = problem.jacobian(x0)
-    assert isinstance(jac, PointBlockJacobian)
+    assert isinstance(jac, BlockJacobian)
     # Pose block widths: view 0 frozen, view 1 without its frozen largest
     # translation coordinate 5, view 2 6; every point has its 3 columns.
     widths = {0: 0, 1: 5, 2: 6}
     observations = [v for t in scene.tracks for v, _ in t.observations]
     assert sorted(obs_view.tolist()) == sorted(observations)
-    assert np.array_equal(jac.point, obs_track)
-    assert np.array_equal((jac.camera_cols >= 0).sum(axis=1),
+    assert np.array_equal(jac.block, obs_track)
+    assert np.array_equal((jac.kept_cols >= 0).sum(axis=1),
                           [widths[v] for v in obs_view.tolist()])
-    assert np.all(jac.point_cols >= 0)
+    assert np.all(jac.block_cols >= 0)
     oracle = numeric_jacobian(LeastSquaresProblem(problem.residual), x0)
     assert np.max(np.abs(np.asarray(jac) - oracle)
                   / np.maximum(np.abs(oracle), 1.0)) < 1e-5
