@@ -18,7 +18,7 @@ from .errors import (
     NoModelFound,
     ZeroBaseline,
 )
-from .geometry import CameraPose, camera_depths, nearest_rotation
+from .geometry import CameraPose, nearest_rotation
 from .homography import conditioning_transforms
 
 # RANSAC hypotheses fitted and scored together; bounds the (B, n, 3)
@@ -236,7 +236,7 @@ def triangulate_views(poses, normalized: np.ndarray, seen: np.ndarray):
     points = np.zeros((n, 3))
     points[safe] = hom[safe, :3] / w[safe, None]
 
-    depths = np.stack([camera_depths(points, pose) for pose in poses], axis=1)
+    depths = points @ p[:, 2, :3].T + p[:, 2, 3]
     valid = safe & np.all((depths > 0) | ~seen, axis=1)
     return points, valid
 

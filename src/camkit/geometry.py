@@ -328,20 +328,26 @@ def project(points, pose: CameraPose, intrinsics: CameraIntrinsics,
 
 
 def project_points(points, rvec, translation, intrinsics: CameraIntrinsics,
-                   dist: DistortionCoeffs, jacobians: bool = False):
-    """Project world points under an axis-angle pose; the solvers' kernel.
+                   dist: DistortionCoeffs, jacobians: bool = False, *, pose_of=None):
+    """Project world points under axis-angle poses; the solvers' kernel.
 
+    Point k is seen under pose ``pose_of[k]`` of the ``(P, 3)`` ``rvec`` and
+    ``translation``, or under the one ``(3,)`` pose given without
+    ``pose_of``; each pose's rotation and its Jacobian are evaluated once.
     Depths are clamped to 1e-9 instead of rejected, so trial steps that push
     points behind the camera give large finite residuals. Returns (n, 2)
     pixels or, with ``jacobians``, ``(pixels, d_pose, d_point, d_intrinsics,
-    d_distortion)``: per-point blocks (n, 2, k) with respect to (rvec, t),
-    the point, :data:`INTRINSIC_NAMES` and :data:`DISTORTION_NAMES`
+    d_distortion)``: per-point blocks (n, 2, k) with respect to the point's
+    (rvec, t), the point, :data:`INTRINSIC_NAMES` and :data:`DISTORTION_NAMES`
     (Hartley & Zisserman, *Multiple View Geometry*, App. 6).
     """
     pts = _points(points, 3).reshape(-1, 3)
-    rot = axis_angle_to_rotation(rvec)
-    rotated = pts @ rot.T
-    cam = rotated + translation
+    if pose_of is None:  # one (3,) pose for every point
+        rvec, translation = np.reshape(rvec, (1, 3)), np.reshape(translation, (1, 3))
+        pose_of = np.zeros(len(pts), dtype=np.intp)
+    rot = axis_angle_to_rotation(rvec)[pose_of]
+    rotated = np.einsum("kij,kj->ki", rot, pts)
+    cam = rotated + np.asarray(translation, dtype=np.float64)[pose_of]
     in_front = cam[:, 2] > 1e-9
     cam[:, 2] = np.maximum(cam[:, 2], 1e-9)
     if not jacobians:
@@ -349,10 +355,9 @@ def project_points(points, rvec, translation, intrinsics: CameraIntrinsics,
     pixels, d_cam, d_intrinsics, d_dist = _pinhole(cam, intrinsics, dist,
                                                    jacobians=True)
     d_cam[:, :, 2] *= in_front[:, None]
-    # d(R X)/d rvec = -[R X]x R J_r(rvec), J_r the right Jacobian of SO(3).
-    rj = rot @ _rotation_right_jacobian(rvec)
-    d_rotated = -np.cross(rotated[:, None, :], rj.T).transpose(0, 2, 1)
-    d_pose = np.concatenate([d_cam @ d_rotated, d_cam], axis=2)
+    # d(R X)/d rvec = -[R X]x J_l(rvec), J_l the left Jacobian of SO(3).
+    d_rvec = d_cam @ _skew_matrix(-rotated) @ _rotation_left_jacobian(rvec)[pose_of]
+    d_pose = np.concatenate([d_rvec, d_cam], axis=2)
     return pixels, d_pose, d_cam @ rot, d_intrinsics, d_dist
 
 
@@ -400,8 +405,10 @@ def reprojection_problem(points, poses, intrinsics: CameraIntrinsics,
     refinement and bundle adjustment, which differ only in ``free``.
 
     Observation k is point ``obs_point[k]`` seen at pixel ``obs_px[k]`` under
-    pose ``obs_pose[k]`` (integer arrays), in residual rows 2k and 2k+1. The
-    full parameter vector is :data:`INTRINSIC_NAMES` + :data:`DISTORTION_NAMES`,
+    pose ``obs_pose[k]`` (integer arrays, one entry per observation, else
+    ValueError), in residual rows 2k and 2k+1. Residual and Jacobian are
+    each one pose-indexed :func:`project_points` call. The full parameter
+    vector is :data:`INTRINSIC_NAMES` + :data:`DISTORTION_NAMES`,
     then 6 per pose (axis-angle, translation), then 3 per point; the boolean
     array ``free`` selects the entries the problem's ``x`` holds. Returns
     ``(problem, x0, unpack)`` with ``unpack(x) -> (intrinsics, dist, (n, 6)
@@ -417,7 +424,9 @@ def reprojection_problem(points, poses, intrinsics: CameraIntrinsics,
                             dist.as_array(), poses.ravel(),
                             np.asarray(points, dtype=np.float64).ravel()])
     obs_px = np.asarray(obs_px, dtype=np.float64).reshape(-1, 2)
-    of_pose = [np.flatnonzero(obs_pose == i) for i in range(len(poses))]
+    if not np.shape(obs_pose) == np.shape(obs_point) == (len(obs_px),):
+        raise ValueError("expected one pose, point and pixel per observation, got shapes "
+                         f"{np.shape(obs_pose)}, {np.shape(obs_point)}, {obs_px.shape}")
 
     # Column of each full entry in ``x``, -1 where frozen.
     column = np.where(free, np.cumsum(free) - 1, -1)
@@ -441,26 +450,18 @@ def reprojection_problem(points, poses, intrinsics: CameraIntrinsics,
                 full[n_global:point_start].reshape(-1, 6),
                 full[point_start:].reshape(-1, 3))
 
-    def per_pose(x: np.ndarray):
-        """Each pose's observations and their ``project_points`` arguments."""
+    def evaluate(x: np.ndarray, jacobians: bool = False):
+        """:func:`project_points` of every observation under ``x``."""
         k, d, pose_params, pts = unpack(x)
-        for sel, p in zip(of_pose, pose_params):
-            yield sel, (pts[obs_point[sel]], p[:3], p[3:], k, d)
+        return project_points(pts[obs_point], pose_params[:, :3], pose_params[:, 3:],
+                              k, d, jacobians, pose_of=obs_pose)
 
     def residual(x: np.ndarray) -> np.ndarray:
-        out = np.empty_like(obs_px)
-        for sel, args in per_pose(x):
-            out[sel] = project_points(*args)
-        return (out - obs_px).ravel()
+        return (evaluate(x) - obs_px).ravel()
 
     def jacobian(x: np.ndarray) -> BlockJacobian:
-        d_global = np.empty((len(obs_px), 2, free_global.sum()))
-        d_pose = np.empty((len(obs_px), 2, 6))
-        d_point = np.empty((len(obs_px), 2, 3))
-        for sel, args in per_pose(x):
-            _, d_pose[sel], d_point[sel], d_k, d_dist = project_points(
-                *args, jacobians=True)
-            d_global[sel] = np.concatenate([d_k, d_dist], axis=2)[:, :, free_global]
+        _, d_pose, d_point, d_k, d_dist = evaluate(x, jacobians=True)
+        d_global = np.concatenate([d_k, d_dist], axis=2)[:, :, free_global]
         kept, blocks = ((np.concatenate([d_global, d_pose], axis=2), d_point) if by_point
                         else (d_global, d_pose))
         return BlockJacobian(kept, kept_cols, blocks, block, block_cols,
@@ -474,36 +475,36 @@ def camera_depths(points, pose: CameraPose) -> np.ndarray:
     return _points(points, 3).reshape(-1, 3) @ pose.rotation[2] + pose.translation[2]
 
 
+# [v]x is v @ _CROSS as a 3x3 matrix, exactly: row i of _CROSS is [e_i]x.
+_CROSS = np.cross(np.eye(3), np.eye(3)[:, None]).reshape(3, 9)
+
+
 def _skew_matrix(v: np.ndarray) -> np.ndarray:
-    return np.array(
-        [
-            [0.0, -v[2], v[1]],
-            [v[2], 0.0, -v[0]],
-            [-v[1], v[0], 0.0],
-        ]
-    )
+    """``[v]x`` of a ``(3,)`` vector, or of each row of an ``(n, 3)`` batch."""
+    return (v @ _CROSS).reshape(v.shape + (3,))
 
 
 def axis_angle_to_rotation(rvec) -> np.ndarray:
-    """Rodrigues formula: axis-angle 3-vector to rotation matrix."""
-    r = np.asarray(rvec, dtype=np.float64).reshape(3)
-    theta = np.linalg.norm(r)
-    if theta < 1e-12:
-        k = _skew_matrix(r)
-        return np.eye(3) + k + 0.5 * (k @ k)
-    axis = r / theta
-    k = _skew_matrix(axis)
-    return np.eye(3) + np.sin(theta) * k + (1.0 - np.cos(theta)) * (k @ k)
+    """Rodrigues formula: axis-angle 3-vector to rotation matrix, or an
+    ``(n, 3)`` batch of them to ``(n, 3, 3)`` matrices. With ``t = |r|`` and
+    ``h = sin(t/2) / (t/2)``, ``R = I + h cos(t/2) [r]x + (h^2 / 2) [r]x^2``."""
+    r = _points(rvec, 3)
+    theta = np.sqrt(r[..., None, :] @ r[..., :, None])
+    h = np.sinc(theta / (2.0 * np.pi))
+    k = _skew_matrix(r)
+    return np.eye(3) + h * np.cos(theta / 2.0) * k + 0.5 * h ** 2 * (k @ k)
 
 
-def _rotation_right_jacobian(rvec: np.ndarray) -> np.ndarray:
-    """``J_r`` with ``R(rvec + d) ~ R(rvec) R(J_r d)`` for small ``d``."""
-    theta = np.linalg.norm(rvec)
+def _rotation_left_jacobian(rvec: np.ndarray) -> np.ndarray:
+    """``J_l = R(rvec) J_r`` with ``R(rvec + d) ~ R(J_l d) R(rvec)`` for
+    small ``d``, for each row of an ``(n, 3)`` batch."""
+    theta = np.linalg.norm(rvec, axis=-1)[:, None, None]
     k = _skew_matrix(rvec)
     a = 0.5 * np.sinc(theta / (2.0 * np.pi)) ** 2  # (1 - cos t) / t^2
     # (t - sin t) / t^3, from its series where the closed form cancels.
-    b = (theta - np.sin(theta)) / theta ** 3 if theta > 1e-2 else 1 / 6 - theta**2 / 120
-    return np.eye(3) - a * k + b * (k @ k)
+    b = np.where(theta > 1e-2, (theta - np.sin(theta)) / np.maximum(theta, 1e-2) ** 3,
+                 1 / 6 - theta ** 2 / 120)
+    return np.eye(3) + a * k + b * (k @ k)
 
 
 def rotation_to_axis_angle(rotation) -> np.ndarray:

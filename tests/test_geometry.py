@@ -146,6 +146,91 @@ def test_reprojection_problem_jacobian_matches_central_differences(points_free):
     assert _relative_error(supplied, numeric) < 1e-5
 
 
+def _random_pose_params(rng: np.random.Generator, n_poses: int) -> np.ndarray:
+    """``(n_poses, 6)`` axis-angle poses about 500 mm from the origin; pose 0
+    has a zero rotation and pose 1 one of 1e-9 rad."""
+    rvecs = rng.normal(0.0, 0.5, (n_poses, 3))
+    rvecs[0] = 0.0
+    rvecs[1] *= 1e-9 / np.linalg.norm(rvecs[1])
+    return np.column_stack([rvecs, rng.normal(0.0, 50.0, (n_poses, 3)) + [0, 0, 500]])
+
+
+def _within(batch, single, rel):
+    """Every entry within ``rel`` of the largest entry of its observation's
+    block (a pixel pair or a (2, k) Jacobian block)."""
+    scale = np.abs(single).reshape(len(single), -1).max(axis=1)
+    return np.all(np.abs(batch - single).reshape(len(single), -1)
+                  <= rel * scale[:, None])
+
+
+@settings(max_examples=40, deadline=None)
+@given(n_poses=st.integers(3, 7), seed=st.integers(0, 2 ** 32 - 1))
+def test_pose_indexed_projection_matches_one_call_per_pose(n_poses, seed):
+    # The last pose is used by no point.
+    rng = np.random.default_rng(seed)
+    intr = CameraIntrinsics(*rng.uniform(500, 1000, 2), *rng.uniform(200, 400, 2),
+                            rng.uniform(-1, 1))
+    dist = DistortionCoeffs(*rng.uniform(-0.2, 0.2, 3), *rng.uniform(-1e-3, 1e-3, 2))
+    poses = _random_pose_params(rng, n_poses)
+    pose_of = rng.integers(0, n_poses - 1, 60)
+    pose_of[:n_poses - 1] = np.arange(n_poses - 1)
+    rng.shuffle(pose_of)
+    depth = rng.uniform(100.0, 1000.0, len(pose_of))
+    cam = np.column_stack([rng.uniform(-0.5, 0.5, (len(depth), 2)) * depth[:, None],
+                           depth])
+    rots = np.stack([axis_angle_to_rotation(p[:3]) for p in poses])
+    world = np.einsum("kji,kj->ki", rots[pose_of], cam - poses[pose_of, 3:])
+
+    batch = project_points(world, poses[:, :3], poses[:, 3:], intr, dist,
+                           jacobians=True, pose_of=pose_of)
+    for i, pose in enumerate(poses[:-1]):
+        sel = pose_of == i
+        single = project_points(world[sel], pose[:3], pose[3:], intr, dist,
+                                jacobians=True)
+        for b, s in zip(batch, single):
+            assert _within(b[sel], s, 1e-13)
+
+
+def _random_observations(rng: np.random.Generator):
+    """A reprojection problem's inputs: 2-5 poses, 4-12 points, each seen by
+    a random subset of the poses (at least one), 0.5 px noise, and a free
+    mask with some globals, most pose entries and, in about half the draws,
+    the points free."""
+    n_poses, n_points = int(rng.integers(2, 6)), int(rng.integers(4, 13))
+    intr = CameraIntrinsics(fx=800.0, fy=780.0, cx=320.0, cy=240.0, skew=0.5)
+    dist = DistortionCoeffs(k1=-0.2, k2=0.05, k3=0.01, p1=1e-3, p2=-2e-3)
+    poses = _random_pose_params(rng, n_poses)
+    points = rng.uniform(-100.0, 100.0, (n_points, 3))
+    seen = rng.random((n_poses, n_points)) < 0.7
+    seen[rng.integers(0, n_poses, n_points), np.arange(n_points)] = True
+    obs_pose, obs_point = np.nonzero(seen)
+    obs_px = project_points(points[obs_point], poses[:, :3], poses[:, 3:], intr, dist,
+                            pose_of=obs_pose) + rng.normal(0.0, 0.5, (len(obs_pose), 2))
+    free = rng.random(10 + poses.size + points.size) < 0.8
+    free[10 + poses.size:] &= bool(rng.integers(0, 2))
+    return (points, poses, intr, dist, obs_pose, obs_point, obs_px, free)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_reprojection_problem_follows_observation_order(seed):
+    rng = np.random.default_rng(seed)
+    points, poses, intr, dist, obs_pose, obs_point, obs_px, free = \
+        _random_observations(rng)
+    perm = rng.permutation(len(obs_pose))
+    problem, x0, _ = reprojection_problem(points, poses, intr, dist, obs_pose,
+                                          obs_point, obs_px, free)
+    permuted, _, _ = reprojection_problem(points, poses, intr, dist, obs_pose[perm],
+                                          obs_point[perm], obs_px[perm], free)
+    x = x0 + rng.normal(0.0, 1e-3, x0.shape) * np.maximum(1.0, np.abs(x0))
+    rows = problem.residual(x).reshape(-1, 2)[perm]
+    assert rows.tobytes() == permuted.residual(x).reshape(-1, 2).tobytes()
+    jac, jac_permuted = problem.jacobian(x), permuted.jacobian(x)
+    for name in ("kept", "kept_cols", "blocks", "block"):
+        assert (getattr(jac, name)[perm].tobytes()
+                == getattr(jac_permuted, name).tobytes())
+
+
 def test_pixel_to_normalized_principal_point(ref_intrinsics):
     n = pixel_to_normalized(np.array([REF_CX, REF_CY]), ref_intrinsics)
     assert n == pytest.approx([0.0, 0.0], abs=0)
@@ -261,7 +346,8 @@ def test_single_point_matches_one_row_batch():
         pose = CameraPose.from_axis_angle(rng.normal(0.0, 0.3, 3),
                                           [*rng.normal(0.0, 1.0, 2), 5.0])
         point, xy = rng.uniform(-1.0, 1.0, 3), rng.uniform(-0.5, 0.5, 2)
-        calls = [(pose.transform, point),
+        calls = [(axis_angle_to_rotation, pose.axis_angle()),
+                 (pose.transform, point),
                  (lambda p: project(p, pose, k, dist), point),
                  (lambda p: project(p, pose, k), point),
                  (lambda p: normalized_to_pixel(p, k), xy),

@@ -72,6 +72,16 @@ def test_refinement_does_not_worsen_initial_pose(board_spec, ref_intrinsics,
     assert refined_err <= start_err
 
 
+@pytest.mark.parametrize("take", [slice(0, 1), slice(0, 53), 0])
+def test_refine_pose_rejects_a_pixel_count_that_is_not_the_point_count(
+        take, board_spec, ref_intrinsics, ref_distortion):
+    world = board_world_points(board_spec)
+    pose = CameraPose.from_axis_angle([0.1, -0.1, 0.05], [-100.0, -70.0, 600.0])
+    px = project(world, pose, ref_intrinsics, ref_distortion)
+    with pytest.raises(ValueError, match="one pose, point and pixel"):
+        refine_pose(world, px[take], ref_intrinsics, ref_distortion, pose)
+
+
 @pytest.fixture(scope="module")
 def small_calibration(board_spec, ref_intrinsics, ref_distortion):
     rng = np.random.default_rng(77)
