@@ -19,9 +19,15 @@ thread variables. Then one digest for each of:
   ``extrinsics`` on it, the acceptance cube capture, and ``sfm`` on that
   capture under an exact calibration (README intrinsics, zero distortion).
   The workflow runs in-process through ``camkit.cli.run_cli`` in a temporary
-  directory.
+  directory;
+- ``bundle_adjust`` on the seeded 5-view ring scenes of the benchmark's
+  ``ba-scale`` shape (60 degree arc, every point in every view, 0.5 px noise,
+  points 2 mm off) at 250, 500 and 1000 points, built by
+  ``ba_scaling.make_scene`` from seed 0 with no image work: each scene adds
+  its adjusted poses, points, track validity and mean error, or its
+  exception's type and message.
 
-A refactor that must not move any output prints the same four digests as
+A refactor that must not move any output prints the same five digests as
 its parent. Digests compare only under an equal host line: the calibration's
 last bits follow the BLAS build and its thread count, so ``calibrate`` and
 the CLI workflow digests differ between one and two OpenBLAS threads on the
@@ -47,6 +53,8 @@ from camkit import (
     CameraIntrinsics,
     CheckerboardSpec,
     DistortionCoeffs,
+    LmConfig,
+    bundle_adjust,
     calibrate,
     detect_corners,
     estimate_board_pose,
@@ -56,10 +64,13 @@ from camkit.cli import run_cli
 from camkit.errors import CamkitError
 from camkit.synthetic import frontoparallel_pose, sample_board_poses
 
+from ba_scaling import make_scene  # scripts/ba_scaling.py, beside this script
+
 WIDTH, HEIGHT = 640, 480
 SPEC = CheckerboardSpec(squares_x=10, squares_y=7, square_size=23.0)
 K = CameraIntrinsics(fx=839.3458, fy=839.5573, cx=332.3661, cy=259.5099)
 DIST = DistortionCoeffs(k1=0.0101, k2=-0.1883)
+BA_POINTS = (250, 500, 1000)
 
 
 def readme_views(seed):
@@ -200,6 +211,20 @@ def main():
             files.update(f"{path.relative_to(root).as_posix()}\0{len(data)}\0".encode())
             files.update(data)
     print(f"cli workflow        {len(paths)} files   {files.hexdigest()}")
+
+    rng = np.random.default_rng(0)
+    adjusted = hashlib.sha256()
+    for n_points in BA_POINTS:
+        try:
+            scene = bundle_adjust(make_scene(5, n_points, 60.0, rng), LmConfig())
+        except CamkitError as exc:
+            adjusted.update(f"{type(exc).__name__}: {exc}".encode())
+            continue
+        for v in scene.view_order:
+            add(adjusted, scene.poses[v].rotation, scene.poses[v].translation)
+        add(adjusted, [t.point for t in scene.tracks], [t.valid for t in scene.tracks],
+            [scene.mean_reprojection_error])
+    print(f"bundle_adjust       {len(BA_POINTS)} scenes  {adjusted.hexdigest()}")
 
 
 if __name__ == "__main__":

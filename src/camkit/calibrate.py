@@ -192,37 +192,38 @@ def calibrate(dataset: CalibrationDataset, *, estimate_skew: bool = False,
     k0 = init_intrinsics(homs, estimate_skew=estimate_skew)
     poses0 = [extrinsics_from_homography(k0, h) for h in homs]
 
+    # The estimated globals, in the canonical order of their columns.
+    optional = {"skew": estimate_skew, "k3": estimate_k3,
+                "p1": estimate_tangential, "p2": estimate_tangential}
+    free = tuple(n for n in INTRINSIC_NAMES + DISTORTION_NAMES if optional.get(n, True))
     # Pixels are linear in the distortion coefficients: one Gauss-Newton step
     # from zero distortion, with only the radial terms free, solves for them.
-    radial = np.array([False] * 5 + [True, True, estimate_k3, False, False])
+    radial = tuple(n for n in free if n in ("k1", "k2", "k3"))
     problem, x0, unpack = _corner_problem(world, views, k0, DistortionCoeffs(),
-                                          poses0, radial, False)
+                                          poses0, free_globals=radial)
     step, *_ = np.linalg.lstsq(problem.jacobian(x0), -problem.residual(x0), rcond=None)
     _, d0, _, _ = unpack(x0 + step)
 
-    free = np.array([True] * 4 + [estimate_skew, True, True, estimate_k3]
-                    + [estimate_tangential] * 2)
-    problem, x0, unpack = _corner_problem(world, views, k0, d0, poses0, free, True)
+    problem, x0, unpack = _corner_problem(world, views, k0, d0, poses0,
+                                          free_globals=free, free_poses=True)
     report = levenberg_marquardt(problem, x0, lm_config or LmConfig())
 
-    intrinsics, dist, pose_params, _ = unpack(report.params)
-    poses = [CameraPose.from_axis_angle(p[:3], p[3:]) for p in pose_params]
+    intrinsics, dist, poses, _ = unpack(report.params)
     if any(np.any(camera_depths(world, pose) <= 0) for pose in poses):
         raise BehindCamera("refined pose places the board behind the camera")
 
     stats = _stats(report.residual.reshape(len(views), len(world), 2))
     stderr = standard_errors(problem.jacobian(report.params), report.residual)
-    named = dict(zip(np.array(INTRINSIC_NAMES + DISTORTION_NAMES)[free].tolist(), stderr))
 
     return CalibrationResult(
         intrinsics=intrinsics,
         distortion=dist,
-        poses=tuple(poses),
+        poses=poses,
         per_view_errors=stats.per_view_means,
         overall_error=stats.overall_mean,
-        intrinsic_stderr={n: named[n] for n in INTRINSIC_NAMES if n in named},
-        distortion_stderr={n: named[n] for n in DISTORTION_NAMES if n in named},
-        pose_stderr=stderr[int(free.sum()):].reshape(-1, 6),
+        intrinsic_stderr={n: s for n, s in zip(free, stderr) if n in INTRINSIC_NAMES},
+        distortion_stderr={n: s for n, s in zip(free, stderr) if n in DISTORTION_NAMES},
+        pose_stderr=stderr[len(free):].reshape(-1, 6),
         image_size=(dataset.image_width, dataset.image_height),
     )
 
@@ -236,18 +237,14 @@ def _check_corner_counts(spec: CheckerboardSpec, views) -> None:
             )
 
 
-def _corner_problem(world, views, intrinsics, dist, poses, free_globals, poses_free):
+def _corner_problem(world, views, intrinsics, dist, poses, **free):
     """The reprojection problem of every corner of ``views`` (view-major)
-    under ``poses``, with the globals ``free_globals`` and, if ``poses_free``,
-    the poses free."""
+    under ``poses``, with what ``free`` names free (the board is frozen)."""
     n_views, n_corners = len(views), len(world)
-    params = np.stack([np.concatenate([p.axis_angle(), p.translation]) for p in poses])
-    free = np.concatenate([free_globals, np.full(params.size, poses_free),
-                           np.zeros(world.size, dtype=bool)])
-    return reprojection_problem(world, params, intrinsics, dist,
+    return reprojection_problem(world, poses, intrinsics, dist,
                                 np.repeat(np.arange(n_views), n_corners),
                                 np.tile(np.arange(n_corners), n_views),
-                                np.concatenate([g.corners for g in views]), free)
+                                np.concatenate([g.corners for g in views]), **free)
 
 
 def reprojection_stats(result: CalibrationResult,
@@ -264,9 +261,8 @@ def reprojection_stats(result: CalibrationResult,
         )
     _check_corner_counts(dataset.spec, dataset.views)
     world = board_world_points(dataset.spec)
-    frozen = np.zeros(len(INTRINSIC_NAMES + DISTORTION_NAMES), dtype=bool)
     problem, x0, _ = _corner_problem(world, dataset.views, result.intrinsics,
-                                     result.distortion, result.poses, frozen, False)
+                                     result.distortion, result.poses)
     return _stats(problem.residual(x0).reshape(len(dataset.views), len(world), 2))
 
 

@@ -30,6 +30,8 @@ from .errors import (
     UnsupportedFormat,
 )
 from .geometry import (
+    DISTORTION_NAMES,
+    INTRINSIC_NAMES,
     CameraIntrinsics,
     CameraPose,
     DistortionCoeffs,
@@ -179,6 +181,14 @@ def _distortion_from_json(doc: dict, context: str) -> DistortionCoeffs:
     )
 
 
+def _stderr_from_json(doc: dict, key: str, names, context: str) -> dict:
+    """The standard errors ``doc[key]``, keyed by names from ``names``."""
+    stderr = _require(doc, key, context)
+    if not isinstance(stderr, dict) or not set(stderr) <= set(names):
+        raise SchemaMismatch(f"{context}: {key} standard errors need names from {names}")
+    return {name: float(value) for name, value in stderr.items()}
+
+
 def _pose_to_json(pose: CameraPose) -> dict:
     return {
         "axis_angle": rotation_to_axis_angle(pose.rotation).tolist(),
@@ -258,8 +268,8 @@ def read_calibration(path) -> CalibrationResult:
     """Load a calibration JSON written by :func:`write_calibration`.
 
     Raises CorruptFile for undecodable files and SchemaMismatch for missing
-    fields, values the camera model rejects or an image size that is not
-    positive.
+    fields, values the camera model rejects, malformed standard errors (NaN
+    is legal) or an image size that is not positive.
     """
     doc = _load_json(path)
     ctx = str(path)
@@ -276,7 +286,10 @@ def read_calibration(path) -> CalibrationResult:
         for view in views:
             poses.append(_pose_from_json(view, ctx))
             errors.append(_require(view, "mean_error", ctx))
-            pose_stderr.append(view.get("stderr", [float("nan")] * 6))
+            pose_stderr.append(np.array(view.get("stderr", [float("nan")] * 6),
+                                        dtype=np.float64))
+            if pose_stderr[-1].shape != (6,):
+                raise SchemaMismatch(f"{ctx}: a view's stderr must list 6 numbers")
         stderr = _require(doc, "stderr", ctx)
         return CalibrationResult(
             intrinsics=intrinsics,
@@ -284,9 +297,11 @@ def read_calibration(path) -> CalibrationResult:
             poses=tuple(poses),
             per_view_errors=np.array(errors, dtype=np.float64),
             overall_error=float(_require(doc, "overall_mean_error", ctx)),
-            intrinsic_stderr=dict(_require(stderr, "intrinsics", ctx)),
-            distortion_stderr=dict(_require(stderr, "distortion", ctx)),
-            pose_stderr=np.array(pose_stderr, dtype=np.float64),
+            intrinsic_stderr=_stderr_from_json(stderr, "intrinsics", INTRINSIC_NAMES,
+                                               ctx),
+            distortion_stderr=_stderr_from_json(stderr, "distortion", DISTORTION_NAMES,
+                                                ctx),
+            pose_stderr=np.array(pose_stderr).reshape(-1, 6),
             image_size=image_size,
             error_metric=doc.get("error_metric", "mean_euclidean"),
         )

@@ -400,29 +400,40 @@ def _blocks(*rows) -> np.ndarray:
 
 
 def reprojection_problem(points, poses, intrinsics: CameraIntrinsics,
-                         dist: DistortionCoeffs, obs_pose, obs_point, obs_px, free):
+                         dist: DistortionCoeffs, obs_pose, obs_point, obs_px, *,
+                         free_globals=(), free_poses=False, free_points=False):
     """The pixel reprojection least-squares problem of calibration, pose
-    refinement and bundle adjustment, which differ only in ``free``.
+    refinement and bundle adjustment, which differ only in what is free.
 
     Observation k is point ``obs_point[k]`` seen at pixel ``obs_px[k]`` under
-    pose ``obs_pose[k]`` (integer arrays, one entry per observation, else
-    ValueError), in residual rows 2k and 2k+1. Residual and Jacobian are
-    each one pose-indexed :func:`project_points` call. The full parameter
-    vector is :data:`INTRINSIC_NAMES` + :data:`DISTORTION_NAMES`,
-    then 6 per pose (axis-angle, translation), then 3 per point; the boolean
-    array ``free`` selects the entries the problem's ``x`` holds. Returns
-    ``(problem, x0, unpack)`` with ``unpack(x) -> (intrinsics, dist, (n, 6)
-    poses, (m, 3) points)``. The Jacobian is a
-    :class:`~camkit.optimize.BlockJacobian` that eliminates the points when
-    any is free (row k keeps the free globals and its pose's 6), otherwise
-    the poses (row k keeps only the free globals).
+    the :class:`CameraPose` ``poses[obs_pose[k]]`` (integer arrays, one entry
+    per observation, else ValueError), in residual rows 2k and 2k+1. Free are
+    the globals named in ``free_globals`` (from :data:`INTRINSIC_NAMES` +
+    :data:`DISTORTION_NAMES`) and the entries set in the masks ``free_poses``
+    and ``free_points``, which broadcast to ``(n_poses, 6)`` (axis-angle,
+    translation) and ``(n_points, 3)``; else ValueError. Only this function
+    knows the layout of ``x``: the free globals in that canonical order, the
+    free pose entries, then the free point coordinates. Residual and
+    Jacobian are each one pose-indexed :func:`project_points` call on raw
+    arrays. Returns ``(problem, x0, unpack)``, ``unpack(x) -> (intrinsics,
+    dist, tuple of CameraPose, (n_points, 3) points)``, which returns frozen
+    entries bit for bit (a pose with a frozen rotation keeps its matrix).
+    The Jacobian is a :class:`~camkit.optimize.BlockJacobian` that
+    eliminates the points when any is free (row k keeps the free globals and
+    its pose's 6), otherwise the poses (row k keeps only the free globals).
     """
-    poses = np.asarray(poses, dtype=np.float64).reshape(-1, 6)
-    n_global = len(INTRINSIC_NAMES + DISTORTION_NAMES)
-    point_start = n_global + poses.size
+    names = INTRINSIC_NAMES + DISTORTION_NAMES
+    if not set(free_globals) <= set(names):
+        raise ValueError(f"free_globals {free_globals!r} names a term outside {names}")
+    pose0 = np.array([[*p.axis_angle(), *p.translation] for p in poses]).reshape(-1, 6)
+    points = np.asarray(points, dtype=np.float64).reshape(-1, 3)
+    pose_free = np.broadcast_to(np.asarray(free_poses, dtype=bool), pose0.shape)
+    point_free = np.broadcast_to(np.asarray(free_points, dtype=bool), points.shape)
+    global_free = np.isin(names, free_globals)
+    free = np.concatenate([global_free, pose_free.ravel(), point_free.ravel()])
+    n_global, point_start = len(names), len(names) + pose0.size
     full0 = np.concatenate([[getattr(intrinsics, n) for n in INTRINSIC_NAMES],
-                            dist.as_array(), poses.ravel(),
-                            np.asarray(points, dtype=np.float64).ravel()])
+                            dist.as_array(), pose0.ravel(), points.ravel()])
     obs_px = np.asarray(obs_px, dtype=np.float64).reshape(-1, 2)
     if not np.shape(obs_pose) == np.shape(obs_point) == (len(obs_px),):
         raise ValueError("expected one pose, point and pixel per observation, got shapes "
@@ -430,11 +441,10 @@ def reprojection_problem(points, poses, intrinsics: CameraIntrinsics,
 
     # Column of each full entry in ``x``, -1 where frozen.
     column = np.where(free, np.cumsum(free) - 1, -1)
-    free_global = free[:n_global]
-    kept_cols = np.broadcast_to(column[:n_global][free_global],
-                                (len(obs_px), free_global.sum()))
+    kept_cols = np.broadcast_to(column[:n_global][global_free],
+                                (len(obs_px), global_free.sum()))
     pose_cols = column[n_global:point_start].reshape(-1, 6)
-    by_point = free[point_start:].any()
+    by_point = point_free.any()
     if by_point:
         kept_cols = np.concatenate([kept_cols, pose_cols[obs_pose]], axis=1)
     block, block_cols = ((obs_point, column[point_start:].reshape(-1, 3)) if by_point
@@ -442,7 +452,7 @@ def reprojection_problem(points, poses, intrinsics: CameraIntrinsics,
     for shared in (kept_cols, block_cols):  # by every Jacobian returned
         shared.setflags(write=False)
 
-    def unpack(x: np.ndarray):
+    def split(x: np.ndarray):
         full = full0.copy()
         full[free] = x
         return (CameraIntrinsics(*full[:len(INTRINSIC_NAMES)]),
@@ -450,10 +460,17 @@ def reprojection_problem(points, poses, intrinsics: CameraIntrinsics,
                 full[n_global:point_start].reshape(-1, 6),
                 full[point_start:].reshape(-1, 3))
 
+    turns = pose_free[:, :3].any(axis=1)  # whether each pose's rotation is free
+
+    def unpack(x: np.ndarray):
+        k, d, params, pts = split(x)
+        return k, d, tuple(CameraPose.from_axis_angle(p[:3], p[3:]) if turn
+                           else CameraPose(pose.rotation, p[3:])
+                           for pose, p, turn in zip(poses, params, turns)), pts
+
     def evaluate(x: np.ndarray, jacobians: bool = False):
-        """:func:`project_points` of every observation under ``x``."""
-        k, d, pose_params, pts = unpack(x)
-        return project_points(pts[obs_point], pose_params[:, :3], pose_params[:, 3:],
+        k, d, params, pts = split(x)
+        return project_points(pts[obs_point], params[:, :3], params[:, 3:],
                               k, d, jacobians, pose_of=obs_pose)
 
     def residual(x: np.ndarray) -> np.ndarray:
@@ -461,7 +478,7 @@ def reprojection_problem(points, poses, intrinsics: CameraIntrinsics,
 
     def jacobian(x: np.ndarray) -> BlockJacobian:
         _, d_pose, d_point, d_k, d_dist = evaluate(x, jacobians=True)
-        d_global = np.concatenate([d_k, d_dist], axis=2)[:, :, free_global]
+        d_global = np.concatenate([d_k, d_dist], axis=2)[:, :, global_free]
         kept, blocks = ((np.concatenate([d_global, d_pose], axis=2), d_point) if by_point
                         else (d_global, d_pose))
         return BlockJacobian(kept, kept_cols, blocks, block, block_cols,

@@ -10,8 +10,6 @@ from .board import CheckerboardSpec, CornerGrid, board_outline, board_world_poin
 from .calibrate import CalibrationResult, extrinsics_from_homography
 from .errors import BehindCamera
 from .geometry import (
-    DISTORTION_NAMES,
-    INTRINSIC_NAMES,
     CameraIntrinsics,
     CameraPose,
     DistortionCoeffs,
@@ -31,19 +29,15 @@ def refine_pose(world_points: np.ndarray, observed_px: np.ndarray,
     """Levenberg-Marquardt refinement of one 6-DoF pose.
 
     Minimizes pixel reprojection error of ``world_points`` against
-    ``observed_px``. Returns the refined pose and its mean Euclidean
-    reprojection error.
+    ``observed_px`` with only the pose free. Returns the refined pose and its
+    mean Euclidean reprojection error.
     """
-    world = np.asarray(world_points, dtype=np.float64)
-    pose0 = np.concatenate([initial.axis_angle(), initial.translation])
-    free = np.repeat([False, True, False],
-                     [len(INTRINSIC_NAMES + DISTORTION_NAMES), 6, world.size])
+    n = len(world_points)
     problem, x0, unpack = reprojection_problem(
-        world, pose0, intrinsics, dist, np.zeros(len(world), dtype=np.int64),
-        np.arange(len(world)), observed_px, free)
+        world_points, [initial], intrinsics, dist, np.zeros(n, dtype=np.int64),
+        np.arange(n), observed_px, free_poses=True)
     report = levenberg_marquardt(problem, x0)
-    _, _, (params,), _ = unpack(report.params)
-    pose = CameraPose.from_axis_angle(params[:3], params[3:])
+    _, _, (pose,), _ = unpack(report.params)
     mean_err = float(np.linalg.norm(report.residual.reshape(-1, 2), axis=1).mean())
     return pose, mean_err
 

@@ -33,8 +33,6 @@ from .errors import (
 )
 from .features import detect_features, match_features
 from .geometry import (
-    DISTORTION_NAMES,
-    INTRINSIC_NAMES,
     CameraIntrinsics,
     CameraPose,
     DistortionCoeffs,
@@ -280,10 +278,10 @@ def _build_ba_problem(scene: SfmScene):
     observations in the registered views: ``unpack(x)`` gives the poses of
     ``view_order`` and the points of ``track_ids`` under ``x``, and
     observation ``k`` (residual rows ``2k`` and ``2k+1``) is of local track
-    ``obs_track[k]`` in view ``obs_view[k]``. Intrinsics and distortion are
-    frozen, and so are the first view's 6 pose entries and the second
-    view's translation coordinate of largest magnitude, which fixes the 7
-    degrees of freedom of a similarity. The Jacobian is a
+    ``obs_track[k]`` in view ``obs_view[k]``. Every point and pose entry is
+    free except the first view's pose and the second view's translation
+    coordinate of largest magnitude, which fixes the 7 degrees of freedom of
+    a similarity; intrinsics and distortion are frozen. The Jacobian is a
     :class:`~camkit.optimize.BlockJacobian` with no free globals: each
     observation keeps its view's 6 pose columns and eliminates its point's 3,
     so the solver factors only the poses' reduced system.
@@ -304,15 +302,13 @@ def _build_ba_problem(scene: SfmScene):
     for v in order:
         sel = obs_view == v
         obs_px[sel] = scene.features[v][obs_feature[sel]]
-    poses = np.array([np.concatenate([scene.poses[v].axis_angle(),
-                                      scene.poses[v].translation]) for v in order])
-    n_global = len(INTRINSIC_NAMES + DISTORTION_NAMES)
-    free = np.ones(n_global + poses.size + 3 * len(tracks), dtype=bool)
-    free[:n_global + 6] = False
-    free[n_global + 9 + np.argmax(np.abs(poses[1, 3:]))] = False
+    poses = [scene.poses[v] for v in order]
+    free_poses = np.ones((len(order), 6), dtype=bool)
+    free_poses[0] = False
+    free_poses[1, 3 + np.argmax(np.abs(poses[1].translation))] = False
     problem, x0, unpack = reprojection_problem(
         [t.point for t in tracks], poses, scene.intrinsics, scene.distortion,
-        obs_slot, obs_track, obs_px, free)
+        obs_slot, obs_track, obs_px, free_poses=free_poses, free_points=True)
     return problem, x0, unpack, track_ids, (obs_view, obs_track)
 
 
@@ -330,11 +326,9 @@ def bundle_adjust(scene: SfmScene, lm_config: LmConfig | None = None) -> SfmScen
     """
     problem, x0, unpack, track_ids, (obs_view, obs_track) = _build_ba_problem(scene)
     report = levenberg_marquardt(problem, x0, lm_config or LmConfig(max_iters=50))
-    _, _, pose_params, pts = unpack(report.params)
+    _, _, poses, pts = unpack(report.params)
 
-    new_poses = dict(scene.poses)
-    for v, p in zip(scene.view_order[1:], pose_params[1:]):
-        new_poses[v] = CameraPose.from_axis_angle(p[:3], p[3:])
+    new_poses = dict(scene.poses) | dict(zip(scene.view_order, poses))
     in_front = np.ones(len(track_ids), dtype=bool)
     for v in new_poses:
         owners = obs_track[obs_view == v]

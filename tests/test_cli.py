@@ -291,11 +291,17 @@ MALFORMED = {
     "cube-zero-ring-radius": _cube_with(ring={"radius": 0.0}),
     "cube-infinite-ring-angle": _cube_with(ring={"sweep_deg": float("inf")}),
     # A calibration case is a command and the fields it overwrites, by
-    # section, in a written calibration.
+    # section (in every view for ``views``), in a written calibration.
     "calibration-negative-fx": ("undistort", {"intrinsics": {"fx": -80.0}}),
     "calibration-zero-width": ("extrinsics", {"image_size": {"width": 0}}),
     "calibration-infinite-width": ("extrinsics",
                                    {"image_size": {"width": float("inf")}}),
+    "calibration-short-view-stderr": ("undistort", {"views": {"stderr": [1, 2]}}),
+    "calibration-text-view-stderr": ("extrinsics",
+                                     {"views": {"stderr": ["abc"] * 6}}),
+    "calibration-text-stderr": ("undistort", {"stderr": {"intrinsics": {"fx": "abc"}}}),
+    "calibration-unknown-stderr": ("extrinsics",
+                                   {"stderr": {"distortion": {"k4": 0.1}}}),
 }
 
 
@@ -311,7 +317,8 @@ def test_malformed_input_is_schema_mismatch(command, doc, calibration_file,
     else:
         calib = json.loads(calibration_file.read_text())
         for section, fields in doc.items():
-            calib[section].update(fields)
+            for block in calib[section] if section == "views" else [calib[section]]:
+                block.update(fields)
         path.write_text(json.dumps(calib))
         image = tmp_path / "image.pgm"
         write_image(np.zeros((120, 160), dtype=np.uint8), image)

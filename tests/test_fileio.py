@@ -248,6 +248,22 @@ def test_calibration_roundtrip(tmp_path, calibration_result):
     assert a.error_metric == b.error_metric
 
 
+def test_nan_standard_errors_roundtrip(tmp_path, calibration_result):
+    # NaN marks a parameter the data do not fix; it must load back as NaN.
+    from dataclasses import replace
+    result = replace(calibration_result, intrinsic_stderr={"fx": float("nan")},
+                     distortion_stderr={"k1": float("nan"), "k2": 0.5},
+                     pose_stderr=np.full_like(calibration_result.pose_stderr, np.nan))
+    path = tmp_path / "calib.json"
+    write_calibration(result, path)
+    loaded = read_calibration(path)
+    assert np.isnan(loaded.intrinsic_stderr["fx"])
+    assert np.isnan(loaded.distortion_stderr["k1"])
+    assert loaded.distortion_stderr["k2"] == 0.5
+    assert loaded.pose_stderr.shape == result.pose_stderr.shape
+    assert np.all(np.isnan(loaded.pose_stderr))
+
+
 def test_transposed_intrinsics_layout(tmp_path, calibration_result, board_spec):
     from dataclasses import replace
     result = replace(

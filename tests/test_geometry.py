@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from camkit import (
@@ -16,10 +16,24 @@ from camkit import (
     undistort_normalized,
 )
 from camkit.errors import InvalidRotation, NoConvergence, NonPositiveDepth
-from camkit.geometry import camera_depths, project_points, reprojection_problem
-from camkit.optimize import BlockJacobian, LeastSquaresProblem, numeric_jacobian
+from camkit.geometry import (
+    DISTORTION_NAMES,
+    INTRINSIC_NAMES,
+    camera_depths,
+    project_points,
+    reprojection_problem,
+)
+from camkit.optimize import (
+    BlockJacobian,
+    LeastSquaresProblem,
+    LmConfig,
+    levenberg_marquardt,
+    numeric_jacobian,
+)
 
 from conftest import REF_CX, REF_CY
+
+NAMES = INTRINSIC_NAMES + DISTORTION_NAMES
 
 
 def test_project_axis_point_hits_principal_point(ref_intrinsics):
@@ -122,19 +136,18 @@ def test_reprojection_problem_jacobian_matches_central_differences(points_free):
     obs_px = np.array([project_points(points[j], p[:3], p[3:], intr, dist)
                        for p, j in zip(poses[obs_pose], obs_point)])
     obs_px += rng.normal(0.0, 0.5, obs_px.shape)
-    free = np.ones(10 + 18 + 12, dtype=bool)
-    free[[4, 6, 7, 8]] = False
-    free[10:16] = False
-    free[10 + 11] = False
-    free[28:31] = False
-    free[28 + 4] = False
-    free[28:] &= points_free
+    free_poses = np.ones((3, 6), dtype=bool)
+    free_poses[0] = False
+    free_poses[1, 5] = False
+    free_points = np.full((4, 3), points_free)
+    free_points[0] = False
+    free_points[1, 1] = False
 
-    problem, x0, unpack = reprojection_problem(points, poses, intr, dist, obs_pose,
-                                               obs_point, obs_px, free)
-    k, d, p, pts = unpack(x0)
-    assert (k, d) == (intr, dist)
-    assert np.array_equal(p, poses) and np.array_equal(pts, points)
+    problem, x0, _ = reprojection_problem(
+        points, [CameraPose.from_axis_angle(p[:3], p[3:]) for p in poses], intr, dist,
+        obs_pose, obs_point, obs_px, free_globals=("fx", "fy", "cx", "cy", "k1", "p2"),
+        free_poses=free_poses, free_points=free_points)
+    n_free = 6 + free_poses.sum() + free_points.sum()
     x = x0 + rng.normal(0.0, 1e-3, x0.shape) * np.maximum(1.0, np.abs(x0))
     supplied = problem.jacobian(x)
     # The points are eliminated when any is free, otherwise the poses.
@@ -142,7 +155,7 @@ def test_reprojection_problem_jacobian_matches_central_differences(points_free):
     assert supplied.blocks.shape[2] == (3 if points_free else 6)
     supplied = np.asarray(supplied)
     numeric = numeric_jacobian(LeastSquaresProblem(problem.residual), x)
-    assert supplied.shape == (2 * len(obs_pose), int(free.sum()))
+    assert supplied.shape == (2 * len(obs_pose), n_free)
     assert _relative_error(supplied, numeric) < 1e-5
 
 
@@ -193,21 +206,25 @@ def test_pose_indexed_projection_matches_one_call_per_pose(n_poses, seed):
 
 def _random_observations(rng: np.random.Generator):
     """A reprojection problem's inputs: 2-5 poses, 4-12 points, each seen by
-    a random subset of the poses (at least one), 0.5 px noise, and a free
-    mask with some globals, most pose entries and, in about half the draws,
-    the points free."""
+    a random subset of the poses (at least one), 0.5 px noise, and the
+    keyword arguments that free some globals, most pose entries and, in
+    about half the draws, the points."""
     n_poses, n_points = int(rng.integers(2, 6)), int(rng.integers(4, 13))
     intr = CameraIntrinsics(fx=800.0, fy=780.0, cx=320.0, cy=240.0, skew=0.5)
     dist = DistortionCoeffs(k1=-0.2, k2=0.05, k3=0.01, p1=1e-3, p2=-2e-3)
-    poses = _random_pose_params(rng, n_poses)
+    params = _random_pose_params(rng, n_poses)
     points = rng.uniform(-100.0, 100.0, (n_points, 3))
     seen = rng.random((n_poses, n_points)) < 0.7
     seen[rng.integers(0, n_poses, n_points), np.arange(n_points)] = True
     obs_pose, obs_point = np.nonzero(seen)
-    obs_px = project_points(points[obs_point], poses[:, :3], poses[:, 3:], intr, dist,
+    obs_px = project_points(points[obs_point], params[:, :3], params[:, 3:], intr, dist,
                             pose_of=obs_pose) + rng.normal(0.0, 0.5, (len(obs_pose), 2))
-    free = rng.random(10 + poses.size + points.size) < 0.8
-    free[10 + poses.size:] &= bool(rng.integers(0, 2))
+    free = rng.random(10 + params.size + points.size) < 0.8
+    free = dict(free_globals=tuple(np.array(NAMES)[free[:10]]),
+                free_poses=free[10:10 + params.size].reshape(-1, 6),
+                free_points=(free[10 + params.size:].reshape(-1, 3)
+                             & bool(rng.integers(0, 2))))
+    poses = [CameraPose.from_axis_angle(p[:3], p[3:]) for p in params]
     return (points, poses, intr, dist, obs_pose, obs_point, obs_px, free)
 
 
@@ -219,9 +236,9 @@ def test_reprojection_problem_follows_observation_order(seed):
         _random_observations(rng)
     perm = rng.permutation(len(obs_pose))
     problem, x0, _ = reprojection_problem(points, poses, intr, dist, obs_pose,
-                                          obs_point, obs_px, free)
+                                          obs_point, obs_px, **free)
     permuted, _, _ = reprojection_problem(points, poses, intr, dist, obs_pose[perm],
-                                          obs_point[perm], obs_px[perm], free)
+                                          obs_point[perm], obs_px[perm], **free)
     x = x0 + rng.normal(0.0, 1e-3, x0.shape) * np.maximum(1.0, np.abs(x0))
     rows = problem.residual(x).reshape(-1, 2)[perm]
     assert rows.tobytes() == permuted.residual(x).reshape(-1, 2).tobytes()
@@ -229,6 +246,58 @@ def test_reprojection_problem_follows_observation_order(seed):
     for name in ("kept", "kept_cols", "blocks", "block"):
         assert (getattr(jac, name)[perm].tobytes()
                 == getattr(jac_permuted, name).tobytes())
+
+
+def _layout(intr, dist, poses, points):
+    """The globals in :data:`NAMES` order, the (n, 6) axis-angle and
+    translation of each pose, and the points, as arrays."""
+    return (np.concatenate([[getattr(intr, n) for n in NAMES[:5]], dist.as_array()]),
+            np.array([np.concatenate([p.axis_angle(), p.translation]) for p in poses]),
+            np.asarray(points))
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_unpack_returns_the_inputs_and_keeps_frozen_entries(seed):
+    inputs = _random_observations(np.random.default_rng(seed))
+    points, poses, intr, dist, obs_pose, *_, free = inputs
+    # The entries of a pose that no point is seen under would have no data.
+    assume(np.all(np.bincount(obs_pose, minlength=len(poses)) > 0))
+    problem, x0, unpack = reprojection_problem(*inputs[:-1], **free)
+    expected = _layout(intr, dist, poses, points)
+    start = _layout(*unpack(x0))
+    assert start[0].tobytes() == expected[0].tobytes()
+    assert start[1][:, 3:].tobytes() == expected[1][:, 3:].tobytes()
+    # Axis-angle to matrix and back is exact only to rounding.
+    assert np.max(np.abs(start[1][:, :3] - expected[1][:, :3])) < 1e-15
+    assert start[2].tobytes() == expected[2].tobytes()
+
+    report = levenberg_marquardt(problem, x0, LmConfig(max_iters=3))
+    solved = _layout(*unpack(report.params))
+    frozen = (~np.isin(NAMES, free["free_globals"]),
+              ~np.broadcast_to(free["free_poses"], expected[1].shape),
+              ~np.broadcast_to(free["free_points"], expected[2].shape))
+    # A pose with a free rotation entry is rebuilt from its axis-angle, whose
+    # frozen entries come back only to rounding; see the axis-angle check.
+    rebuilt = np.zeros_like(frozen[1])
+    rebuilt[:, :3] = ~frozen[1][:, :3].all(axis=1, keepdims=True)
+    exact = (frozen[0], frozen[1] & ~rebuilt, frozen[2])
+    for got, want, mask in zip(solved, expected, exact):
+        assert got[mask].tobytes() == want[mask].tobytes()
+    assert np.max(np.abs(solved[1] - expected[1])[frozen[1] & rebuilt],
+                  initial=0.0) < 1e-15
+
+
+def test_reprojection_problem_rejects_unknown_names_and_bad_masks():
+    points, poses, intr, dist, obs_pose, obs_point, obs_px, _ = \
+        _random_observations(np.random.default_rng(0))
+    args = (points, poses, intr, dist, obs_pose, obs_point, obs_px)
+    with pytest.raises(ValueError, match="k4"):
+        reprojection_problem(*args, free_globals=("fx", "k4"))
+    for bad in (dict(free_poses=np.ones(5, dtype=bool)),
+                dict(free_points=np.ones((len(points) + 1, 3), dtype=bool))):
+        with pytest.raises(ValueError, match="broadcast"):
+            reprojection_problem(*args, **bad)
 
 
 def test_pixel_to_normalized_principal_point(ref_intrinsics):

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 import scipy.optimize
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 
 from camkit import (
     CameraIntrinsics,
+    CameraPose,
     DistortionCoeffs,
     LeastSquaresProblem,
     LmConfig,
@@ -161,25 +162,29 @@ def random_reprojection_problem(rng: np.random.Generator, kind: str):
     obs_px = np.array([project_points(points[j], poses[v, :3], poses[v, 3:], intr, dist)[0]
                        for v, j in obs]) + rng.normal(0.0, 0.5, (len(obs), 2))
 
-    point_start = 10 + poses.size
-    free = np.zeros(point_start + points.size, dtype=bool)
+    free_poses = np.zeros((n_poses, 6), dtype=bool)
+    free_points = False
     start = points
     if kind.startswith("points"):
-        free[[0, 1, 5]] = (kind == "points+globals") & (rng.random(3) < 0.7)
-        free[16:point_start] = rng.random(poses.size - 6) < 0.8
-        free[19 + np.argmax(np.abs(poses[1, 3:]))] = False
-        free[point_start:] = True
+        free_globals = np.array(["fx", "fy", "k1"])[
+            (kind == "points+globals") & (rng.random(3) < 0.7)]
+        free_poses[1:] = (rng.random(poses.size - 6) < 0.8).reshape(-1, 6)
+        free_poses[1, 3 + np.argmax(np.abs(poses[1, 3:]))] = False
+        free_points = np.ones_like(points, dtype=bool)
         seen = np.bincount(obs_point, minlength=n_points)
         for j in np.flatnonzero(seen == 1):
             axis = ring[obs_pose[obs_point == j][0]].rotation[2]
-            free[point_start + 3 * j + np.argmax(np.abs(axis))] = False
+            free_points[j, np.argmax(np.abs(axis))] = False
         start = points + rng.normal(0.0, 2.0, points.shape)
     else:
-        free[[0, 1, 2, 3, 5]] = (kind == "poses") & (rng.random(5) < 0.7)
-        free[10:point_start] = rng.random(poses.size) < 0.8
+        free_globals = np.array(["fx", "fy", "cx", "cy", "k1"])[
+            (kind == "poses") & (rng.random(5) < 0.7)]
+        free_poses[:] = (rng.random(poses.size) < 0.8).reshape(-1, 6)
         poses = poses + rng.normal(0.0, 1.0, poses.shape) * ([0.01] * 3 + [2.0] * 3)
-    problem, x0, _ = reprojection_problem(start, poses, intr, dist, obs_pose,
-                                          obs_point, obs_px, free)
+        ring = [CameraPose.from_axis_angle(p[:3], p[3:]) for p in poses]
+    problem, x0, _ = reprojection_problem(
+        start, ring, intr, dist, obs_pose, obs_point, obs_px,
+        free_globals=tuple(free_globals), free_poses=free_poses, free_points=free_points)
     return problem, x0
 
 
@@ -193,6 +198,7 @@ def conditioned(jac, ratio: float) -> bool:
 
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1), kind=st.sampled_from(KINDS))
+@example(seed=611314, kind="poses")  # a slow valley: see the end of the test
 def test_point_block_solve_matches_dense_cholesky(seed, kind):
     problem, x0 = random_reprojection_problem(np.random.default_rng(seed), kind)
     jac = problem.jacobian(x0)
@@ -217,10 +223,20 @@ def test_point_block_solve_matches_dense_cholesky(seed, kind):
     via_dense = levenberg_marquardt(
         LeastSquaresProblem(problem.residual, lambda x: np.asarray(problem.jacobian(x))),
         x0, cfg)
-    scale = max(1.0, np.max(np.abs(via_dense.params)))
-    assert np.max(np.abs(via_blocks.params - via_dense.params)) <= 1e-8 * scale
     assert via_blocks.iterations == via_dense.iterations
     assert via_blocks.reason == via_dense.reason
+    assert via_blocks.final_cost == pytest.approx(via_dense.final_cost, rel=1e-8)
+    # The params are compared only where both solves end stationary: where
+    # the Gauss-Newton step from the final gradient, (J^T J)^-1 J^T r, is
+    # within half the bound, each lies that close to the one minimum. A solve
+    # that stops on cost-tol short of it ends where its rounding led it along
+    # a slow valley: the pinned example stops after 65 iterations a step of
+    # 1.3 from stationary, the two solves 1.3e-5 apart.
+    bound = 1e-8 * max(1.0, np.max(np.abs(via_dense.params)))
+    if all(np.max(np.abs(_dense_solver(np.asarray(problem.jacobian(lm.params)),
+                                       lm.residual)(0.0))) <= bound / 2
+           for lm in (via_blocks, via_dense)):
+        assert np.max(np.abs(via_blocks.params - via_dense.params)) <= bound
 
 
 @settings(max_examples=20, deadline=None)
@@ -276,10 +292,10 @@ def test_standard_errors_are_nan_without_redundancy():
     intr = CameraIntrinsics(fx=800.0, fy=800.0, cx=320.0, cy=240.0)
     pose = np.array([0.1, -0.2, 0.05, 10.0, -5.0, 500.0])
     px = project_points(world, pose[:3], pose[3:], intr, DistortionCoeffs()) + 0.3
-    free = np.repeat([False, True, False], [10, 6, world.size])
-    problem, x0, _ = reprojection_problem(world, pose, intr, DistortionCoeffs(),
-                                          np.zeros(3, dtype=np.int64), np.arange(3),
-                                          px, free)
+    problem, x0, _ = reprojection_problem(
+        world, [CameraPose.from_axis_angle(pose[:3], pose[3:])], intr,
+        DistortionCoeffs(), np.zeros(3, dtype=np.int64), np.arange(3), px,
+        free_poses=True)
     jac = problem.jacobian(x0)
     assert jac.shape == (6, 6)
     assert np.all(np.isnan(standard_errors(jac, problem.residual(x0))))
