@@ -26,8 +26,9 @@ from camkit import (
     bundle_adjust,
     project,
 )
-from camkit import sfm
 from camkit.synthetic import sample_ring_poses
+
+from lm_reports import kept_reports  # scripts/lm_reports.py, beside this script
 
 SIZES = (500, 1000, 1500, 3000)
 RING_VIEWS = 20
@@ -62,20 +63,10 @@ def make_scene(n_views: int, n_points: int, sweep_deg: float,
 
 def adjust(scene: SfmScene):
     """Run ``bundle_adjust`` and keep the LM report it discards."""
-    reports = []
-    solver = sfm.levenberg_marquardt
-
-    def keep(*args, **kwargs):
-        reports.append(solver(*args, **kwargs))
-        return reports[-1]
-
-    sfm.levenberg_marquardt = keep
-    try:
+    with kept_reports("camkit.sfm") as reports:
         start = time.perf_counter()
         adjusted = bundle_adjust(scene, LmConfig())
         seconds = time.perf_counter() - start
-    finally:
-        sfm.levenberg_marquardt = solver
     return adjusted, reports[0], seconds
 
 

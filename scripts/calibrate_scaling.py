@@ -12,7 +12,6 @@ the error of the calibrated fx in pixels.
 Usage: python scripts/calibrate_scaling.py
 """
 
-import importlib
 import time
 
 import numpy as np
@@ -25,6 +24,8 @@ from camkit import (
     calibrate,
 )
 from camkit.synthetic import sample_board_poses, synthesize_corner_views
+
+from lm_reports import kept_reports  # scripts/lm_reports.py, beside this script
 
 VIEWS = (10, 20, 40, 80, 160)
 REPEATS = 3
@@ -45,21 +46,10 @@ def make_dataset(n_views: int) -> CalibrationDataset:
 
 def timed_calibrate(dataset: CalibrationDataset):
     """Run ``calibrate`` and keep the LM report it discards."""
-    module = importlib.import_module("camkit.calibrate")
-    reports = []
-    solver = module.levenberg_marquardt
-
-    def keep(*args, **kwargs):
-        reports.append(solver(*args, **kwargs))
-        return reports[-1]
-
-    module.levenberg_marquardt = keep
-    try:
+    with kept_reports("camkit.calibrate") as reports:
         start = time.perf_counter()
         result = calibrate(dataset)
         seconds = time.perf_counter() - start
-    finally:
-        module.levenberg_marquardt = solver
     return result, reports[0], seconds
 
 

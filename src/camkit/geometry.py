@@ -1,4 +1,4 @@
-"""Pinhole camera model: projection, lens distortion, rotation parameterizations.
+"""Pinhole camera model: projection, lens distortion, axis-angle rotations.
 
 Conventions
 -----------
@@ -12,7 +12,8 @@ intrinsic map.
 Point arguments are numpy arrays, a single ``(d,)`` point or an ``(n, d)``
 batch, and outputs keep that shape; only :func:`camera_depths` and
 :func:`project_points` always return batches. The lens is one Brown-Conrady
-model, :class:`DistortionCoeffs`, zero by default. All functions are pure.
+model, :class:`DistortionCoeffs`, zero by default, and rotations have one
+model, Rodrigues' formula, inverted for the log map. All functions are pure.
 """
 
 from __future__ import annotations
@@ -328,12 +329,11 @@ def project(points, pose: CameraPose, intrinsics: CameraIntrinsics,
 
 
 def project_points(points, rvec, translation, intrinsics: CameraIntrinsics,
-                   dist: DistortionCoeffs, jacobians: bool = False, *, pose_of=None):
+                   dist: DistortionCoeffs, jacobians: bool = False, *, pose_of):
     """Project world points under axis-angle poses; the solvers' kernel.
 
     Point k is seen under pose ``pose_of[k]`` of the ``(P, 3)`` ``rvec`` and
-    ``translation``, or under the one ``(3,)`` pose given without
-    ``pose_of``; each pose's rotation and its Jacobian are evaluated once.
+    ``translation``; each pose's rotation and its Jacobian are evaluated once.
     Depths are clamped to 1e-9 instead of rejected, so trial steps that push
     points behind the camera give large finite residuals. Returns (n, 2)
     pixels or, with ``jacobians``, ``(pixels, d_pose, d_point, d_intrinsics,
@@ -342,10 +342,8 @@ def project_points(points, rvec, translation, intrinsics: CameraIntrinsics,
     (Hartley & Zisserman, *Multiple View Geometry*, App. 6).
     """
     pts = _points(points, 3).reshape(-1, 3)
-    if pose_of is None:  # one (3,) pose for every point
-        rvec, translation = np.reshape(rvec, (1, 3)), np.reshape(translation, (1, 3))
-        pose_of = np.zeros(len(pts), dtype=np.intp)
-    rot = axis_angle_to_rotation(rvec)[pose_of]
+    rot, left_jacobian = _rodrigues(_points(rvec, 3))
+    rot = rot[pose_of]
     rotated = np.einsum("kij,kj->ki", rot, pts)
     cam = rotated + np.asarray(translation, dtype=np.float64)[pose_of]
     in_front = cam[:, 2] > 1e-9
@@ -356,7 +354,7 @@ def project_points(points, rvec, translation, intrinsics: CameraIntrinsics,
                                                    jacobians=True)
     d_cam[:, :, 2] *= in_front[:, None]
     # d(R X)/d rvec = -[R X]x J_l(rvec), J_l the left Jacobian of SO(3).
-    d_rvec = d_cam @ _skew_matrix(-rotated) @ _rotation_left_jacobian(rvec)[pose_of]
+    d_rvec = d_cam @ _skew_matrix(-rotated) @ left_jacobian[pose_of]
     d_pose = np.concatenate([d_rvec, d_cam], axis=2)
     return pixels, d_pose, d_cam @ rot, d_intrinsics, d_dist
 
@@ -501,66 +499,52 @@ def _skew_matrix(v: np.ndarray) -> np.ndarray:
     return (v @ _CROSS).reshape(v.shape + (3,))
 
 
-def axis_angle_to_rotation(rvec) -> np.ndarray:
-    """Rodrigues formula: axis-angle 3-vector to rotation matrix, or an
-    ``(n, 3)`` batch of them to ``(n, 3, 3)`` matrices. With ``t = |r|`` and
-    ``h = sin(t/2) / (t/2)``, ``R = I + h cos(t/2) [r]x + (h^2 / 2) [r]x^2``."""
-    r = _points(rvec, 3)
+def _rodrigues(r: np.ndarray):
+    """Rodrigues' formula for an axis-angle ``(3,)`` vector or each row of an
+    ``(n, 3)`` batch: the rotation ``R`` and its left Jacobian ``J_l = R J_r``,
+    with ``R(r + d) ~ R(J_l d) R(r)`` for small ``d``. With ``t = |r|`` and
+    ``h = sin(t/2) / (t/2)``, ``R = I + h cos(t/2) [r]x + (h^2 / 2) [r]x^2``
+    and ``J_l = I + (h^2 / 2) [r]x + ((t - sin t) / t^3) [r]x^2``."""
     theta = np.sqrt(r[..., None, :] @ r[..., :, None])
     h = np.sinc(theta / (2.0 * np.pi))
     k = _skew_matrix(r)
-    return np.eye(3) + h * np.cos(theta / 2.0) * k + 0.5 * h ** 2 * (k @ k)
-
-
-def _rotation_left_jacobian(rvec: np.ndarray) -> np.ndarray:
-    """``J_l = R(rvec) J_r`` with ``R(rvec + d) ~ R(J_l d) R(rvec)`` for
-    small ``d``, for each row of an ``(n, 3)`` batch."""
-    theta = np.linalg.norm(rvec, axis=-1)[:, None, None]
-    k = _skew_matrix(rvec)
-    a = 0.5 * np.sinc(theta / (2.0 * np.pi)) ** 2  # (1 - cos t) / t^2
+    k2 = k @ k
+    a = 0.5 * h ** 2  # (1 - cos t) / t^2
     # (t - sin t) / t^3, from its series where the closed form cancels.
     b = np.where(theta > 1e-2, (theta - np.sin(theta)) / np.maximum(theta, 1e-2) ** 3,
                  1 / 6 - theta ** 2 / 120)
-    return np.eye(3) + a * k + b * (k @ k)
+    return np.eye(3) + h * np.cos(theta / 2.0) * k + a * k2, np.eye(3) + a * k + b * k2
+
+
+def axis_angle_to_rotation(rvec) -> np.ndarray:
+    """Axis-angle 3-vector to rotation matrix by Rodrigues' formula, or an
+    ``(n, 3)`` batch of them to ``(n, 3, 3)`` matrices."""
+    return _rodrigues(_points(rvec, 3))[0]
 
 
 def rotation_to_axis_angle(rotation) -> np.ndarray:
-    """Rotation matrix to axis-angle 3-vector with angle in [0, pi].
+    """Rotation matrix to axis-angle 3-vector with angle in [0, pi], by
+    inverting Rodrigues' formula.
 
-    Goes through a unit quaternion extracted with the largest-pivot rule,
-    which stays accurate for every angle (the direct arcsin/arccos formulas
-    lose precision near 0 and pi). Raises InvalidRotation for non-orthonormal
-    input.
+    The antisymmetric part of ``R`` is ``sin t [a]x`` for the unit axis ``a``
+    and the trace is ``1 + 2 cos t``, so ``t = atan2(|sin t a|, cos t)``.
+    Past 120 degrees, where ``sin t`` gets small, the axis comes from the
+    symmetric part, ``(R + R^T)/2 - cos t I = (1 - cos t) a a^T``, signed by
+    ``sin t a``. Raises InvalidRotation for non-orthonormal input.
     """
     r = np.asarray(rotation, dtype=np.float64)
     if r.shape != (3, 3):
         raise InvalidRotation("rotation matrix must be 3x3")
     _check_rotation(r)
-
-    tr = r[0, 0] + r[1, 1] + r[2, 2]
-    # Row c holds 4 q_c q; its diagonal entry 4 q_c^2 gives s = 4 |q_c|.
-    rows = np.array([
-        [1.0 + tr, r[2, 1] - r[1, 2], r[0, 2] - r[2, 0], r[1, 0] - r[0, 1]],
-        [r[2, 1] - r[1, 2], 1.0 + r[0, 0] - r[1, 1] - r[2, 2],
-         r[0, 1] + r[1, 0], r[0, 2] + r[2, 0]],
-        [r[0, 2] - r[2, 0], r[0, 1] + r[1, 0],
-         1.0 + r[1, 1] - r[0, 0] - r[2, 2], r[1, 2] + r[2, 1]],
-        [r[1, 0] - r[0, 1], r[0, 2] + r[2, 0], r[1, 2] + r[2, 1],
-         1.0 + r[2, 2] - r[0, 0] - r[1, 1]],
-    ])
-    c = int(np.argmax((tr, r[0, 0], r[1, 1], r[2, 2])))
-    s = 2.0 * np.sqrt(rows[c, c])
-    q = rows[c] / s
-    q[c] = 0.25 * s
-    if q[0] < 0:
-        q = -q
-
-    vec = q[1:]
-    vec_norm = np.linalg.norm(vec)
-    if vec_norm < 1e-12:
-        return 2.0 * vec  # theta -> 0 limit of (theta / sin(theta/2)) * vec
-    theta = 2.0 * np.arctan2(vec_norm, q[0])
-    return (theta / vec_norm) * vec
+    sin_axis = 0.5 * np.array([r[2, 1] - r[1, 2], r[0, 2] - r[2, 0], r[1, 0] - r[0, 1]])
+    sin, cos = np.linalg.norm(sin_axis), 0.5 * (r[0, 0] + r[1, 1] + r[2, 2] - 1.0)
+    theta = np.arctan2(sin, cos)
+    if cos > -0.5:
+        return sin_axis * (theta / sin) if sin > 0 else sin_axis
+    outer = 0.5 * (r + r.T) - cos * np.eye(3)
+    j = np.argmax(np.diag(outer))  # the row of a a^T with the largest a_j
+    axis = outer[j] / np.linalg.norm(outer[j])
+    return theta * axis if sin_axis[j] >= 0 else -theta * axis
 
 
 def nearest_rotation(m: np.ndarray) -> np.ndarray:

@@ -166,8 +166,6 @@ def reconstruct(images, intrinsics: CameraIntrinsics, dist: DistortionCoeffs,
     for i, j in sorted((i, i + step) for step in (1, 2)
                        for i in range(n_views - step)):
         raw = match_features(feats[i], feats[j])
-        if len(raw) < 8:
-            continue
         x1 = normalized[i][raw[:, 0]]
         x2 = normalized[j][raw[:, 1]]
         try:

@@ -15,6 +15,7 @@ from .geometry import (
     CameraIntrinsics,
     CameraPose,
     DistortionCoeffs,
+    axis_angle_to_rotation,
     camera_depths,
     pixel_to_normalized,
     project,
@@ -24,16 +25,6 @@ from .geometry import (
 from .imageops import bilinear_sample
 
 MAX_TILT_DEG = 40.0
-
-
-def _rot_xyz(ax: float, ay: float, az: float) -> np.ndarray:
-    cx, sx = np.cos(ax), np.sin(ax)
-    cy, sy = np.cos(ay), np.sin(ay)
-    cz, sz = np.cos(az), np.sin(az)
-    rx = np.array([[1, 0, 0], [0, cx, -sx], [0, sx, cx]])
-    ry = np.array([[cy, 0, sy], [0, 1, 0], [-sy, 0, cy]])
-    rz = np.array([[cz, -sz, 0], [sz, cz, 0], [0, 0, 1]])
-    return rz @ ry @ rx
 
 
 def frontoparallel_pose(spec: CheckerboardSpec, intrinsics: CameraIntrinsics,
@@ -72,7 +63,8 @@ def sample_board_poses(spec: CheckerboardSpec, intrinsics: CameraIntrinsics,
         tilt = np.deg2rad(MAX_TILT_DEG)
         ax, ay = rng.uniform(-tilt, tilt, size=2)
         az = rng.uniform(-np.pi, np.pi)
-        rot = _rot_xyz(ax, ay, az)
+        rx, ry, rz = axis_angle_to_rotation(np.diag([ax, ay, az]))
+        rot = rz @ ry @ rx
         depth = base_depth * rng.uniform(1.0, 1.6)
         target_px = np.array([
             rng.uniform(0.35, 0.65) * (width - 1),

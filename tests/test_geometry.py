@@ -19,6 +19,7 @@ from camkit.errors import InvalidRotation, NoConvergence, NonPositiveDepth
 from camkit.geometry import (
     DISTORTION_NAMES,
     INTRINSIC_NAMES,
+    _rodrigues,
     camera_depths,
     project_points,
     reprojection_problem,
@@ -70,6 +71,13 @@ def test_project_rejects_points_behind_camera(ref_intrinsics):
                 CameraPose.identity(), ref_intrinsics)
 
 
+def _project_one(points, rvec, t, *args, **kwargs):
+    """:func:`project_points` with every point under the one pose ``(rvec, t)``."""
+    n = len(np.reshape(points, (-1, 3)))
+    return project_points(points, np.reshape(rvec, (1, 3)), np.reshape(t, (1, 3)),
+                          *args, pose_of=np.zeros(n, dtype=np.intp), **kwargs)
+
+
 def _central_differences(fn, x):
     return numeric_jacobian(LeastSquaresProblem(lambda p: fn(p).ravel()), x)
 
@@ -101,20 +109,20 @@ def test_project_points_jacobians_match_central_differences(axis, angle, t, k, d
     intr = CameraIntrinsics(*k)
     dist = DistortionCoeffs(*d)
 
-    _, d_pose, d_point, d_intr, d_dist = project_points(world, rvec, t, intr, dist,
-                                                        jacobians=True)
+    _, d_pose, d_point, d_intr, d_dist = _project_one(world, rvec, t, intr, dist,
+                                                      jacobians=True)
     blocks = [
         (d_pose, _central_differences(
-            lambda p: project_points(world, p[:3], p[3:], intr, dist),
+            lambda p: _project_one(world, p[:3], p[3:], intr, dist),
             np.concatenate([rvec, t]))),
         (d_intr, _central_differences(
-            lambda p: project_points(world, rvec, t, CameraIntrinsics(*p), dist), k)),
+            lambda p: _project_one(world, rvec, t, CameraIntrinsics(*p), dist), k)),
         (d_dist, _central_differences(
-            lambda p: project_points(world, rvec, t, intr, DistortionCoeffs(*p)), d)),
+            lambda p: _project_one(world, rvec, t, intr, DistortionCoeffs(*p)), d)),
     ]
     for i, point in enumerate(world):
         blocks.append((d_point[i:i + 1], _central_differences(
-            lambda p: project_points(p, rvec, t, intr, dist), point)))
+            lambda p: _project_one(p, rvec, t, intr, dist), point)))
     for analytic, numeric in blocks:
         assert _relative_error(analytic.reshape(numeric.shape), numeric) < 1e-5
 
@@ -133,7 +141,7 @@ def test_reprojection_problem_jacobian_matches_central_differences(points_free):
     points = rng.uniform(-100.0, 100.0, (4, 3))
     obs_pose = np.array([0, 0, 0, 1, 1, 1, 1, 2, 2, 2, 2])
     obs_point = np.array([0, 1, 2, 0, 1, 2, 3, 0, 1, 2, 3])
-    obs_px = np.array([project_points(points[j], p[:3], p[3:], intr, dist)
+    obs_px = np.array([_project_one(points[j], p[:3], p[3:], intr, dist)
                        for p, j in zip(poses[obs_pose], obs_point)])
     obs_px += rng.normal(0.0, 0.5, obs_px.shape)
     free_poses = np.ones((3, 6), dtype=bool)
@@ -198,8 +206,8 @@ def test_pose_indexed_projection_matches_one_call_per_pose(n_poses, seed):
                            jacobians=True, pose_of=pose_of)
     for i, pose in enumerate(poses[:-1]):
         sel = pose_of == i
-        single = project_points(world[sel], pose[:3], pose[3:], intr, dist,
-                                jacobians=True)
+        single = _project_one(world[sel], pose[:3], pose[3:], intr, dist,
+                              jacobians=True)
         for b, s in zip(batch, single):
             assert _within(b[sel], s, 1e-13)
 
@@ -432,8 +440,8 @@ def test_single_point_matches_one_row_batch():
 def test_depths_and_the_solver_kernel_return_batches(ref_intrinsics, ref_distortion):
     point = np.array([0.1, -0.2, 3.0])
     assert camera_depths(point, CameraPose.identity()).shape == (1,)
-    assert project_points(point, np.zeros(3), np.zeros(3), ref_intrinsics,
-                          ref_distortion).shape == (1, 2)
+    assert _project_one(point, np.zeros(3), np.zeros(3), ref_intrinsics,
+                        ref_distortion).shape == (1, 2)
 
 
 @pytest.mark.parametrize("shape", [(), (3,), (4, 3), (1, 1, 2)])
@@ -477,6 +485,75 @@ def test_axis_angle_near_pi_roundtrip():
     back = rotation_to_axis_angle(axis_angle_to_rotation(rvec))
     assert np.linalg.norm(back - rvec) < 1e-7
     assert np.linalg.norm(back) <= np.pi
+
+
+# Reference: the log map camkit used before it inverted Rodrigues' formula,
+# kept verbatim. It goes through a unit quaternion extracted with the
+# largest-pivot rule, which stays accurate for every angle.
+
+def _quaternion_axis_angle(r):
+    tr = r[0, 0] + r[1, 1] + r[2, 2]
+    # Row c holds 4 q_c q; its diagonal entry 4 q_c^2 gives s = 4 |q_c|.
+    rows = np.array([
+        [1.0 + tr, r[2, 1] - r[1, 2], r[0, 2] - r[2, 0], r[1, 0] - r[0, 1]],
+        [r[2, 1] - r[1, 2], 1.0 + r[0, 0] - r[1, 1] - r[2, 2],
+         r[0, 1] + r[1, 0], r[0, 2] + r[2, 0]],
+        [r[0, 2] - r[2, 0], r[0, 1] + r[1, 0],
+         1.0 + r[1, 1] - r[0, 0] - r[2, 2], r[1, 2] + r[2, 1]],
+        [r[1, 0] - r[0, 1], r[0, 2] + r[2, 0], r[1, 2] + r[2, 1],
+         1.0 + r[2, 2] - r[0, 0] - r[1, 1]],
+    ])
+    c = int(np.argmax((tr, r[0, 0], r[1, 1], r[2, 2])))
+    s = 2.0 * np.sqrt(rows[c, c])
+    q = rows[c] / s
+    q[c] = 0.25 * s
+    if q[0] < 0:
+        q = -q
+
+    vec = q[1:]
+    vec_norm = np.linalg.norm(vec)
+    if vec_norm < 1e-12:
+        return 2.0 * vec  # theta -> 0 limit of (theta / sin(theta/2)) * vec
+    theta = 2.0 * np.arctan2(vec_norm, q[0])
+    return (theta / vec_norm) * vec
+
+
+_AXES = st.tuples(st.floats(-1, 1), st.floats(-1, 1), st.floats(-1, 1)).filter(
+    lambda axis: np.linalg.norm(axis) > 1e-3)
+
+
+def _near(angle):
+    return st.floats(max(angle - 1e-12, 0.0), min(angle + 1e-12, np.pi))
+
+
+@settings(max_examples=300, deadline=None)
+@given(axis=_AXES, angle=st.one_of(st.floats(0.0, np.pi), _near(0.0), _near(np.pi),
+                                   _near(2 * np.pi / 3)))
+def test_rotation_to_axis_angle_matches_quaternion_extraction(axis, angle):
+    # 2 pi / 3 is where the axis switches from the antisymmetric to the
+    # symmetric part of R. At exactly pi the axis's sign is free.
+    rot = axis_angle_to_rotation(angle * np.array(axis) / np.linalg.norm(axis))
+    got, want = rotation_to_axis_angle(rot), _quaternion_axis_angle(rot)
+    err = np.max(np.abs(got - want))
+    if angle == np.pi:
+        err = min(err, np.max(np.abs(got + want)))
+    assert err < 4e-15
+
+
+@settings(max_examples=100, deadline=None)
+@given(axis=_AXES, angle=st.one_of(st.floats(0.0, np.pi), _near(0.0), _near(1e-2),
+                                   _near(np.pi)))
+def test_left_jacobian_matches_central_differences(axis, angle):
+    # R(r + d) R(r)^T ~ R(J_l d) ~ I + [J_l d]x, so column i of J_l is the
+    # axis of the skew matrix d/d(d_i) R(r + d) R(r)^T at d = 0.
+    r = angle * np.array(axis) / np.linalg.norm(axis)
+    rot, left_jacobian = _rodrigues(r)
+    eps = 1e-6
+    for i, step in enumerate(np.eye(3) * eps):
+        skew = (_rodrigues(r + step)[0] - _rodrigues(r - step)[0]) @ rot.T / (2 * eps)
+        column = 0.5 * np.array([skew[2, 1] - skew[1, 2], skew[0, 2] - skew[2, 0],
+                                 skew[1, 0] - skew[0, 1]])
+        assert np.max(np.abs(column - left_jacobian[:, i])) < 1e-8
 
 
 def test_rotation_to_axis_angle_rejects_garbage():

@@ -159,7 +159,8 @@ def random_reprojection_problem(rng: np.random.Generator, kind: str):
         obs += [(v, j) for j in rng.choice(unseen, max(missing, 0), replace=False)]
     obs.append(obs[int(rng.integers(len(obs)))])
     obs_pose, obs_point = np.array(obs).T
-    obs_px = np.array([project_points(points[j], poses[v, :3], poses[v, 3:], intr, dist)[0]
+    obs_px = np.array([project_points(points[j], poses[v:v + 1, :3], poses[v:v + 1, 3:],
+                                      intr, dist, pose_of=np.zeros(1, dtype=np.intp))[0]
                        for v, j in obs]) + rng.normal(0.0, 0.5, (len(obs), 2))
 
     free_poses = np.zeros((n_poses, 6), dtype=bool)
@@ -291,7 +292,8 @@ def test_standard_errors_are_nan_without_redundancy():
     world = np.array([[0.0, 0.0, 0.0], [50.0, 0.0, 0.0], [0.0, 50.0, 0.0]])
     intr = CameraIntrinsics(fx=800.0, fy=800.0, cx=320.0, cy=240.0)
     pose = np.array([0.1, -0.2, 0.05, 10.0, -5.0, 500.0])
-    px = project_points(world, pose[:3], pose[3:], intr, DistortionCoeffs()) + 0.3
+    px = project_points(world, pose[None, :3], pose[None, 3:], intr, DistortionCoeffs(),
+                        pose_of=np.zeros(3, dtype=np.intp)) + 0.3
     problem, x0, _ = reprojection_problem(
         world, [CameraPose.from_axis_angle(pose[:3], pose[3:])], intr,
         DistortionCoeffs(), np.zeros(3, dtype=np.int64), np.arange(3), px,

@@ -211,8 +211,9 @@ def test_ba_mean_error_matches_reprojection_of_result(ref_intrinsics):
     for v, pose in scene.poses.items():
         scene.features[v] = np.vstack(
             [scene.features[v],
-             project_points(behind, pose.axis_angle(), pose.translation,
-                            ref_intrinsics, scene.distortion)])
+             project_points(behind, pose.axis_angle()[None], pose.translation[None],
+                            ref_intrinsics, scene.distortion,
+                            pose_of=np.zeros(1, dtype=np.intp))])
     scene.tracks.append(Track(observations=tuple((v, 40) for v in scene.poses),
                               point=behind[0].copy(), valid=True))
     adjusted = bundle_adjust(scene)
