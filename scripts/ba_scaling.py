@@ -7,12 +7,16 @@ arcs (60 degree sweep) at 500, 1000, 1500 and 3000 points, then a closed
 starting points 2 mm per coordinate, and the poses start at the truth.
 Each scene is adjusted once with ``bundle_adjust`` and ``LmConfig()``; the
 script prints the time to converge, the LM iterations and termination
-reason, the seconds per iteration and the final mean reprojection error.
+reason, the seconds per iteration, the final mean reprojection error and
+the process's peak resident set so far (``ru_maxrss``), so each row's
+memory is read next to its time: the rows run in order of size, so a row's
+peak is its scene's unless an earlier row's was larger.
 
 Usage: python scripts/ba_scaling.py [--seed 0] [--no-ring]
 """
 
 import argparse
+import resource
 import time
 
 import numpy as np
@@ -70,6 +74,11 @@ def adjust(scene: SfmScene):
     return adjusted, reports[0], seconds
 
 
+def peak_rss_mb() -> float:
+    """The process's peak resident set so far, in MB (Linux reports KiB)."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--seed", type=int, default=0)
@@ -82,14 +91,16 @@ def main():
     if not args.no_ring:
         cases.append((RING_VIEWS, RING_POINTS, 360.0 * (1 - 1 / RING_VIEWS)))
     print(f"{'views':>5} {'points':>6} {'observations':>12} {'converge_s':>10} "
-          f"{'iters':>5} {'s_per_iter':>10} {'reason':>9} {'error_px':>8}")
+          f"{'iters':>5} {'s_per_iter':>10} {'reason':>9} {'error_px':>8} "
+          f"{'peak_rss_mb':>11}")
     for n_views, n_points, sweep in cases:
         scene = make_scene(n_views, n_points, sweep, rng)
         adjusted, report, seconds = adjust(scene)
         print(f"{n_views:>5} {n_points:>6} {n_views * n_points:>12} "
               f"{seconds:>10.3f} {report.iterations:>5} "
               f"{seconds / report.iterations:>10.4f} {report.reason:>9} "
-              f"{adjusted.mean_reprojection_error:>8.4f}", flush=True)
+              f"{adjusted.mean_reprojection_error:>8.4f} {peak_rss_mb():>11.1f}",
+              flush=True)
 
 
 if __name__ == "__main__":

@@ -25,7 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InvalidRotation, NoConvergence, NonPositiveDepth
-from .optimize import BlockJacobian, LeastSquaresProblem
+from .optimize import BlockJacobian, BlockLayout, LeastSquaresProblem
 
 _ORTHONORMALITY_TOL = 1e-9
 _UNDISTORT_ITERS = 50
@@ -38,6 +38,8 @@ SHADE_BLOCK = 2 ** 15
 # Column order of the intrinsics and distortion Jacobian blocks.
 INTRINSIC_NAMES = ("fx", "fy", "cx", "cy", "skew")
 DISTORTION_NAMES = ("k1", "k2", "k3", "p1", "p2")
+# The Jacobian blocks project_points can form, in the order it returns them.
+JACOBIAN_BLOCKS = ("pose", "point", "intrinsics", "distortion")
 
 
 def _points(points, dim: int) -> np.ndarray:
@@ -329,7 +331,7 @@ def project(points, pose: CameraPose, intrinsics: CameraIntrinsics,
 
 
 def project_points(points, rvec, translation, intrinsics: CameraIntrinsics,
-                   dist: DistortionCoeffs, jacobians: bool = False, *, pose_of):
+                   dist: DistortionCoeffs, jacobians=False, *, pose_of):
     """Project world points under axis-angle poses; the solvers' kernel.
 
     Point k is seen under pose ``pose_of[k]`` of the ``(P, 3)`` ``rvec`` and
@@ -339,7 +341,10 @@ def project_points(points, rvec, translation, intrinsics: CameraIntrinsics,
     pixels or, with ``jacobians``, ``(pixels, d_pose, d_point, d_intrinsics,
     d_distortion)``: per-point blocks (n, 2, k) with respect to the point's
     (rvec, t), the point, :data:`INTRINSIC_NAMES` and :data:`DISTORTION_NAMES`
-    (Hartley & Zisserman, *Multiple View Geometry*, App. 6).
+    (Hartley & Zisserman, *Multiple View Geometry*, App. 6). ``jacobians``
+    may name a subset of :data:`JACOBIAN_BLOCKS` instead of ``True``; the
+    blocks it leaves out are None and are not formed, and the rest are the
+    same bits as in the full call.
     """
     pts = _points(points, 3).reshape(-1, 3)
     rot, left_jacobian = _rodrigues(_points(rvec, 3))
@@ -350,21 +355,27 @@ def project_points(points, rvec, translation, intrinsics: CameraIntrinsics,
     cam[:, 2] = np.maximum(cam[:, 2], 1e-9)
     if not jacobians:
         return _pinhole(cam, intrinsics, dist)
-    pixels, d_cam, d_intrinsics, d_dist = _pinhole(cam, intrinsics, dist,
-                                                   jacobians=True)
+    wanted = JACOBIAN_BLOCKS if jacobians is True else jacobians
+    pixels, d_cam, d_intrinsics, d_dist = _pinhole(cam, intrinsics, dist, wanted)
     d_cam[:, :, 2] *= in_front[:, None]
-    # d(R X)/d rvec = -[R X]x J_l(rvec), J_l the left Jacobian of SO(3).
-    d_rvec = d_cam @ _skew_matrix(-rotated) @ left_jacobian[pose_of]
-    d_pose = np.concatenate([d_rvec, d_cam], axis=2)
-    return pixels, d_pose, d_cam @ rot, d_intrinsics, d_dist
+    d_pose = d_point = None
+    if "pose" in wanted:
+        # d(R X)/d rvec = -[R X]x J_l(rvec), J_l the left Jacobian of SO(3).
+        d_rvec = d_cam @ _skew_matrix(-rotated) @ left_jacobian[pose_of]
+        d_pose = np.concatenate([d_rvec, d_cam], axis=2)
+    if "point" in wanted:
+        d_point = d_cam @ rot
+    return pixels, d_pose, d_point, d_intrinsics, d_dist
 
 
 def _pinhole(cam: np.ndarray, intrinsics: CameraIntrinsics,
-             dist: DistortionCoeffs, jacobians: bool = False):
+             dist: DistortionCoeffs, jacobians=()):
     """Perspective divide, distortion and intrinsic map of camera-frame
-    points at positive depth; with ``jacobians`` (an ``(n, 3)`` batch) also the
-    derivatives of the pixels with respect to the camera-frame point, the
-    intrinsics and the distortion, as ``(pixels, d_cam, d_intrinsics, d_distortion)``."""
+    points at positive depth. With ``jacobians``, names from
+    :data:`JACOBIAN_BLOCKS` (an ``(n, 3)`` batch), also the derivatives of
+    the pixels with respect to the camera-frame point and, where named, the
+    intrinsics and the distortion (else None), as ``(pixels, d_cam,
+    d_intrinsics, d_distortion)``."""
     normalized = cam[..., :2] / cam[..., 2:]
     distorted = distort_normalized(normalized, dist)
     pixels = normalized_to_pixel(distorted, intrinsics)
@@ -384,10 +395,14 @@ def _pinhole(cam: np.ndarray, intrinsics: CameraIntrinsics,
     # d(x, y)/d(camera point) = [I | -(x, y)] / z
     scaled = k_map @ d_distorted / cam[:, 2, None, None]
     d_cam = np.concatenate([scaled, -scaled @ normalized[:, :, None]], axis=2)
-    d_intrinsics = _blocks((xd, 0.0, 1.0, 0.0, yd), (0.0, yd, 0.0, 1.0, 0.0))
-    d_dist = _blocks((x * r2, x * r2 ** 2, x * r2 ** 3, 2.0 * x * y, r2 + 2.0 * x * x),
-                     (y * r2, y * r2 ** 2, y * r2 ** 3, r2 + 2.0 * y * y, 2.0 * x * y))
-    return pixels, d_cam, d_intrinsics, k_map @ d_dist
+    d_intrinsics = d_dist = None
+    if "intrinsics" in jacobians:
+        d_intrinsics = _blocks((xd, 0.0, 1.0, 0.0, yd), (0.0, yd, 0.0, 1.0, 0.0))
+    if "distortion" in jacobians:
+        d_dist = k_map @ _blocks(
+            (x * r2, x * r2 ** 2, x * r2 ** 3, 2.0 * x * y, r2 + 2.0 * x * x),
+            (y * r2, y * r2 ** 2, y * r2 ** 3, r2 + 2.0 * y * y, 2.0 * x * y))
+    return pixels, d_cam, d_intrinsics, d_dist
 
 
 def _blocks(*rows) -> np.ndarray:
@@ -419,6 +434,9 @@ def reprojection_problem(points, poses, intrinsics: CameraIntrinsics,
     The Jacobian is a :class:`~camkit.optimize.BlockJacobian` that
     eliminates the points when any is free (row k keeps the free globals and
     its pose's 6), otherwise the poses (row k keeps only the free globals).
+    Every Jacobian of the problem shares one
+    :class:`~camkit.optimize.BlockLayout`, built here, and its kernel call
+    forms the global and point blocks only when some of them are free.
     """
     names = INTRINSIC_NAMES + DISTORTION_NAMES
     if not set(free_globals) <= set(names):
@@ -442,13 +460,16 @@ def reprojection_problem(points, poses, intrinsics: CameraIntrinsics,
     kept_cols = np.broadcast_to(column[:n_global][global_free],
                                 (len(obs_px), global_free.sum()))
     pose_cols = column[n_global:point_start].reshape(-1, 6)
-    by_point = point_free.any()
+    by_point = bool(point_free.any())
     if by_point:
         kept_cols = np.concatenate([kept_cols, pose_cols[obs_pose]], axis=1)
     block, block_cols = ((obs_point, column[point_start:].reshape(-1, 3)) if by_point
                          else (obs_pose, pose_cols))
-    for shared in (kept_cols, block_cols):  # by every Jacobian returned
-        shared.setflags(write=False)
+    layout = BlockLayout(kept_cols, block, block_cols, (2 * len(obs_px), int(free.sum())))
+    # Only the blocks of free parameters are formed; the poses always are,
+    # as kept or eliminated columns.
+    wanted = (("pose",) + ("point",) * by_point
+              + ("intrinsics", "distortion") * bool(global_free.any()))
 
     def split(x: np.ndarray):
         full = full0.copy()
@@ -466,7 +487,7 @@ def reprojection_problem(points, poses, intrinsics: CameraIntrinsics,
                            else CameraPose(pose.rotation, p[3:])
                            for pose, p, turn in zip(poses, params, turns)), pts
 
-    def evaluate(x: np.ndarray, jacobians: bool = False):
+    def evaluate(x: np.ndarray, jacobians=False):
         k, d, params, pts = split(x)
         return project_points(pts[obs_point], params[:, :3], params[:, 3:],
                               k, d, jacobians, pose_of=obs_pose)
@@ -475,12 +496,12 @@ def reprojection_problem(points, poses, intrinsics: CameraIntrinsics,
         return (evaluate(x) - obs_px).ravel()
 
     def jacobian(x: np.ndarray) -> BlockJacobian:
-        _, d_pose, d_point, d_k, d_dist = evaluate(x, jacobians=True)
-        d_global = np.concatenate([d_k, d_dist], axis=2)[:, :, global_free]
+        _, d_pose, d_point, d_k, d_dist = evaluate(x, wanted)
+        d_global = (np.concatenate([d_k, d_dist], axis=2)[:, :, global_free]
+                    if d_k is not None else np.empty((len(obs_px), 2, 0)))
         kept, blocks = ((np.concatenate([d_global, d_pose], axis=2), d_point) if by_point
                         else (d_global, d_pose))
-        return BlockJacobian(kept, kept_cols, blocks, block, block_cols,
-                             (2 * len(obs_px), int(free.sum())))
+        return BlockJacobian(kept, blocks, layout)
 
     return LeastSquaresProblem(residual, jacobian), full0[free], unpack
 

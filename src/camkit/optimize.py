@@ -6,13 +6,16 @@ Cholesky factorization when the Jacobian is an ndarray or not supplied.
 When it is a :class:`BlockJacobian`, as every reprojection Jacobian is, its
 blocks are eliminated first and only the reduced system of the kept columns
 (the Schur complement) is factored; :func:`standard_errors` reads the same
-elimination. Only that linear solve differs: damping over all free
-parameters, step acceptance and termination are shared. A ``scipy.sparse``
-Jacobian is not accepted; converting it fails with an error. The damping
-starts at 1e-3 and is multiplied by 10 after a rejected step and by 0.1
-after an accepted one. Steps are accepted only when the cost strictly
-decreases, so the accepted-cost sequence is monotonically non-increasing.
-Everything is deterministic.
+elimination. Which column each block entry lands in, a :class:`BlockLayout`,
+is built once per problem and shared by all its Jacobians, so each
+iteration only masks and sums new values; a reprojection Jacobian forms
+only the blocks of parameters that are free. Only that linear solve
+differs: damping over all free parameters, step acceptance and termination
+are shared. A ``scipy.sparse`` Jacobian is not accepted; converting it
+fails with an error. The damping starts at 1e-3 and is multiplied by 10
+after a rejected step and by 0.1 after an accepted one. Steps are accepted
+only when the cost strictly decreases, so the accepted-cost sequence is
+monotonically non-increasing. Everything is deterministic.
 """
 
 from __future__ import annotations
@@ -47,28 +50,81 @@ class LeastSquaresProblem:
     jacobian: Optional[Callable[[np.ndarray], np.ndarray | BlockJacobian]] = None
 
 
-@dataclass(eq=False)
-class BlockJacobian:
-    """A Jacobian stored as per-observation blocks: kept columns, and the
-    columns of eliminated blocks of width b.
+class BlockLayout:
+    """Where each entry of a :class:`BlockJacobian` lands: everything about
+    the Jacobian that does not change while its values do.
 
     Observation k owns residual rows 2k and 2k+1; its only nonzero entries
     are ``kept[k]``, (2, c), in the columns ``kept_cols[k]``, and
     ``blocks[k]``, (2, b), in the columns ``block_cols[block[k]]``. A column
     index of -1 marks a frozen entry, whose values are ignored. Columns that
     no block owns are kept; observations may share a block and its kept
-    columns. ``np.asarray`` gives the dense ``shape`` matrix.
+    columns. The Jacobian is ``shape``.
+
+    Built once per problem (Triggs et al., "Bundle Adjustment - A Modern
+    Synthesis", 2000, sec. 6; Agarwal et al., "Bundle Adjustment in the
+    Large", 2010): besides its arguments it holds the masks of free entries
+    and the flat indices that :func:`_elimination` sums the products of each
+    observation into, which the elimination would otherwise rebuild on every
+    Jacobian. Every array is read-only.
+    """
+
+    def __init__(self, kept_cols: np.ndarray, block: np.ndarray,
+                 block_cols: np.ndarray, shape: tuple):
+        # Copies, so that freezing them leaves the caller's arrays alone.
+        kept_cols, block, block_cols = map(np.array, (kept_cols, block, block_cols))
+        self.kept_cols, self.block, self.block_cols = kept_cols, block, block_cols
+        self.shape = shape
+        width = block_cols.shape[1]
+        axis = np.arange(width)
+        self.block_free = block_cols >= 0
+        is_block = np.zeros(shape[1], dtype=bool)
+        is_block[block_cols[self.block_free]] = True
+        self.kept_at = np.flatnonzero(~is_block)  # column of each kept row
+        n_kept = len(self.kept_at)
+        # The masks give frozen entries zero values, so their (clipped)
+        # index adds nothing.
+        self.kept_free = kept_cols[:, None, :] >= 0
+        self.block_free_of = self.block_free[block][:, None, :]
+        kept_row = (np.cumsum(~is_block) - 1)[np.maximum(kept_cols, 0)]
+        block_row = width * block[:, None] + axis  # (m, b) rows of V and W
+        self.kept_row, self.block_row = kept_row, block_row
+        self.u_index = kept_row[:, :, None] * n_kept + kept_row[:, None, :]
+        self.v_index = block_row[:, :, None] * width + axis
+        self.w_index = block_row[:, :, None] * n_kept + kept_row[:, None, :]
+        self.frozen_block, self.frozen_axis = np.nonzero(~self.block_free)
+        for array in vars(self).values():
+            if isinstance(array, np.ndarray):
+                array.setflags(write=False)
+
+    def join(self, kept: np.ndarray, block: np.ndarray) -> np.ndarray:
+        """A kept and a block-major vector placed in column order."""
+        out = np.empty(self.shape[1])
+        out[self.kept_at] = kept
+        out[self.block_cols[self.block_free]] = block.reshape(
+            self.block_cols.shape)[self.block_free]
+        return out
+
+
+@dataclass(eq=False)
+class BlockJacobian:
+    """A Jacobian stored as per-observation blocks, ``kept`` (m, 2, c) and
+    ``blocks`` (m, 2, b), placed by a :class:`BlockLayout` that every
+    Jacobian of one problem shares. ``np.asarray`` gives the dense
+    ``shape`` matrix.
     """
 
     kept: np.ndarray  # (m, 2, c) float
-    kept_cols: np.ndarray  # (m, c) int
     blocks: np.ndarray  # (m, 2, b) float
-    block: np.ndarray  # (m,) int
-    block_cols: np.ndarray  # (n_blocks, b) int
-    shape: tuple
+    layout: BlockLayout
+
+    @property
+    def shape(self) -> tuple:
+        return self.layout.shape
 
     def __array__(self, dtype=None, copy=None):
-        cols = np.concatenate([self.kept_cols, self.block_cols[self.block]], axis=1)
+        layout = self.layout
+        cols = np.concatenate([layout.kept_cols, layout.block_cols[layout.block]], axis=1)
         values = np.concatenate([self.kept, self.blocks], axis=2)
         obs, slot = np.nonzero(cols >= 0)
         dense = np.zeros((len(cols), 2, self.shape[1]))
@@ -157,75 +213,69 @@ def _dense_solver(jac: np.ndarray, r: np.ndarray):
 
 
 def _elimination(jac: BlockJacobian, r: np.ndarray):
-    """Eliminate a block Jacobian's blocks from its normal equations (Triggs
-    et al., "Bundle Adjustment - A Modern Synthesis", 2000, sec. 6).
+    """The normal equations of a block Jacobian by block (Triggs et al.,
+    "Bundle Adjustment - A Modern Synthesis", 2000, sec. 6).
 
     ``J^T J`` has the kept columns' block U, block i's (b, b) block V_i (a
     unit diagonal for a frozen entry) and their coupling W; ``J^T r`` is
-    (g_k, g_b). Returns ``(reduce, join)``: ``reduce(lam)`` damps U and V by
-    ``lam`` times their diagonals and gives ``V^-1``, ``V^-1 W^T``,
-    ``V^-1 g_b``, ``S = U - W V^-1 W^T`` and ``W V^-1 g_b - g_k``; ``join``
-    places a kept and a block-major vector in column order.
+    (g_k, g_b). Returns ``(U, V, W, g_k, g_b)`` with V ``(n_blocks, b, b)``,
+    W ``(n_blocks * b, n_kept)`` and g_b ``(n_blocks, b, 1)``. Only the values
+    are new on each call: the products of each observation are summed into
+    place by the indices of the Jacobian's :class:`BlockLayout`.
     """
-    n_cols = jac.shape[1]
-    n_blocks, width = jac.block_cols.shape
-    axis = np.arange(width)
-    block_free = jac.block_cols >= 0
-    is_block = np.zeros(n_cols, dtype=bool)
-    is_block[jac.block_cols[block_free]] = True
-    n_kept = n_cols - int(is_block.sum())
-    # Frozen entries get zero values, so their (clipped) index adds nothing.
-    kept_row = (np.cumsum(~is_block) - 1)[np.maximum(jac.kept_cols, 0)]
-    a = np.where(jac.kept_cols[:, None, :] >= 0, jac.kept, 0.0)
-    b = np.where(block_free[jac.block][:, None, :], jac.blocks, 0.0)
+    layout = jac.layout
+    n_blocks, width = layout.block_cols.shape
+    n_kept = len(layout.kept_at)
+    a = np.where(layout.kept_free, jac.kept, 0.0)
+    b = np.where(layout.block_free_of, jac.blocks, 0.0)
     # Contiguous transposes: numpy's stacked products run several times
     # faster with a contiguous left operand.
     a_t = np.ascontiguousarray(a.transpose(0, 2, 1))
     b_t = np.ascontiguousarray(b.transpose(0, 2, 1))
-    block_row = width * jac.block[:, None] + axis  # (m, b) rows of V and W
     res = r.reshape(-1, 2, 1)
 
     def sums(index, values, size):
         return np.bincount(index.ravel(), values.ravel(), size)[:size]
 
-    grad_kept = sums(kept_row, a_t @ res, n_kept)
-    grad_block = sums(block_row, b_t @ res, width * n_blocks).reshape(n_blocks, width, 1)
-    u = sums(kept_row[:, :, None] * n_kept + kept_row[:, None, :], a_t @ a,
-             n_kept * n_kept).reshape(n_kept, n_kept)
-    v = sums(block_row[:, :, None] * width + axis, b_t @ b,
+    grad_kept = sums(layout.kept_row, a_t @ res, n_kept)
+    grad_block = sums(layout.block_row, b_t @ res,
+                      width * n_blocks).reshape(n_blocks, width, 1)
+    u = sums(layout.u_index, a_t @ a, n_kept * n_kept).reshape(n_kept, n_kept)
+    v = sums(layout.v_index, b_t @ b,
              width * width * n_blocks).reshape(n_blocks, width, width)
-    w = sums(block_row[:, :, None] * n_kept + kept_row[:, None, :], b_t @ a,
+    w = sums(layout.w_index, b_t @ a,
              width * n_blocks * n_kept).reshape(width * n_blocks, n_kept)
-    frozen_block, frozen_axis = np.nonzero(~block_free)
-    v[frozen_block, frozen_axis, frozen_axis] = 1.0
+    v[layout.frozen_block, layout.frozen_axis, layout.frozen_axis] = 1.0
+    return u, v, w, grad_kept, grad_block
 
-    def reduce(lam: float):
-        v_damped = v.copy()
-        v_damped[:, axis, axis] += lam * v[:, axis, axis]
-        v_inv = np.linalg.inv(v_damped)
-        v_inv_w = (v_inv @ w.reshape(n_blocks, width, n_kept)).reshape(len(w), n_kept)
-        v_inv_g = (v_inv @ grad_block).ravel()
-        schur = u + lam * np.diag(u.diagonal()) - w.T @ v_inv_w
-        return v_inv, v_inv_w, v_inv_g, schur, w.T @ v_inv_g - grad_kept
 
-    def join(kept: np.ndarray, block: np.ndarray) -> np.ndarray:
-        out = np.empty(n_cols)
-        out[~is_block] = kept
-        out[jac.block_cols[block_free]] = block.reshape(n_blocks, width)[block_free]
-        return out
-
-    return reduce, join
+def _reduce(normal, lam: float):
+    """Damp U and V of ``normal``, the output of :func:`_elimination`, by
+    ``lam`` times their diagonals and eliminate the blocks: returns
+    ``V^-1``, ``V^-1 W^T``, ``V^-1 g_b``, ``S = U - W V^-1 W^T`` and
+    ``W V^-1 g_b - g_k``."""
+    u, v, w, grad_kept, grad_block = normal
+    n_blocks, width, _ = v.shape
+    n_kept = len(u)
+    axis = np.arange(width)
+    v_damped = v.copy()
+    v_damped[:, axis, axis] += lam * v[:, axis, axis]
+    v_inv = np.linalg.inv(v_damped)
+    v_inv_w = (v_inv @ w.reshape(n_blocks, width, n_kept)).reshape(w.shape)
+    v_inv_g = (v_inv @ grad_block).ravel()
+    schur = u + lam * np.diag(u.diagonal()) - w.T @ v_inv_w
+    return v_inv, v_inv_w, v_inv_g, schur, w.T @ v_inv_g - grad_kept
 
 
 def _block_solver(jac: BlockJacobian, r: np.ndarray):
     """The damped step of a block Jacobian: ``S dk = W V^-1 g_b - g_k`` by
     Cholesky factorization, then ``db_i = -V_i^-1 (g_b + W_i^T dk)``."""
-    reduce, join = _elimination(jac, r)
+    normal = _elimination(jac, r)
 
     def solve(lam: float):
-        _, v_inv_w, v_inv_g, schur, rhs = reduce(lam)
+        _, v_inv_w, v_inv_g, schur, rhs = _reduce(normal, lam)
         step_k = _spd_solve(schur, rhs)
-        return join(step_k, -(v_inv_g + v_inv_w @ step_k))
+        return jac.layout.join(step_k, -(v_inv_g + v_inv_w @ step_k))
 
     return solve
 
@@ -240,15 +290,15 @@ def standard_errors(jac: BlockJacobian, residual: np.ndarray) -> np.ndarray:
     m, n = jac.shape
     if m <= n:
         return np.full(n, np.nan)
-    reduce, join = _elimination(jac, residual)
+    normal = _elimination(jac, residual)
     try:
-        v_inv, v_inv_w, _, schur, _ = reduce(0.0)
+        v_inv, v_inv_w, _, schur, _ = _reduce(normal, 0.0)
         s_inv = _spd_solve(schur, np.eye(len(schur)))
     except _SINGULAR:
         return np.full(n, np.nan)
     v_inv_w = v_inv_w.reshape(*v_inv.shape[:2], len(schur))
-    var = join(s_inv.diagonal(), np.diagonal(v_inv, axis1=1, axis2=2)
-               + ((v_inv_w @ s_inv) * v_inv_w).sum(axis=2))
+    var = jac.layout.join(s_inv.diagonal(), np.diagonal(v_inv, axis1=1, axis2=2)
+                          + ((v_inv_w @ s_inv) * v_inv_w).sum(axis=2))
     return np.sqrt(np.maximum(residual @ residual / (m - n) * var, 0.0))
 
 

@@ -294,12 +294,17 @@ def _build_ba_problem(scene: SfmScene):
 
     tracks = [scene.tracks[ti] for ti in track_ids]
     obs_track, obs_view, obs_feature = _observations(tracks, scene.poses)
-    slot = {v: i for i, v in enumerate(order)}
-    obs_slot = np.array([slot[v] for v in obs_view.tolist()], dtype=np.int64)
-    obs_px = np.empty((len(obs_view), 2))
-    for v in order:
-        sel = obs_view == v
-        obs_px[sel] = scene.features[v][obs_feature[sel]]
+    # Slot of each view in ``order``, and its first row among the stacked
+    # features of the views in that order.
+    views = np.array(order)
+    by_id = np.argsort(views)
+    obs_slot = by_id[np.searchsorted(views, obs_view, sorter=by_id)]
+    features = [scene.features[v] for v in order]
+    counts = np.array([len(f) for f in features])
+    if np.any(obs_feature >= counts[obs_slot]):
+        raise IndexError("a track observes a feature its view does not have")
+    first = np.cumsum(counts) - counts
+    obs_px = np.concatenate(features)[first[obs_slot] + obs_feature]
     poses = [scene.poses[v] for v in order]
     free_poses = np.ones((len(order), 6), dtype=bool)
     free_poses[0] = False
@@ -333,9 +338,8 @@ def bundle_adjust(scene: SfmScene, lm_config: LmConfig | None = None) -> SfmScen
         depth = camera_depths(pts[owners], new_poses[v])
         in_front[owners[~(depth > 0)]] = False
     new_tracks = list(scene.tracks)
-    for local, ti in enumerate(track_ids):
-        new_tracks[ti] = replace(new_tracks[ti], point=pts[local].copy(),
-                                 valid=bool(in_front[local]))
+    for ti, point, valid in zip(track_ids, pts.copy(), in_front.tolist()):
+        new_tracks[ti] = Track(new_tracks[ti].observations, point, valid)
 
     errors = np.linalg.norm(report.residual.reshape(-1, 2), axis=1)[in_front[obs_track]]
     return replace(scene, poses=new_poses, tracks=new_tracks,

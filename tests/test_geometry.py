@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from camkit import (
@@ -9,6 +9,7 @@ from camkit import (
     DistortionCoeffs,
     axis_angle_to_rotation,
     distort_normalized,
+    geometry,
     normalized_to_pixel,
     pixel_to_normalized,
     project,
@@ -19,6 +20,7 @@ from camkit.errors import InvalidRotation, NoConvergence, NonPositiveDepth
 from camkit.geometry import (
     DISTORTION_NAMES,
     INTRINSIC_NAMES,
+    JACOBIAN_BLOCKS,
     _rodrigues,
     camera_depths,
     project_points,
@@ -212,6 +214,39 @@ def test_pose_indexed_projection_matches_one_call_per_pose(n_poses, seed):
             assert _within(b[sel], s, 1e-13)
 
 
+@settings(max_examples=40, deadline=None)
+@given(wanted=st.sets(st.sampled_from(JACOBIAN_BLOCKS), min_size=1),
+       behind=st.integers(0, 3), seed=st.integers(0, 2 ** 32 - 1))
+@example(wanted={"pose"}, behind=0, seed=0)  # what pose refinement asks for
+@example(wanted={"pose", "point"}, behind=1, seed=1)  # bundle adjustment
+@example(wanted={"pose", "intrinsics", "distortion"}, behind=2, seed=2)  # calibration
+def test_projection_with_named_blocks_matches_the_full_call(wanted, behind, seed):
+    # The first ``behind`` of 30 points lie behind their camera, where the
+    # depth is clamped.
+    rng = np.random.default_rng(seed)
+    intr = CameraIntrinsics(*rng.uniform(500, 1000, 2), *rng.uniform(200, 400, 2),
+                            rng.uniform(-1, 1))
+    dist = DistortionCoeffs(*rng.uniform(-0.2, 0.2, 3), *rng.uniform(-1e-3, 1e-3, 2))
+    poses = _random_pose_params(rng, 3)
+    pose_of = rng.integers(0, 3, 30)
+    depth = rng.uniform(100.0, 1000.0, 30)
+    depth[:behind] *= -1.0
+    cam = np.column_stack([rng.uniform(-0.5, 0.5, (30, 2)) * np.abs(depth)[:, None],
+                           depth])
+    rots = np.stack([axis_angle_to_rotation(p[:3]) for p in poses])
+    world = np.einsum("kji,kj->ki", rots[pose_of], cam - poses[pose_of, 3:])
+
+    args = (world, poses[:, :3], poses[:, 3:], intr, dist)
+    full = project_points(*args, jacobians=True, pose_of=pose_of)
+    part = project_points(*args, jacobians=tuple(sorted(wanted)), pose_of=pose_of)
+    assert part[0].tobytes() == full[0].tobytes()
+    for name, got, want in zip(JACOBIAN_BLOCKS, part[1:], full[1:]):
+        if name in wanted:
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        else:
+            assert got is None
+
+
 def _random_observations(rng: np.random.Generator):
     """A reprojection problem's inputs: 2-5 poses, 4-12 points, each seen by
     a random subset of the poses (at least one), 0.5 px noise, and the
@@ -251,9 +286,35 @@ def test_reprojection_problem_follows_observation_order(seed):
     rows = problem.residual(x).reshape(-1, 2)[perm]
     assert rows.tobytes() == permuted.residual(x).reshape(-1, 2).tobytes()
     jac, jac_permuted = problem.jacobian(x), permuted.jacobian(x)
-    for name in ("kept", "kept_cols", "blocks", "block"):
+    for name in ("kept", "blocks"):
         assert (getattr(jac, name)[perm].tobytes()
                 == getattr(jac_permuted, name).tobytes())
+    for name in ("kept_cols", "block"):
+        assert (getattr(jac.layout, name)[perm].tobytes()
+                == getattr(jac_permuted.layout, name).tobytes())
+
+
+@pytest.mark.parametrize("free, wanted", [
+    (dict(free_poses=True), {"pose"}),  # pose refinement
+    (dict(free_poses=True, free_points=True), {"pose", "point"}),  # bundle adjustment
+    (dict(free_globals=("fx", "k1"), free_poses=True),
+     {"pose", "intrinsics", "distortion"}),  # calibration
+    (dict(free_globals=("cx",), free_poses=True, free_points=True), set(JACOBIAN_BLOCKS)),
+], ids=["pose", "ba", "calibration", "all"])
+def test_reprojection_jacobian_forms_only_the_blocks_it_keeps(monkeypatch, free, wanted):
+    inputs = _random_observations(np.random.default_rng(1))[:-1]
+    problem, x0, _ = reprojection_problem(*inputs, **free)
+    asked = []
+    kernel = geometry.project_points
+
+    def spy(*args, **kwargs):
+        asked.append(args[5])
+        return kernel(*args, **kwargs)
+
+    monkeypatch.setattr(geometry, "project_points", spy)
+    problem.jacobian(x0)
+    problem.residual(x0)
+    assert len(asked) == 2 and set(asked[0]) == wanted and not asked[1]
 
 
 def _layout(intr, dist, poses, points):

@@ -16,7 +16,15 @@ from camkit import (
 )
 from camkit.errors import NonFiniteResidual, SingularNormalEquations
 from camkit.geometry import project_points, reprojection_problem
-from camkit.optimize import BlockJacobian, _block_solver, _dense_solver, standard_errors
+from camkit.optimize import (
+    BlockJacobian,
+    BlockLayout,
+    _block_solver,
+    _dense_solver,
+    _elimination,
+    _spd_solve,
+    standard_errors,
+)
 from camkit.synthetic import sample_ring_poses
 
 
@@ -240,6 +248,97 @@ def test_point_block_solve_matches_dense_cholesky(seed, kind):
         assert np.max(np.abs(via_blocks.params - via_dense.params)) <= bound
 
 
+def elimination_per_call(jac, r):
+    """A reference elimination that keeps no state between calls: every
+    index is built from the column arrays on each call. Returns ``(U, V, W,
+    g_k, g_b)`` and the damped step ``solve(lam)``."""
+    kept_cols, block, block_cols = (jac.layout.kept_cols, jac.layout.block,
+                                    jac.layout.block_cols)
+    n_cols = jac.shape[1]
+    n_blocks, width = block_cols.shape
+    axis = np.arange(width)
+    block_free = block_cols >= 0
+    is_block = np.zeros(n_cols, dtype=bool)
+    is_block[block_cols[block_free]] = True
+    n_kept = n_cols - int(is_block.sum())
+    kept_row = (np.cumsum(~is_block) - 1)[np.maximum(kept_cols, 0)]
+    a = np.where(kept_cols[:, None, :] >= 0, jac.kept, 0.0)
+    b = np.where(block_free[block][:, None, :], jac.blocks, 0.0)
+    a_t = np.ascontiguousarray(a.transpose(0, 2, 1))
+    b_t = np.ascontiguousarray(b.transpose(0, 2, 1))
+    block_row = width * block[:, None] + axis
+    res = r.reshape(-1, 2, 1)
+
+    def sums(index, values, size):
+        return np.bincount(index.ravel(), values.ravel(), size)[:size]
+
+    grad_kept = sums(kept_row, a_t @ res, n_kept)
+    grad_block = sums(block_row, b_t @ res, width * n_blocks).reshape(n_blocks, width, 1)
+    u = sums(kept_row[:, :, None] * n_kept + kept_row[:, None, :], a_t @ a,
+             n_kept * n_kept).reshape(n_kept, n_kept)
+    v = sums(block_row[:, :, None] * width + axis, b_t @ b,
+             width * width * n_blocks).reshape(n_blocks, width, width)
+    w = sums(block_row[:, :, None] * n_kept + kept_row[:, None, :], b_t @ a,
+             width * n_blocks * n_kept).reshape(width * n_blocks, n_kept)
+    frozen_block, frozen_axis = np.nonzero(~block_free)
+    v[frozen_block, frozen_axis, frozen_axis] = 1.0
+
+    def reduce(lam: float):
+        v_damped = v.copy()
+        v_damped[:, axis, axis] += lam * v[:, axis, axis]
+        v_inv = np.linalg.inv(v_damped)
+        v_inv_w = (v_inv @ w.reshape(n_blocks, width, n_kept)).reshape(len(w), n_kept)
+        v_inv_g = (v_inv @ grad_block).ravel()
+        schur = u + lam * np.diag(u.diagonal()) - w.T @ v_inv_w
+        return v_inv, v_inv_w, v_inv_g, schur, w.T @ v_inv_g - grad_kept
+
+    def join(kept: np.ndarray, block: np.ndarray) -> np.ndarray:
+        out = np.empty(n_cols)
+        out[~is_block] = kept
+        out[block_cols[block_free]] = block.reshape(n_blocks, width)[block_free]
+        return out
+
+    def solve(lam: float):
+        _, v_inv_w, v_inv_g, schur, rhs = reduce(lam)
+        step_k = _spd_solve(schur, rhs)
+        return join(step_k, -(v_inv_g + v_inv_w @ step_k))
+
+    return (u, v, w, grad_kept, grad_block), solve
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), kind=st.sampled_from(KINDS))
+def test_elimination_matches_per_call_assembly_bit_for_bit(seed, kind):
+    problem, x0 = random_reprojection_problem(np.random.default_rng(seed), kind)
+    x = x0 + np.random.default_rng(seed).normal(0.0, 1e-4, x0.shape)
+    jac = problem.jacobian(x)
+    r = problem.residual(x)
+    expected, solve = elimination_per_call(jac, r)
+    for got, want in zip(_elimination(jac, r), expected):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    for lam in (1e-3, 1.0):
+        assert _block_solver(jac, r)(lam).tobytes() == solve(lam).tobytes()
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_jacobians_of_one_problem_share_one_read_only_layout(kind):
+    problem, x0 = random_reprojection_problem(np.random.default_rng(3), kind)
+    first = problem.jacobian(x0)
+    second = problem.jacobian(x0 + 1e-3)
+    assert second.layout is first.layout
+    arrays = [a for a in vars(first.layout).values() if isinstance(a, np.ndarray)]
+    assert len(arrays) >= 10
+    assert not any(array.flags.writeable for array in arrays)
+
+
+def test_layout_leaves_the_callers_arrays_writable():
+    kept_cols = np.zeros((2, 1), dtype=np.int64)
+    block = np.zeros(2, dtype=np.int64)
+    block_cols = np.array([[1, 2, 3]])
+    BlockLayout(kept_cols, block, block_cols, (4, 4))
+    assert all(a.flags.writeable for a in (kept_cols, block, block_cols))
+
+
 @settings(max_examples=20, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1), kind=st.sampled_from(KINDS))
 def test_standard_errors_match_dense_inverse(seed, kind):
@@ -259,9 +358,9 @@ def one_point_problem(points_block):
     """A linear problem in one camera column and one point, observed twice,
     whose Jacobian is the point-block form with the given (2, 2, 3) point
     blocks."""
-    jac = BlockJacobian(np.array([[[1.0], [0.5]], [[0.2], [1.0]]]),
-                             np.zeros((2, 1), dtype=np.int64), points_block,
-                             np.zeros(2, dtype=np.int64), np.array([[1, 2, 3]]), (4, 4))
+    layout = BlockLayout(np.zeros((2, 1), dtype=np.int64), np.zeros(2, dtype=np.int64),
+                         np.array([[1, 2, 3]]), (4, 4))
+    jac = BlockJacobian(np.array([[[1.0], [0.5]], [[0.2], [1.0]]]), points_block, layout)
     target = np.array([1.0, 2.0, 3.0, 4.0])
     return LeastSquaresProblem(lambda x: np.nan_to_num(np.asarray(jac)) @ x - target,
                                lambda x: jac)
@@ -280,10 +379,11 @@ def test_standard_errors_are_nan_on_dead_point_column():
                                           [[1.0, 1.0, 0.0], [0.0, 2.0, 0.0]]]))
     # Five residuals for the four columns, so only the dead column fails.
     jac = problem.jacobian(None)
+    layout = BlockLayout(np.zeros((3, 1), dtype=np.int64), np.zeros(3, dtype=np.int64),
+                         jac.layout.block_cols, (6, 4))
     jac = BlockJacobian(np.concatenate([jac.kept, [[[0.3], [0.0]]]]),
-                        np.zeros((3, 1), dtype=np.int64),
                         np.concatenate([jac.blocks, [[[0.5, 0.0, 0.0], [0.0, 0.0, 0.0]]]]),
-                        np.zeros(3, dtype=np.int64), jac.block_cols, (6, 4))
+                        layout)
     assert np.all(np.isnan(standard_errors(jac, np.ones(6))))
 
 

@@ -286,13 +286,41 @@ def test_ba_jacobian_is_block_sparse(ref_intrinsics, t1):
     widths = {0: 0, 1: 5, 2: 6}
     observations = [v for t in scene.tracks for v, _ in t.observations]
     assert sorted(obs_view.tolist()) == sorted(observations)
-    assert np.array_equal(jac.block, obs_track)
-    assert np.array_equal((jac.kept_cols >= 0).sum(axis=1),
+    assert np.array_equal(jac.layout.block, obs_track)
+    assert np.array_equal((jac.layout.kept_cols >= 0).sum(axis=1),
                           [widths[v] for v in obs_view.tolist()])
-    assert np.all(jac.block_cols >= 0)
+    assert np.all(jac.layout.block_cols >= 0)
     oracle = numeric_jacobian(LeastSquaresProblem(problem.residual), x0)
     assert np.max(np.abs(np.asarray(jac) - oracle)
                   / np.maximum(np.abs(oracle), 1.0)) < 1e-5
+
+
+def test_ba_residual_reads_each_observation_from_its_view(ref_intrinsics):
+    # View ids 7, 2, 5 and 0 registered in that order, each with a different
+    # number of unrelated features ahead of the tracked ones, and a view 9
+    # that is not registered; a third of the tracks miss views 7 and 2.
+    scene, _ = build_scene(ref_intrinsics, n_points=12, n_views=5, seed=4)
+    ids = {0: 7, 1: 2, 2: 5, 3: 0, 4: 9}
+    rng = np.random.default_rng(4)
+    offset = {ids[v]: 3 * v + 1 for v in range(5)}
+    scene.features = {ids[v]: np.concatenate([rng.uniform(0, 640, (offset[ids[v]], 2)),
+                                              scene.features[v]]) for v in range(5)}
+    scene.poses = {ids[v]: scene.poses[v] for v in range(4)}
+    scene.view_order = (7, 2, 5, 0)
+    scene.tracks = [Track(observations=tuple(sorted((ids[v], i + offset[ids[v]])
+                                                    for v, i in t.observations[i % 3:])),
+                          point=t.point, valid=True)
+                    for i, t in enumerate(scene.tracks)]
+    problem, x0, *_ = _build_ba_problem(scene)
+    expected = [project(t.point, scene.poses[v], scene.intrinsics, scene.distortion)
+                - scene.features[v][f]
+                for t in scene.tracks for v, f in t.observations if v in scene.poses]
+    assert np.max(np.abs(problem.residual(x0) - np.ravel(expected))) < 1e-9
+    # A feature index past its view's features is not read from the next view.
+    scene.tracks[0] = Track(observations=((2, len(scene.features[2])), (5, 0)),
+                            point=scene.tracks[0].point, valid=True)
+    with pytest.raises(IndexError):
+        _build_ba_problem(scene)
 
 
 def test_ba_gauge_freezes_first_pose_and_largest_second_coordinate(
