@@ -25,9 +25,13 @@ thread variables. Then one digest for each of:
   points 2 mm off) at 250, 500 and 1000 points, built by
   ``ba_scaling.make_scene`` from seed 0 with no image work: each scene adds
   its adjusted poses, points, track validity and mean error, or its
-  exception's type and message.
+  exception's type and message;
+- ``render_cube_view`` over 40 views: the acceptance cube ring (5 views,
+  48 degree sweep) for texture seeds 7 and 11, starting at 21 and at 201
+  degrees, through a lens without distortion and through the README lens.
+  Each view adds its image bytes.
 
-A refactor that must not move any output prints the same five digests as
+A refactor that must not move any output prints the same six digests as
 its parent. Digests compare only under an equal host line: the calibration's
 last bits follow the BLAS build and its thread count, so ``calibrate`` and
 the CLI workflow digests differ between one and two OpenBLAS threads on the
@@ -62,7 +66,13 @@ from camkit import (
 )
 from camkit.cli import run_cli
 from camkit.errors import CamkitError
-from camkit.synthetic import frontoparallel_pose, sample_board_poses
+from camkit.synthetic import (
+    CubeScene,
+    frontoparallel_pose,
+    render_cube_view,
+    sample_board_poses,
+    sample_ring_poses,
+)
 
 from ba_scaling import make_scene  # scripts/ba_scaling.py, beside this script
 
@@ -71,6 +81,8 @@ SPEC = CheckerboardSpec(squares_x=10, squares_y=7, square_size=23.0)
 K = CameraIntrinsics(fx=839.3458, fy=839.5573, cx=332.3661, cy=259.5099)
 DIST = DistortionCoeffs(k1=0.0101, k2=-0.1883)
 BA_POINTS = (250, 500, 1000)
+CUBE_RINGS = [(seed, start, lens) for seed in (7, 11) for start in (21.0, 201.0)
+              for lens in (DistortionCoeffs(), DIST)]
 
 
 def readme_views(seed):
@@ -225,6 +237,16 @@ def main():
         add(adjusted, [t.point for t in scene.tracks], [t.valid for t in scene.tracks],
             [scene.mean_reprojection_error])
     print(f"bundle_adjust       {len(BA_POINTS)} scenes  {adjusted.hexdigest()}")
+
+    renders = hashlib.sha256()
+    n_views = 0
+    for seed, start, lens in CUBE_RINGS:
+        scene = CubeScene(edge=200.0, texture_seed=seed)
+        for pose in sample_ring_poses(5, radius=450.0, elevation_deg=30.0,
+                                      sweep_deg=48.0, start_deg=start):
+            renders.update(render_cube_view(scene, K, lens, pose, WIDTH, HEIGHT).tobytes())
+            n_views += 1
+    print(f"render_cube_view    {n_views} views   {renders.hexdigest()}")
 
 
 if __name__ == "__main__":

@@ -19,12 +19,11 @@ import numpy as np
 
 from .errors import BoardBehindCamera
 from .geometry import (
-    RENDER_TILE,
-    SHADE_BLOCK,
     CameraIntrinsics,
     CameraPose,
     DistortionCoeffs,
     camera_depths,
+    render_tiles,
     subpixel_ray_grid,
 )
 
@@ -135,11 +134,11 @@ def render_board(spec: CheckerboardSpec, intrinsics: CameraIntrinsics,
     corners all land in one square or margin cell, or all beyond one margin
     line, takes that shade whole. Only the other tiles, which a square edge,
     the margin or the horizon crosses or which reach behind the camera, cast
-    their rays one by one, ``SHADE_BLOCK`` at a time. A pixel's 16 shades
-    sum exactly, so its mean is exact, and deciding a tile whole gives the image
-    that shading every ray would. Deterministic: identical inputs give
-    bit-identical images. Raises BoardBehindCamera when every board corner
-    has non-positive depth.
+    their rays in :func:`~camkit.geometry.render_tiles`, the render loop the
+    cube shares. A pixel's 16 shades sum exactly, so its mean is exact, and
+    deciding a tile whole gives the image that shading every ray would.
+    Deterministic: identical inputs give bit-identical images. Raises
+    BoardBehindCamera when every board corner has non-positive depth.
     """
     outline = board_outline(spec)
     if np.all(camera_depths(outline, pose) <= 0):
@@ -172,14 +171,7 @@ def render_board(spec: CheckerboardSpec, intrinsics: CameraIntrinsics,
 
     # 1e-8 in normalized units is far below the shading resolution.
     grid = subpixel_ray_grid(intrinsics, dist, width, height, SUPERSAMPLE, 1e-8)
-    box = np.stack([grid.tile_min, grid.tile_max])
-    n_ty, n_tx = box.shape[1:3]
-    # Corner (i, j) of each tile's box takes x from bound j, y from bound i.
-    corners = np.ones((2, 2, n_ty, n_tx, 3))
-    corners[..., 0] = box[None, :, ..., 0]
-    corners[..., 1] = box[:, None, ..., 1]
-    denom, scale, x, y = (v.reshape(4, n_ty, n_tx)
-                          for v in board_coords(corners.reshape(-1, 3)))
+    denom, scale, x, y = board_coords(grid.tile_corners())
     # Why a tile can be decided from the four corners of its ray box: the
     # plane denominator is affine in the ray, so over the box it lies between
     # its corner values. When all four are safely in front, board coordinates
@@ -200,22 +192,5 @@ def render_board(spec: CheckerboardSpec, intrinsics: CameraIntrinsics,
                  & ((x_lo + y_lo) % 2 == 0))
     decided = front & (beyond | ((x_lo == x_hi) & (y_lo == y_hi)))
     tiles = np.where(beyond, BACKGROUND_GRAY, np.where(black, BLACK, WHITE))
-
-    image = np.empty((n_ty, RENDER_TILE, n_tx, RENDER_TILE), dtype=np.uint8)
-    image[:] = tiles[:, None, :, None]
-    side = RENDER_TILE * SUPERSAMPLE
-    sub = np.arange(side)
-    undecided = np.flatnonzero(~decided)
-    tiles_per_block = max(1, SHADE_BLOCK // side ** 2)
-    for start in range(0, undecided.size, tiles_per_block):
-        row, col = np.divmod(undecided[start:start + tiles_per_block], n_tx)
-        # A partial tile at the right or bottom edge repeats its last sample
-        # column or row; the crop below drops the pixels they fill.
-        rows = np.minimum(row[:, None] * side + sub, height * SUPERSAMPLE - 1)
-        cols = np.minimum(col[:, None] * side + sub, width * SUPERSAMPLE - 1)
-        index = rows[:, :, None] * (width * SUPERSAMPLE) + cols[:, None, :]
-        values = shade(np.take(grid.rays, index.ravel(), axis=0))
-        image[row, :, col, :] = np.rint(values.reshape(
-            -1, RENDER_TILE, SUPERSAMPLE, RENDER_TILE, SUPERSAMPLE).mean(axis=(2, 4)))
-    image = image.reshape(n_ty * RENDER_TILE, n_tx * RENDER_TILE)
-    return np.ascontiguousarray(image[:height, :width])
+    return render_tiles(grid, width, height, SUPERSAMPLE, tiles,
+                        np.where(decided, -1, 0), lambda rays, case: shade(rays), 1.0)

@@ -179,9 +179,8 @@ def _descriptors(gx: np.ndarray, gy: np.ndarray, u: np.ndarray, v: np.ndarray,
     pu = pu[ok]
     pv = pv[ok]
 
-    pts = np.stack([pu, pv], axis=-1)
-    gxi = bilinear_sample(gx, pts)
-    gyi = bilinear_sample(gy, pts)
+    gxi = bilinear_sample(gx, (pu, pv))
+    gyi = bilinear_sample(gy, (pu, pv))
     mag = np.hypot(gxi, gyi)
     mag *= np.exp(-(sx ** 2 + sy ** 2) / (2.0 * half ** 2))
     ang = np.arctan2(gyi, gxi) - orientation[ok, None]

@@ -31,10 +31,11 @@ _ORTHONORMALITY_TOL = 1e-9
 _UNDISTORT_ITERS = 50
 # Side, in pixels, of the image tiles whose ray bounds subpixel_ray_grid keeps.
 RENDER_TILE = 4
-# Rays per block when the renderers shade a ray grid. In blocks of 2^16 rays
-# a 640x480 cube view faulted in about 54,000 fresh pages and took 0.6 s, in
-# blocks of 2^15 about 2,000 pages and 0.45 s.
-SHADE_BLOCK = 2 ** 15
+# Rays per block of render_tiles. A 640x480 cube view faulted in 1,700-2,800
+# fresh pages and took 0.13-0.15 s in blocks of 2^14 rays, 4,900-12,700 pages
+# and 0.13-0.20 s in blocks of 2^15, and 25,000-27,000 pages and 0.17-0.21 s
+# in blocks of 2^16 (after the grid, in a fresh process).
+SHADE_BLOCK = 2 ** 14
 # Column order of the intrinsics and distortion Jacobian blocks.
 INTRINSIC_NAMES = ("fx", "fy", "cx", "cy", "skew")
 DISTORTION_NAMES = ("k1", "k2", "k3", "p1", "p2")
@@ -256,15 +257,24 @@ class RayGrid(NamedTuple):
     ``RENDER_TILE``-pixel tiles from its top-left corner, partial at the
     right and bottom edges; ``tile_min`` and ``tile_max`` are read-only
     ``(tile rows, tile columns, 2)`` arrays holding the least and greatest
-    ``(x, y)`` of the rays through each tile. Only the board renderer reads
-    the bounds. They are reduced in the same pass as the rays and cached with
-    them, which adds a few ms to every grid; a separate pass over a 640x480
-    grid took 0.22 s and 65 MB.
+    ``(x, y)`` of the rays through each tile, from which the board and the
+    cube decide whole tiles for :func:`render_tiles`. They are reduced in the
+    same pass as the rays and cached with them, which adds a few ms to every
+    grid; a separate pass over a 640x480 grid took 0.22 s and 65 MB.
     """
 
     rays: np.ndarray
     tile_min: np.ndarray
     tile_max: np.ndarray
+
+    def tile_corners(self) -> np.ndarray:
+        """The corners of each tile's ray box as unit-depth rays, shaped
+        ``(4, tile rows, tile columns, 3)``."""
+        box = np.stack([self.tile_min, self.tile_max])
+        corners = np.ones((2, 2) + box.shape[1:3] + (3,))
+        corners[..., 0] = box[None, :, ..., 0]  # corner (i, j): x from bound j
+        corners[..., 1] = box[:, None, ..., 1]  # and y from bound i
+        return corners.reshape((4,) + box.shape[1:3] + (3,))
 
 
 @functools.lru_cache(maxsize=1)
@@ -311,6 +321,38 @@ def subpixel_ray_grid(intrinsics: CameraIntrinsics, dist: DistortionCoeffs,
     for array in grid:
         array.setflags(write=False)
     return grid
+
+
+def render_tiles(grid: RayGrid, width: int, height: int, supersample: int,
+                 shades: np.ndarray, cases: np.ndarray, shade, gain: float) -> np.ndarray:
+    """The one render loop, for scenes that decide whole tiles of ``grid``.
+
+    ``cases`` (tile rows, tile columns) is -1 where a tile takes its pixel
+    value from ``shades`` whole, and else a case of the scene's, such as a
+    known hit. The other tiles' rays are gathered case by case,
+    ``SHADE_BLOCK`` at a time, and ``shade(rays, case)`` gives each
+    camera-frame ray an intensity. A pixel is ``gain`` times the mean of its
+    rays' intensities, rounded half to even, which must lie in 0-255.
+    """
+    n_ty, n_tx = cases.shape
+    image = np.empty((n_ty, RENDER_TILE, n_tx, RENDER_TILE), dtype=np.uint8)
+    image[:] = shades[:, None, :, None]
+    ss, side = supersample, RENDER_TILE * supersample
+    tiles_per_block = max(1, SHADE_BLOCK // side ** 2)
+    for case in np.unique(cases[cases >= 0]):
+        tiles = np.flatnonzero(cases == case)
+        for start in range(0, tiles.size, tiles_per_block):
+            row, col = np.divmod(tiles[start:start + tiles_per_block], n_tx)
+            # A partial tile at the right or bottom edge repeats its last
+            # sample column or row; the crop below drops the pixels they fill.
+            rows = np.minimum(row[:, None] * side + np.arange(side), height * ss - 1)
+            cols = np.minimum(col[:, None] * side + np.arange(side), width * ss - 1)
+            index = rows[:, :, None] * (width * ss) + cols[:, None, :]
+            values = shade(np.take(grid.rays, index.ravel(), axis=0), case)
+            image[row, :, col, :] = np.rint(values.reshape(
+                -1, RENDER_TILE, ss, RENDER_TILE, ss).mean(axis=(2, 4)) * gain)
+    image = image.reshape(n_ty * RENDER_TILE, n_tx * RENDER_TILE)
+    return np.ascontiguousarray(image[:height, :width])
 
 
 def project(points, pose: CameraPose, intrinsics: CameraIntrinsics,

@@ -79,13 +79,17 @@ def bilinear_sample(image, points, fill: float = 0.0) -> np.ndarray:
     """Sample a float image at (u, v) positions with bilinear interpolation.
 
     Points outside ``[0, w-1] x [0, h-1]`` return ``fill``. ``points`` has
-    shape (..., 2) with u along columns, v along rows; the result has shape
-    (...), one value per point.
+    shape (..., 2), or is a pair ``(u, v)`` of arrays of one shape (...), with
+    u along columns and v along rows; the result has shape (...), one value
+    per point.
     """
     img = np.asarray(image, dtype=np.float64)
-    pts = np.asarray(points, dtype=np.float64)
+    if isinstance(points, tuple):
+        u, v = (np.asarray(c, dtype=np.float64) for c in points)
+    else:
+        pts = np.asarray(points, dtype=np.float64)
+        u, v = pts[..., 0], pts[..., 1]
     h, w = img.shape
-    u, v = pts[..., 0], pts[..., 1]
 
     uc = np.clip(u, 0, w - 1)
     vc = np.clip(v, 0, h - 1)

@@ -11,14 +11,15 @@ import numpy as np
 from .board import CheckerboardSpec, CornerGrid, board_outline, board_world_points
 from .errors import BoardOutOfView
 from .geometry import (
-    SHADE_BLOCK,
     CameraIntrinsics,
     CameraPose,
     DistortionCoeffs,
+    RayGrid,
     axis_angle_to_rotation,
     camera_depths,
     pixel_to_normalized,
     project,
+    render_tiles,
     subpixel_ray_grid,
     undistort_normalized,
 )
@@ -111,6 +112,11 @@ def synthesize_corner_views(spec: CheckerboardSpec, intrinsics: CameraIntrinsics
 
 _CUBE_BACKGROUND = 90
 CUBE_SUPERSAMPLE = 2
+# Face 2 * axis + 1 lies on the positive side of its axis, face 2 * axis on
+# the negative side; the tiles of case 6 run the slab test.
+_UNDECIDED = 6
+# The axes of each face's texture coordinates (s, t), by the face's axis.
+_FACE_AXES = np.array([[1, 2], [0, 2], [0, 1]])
 
 
 class CubeScene:
@@ -128,20 +134,17 @@ class CubeScene:
 
     def _noise(self, grid: np.ndarray, s: np.ndarray, t: np.ndarray) -> np.ndarray:
         n = grid.shape[0] - 1
-        return bilinear_sample(grid.T, np.clip(np.stack([s, t], -1) * n, 0, n - 1e-9))
+        return bilinear_sample(grid.T, tuple(np.clip(c * n, 0, n - 1e-9) for c in (s, t)))
 
-    def face_intensity(self, face: np.ndarray, s: np.ndarray, t: np.ndarray) -> np.ndarray:
-        """Texture value in [0, 1] at face-local coordinates in [0, 1]."""
-        out = np.empty(s.shape)
-        for f in range(6):
-            sel = face == f
-            if not np.any(sel):
-                continue
-            val = (0.40 * self._noise(self._coarse[f], s[sel], t[sel])
-                   + 0.35 * self._noise(self._mid[f], s[sel], t[sel])
-                   + 0.25 * self._noise(self._fine[f], s[sel], t[sel]))
-            out[sel] = 0.08 + 0.86 * val
-        return out
+    def _texture(self, face: int, p: np.ndarray, q: np.ndarray) -> np.ndarray:
+        """Texture value in [0, 1] of points on ``face`` at world coordinates
+        ``p``, ``q`` along its ``_FACE_AXES``."""
+        half = self.edge / 2.0
+        s, t = (p + half) / self.edge, (q + half) / self.edge
+        val = (0.40 * self._noise(self._coarse[face], s, t)
+               + 0.35 * self._noise(self._mid[face], s, t)
+               + 0.25 * self._noise(self._fine[face], s, t))
+        return 0.08 + 0.86 * val
 
     def intersect(self, origins: np.ndarray, dirs: np.ndarray):
         """First cube hit per ray: returns (points, face, hit_mask)."""
@@ -164,22 +167,55 @@ class CubeScene:
         face = axis * 2 + sign.astype(np.int64)
         return pts, face, hit
 
-    def face_coords(self, pts: np.ndarray, face: np.ndarray):
-        """Map hit points to per-face (s, t) in [0, 1]."""
-        half = self.edge / 2.0
-        axis = face // 2
-        others = np.array([[1, 2], [0, 2], [0, 1]])[axis]
-        s = np.take_along_axis(pts, others[:, :1], axis=1)[:, 0]
-        t = np.take_along_axis(pts, others[:, 1:], axis=1)[:, 0]
-        return (s + half) / self.edge, (t + half) / self.edge
-
     def shade(self, origins: np.ndarray, dirs: np.ndarray) -> np.ndarray:
         pts, face, hit = self.intersect(origins, dirs)
         out = np.full(len(dirs), _CUBE_BACKGROUND / 255.0)
-        if np.any(hit):
-            s, t = self.face_coords(pts[hit], face[hit])
-            out[hit] = self.face_intensity(face[hit], s, t)
+        for f in range(6):
+            on = hit & (face == f)
+            if np.any(on):
+                out[on] = self._texture(f, *pts[on][:, _FACE_AXES[f // 2]].T)
         return out
+
+    def face_shade(self, origin: np.ndarray, dirs: np.ndarray, face: int) -> np.ndarray:
+        """:meth:`shade` of rays from ``origin`` that enter the cube through
+        ``face``: the slab test's term for that face alone, so the same bits."""
+        half = self.edge / 2.0
+        axis, positive = divmod(face, 2)
+        t = ((half if positive else -half) - origin[axis]) * (1.0 / dirs[:, axis])
+        return self._texture(face, *(origin[a] + dirs[:, a] * t for a in _FACE_AXES[axis]))
+
+    def tile_cases(self, pose: CameraPose, grid: RayGrid) -> np.ndarray:
+        """Each tile's case for :func:`~camkit.geometry.render_tiles`: -1
+        where every ray misses the cube, the face through which every ray
+        enters, else ``_UNDECIDED``. With every vertex in front of the camera
+        and no face plane through it, a ray box beyond an edge of each front
+        face's projected quadrilateral by 1e-9 (normalized units, far above
+        the slab test's rounding) is background, and a box inside one enters
+        through that face alone (Greene, Kass & Miller, SIGGRAPH 1993).
+        """
+        half, center = self.edge / 2.0, pose.center
+        corner = np.array([[(i >> k & 1) * 2 - 1 for k in range(3)] for i in range(8)])
+        cam = (corner * half) @ pose.rotation.T + pose.translation
+        cases = np.full(grid.tile_min.shape[:2], _UNDECIDED)
+        if np.any(cam[:, 2] <= 1e-6) or np.any(abs(np.abs(center) - half) <= 1e-6 * half):
+            return cases
+        rays, apart = grid.tile_corners(), True
+        for face in range(6):
+            axis, positive = divmod(face, 2)
+            if (2 * positive - 1) * center[axis] <= half:
+                continue  # a back face
+            b, c = _FACE_AXES[axis]
+            quad = cam[[(1 << axis) * positive + (1 << b) * sb + (1 << c) * sc
+                        for sb, sc in ((0, 0), (1, 0), (1, 1), (0, 1))]]
+            # Lines through the edges' images, scaled to the signed distance
+            # in normalized units, positive on the face's side.
+            lines = np.cross(quad, np.roll(quad, -1, axis=0))
+            lines *= (np.sign(lines @ quad.mean(axis=0))
+                      / np.hypot(lines[:, 0], lines[:, 1]))[:, None]
+            distance = np.tensordot(lines, rays, axes=(1, 3))  # edge, box corner, tile
+            cases[distance.min(axis=(0, 1)) > 1e-9] = face
+            apart = apart & (distance.max(axis=1) < -1e-9).any(axis=0)
+        return np.where((cases == _UNDECIDED) & apart, -1, cases)
 
 
 def render_cube_view(scene: CubeScene, intrinsics: CameraIntrinsics,
@@ -187,26 +223,25 @@ def render_cube_view(scene: CubeScene, intrinsics: CameraIntrinsics,
                      width: int, height: int) -> np.ndarray:
     """Ray-cast render of the cube, 2x2 supersampled.
 
-    The rays are cached for the most recent camera and image size
-    (:func:`~camkit.geometry.subpixel_ray_grid`). Every ray is shaded, in
-    blocks of whole sub-pixel rows of about ``SHADE_BLOCK`` rays, and each
-    pixel is the mean of its 4 shades, rounded half to even. Slicing the
-    rays row block by row block took about 0.45 s a 640x480 view where
-    gathering them tile by tile, as the board renderer does, took 0.55 s.
+    The rays and their tile bounds are cached for the most recent camera and
+    image size (:func:`~camkit.geometry.subpixel_ray_grid`). The board's
+    render loop, :func:`~camkit.geometry.render_tiles`, fills background
+    tiles whole, shades the rays of one-face tiles on that face's plane, and
+    runs the slab test only on the rays of the other tiles
+    (:meth:`CubeScene.tile_cases`): the image that shading every ray gives.
     """
-    rays = subpixel_ray_grid(intrinsics, dist, width, height, CUBE_SUPERSAMPLE).rays
+    grid = subpixel_ray_grid(intrinsics, dist, width, height, CUBE_SUPERSAMPLE)
     rot, origin = pose.rotation, pose.center
-    ss = CUBE_SUPERSAMPLE
-    rays_per_row = ss * width * ss
-    rows_per_block = max(1, SHADE_BLOCK // rays_per_row)
-    image = np.empty((height, width), dtype=np.uint8)
-    for row0 in range(0, height, rows_per_block):
-        row1 = min(row0 + rows_per_block, height)
-        dirs = rays[row0 * rays_per_row:row1 * rays_per_row] @ rot
-        values = scene.shade(np.broadcast_to(origin, dirs.shape), dirs)
-        block = values.reshape(row1 - row0, ss, width, ss).mean(axis=(1, 3))
-        image[row0:row1] = np.clip(np.rint(block * 255.0), 0, 255)
-    return image
+
+    def shade(rays, case):
+        dirs = rays @ rot
+        if case == _UNDECIDED:
+            return scene.shade(np.broadcast_to(origin, dirs.shape), dirs)
+        return scene.face_shade(origin, dirs, case)
+
+    cases = scene.tile_cases(pose, grid)
+    return render_tiles(grid, width, height, CUBE_SUPERSAMPLE,
+                        np.full(cases.shape, _CUBE_BACKGROUND), cases, shade, 255.0)
 
 
 def sample_ring_poses(n_views: int, radius: float, elevation_deg: float,

@@ -24,7 +24,12 @@ from camkit.geometry import (
     undistort_normalized,
 )
 from camkit.imageops import bilinear_sample, to_float
-from camkit.synthetic import frontoparallel_pose
+from camkit.synthetic import (
+    CubeScene,
+    frontoparallel_pose,
+    render_cube_view,
+    sample_ring_poses,
+)
 
 
 def test_board_world_points_count(board_spec):
@@ -63,6 +68,9 @@ def test_spec_validation():
 # SfM acceptance criteria were tuned on exactly these images.
 GOLDEN_BOARD_SHA256 = "995f11fda3a4d2cb998d79bac577396bb8ce4146d1410cff5f1bcee087ed3673"
 GOLDEN_CUBE_SHA256 = "b946a7cd780fa3ef49fb2b5248e1a090758f08d42b0372975c8957f4bcc3df0b"
+# The same cube capture through the README lens, on the ring turned to start
+# at 201 degrees; pinned before the cube renderer decided whole tiles.
+GOLDEN_DISTORTED_CUBE_SHA256 = "a44bc7a34b362eb66b5995ff543f551908f9a724d38b956e321f032b27d2f38b"
 
 
 def _sha256(images) -> str:
@@ -72,6 +80,15 @@ def _sha256(images) -> str:
 def test_renders_match_golden_hashes(rendered_views, cube_capture):
     assert _sha256(rendered_views[0]) == GOLDEN_BOARD_SHA256
     assert _sha256(cube_capture[2]) == GOLDEN_CUBE_SHA256
+
+
+def test_distorted_cube_capture_matches_golden_hash(ref_intrinsics, ref_distortion):
+    scene = CubeScene(edge=200.0, texture_seed=7)
+    poses = sample_ring_poses(5, radius=450.0, elevation_deg=30.0, sweep_deg=48.0,
+                              start_deg=201.0)
+    images = [render_cube_view(scene, ref_intrinsics, ref_distortion, p, 640, 480)
+              for p in poses]
+    assert _sha256(images) == GOLDEN_DISTORTED_CUBE_SHA256
 
 
 def test_render_is_deterministic(board_spec, ref_intrinsics, ref_distortion):

@@ -138,3 +138,12 @@ def test_single_point_sample_is_a_zero_d_one_row_sample():
         single = bilinear_sample(image, point, fill=np.nan)
         assert single.shape == ()
         assert single.tobytes() == bilinear_sample(image, point[None], fill=np.nan)[0].tobytes()
+
+
+def test_bilinear_sample_takes_u_and_v_as_a_pair():
+    rng = np.random.default_rng(5)
+    image = rng.uniform(size=(12, 17))
+    pts = rng.uniform(-2.0, 19.0, (40, 3, 2))
+    pair = bilinear_sample(image, (pts[..., 0], pts[..., 1]), fill=np.nan)
+    assert pair.shape == (40, 3)
+    assert pair.tobytes() == bilinear_sample(image, pts, fill=np.nan).tobytes()

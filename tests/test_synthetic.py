@@ -2,9 +2,18 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from camkit import CameraPose
-from camkit.synthetic import CubeScene
+from camkit import CameraIntrinsics, CameraPose, DistortionCoeffs
+from camkit.geometry import subpixel_ray_grid
+from camkit.synthetic import (
+    _UNDECIDED,
+    CUBE_SUPERSAMPLE,
+    CubeScene,
+    render_cube_view,
+    sample_ring_poses,
+)
 
 
 def _oracle_slab_hits(scene, origins, dirs):
@@ -95,3 +104,115 @@ def test_texture_noise_matches_the_written_out_interpolation(octave):
 def test_cube_edge_must_be_finite_and_positive(edge):
     with pytest.raises(ValueError, match="edge"):
         CubeScene(edge=edge)
+
+
+# Oracle: the cube renderer before it decided tiles, kept verbatim with its
+# blocks of 2^15 rays: the slab test and the texture on every ray, in blocks
+# of whole sub-pixel rows, and the row-block mean.
+
+def _oracle_render_cube_view(scene, intrinsics, dist, pose, width, height):
+    rays = subpixel_ray_grid(intrinsics, dist, width, height, CUBE_SUPERSAMPLE).rays
+    rot, origin = pose.rotation, pose.center
+    ss = CUBE_SUPERSAMPLE
+    rays_per_row = ss * width * ss
+    rows_per_block = max(1, 2 ** 15 // rays_per_row)
+    image = np.empty((height, width), dtype=np.uint8)
+    for row0 in range(0, height, rows_per_block):
+        row1 = min(row0 + rows_per_block, height)
+        dirs = rays[row0 * rays_per_row:row1 * rays_per_row] @ rot
+        values = scene.shade(np.broadcast_to(origin, dirs.shape), dirs)
+        block = values.reshape(row1 - row0, ss, width, ss).mean(axis=(1, 3))
+        image[row0:row1] = np.clip(np.rint(block * 255.0), 0, 255)
+    return image
+
+
+def _look_at(center, target):
+    """The camera at ``center`` with its optical axis through ``target`` and
+    the world z axis pointing up in the image."""
+    forward = (target - center) / np.linalg.norm(target - center)
+    right = np.cross(forward, [0.0, 0.0, 1.0])
+    right /= np.linalg.norm(right)
+    rot = np.stack([right, np.cross(forward, right), forward])
+    return CameraPose(rot, -rot @ center)
+
+
+_K = CameraIntrinsics(fx=839.3458, fy=839.5573, cx=332.3661, cy=259.5099)
+_README_DIST = DistortionCoeffs(k1=0.0101, k2=-0.1883)
+
+
+def _tile_cases(scene, dist, pose, width, height):
+    grid = subpixel_ray_grid(_K, dist, width, height, CUBE_SUPERSAMPLE)
+    return scene.tile_cases(pose, grid)
+
+
+def _assert_matches_oracle(scene, dist, pose, width=640, height=480, intrinsics=_K):
+    image = render_cube_view(scene, intrinsics, dist, pose, width, height)
+    expected = _oracle_render_cube_view(scene, intrinsics, dist, pose, width, height)
+    assert image.shape == (height, width)
+    assert image.tobytes() == expected.tobytes()
+
+
+# Each pair of texture seed, ring start and lens occurs once.
+@pytest.mark.parametrize("texture_seed, start_deg, dist", [
+    (7, 21.0, DistortionCoeffs()), (7, 201.0, _README_DIST),
+    (11, 21.0, _README_DIST), (11, 201.0, DistortionCoeffs())],
+    ids=["7-21-flat", "7-201-readme", "11-21-readme", "11-201-flat"])
+@pytest.mark.parametrize("view", [0, 3])
+def test_cube_render_matches_per_ray_oracle_on_rings(texture_seed, start_deg, dist, view):
+    # The ring views decide every kind of tile: background, one face each
+    # of the front faces, and tiles the slab test shades ray by ray.
+    scene = CubeScene(edge=200.0, texture_seed=texture_seed)
+    pose = sample_ring_poses(5, radius=450.0, elevation_deg=30.0, sweep_deg=48.0,
+                             start_deg=start_deg)[view]
+    cases = set(np.unique(_tile_cases(scene, dist, pose, 640, 480)).tolist())
+    assert {-1, _UNDECIDED} < cases and len(cases) == 5
+    _assert_matches_oracle(scene, dist, pose)
+
+
+@pytest.mark.parametrize("center, target", [([130.0, 0.0, 20.0], [0.0, 200.0, 0.0]),
+                                            ([30.0, -20.0, 40.0], [100.0, 0.0, 0.0])],
+                         ids=["vertex-behind", "inside"])
+def test_cube_render_leaves_every_tile_undecided_for_near_cameras(center, target):
+    # A vertex behind the camera, or the camera inside the cube: the faces'
+    # quadrilaterals say nothing, and the slab test shades every ray.
+    scene = CubeScene(edge=200.0, texture_seed=7)
+    pose = _look_at(np.array(center), np.array(target))
+    corners = np.array([[x, y, z] for x in (-100, 100) for y in (-100, 100)
+                        for z in (-100, 100)])
+    assert np.min(corners @ pose.rotation[2] + pose.translation[2]) <= 0
+    assert np.all(_tile_cases(scene, _README_DIST, pose, 640, 480) == _UNDECIDED)
+    _assert_matches_oracle(scene, _README_DIST, pose)
+
+
+@pytest.mark.parametrize("width, height", [(640, 480), (642, 478)])
+def test_cube_render_matches_per_ray_oracle_at_the_frame_edge(width, height):
+    # Aimed beside the cube so that the frame cuts it; 642 x 478 leaves
+    # partial tiles at the right and bottom edges.
+    scene = CubeScene(edge=200.0, texture_seed=11)
+    pose = _look_at(np.array([380.0, -260.0, 240.0]), np.array([0.0, 130.0, 60.0]))
+    cases = _tile_cases(scene, _README_DIST, pose, width, height)
+    edges = np.concatenate([cases[0], cases[-1], cases[:, 0], cases[:, -1]])
+    assert np.any((edges >= 0) & (edges < _UNDECIDED))
+    _assert_matches_oracle(scene, _README_DIST, pose, width, height)
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_cube_render_matches_per_ray_oracle_on_drawn_views(data):
+    # Cameras from inside the cube to 100 edges away, aimed at or beside it,
+    # through either lens, at image sizes 4 does and does not divide.
+    edge = data.draw(st.sampled_from([1.0, 200.0]))
+    unit = st.floats(-1.0, 1.0)
+    direction = np.array([data.draw(unit) for _ in range(3)])
+    assume(np.linalg.norm(direction) > 0.1)
+    center = direction / np.linalg.norm(direction) * edge * data.draw(st.floats(0.3, 100.0))
+    forward = edge * 1.5 * np.array([data.draw(unit) for _ in range(3)]) - center
+    assume(abs(forward[2]) < 0.99 * np.linalg.norm(forward))
+    width, height = data.draw(st.sampled_from([(64, 48), (97, 83)]))
+    scale = width / 640.0
+    intrinsics = CameraIntrinsics(fx=_K.fx * scale, fy=_K.fy * scale,
+                                  cx=_K.cx * scale, cy=_K.cy * scale)
+    scene = CubeScene(edge=edge, texture_seed=data.draw(st.integers(0, 99)))
+    dist = data.draw(st.sampled_from([DistortionCoeffs(), _README_DIST]))
+    _assert_matches_oracle(scene, dist, _look_at(center, center + forward), width, height,
+                           intrinsics)
