@@ -3,7 +3,11 @@
 
 Builds seeded scenes in which every point is seen by every view: 5-view
 arcs (60 degree sweep) at 500, 1000, 1500 and 3000 points, then a closed
-20-view ring around 10 000 points. Observations carry 0.5 px noise, the
+20-view ring around 10 000 points. With ``--sparse VIEWS ...`` it then
+builds a closed ring of each given view count in which every point is seen
+by 4 consecutive views only, with 5000 points per 24 views (24 x 5000,
+48 x 10 000 and 96 x 20 000 are the sparse-visibility rows of the ROADMAP's
+profile). Observations carry 0.5 px noise, the
 starting points 2 mm per coordinate, and the poses start at the truth.
 Each scene is adjusted once with ``bundle_adjust`` and ``LmConfig()``; the
 script prints the time to converge, the LM iterations and termination
@@ -12,7 +16,7 @@ the process's peak resident set so far (``ru_maxrss``), so each row's
 memory is read next to its time: the rows run in order of size, so a row's
 peak is its scene's unless an earlier row's was larger.
 
-Usage: python scripts/ba_scaling.py [--seed 0] [--no-ring]
+Usage: python scripts/ba_scaling.py [--seed 0] [--no-ring] [--sparse VIEWS ...]
 """
 
 import argparse
@@ -37,12 +41,17 @@ from lm_reports import kept_reports  # scripts/lm_reports.py, beside this script
 SIZES = (500, 1000, 1500, 3000)
 RING_VIEWS = 20
 RING_POINTS = 10_000
+SPARSE_SEEN_BY = 4
+SPARSE_POINTS = 5000  # per 24 views
 
 
-def make_scene(n_views: int, n_points: int, sweep_deg: float,
+def make_scene(n_views: int, n_points: int, sweep_deg: float, seen_by: int,
                rng: np.random.Generator) -> SfmScene:
     """Views on an arc of radius 500 mm around points in a 200 mm box,
-    expressed in the first camera's frame as incremental SfM leaves it."""
+    expressed in the first camera's frame as incremental SfM leaves it.
+
+    Point i is seen by the ``seen_by`` views from view ``i % n_views`` on,
+    around the ring; ``seen_by=n_views`` has every view see every point."""
     k = CameraIntrinsics(fx=839.3458, fy=839.5573, cx=332.3661, cy=259.5099)
     dist = DistortionCoeffs(k1=0.0101, k2=-0.1883)
     ring = sample_ring_poses(n_views, radius=500.0, elevation_deg=25.0,
@@ -55,7 +64,7 @@ def make_scene(n_views: int, n_points: int, sweep_deg: float,
                 + rng.normal(0.0, 0.5, size=(n_points, 2))
                 for v, pose in poses.items()}
     start = truth + rng.normal(0.0, 2.0, size=truth.shape)
-    observations = [tuple((v, i) for v in range(n_views))
+    observations = [tuple(sorted(((i + k) % n_views, i) for k in range(seen_by)))
                     for i in range(n_points)]
     tracks = [Track(observations=obs, point=point, valid=True)
               for obs, point in zip(observations, start)]
@@ -84,19 +93,26 @@ def main():
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--no-ring", action="store_true",
                         help="skip the 20-view ring")
+    parser.add_argument("--sparse", type=int, nargs="+", default=[], metavar="VIEWS",
+                        help="closed rings of these view counts, each point "
+                             f"seen by {SPARSE_SEEN_BY} consecutive views")
     args = parser.parse_args()
 
     rng = np.random.default_rng(args.seed)
-    cases = [(5, n, 60.0) for n in SIZES]
+    cases = [(5, n, 60.0, 5) for n in SIZES]
     if not args.no_ring:
-        cases.append((RING_VIEWS, RING_POINTS, 360.0 * (1 - 1 / RING_VIEWS)))
+        cases.append((RING_VIEWS, RING_POINTS, 360.0 * (1 - 1 / RING_VIEWS),
+                      RING_VIEWS))
+    cases += [(v, SPARSE_POINTS * v // 24, 360.0 * (1 - 1 / v), SPARSE_SEEN_BY)
+              for v in args.sparse]
     print(f"{'views':>5} {'points':>6} {'observations':>12} {'converge_s':>10} "
           f"{'iters':>5} {'s_per_iter':>10} {'reason':>9} {'error_px':>8} "
           f"{'peak_rss_mb':>11}")
-    for n_views, n_points, sweep in cases:
-        scene = make_scene(n_views, n_points, sweep, rng)
+    for n_views, n_points, sweep, seen_by in cases:
+        scene = make_scene(n_views, n_points, sweep, seen_by, rng)
         adjusted, report, seconds = adjust(scene)
-        print(f"{n_views:>5} {n_points:>6} {n_views * n_points:>12} "
+        observations = sum(len(t.observations) for t in scene.tracks)
+        print(f"{n_views:>5} {n_points:>6} {observations:>12} "
               f"{seconds:>10.3f} {report.iterations:>5} "
               f"{seconds / report.iterations:>10.4f} {report.reason:>9} "
               f"{adjusted.mean_reprojection_error:>8.4f} {peak_rss_mb():>11.1f}",

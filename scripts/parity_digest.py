@@ -29,9 +29,13 @@ thread variables. Then one digest for each of:
 - ``render_cube_view`` over 40 views: the acceptance cube ring (5 views,
   48 degree sweep) for texture seeds 7 and 11, starting at 21 and at 201
   degrees, through a lens without distortion and through the README lens.
-  Each view adds its image bytes.
+  Each view adds its image bytes;
+- ``detect_features`` (at ``reconstruct``'s feature budget) on those 40
+  renders: each view adds its features' positions, scales, orientations,
+  descriptors and responses, and each pair of adjacent views in a ring then
+  adds its ``match_features`` result.
 
-A refactor that must not move any output prints the same six digests as
+A refactor that must not move any output prints the same seven digests as
 its parent. Digests compare only under an equal host line: the calibration's
 last bits follow the BLAS build and its thread count, so ``calibrate`` and
 the CLI workflow digests differ between one and two OpenBLAS threads on the
@@ -61,11 +65,14 @@ from camkit import (
     bundle_adjust,
     calibrate,
     detect_corners,
+    detect_features,
     estimate_board_pose,
+    match_features,
     render_board,
 )
 from camkit.cli import run_cli
 from camkit.errors import CamkitError
+from camkit.sfm import MAX_FEATURES
 from camkit.synthetic import (
     CubeScene,
     frontoparallel_pose,
@@ -161,6 +168,30 @@ def cli_workflow(root):
     return sorted(p for p in root.rglob("*") if p.is_file())
 
 
+def cube_rings():
+    """The renders of each ring in ``CUBE_RINGS``, one list per ring."""
+    rings = []
+    for seed, start, lens in CUBE_RINGS:
+        scene = CubeScene(edge=200.0, texture_seed=seed)
+        rings.append([render_cube_view(scene, K, lens, pose, WIDTH, HEIGHT)
+                      for pose in sample_ring_poses(5, radius=450.0, elevation_deg=30.0,
+                                                    sweep_deg=48.0, start_deg=start)])
+    return rings
+
+
+def features_digest(rings):
+    """The digest of the features of every render and the matches of each
+    adjacent pair of views in a ring."""
+    digest = hashlib.sha256()
+    for ring in rings:
+        feats = [detect_features(image, MAX_FEATURES) for image in ring]
+        for f in feats:
+            add(digest, f.positions, f.scales, f.orientations, f.descriptors, f.responses)
+        for a, b in zip(feats, feats[1:]):
+            add(digest, match_features(a, b))
+    return digest.hexdigest()
+
+
 def host_line():
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
@@ -228,7 +259,7 @@ def main():
     adjusted = hashlib.sha256()
     for n_points in BA_POINTS:
         try:
-            scene = bundle_adjust(make_scene(5, n_points, 60.0, rng), LmConfig())
+            scene = bundle_adjust(make_scene(5, n_points, 60.0, 5, rng), LmConfig())
         except CamkitError as exc:
             adjusted.update(f"{type(exc).__name__}: {exc}".encode())
             continue
@@ -238,15 +269,14 @@ def main():
             [scene.mean_reprojection_error])
     print(f"bundle_adjust       {len(BA_POINTS)} scenes  {adjusted.hexdigest()}")
 
+    rings = cube_rings()
     renders = hashlib.sha256()
-    n_views = 0
-    for seed, start, lens in CUBE_RINGS:
-        scene = CubeScene(edge=200.0, texture_seed=seed)
-        for pose in sample_ring_poses(5, radius=450.0, elevation_deg=30.0,
-                                      sweep_deg=48.0, start_deg=start):
-            renders.update(render_cube_view(scene, K, lens, pose, WIDTH, HEIGHT).tobytes())
-            n_views += 1
+    for ring in rings:
+        for image in ring:
+            renders.update(image.tobytes())
+    n_views = sum(map(len, rings))
     print(f"render_cube_view    {n_views} views   {renders.hexdigest()}")
+    print(f"detect_features     {n_views} views   {features_digest(rings)}")
 
 
 if __name__ == "__main__":

@@ -27,7 +27,7 @@ from .epipolar import (
     sampson_distance,
     triangulate_points,
 )
-from .features import Feature, detect_features, match_features
+from .features import Features, detect_features, match_features
 from .geometry import (
     CameraIntrinsics,
     CameraPose,

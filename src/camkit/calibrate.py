@@ -288,6 +288,6 @@ def undistort_image(image: np.ndarray, intrinsics: CameraIntrinsics,
     n = pixel_to_normalized(px, intrinsics)
     nd = distort_normalized(n, dist)
     src = normalized_to_pixel(nd, intrinsics)
-    values = bilinear_sample(img, src, fill=0.0)
+    values = bilinear_sample(img, *src.T, fill=0.0)
     out = np.clip(np.rint(values.reshape(h, w) * 255.0), 0, 255)
     return out.astype(np.uint8)

@@ -12,8 +12,9 @@ pixels of a board render. Beyond the box each row and column repeats its
 nearest box pixel, so filtering the crop gives the full-frame values on it,
 and detection finds the corners that full-frame filtering would; the crop's
 origin is added back to the candidates before the subpixel offsets. The
-subpixel refinement and the ring test each handle all candidates at once,
-through the batched helpers of :mod:`camkit.imageops`.
+suppression, the subpixel refinement and the ring test each handle all
+candidates at once, through the batched helpers of :mod:`camkit.imageops`
+that feature detection also uses.
 
 Orientation: one homography H maps the board's corners to the grid as
 assembled. Reversing the grid's rows or columns reflects the board frame
@@ -33,7 +34,7 @@ from scipy import ndimage
 from .board import CheckerboardSpec, CornerGrid, board_world_points
 from .errors import AmbiguousGrid, BoardNotFound, CountMismatch
 from .homography import apply_homography, estimate_homography
-from .imageops import bilinear_sample, quadratic_peak_offset, structure_box, to_float
+from .imageops import bilinear_sample, quadratic_peak_offset, structure_box, to_float, window_extrema
 
 _RESPONSE_FLOOR = 1e-9
 _RELATIVE_THRESHOLD = 5e-3
@@ -70,15 +71,7 @@ def _local_maxima(resp: np.ndarray, radius: int, threshold: float) -> np.ndarray
     in row-major order; only those pixels are compared with their window."""
     b = radius + 1
     cand = np.argwhere(resp[b:-b, b:-b] > threshold) + b
-    vs, us = cand.T
-    center = resp[vs, us]
-    is_max = np.ones(len(cand), dtype=bool)
-    for dv in range(-radius, radius + 1):
-        for du in range(-radius, radius + 1):
-            if dv or du:
-                is_max &= center >= resp[vs + dv, us + du]
-    vs, us = cand[is_max].T
-    return np.column_stack([us, vs])
+    return cand[window_extrema(resp, cand, radius)[0], ::-1]
 
 
 def _x_junction_mask(img: np.ndarray, origin, candidates: np.ndarray) -> np.ndarray:
@@ -90,7 +83,8 @@ def _x_junction_mask(img: np.ndarray, origin, candidates: np.ndarray) -> np.ndar
     is a crop whose pixel (0, 0) is at ``origin``; a ring that leaves it
     rejects its candidate.
     """
-    vals = bilinear_sample(img, candidates[:, None, :] + _RING - origin, fill=np.nan)
+    ring = candidates[:, None, :] + _RING - origin
+    vals = bilinear_sample(img, ring[..., 0], ring[..., 1], fill=np.nan)
     contrast = vals.max(axis=1) - vals.min(axis=1)
     half = _RING_SAMPLES // 2
     asym = np.mean(np.abs(vals[:, :half] - vals[:, half:]), axis=1)
@@ -228,7 +222,7 @@ def _orient_grid(grid: np.ndarray, smooth: np.ndarray, origin,
             if handed * (-1) ** (flip_i + flip_j) <= 0:
                 continue
             mirrored = np.where([flip_i, flip_j], far - probes, probes)
-            inner, outer = bilinear_sample(smooth, apply_homography(h, mirrored) - origin)
+            inner, outer = bilinear_sample(smooth, *(apply_homography(h, mirrored) - origin).T)
             if inner < 0.4 and outer > 0.6:
                 if accepted is not None:
                     raise AmbiguousGrid("two orientations both look valid")

@@ -5,11 +5,11 @@ octaves. Each feature gets a dominant gradient orientation and a descriptor
 built from a 4x4 spatial grid of 4-bin gradient-orientation histograms
 (64 dimensions, L2-normalized), sampled in a frame rotated to the feature
 orientation so matching tolerates in-plane rotation and moderate scale
-change. The sub-pixel peak fits of one octave, and the orientations and
-descriptors of one pyramid level, are computed for all their keypoints at
-once, with the peak fit and bilinear sampler of :mod:`camkit.imageops`
-that corner detection also uses; the result is the same as computing them
-one keypoint at a time, bit for bit.
+change. The extremum tests and sub-pixel peak fits of one octave, and the
+orientations and descriptors of one pyramid level, are computed for all
+their keypoints at once with the primitives of :mod:`camkit.imageops` that
+corner detection also uses, bit for bit as one keypoint at a time would give
+them. An image's features are one :class:`Features` record of arrays.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from scipy import ndimage
 
 from .errors import ImageTooSmall
-from .imageops import bilinear_sample, quadratic_peak_offset, to_float
+from .imageops import bilinear_sample, quadratic_peak_offset, to_float, window_extrema
 
 N_OCTAVES = 3
 INTERVALS = 3
@@ -35,14 +35,17 @@ MATCH_RATIO = 0.8
 
 
 @dataclass(frozen=True)
-class Feature:
-    """One interest point: position (pixels), scale, orientation, descriptor."""
+class Features:
+    """An image's interest points as parallel arrays, one row per feature."""
 
-    position: np.ndarray  # (2,) u, v
-    scale: float
-    orientation: float  # radians
-    descriptor: np.ndarray  # (64,), unit L2 norm
-    response: float = 0.0
+    positions: np.ndarray  # (n, 2) u, v in pixels
+    scales: np.ndarray  # (n,)
+    orientations: np.ndarray  # (n,) radians
+    descriptors: np.ndarray  # (n, 64), unit L2 norm
+    responses: np.ndarray  # (n,) |DoG| at the extremum
+
+    def __len__(self) -> int:
+        return len(self.positions)
 
 
 def _gaussian_pyramid(img: np.ndarray) -> list[list[np.ndarray]]:
@@ -68,21 +71,9 @@ def _scale_space_extrema(dog: np.ndarray) -> np.ndarray:
     the stack; the 26 neighbors are compared only at interior voxels above
     the contrast threshold. Rows come in C order of the stack.
     """
-    _, h, w = dog.shape
     strong = np.abs(dog[1:-1, 2:-2, 2:-2]) > CONTRAST_THRESHOLD
     cand = np.argwhere(strong) + [1, 2, 2]
-    flat = dog.ravel()
-    at = np.ravel_multi_index(cand.T, dog.shape)
-    center = flat[at]
-    is_max = np.ones(len(at), dtype=bool)
-    is_min = np.ones(len(at), dtype=bool)
-    for dl in (-1, 0, 1):
-        for dv in (-1, 0, 1):
-            for du in (-1, 0, 1):
-                if dl or dv or du:
-                    neighbor = flat[at + (dl * h + dv) * w + du]
-                    is_max &= center >= neighbor
-                    is_min &= center <= neighbor
+    is_max, is_min = window_extrema(dog, cand, 1)
     return cand[is_max | is_min]
 
 
@@ -133,18 +124,18 @@ def _orientations(gx: np.ndarray, gy: np.ndarray, u: np.ndarray,
     hists = np.bincount(key * nbins + bins, weights=mag,
                         minlength=len(u) * nbins).reshape(len(u), nbins)
     kernel = np.array([1.0, 4.0, 6.0, 4.0, 1.0]) / 16.0
-    thetas = np.empty(len(u))
-    for k, hist in enumerate(hists):
-        for _ in range(2):
-            hist = np.convolve(np.concatenate([hist[-2:], hist, hist[:2]]),
-                               kernel, mode="valid")[:nbins]
-        peak = int(np.argmax(hist))
-        left = hist[(peak - 1) % nbins]
-        right = hist[(peak + 1) % nbins]
-        denom = left - 2 * hist[peak] + right
-        shift = 0.0 if abs(denom) < 1e-12 else 0.5 * (left - right) / denom
-        thetas[k] = (peak + 0.5 + shift) / nbins * 2 * np.pi - np.pi
-    return thetas
+    for _ in range(2):
+        padded = np.concatenate([hists[:, -2:], hists, hists[:, :2]], axis=1)
+        # The taps summed in turn, as np.convolve sums them for one histogram.
+        hists = sum(padded[:, t:t + nbins] * kernel[t] for t in range(len(kernel)))
+    rows = np.arange(len(u))
+    peak = np.argmax(hists, axis=1)
+    left = hists[rows, (peak - 1) % nbins]
+    right = hists[rows, (peak + 1) % nbins]
+    denom = left - 2 * hists[rows, peak] + right
+    shift = np.divide(0.5 * (left - right), denom, out=np.zeros(len(u)),
+                      where=np.abs(denom) >= 1e-12)
+    return (peak + 0.5 + shift) / nbins * 2 * np.pi - np.pi
 
 
 def _descriptors(gx: np.ndarray, gy: np.ndarray, u: np.ndarray, v: np.ndarray,
@@ -179,8 +170,8 @@ def _descriptors(gx: np.ndarray, gy: np.ndarray, u: np.ndarray, v: np.ndarray,
     pu = pu[ok]
     pv = pv[ok]
 
-    gxi = bilinear_sample(gx, (pu, pv))
-    gyi = bilinear_sample(gy, (pu, pv))
+    gxi = bilinear_sample(gx, pu, pv)
+    gyi = bilinear_sample(gy, pu, pv)
     mag = np.hypot(gxi, gyi)
     mag *= np.exp(-(sx ** 2 + sy ** 2) / (2.0 * half ** 2))
     ang = np.arctan2(gyi, gxi) - orientation[ok, None]
@@ -204,15 +195,15 @@ def _descriptors(gx: np.ndarray, gy: np.ndarray, u: np.ndarray, v: np.ndarray,
     return out, ok
 
 
-def detect_features(image: np.ndarray, max_features: int = 1000) -> list[Feature]:
+def detect_features(image: np.ndarray, max_features: int = 1000) -> Features:
     """Detect up to ``max_features`` scale-space features, strongest first.
 
     Sub-pixel offsets are fitted for all extrema of an octave at once, and
     orientations and descriptors for all keypoints of one pyramid level at
-    once, in the order the extrema are found.
+    once; the features are sorted by descending response, then v, then u.
 
-    Raises ImageTooSmall below 32x32. A featureless (uniform) image yields an
-    empty list.
+    Raises ImageTooSmall below 32x32. A featureless (uniform) image yields no
+    features.
     """
     img = to_float(image)
     if img.shape[0] < MIN_IMAGE_SIDE or img.shape[1] < MIN_IMAGE_SIDE:
@@ -221,7 +212,8 @@ def detect_features(image: np.ndarray, max_features: int = 1000) -> list[Feature
 
     step = 2.0 ** (1.0 / INTERVALS)
     pyramid = _gaussian_pyramid(img)
-    found: list[Feature] = []
+    # Features' arrays for each pyramid level, after empty ones.
+    found = [(np.empty((0, 2)), np.empty(0), np.empty(0), np.empty((0, 64)), np.empty(0))]
     for octave, levels in enumerate(pyramid):
         if min(levels[0].shape) < 16:
             break
@@ -241,20 +233,17 @@ def detect_features(image: np.ndarray, max_features: int = 1000) -> list[Feature
             gy = ndimage.sobel(levels[li], axis=0, mode="nearest") / 8.0
             thetas = _orientations(gx, gy, uo, vo, sigma_oct)
             descs, ok = _descriptors(gx, gy, uo, vo, sigma_oct, thetas)
-            for k in np.flatnonzero(ok):
-                found.append(Feature(
-                    position=np.array([uo[k], vo[k]]) * (2 ** octave),
-                    scale=sigma_oct * (2 ** octave),
-                    orientation=float(thetas[k]),
-                    descriptor=descs[k],
-                    response=float(responses[at[k]]),
-                ))
+            found.append((refined[at[ok]] * 2 ** octave,
+                          np.full(np.count_nonzero(ok), sigma_oct * 2 ** octave),
+                          thetas[ok], descs[ok], responses[at[ok]]))
 
-    found.sort(key=lambda f: (-f.response, f.position[1], f.position[0]))
-    return found[:max_features]
+    arrays = [np.concatenate(column) for column in zip(*found)]
+    positions, responses = arrays[0], arrays[-1]
+    order = np.lexsort((positions[:, 0], positions[:, 1], -responses))  # stable
+    return Features(*(a[order[:max_features]] for a in arrays))
 
 
-def match_features(a: list[Feature], b: list[Feature]) -> np.ndarray:
+def match_features(a: Features, b: Features) -> np.ndarray:
     """Mutual-nearest-neighbor descriptor matching with a ratio test.
 
     Returns an (m, 2) array of (index in a, index in b) pairs, sorted by the
@@ -262,10 +251,9 @@ def match_features(a: list[Feature], b: list[Feature]) -> np.ndarray:
     neighbor and passes the nearest/second-nearest ratio test at
     ``MATCH_RATIO``, which makes the result symmetric in ``a`` and ``b``.
     """
-    if not a or not b:
+    if len(a) == 0 or len(b) == 0:
         return np.empty((0, 2), dtype=np.int64)
-    da = np.stack([f.descriptor for f in a])
-    db = np.stack([f.descriptor for f in b])
+    da, db = a.descriptors, b.descriptors
     d2 = np.maximum(
         np.sum(da * da, axis=1)[:, None]
         + np.sum(db * db, axis=1)[None, :]

@@ -1,6 +1,6 @@
-"""Small shared raster helpers: the crop of an image's structure box, and
-sub-pixel peak fits and bilinear samples, each over a whole batch of patches
-or points."""
+"""Small shared raster helpers for corner and feature detection: the crop of
+an image's structure box, and window-extremum tests, sub-pixel peak fits and
+bilinear samples, each over a whole batch of positions, patches or points."""
 
 from __future__ import annotations
 
@@ -75,20 +75,30 @@ def structure_box(image: np.ndarray, halo: int) -> tuple[slice, slice]:
             slice(int(max(c0 - halo, 0)), int(min(c1 + halo, w))))
 
 
-def bilinear_sample(image, points, fill: float = 0.0) -> np.ndarray:
-    """Sample a float image at (u, v) positions with bilinear interpolation.
+def window_extrema(values: np.ndarray, at: np.ndarray, radius: int):
+    """Masks ``(is_max, is_min)`` of the ``(n, ndim)`` indices ``at`` whose
+    entry is the maximum, or the minimum, ties included, of its window of
+    ``2 radius + 1`` entries a side. Each window must lie inside ``values``."""
+    values = np.ascontiguousarray(values)
+    flat = values.ravel()
+    center_at = np.ravel_multi_index(np.transpose(at), values.shape)
+    center = flat[center_at]
+    # The window as flat offsets from its centre, which passes both tests.
+    span = np.indices((2 * radius + 1,) * values.ndim).reshape(values.ndim, -1) - radius
+    is_max, is_min = np.ones((2, len(center)), dtype=bool)
+    for offset in span.T @ np.array(values.strides) // values.itemsize:
+        neighbour = flat[center_at + offset]
+        is_max &= center >= neighbour
+        is_min &= center <= neighbour
+    return is_max, is_min
 
-    Points outside ``[0, w-1] x [0, h-1]`` return ``fill``. ``points`` has
-    shape (..., 2), or is a pair ``(u, v)`` of arrays of one shape (...), with
-    u along columns and v along rows; the result has shape (...), one value
-    per point.
-    """
+
+def bilinear_sample(image, u, v, fill: float = 0.0) -> np.ndarray:
+    """Bilinear samples of a float image at ``(u, v)``, u along columns and v
+    along rows: arrays of one shape, which the result takes. Points outside
+    ``[0, w-1] x [0, h-1]`` return ``fill``."""
     img = np.asarray(image, dtype=np.float64)
-    if isinstance(points, tuple):
-        u, v = (np.asarray(c, dtype=np.float64) for c in points)
-    else:
-        pts = np.asarray(points, dtype=np.float64)
-        u, v = pts[..., 0], pts[..., 1]
+    u, v = (np.asarray(c, dtype=np.float64) for c in (u, v))
     h, w = img.shape
 
     uc = np.clip(u, 0, w - 1)

@@ -151,16 +151,11 @@ def reconstruct(images, intrinsics: CameraIntrinsics, dist: DistortionCoeffs,
         raise InitializationFailed(f"need at least 2 images, got {n_views}")
 
     feats = [detect_features(img, MAX_FEATURES) for img in images]
-    positions = {}
-    intensities = {}
-    normalized = {}
-    for v, fl in enumerate(feats):
-        pos = (np.array([f.position for f in fl]) if fl
-               else np.empty((0, 2)))
-        positions[v] = pos
-        intensities[v] = bilinear_sample(to_float(images[v]), pos) * 255.0
-        normalized[v] = undistort_normalized(pixel_to_normalized(pos, intrinsics),
-                                             dist)
+    positions = {v: f.positions for v, f in enumerate(feats)}
+    intensities = {v: bilinear_sample(to_float(images[v]), *pos.T) * 255.0
+                   for v, pos in positions.items()}
+    normalized = {v: undistort_normalized(pixel_to_normalized(pos, intrinsics), dist)
+                  for v, pos in positions.items()}
 
     pair_models = {}
     for i, j in sorted((i, i + step) for step in (1, 2)

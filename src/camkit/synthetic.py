@@ -134,7 +134,7 @@ class CubeScene:
 
     def _noise(self, grid: np.ndarray, s: np.ndarray, t: np.ndarray) -> np.ndarray:
         n = grid.shape[0] - 1
-        return bilinear_sample(grid.T, tuple(np.clip(c * n, 0, n - 1e-9) for c in (s, t)))
+        return bilinear_sample(grid.T, *(np.clip(c * n, 0, n - 1e-9) for c in (s, t)))
 
     def _texture(self, face: int, p: np.ndarray, q: np.ndarray) -> np.ndarray:
         """Texture value in [0, 1] of points on ``face`` at world coordinates
@@ -147,7 +147,8 @@ class CubeScene:
         return 0.08 + 0.86 * val
 
     def intersect(self, origins: np.ndarray, dirs: np.ndarray):
-        """First cube hit per ray: returns (points, face, hit_mask)."""
+        """First cube hit per ray: returns (points, face, hit_mask). A ray
+        that starts inside the cube hits where it leaves it."""
         half = self.edge / 2.0
         with np.errstate(divide="ignore", invalid="ignore"):
             inv = 1.0 / dirs
@@ -159,8 +160,9 @@ class CubeScene:
         # origin lies on one of the slab's planes.
         t_near = np.fmax(np.fmax(t1[:, 0], t1[:, 1]), t1[:, 2])
         t_far = np.fmin(np.fmin(t2[:, 0], t2[:, 1]), t2[:, 2])
-        hit = (t_near < t_far) & (t_near > 1e-9)
-        pts = origins + dirs * t_near[:, None]
+        t = np.where(t_near > 1e-9, t_near, t_far)
+        hit = (t_near < t_far) & (t > 1e-9)
+        pts = origins + dirs * t[:, None]
         # Face id: axis with |coordinate| == half, signed.
         axis = np.argmax(np.abs(pts) / half, axis=1)
         sign = np.take_along_axis(pts, axis[:, None], axis=1)[:, 0] >= 0

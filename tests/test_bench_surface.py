@@ -13,6 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import ndimage
 
 import camkit
 import camkit.sfm
@@ -39,6 +40,22 @@ def test_every_traced_name_resolves():
                                 function)), name
     # The trace counts the tracks with len().
     assert isinstance(camkit.build_tracks([(0, 1, [(0, 0)])]), list)
+
+
+def test_len_counts_features_and_matches():
+    # The trace counts detect_features' and match_features' results with len().
+    rng = np.random.default_rng(1)
+    image = ndimage.gaussian_filter(rng.uniform(0.0, 255.0, (128, 128)), 2.0)
+    feats = camkit.detect_features(image.astype(np.uint8), max_features=60)
+    assert len(feats) == feats.positions.shape[0] == feats.descriptors.shape[0]
+    assert 0 < len(feats) <= 60
+    half = camkit.Features(*(a[::2] for a in (feats.positions, feats.scales,
+                                              feats.orientations, feats.descriptors,
+                                              feats.responses)))
+    matches = camkit.match_features(feats, half)
+    assert matches.shape == (len(matches), 2)
+    assert len(matches) == len(half)  # every kept feature finds itself
+    assert matches[:, 0].tolist() == list(range(0, len(feats), 2))
 
 
 def test_problem_without_jacobian_converges():

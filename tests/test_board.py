@@ -121,8 +121,8 @@ def test_render_square_shades(board_spec, ref_intrinsics):
     s = board_spec.square_size
     black_center = project(np.array([s / 2, s / 2, 0.0]), pose, ref_intrinsics, d)
     white_center = project(np.array([3 * s / 2, s / 2, 0.0]), pose, ref_intrinsics, d)
-    black = bilinear_sample(to_float(img), black_center[None, :])[0] * 255
-    white = bilinear_sample(to_float(img), white_center[None, :])[0] * 255
+    black = bilinear_sample(to_float(img), *black_center) * 255
+    white = bilinear_sample(to_float(img), *white_center) * 255
     assert black < 30
     assert white > 225
 

@@ -160,7 +160,8 @@ def _oracle_x_junction_mask(img, candidates, radius=4.0, n_angles=16):
     ring = radius * np.column_stack([np.cos(angles), np.sin(angles)])
     keep = np.zeros(len(candidates), dtype=bool)
     for idx, c in enumerate(candidates):
-        vals = bilinear_sample(img, c[None, :] + ring, fill=np.nan)
+        pts = c[None, :] + ring
+        vals = bilinear_sample(img, pts[:, 0], pts[:, 1], fill=np.nan)
         if np.any(np.isnan(vals)):
             continue
         contrast = vals.max() - vals.min()
@@ -224,8 +225,9 @@ def _oracle_orient_grid(grid, smooth, origin, spec):
             center = np.array([(nx - 1) * s / 2.0, (ny - 1) * s / 2.0])
             if _oracle_map_jacobian_sign(h, center) <= 0:
                 continue
-            inner = bilinear_sample(smooth, apply_homography(h, [[s / 2, s / 2]]) - origin)[0]
-            outer = bilinear_sample(smooth, apply_homography(h, [[3 * s / 2, s / 2]]) - origin)[0]
+            inner = bilinear_sample(smooth, *(apply_homography(h, [[s / 2, s / 2]]) - origin).T)[0]
+            outer = bilinear_sample(smooth,
+                                    *(apply_homography(h, [[3 * s / 2, s / 2]]) - origin).T)[0]
             if inner < 0.4 and outer > 0.6:
                 if accepted is not None:
                     raise AmbiguousGrid("two orientations both look valid")

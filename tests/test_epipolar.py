@@ -326,8 +326,7 @@ def cube_pairs(cube_features, ref_intrinsics, cube_capture):
 
     dist = cube_capture[3]
     normalized = [
-        undistort_normalized(pixel_to_normalized(
-            np.array([f.position for f in feats]), ref_intrinsics), dist)
+        undistort_normalized(pixel_to_normalized(feats.positions, ref_intrinsics), dist)
         for feats in cube_features]
     pairs = []
     for i, j in [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3), (2, 4), (3, 4)]:

@@ -1,18 +1,24 @@
+from dataclasses import dataclass, fields
+
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy import ndimage
 
-from camkit import Feature, detect_features, match_features
+from camkit import Features, detect_features, match_features
 from camkit.errors import ImageTooSmall
 from camkit.features import (
     CONTRAST_THRESHOLD,
+    INTERVALS,
     SIGMA0,
     _descriptors,
     _gaussian_pyramid,
     _orientations,
+    _passes_edge_test,
     _scale_space_extrema,
 )
-from camkit.imageops import to_float
+from camkit.imageops import quadratic_peak_offset, to_float
+from camkit.sfm import MAX_FEATURES
 
 
 def textured_image(seed=0, size=(256, 256)):
@@ -24,8 +30,17 @@ def textured_image(seed=0, size=(256, 256)):
     return (img * 255).astype(np.uint8)
 
 
+def _take(feats, rows):
+    """The features of ``feats`` at ``rows``."""
+    return Features(*(getattr(feats, f.name)[rows] for f in fields(Features)))
+
+
 def test_uniform_image_has_no_features():
-    assert detect_features(np.full((64, 64), 77, dtype=np.uint8)) == []
+    feats = detect_features(np.full((64, 64), 77, dtype=np.uint8))
+    assert len(feats) == 0
+    assert feats.positions.shape == (0, 2)
+    assert feats.descriptors.shape == (0, 64)
+    assert feats.scales.shape == feats.orientations.shape == feats.responses.shape == (0,)
 
 
 def test_small_image_rejected():
@@ -36,9 +51,9 @@ def test_small_image_rejected():
 def test_textured_image_yields_features():
     feats = detect_features(textured_image(), max_features=500)
     assert len(feats) >= 100
-    for f in feats[:20]:
-        assert abs(np.linalg.norm(f.descriptor) - 1.0) < 1e-6
-        assert f.scale > 0
+    for descriptor, scale in zip(feats.descriptors[:20], feats.scales[:20]):
+        assert abs(np.linalg.norm(descriptor) - 1.0) < 1e-6
+        assert scale > 0
 
 
 def test_feature_count_is_rotation_tolerant():
@@ -51,17 +66,40 @@ def test_feature_count_is_rotation_tolerant():
 def test_max_features_cap():
     feats = detect_features(textured_image(1), max_features=25)
     assert len(feats) == 25
-    responses = [f.response for f in feats]
+    responses = feats.responses.tolist()
     assert responses == sorted(responses, reverse=True)
 
 
+def test_max_features_cut_keeps_the_strongest():
+    img = textured_image(1)
+    every = detect_features(img, max_features=100_000)
+    cut = detect_features(img, max_features=25)
+    assert len(every) > 25
+    for f in fields(Features):
+        assert getattr(cut, f.name).tobytes() == getattr(every, f.name)[:25].tobytes()
+    assert cut.responses.min() >= every.responses[25:].max()
+
+
+def test_response_ties_are_ordered_by_v_then_u():
+    # A lattice of equal blobs: the 36 away from the border tie exactly.
+    yy, xx = np.mgrid[:256, :256]
+    img = sum(np.exp(-((xx - cx) ** 2 + (yy - cy) ** 2) / 18.0)
+              for cy in range(16, 256, 32) for cx in range(16, 256, 32))
+    feats = detect_features((img / img.max() * 200).astype(np.uint8))
+    tied = feats.responses == feats.responses[0]
+    assert tied.sum() >= 36
+    u, v = feats.positions[tied].T
+    assert len(set(u.tolist())) > 1 and len(set(v.tolist())) > 1
+    assert np.array_equal(np.lexsort((u, v)), np.arange(len(u)))
+
+
 def random_features(rng, n):
-    out = []
-    for _ in range(n):
+    positions, descriptors = np.empty((n, 2)), np.empty((n, 64))
+    for i in range(n):
         d = rng.normal(size=64)
-        out.append(Feature(position=rng.uniform(0, 100, 2), scale=1.0,
-                           orientation=0.0, descriptor=d / np.linalg.norm(d)))
-    return out
+        positions[i] = rng.uniform(0, 100, 2)
+        descriptors[i] = d / np.linalg.norm(d)
+    return Features(positions, np.ones(n), np.zeros(n), descriptors, np.zeros(n))
 
 
 def test_identical_lists_match_identically():
@@ -82,7 +120,7 @@ def test_matching_recovers_permutation():
     rng = np.random.default_rng(2)
     a = random_features(rng, 30)
     perm = rng.permutation(30)
-    b = [a[i] for i in perm]
+    b = _take(a, perm)
     pairs = match_features(a, b)
     assert len(pairs) == 30
     for i, j in pairs:
@@ -104,9 +142,8 @@ def test_matching_is_symmetric():
 def test_matching_equals_the_per_pair_loop(cube_features):
     for a, b in [(cube_features[0], cube_features[1]),
                  (cube_features[2], cube_features[4]),
-                 (cube_features[3][:1], cube_features[4])]:
-        da = np.stack([f.descriptor for f in a])
-        db = np.stack([f.descriptor for f in b])
+                 (_take(cube_features[3], slice(1)), cube_features[4])]:
+        da, db = a.descriptors, b.descriptors
         d2 = np.maximum(np.sum(da * da, axis=1)[:, None]
                         + np.sum(db * db, axis=1)[None, :]
                         - 2.0 * (da @ db.T), 0.0)
@@ -129,8 +166,9 @@ def test_matching_equals_the_per_pair_loop(cube_features):
 
 def test_empty_input_gives_empty_result():
     feats = random_features(np.random.default_rng(0), 4)
-    assert match_features([], feats).shape == (0, 2)
-    assert match_features(feats, []).shape == (0, 2)
+    none = _take(feats, slice(0))
+    assert match_features(none, feats).shape == (0, 2)
+    assert match_features(feats, none).shape == (0, 2)
 
 
 # Oracles: the per-keypoint orientation and descriptor and the filter-based
@@ -229,22 +267,23 @@ def test_batched_orientation_and_descriptor_match_per_keypoint_oracle(
         cube_capture, cube_features):
     for view in (0, 3):
         pyramid = _gaussian_pyramid(to_float(cube_capture[2][view]))
+        feats = cube_features[view]
         by_level = {}
-        for f in cube_features[view]:
+        for k, scale in enumerate(feats.scales):
             # scale = SIGMA0 * 2 ** (level / 3 + octave), level in 1..3
-            k = int(round(3 * np.log2(f.scale / SIGMA0)))
-            octave = (k - 1) // 3
-            by_level.setdefault((octave, k - 3 * octave), []).append(f)
-        for (octave, level), feats in by_level.items():
+            step = int(round(3 * np.log2(scale / SIGMA0)))
+            octave = (step - 1) // 3
+            by_level.setdefault((octave, step - 3 * octave), []).append(k)
+        for (octave, level), rows in by_level.items():
             gx, gy = _gradients(pyramid[octave][level])
             # The same expression as detect_features, whose level is an int64.
             sigma = SIGMA0 * (2.0 ** (1.0 / 3)) ** np.int64(level)
-            for f in feats:
-                u, v = f.position / 2 ** octave
+            for k in rows:
+                u, v = feats.positions[k] / 2 ** octave
                 theta = _oracle_orientation(gx, gy, u, v, sigma)
-                assert theta == f.orientation
+                assert theta == feats.orientations[k]
                 assert np.array_equal(
-                    _oracle_descriptor(gx, gy, u, v, sigma, theta), f.descriptor)
+                    _oracle_descriptor(gx, gy, u, v, sigma, theta), feats.descriptors[k])
 
             # Keypoints whose descriptor grid leaves the image are dropped.
             h, w = gx.shape
@@ -270,3 +309,74 @@ def test_extremum_test_matches_the_filter_version(cube_capture):
     for dog in stacks:
         got = _scale_space_extrema(dog)
         assert np.array_equal(got, _oracle_extrema(dog))
+
+
+# Oracle: the per-keypoint assembly that detect_features replaced with one
+# record, kept verbatim with its Feature objects and Python sort key.
+
+@dataclass(frozen=True)
+class Feature:
+    """One interest point: position (pixels), scale, orientation, descriptor."""
+
+    position: np.ndarray  # (2,) u, v
+    scale: float
+    orientation: float  # radians
+    descriptor: np.ndarray  # (64,), unit L2 norm
+    response: float = 0.0
+
+
+def _oracle_detect_features(image, max_features=1000):
+    img = to_float(image)
+    step = 2.0 ** (1.0 / INTERVALS)
+    pyramid = _gaussian_pyramid(img)
+    found = []
+    for octave, levels in enumerate(pyramid):
+        if min(levels[0].shape) < 16:
+            break
+        dog = np.stack([levels[i + 1] - levels[i] for i in range(len(levels) - 1)])
+        cand = _scale_space_extrema(dog)
+        cand = cand[_passes_edge_test(dog, cand)]
+        level, v, u = cand.T
+        patches = sliding_window_view(dog, (3, 3), axis=(1, 2))[level, v - 1, u - 1]
+        refined = np.column_stack([u, v]) + quadratic_peak_offset(patches)
+        responses = np.abs(dog[level, v, u])
+        # Extrema come sorted by level, so level by level keeps their order.
+        for li in np.unique(level):
+            at = np.flatnonzero(level == li)
+            uo, vo = refined[at].T
+            sigma_oct = SIGMA0 * step ** li
+            gx = ndimage.sobel(levels[li], axis=1, mode="nearest") / 8.0
+            gy = ndimage.sobel(levels[li], axis=0, mode="nearest") / 8.0
+            thetas = _orientations(gx, gy, uo, vo, sigma_oct)
+            descs, ok = _descriptors(gx, gy, uo, vo, sigma_oct, thetas)
+            for k in np.flatnonzero(ok):
+                found.append(Feature(
+                    position=np.array([uo[k], vo[k]]) * (2 ** octave),
+                    scale=sigma_oct * (2 ** octave),
+                    orientation=float(thetas[k]),
+                    descriptor=descs[k],
+                    response=float(responses[at[k]]),
+                ))
+
+    found.sort(key=lambda f: (-f.response, f.position[1], f.position[0]))
+    return found[:max_features]
+
+
+def test_record_matches_the_per_keypoint_assembly(cube_capture, cube_features):
+    cases = [(cube_capture[2][0], MAX_FEATURES, cube_features[0]),
+             (cube_capture[2][3], MAX_FEATURES, cube_features[3])]
+    cases += [(textured_image(seed), 1000, detect_features(textured_image(seed)))
+              for seed in (0, 20)]
+    for image, max_features, got in cases:
+        want = _oracle_detect_features(image, max_features)
+        assert len(got) == len(want) > 100
+        columns = {"positions": [f.position for f in want],
+                   "scales": [f.scale for f in want],
+                   "orientations": [f.orientation for f in want],
+                   "descriptors": [f.descriptor for f in want],
+                   "responses": [f.response for f in want]}
+        for name, column in columns.items():
+            expected = np.array(column, dtype=np.float64)
+            assert getattr(got, name).dtype == np.float64
+            assert getattr(got, name).tobytes() == expected.tobytes(), name
+            assert getattr(got, name).shape == expected.shape, name

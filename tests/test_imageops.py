@@ -12,6 +12,7 @@ from camkit.imageops import (
     quadratic_peak_offset,
     structure_box,
     to_float,
+    window_extrema,
 )
 
 
@@ -128,22 +129,62 @@ def test_bilinear_sample_matches_the_two_index_oracle(shape, fill):
                           [[w - 1, h - 1], [w - 1 + 1e-12, 0.0], [-1e-300, 0.0]]])
     for points in (pts, pts[:3297].reshape(-1, 7, 2)):
         expected = _oracle_bilinear_sample(img, points, fill)
-        assert bilinear_sample(img, points, fill).tobytes() == expected.tobytes()
+        got = bilinear_sample(img, points[..., 0], points[..., 1], fill)
+        assert got.tobytes() == expected.tobytes()
 
 
 def test_single_point_sample_is_a_zero_d_one_row_sample():
     rng = np.random.default_rng(4)
     image = rng.uniform(size=(12, 17))
     for point in rng.uniform(-2.0, 19.0, (500, 2)):
-        single = bilinear_sample(image, point, fill=np.nan)
+        single = bilinear_sample(image, *point, fill=np.nan)
         assert single.shape == ()
-        assert single.tobytes() == bilinear_sample(image, point[None], fill=np.nan)[0].tobytes()
+        row = bilinear_sample(image, point[:1], point[1:], fill=np.nan)
+        assert single.tobytes() == row[0].tobytes()
 
 
 def test_bilinear_sample_takes_u_and_v_as_a_pair():
+    # u and v of any one shape give samples of that shape, each the sample
+    # of its point in a flat batch.
     rng = np.random.default_rng(5)
     image = rng.uniform(size=(12, 17))
-    pts = rng.uniform(-2.0, 19.0, (40, 3, 2))
-    pair = bilinear_sample(image, (pts[..., 0], pts[..., 1]), fill=np.nan)
+    u, v = rng.uniform(-2.0, 19.0, (2, 40, 3))
+    pair = bilinear_sample(image, u, v, fill=np.nan)
     assert pair.shape == (40, 3)
-    assert pair.tobytes() == bilinear_sample(image, pts, fill=np.nan).tobytes()
+    flat = bilinear_sample(image, u.ravel(), v.ravel(), fill=np.nan)
+    assert pair.tobytes() == flat.reshape(40, 3).tobytes()
+
+
+# Oracle: the extremum test as whole-image maximum and minimum filters.
+
+def _oracle_window_extrema(values, at, radius):
+    index = tuple(np.transpose(at))
+    size = 2 * radius + 1
+    return ((values == ndimage.maximum_filter(values, size=size))[index],
+            (values == ndimage.minimum_filter(values, size=size))[index])
+
+
+@pytest.mark.parametrize("shape, radius", [((40, 50), 3), ((40, 50), 1),
+                                           ((5, 20, 24), 1), ((9, 14, 16), 2)])
+@pytest.mark.parametrize("quantised", [False, True], ids=["continuous", "quantised"])
+def test_window_extrema_match_the_filter_oracle(shape, radius, quantised):
+    rng = np.random.default_rng(8)
+    # Coarsely quantised values tie with their neighbours everywhere.
+    values = (rng.integers(-3, 4, shape) * 0.01 if quantised
+              else rng.normal(size=shape))
+    # Every index whose window lies inside, in a random order.
+    at = rng.permutation(np.argwhere(np.ones(np.subtract(shape, 2 * radius), bool))
+                         + radius)
+    is_max, is_min = window_extrema(values, at, radius)
+    want_max, want_min = _oracle_window_extrema(values, at, radius)
+    assert np.array_equal(is_max, want_max)
+    assert np.array_equal(is_min, want_min)
+    assert is_max.any() and is_min.any()
+    if quantised:  # some maxima tie with a neighbour
+        second = ndimage.rank_filter(values, -2, size=2 * radius + 1)[tuple(at.T)]
+        assert (is_max & (second == values[tuple(at.T)])).any()
+
+
+def test_window_extrema_of_no_indices():
+    is_max, is_min = window_extrema(np.zeros((5, 6)), np.empty((0, 2), np.int64), 1)
+    assert is_max.shape == is_min.shape == (0,)

@@ -11,6 +11,7 @@ from camkit.synthetic import (
     _UNDECIDED,
     CUBE_SUPERSAMPLE,
     CubeScene,
+    cube_ray_points,
     render_cube_view,
     sample_ring_poses,
 )
@@ -19,7 +20,7 @@ from camkit.synthetic import (
 def _oracle_slab_hits(scene, origins, dirs):
     """Slab test with NaN-skipping reductions: a ray parallel to a slab whose
     origin lies on one of its planes gives 0 * inf = NaN there, which
-    nanmax/nanmin ignore."""
+    nanmax/nanmin ignore. A ray that starts inside hits where it leaves."""
     half = scene.edge / 2.0
     with np.errstate(divide="ignore", invalid="ignore"), warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)  # all-NaN rows
@@ -28,8 +29,9 @@ def _oracle_slab_hits(scene, origins, dirs):
         t_hi = (half - origins) * inv
         t_near = np.nanmax(np.minimum(t_lo, t_hi), axis=1)
         t_far = np.nanmin(np.maximum(t_lo, t_hi), axis=1)
-        pts = origins + dirs * t_near[:, None]
-    return pts, (t_near < t_far) & (t_near > 1e-9)
+        t = np.where(t_near > 1e-9, t_near, t_far)
+        pts = origins + dirs * t[:, None]
+    return pts, (t_near < t_far) & (t > 1e-9)
 
 
 def _random_rays(scene, rng, n=4000):
@@ -182,6 +184,20 @@ def test_cube_render_leaves_every_tile_undecided_for_near_cameras(center, target
     assert np.min(corners @ pose.rotation[2] + pose.translation[2]) <= 0
     assert np.all(_tile_cases(scene, _README_DIST, pose, 640, 480) == _UNDECIDED)
     _assert_matches_oracle(scene, _README_DIST, pose)
+
+
+def test_camera_inside_the_cube_sees_the_far_faces():
+    # From the centre every ray leaves through a face, and the optical axis,
+    # along +z, leaves through the z = +100 face.
+    scene = CubeScene(edge=200.0, texture_seed=7)
+    pose = CameraPose(np.eye(3), np.zeros(3))
+    small = CameraIntrinsics(fx=_K.fx / 10, fy=_K.fy / 10, cx=_K.cx / 10, cy=_K.cy / 10)
+    image = render_cube_view(scene, small, DistortionCoeffs(), pose, 64, 48)
+    assert len(np.unique(image)) > 1
+    pts, hit = cube_ray_points(scene, pose, np.array([[small.cx, small.cy]]), small,
+                               DistortionCoeffs())
+    assert hit.tolist() == [True]
+    assert pts.tolist() == [[0.0, 0.0, 100.0]]
 
 
 @pytest.mark.parametrize("width, height", [(640, 480), (642, 478)])
