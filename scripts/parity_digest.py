@@ -16,8 +16,9 @@ thread variables. Then one digest for each of:
 - every file the README's CLI workflow writes, by name and bytes: the README
   board spec rendered with ``--seed 42`` and re-rendered from its
   ``ground_truth.json``, ``calibrate --report``, ``pose``, ``undistort`` and
-  ``extrinsics`` on it, the acceptance cube capture, and ``sfm`` on that
-  capture under an exact calibration (README intrinsics, zero distortion).
+  ``extrinsics`` on it in pattern and in camera mode, the acceptance cube
+  capture, and ``sfm`` on that capture under an exact calibration (README
+  intrinsics, zero distortion).
   The workflow runs in-process through ``camkit.cli.run_cli`` in a temporary
   directory;
 - ``bundle_adjust`` on the seeded 5-view ring scenes of the benchmark's
@@ -157,6 +158,8 @@ def cli_workflow(root):
         "undistort {r}/views/view_000.pgm --calib {r}/calib.json --out {r}/flat.pgm",
         "extrinsics --calib {r}/calib.json --board 10x7:23mm --mode pattern"
         " --out {r}/scene.json",
+        "extrinsics --calib {r}/calib.json --board 10x7:23mm --mode camera"
+        " --out {r}/scene_camera.json",
         "render-scene {r}/cube_spec.json --out {r}/capture",
         "sfm {r}/capture --calib {r}/cube_calib.json --out {r}/cloud.ply --seed 0",
     ]

@@ -88,18 +88,6 @@ class ReprojectionStats:
     overall_mean: float
 
 
-def _homography_constraint_row(h: np.ndarray, i: int, j: int) -> np.ndarray:
-    hi, hj = h[:, i], h[:, j]
-    return np.array([
-        hi[0] * hj[0],
-        hi[0] * hj[1] + hi[1] * hj[0],
-        hi[1] * hj[1],
-        hi[2] * hj[0] + hi[0] * hj[2],
-        hi[2] * hj[1] + hi[1] * hj[2],
-        hi[2] * hj[2],
-    ])
-
-
 def init_intrinsics(homographies, estimate_skew: bool = False) -> CameraIntrinsics:
     """Closed-form intrinsics from >= 3 board homographies (2 if skew is 0).
 
@@ -108,19 +96,24 @@ def init_intrinsics(homographies, estimate_skew: bool = False) -> CameraIntrinsi
     Raises DegenerateMotion when the board orientations leave B
     underdetermined or not positive definite.
     """
-    hs = list(homographies)
+    h = np.array(list(homographies))
     needed = 3 if estimate_skew else 2
-    if len(hs) < needed:
-        raise DegenerateMotion(f"need at least {needed} views, got {len(hs)}")
+    if len(h) < needed:
+        raise DegenerateMotion(f"need at least {needed} views, got {len(h)}")
 
-    rows = []
-    for h in hs:
-        rows.append(_homography_constraint_row(h, 0, 1))
-        rows.append(_homography_constraint_row(h, 0, 0)
-                    - _homography_constraint_row(h, 1, 1))
+    # v_ij, the coefficients of h_i^T B h_j, for (i, j) = (0, 1), (0, 0), (1, 1).
+    hi, hj = h[:, :, [0, 0, 1]], h[:, :, [1, 0, 1]]
+    v = np.stack([
+        hi[:, 0] * hj[:, 0],
+        hi[:, 0] * hj[:, 1] + hi[:, 1] * hj[:, 0],
+        hi[:, 1] * hj[:, 1],
+        hi[:, 2] * hj[:, 0] + hi[:, 0] * hj[:, 2],
+        hi[:, 2] * hj[:, 1] + hi[:, 1] * hj[:, 2],
+        hi[:, 2] * hj[:, 2],
+    ], axis=-1)
+    a = np.stack([v[:, 0], v[:, 1] - v[:, 2]], axis=1).reshape(-1, 6)
     if not estimate_skew:
-        rows.append(np.array([0.0, 1.0, 0.0, 0.0, 0.0, 0.0]))
-    a = np.array(rows)
+        a = np.vstack([a, [0.0, 1.0, 0.0, 0.0, 0.0, 0.0]])
 
     _, s, vt = np.linalg.svd(a)
     if s.size >= 6 and s[4] <= 1e-8 * s[0]:

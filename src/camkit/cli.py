@@ -215,7 +215,7 @@ def _cmd_extrinsics(args) -> int:
     calib = fileio.read_calibration(args.calib)
     scene = export_extrinsics_scene(calib, args.board, args.mode)
     fileio.write_extrinsics_scene(scene, args.out)
-    n = len(scene.frusta) or len(scene.boards)
+    n = len(scene.poses)
     print(f"exported {args.mode}-centric scene with {n} views -> {args.out}")
     return 0
 

@@ -256,17 +256,12 @@ def recover_relative_pose(e: np.ndarray, x_i: np.ndarray, x_j: np.ndarray):
     if len(x_i) < 1 or len(x_i) != len(x_j):
         raise ValueError("need at least one correspondence")
     identity = CameraPose.identity()
-    counts = []
     candidates = []
     for rot, t in decompose_essential(e):
+        # |t| = 1, so triangulate_points never raises ZeroBaseline here.
         pose = CameraPose(rot, t)
-        try:
-            points, valid = triangulate_points(identity, pose, x_i, x_j)
-            counts.append(int(valid.sum()))
-        except ZeroBaseline:
-            points, valid = None, None
-            counts.append(-1)
-        candidates.append((pose, points, valid))
+        candidates.append((pose, *triangulate_points(identity, pose, x_i, x_j)))
+    counts = [int(valid.sum()) for _, _, valid in candidates]
     order = np.argsort(counts)
     best, second = order[-1], order[-2]
     if counts[best] <= len(x_i) / 2.0 or counts[best] == counts[second]:

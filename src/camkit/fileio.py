@@ -318,20 +318,14 @@ def write_pose(pose: CameraPose, mean_error: float, path) -> None:
 
 
 def write_extrinsics_scene(scene: ExtrinsicsScene, path) -> None:
-    doc = {
-        "mode": scene.mode,
-        "units": scene.units,
-        "cameras": [
-            dict(_pose_to_json(f.pose),
-                 apex=f.apex.tolist(),
-                 base=f.base.tolist())
-            for f in scene.frusta
-        ],
-        "boards": [
-            dict(_pose_to_json(b.pose), corners=b.corners.tolist())
-            for b in scene.boards
-        ],
-    }
+    key = "cameras" if scene.mode == "pattern" else "boards"
+    doc = {"mode": scene.mode, "units": "mm", "cameras": [], "boards": []}
+    for pose, outline in zip(scene.poses, scene.outlines):
+        if key == "cameras":
+            shape = dict(apex=pose.translation.tolist(), base=outline.tolist())
+        else:
+            shape = dict(corners=outline.tolist())
+        doc[key].append(dict(_pose_to_json(pose), **shape))
     _dump_json(doc, path)
 
 

@@ -66,35 +66,20 @@ def estimate_board_pose(intrinsics: CameraIntrinsics, dist: DistortionCoeffs,
 
 
 @dataclass(frozen=True)
-class CameraFrustum:
-    """One camera drawn in board coordinates (pattern-centric mode)."""
-
-    pose: CameraPose  # camera-to-world: inverse of the view pose
-    apex: np.ndarray  # camera center, world frame
-    base: np.ndarray  # (4, 3) frustum base rectangle, world frame
-
-
-@dataclass(frozen=True)
-class BoardRectangle:
-    """One board drawn in camera coordinates (camera-centric mode)."""
-
-    pose: CameraPose  # the view pose itself (world/board -> camera)
-    corners: np.ndarray  # (4, 3) board outline, camera frame
-
-
-@dataclass(frozen=True)
 class ExtrinsicsScene:
-    """Geometry for the two extrinsics visualizations.
+    """Geometry for the two extrinsics visualizations, in millimeters.
 
     Pattern-centric mode fixes the board at the origin and draws one camera
-    frustum per view; camera-centric mode fixes the camera and draws one
-    board rectangle per view. Units are millimeters throughout.
+    frustum per view: ``poses`` map each camera into the board frame (the
+    inverse view poses, whose translations are the camera centers) and
+    ``outlines`` hold the frustum bases there. Camera-centric mode fixes the
+    camera and draws one board per view: ``poses`` are the view poses and
+    ``outlines`` the board outlines in the camera frame.
     """
 
     mode: str  # "pattern" | "camera"
-    units: str = "mm"
-    frusta: tuple[CameraFrustum, ...] = ()
-    boards: tuple[BoardRectangle, ...] = ()
+    poses: tuple[CameraPose, ...]
+    outlines: tuple[np.ndarray, ...]  # (4, 3) per view, fixed frame
 
 
 def export_extrinsics_scene(result: CalibrationResult, spec: CheckerboardSpec,
@@ -105,27 +90,15 @@ def export_extrinsics_scene(result: CalibrationResult, spec: CheckerboardSpec,
     """
     if mode not in ("pattern", "camera"):
         raise ValueError(f"mode must be 'pattern' or 'camera', got {mode!r}")
-    outline = board_outline(spec)
     if mode == "camera":
-        boards = tuple(
-            BoardRectangle(pose=pose, corners=pose.transform(outline))
-            for pose in result.poses
-        )
-        return ExtrinsicsScene(mode=mode, boards=boards)
-
-    distances = [float(np.linalg.norm(pose.translation)) for pose in result.poses]
-    depth = 0.5 * float(np.median(distances))
-    w, h = result.image_size
-    image_corners = np.array([[0.0, 0.0], [w - 1.0, 0.0],
-                              [w - 1.0, h - 1.0], [0.0, h - 1.0]])
-    rays = pixel_to_normalized(image_corners, result.intrinsics)
-    base_cam = np.column_stack([rays * depth, np.full(4, depth)])
-    frusta = []
-    for pose in result.poses:
-        cam_to_world = pose.inverse()
-        frusta.append(CameraFrustum(
-            pose=cam_to_world,
-            apex=cam_to_world.translation.copy(),
-            base=cam_to_world.transform(base_cam),
-        ))
-    return ExtrinsicsScene(mode=mode, frusta=tuple(frusta))
+        poses, outline = tuple(result.poses), board_outline(spec)
+    else:
+        distances = [float(np.linalg.norm(pose.translation)) for pose in result.poses]
+        depth = 0.5 * float(np.median(distances))
+        w, h = result.image_size
+        image_corners = np.array([[0.0, 0.0], [w - 1.0, 0.0],
+                                  [w - 1.0, h - 1.0], [0.0, h - 1.0]])
+        rays = pixel_to_normalized(image_corners, result.intrinsics)
+        outline = np.column_stack([rays * depth, np.full(4, depth)])
+        poses = tuple(pose.inverse() for pose in result.poses)
+    return ExtrinsicsScene(mode, poses, tuple(pose.transform(outline) for pose in poses))

@@ -101,6 +101,16 @@ def _observations(tracks, views) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return owner, pairs[keep, 0], pairs[keep, 1]
 
 
+def _gather(per_view, view: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """``per_view[view[k]][rows[k]]`` for every k, stacked; IndexError past a
+    view's last row."""
+    out = np.empty((len(view),) + next(iter(per_view.values())).shape[1:])
+    for v in np.unique(view):
+        sel = view == v
+        out[sel] = per_view[v][rows[sel]]
+    return out
+
+
 def _pair_seed(seed: int, i: int, j: int) -> int:
     return (seed * 1_000_003 + i * 8191 + j) % (2 ** 32)
 
@@ -129,10 +139,9 @@ def _refresh_triangulations(scene: SfmScene, normalized) -> None:
     x = np.zeros((len(pending), len(views), 2))
     seen = np.zeros((len(pending), len(views)), dtype=bool)
     owner, obs_view, feature = _observations([scene.tracks[k] for k in pending], column)
-    for v, c in column.items():
-        sel = obs_view == v
-        x[owner[sel], c] = normalized[v][feature[sel]]
-        seen[owner[sel], c] = True
+    slot = [column[v] for v in obs_view.tolist()]
+    x[owner, slot] = _gather(normalized, obs_view, feature)
+    seen[owner, slot] = True
     points, valid = triangulate_views([scene.poses[v] for v in views], x, seen)
     for k, point, ok in zip(pending, points, valid):
         scene.tracks[k] = replace(scene.tracks[k], point=point, valid=bool(ok))
@@ -289,17 +298,9 @@ def _build_ba_problem(scene: SfmScene):
 
     tracks = [scene.tracks[ti] for ti in track_ids]
     obs_track, obs_view, obs_feature = _observations(tracks, scene.poses)
-    # Slot of each view in ``order``, and its first row among the stacked
-    # features of the views in that order.
-    views = np.array(order)
-    by_id = np.argsort(views)
-    obs_slot = by_id[np.searchsorted(views, obs_view, sorter=by_id)]
-    features = [scene.features[v] for v in order]
-    counts = np.array([len(f) for f in features])
-    if np.any(obs_feature >= counts[obs_slot]):
-        raise IndexError("a track observes a feature its view does not have")
-    first = np.cumsum(counts) - counts
-    obs_px = np.concatenate(features)[first[obs_slot] + obs_feature]
+    slot = {v: c for c, v in enumerate(order)}
+    obs_slot = np.array([slot[v] for v in obs_view.tolist()], dtype=np.int64)
+    obs_px = _gather(scene.features, obs_view, obs_feature)
     poses = [scene.poses[v] for v in order]
     free_poses = np.ones((len(order), 6), dtype=bool)
     free_poses[0] = False
@@ -348,10 +349,10 @@ def export_point_cloud(scene: SfmScene) -> PointCloud:
     if not tracks:
         raise EmptyScene("no valid triangulated tracks")
     positions = np.array([t.point for t in tracks])
-    intensity = np.array([
-        float(np.mean([scene.intensities[v][fi] for v, fi in t.observations]))
-        for t in tracks
-    ])
+    view, feature = np.array([obs for t in tracks for obs in t.observations]).T
+    per_track = np.split(_gather(scene.intensities, view, feature),
+                         np.cumsum([len(t) for t in tracks])[:-1])
+    intensity = np.array([float(np.mean(values)) for values in per_track])
     return PointCloud(positions=positions, intensity=intensity)
 
 

@@ -2,6 +2,8 @@ import importlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from camkit import (
     CameraIntrinsics,
@@ -18,6 +20,7 @@ from camkit import (
     numeric_jacobian,
     render_board,
     reprojection_stats,
+    axis_angle_to_rotation,
     rotation_to_axis_angle,
     undistort_image,
 )
@@ -66,6 +69,85 @@ def test_init_intrinsics_exact_recovery(board_spec):
     for name in ("fx", "fy", "cx", "cy"):
         assert abs(getattr(k, name) - getattr(truth, name)) \
             / abs(getattr(truth, name)) < 1e-6
+
+
+def _oracle_constraint_row(h, i, j):
+    hi, hj = h[:, i], h[:, j]
+    return np.array([
+        hi[0] * hj[0],
+        hi[0] * hj[1] + hi[1] * hj[0],
+        hi[1] * hj[1],
+        hi[2] * hj[0] + hi[0] * hj[2],
+        hi[2] * hj[1] + hi[1] * hj[2],
+        hi[2] * hj[2],
+    ])
+
+
+def _oracle_init_intrinsics(homographies, estimate_skew=False):
+    """``init_intrinsics`` as it was with one constraint row per homography
+    and column pair, built in a loop."""
+    hs = list(homographies)
+    needed = 3 if estimate_skew else 2
+    if len(hs) < needed:
+        raise DegenerateMotion(f"need at least {needed} views, got {len(hs)}")
+
+    rows = []
+    for h in hs:
+        rows.append(_oracle_constraint_row(h, 0, 1))
+        rows.append(_oracle_constraint_row(h, 0, 0)
+                    - _oracle_constraint_row(h, 1, 1))
+    if not estimate_skew:
+        rows.append(np.array([0.0, 1.0, 0.0, 0.0, 0.0, 0.0]))
+    a = np.array(rows)
+
+    _, s, vt = np.linalg.svd(a)
+    if s.size >= 6 and s[4] <= 1e-8 * s[0]:
+        raise DegenerateMotion("board orientations are too similar")
+    b = vt[-1]
+    if b[0] < 0:
+        b = -b
+    b11, b12, b22, b13, b23, b33 = b
+    bmat = np.array([[b11, b12, b13], [b12, b22, b23], [b13, b23, b33]])
+    try:
+        lower = np.linalg.cholesky(bmat)
+    except np.linalg.LinAlgError:
+        raise DegenerateMotion("conic estimate is not positive definite") from None
+    k = np.linalg.inv(lower.T)
+    k /= k[2, 2]
+    return CameraIntrinsics(fx=k[0, 0], fy=k[1, 1], cx=k[0, 2], cy=k[1, 2],
+                            skew=k[0, 1] if estimate_skew else 0.0)
+
+
+def _outcome(init, homographies, estimate_skew):
+    try:
+        k = init(homographies, estimate_skew=estimate_skew)
+    except (DegenerateMotion, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+    return np.array([k.fx, k.fy, k.cx, k.cy, k.skew]).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_views=st.integers(2, 20),
+       estimate_skew=st.booleans(), board=st.booleans())
+def test_stacked_conic_rows_equal_per_homography_rows_bitwise(
+        seed, n_views, estimate_skew, board):
+    """The same K bit for bit, or the same exception, on board homographies
+    K [r1 r2 t] with pixel noise and on arbitrary matrices."""
+    rng = np.random.default_rng(seed)
+    if board:
+        k = np.array([[rng.uniform(300, 2000), rng.normal(0, 2), rng.uniform(200, 400)],
+                      [0.0, rng.uniform(300, 2000), rng.uniform(150, 300)],
+                      [0.0, 0.0, 1.0]])
+        homs = []
+        for _ in range(n_views):
+            r = axis_angle_to_rotation(rng.normal(0, 0.4, 3))
+            t = np.array([*rng.normal(0, 50, 2), rng.uniform(300, 1500)])
+            h = k @ np.column_stack([r[:, 0], r[:, 1], t]) + rng.normal(0, 1e-3, (3, 3))
+            homs.append(h / h[2, 2])
+    else:
+        homs = list(rng.normal(size=(n_views, 3, 3)))
+    assert (_outcome(init_intrinsics, homs, estimate_skew)
+            == _outcome(_oracle_init_intrinsics, homs, estimate_skew))
 
 
 def test_init_intrinsics_rejects_frontoparallel_views(board_spec, ref_intrinsics):

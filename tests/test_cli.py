@@ -155,14 +155,19 @@ def test_extrinsics_command(calibration_file, tmp_path):
                     "--board", "10x7:23mm", "--mode", "pattern",
                     "--out", str(out)]) == 0
     doc = json.loads(out.read_text())
-    assert doc["mode"] == "pattern"
+    assert doc["mode"] == "pattern" and doc["units"] == "mm"
     assert len(doc["cameras"]) == 8
     assert doc["boards"] == []
+    for camera in doc["cameras"]:
+        assert camera["apex"] == camera["translation"]
     out2 = tmp_path / "scene2.json"
     assert run_cli(["extrinsics", "--calib", str(calibration_file),
                     "--board", "10x7:23mm", "--mode", "camera",
                     "--out", str(out2)]) == 0
-    assert len(json.loads(out2.read_text())["boards"]) == 8
+    doc2 = json.loads(out2.read_text())
+    assert doc2["mode"] == "camera" and doc2["units"] == "mm"
+    assert len(doc2["boards"]) == 8
+    assert doc2["cameras"] == []
 
 
 def test_render_scene_and_sfm_commands(tmp_path, calibration_file):

@@ -13,7 +13,12 @@ from camkit import (
     sampson_distance,
     triangulate_points,
 )
-from camkit.epipolar import _fit_block, _fit_essential, _homogeneous
+from camkit.epipolar import (
+    _fit_block,
+    _fit_essential,
+    _homogeneous,
+    decompose_essential,
+)
 from camkit.geometry import pixel_to_normalized, undistort_normalized
 from camkit.errors import (
     CheiralityAmbiguous,
@@ -165,6 +170,24 @@ def test_triangulate_rejects_zero_baseline():
     pose = CameraPose.identity()
     with pytest.raises(ZeroBaseline):
         triangulate_points(pose, pose, np.zeros((1, 2)), np.zeros((1, 2)))
+
+
+@settings(max_examples=50, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), scale=st.floats(1e-6, 1e6),
+       perturbed=st.booleans())
+def test_every_essential_candidate_has_a_unit_baseline(seed, scale, perturbed):
+    """``recover_relative_pose`` triangulates each candidate against the
+    identity pose, so a camera centre of norm 1 means ZeroBaseline cannot
+    fire there."""
+    rng = np.random.default_rng(seed)
+    e = scale * skew(rng.normal(size=3)) @ axis_angle_to_rotation(rng.normal(size=3))
+    if perturbed:
+        e = e + rng.normal(0, 1e-3 * scale, (3, 3))
+    x = rng.normal(0, 0.3, (4, 2))
+    for rot, t in decompose_essential(e):
+        pose = CameraPose(rot, t)
+        assert abs(np.linalg.norm(pose.center) - 1.0) <= 1e-12
+        triangulate_points(CameraPose.identity(), pose, x, x)
 
 
 def test_triangulate_project_pixel_roundtrip():

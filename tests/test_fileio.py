@@ -1,4 +1,5 @@
 import json
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -8,10 +9,14 @@ from hypothesis import strategies as st
 from camkit import (
     CalibrationDataset,
     CameraIntrinsics,
+    CameraPose,
     DistortionCoeffs,
     PointCloud,
     axis_angle_to_rotation,
+    board_outline,
     calibrate,
+    export_extrinsics_scene,
+    pixel_to_normalized,
 )
 from camkit.errors import (
     CorruptFile,
@@ -21,12 +26,15 @@ from camkit.errors import (
     UnsupportedFormat,
 )
 from camkit.fileio import (
+    _dump_json,
     _parse_pnm_header,
+    _pose_to_json,
     format_ply,
     read_calibration,
     read_image,
     read_render_spec,
     write_calibration,
+    write_extrinsics_scene,
     write_image,
     write_ply,
 )
@@ -224,6 +232,88 @@ def calibration_result(board_spec, ref_intrinsics, ref_distortion):
                                  image_width=IMAGE_WIDTH,
                                  image_height=IMAGE_HEIGHT)
     return calibrate(dataset)
+
+
+# The extrinsics scene as three records (a frustum per camera, a rectangle
+# per board and a scene holding either), with its export and writer, kept as
+# the oracle for the one-record scene: both write the same bytes.
+
+@dataclass(frozen=True)
+class _OracleFrustum:
+    pose: CameraPose
+    apex: np.ndarray
+    base: np.ndarray
+
+
+@dataclass(frozen=True)
+class _OracleBoard:
+    pose: CameraPose
+    corners: np.ndarray
+
+
+@dataclass(frozen=True)
+class _OracleScene:
+    mode: str
+    units: str = "mm"
+    frusta: tuple = ()
+    boards: tuple = ()
+
+
+def _oracle_export(result, spec, mode):
+    outline = board_outline(spec)
+    if mode == "camera":
+        boards = tuple(
+            _OracleBoard(pose=pose, corners=pose.transform(outline))
+            for pose in result.poses
+        )
+        return _OracleScene(mode=mode, boards=boards)
+
+    distances = [float(np.linalg.norm(pose.translation)) for pose in result.poses]
+    depth = 0.5 * float(np.median(distances))
+    w, h = result.image_size
+    image_corners = np.array([[0.0, 0.0], [w - 1.0, 0.0],
+                              [w - 1.0, h - 1.0], [0.0, h - 1.0]])
+    rays = pixel_to_normalized(image_corners, result.intrinsics)
+    base_cam = np.column_stack([rays * depth, np.full(4, depth)])
+    frusta = []
+    for pose in result.poses:
+        cam_to_world = pose.inverse()
+        frusta.append(_OracleFrustum(
+            pose=cam_to_world,
+            apex=cam_to_world.translation.copy(),
+            base=cam_to_world.transform(base_cam),
+        ))
+    return _OracleScene(mode=mode, frusta=tuple(frusta))
+
+
+def _oracle_write(scene, path):
+    doc = {
+        "mode": scene.mode,
+        "units": scene.units,
+        "cameras": [
+            dict(_pose_to_json(f.pose),
+                 apex=f.apex.tolist(),
+                 base=f.base.tolist())
+            for f in scene.frusta
+        ],
+        "boards": [
+            dict(_pose_to_json(b.pose), corners=b.corners.tolist())
+            for b in scene.boards
+        ],
+    }
+    _dump_json(doc, path)
+
+
+@pytest.mark.parametrize("mode", ["pattern", "camera"])
+def test_extrinsics_scene_writes_the_bytes_of_the_three_records(
+        tmp_path, calibration_result, board_spec, mode):
+    ours, theirs = tmp_path / "ours.json", tmp_path / "theirs.json"
+    write_extrinsics_scene(
+        export_extrinsics_scene(calibration_result, board_spec, mode), ours)
+    _oracle_write(_oracle_export(calibration_result, board_spec, mode), theirs)
+    assert ours.read_bytes() == theirs.read_bytes()
+    assert len(json.loads(ours.read_text())[
+        "cameras" if mode == "pattern" else "boards"]) == 4
 
 
 def test_calibration_roundtrip(tmp_path, calibration_result):

@@ -4,6 +4,7 @@ import pytest
 from camkit import (
     CameraPose,
     CalibrationDataset,
+    board_outline,
     board_world_points,
     calibrate,
     estimate_board_pose,
@@ -98,15 +99,15 @@ def small_calibration(board_spec, ref_intrinsics, ref_distortion):
 def test_pattern_scene_camera_centers(small_calibration, board_spec):
     result, truth_poses = small_calibration
     scene = export_extrinsics_scene(result, board_spec, "pattern")
-    assert scene.mode == "pattern" and scene.units == "mm"
-    assert len(scene.frusta) == len(result.poses)
-    for frustum, pose in zip(scene.frusta, result.poses):
+    assert scene.mode == "pattern"
+    assert len(scene.poses) == len(scene.outlines) == len(result.poses)
+    for cam_to_board, base, pose in zip(scene.poses, scene.outlines, result.poses):
         expected = -pose.rotation.T @ pose.translation
-        assert np.array_equal(frustum.apex, frustum.pose.translation)
-        assert np.max(np.abs(frustum.apex - expected)) == 0.0
+        assert np.max(np.abs(cam_to_board.translation - expected)) == 0.0
+        assert base.shape == (4, 3)
 
     gt_dist = [np.linalg.norm(p.center) for p in truth_poses]
-    centers = [np.linalg.norm(f.apex) for f in scene.frusta]
+    centers = [np.linalg.norm(p.translation) for p in scene.poses]
     assert min(centers) >= min(gt_dist) - 1.0
     assert max(centers) <= max(gt_dist) + 1.0
 
@@ -122,17 +123,19 @@ def test_camera_scene_board_placement(board_spec, ref_intrinsics, ref_distortion
         intrinsic_stderr={}, distortion_stderr={},
         pose_stderr=np.zeros((3, 6)), image_size=(IMAGE_WIDTH, IMAGE_HEIGHT))
     scene = export_extrinsics_scene(result, board_spec, "camera")
-    assert len(scene.boards) == 3
-    origin_corner = scene.boards[0].pose.transform(np.zeros(3))
+    assert len(scene.poses) == len(scene.outlines) == 3
+    origin_corner = scene.poses[0].transform(np.zeros(3))
     assert origin_corner == pytest.approx([0.0, 0.0, 500.0], abs=1e-12)
+    assert scene.outlines[0] == pytest.approx(
+        truth.transform(board_outline(board_spec)), abs=0.0)
 
 
 def test_modes_are_rigid_inverses(small_calibration, board_spec):
     result, _ = small_calibration
     pattern = export_extrinsics_scene(result, board_spec, "pattern")
     camera = export_extrinsics_scene(result, board_spec, "camera")
-    for frustum, board in zip(pattern.frusta, camera.boards):
-        composed = board.pose.compose(frustum.pose)
+    for cam_to_board, board_to_cam in zip(pattern.poses, camera.poses):
+        composed = board_to_cam.compose(cam_to_board)
         assert np.max(np.abs(composed.rotation - np.eye(3))) < 1e-9
         assert np.max(np.abs(composed.translation)) < 1e-9
 

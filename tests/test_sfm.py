@@ -480,6 +480,38 @@ def test_export_point_cloud_intensity_mean(ref_intrinsics):
     assert cloud.intensity[0] == 150.0
 
 
+def _oracle_intensity(scene):
+    """The per-track intensity as a mean over a Python list, one track at a
+    time."""
+    return np.array([
+        float(np.mean([scene.intensities[v][fi] for v, fi in t.observations]))
+        for t in scene.valid_tracks()
+    ])
+
+
+def test_export_point_cloud_equals_per_track_means_bitwise(cube_reconstruction,
+                                                           ref_intrinsics):
+    cloud = export_point_cloud(cube_reconstruction)
+    assert cloud.intensity.tobytes() == _oracle_intensity(cube_reconstruction).tobytes()
+    # Tracks of 12 views, where a pairwise or one-pass sum of the
+    # observations would round differently from numpy's mean.
+    scene, _ = build_scene(ref_intrinsics, n_points=30, n_views=12)
+    rng = np.random.default_rng(2)
+    for v in scene.intensities:
+        scene.intensities[v] = rng.uniform(0.0, 255.0, 30)
+    scene.tracks[3].valid = False
+    cloud = export_point_cloud(scene)
+    assert len(cloud) == 29
+    assert cloud.intensity.tobytes() == _oracle_intensity(scene).tobytes()
+
+
+def test_export_point_cloud_reads_every_observed_view(ref_intrinsics):
+    scene, _ = build_scene(ref_intrinsics, n_points=10, n_views=3)
+    del scene.intensities[1]
+    with pytest.raises(KeyError):
+        export_point_cloud(scene)
+
+
 def test_export_point_cloud_counts(cube_reconstruction):
     cloud = export_point_cloud(cube_reconstruction)
     assert len(cloud) == len(cube_reconstruction.valid_tracks())
