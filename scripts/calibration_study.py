@@ -7,10 +7,13 @@ Usage: python scripts/calibration_study.py [--views 20] [--seed 42] [--render]
 
 With --render the corners come from the actual corner detector on rendered
 images (slower); otherwise they are synthesized directly from the projection
-model, which isolates the estimator from the detector.
+model, which isolates the estimator from the detector. The last line is the
+process's peak resident set (``ru_maxrss``) in MB, which with --render
+includes the renderer's ray grid.
 """
 
 import argparse
+import resource
 import time
 
 import numpy as np
@@ -78,6 +81,7 @@ def main():
               f"{stderr['cx']:9.4f} {stderr['cy']:9.4f} "
               f"{result.distortion_stderr['k1']:9.5f} "
               f"{result.distortion_stderr['k2']:9.5f}")
+    print(f"peak RSS {resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024:.1f} MB")
 
 
 if __name__ == "__main__":

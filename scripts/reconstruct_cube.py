@@ -4,12 +4,14 @@ known geometry.
 
 Renders a 5-view corner-on capture of a 200 mm cube, runs the incremental
 reconstruction, aligns the cloud to ground truth by a similarity fit, and
-writes the point cloud as PLY.
+writes the point cloud as PLY. The last line is the process's peak resident
+set (``ru_maxrss``) in MB.
 
 Usage: python scripts/reconstruct_cube.py [--out cube.ply] [--seed 0]
 """
 
 import argparse
+import resource
 import time
 
 import numpy as np
@@ -77,6 +79,7 @@ def main():
 
     write_ply(export_point_cloud(scene), args.out)
     print(f"wrote {args.out}")
+    print(f"peak RSS {resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024:.1f} MB")
 
 
 if __name__ == "__main__":

@@ -262,7 +262,8 @@ def match_features(a: Features, b: Features) -> np.ndarray:
     )
 
     def nearest_two(dist):
-        order = np.argsort(dist, axis=1)
+        # Tied nearest neighbours fail the ratio test, so their order is free.
+        order = np.argpartition(dist, min(1, dist.shape[1] - 1), axis=1)
         j1 = order[:, 0]
         d1 = np.sqrt(dist[np.arange(len(dist)), j1])
         if dist.shape[1] > 1:

@@ -251,16 +251,16 @@ def undistort_normalized(normalized, dist: DistortionCoeffs, *, tol: float = 1e-
 class RayGrid(NamedTuple):
     """The sub-pixel rays of an image and the bounds of each tile's rays.
 
-    ``rays`` is a read-only ``(height * ss * width * ss, 3)`` array of
-    undistorted ``(x, y, 1)`` rays in row-major sub-pixel order (sub-rows,
-    then sub-columns). The image is cut into ``RENDER_TILE`` x
-    ``RENDER_TILE``-pixel tiles from its top-left corner, partial at the
-    right and bottom edges; ``tile_min`` and ``tile_max`` are read-only
-    ``(tile rows, tile columns, 2)`` arrays holding the least and greatest
-    ``(x, y)`` of the rays through each tile, from which the board and the
-    cube decide whole tiles for :func:`render_tiles`. They are reduced in the
-    same pass as the rays and cached with them, which adds a few ms to every
-    grid; a separate pass over a 640x480 grid took 0.22 s and 65 MB.
+    The image is cut into ``RENDER_TILE``-pixel square tiles from its top-left
+    corner. ``rays`` is a read-only ``(tile rows * side, tile columns * side,
+    2)`` array, ``side = RENDER_TILE * ss``, of undistorted ray ``(x, y)``,
+    z = 1 implicit, in row-major sub-pixel order, padded to whole tiles by
+    repeating the last sample row and column. ``tile_min`` and ``tile_max``,
+    read-only ``(tile rows, tile columns, 2)``, hold the least and greatest
+    ``(x, y)`` of each tile's rays, from which the board and the cube decide
+    whole tiles for :func:`render_tiles`. They are reduced in the same pass as
+    the rays and cached with them, which adds a few ms to every grid; a
+    separate pass over a 640x480 grid took 0.22 s and 65 MB.
     """
 
     rays: np.ndarray
@@ -287,17 +287,18 @@ def subpixel_ray_grid(intrinsics: CameraIntrinsics, dist: DistortionCoeffs,
     on it, and the rays are undistorted to ``tol`` by
     :func:`undistort_normalized`; see :class:`RayGrid` for the layout and the
     tile bounds. The rays depend on nothing but the arguments, so the most
-    recent grid is cached and shared by every caller (118 MB at 640x480 with
+    recent grid is cached and shared by every caller (79 MB at 640x480 with
     4x4 samples).
     """
     ss = supersample
     side = RENDER_TILE * ss  # samples along a tile side
+    tile_shape = (-(-height // RENDER_TILE), -(-width // RENDER_TILE), 2)
     sub = (np.arange(ss) + 0.5) / ss - 0.5
     u = (np.arange(width)[:, None] + sub[None, :]).ravel()
     v = (np.arange(height)[:, None] + sub[None, :]).ravel()
-    rays = np.empty((v.size, u.size, 3))
-    rays[..., 2] = 1.0
-    tile_shape = (-(-height // RENDER_TILE), -(-width // RENDER_TILE), 2)
+    u = np.pad(u, (0, tile_shape[1] * side - u.size), mode="edge")
+    v = np.pad(v, (0, tile_shape[0] * side - v.size), mode="edge")
+    rays = np.empty((v.size, u.size, 2))
     tile_min, tile_max = np.empty(tile_shape), np.empty(tile_shape)
     tile_cols = np.arange(0, u.size, side)
     # In bands of whole tile rows of about 2^16 rays: the lens model's
@@ -311,13 +312,13 @@ def subpixel_ray_grid(intrinsics: CameraIntrinsics, dist: DistortionCoeffs,
             pixel_to_normalized(np.column_stack([uu.ravel(), vv.ravel()]),
                                 intrinsics),
             dist, tol=tol).reshape(uu.shape + (2,))
-        rays[row0:row0 + band, :, :2] = xy
+        rays[row0:row0 + band] = xy
         tile_rows = np.arange(0, len(xy), side)
         tiles = slice(row0 // side, row0 // side + tile_rows.size)
         for reduce, bound in ((np.minimum, tile_min), (np.maximum, tile_max)):
             bound[tiles] = reduce.reduceat(reduce.reduceat(xy, tile_rows, axis=0),
                                            tile_cols, axis=1)
-    grid = RayGrid(rays.reshape(-1, 3), tile_min, tile_max)
+    grid = RayGrid(rays, tile_min, tile_max)
     for array in grid:
         array.setflags(write=False)
     return grid
@@ -330,25 +331,23 @@ def render_tiles(grid: RayGrid, width: int, height: int, supersample: int,
     ``cases`` (tile rows, tile columns) is -1 where a tile takes its pixel
     value from ``shades`` whole, and else a case of the scene's, such as a
     known hit. The other tiles' rays are gathered case by case,
-    ``SHADE_BLOCK`` at a time, and ``shade(rays, case)`` gives each
-    camera-frame ray an intensity. A pixel is ``gain`` times the mean of its
-    rays' intensities, rounded half to even, which must lie in 0-255.
+    ``SHADE_BLOCK`` at a time, as ``(k, 3)`` rays with z = 1, and
+    ``shade(rays, case)`` gives each an intensity. A pixel is ``gain`` times
+    the mean of its rays' intensities, rounded half to even, which must lie
+    in 0-255. Partial tiles are padded in the grid and cropped from the image.
     """
     n_ty, n_tx = cases.shape
     image = np.empty((n_ty, RENDER_TILE, n_tx, RENDER_TILE), dtype=np.uint8)
     image[:] = shades[:, None, :, None]
     ss, side = supersample, RENDER_TILE * supersample
+    tile_rays = grid.rays.reshape(n_ty, side, n_tx, side, 2).transpose(0, 2, 1, 3, 4)
     tiles_per_block = max(1, SHADE_BLOCK // side ** 2)
     for case in np.unique(cases[cases >= 0]):
         tiles = np.flatnonzero(cases == case)
         for start in range(0, tiles.size, tiles_per_block):
             row, col = np.divmod(tiles[start:start + tiles_per_block], n_tx)
-            # A partial tile at the right or bottom edge repeats its last
-            # sample column or row; the crop below drops the pixels they fill.
-            rows = np.minimum(row[:, None] * side + np.arange(side), height * ss - 1)
-            cols = np.minimum(col[:, None] * side + np.arange(side), width * ss - 1)
-            index = rows[:, :, None] * (width * ss) + cols[:, None, :]
-            values = shade(np.take(grid.rays, index.ravel(), axis=0), case)
+            xy = tile_rays[row, col].reshape(-1, 2)
+            values = shade(np.column_stack([xy, np.ones(len(xy))]), case)
             image[row, :, col, :] = np.rint(values.reshape(
                 -1, RENDER_TILE, ss, RENDER_TILE, ss).mean(axis=(2, 4)) * gain)
     image = image.reshape(n_ty * RENDER_TILE, n_tx * RENDER_TILE)

@@ -102,8 +102,10 @@ def _observations(tracks, views) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _gather(per_view, view: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """``per_view[view[k]][rows[k]]`` for every k, stacked; IndexError past a
-    view's last row."""
+    """``per_view[view[k]][rows[k]]`` for every k, stacked; IndexError for a
+    negative row or one past a view's last row."""
+    if np.any(rows < 0):
+        raise IndexError("negative feature index")
     out = np.empty((len(view),) + next(iter(per_view.values())).shape[1:])
     for v in np.unique(view):
         sel = view == v

@@ -107,7 +107,7 @@ def test_render_is_deterministic(board_spec, ref_intrinsics, ref_distortion):
     assert np.array_equal(a, b)
 
     grid = subpixel_ray_grid(ref_intrinsics, ref_distortion, 320, 240, SUPERSAMPLE)
-    assert grid.rays.shape == (240 * SUPERSAMPLE * 320 * SUPERSAMPLE, 3)
+    assert grid.rays.shape == (240 * SUPERSAMPLE, 320 * SUPERSAMPLE, 2)
     assert grid.tile_min.shape == grid.tile_max.shape == (60, 80, 2)
     for array in grid:
         with pytest.raises(ValueError):
@@ -160,7 +160,9 @@ def _oracle_render_board(spec, intrinsics, dist, pose, width, height):
     """The masked per-ray render: intersect only the rays with a positive
     plane scale, shade those hits, scatter them back, average 4x4 blocks."""
     ss = SUPERSAMPLE
-    rays = subpixel_ray_grid(intrinsics, dist, width, height, ss, 1e-8).rays
+    xy = subpixel_ray_grid(intrinsics, dist, width, height, ss, 1e-8).rays
+    xy = xy[:height * ss, :width * ss].reshape(-1, 2)
+    rays = np.column_stack([xy, np.ones(len(xy))])
     normal_cam = pose.rotation[:, 2]
     offset = float(normal_cam @ pose.translation)
     denom = rays @ normal_cam
@@ -315,14 +317,16 @@ def test_ray_grid_matches_one_shot_undistortion(width, height, ref_intrinsics,
     uu, vv = np.meshgrid(u, v)
     xy = undistort_normalized(pixel_to_normalized(
         np.column_stack([uu.ravel(), vv.ravel()]), ref_intrinsics), ref_distortion)
-    assert np.array_equal(grid.rays[:, :2], xy)
-    assert np.all(grid.rays[:, 2] == 1.0)
 
-    # Tile bounds: pad by edge replication to whole tiles, then reduce.
+    # The grid and its tile bounds: pad by edge replication to whole tiles,
+    # then reduce; the grid stores 16 bytes, an (x, y) pair, per sample.
     side = RENDER_TILE * ss
     n_ty, n_tx = -(-height // RENDER_TILE), -(-width // RENDER_TILE)
     padded = np.pad(xy.reshape(v.size, u.size, 2),
                     ((0, n_ty * side - v.size), (0, n_tx * side - u.size), (0, 0)),
-                    mode="edge").reshape(n_ty, side, n_tx, side, 2)
+                    mode="edge")
+    assert np.array_equal(grid.rays, padded)
+    assert grid.rays.nbytes == 16 * (n_ty * side) * (n_tx * side)
+    padded = padded.reshape(n_ty, side, n_tx, side, 2)
     assert np.array_equal(grid.tile_min, padded.min(axis=(1, 3)))
     assert np.array_equal(grid.tile_max, padded.max(axis=(1, 3)))

@@ -10,6 +10,7 @@ from camkit.errors import ImageTooSmall
 from camkit.features import (
     CONTRAST_THRESHOLD,
     INTERVALS,
+    MATCH_RATIO,
     SIGMA0,
     _descriptors,
     _gaussian_pyramid,
@@ -162,6 +163,59 @@ def test_matching_equals_the_per_pair_loop(cube_features):
         got = match_features(a, b)
         assert got.dtype == np.int64
         assert got.tolist() == want
+
+
+def _oracle_match_features(a, b):
+    """match_features with a full argsort, kept verbatim."""
+    if len(a) == 0 or len(b) == 0:
+        return np.empty((0, 2), dtype=np.int64)
+    da, db = a.descriptors, b.descriptors
+    d2 = np.maximum(
+        np.sum(da * da, axis=1)[:, None]
+        + np.sum(db * db, axis=1)[None, :]
+        - 2.0 * (da @ db.T),
+        0.0,
+    )
+
+    def nearest_two(dist):
+        order = np.argsort(dist, axis=1)
+        j1 = order[:, 0]
+        d1 = np.sqrt(dist[np.arange(len(dist)), j1])
+        if dist.shape[1] > 1:
+            d2nd = np.sqrt(dist[np.arange(len(dist)), order[:, 1]])
+        else:
+            d2nd = np.full(len(dist), np.inf)
+        return j1, d1, d2nd
+
+    fwd, d1a, d2a = nearest_two(d2)
+    bwd, d1b, d2b = nearest_two(d2.T)
+
+    ia = np.arange(len(fwd))
+    ok_a = np.where(np.isfinite(d2a), d1a < MATCH_RATIO * d2a, True)
+    ok_b = np.where(np.isfinite(d2b), d1b < MATCH_RATIO * d2b, True)
+    keep = (bwd[fwd] == ia) & ok_a & ok_b[fwd]
+    return np.column_stack([ia[keep], fwd[keep]]).astype(np.int64)
+
+
+@pytest.mark.parametrize("n_a, n_b", [(60, 45), (1, 30), (30, 1), (1, 1), (2, 2)])
+@pytest.mark.parametrize("seed", range(4))
+def test_matching_equals_the_argsort_version(seed, n_a, n_b):
+    # b starts with copies of part of a under noise that puts the ratio test
+    # on either side of MATCH_RATIO, and each side repeats some of its rows,
+    # so nearest and second-nearest distances tie.
+    rng = np.random.default_rng(seed)
+    a = random_features(rng, n_a)
+    b = random_features(rng, n_b)
+    shared = rng.choice(n_a, (min(n_a, n_b) + 1) // 2, replace=False)
+    b.descriptors[:shared.size] = a.descriptors[shared] + rng.normal(
+        0.0, rng.uniform(0.0, 0.2, (shared.size, 1)), (shared.size, 64))
+    for feats in (a, b):
+        n = len(feats)
+        feats.descriptors[rng.integers(0, n, n // 4)] = feats.descriptors[
+            rng.integers(0, n, n // 4)]
+    got = match_features(a, b)
+    assert got.dtype == np.int64
+    assert got.tolist() == _oracle_match_features(a, b).tolist()
 
 
 def test_empty_input_gives_empty_result():

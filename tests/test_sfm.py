@@ -323,6 +323,17 @@ def test_ba_residual_reads_each_observation_from_its_view(ref_intrinsics):
         _build_ba_problem(scene)
 
 
+def test_negative_feature_index_is_rejected(ref_intrinsics):
+    # Not read as view 0's last feature.
+    scene, _ = build_scene(ref_intrinsics)
+    scene.tracks[0] = Track(observations=((0, -1), (1, 0)),
+                            point=scene.tracks[0].point, valid=True)
+    with pytest.raises(IndexError):
+        _build_ba_problem(scene)
+    with pytest.raises(IndexError):
+        export_point_cloud(scene)
+
+
 def test_ba_gauge_freezes_first_pose_and_largest_second_coordinate(
         ref_intrinsics):
     scene, _ = build_scene(ref_intrinsics, point_noise=2.0, seed=5)

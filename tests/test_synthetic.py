@@ -113,9 +113,11 @@ def test_cube_edge_must_be_finite_and_positive(edge):
 # of whole sub-pixel rows, and the row-block mean.
 
 def _oracle_render_cube_view(scene, intrinsics, dist, pose, width, height):
-    rays = subpixel_ray_grid(intrinsics, dist, width, height, CUBE_SUPERSAMPLE).rays
+    xy = subpixel_ray_grid(intrinsics, dist, width, height, CUBE_SUPERSAMPLE).rays
     rot, origin = pose.rotation, pose.center
     ss = CUBE_SUPERSAMPLE
+    xy = xy[:height * ss, :width * ss].reshape(-1, 2)
+    rays = np.column_stack([xy, np.ones(len(xy))])
     rays_per_row = ss * width * ss
     rows_per_block = max(1, 2 ** 15 // rays_per_row)
     image = np.empty((height, width), dtype=np.uint8)
