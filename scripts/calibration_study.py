@@ -7,9 +7,11 @@ Usage: python scripts/calibration_study.py [--views 20] [--seed 42] [--render]
 
 With --render the corners come from the actual corner detector on rendered
 images (slower); otherwise they are synthesized directly from the projection
-model, which isolates the estimator from the detector. The last line is the
-process's peak resident set (``ru_maxrss``) in MB, which with --render
-includes the renderer's ray grid.
+model, which isolates the estimator from the detector. With --render the
+second-to-last line gives the seconds the first view's render took, which
+include building the ray grid's tile bounds, and the mean of the later
+views'. The last line is the process's peak resident set (``ru_maxrss``) in
+MB.
 """
 
 import argparse
@@ -58,12 +60,15 @@ def main():
                  f"{truth_d.k2:9.5f}")
     print(truth_row)
 
+    render_s = []
     for noise in (0.0, 0.25, 0.5, 1.0):
         t0 = time.time()
         if args.render and noise == 0.0:
             grids = []
             for pose in poses:
+                start = time.perf_counter()
                 img = render_board(spec, truth_k, truth_d, pose, WIDTH, HEIGHT)
+                render_s.append(time.perf_counter() - start)
                 grids.append(detect_corners(img, spec))
         else:
             grids = synthesize_corner_views(spec, truth_k, truth_d, poses,
@@ -81,6 +86,9 @@ def main():
               f"{stderr['cx']:9.4f} {stderr['cy']:9.4f} "
               f"{result.distortion_stderr['k1']:9.5f} "
               f"{result.distortion_stderr['k2']:9.5f}")
+    if render_s:
+        print(f"render {render_s[0]:.3f} s first view, "
+              f"{np.mean(render_s[1:]):.3f} s mean of later views")
     print(f"peak RSS {resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024:.1f} MB")
 
 

@@ -127,9 +127,9 @@ def render_board(spec: CheckerboardSpec, intrinsics: CameraIntrinsics,
 
     Each output pixel averages a 4x4 grid of sub-rays cast through the lens
     model onto the board plane; each sample is black, white or background.
-    The rays, with the bounds of the rays through each ``RENDER_TILE`` x
-    ``RENDER_TILE``-pixel tile, are cached for the most recent camera and
-    image size (:func:`~camkit.geometry.subpixel_ray_grid`), so views
+    The bounds of the rays through each ``RENDER_TILE``-pixel square tile,
+    and the rays of the tiles cast, are cached for the most recent camera
+    and image size (:func:`~camkit.geometry.subpixel_ray_grid`), so views
     rendered in a row with one camera share them. A tile whose four bound
     corners all land in one square or margin cell, or all beyond one margin
     line, takes that shade whole. Only the other tiles, which a square edge,

@@ -197,21 +197,28 @@ def _pose_to_json(pose: CameraPose) -> dict:
     }
 
 
-def _pose_from_json(doc: dict, context: str) -> CameraPose:
-    """Read a pose from its ``axis_angle``, or from its ``rotation`` matrix
-    when the document lists one: axis-angle to matrix and back is not exact,
-    so only the matrix a file was written from reads back as that pose.
-    Raises SchemaMismatch when the two disagree beyond 1e-12."""
-    rvec = np.array(_require(doc, "axis_angle", context), dtype=np.float64)
-    t = np.array(_require(doc, "translation", context), dtype=np.float64)
-    rotation = axis_angle_to_rotation(rvec)
-    if "rotation" in doc:
-        listed = np.array(doc["rotation"], dtype=np.float64)
-        if listed.shape != (3, 3) or not np.max(np.abs(listed - rotation)) <= 1e-12:
-            raise SchemaMismatch(f"{context}: a pose's rotation does not match "
-                                 f"its axis_angle")
-        rotation = listed
-    return CameraPose(rotation, t)
+def _poses_from_json(docs, context: str) -> list[CameraPose]:
+    """Read poses from their ``axis_angle``, converted in one batched call,
+    or from their ``rotation`` matrix when a document lists one: axis-angle
+    to matrix and back is not exact, so only the matrix a file was written
+    from reads back as that pose. Raises SchemaMismatch when the two
+    disagree beyond 1e-12."""
+    rvecs = [np.array(_require(doc, "axis_angle", context), dtype=np.float64)
+             for doc in docs]
+    if any(rvec.shape != (3,) for rvec in rvecs):
+        raise SchemaMismatch(f"{context}: a pose's axis_angle must list 3 numbers")
+    rotations = axis_angle_to_rotation(np.reshape(rvecs, (-1, 3)))
+    poses = []
+    for doc, rotation in zip(docs, rotations):
+        t = np.array(_require(doc, "translation", context), dtype=np.float64)
+        if "rotation" in doc:
+            listed = np.array(doc["rotation"], dtype=np.float64)
+            if listed.shape != (3, 3) or not np.max(np.abs(listed - rotation)) <= 1e-12:
+                raise SchemaMismatch(f"{context}: a pose's rotation does not match "
+                                     f"its axis_angle")
+            rotation = listed
+        poses.append(CameraPose(rotation, t))
+    return poses
 
 
 def _load_json(path) -> dict:
@@ -280,11 +287,10 @@ def read_calibration(path) -> CalibrationResult:
         image_size, intrinsics = _camera_from_json(doc, ctx)
         distortion = _distortion_from_json(_require(doc, "distortion", ctx), ctx)
         views = _require(doc, "views", ctx)
-        poses = []
+        poses = _poses_from_json(views, ctx)
         errors = []
         pose_stderr = []
         for view in views:
-            poses.append(_pose_from_json(view, ctx))
             errors.append(_require(view, "mean_error", ctx))
             pose_stderr.append(np.array(view.get("stderr", [float("nan")] * 6),
                                         dtype=np.float64))
@@ -407,7 +413,7 @@ def read_render_spec(path, subject: str) -> dict:
                 ("radius", 2.5 * edge), ("elevation_deg", 30.0),
                 ("sweep_deg", 48.0), ("start_deg", 21.0))}
         if "poses" in doc:
-            out["poses"] = [_pose_from_json(p, ctx) for p in doc["poses"]]
+            out["poses"] = _poses_from_json(doc["poses"], ctx)
             out["views"] = None
         else:
             out["poses"] = None

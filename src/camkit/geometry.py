@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -248,24 +247,51 @@ def undistort_normalized(normalized, dist: DistortionCoeffs, *, tol: float = 1e-
     return np.stack([x, y], axis=-1).reshape(pts.shape)
 
 
-class RayGrid(NamedTuple):
-    """The sub-pixel rays of an image and the bounds of each tile's rays.
+class RayGrid:
+    """The bounds of each tile's undistorted sub-pixel rays, and the rays of
+    the tiles that renders have asked for.
 
-    The image is cut into ``RENDER_TILE``-pixel square tiles from its top-left
-    corner. ``rays`` is a read-only ``(tile rows * side, tile columns * side,
-    2)`` array, ``side = RENDER_TILE * ss``, of undistorted ray ``(x, y)``,
-    z = 1 implicit, in row-major sub-pixel order, padded to whole tiles by
-    repeating the last sample row and column. ``tile_min`` and ``tile_max``,
-    read-only ``(tile rows, tile columns, 2)``, hold the least and greatest
-    ``(x, y)`` of each tile's rays, from which the board and the cube decide
-    whole tiles for :func:`render_tiles`. They are reduced in the same pass as
-    the rays and cached with them, which adds a few ms to every grid; a
-    separate pass over a 640x480 grid took 0.22 s and 65 MB.
+    Tiles are ``RENDER_TILE`` pixels square from the image's top-left corner,
+    numbered row-major. ``u`` (tile columns, side) and ``v`` (tile rows, side)
+    are the pixel coordinates of each tile's ``side`` x ``side`` samples,
+    padded past the image by repeating the last ones, undistorted to ``tol``.
+    ``tile_min`` and ``tile_max``, read-only ``(tile rows, tile columns, 2)``,
+    bound each tile's ray ``(x, y)``; the board and the cube decide whole
+    tiles from them for :func:`render_tiles`. :meth:`rays` undistorts a
+    tile's rays again on its first request and keeps them.
     """
 
-    rays: np.ndarray
-    tile_min: np.ndarray
-    tile_max: np.ndarray
+    def __init__(self, intrinsics: CameraIntrinsics, dist: DistortionCoeffs,
+                 tol: float, u: np.ndarray, v: np.ndarray):
+        self._lens = (intrinsics, dist, tol)
+        self._u, self._v = u, v
+        n_tiles, side = len(u) * len(v), u.shape[1]
+        bounds = np.empty((2, n_tiles, 2))
+        # In blocks of about 2^16 rays: the lens model's temporaries for every
+        # ray at once would outweigh the bounds many times over.
+        block = max(1, 2 ** 16 // side ** 2)
+        for start in range(0, n_tiles, block):
+            xy = self._undistort(np.arange(start, min(start + block, n_tiles)))
+            # One axis at a time: numpy reduces both at once 6 times slower.
+            bounds[0, start:start + block] = xy.min(axis=1).min(axis=1)
+            bounds[1, start:start + block] = xy.max(axis=1).max(axis=1)
+        bounds.setflags(write=False)
+        self.tile_min, self.tile_max = bounds.reshape(2, len(v), len(u), 2)
+        # Kept rays fill the store from its start in first-request order, so
+        # only their pages are ever touched; _slot maps a tile to its place.
+        self._store = np.empty((n_tiles, side, side, 2))
+        self._slot = np.full(n_tiles, -1)
+        self._kept = 0
+
+    def _undistort(self, tiles: np.ndarray) -> np.ndarray:
+        """The undistorted ``(x, y)`` of the samples of flat tile indices
+        ``tiles``, shaped ``(k, side, side, 2)``. Undistortion is elementwise,
+        so these are the bits that undistorting the whole image gives."""
+        row, col = np.divmod(tiles, len(self._u))
+        u, v = np.broadcast_arrays(self._u[col, None, :], self._v[row, :, None])
+        intrinsics, dist, tol = self._lens
+        xy = pixel_to_normalized(np.column_stack([u.ravel(), v.ravel()]), intrinsics)
+        return undistort_normalized(xy, dist, tol=tol).reshape(u.shape + (2,))
 
     def tile_corners(self) -> np.ndarray:
         """The corners of each tile's ray box as unit-depth rays, shaped
@@ -276,52 +302,38 @@ class RayGrid(NamedTuple):
         corners[..., 1] = box[:, None, ..., 1]  # and y from bound i
         return corners.reshape((4,) + box.shape[1:3] + (3,))
 
+    def rays(self, tiles) -> np.ndarray:
+        """The undistorted ray ``(x, y)``, z = 1 implicit, of each flat tile
+        index in ``tiles``, as ``(k, side, side, 2)`` in row-major sub-pixel
+        order."""
+        tiles = np.asarray(tiles)
+        new = np.unique(tiles[self._slot[tiles] < 0])
+        if new.size:
+            end = self._kept + new.size
+            self._store[self._kept:end] = self._undistort(new)
+            self._slot[new] = np.arange(self._kept, end)
+            self._kept = end
+        return self._store[self._slot[tiles]]
+
 
 @functools.lru_cache(maxsize=1)
 def subpixel_ray_grid(intrinsics: CameraIntrinsics, dist: DistortionCoeffs,
                       width: int, height: int, supersample: int,
                       tol: float = 1e-12) -> RayGrid:
-    """Unit-depth camera rays through every sub-pixel sample of an image.
-
-    Each pixel is sampled on a ``supersample`` x ``supersample`` grid centred
-    on it, and the rays are undistorted to ``tol`` by
-    :func:`undistort_normalized`; see :class:`RayGrid` for the layout and the
-    tile bounds. The rays depend on nothing but the arguments, so the most
-    recent grid is cached and shared by every caller (79 MB at 640x480 with
-    4x4 samples).
+    """The :class:`RayGrid` of an image, each pixel sampled on a
+    ``supersample`` x ``supersample`` grid centred on it. The grid depends on
+    nothing but the arguments, so the most recent one is cached and shared
+    by every caller, with the rays its renders kept.
     """
     ss = supersample
     side = RENDER_TILE * ss  # samples along a tile side
-    tile_shape = (-(-height // RENDER_TILE), -(-width // RENDER_TILE), 2)
+    n_ty, n_tx = -(-height // RENDER_TILE), -(-width // RENDER_TILE)
     sub = (np.arange(ss) + 0.5) / ss - 0.5
     u = (np.arange(width)[:, None] + sub[None, :]).ravel()
     v = (np.arange(height)[:, None] + sub[None, :]).ravel()
-    u = np.pad(u, (0, tile_shape[1] * side - u.size), mode="edge")
-    v = np.pad(v, (0, tile_shape[0] * side - v.size), mode="edge")
-    rays = np.empty((v.size, u.size, 2))
-    tile_min, tile_max = np.empty(tile_shape), np.empty(tile_shape)
-    tile_cols = np.arange(0, u.size, side)
-    # In bands of whole tile rows of about 2^16 rays: the lens model's
-    # temporaries for a whole grid would outweigh the grid itself, and a
-    # band's stay in cache. Undistortion is elementwise, so the bands give
-    # the rays a single call would.
-    band = max(1, 2 ** 16 // (side * u.size)) * side
-    for row0 in range(0, v.size, band):
-        uu, vv = np.meshgrid(u, v[row0:row0 + band])
-        xy = undistort_normalized(
-            pixel_to_normalized(np.column_stack([uu.ravel(), vv.ravel()]),
-                                intrinsics),
-            dist, tol=tol).reshape(uu.shape + (2,))
-        rays[row0:row0 + band] = xy
-        tile_rows = np.arange(0, len(xy), side)
-        tiles = slice(row0 // side, row0 // side + tile_rows.size)
-        for reduce, bound in ((np.minimum, tile_min), (np.maximum, tile_max)):
-            bound[tiles] = reduce.reduceat(reduce.reduceat(xy, tile_rows, axis=0),
-                                           tile_cols, axis=1)
-    grid = RayGrid(rays, tile_min, tile_max)
-    for array in grid:
-        array.setflags(write=False)
-    return grid
+    u = np.pad(u, (0, n_tx * side - u.size), mode="edge")
+    v = np.pad(v, (0, n_ty * side - v.size), mode="edge")
+    return RayGrid(intrinsics, dist, tol, u.reshape(n_tx, side), v.reshape(n_ty, side))
 
 
 def render_tiles(grid: RayGrid, width: int, height: int, supersample: int,
@@ -330,8 +342,8 @@ def render_tiles(grid: RayGrid, width: int, height: int, supersample: int,
 
     ``cases`` (tile rows, tile columns) is -1 where a tile takes its pixel
     value from ``shades`` whole, and else a case of the scene's, such as a
-    known hit. The other tiles' rays are gathered case by case,
-    ``SHADE_BLOCK`` at a time, as ``(k, 3)`` rays with z = 1, and
+    known hit. The other tiles' rays come from :meth:`RayGrid.rays`, case
+    by case, ``SHADE_BLOCK`` at a time, as ``(k, 3)`` rays with z = 1, and
     ``shade(rays, case)`` gives each an intensity. A pixel is ``gain`` times
     the mean of its rays' intensities, rounded half to even, which must lie
     in 0-255. Partial tiles are padded in the grid and cropped from the image.
@@ -340,13 +352,13 @@ def render_tiles(grid: RayGrid, width: int, height: int, supersample: int,
     image = np.empty((n_ty, RENDER_TILE, n_tx, RENDER_TILE), dtype=np.uint8)
     image[:] = shades[:, None, :, None]
     ss, side = supersample, RENDER_TILE * supersample
-    tile_rays = grid.rays.reshape(n_ty, side, n_tx, side, 2).transpose(0, 2, 1, 3, 4)
     tiles_per_block = max(1, SHADE_BLOCK // side ** 2)
     for case in np.unique(cases[cases >= 0]):
         tiles = np.flatnonzero(cases == case)
         for start in range(0, tiles.size, tiles_per_block):
-            row, col = np.divmod(tiles[start:start + tiles_per_block], n_tx)
-            xy = tile_rays[row, col].reshape(-1, 2)
+            block = tiles[start:start + tiles_per_block]
+            row, col = np.divmod(block, n_tx)
+            xy = grid.rays(block).reshape(-1, 2)
             values = shade(np.column_stack([xy, np.ones(len(xy))]), case)
             image[row, :, col, :] = np.rint(values.reshape(
                 -1, RENDER_TILE, ss, RENDER_TILE, ss).mean(axis=(2, 4)) * gain)

@@ -225,7 +225,7 @@ def render_cube_view(scene: CubeScene, intrinsics: CameraIntrinsics,
                      width: int, height: int) -> np.ndarray:
     """Ray-cast render of the cube, 2x2 supersampled.
 
-    The rays and their tile bounds are cached for the most recent camera and
+    Tile bounds and shaded rays are cached for the most recent camera and
     image size (:func:`~camkit.geometry.subpixel_ray_grid`). The board's
     render loop, :func:`~camkit.geometry.render_tiles`, fills background
     tiles whole, shades the rays of one-face tiles on that face's plane, and

@@ -88,6 +88,17 @@ def cube_features(cube_capture):
     return [detect_features(img, MAX_FEATURES) for img in cube_capture[2]]
 
 
+def padded_grid_rays(grid):
+    """Every ray of a :class:`~camkit.geometry.RayGrid`, asked tile by tile
+    and laid out as the padded image, ``(tile rows * side, tile columns *
+    side, 2)``."""
+    n_ty, n_tx = grid.tile_min.shape[:2]
+    rays = grid.rays(np.arange(n_ty * n_tx))
+    side = rays.shape[1]
+    return rays.reshape(n_ty, n_tx, side, side, 2).transpose(0, 2, 1, 3, 4).reshape(
+        n_ty * side, n_tx * side, 2)
+
+
 _acceptance_outcomes = []
 
 

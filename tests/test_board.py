@@ -20,6 +20,7 @@ from camkit.errors import BoardBehindCamera
 from camkit.geometry import (
     RENDER_TILE,
     pixel_to_normalized,
+    render_tiles,
     subpixel_ray_grid,
     undistort_normalized,
 )
@@ -30,6 +31,7 @@ from camkit.synthetic import (
     render_cube_view,
     sample_ring_poses,
 )
+from conftest import padded_grid_rays
 
 
 def test_board_world_points_count(board_spec):
@@ -107,9 +109,8 @@ def test_render_is_deterministic(board_spec, ref_intrinsics, ref_distortion):
     assert np.array_equal(a, b)
 
     grid = subpixel_ray_grid(ref_intrinsics, ref_distortion, 320, 240, SUPERSAMPLE)
-    assert grid.rays.shape == (240 * SUPERSAMPLE, 320 * SUPERSAMPLE, 2)
     assert grid.tile_min.shape == grid.tile_max.shape == (60, 80, 2)
-    for array in grid:
+    for array in (grid.tile_min, grid.tile_max):
         with pytest.raises(ValueError):
             array[0, 0] = 0.0
 
@@ -160,7 +161,7 @@ def _oracle_render_board(spec, intrinsics, dist, pose, width, height):
     """The masked per-ray render: intersect only the rays with a positive
     plane scale, shade those hits, scatter them back, average 4x4 blocks."""
     ss = SUPERSAMPLE
-    xy = subpixel_ray_grid(intrinsics, dist, width, height, ss, 1e-8).rays
+    xy = padded_grid_rays(subpixel_ray_grid(intrinsics, dist, width, height, ss, 1e-8))
     xy = xy[:height * ss, :width * ss].reshape(-1, 2)
     rays = np.column_stack([xy, np.ones(len(xy))])
     normal_cam = pose.rotation[:, 2]
@@ -308,25 +309,69 @@ def test_render_matches_masked_per_ray_oracle_on_drawn_views(
 @pytest.mark.parametrize("width, height", [(160, 120), (161, 117)])
 def test_ray_grid_matches_one_shot_undistortion(width, height, ref_intrinsics,
                                                ref_distortion):
-    # At 4x4 samples these grids take several bands of tile rows.
+    # At 4x4 samples these grids take several blocks of tiles. The README
+    # camera sees these sizes in the quadrant above and left of its principal
+    # point; scaled to the width, it sees all four.
     ss = SUPERSAMPLE
-    grid = subpixel_ray_grid(ref_intrinsics, ref_distortion, width, height, ss)
-    sub = (np.arange(ss) + 0.5) / ss - 0.5
-    u = (np.arange(width)[:, None] + sub).ravel()
-    v = (np.arange(height)[:, None] + sub).ravel()
-    uu, vv = np.meshgrid(u, v)
-    xy = undistort_normalized(pixel_to_normalized(
-        np.column_stack([uu.ravel(), vv.ravel()]), ref_intrinsics), ref_distortion)
+    for intrinsics in (ref_intrinsics, _scaled_intrinsics(ref_intrinsics, width)):
+        subpixel_ray_grid.cache_clear()
+        grid = subpixel_ray_grid(intrinsics, ref_distortion, width, height, ss)
+        sub = (np.arange(ss) + 0.5) / ss - 0.5
+        u = (np.arange(width)[:, None] + sub).ravel()
+        v = (np.arange(height)[:, None] + sub).ravel()
+        uu, vv = np.meshgrid(u, v)
+        xy = undistort_normalized(pixel_to_normalized(
+            np.column_stack([uu.ravel(), vv.ravel()]), intrinsics), ref_distortion)
 
-    # The grid and its tile bounds: pad by edge replication to whole tiles,
-    # then reduce; the grid stores 16 bytes, an (x, y) pair, per sample.
-    side = RENDER_TILE * ss
-    n_ty, n_tx = -(-height // RENDER_TILE), -(-width // RENDER_TILE)
-    padded = np.pad(xy.reshape(v.size, u.size, 2),
-                    ((0, n_ty * side - v.size), (0, n_tx * side - u.size), (0, 0)),
-                    mode="edge")
-    assert np.array_equal(grid.rays, padded)
-    assert grid.rays.nbytes == 16 * (n_ty * side) * (n_tx * side)
-    padded = padded.reshape(n_ty, side, n_tx, side, 2)
-    assert np.array_equal(grid.tile_min, padded.min(axis=(1, 3)))
-    assert np.array_equal(grid.tile_max, padded.max(axis=(1, 3)))
+        # The one-shot rays, padded by edge replication to whole tiles.
+        side = RENDER_TILE * ss
+        n_ty, n_tx = -(-height // RENDER_TILE), -(-width // RENDER_TILE)
+        padded = np.pad(xy.reshape(v.size, u.size, 2),
+                        ((0, n_ty * side - v.size), (0, n_tx * side - u.size), (0, 0)),
+                        mode="edge")
+        # The fresh grid's tiles, asked in a scrambled order with repeats,
+        # then some of them again with others; then all of them, 16 bytes, an
+        # (x, y) pair, per sample; and the tile bounds, reduced from the
+        # padded rays.
+        tiles = padded.reshape(n_ty, side, n_tx, side, 2).transpose(0, 2, 1, 3, 4)
+        tiles = tiles.reshape(n_ty * n_tx, side, side, 2)
+        rng = np.random.default_rng(5)
+        for size in (7, 300):
+            asked = rng.integers(0, n_ty * n_tx, size)
+            assert np.array_equal(grid.rays(asked), tiles[asked])
+        rays = padded_grid_rays(grid)
+        assert np.array_equal(rays, padded)
+        assert rays.nbytes == 16 * (n_ty * side) * (n_tx * side)
+        padded = padded.reshape(n_ty, side, n_tx, side, 2)
+        assert np.array_equal(grid.tile_min, padded.min(axis=(1, 3)))
+        assert np.array_equal(grid.tile_max, padded.max(axis=(1, 3)))
+
+
+def test_grid_keeps_the_rays_of_the_tiles_renders_shaded(
+        board_spec, ref_intrinsics, ref_distortion, monkeypatch):
+    # Two README-lens views at 160x120: the grid keeps exactly the tiles
+    # either render left undecided, and rendering a view again keeps no more.
+    cases = []
+
+    def recording_render_tiles(grid, width, height, ss, shades, tile_cases, *rest):
+        cases.append(tile_cases)
+        return render_tiles(grid, width, height, ss, shades, tile_cases, *rest)
+
+    monkeypatch.setattr("camkit.board.render_tiles", recording_render_tiles)
+    subpixel_ray_grid.cache_clear()
+    intrinsics = _scaled_intrinsics(ref_intrinsics, 160)
+    views = [frontoparallel_pose(board_spec, intrinsics, 12.0),
+             _look_at(np.array([40.0, -60.0, -160.0]), np.array([100.0, 60.0, 0.0]), 0.4)]
+    images = [render_board(board_spec, intrinsics, ref_distortion, pose, 160, 120)
+              for pose in views]
+    grid = subpixel_ray_grid(intrinsics, ref_distortion, 160, 120, SUPERSAMPLE, 1e-8)
+    shaded = [set(np.flatnonzero(c >= 0).tolist()) for c in cases]
+    assert shaded[0] and shaded[1] and shaded[0] != shaded[1]
+    kept = set(np.flatnonzero(grid._slot >= 0).tolist())
+    assert kept == shaded[0] | shaded[1]
+    assert grid._kept == len(kept)
+
+    again = render_board(board_spec, intrinsics, ref_distortion, views[0], 160, 120)
+    assert np.array_equal(again, images[0])
+    assert set(np.flatnonzero(grid._slot >= 0).tolist()) == kept
+    assert grid._kept == len(kept)

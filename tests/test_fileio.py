@@ -435,3 +435,35 @@ def test_listed_rotation_must_match_axis_angle(tmp_path, rotation):
     path.write_text(json.dumps(doc))
     read = read_render_spec(path, "cube")["poses"][0]
     assert read.rotation.tolist() == pose["rotation"]
+
+
+def test_poses_read_the_per_vector_rotations(tmp_path):
+    # One batched Rodrigues call gives each pose the bits of its own call.
+    rng = np.random.default_rng(3)
+    rvecs = np.concatenate([rng.normal(size=(30, 3)), rng.normal(size=(10, 3)) * 1e-6])
+    doc = {"image_size": {"width": 64, "height": 48},
+           "intrinsics": {"fx": 80.0, "fy": 80.0, "cx": 32.0, "cy": 24.0},
+           "cube": {"edge": 20},
+           "poses": [{"axis_angle": r.tolist(), "translation": [0.0, 0.0, 100.0]}
+                     for r in rvecs]}
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(doc))
+    poses = read_render_spec(path, "cube")["poses"]
+    for pose, rvec in zip(poses, rvecs):
+        assert pose.rotation.tobytes() == axis_angle_to_rotation(rvec).tobytes()
+
+
+@pytest.mark.parametrize("axis_angle", [
+    [0.0, 0.1], [[0.0, 0.0, 0.1]], 0.1, [0.0, "a", 0.1], [0.0, float("nan"), 0.1],
+], ids=["two", "nested", "scalar", "text", "nan"])
+def test_malformed_axis_angle_is_schema_mismatch(tmp_path, axis_angle):
+    pose = {"axis_angle": axis_angle, "translation": [0.0, 0.0, 100.0]}
+    doc = {"image_size": {"width": 64, "height": 48},
+           "intrinsics": {"fx": 80.0, "fy": 80.0, "cx": 32.0, "cy": 24.0},
+           "cube": {"edge": 20},
+           "poses": [{"axis_angle": [0.0, 0.0, 0.1], "translation": [0.0, 0.0, 100.0]},
+                     pose]}
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(SchemaMismatch):
+        read_render_spec(path, "cube")

@@ -15,6 +15,7 @@ from camkit.synthetic import (
     render_cube_view,
     sample_ring_poses,
 )
+from conftest import padded_grid_rays
 
 
 def _oracle_slab_hits(scene, origins, dirs):
@@ -113,7 +114,8 @@ def test_cube_edge_must_be_finite_and_positive(edge):
 # of whole sub-pixel rows, and the row-block mean.
 
 def _oracle_render_cube_view(scene, intrinsics, dist, pose, width, height):
-    xy = subpixel_ray_grid(intrinsics, dist, width, height, CUBE_SUPERSAMPLE).rays
+    xy = padded_grid_rays(
+        subpixel_ray_grid(intrinsics, dist, width, height, CUBE_SUPERSAMPLE))
     rot, origin = pose.rotation, pose.center
     ss = CUBE_SUPERSAMPLE
     xy = xy[:height * ss, :width * ss].reshape(-1, 2)
