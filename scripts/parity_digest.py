@@ -37,9 +37,9 @@ thread variables. Then one digest for each of:
   adds its ``match_features`` result.
 
 A refactor that must not move any output prints the same seven digests as
-its parent. Digests compare only under an equal host line: the calibration's
-last bits follow the BLAS build and its thread count, so ``calibrate`` and
-the CLI workflow digests differ between one and two OpenBLAS threads on the
+its parent. Digests compare only under an equal host line: the solvers'
+last bits follow the BLAS build and its thread count, so the
+``bundle_adjust`` digest differs between one and two OpenBLAS threads on the
 same machine.
 
 Usage: python scripts/parity_digest.py

@@ -151,10 +151,10 @@ def _cmd_calibrate(args) -> int:
 
 
 def _cmd_pose(args) -> int:
-    calib = fileio.read_calibration(args.calib)
+    _, intrinsics, distortion = fileio.read_camera(args.calib)
     image = fileio.read_image(args.image)
     name = Path(args.image).name
-    pose, err = estimate_board_pose(calib.intrinsics, calib.distortion,
+    pose, err = estimate_board_pose(intrinsics, distortion,
                                     _detect(image, args.board, name), args.board)
     fileio.write_pose(pose, err, args.out)
     print(f"pose of {name}: mean reprojection {err:.4f} px -> {args.out}")
@@ -162,19 +162,18 @@ def _cmd_pose(args) -> int:
 
 
 def _cmd_undistort(args) -> int:
-    calib = fileio.read_calibration(args.calib)
+    _, intrinsics, distortion = fileio.read_camera(args.calib)
     image = fileio.read_image(args.image)
-    fileio.write_image(undistort_image(image, calib.intrinsics, calib.distortion),
-                       args.out)
+    fileio.write_image(undistort_image(image, intrinsics, distortion), args.out)
     print(f"undistorted {Path(args.image).name} -> {args.out}")
     return 0
 
 
 def _cmd_sfm(args) -> int:
-    calib = fileio.read_calibration(args.calib)
+    _, intrinsics, distortion = fileio.read_camera(args.calib)
     paths = _list_images(args.images)
     images = [fileio.read_image(p) for p in paths]
-    scene = reconstruct(images, calib.intrinsics, calib.distortion, args.seed)
+    scene = reconstruct(images, intrinsics, distortion, args.seed)
     cloud = export_point_cloud(scene)
     fileio.write_ply(cloud, args.out)
     scene_path = args.scene or str(Path(args.out).with_suffix(".scene.json"))

@@ -158,8 +158,9 @@ def _intrinsics_to_json(k: CameraIntrinsics) -> dict:
 
 
 def _camera_from_json(doc: dict, context: str):
-    """The ``image_size`` (width, height) and ``intrinsics`` of a calibration
-    or render spec. Raises SchemaMismatch unless the size is positive."""
+    """The camera block of a calibration or render spec: ``image_size``
+    (width, height), ``intrinsics`` and ``distortion`` (zero when absent).
+    Raises SchemaMismatch unless the size is positive."""
     size = _require(doc, "image_size", context)
     width = int(_require(size, "width", context))
     height = int(_require(size, "height", context))
@@ -167,17 +168,14 @@ def _camera_from_json(doc: dict, context: str):
         raise SchemaMismatch(f"{context}: image size must be positive, "
                              f"got {width}x{height}")
     k = _require(doc, "intrinsics", context)
+    d = doc.get("distortion", {"k1": 0.0, "k2": 0.0})
     return (width, height), CameraIntrinsics(
         fx=_require(k, "fx", context), fy=_require(k, "fy", context),
         cx=_require(k, "cx", context), cy=_require(k, "cy", context),
         skew=k.get("skew", 0.0),
-    )
-
-
-def _distortion_from_json(doc: dict, context: str) -> DistortionCoeffs:
-    return DistortionCoeffs(
-        k1=_require(doc, "k1", context), k2=_require(doc, "k2", context),
-        k3=doc.get("k3", 0.0), p1=doc.get("p1", 0.0), p2=doc.get("p2", 0.0),
+    ), DistortionCoeffs(
+        k1=_require(d, "k1", context), k2=_require(d, "k2", context),
+        k3=d.get("k3", 0.0), p1=d.get("p1", 0.0), p2=d.get("p2", 0.0),
     )
 
 
@@ -271,6 +269,21 @@ def write_calibration(result: CalibrationResult, path) -> None:
     _dump_json(doc, path)
 
 
+def read_camera(path) -> tuple[tuple[int, int], CameraIntrinsics, DistortionCoeffs]:
+    """The ``(image_size, intrinsics, distortion)`` of a calibration JSON,
+    checked as by :func:`read_calibration` but without reading the views."""
+    return _calibration_camera(_load_json(path), str(path))
+
+
+def _calibration_camera(doc: dict, ctx: str):
+    version = _require(doc, "schema_version", ctx)
+    if version != CALIBRATION_SCHEMA_VERSION:
+        raise SchemaMismatch(f"{ctx}: unsupported schema version {version}")
+    _require(doc, "distortion", ctx)  # optional in render specs only
+    with _schema(ctx):
+        return _camera_from_json(doc, ctx)
+
+
 def read_calibration(path) -> CalibrationResult:
     """Load a calibration JSON written by :func:`write_calibration`.
 
@@ -280,22 +293,15 @@ def read_calibration(path) -> CalibrationResult:
     """
     doc = _load_json(path)
     ctx = str(path)
-    version = _require(doc, "schema_version", ctx)
-    if version != CALIBRATION_SCHEMA_VERSION:
-        raise SchemaMismatch(f"{ctx}: unsupported schema version {version}")
+    image_size, intrinsics, distortion = _calibration_camera(doc, ctx)
     with _schema(ctx):
-        image_size, intrinsics = _camera_from_json(doc, ctx)
-        distortion = _distortion_from_json(_require(doc, "distortion", ctx), ctx)
         views = _require(doc, "views", ctx)
         poses = _poses_from_json(views, ctx)
-        errors = []
-        pose_stderr = []
-        for view in views:
-            errors.append(_require(view, "mean_error", ctx))
-            pose_stderr.append(np.array(view.get("stderr", [float("nan")] * 6),
-                                        dtype=np.float64))
-            if pose_stderr[-1].shape != (6,):
-                raise SchemaMismatch(f"{ctx}: a view's stderr must list 6 numbers")
+        errors = [_require(view, "mean_error", ctx) for view in views]
+        pose_stderr = [np.array(view.get("stderr", [np.nan] * 6), dtype=np.float64)
+                       for view in views]
+        if any(row.shape != (6,) for row in pose_stderr):
+            raise SchemaMismatch(f"{ctx}: a view's stderr must list 6 numbers")
         stderr = _require(doc, "stderr", ctx)
         return CalibrationResult(
             intrinsics=intrinsics,
@@ -390,13 +396,8 @@ def read_render_spec(path, subject: str) -> dict:
     doc = _load_json(path)
     ctx = str(path)
     with _schema(ctx):
-        image_size, intrinsics = _camera_from_json(doc, ctx)
-        out = {
-            "image_size": image_size,
-            "intrinsics": intrinsics,
-            "distortion": (_distortion_from_json(doc["distortion"], ctx)
-                           if "distortion" in doc else DistortionCoeffs()),
-        }
+        out = dict(zip(("image_size", "intrinsics", "distortion"),
+                       _camera_from_json(doc, ctx)))
         section = _require(doc, subject, ctx)
         if subject == "board":
             out["board"] = CheckerboardSpec(

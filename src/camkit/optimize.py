@@ -1,7 +1,7 @@
 """Damped nonlinear least squares (Levenberg-Marquardt).
 
 The cost minimized is ``0.5 * sum(r(x)**2)``. The damped normal equations
-``(J^T J + lambda diag(J^T J)) step = -J^T r`` are solved by a dense
+``(J^T J + lambda diag(J^T J)) step = -J^T r`` are solved by numpy's dense
 Cholesky factorization when the Jacobian is an ndarray or not supplied.
 When it is a :class:`BlockJacobian`, as every reprojection Jacobian is, its
 blocks are eliminated first and only the reduced system of the kept columns
@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-import scipy.linalg
 
 from .errors import NonFiniteResidual, SingularNormalEquations
 
@@ -195,13 +194,20 @@ def _cost(r: np.ndarray) -> float:
 
 
 def _spd_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``a^-1 b`` by Cholesky factorization; an empty ``a`` skips scipy."""
+    """``a^-1 b`` from numpy's Cholesky factor L of ``a``: ``L y = b`` with L's
+    rows scaled to a unit diagonal, so that pivoting ignores each unknown's
+    scale, then ``L^T x = y``. An empty ``a`` returns ``b``. Raises LinAlgError
+    unless ``a`` is positive definite, ValueError if ``a`` or ``b`` is not finite."""
     if not len(a):
         return b
-    return scipy.linalg.cho_solve(scipy.linalg.cho_factor(a, lower=True), b)
+    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
+        raise ValueError("non-finite linear system")
+    low = np.linalg.cholesky(a)
+    diag = low.diagonal()
+    return np.linalg.solve(low.T, np.linalg.solve(low / diag[:, None], (b.T / diag).T))
 
 
-_SINGULAR = (np.linalg.LinAlgError, scipy.linalg.LinAlgError, ValueError)
+_SINGULAR = (np.linalg.LinAlgError, ValueError)
 
 
 def _dense_solver(jac: np.ndarray, r: np.ndarray):

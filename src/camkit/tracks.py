@@ -5,8 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse.csgraph import connected_components
 
 
 @dataclass
@@ -47,9 +45,12 @@ def build_tracks(match_pairs) -> list[Track]:
         return []
     nodes, index = np.unique(edges.reshape(-1, 2), axis=0, return_inverse=True)
     index = index.reshape(-1, 2)
-    graph = sparse.coo_array((np.ones(len(index)), (index[:, 0], index[:, 1])),
-                             shape=(len(nodes), len(nodes)))
-    _, labels = connected_components(graph, directed=False)
+    # Min-label propagation with pointer jumping, until no label changes.
+    labels, last = np.arange(len(nodes)), None
+    while not np.array_equal(labels, last):
+        last = labels.copy()
+        np.minimum.at(labels, index, last[index[:, ::-1]])
+        labels = labels[labels]
     # A stable sort keeps each component's nodes in (view, feature) order.
     order = np.argsort(labels, kind="stable")
     tracks = []

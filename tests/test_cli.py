@@ -1,10 +1,14 @@
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from camkit.cli import run_cli
+from camkit.errors import SchemaMismatch
 from camkit.fileio import (read_calibration, read_image, read_render_spec,
                            write_image)
 
@@ -301,10 +305,10 @@ MALFORMED = {
     "calibration-zero-width": ("extrinsics", {"image_size": {"width": 0}}),
     "calibration-infinite-width": ("extrinsics",
                                    {"image_size": {"width": float("inf")}}),
-    "calibration-short-view-stderr": ("undistort", {"views": {"stderr": [1, 2]}}),
+    "calibration-short-view-stderr": ("extrinsics", {"views": {"stderr": [1, 2]}}),
     "calibration-text-view-stderr": ("extrinsics",
                                      {"views": {"stderr": ["abc"] * 6}}),
-    "calibration-text-stderr": ("undistort", {"stderr": {"intrinsics": {"fx": "abc"}}}),
+    "calibration-text-stderr": ("extrinsics", {"stderr": {"intrinsics": {"fx": "abc"}}}),
     "calibration-unknown-stderr": ("extrinsics",
                                    {"stderr": {"distortion": {"k4": 0.1}}}),
 }
@@ -333,6 +337,73 @@ def test_malformed_input_is_schema_mismatch(command, doc, calibration_file,
     assert run_cli(argv) == 2
     assert "SchemaMismatch" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_camera_commands_read_only_the_camera_block(board_dataset, calibration_file,
+                                                   tmp_path):
+    # pose and undistort take the image size, intrinsics and distortion
+    # alone: with the views and standard errors broken, which read_calibration
+    # refuses, they write the same bytes.
+    doc = json.loads(calibration_file.read_text())
+    doc.update(views="not a list of views", stderr=None)
+    broken = tmp_path / "broken.json"
+    broken.write_text(json.dumps(doc))
+    with pytest.raises(SchemaMismatch):
+        read_calibration(broken)
+    image = str(sorted(board_dataset.glob("*.pgm"))[0])
+    outputs = []
+    for calib in (calibration_file, broken):
+        pose, flat = tmp_path / f"{calib.stem}_pose.json", tmp_path / f"{calib.stem}_flat.pgm"
+        assert run_cli(["pose", image, "--calib", str(calib), "--board", "10x7:23mm",
+                        "--out", str(pose)]) == 0
+        assert run_cli(["undistort", image, "--calib", str(calib), "--out", str(flat)]) == 0
+        outputs.append([pose.read_bytes(), flat.read_bytes()])
+    assert outputs[0] == outputs[1]
+
+
+CAMERA_BREAKS = {
+    "schema-version": lambda doc: doc.update(schema_version=2),
+    "negative-fx": lambda doc: doc["intrinsics"].update(fx=-80.0),
+    "zero-width": lambda doc: doc["image_size"].update(width=0),
+    "text-height": lambda doc: doc["image_size"].update(height="tall"),
+    "no-k1": lambda doc: doc["distortion"].pop("k1"),
+    "no-distortion": lambda doc: doc.pop("distortion"),
+}
+
+
+@pytest.mark.parametrize("command", ["pose", "undistort", "sfm"])
+@pytest.mark.parametrize("change", list(CAMERA_BREAKS.values()), ids=list(CAMERA_BREAKS))
+def test_camera_commands_reject_a_malformed_camera_block(
+        command, change, board_dataset, calibration_file, tmp_path, capsys):
+    doc = json.loads(calibration_file.read_text())
+    change(doc)
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(doc))
+    image = str(sorted(board_dataset.glob("*.pgm"))[0])
+    out = tmp_path / "out"
+    inputs = {"pose": [image, "--board", "10x7:23mm"], "undistort": [image],
+              "sfm": [str(board_dataset)]}[command]
+    assert run_cli([command, *inputs, "--calib", str(path), "--out", str(out)]) == 2
+    assert "SchemaMismatch" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_importing_camkit_loads_no_scipy_beyond_ndimage():
+    # camkit takes only scipy.ndimage from scipy. Compared with what that
+    # import loads by itself, so that the check holds for any scipy version.
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH", "")]))
+
+    def scipy_modules(statement: str) -> set:
+        code = (f"import sys; {statement}; print(*(m for m in sys.modules "
+                f"if m.split('.')[0] == 'scipy'))")
+        return set(subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                                  capture_output=True, text=True).stdout.split())
+
+    ndimage = scipy_modules("import scipy.ndimage")
+    loaded = scipy_modules("import camkit, camkit.cli")
+    assert "scipy.ndimage" in loaded
+    assert loaded - ndimage == set()
 
 
 @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits")

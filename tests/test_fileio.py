@@ -31,6 +31,7 @@ from camkit.fileio import (
     _pose_to_json,
     format_ply,
     read_calibration,
+    read_camera,
     read_image,
     read_render_spec,
     write_calibration,
@@ -373,14 +374,24 @@ def test_transposed_intrinsics_layout(tmp_path, calibration_result, board_spec):
     assert canonical[2] == [0.0, 0.0, 1.0]
 
 
+def test_read_camera_gives_the_calibrations_camera(tmp_path, calibration_result):
+    path = tmp_path / "calib.json"
+    write_calibration(calibration_result, path)
+    loaded = read_calibration(path)
+    assert read_camera(path) == (loaded.image_size, loaded.intrinsics,
+                                 loaded.distortion)
+
+
 def test_missing_distortion_is_schema_mismatch(tmp_path, calibration_result):
+    # Optional in a render spec, required in a calibration.
     path = tmp_path / "calib.json"
     write_calibration(calibration_result, path)
     doc = json.loads(path.read_text())
     del doc["distortion"]
     path.write_text(json.dumps(doc))
-    with pytest.raises(SchemaMismatch):
-        read_calibration(path)
+    for read in (read_calibration, read_camera):
+        with pytest.raises(SchemaMismatch, match="'distortion'"):
+            read(path)
 
 
 def test_garbage_is_corrupt_file(tmp_path):

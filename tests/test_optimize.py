@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.optimize
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
@@ -21,6 +22,7 @@ from camkit.optimize import (
     BlockLayout,
     _block_solver,
     _dense_solver,
+    _SINGULAR,
     _elimination,
     _spd_solve,
     standard_errors,
@@ -421,3 +423,66 @@ def test_lm_config_validation():
                 {"step_tol": -1e-12}):
         with pytest.raises(ValueError):
             LmConfig(**bad)
+
+
+def random_spd(rng, n: int, cond: float) -> np.ndarray:
+    """A symmetric positive definite matrix with eigenvalues from 1 to ``cond``
+    in a random basis."""
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    return (q * np.logspace(0, np.log10(cond), n)) @ q.T
+
+
+@pytest.mark.parametrize("n", [1, 2, 6, 23, 24, 100, 600])
+def test_spd_solve_matches_scipy_cholesky(n):
+    rng = np.random.default_rng(n)
+    cond = 1e3
+    a = random_spd(rng, n, cond)
+    for b in (rng.standard_normal(n), rng.standard_normal((n, 3))):
+        reference = scipy.linalg.cho_solve(scipy.linalg.cho_factor(a, lower=True), b)
+        x = _spd_solve(a, b)
+        assert x.shape == b.shape
+        # Both solves are backward stable, so each lies within about
+        # n eps cond(a) of the exact solution (relative, in norm).
+        bound = n * np.finfo(float).eps * cond
+        assert np.linalg.norm(x - reference) <= bound * np.linalg.norm(reference)
+
+
+@pytest.mark.parametrize("n", [2, 6, 23, 100])
+def test_spd_solve_ignores_the_scale_of_each_unknown(n):
+    # Scaling unknown i by a power of two d_i makes the system D a D and the
+    # solution D^-1 x. Cholesky and triangular solves carry such a scaling
+    # through exactly; a pivoted solve with L's raw rows picks other pivots
+    # and can lose a hundred ulps here.
+    rng = np.random.default_rng(n)
+    a = random_spd(rng, n, 100.0)
+    d = 2.0 ** rng.integers(-20, 21, n)
+    b = rng.standard_normal((n, 2))
+    x = _spd_solve(a, b)
+    scaled = _spd_solve(d[:, None] * a * d, d[:, None] * b) * d[:, None]
+    assert np.max(np.abs(scaled - x)) <= 4 * np.finfo(float).eps * np.max(np.abs(x))
+
+
+def test_spd_solve_returns_b_for_an_empty_system():
+    b = np.empty(0)
+    assert _spd_solve(np.empty((0, 0)), b) is b
+
+
+def test_spd_solve_rejects_an_indefinite_matrix():
+    for a in (np.diag([1.0, -1.0]), np.array([[1.0, 2.0], [2.0, 1.0]]),
+              np.zeros((2, 2))):
+        with pytest.raises(np.linalg.LinAlgError):
+            _spd_solve(a, np.ones(2))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_spd_solve_rejects_non_finite_input(bad):
+    # (0, 1) lies in the upper triangle, which the factorization never reads.
+    for index in ((0, 1), (1, 0), (2, 2)):
+        a = np.eye(3)
+        a[index] = bad
+        with pytest.raises(_SINGULAR):
+            _spd_solve(a, np.ones(3))
+    b = np.ones((3, 2))
+    b[1, 1] = bad
+    with pytest.raises(_SINGULAR):
+        _spd_solve(np.eye(3), b)

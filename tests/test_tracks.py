@@ -1,8 +1,10 @@
 from collections import deque
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy import sparse
+from scipy.sparse.csgraph import connected_components
 
 from camkit import build_tracks
 
@@ -109,3 +111,63 @@ def test_tracks_match_breadth_first_oracle(graph):
     assert [t.observations for t in tracks] == _oracle_tracks(graph)
     for t in tracks:
         assert all(type(v) is int and type(f) is int for v, f in t.observations)
+
+
+def test_long_chain_forms_one_track():
+    # A chain through 8 views, each node matched to the next view's: the
+    # least label moves along it a few nodes per round of propagation, so
+    # the chain takes several rounds to settle, in either match direction.
+    chain = tuple(enumerate([3, 0, 5, 1, 1, 4, 2, 0]))
+    for links in (zip(chain, chain[1:]), zip(chain[1:], chain)):
+        graph = [mp(vi, vj, [(fi, fj)]) for (vi, fi), (vj, fj) in links]
+        assert [t.observations for t in build_tracks(graph)] == [chain]
+
+
+# Oracle: scipy's connected components of the same graph, with the same rules.
+
+def _csgraph_tracks(match_pairs):
+    edges = [((view_i, fi), (view_j, fj)) for view_i, view_j, pairs in match_pairs
+             for fi, fj in pairs.reshape(-1, 2).tolist()]
+    nodes = sorted({node for edge in edges for node in edge})
+    if not nodes:
+        return []
+    index = {node: k for k, node in enumerate(nodes)}
+    rows, cols = np.array([[index[a], index[b]] for a, b in edges]).T
+    graph = sparse.coo_array((np.ones(len(rows)), (rows, cols)),
+                             shape=(len(nodes), len(nodes)))
+    _, labels = connected_components(graph, directed=False)
+    components = {}
+    for node, label in zip(nodes, labels.tolist()):
+        components.setdefault(label, []).append(node)
+    return sorted(tuple(c) for c in components.values()
+                  if len(c) >= 2 and len({view for view, _ in c}) == len(c))
+
+
+@st.composite
+def _chained_match_graphs(draw):
+    """Chains of 2 to 8 nodes, each node matched to the next: long chains
+    across 5 or more views, which take several rounds of propagation (most
+    when they run in node order), isolated pairs, chains that return to a
+    view, and chains joined where they share a node."""
+    graph = []
+    for _ in range(draw(st.integers(0, 4))):
+        length = draw(st.integers(2, 8))
+        views = draw(st.lists(st.integers(0, 7), min_size=length, max_size=length,
+                              unique=draw(st.booleans())))
+        nodes = list(zip(views, draw(st.lists(st.integers(0, 3), min_size=length,
+                                              max_size=length))))
+        if draw(st.booleans()):
+            nodes.sort()
+        graph += [mp(vi, vj, [(fi, fj)]) for (vi, fi), (vj, fj) in zip(nodes, nodes[1:])]
+    return graph
+
+
+@settings(max_examples=300, deadline=None)
+@given(graph=_chained_match_graphs())
+@example(graph=[])
+@example(graph=[mp(0, 1, [(2, 3)]), mp(4, 5, [(0, 0)])])
+@example(graph=[mp(v, v + 1, [(0, 0)]) for v in range(6)])
+@example(graph=[mp(v, v + 1, [(0, 0)]) for v in range(6)] + [mp(6, 2, [(0, 1)])])
+def test_tracks_match_connected_components_oracle(graph):
+    tracks = build_tracks(graph)
+    assert [t.observations for t in tracks] == _csgraph_tracks(graph)
