@@ -3,9 +3,10 @@
 known geometry.
 
 Renders a 5-view corner-on capture of a 200 mm cube, runs the incremental
-reconstruction, aligns the cloud to ground truth by a similarity fit, and
-writes the point cloud as PLY. The last line is the process's peak resident
-set (``ru_maxrss``) in MB.
+reconstruction, aligns the cloud to ground truth by a similarity fit, counts
+the points within 2 % of the edge of the cube's surface
+(``camkit.synthetic.cloud_error``), and writes the point cloud as PLY. The
+last line is the process's peak resident set (``ru_maxrss``) in MB.
 
 Usage: python scripts/reconstruct_cube.py [--out cube.ply] [--seed 0]
 """
@@ -21,12 +22,11 @@ from camkit import (
     DistortionCoeffs,
     export_point_cloud,
     reconstruct,
-    similarity_align,
 )
 from camkit.fileio import write_ply
 from camkit.synthetic import (
     CubeScene,
-    cube_ray_points,
+    cloud_error,
     render_cube_view,
     sample_ring_poses,
 )
@@ -58,24 +58,11 @@ def main():
           f"{len(scene.poses)}/5 views, {len(scene.valid_tracks())} points, "
           f"mean reprojection {scene.mean_reprojection_error:.3f} px")
 
-    recon, truth = [], []
-    for track in scene.valid_tracks():
-        view, fi = track.observations[0]
-        pts, hit = cube_ray_points(cube, poses[view],
-                                   scene.features[view][fi][None, :],
-                                   intrinsics, dist)
-        if hit[0]:
-            recon.append(track.point)
-            truth.append(pts[0])
-    recon, truth = np.array(recon), np.array(truth)
-    s, rot, t = similarity_align(recon, truth)
-    aligned = (s * (rot @ recon.T)).T + t
-    rms = np.sqrt(np.mean(np.sum((aligned - truth) ** 2, axis=1)))
-    on_face = np.mean(np.abs(np.max(np.abs(aligned), axis=1) - EDGE / 2)
-                      < 0.02 * EDGE)
-    print(f"similarity-aligned RMS: {rms:.3f} mm "
-          f"({100 * rms / EDGE:.2f}% of edge); "
-          f"{100 * on_face:.1f}% of points within 2% of a face plane")
+    err = cloud_error(scene, cube, poses)
+    on_surface = np.mean(err.surface_distance < 0.02 * EDGE)
+    print(f"similarity-aligned RMS: {err.rms:.3f} mm "
+          f"({100 * err.rms / EDGE:.2f}% of edge); "
+          f"{100 * on_surface:.1f}% of points within 2% of the cube's surface")
 
     write_ply(export_point_cloud(scene), args.out)
     print(f"wrote {args.out}")

@@ -6,6 +6,8 @@ toolkit can be verified end-to-end without physical captures.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from .board import CheckerboardSpec, CornerGrid, board_outline, board_world_points
@@ -20,10 +22,12 @@ from .geometry import (
     pixel_to_normalized,
     project,
     render_tiles,
+    rotation_to_axis_angle,
     subpixel_ray_grid,
     undistort_normalized,
 )
 from .imageops import bilinear_sample
+from .sfm import SfmScene, similarity_align
 
 MAX_TILT_DEG = 40.0
 
@@ -169,6 +173,19 @@ class CubeScene:
         face = axis * 2 + sign.astype(np.int64)
         return pts, face, hit
 
+    def nearest_surface_point(self, points: np.ndarray) -> np.ndarray:
+        """The nearest point of the cube's surface to each of ``points`` (n, 3)."""
+        half = self.edge / 2.0
+        closest = np.clip(points, -half, half)
+        rows = np.flatnonzero(np.all(np.abs(points) < half, axis=1))
+        axis = np.argmax(np.abs(points[rows]), axis=1)
+        closest[rows, axis] = np.copysign(half, points[rows, axis])
+        return closest
+
+    def surface_distance(self, points: np.ndarray) -> np.ndarray:
+        """The exact distance from each of ``points`` (n, 3) to the surface."""
+        return np.linalg.norm(points - self.nearest_surface_point(points), axis=1)
+
     def shade(self, origins: np.ndarray, dirs: np.ndarray) -> np.ndarray:
         pts, face, hit = self.intersect(origins, dirs)
         out = np.full(len(dirs), _CUBE_BACKGROUND / 255.0)
@@ -277,3 +294,51 @@ def cube_ray_points(scene: CubeScene, pose: CameraPose, pixels: np.ndarray,
     origins = np.broadcast_to(pose.center, dirs_world.shape)
     pts, _, hit = scene.intersect(origins, dirs_world)
     return pts, hit
+
+
+# --- scoring against the ground truth ----------------------------------------
+
+@dataclass(frozen=True)
+class CloudError:
+    """A reconstruction against the cube: the valid points whose first
+    observation's ray hits the cube, aligned by the least-squares similarity
+    onto those hits (``points``), the hits (``truth``), each aligned point's
+    :meth:`CubeScene.surface_distance` and the RMS of ``points - truth``."""
+
+    points: np.ndarray  # (n, 3), mm
+    truth: np.ndarray  # (n, 3), mm
+    surface_distance: np.ndarray  # (n,), mm
+    rms: float
+
+
+def cloud_error(scene: SfmScene, cube: CubeScene, poses: list[CameraPose]) -> CloudError:
+    """Score ``scene`` against the ``cube`` it was reconstructed from, seen
+    from the true ``poses`` through the scene's own camera."""
+    tracks = scene.valid_tracks()
+    first = np.array([t.observations[0] for t in tracks])
+    recon = np.array([t.point for t in tracks])
+    truth, hit = np.empty_like(recon), np.zeros(len(tracks), dtype=bool)
+    for view in np.unique(first[:, 0]):
+        rows = first[:, 0] == view
+        truth[rows], hit[rows] = cube_ray_points(
+            cube, poses[view], scene.features[view][first[rows, 1]],
+            scene.intrinsics, scene.distortion)
+    recon, truth = recon[hit], truth[hit]
+    s, rot, t = similarity_align(recon, truth)
+    aligned = s * recon @ rot.T + t
+    rms = float(np.sqrt(np.mean(np.sum((aligned - truth) ** 2, axis=1))))
+    return CloudError(aligned, truth, cube.surface_distance(aligned), rms)
+
+
+@dataclass(frozen=True)
+class PoseError:
+    """The angle of R_est R_true^T and the distance between the translations."""
+
+    rotation_deg: float
+    translation_mm: float
+
+
+def pose_error(estimate: CameraPose, truth: CameraPose) -> PoseError:
+    angle = np.linalg.norm(rotation_to_axis_angle(estimate.rotation @ truth.rotation.T))
+    return PoseError(float(np.degrees(angle)),
+                     float(np.linalg.norm(estimate.translation - truth.translation)))

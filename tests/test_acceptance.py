@@ -21,13 +21,11 @@ from camkit import (
     levenberg_marquardt,
     numeric_jacobian,
     reconstruct,
-    rotation_to_axis_angle,
-    similarity_align,
 )
 from camkit.fileio import format_ply, read_calibration, read_image, write_calibration, write_image
 from camkit.epipolar import _homogeneous
 from camkit.sfm import _build_ba_problem
-from camkit.synthetic import cube_ray_points, sample_board_poses, synthesize_corner_views
+from camkit.synthetic import cloud_error, pose_error, sample_board_poses, synthesize_corner_views
 
 from conftest import (
     CUBE_EDGE,
@@ -102,10 +100,9 @@ def test_criterion_pose_estimation(board_spec, ref_intrinsics, ref_distortion):
     pose, _ = estimate_board_pose(ref_intrinsics, ref_distortion, grid,
                                   board_spec)
     elapsed = time.monotonic() - start
-    angle_deg = np.degrees(np.linalg.norm(
-        rotation_to_axis_angle(pose.rotation @ target.rotation.T)))
-    assert angle_deg < 0.01
-    assert np.linalg.norm(pose.translation - target.translation) < 0.1
+    err = pose_error(pose, target)
+    assert err.rotation_deg < 0.01
+    assert err.translation_mm < 0.1
     assert elapsed < 1.0
 
 
@@ -133,22 +130,9 @@ def test_criterion_sfm_end_to_end(cube_capture, ref_intrinsics):
     assert scene.mean_reprojection_error < 0.5
     assert elapsed < 300.0
 
-    recon, truth = [], []
-    for track in scene.valid_tracks():
-        view, fi = track.observations[0]
-        pts, hit = cube_ray_points(scene3d, poses[view],
-                                   scene.features[view][fi][None, :],
-                                   ref_intrinsics, dist)
-        if hit[0]:
-            recon.append(track.point)
-            truth.append(pts[0])
-    recon, truth = np.array(recon), np.array(truth)
-    s, rot, t = similarity_align(recon, truth)
-    aligned = (s * (rot @ recon.T)).T + t
-    rms = np.sqrt(np.mean(np.sum((aligned - truth) ** 2, axis=1)))
-    assert rms < 0.01 * CUBE_EDGE
-    face_distance = np.abs(np.max(np.abs(aligned), axis=1) - CUBE_EDGE / 2)
-    assert np.mean(face_distance < 0.02 * CUBE_EDGE) >= 0.9
+    err = cloud_error(scene, scene3d, poses)
+    assert err.rms < 0.01 * CUBE_EDGE
+    assert np.mean(err.surface_distance < 0.02 * CUBE_EDGE) >= 0.9
 
 
 def test_criterion_optimizer_suite(ref_intrinsics):

@@ -21,13 +21,13 @@ from camkit import (
     render_board,
     reprojection_stats,
     axis_angle_to_rotation,
-    rotation_to_axis_angle,
     undistort_image,
 )
 from camkit.board import CornerGrid
 from camkit.errors import DegenerateMotion, InsufficientViews, ShapeMismatch
 from camkit.synthetic import (
     frontoparallel_pose,
+    pose_error,
     sample_board_poses,
     synthesize_corner_views,
 )
@@ -164,12 +164,9 @@ def test_extrinsics_decomposition_recovers_pose(ref_intrinsics, random_poses):
     for truth in random_poses:
         pose = extrinsics_from_homography(
             ref_intrinsics, synth_homography(ref_intrinsics, truth))
-        angle = np.linalg.norm(rotation_to_axis_angle(
-            pose.rotation @ truth.rotation.T))
-        assert angle < 1e-8
-        rel = np.linalg.norm(pose.translation - truth.translation) \
-            / np.linalg.norm(truth.translation)
-        assert rel < 1e-8
+        err = pose_error(pose, truth)
+        assert err.rotation_deg < np.degrees(1e-8)
+        assert err.translation_mm / np.linalg.norm(truth.translation) < 1e-8
 
 
 def test_extrinsics_frontoparallel_depth(ref_intrinsics):

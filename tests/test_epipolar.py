@@ -9,7 +9,6 @@ from camkit import (
     eight_point,
     essential_ransac,
     recover_relative_pose,
-    rotation_to_axis_angle,
     sampson_distance,
     triangulate_points,
 )
@@ -20,6 +19,7 @@ from camkit.epipolar import (
     decompose_essential,
 )
 from camkit.geometry import pixel_to_normalized, undistort_normalized
+from camkit.synthetic import pose_error
 from camkit.errors import (
     CheiralityAmbiguous,
     InsufficientMatches,
@@ -115,9 +115,7 @@ def test_recover_relative_pose():
                                                 x1, x2)
         assert np.array_equal(pts, again) and np.array_equal(valid, valid_again)
         assert valid.all()
-        angle = np.linalg.norm(rotation_to_axis_angle(
-            pose.rotation @ truth.rotation.T))
-        assert angle < 1e-6
+        assert pose_error(pose, truth).rotation_deg < np.degrees(1e-6)
         direction = abs(pose.translation @ truth.translation)
         assert np.arccos(np.clip(direction, -1, 1)) < 1e-6
         assert abs(np.linalg.norm(pose.translation) - 1.0) < 1e-12
@@ -194,7 +192,6 @@ def test_triangulate_project_pixel_roundtrip():
     # Full-precision loop through the pixel domain: project known points,
     # map the observations back to normalized rays, triangulate, reproject.
     from camkit import CameraIntrinsics, DistortionCoeffs, project
-    from camkit.geometry import pixel_to_normalized, undistort_normalized
 
     rng = np.random.default_rng(30)
     k = CameraIntrinsics(fx=812.0, fy=805.0, cx=320.0, cy=240.0)

@@ -11,15 +11,10 @@ from camkit import (
     export_extrinsics_scene,
     project,
     refine_pose,
-    rotation_to_axis_angle,
 )
-from camkit.synthetic import sample_board_poses, synthesize_corner_views
+from camkit.synthetic import pose_error, sample_board_poses, synthesize_corner_views
 
 from conftest import IMAGE_HEIGHT, IMAGE_WIDTH
-
-
-def rotation_angle_deg(r1, r2):
-    return np.degrees(np.linalg.norm(rotation_to_axis_angle(r1 @ r2.T)))
 
 
 def test_pose_recovery_noiseless(board_spec, ref_intrinsics, ref_distortion):
@@ -31,8 +26,8 @@ def test_pose_recovery_noiseless(board_spec, ref_intrinsics, ref_distortion):
     for truth, grid in zip(poses, grids):
         pose, err = estimate_board_pose(ref_intrinsics, ref_distortion,
                                         grid, board_spec)
-        assert rotation_angle_deg(pose.rotation, truth.rotation) < 0.01
-        assert np.linalg.norm(pose.translation - truth.translation) < 0.1
+        assert pose_error(pose, truth).rotation_deg < 0.01
+        assert pose_error(pose, truth).translation_mm < 0.1
         assert err < 1e-6
 
 

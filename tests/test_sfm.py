@@ -33,7 +33,7 @@ from camkit.optimize import (
 from camkit.sfm import (SfmScene, _build_ba_problem,
                          _linear_resection, _next_view,
                          _refresh_triangulations, _register_view)
-from camkit.synthetic import cube_ray_points, render_cube_view, sample_ring_poses
+from camkit.synthetic import cloud_error, render_cube_view, sample_ring_poses
 from camkit.tracks import Track
 
 from conftest import CUBE_EDGE
@@ -43,23 +43,6 @@ from conftest import CUBE_EDGE
 def cube_reconstruction(cube_capture, ref_intrinsics):
     _, _, images, dist = cube_capture
     return reconstruct(images, ref_intrinsics, dist, seed=0)
-
-
-def aligned_to_truth(scene, cube_capture, ref_intrinsics):
-    scene3d, poses, _, dist = cube_capture
-    recon, truth = [], []
-    for track in scene.valid_tracks():
-        view, fi = track.observations[0]
-        pts, hit = cube_ray_points(scene3d, poses[view],
-                                   scene.features[view][fi][None, :],
-                                   ref_intrinsics, dist)
-        if hit[0]:
-            recon.append(track.point)
-            truth.append(pts[0])
-    recon = np.array(recon)
-    truth = np.array(truth)
-    s, rot, t = similarity_align(recon, truth)
-    return (s * (rot @ recon.T)).T + t, truth
 
 
 def test_all_views_register(cube_reconstruction):
@@ -105,19 +88,15 @@ def test_linear_resection_recovers_a_camera_far_from_the_origin():
     assert (np.max(np.abs(pose.translation - truth.translation))
             < 1e-9 * np.linalg.norm(truth.translation))
 
-def test_similarity_aligned_rms(cube_reconstruction, cube_capture, ref_intrinsics):
-    aligned, truth = aligned_to_truth(cube_reconstruction, cube_capture,
-                                      ref_intrinsics)
-    rms = np.sqrt(np.mean(np.sum((aligned - truth) ** 2, axis=1)))
-    assert rms < 0.01 * CUBE_EDGE
+def test_similarity_aligned_rms(cube_reconstruction, cube_capture):
+    scene3d, poses, _, _ = cube_capture
+    assert cloud_error(cube_reconstruction, scene3d, poses).rms < 0.01 * CUBE_EDGE
 
 
-def test_points_concentrate_on_faces(cube_reconstruction, cube_capture,
-                                     ref_intrinsics):
-    aligned, _ = aligned_to_truth(cube_reconstruction, cube_capture,
-                                  ref_intrinsics)
-    face_distance = np.abs(np.max(np.abs(aligned), axis=1) - CUBE_EDGE / 2)
-    assert np.mean(face_distance < 0.02 * CUBE_EDGE) >= 0.9
+def test_points_concentrate_on_faces(cube_reconstruction, cube_capture):
+    scene3d, poses, _, _ = cube_capture
+    distance = cloud_error(cube_reconstruction, scene3d, poses).surface_distance
+    assert np.mean(distance < 0.02 * CUBE_EDGE) >= 0.9
 
 
 def test_reconstruction_is_deterministic(cube_capture, cube_reconstruction,
