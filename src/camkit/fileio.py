@@ -142,6 +142,17 @@ def _require(doc: dict, key: str, context: str):
     return doc[key]
 
 
+def _whole(doc: dict, key: str, context: str, default: int | None = None) -> int:
+    """Field ``key`` of ``doc`` (``default`` when absent, if given) as an int:
+    a JSON number with no fractional part. Raises SchemaMismatch for anything
+    else (2.5, true, "3")."""
+    value = _require(doc, key, context) if default is None else doc.get(key, default)
+    if isinstance(value, bool) or not (isinstance(value, int) or (
+            isinstance(value, float) and value.is_integer())):
+        raise SchemaMismatch(f"{context}: {key} must be a whole number, got {value!r}")
+    return int(value)
+
+
 @contextmanager
 def _schema(context: str):
     """Report a value that the camkit types reject, or that does not convert
@@ -162,8 +173,8 @@ def _camera_from_json(doc: dict, context: str):
     (width, height), ``intrinsics`` and ``distortion`` (zero when absent).
     Raises SchemaMismatch unless the size is positive."""
     size = _require(doc, "image_size", context)
-    width = int(_require(size, "width", context))
-    height = int(_require(size, "height", context))
+    width = _whole(size, "width", context)
+    height = _whole(size, "height", context)
     if width < 1 or height < 1:
         raise SchemaMismatch(f"{context}: image size must be positive, "
                              f"got {width}x{height}")
@@ -401,14 +412,14 @@ def read_render_spec(path, subject: str) -> dict:
         section = _require(doc, subject, ctx)
         if subject == "board":
             out["board"] = CheckerboardSpec(
-                squares_x=int(_require(section, "squares_x", ctx)),
-                squares_y=int(_require(section, "squares_y", ctx)),
+                squares_x=_whole(section, "squares_x", ctx),
+                squares_y=_whole(section, "squares_y", ctx),
                 square_size=float(_require(section, "square_size", ctx)),
             )
         else:
             edge = float(_require(section, "edge", ctx))
             out["cube"] = {"edge": edge,
-                           "texture_seed": int(section.get("texture_seed", 7))}
+                           "texture_seed": _whole(section, "texture_seed", ctx, 7)}
             ring = dict(doc.get("ring", {}))
             out["ring"] = {key: float(ring.get(key, default)) for key, default in (
                 ("radius", 2.5 * edge), ("elevation_deg", 30.0),
@@ -418,7 +429,7 @@ def read_render_spec(path, subject: str) -> dict:
             out["views"] = None
         else:
             out["poses"] = None
-            out["views"] = int(_require(doc, "views", ctx))
+            out["views"] = _whole(doc, "views", ctx)
     n_views = len(out["poses"]) if out["views"] is None else out["views"]
     if n_views < 1:
         raise SchemaMismatch(f"{ctx}: need at least one view, got {n_views}")

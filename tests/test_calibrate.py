@@ -24,7 +24,8 @@ from camkit import (
     undistort_image,
 )
 from camkit.board import CornerGrid
-from camkit.errors import DegenerateMotion, InsufficientViews, ShapeMismatch
+from camkit.errors import (DegenerateMotion, InsufficientViews, ShapeMismatch,
+                           SingularIntrinsics)
 from camkit.synthetic import (
     frontoparallel_pose,
     pose_error,
@@ -167,6 +168,20 @@ def test_extrinsics_decomposition_recovers_pose(ref_intrinsics, random_poses):
         err = pose_error(pose, truth)
         assert err.rotation_deg < np.degrees(1e-8)
         assert err.translation_mm / np.linalg.norm(truth.translation) < 1e-8
+
+
+@pytest.mark.parametrize("case, message", [("zero-first-column", "column collapses"),
+                                           ("det-k-1e-14", "not invertible")],
+                         ids=["zero-first-column", "det-k-1e-14"])
+def test_extrinsics_from_singular_input_raises(case, message, ref_intrinsics, random_poses):
+    h = synth_homography(ref_intrinsics, random_poses[0])
+    k = ref_intrinsics
+    if case == "zero-first-column":
+        h[:, 0] = 0.0
+    else:
+        k = CameraIntrinsics(fx=1e-7, fy=1e-7, cx=REF_CX, cy=REF_CY)
+    with pytest.raises(SingularIntrinsics, match=message):
+        extrinsics_from_homography(k, h)
 
 
 def test_extrinsics_frontoparallel_depth(ref_intrinsics):

@@ -127,10 +127,26 @@ def test_render_board_without_a_fitting_pose_exits_two(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_missing_image_dir_exits_two(tmp_path, capsys):
-    code = run_cli(["calibrate", str(tmp_path / "nope"), "--board",
-                    "10x7:23mm", "--out", str(tmp_path / "c.json")])
-    assert code == 2
+@pytest.mark.parametrize("case", ["calibrate-missing-directory", "calibrate-no-images",
+                                  "calibrate-mixed-sizes", "undistort-missing-calibration"])
+def test_io_failure_exits_two_and_writes_nothing(case, board_dataset, tmp_path, capsys):
+    images, out = tmp_path / "images", tmp_path / "out"
+    first_view = sorted(board_dataset.glob("*.pgm"))[0]
+    argv = ["calibrate", str(images), "--board", "10x7:23mm"]
+    if case == "calibrate-no-images":
+        images.mkdir()
+        (images / "notes.txt").write_text("no views here\n")
+    elif case == "calibrate-mixed-sizes":
+        # The size check follows the first view's corner detection, so the
+        # first image holds a board.
+        images.mkdir()
+        (images / "a.pgm").write_bytes(first_view.read_bytes())
+        write_image(np.zeros((120, 160), dtype=np.uint8), images / "b.pgm")
+    elif case == "undistort-missing-calibration":
+        argv = ["undistort", str(first_view), "--calib", str(tmp_path / "absent.json")]
+    assert run_cli([*argv, "--out", str(out)]) == 2
+    assert "IoFailure" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_pose_command(board_dataset, calibration_file, tmp_path):
@@ -287,6 +303,10 @@ MALFORMED = {
         {"axis_angle": [float("nan"), 0.0, 0.0], "translation": [0.0, 0.0, 600.0]}]),
     "board-infinite-square": _board_with(board={"squares_x": 10, "squares_y": 7,
                                                 "square_size": float("inf")}),
+    # Counts and sizes must be whole JSON numbers, not truncated.
+    "board-fractional-views": _board_with(views=2.5),
+    "board-fractional-squares": _board_with(board={"squares_x": 10.9, "squares_y": 7,
+                                                   "square_size": 23.0}),
     "cube-negative-views": _cube_with(views=-1),
     "cube-zero-width": _cube_with(image_size={"width": 0, "height": 120}),
     "cube-negative-edge": _cube_with(cube={"edge": -5.0}),
@@ -297,6 +317,7 @@ MALFORMED = {
     "cube-negative-texture-seed": _cube_with(cube={"edge": 200.0,
                                                    "texture_seed": -1}),
     "cube-text-views": _cube_with(views="three"),
+    "cube-boolean-views": _cube_with(views=True),
     "cube-zero-ring-radius": _cube_with(ring={"radius": 0.0}),
     "cube-infinite-ring-angle": _cube_with(ring={"sweep_deg": float("inf")}),
     # A calibration case is a command and the fields it overwrites, by
@@ -305,6 +326,7 @@ MALFORMED = {
     "calibration-zero-width": ("extrinsics", {"image_size": {"width": 0}}),
     "calibration-infinite-width": ("extrinsics",
                                    {"image_size": {"width": float("inf")}}),
+    "calibration-fractional-width": ("extrinsics", {"image_size": {"width": 320.7}}),
     "calibration-short-view-stderr": ("extrinsics", {"views": {"stderr": [1, 2]}}),
     "calibration-text-view-stderr": ("extrinsics",
                                      {"views": {"stderr": ["abc"] * 6}}),

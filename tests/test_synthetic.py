@@ -5,16 +5,20 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from camkit import CameraIntrinsics, CameraPose, DistortionCoeffs
+from camkit import CameraIntrinsics, CameraPose, DistortionCoeffs, axis_angle_to_rotation
 from camkit.geometry import subpixel_ray_grid
+from camkit.sfm import SfmScene
 from camkit.synthetic import (
     _UNDECIDED,
     CUBE_SUPERSAMPLE,
     CubeScene,
+    cloud_error,
     cube_ray_points,
+    pose_error,
     render_cube_view,
     sample_ring_poses,
 )
+from camkit.tracks import Track
 from conftest import padded_grid_rays
 
 
@@ -236,3 +240,54 @@ def test_cube_render_matches_per_ray_oracle_on_drawn_views(data):
     dist = data.draw(st.sampled_from([DistortionCoeffs(), _README_DIST]))
     _assert_matches_oracle(scene, dist, _look_at(center, center + forward), width, height,
                            intrinsics)
+
+
+# --- the ground-truth scorer on hand-built input ------------------------------
+
+def test_cloud_error_of_a_known_similarity_of_the_truth_is_zero():
+    # One track per pixel of a coarse grid in each of two ring views, its
+    # point the truth under a known similarity; rays that miss the cube
+    # and invalid tracks are left out.
+    cube = CubeScene(edge=200.0)
+    poses = sample_ring_poses(2, radius=450.0, elevation_deg=30.0, sweep_deg=30.0,
+                              start_deg=21.0)
+    u, v = np.meshgrid(np.arange(20.0, 640.0, 40.0), np.arange(20.0, 480.0, 40.0))
+    pixels = np.column_stack([u.ravel(), v.ravel()])
+    rot, scale = axis_angle_to_rotation([0.2, -0.4, 0.1]), 1.7
+    shift = np.array([30.0, -20.0, 50.0])
+    tracks, hits = [Track(((0, 0),))], []
+    for view, pose in enumerate(poses):
+        truth, hit = cube_ray_points(cube, pose, pixels, _K, _README_DIST)
+        tracks += [Track(((view, i),), (p - shift) @ rot / scale, valid=True)
+                   for i, p in enumerate(truth)]
+        hits.append(truth[hit])
+    scene = SfmScene(_K, _README_DIST, {}, (0, 1), tracks, {0: pixels, 1: pixels}, {})
+    err = cloud_error(scene, cube, poses)
+    assert 0 < len(err.truth) < 2 * len(pixels)
+    assert np.array_equal(err.truth, np.concatenate(hits))
+    assert np.max(np.abs(err.points - err.truth)) < 1e-9
+    assert err.rms < 1e-9 and np.max(err.surface_distance) < 1e-9
+
+
+@pytest.mark.parametrize("point, distance", [
+    ([0.0, 0.0, 107.0], 7.0),  # a known offset off a face
+    ([-112.0, 50.0, -30.0], 12.0),
+    ([100.0, 20.0, -99.0], 0.0),  # on a face
+    ([10.0, -20.0, 95.0], 5.0),  # inside: the nearest face
+    ([0.0, 0.0, 0.0], 100.0),
+    ([103.0, 104.0, 0.0], 5.0),  # beyond an edge: that edge
+    ([-101.0, -102.0, 102.0], 3.0),  # beyond a corner: that corner
+], ids=["above-face", "beside-face", "on-face", "inside", "centre", "edge", "corner"])
+def test_surface_distance_of_hand_placed_points(point, distance):
+    got = CubeScene(edge=200.0).surface_distance(np.array([point]))
+    assert got == pytest.approx([distance], abs=1e-12)
+
+
+def test_pose_error_returns_a_known_turn_and_shift():
+    truth = CameraPose.from_axis_angle([0.1, -0.2, 0.3], [10.0, 20.0, 600.0])
+    axis = np.array([2.0, -1.0, 2.0]) / 3.0
+    turned = CameraPose(axis_angle_to_rotation(np.radians(0.3) * axis) @ truth.rotation,
+                        truth.translation + 2.0 * np.array([0.6, 0.0, -0.8]))
+    err = pose_error(turned, truth)
+    assert err.rotation_deg == pytest.approx(0.3, rel=1e-9)
+    assert err.translation_mm == pytest.approx(2.0, rel=1e-12)
