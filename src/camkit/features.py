@@ -1,15 +1,19 @@
 """Scale-space blob features with orientation and a 64-d gradient descriptor.
 
 Interest points are extrema of a difference-of-Gaussians pyramid over three
-octaves. Each feature gets a dominant gradient orientation and a descriptor
-built from a 4x4 spatial grid of 4-bin gradient-orientation histograms
-(64 dimensions, L2-normalized), sampled in a frame rotated to the feature
-orientation so matching tolerates in-plane rotation and moderate scale
-change. The extremum tests and sub-pixel peak fits of one octave, and the
-orientations and descriptors of one pyramid level, are computed for all
-their keypoints at once with the primitives of :mod:`camkit.imageops` that
-corner detection also uses, bit for bit as one keypoint at a time would give
-them. An image's features are one :class:`Features` record of arrays.
+octaves. The pyramid is streamed: an octave's Gaussian levels are blurred one
+at a time, and each DoG level's extrema, orientations and descriptors are
+taken as soon as the DoG level above it exists, so an octave holds three
+Gaussian and three DoG levels at most, never its whole stack. Each feature
+gets a dominant gradient orientation and a descriptor built from a 4x4
+spatial grid of 4-bin gradient-orientation histograms (64 dimensions,
+L2-normalized), sampled in a frame rotated to the feature orientation so
+matching tolerates in-plane rotation and moderate scale change. The extremum
+tests, sub-pixel peak fits, orientations and descriptors of one pyramid
+level are computed for all its keypoints at once with the primitives of
+:mod:`camkit.imageops` that corner detection also uses, bit for bit as one
+keypoint at a time would give them. An image's features are one
+:class:`Features` record of arrays.
 """
 
 from __future__ import annotations
@@ -48,19 +52,18 @@ class Features:
         return len(self.positions)
 
 
-def _gaussian_pyramid(img: np.ndarray) -> list[list[np.ndarray]]:
-    step = 2.0 ** (1.0 / INTERVALS)
-    sigmas = [SIGMA0 * step ** i for i in range(INTERVALS + 3)]
-    octaves = []
-    base = ndimage.gaussian_filter(img, SIGMA0, mode="nearest")
-    for _ in range(N_OCTAVES):
-        levels = [base]
-        for i in range(1, len(sigmas)):
-            inc = np.sqrt(sigmas[i] ** 2 - sigmas[i - 1] ** 2)
-            levels.append(ndimage.gaussian_filter(levels[-1], inc, mode="nearest"))
-        octaves.append(levels)
-        base = levels[INTERVALS][::2, ::2]
-    return octaves
+_STEP = 2.0 ** (1.0 / INTERVALS)
+_SIGMAS = [SIGMA0 * _STEP ** i for i in range(INTERVALS + 3)]
+
+
+def _octave_levels(base: np.ndarray):
+    """The ``INTERVALS + 3`` Gaussian levels of one octave, one at a time,
+    each blurred from the one before; ``base`` is the first."""
+    yield base
+    for i in range(1, len(_SIGMAS)):
+        inc = np.sqrt(_SIGMAS[i] ** 2 - _SIGMAS[i - 1] ** 2)
+        base = ndimage.gaussian_filter(base, inc, mode="nearest")
+        yield base
 
 
 def _scale_space_extrema(dog: np.ndarray) -> np.ndarray:
@@ -195,12 +198,37 @@ def _descriptors(gx: np.ndarray, gy: np.ndarray, u: np.ndarray, v: np.ndarray,
     return out, ok
 
 
+def _level_features(dog: np.ndarray, gauss: np.ndarray, li: int, octave: int):
+    """Positions, scales, orientations, descriptors and responses of the
+    features of DoG level ``li`` of an octave, in the order of its extrema.
+
+    ``dog`` holds DoG levels ``li - 1``, ``li`` and ``li + 1``; the first is
+    spent once the extrema are found, and takes the x gradient of Gaussian
+    level ``li``, ``gauss``.
+    """
+    cand = _scale_space_extrema(dog)
+    cand = cand[_passes_edge_test(dog, cand)]
+    _, v, u = cand.T
+    patches = sliding_window_view(dog[1], (3, 3))[v - 1, u - 1]
+    refined = np.column_stack([u, v]) + quadratic_peak_offset(patches)
+    responses = np.abs(dog[1, v, u])
+    sigma = SIGMA0 * _STEP ** li
+    gx = ndimage.sobel(gauss, axis=1, mode="nearest", output=dog[0])
+    gx /= 8.0
+    gy = ndimage.sobel(gauss, axis=0, mode="nearest")
+    gy /= 8.0
+    thetas = _orientations(gx, gy, *refined.T, sigma)
+    descs, ok = _descriptors(gx, gy, *refined.T, sigma, thetas)
+    return (refined[ok] * 2 ** octave, np.full(np.count_nonzero(ok), sigma * 2 ** octave),
+            thetas[ok], descs[ok], responses[ok])
+
+
 def detect_features(image: np.ndarray, max_features: int = 1000) -> Features:
     """Detect up to ``max_features`` scale-space features, strongest first.
 
-    Sub-pixel offsets are fitted for all extrema of an octave at once, and
-    orientations and descriptors for all keypoints of one pyramid level at
-    once; the features are sorted by descending response, then v, then u.
+    Sub-pixel offsets, orientations and descriptors are computed for all
+    keypoints of one pyramid level at once; the features are sorted by
+    descending response, then v, then u.
 
     Raises ImageTooSmall below 32x32. A featureless (uniform) image yields no
     features.
@@ -210,32 +238,28 @@ def detect_features(image: np.ndarray, max_features: int = 1000) -> Features:
         raise ImageTooSmall(f"image {img.shape[1]}x{img.shape[0]} is below "
                             f"{MIN_IMAGE_SIDE}x{MIN_IMAGE_SIDE}")
 
-    step = 2.0 ** (1.0 / INTERVALS)
-    pyramid = _gaussian_pyramid(img)
+    base = ndimage.gaussian_filter(img, SIGMA0, mode="nearest")
+    del img
     # Features' arrays for each pyramid level, after empty ones.
     found = [(np.empty((0, 2)), np.empty(0), np.empty(0), np.empty((0, 64)), np.empty(0))]
-    for octave, levels in enumerate(pyramid):
-        if min(levels[0].shape) < 16:
+    for octave in range(N_OCTAVES):
+        if min(base.shape) < 16:
             break
-        dog = np.stack([levels[i + 1] - levels[i] for i in range(len(levels) - 1)])
-        cand = _scale_space_extrema(dog)
-        cand = cand[_passes_edge_test(dog, cand)]
-        level, v, u = cand.T
-        patches = sliding_window_view(dog, (3, 3), axis=(1, 2))[level, v - 1, u - 1]
-        refined = np.column_stack([u, v]) + quadratic_peak_offset(patches)
-        responses = np.abs(dog[level, v, u])
-        # Extrema come sorted by level, so level by level keeps their order.
-        for li in np.unique(level):
-            at = np.flatnonzero(level == li)
-            uo, vo = refined[at].T
-            sigma_oct = SIGMA0 * step ** li
-            gx = ndimage.sobel(levels[li], axis=1, mode="nearest") / 8.0
-            gy = ndimage.sobel(levels[li], axis=0, mode="nearest") / 8.0
-            thetas = _orientations(gx, gy, uo, vo, sigma_oct)
-            descs, ok = _descriptors(gx, gy, uo, vo, sigma_oct, thetas)
-            found.append((refined[at[ok]] * 2 ** octave,
-                          np.full(np.count_nonzero(ok), sigma_oct * 2 ** octave),
-                          thetas[ok], descs[ok], responses[at[ok]]))
+        # DoG levels li - 1, li and li + 1, and Gaussian levels li to li + 2:
+        # level li's features are taken as soon as DoG li + 1 exists.
+        dog = np.empty((3,) + base.shape)
+        gauss = []
+        for k, level in enumerate(_octave_levels(base)):
+            gauss.append(level)
+            if k == INTERVALS:
+                base = level[::2, ::2]
+            if k:
+                dog[0] = dog[1]
+                dog[1] = dog[2]
+                np.subtract(level, gauss[-2], out=dog[2])
+            if k >= 3:
+                found.append(_level_features(dog, gauss[0], k - 2, octave))
+            del gauss[:-2]
 
     arrays = [np.concatenate(column) for column in zip(*found)]
     positions, responses = arrays[0], arrays[-1]

@@ -258,7 +258,9 @@ class RayGrid:
     ``tile_min`` and ``tile_max``, read-only ``(tile rows, tile columns, 2)``,
     bound each tile's ray ``(x, y)``; the board and the cube decide whole
     tiles from them for :func:`render_tiles`. :meth:`rays` undistorts a
-    tile's rays again on its first request and keeps them.
+    tile's rays again on its first request and, when undistortion iterates
+    (a lens with distortion), keeps them; a lens without distortion keeps
+    nothing, as its rays are only the pixels' normalized coordinates.
     """
 
     def __init__(self, intrinsics: CameraIntrinsics, dist: DistortionCoeffs,
@@ -279,7 +281,7 @@ class RayGrid:
         self.tile_min, self.tile_max = bounds.reshape(2, len(v), len(u), 2)
         # Kept rays fill the store from its start in first-request order, so
         # only their pages are ever touched; _slot maps a tile to its place.
-        self._store = np.empty((n_tiles, side, side, 2))
+        self._store = None if dist.is_zero else np.empty((n_tiles, side, side, 2))
         self._slot = np.full(n_tiles, -1)
         self._kept = 0
 
@@ -307,6 +309,8 @@ class RayGrid:
         index in ``tiles``, as ``(k, side, side, 2)`` in row-major sub-pixel
         order."""
         tiles = np.asarray(tiles)
+        if self._store is None:
+            return self._undistort(tiles)
         new = np.unique(tiles[self._slot[tiles] < 0])
         if new.size:
             end = self._kept + new.size

@@ -13,6 +13,9 @@ and the largest-magnitude coordinate of the second pose's translation.
 
 from __future__ import annotations
 
+import functools
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from itertools import chain
 
@@ -113,6 +116,35 @@ def _gather(per_view, view: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return out
 
 
+@functools.cache
+def _pool() -> ThreadPoolExecutor:
+    """The process's one pool for the per-view and per-pair work, made on
+    first use with a worker for each CPU the process may run on, at most two.
+    One pool for the process: pools made per call grow the heap with every
+    call's fresh threads."""
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    return ThreadPoolExecutor(min(2, cpus), thread_name_prefix="camkit-sfm")
+
+
+if hasattr(os, "register_at_fork"):  # a forked child has none of the threads
+    os.register_at_fork(after_in_child=_pool.cache_clear)
+
+
+def _pair_model(feats, normalized, seed: int, i: int, j: int):
+    """``(E, inlier matches)`` of views i and j, or None when RANSAC finds
+    no model or too few inliers."""
+    raw = match_features(feats[i], feats[j])
+    x1 = normalized[i][raw[:, 0]]
+    x2 = normalized[j][raw[:, 1]]
+    try:
+        e, mask = essential_ransac(x1, x2, seed=_pair_seed(seed, i, j))
+    except (NoModelFound, InsufficientMatches):
+        return None
+    inliers = raw[mask]
+    return (e, inliers) if len(inliers) >= MIN_PAIR_INLIERS else None
+
+
 def _pair_seed(seed: int, i: int, j: int) -> int:
     return (seed * 1_000_003 + i * 8191 + j) % (2 ** 32)
 
@@ -161,27 +193,18 @@ def reconstruct(images, intrinsics: CameraIntrinsics, dist: DistortionCoeffs,
     if n_views < 2:
         raise InitializationFailed(f"need at least 2 images, got {n_views}")
 
-    feats = [detect_features(img, MAX_FEATURES) for img in images]
+    pool = _pool()
+    feats = list(pool.map(detect_features, images, [MAX_FEATURES] * n_views))
     positions = {v: f.positions for v, f in enumerate(feats)}
     intensities = {v: bilinear_sample(to_float(images[v]), *pos.T) * 255.0
                    for v, pos in positions.items()}
     normalized = {v: undistort_normalized(pixel_to_normalized(pos, intrinsics), dist)
                   for v, pos in positions.items()}
 
-    pair_models = {}
-    for i, j in sorted((i, i + step) for step in (1, 2)
-                       for i in range(n_views - step)):
-        raw = match_features(feats[i], feats[j])
-        x1 = normalized[i][raw[:, 0]]
-        x2 = normalized[j][raw[:, 1]]
-        try:
-            e, mask = essential_ransac(x1, x2, seed=_pair_seed(seed, i, j))
-        except (NoModelFound, InsufficientMatches):
-            continue
-        inliers = raw[mask]
-        if len(inliers) < MIN_PAIR_INLIERS:
-            continue
-        pair_models[(i, j)] = (e, inliers)
+    pairs = sorted((i, i + step) for step in (1, 2) for i in range(n_views - step))
+    models = pool.map(lambda pair: _pair_model(feats, normalized, seed, *pair), pairs)
+    pair_models = {pair: model for pair, model in zip(pairs, models)
+                   if model is not None}
 
     if not pair_models:
         raise InitializationFailed("no image pair produced enough inlier matches")

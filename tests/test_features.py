@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -11,9 +12,9 @@ from camkit.features import (
     CONTRAST_THRESHOLD,
     INTERVALS,
     MATCH_RATIO,
+    N_OCTAVES,
     SIGMA0,
     _descriptors,
-    _gaussian_pyramid,
     _orientations,
     _passes_edge_test,
     _scale_space_extrema,
@@ -312,6 +313,23 @@ def _oracle_extrema(dog):
     return np.argwhere(peaks)
 
 
+def _gaussian_pyramid(img):
+    """Every Gaussian level of every octave at once, as detect_features
+    built them before it streamed the pyramid, kept verbatim."""
+    step = 2.0 ** (1.0 / INTERVALS)
+    sigmas = [SIGMA0 * step ** i for i in range(INTERVALS + 3)]
+    octaves = []
+    base = ndimage.gaussian_filter(img, SIGMA0, mode="nearest")
+    for _ in range(N_OCTAVES):
+        levels = [base]
+        for i in range(1, len(sigmas)):
+            inc = np.sqrt(sigmas[i] ** 2 - sigmas[i - 1] ** 2)
+            levels.append(ndimage.gaussian_filter(levels[-1], inc, mode="nearest"))
+        octaves.append(levels)
+        base = levels[INTERVALS][::2, ::2]
+    return octaves
+
+
 def _gradients(level):
     return (ndimage.sobel(level, axis=1, mode="nearest") / 8.0,
             ndimage.sobel(level, axis=0, mode="nearest") / 8.0)
@@ -330,8 +348,8 @@ def test_batched_orientation_and_descriptor_match_per_keypoint_oracle(
             by_level.setdefault((octave, step - 3 * octave), []).append(k)
         for (octave, level), rows in by_level.items():
             gx, gy = _gradients(pyramid[octave][level])
-            # The same expression as detect_features, whose level is an int64.
-            sigma = SIGMA0 * (2.0 ** (1.0 / 3)) ** np.int64(level)
+            # The same expression as detect_features.
+            sigma = SIGMA0 * (2.0 ** (1.0 / 3)) ** level
             for k in rows:
                 u, v = feats.positions[k] / 2 ** octave
                 theta = _oracle_orientation(gx, gy, u, v, sigma)
@@ -416,21 +434,59 @@ def _oracle_detect_features(image, max_features=1000):
     return found[:max_features]
 
 
+def assert_equals_oracle(got, image, max_features):
+    """``got`` holds every array of the oracle's features of ``image``, bit
+    for bit, dtypes and shapes included."""
+    want = _oracle_detect_features(image, max_features)
+    columns = {"positions": ([f.position for f in want], (0, 2)),
+               "scales": ([f.scale for f in want], (0,)),
+               "orientations": ([f.orientation for f in want], (0,)),
+               "descriptors": ([f.descriptor for f in want], (0, 64)),
+               "responses": ([f.response for f in want], (0,))}
+    for name, (column, empty) in columns.items():
+        expected = np.array(column, dtype=np.float64).reshape((len(want),) + empty[1:])
+        assert getattr(got, name).dtype == np.float64
+        assert getattr(got, name).tobytes() == expected.tobytes(), name
+        assert getattr(got, name).shape == expected.shape, name
+    return len(want)
+
+
 def test_record_matches_the_per_keypoint_assembly(cube_capture, cube_features):
     cases = [(cube_capture[2][0], MAX_FEATURES, cube_features[0]),
              (cube_capture[2][3], MAX_FEATURES, cube_features[3])]
     cases += [(textured_image(seed), 1000, detect_features(textured_image(seed)))
               for seed in (0, 20)]
     for image, max_features, got in cases:
-        want = _oracle_detect_features(image, max_features)
-        assert len(got) == len(want) > 100
-        columns = {"positions": [f.position for f in want],
-                   "scales": [f.scale for f in want],
-                   "orientations": [f.orientation for f in want],
-                   "descriptors": [f.descriptor for f in want],
-                   "responses": [f.response for f in want]}
-        for name, column in columns.items():
-            expected = np.array(column, dtype=np.float64)
-            assert getattr(got, name).dtype == np.float64
-            assert getattr(got, name).tobytes() == expected.tobytes(), name
-            assert getattr(got, name).shape == expected.shape, name
+        assert assert_equals_oracle(got, image, max_features) > 100
+
+
+def test_streamed_pyramid_matches_the_whole_pyramid(cube_capture, cube_features,
+                                                    rendered_views):
+    # The oracle builds every level of the pyramid before detecting.
+    for image, feats in zip(cube_capture[2], cube_features):
+        assert assert_equals_oracle(feats, image, MAX_FEATURES) > 100
+    for image in rendered_views[0][:6]:
+        assert assert_equals_oracle(detect_features(image, MAX_FEATURES), image,
+                                    MAX_FEATURES) > 50
+    # 40x33 and the 32x32 minimum stop after two octaves: the third would be
+    # below 16 pixels a side. A blob near the centre gives them features.
+    for shape, sigma, centre in (((33, 40), 2.0, (19.5, 16.0)),
+                                 ((32, 32), 2.5, (16.0, 16.0))):
+        yy, xx = np.mgrid[:shape[0], :shape[1]]
+        d2 = (xx - centre[0]) ** 2 + (yy - centre[1]) ** 2
+        image = (40 + 180 * np.exp(-d2 / (2 * sigma ** 2))).astype(np.uint8)
+        assert assert_equals_oracle(detect_features(image), image, 1000) > 0
+    uniform = np.full((48, 40), 200, dtype=np.uint8)
+    assert assert_equals_oracle(detect_features(uniform), uniform, 1000) == 0
+
+
+def test_detection_holds_a_few_image_sized_arrays(cube_capture):
+    # The whole pyramid of a 640x480 view peaked at 18.6 float64 images.
+    image = cube_capture[2][0]
+    tracemalloc.start()
+    try:
+        detect_features(image, MAX_FEATURES)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 11 * image.size * np.dtype(np.float64).itemsize

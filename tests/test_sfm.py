@@ -1,8 +1,11 @@
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import camkit.sfm
 from camkit import (
     CameraPose,
     DistortionCoeffs,
@@ -16,6 +19,7 @@ from camkit import (
 from camkit.errors import (
     DegenerateConfiguration,
     EmptyScene,
+    ImageTooSmall,
     InitializationFailed,
     InvalidRotation,
     NonFiniteResidual,
@@ -33,7 +37,7 @@ from camkit.optimize import (
 from camkit.sfm import (SfmScene, _build_ba_problem,
                          _linear_resection, _next_view,
                          _refresh_triangulations, _register_view)
-from camkit.synthetic import cloud_error, render_cube_view, sample_ring_poses
+from camkit.synthetic import CubeScene, cloud_error, render_cube_view, sample_ring_poses
 from camkit.tracks import Track
 
 from conftest import CUBE_EDGE
@@ -112,6 +116,71 @@ def test_reconstruction_is_deterministic(cube_capture, cube_reconstruction,
     pts_a = np.array([t.point for t in cube_reconstruction.valid_tracks()])
     pts_b = np.array([t.point for t in again.valid_tracks()])
     assert np.array_equal(pts_a, pts_b)
+
+
+@pytest.fixture
+def one_worker(monkeypatch):
+    """reconstruct's pool swapped for a pool of one worker."""
+    with ThreadPoolExecutor(1) as pool:
+        monkeypatch.setattr(camkit.sfm, "_pool", lambda: pool)
+        yield
+
+
+def scene_state(scene):
+    """Everything a scene holds, with arrays as their bytes."""
+    return (scene.view_order, scene.mean_reprojection_error,
+            [(v, p.rotation.tobytes(), p.translation.tobytes())
+             for v, p in sorted(scene.poses.items())],
+            [(t.observations, t.valid, None if t.point is None else t.point.tobytes())
+             for t in scene.tracks],
+            [(v, scene.features[v].tobytes(), scene.intensities[v].tobytes())
+             for v in sorted(scene.features)])
+
+
+def test_pool_has_a_worker_per_cpu_up_to_two():
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    assert camkit.sfm._pool()._max_workers == min(2, cpus)
+    assert camkit.sfm._pool() is camkit.sfm._pool()
+
+
+def test_one_worker_reconstructs_bit_for_bit(cube_capture, cube_reconstruction,
+                                             ref_intrinsics, one_worker):
+    _, _, images, dist = cube_capture
+    assert camkit.sfm._pool()._max_workers == 1
+    again = reconstruct(images, ref_intrinsics, dist, seed=0)
+    assert scene_state(again) == scene_state(cube_reconstruction)
+
+
+def test_registration_failure_is_the_same_for_any_worker_count(ref_intrinsics,
+                                                               monkeypatch):
+    # Texture seed 11 resects view 4 at 17.68 px under RANSAC seed 0.
+    scene3d = CubeScene(edge=CUBE_EDGE, texture_seed=11)
+    dist = DistortionCoeffs()
+    images = [render_cube_view(scene3d, ref_intrinsics, dist, p, 640, 480)
+              for p in sample_ring_poses(5, radius=450.0, elevation_deg=30.0,
+                                         sweep_deg=48.0, start_deg=21.0)]
+    failures = []
+    for workers in (2, 1):
+        with ThreadPoolExecutor(workers) as pool:
+            monkeypatch.setattr(camkit.sfm, "_pool", lambda: pool)
+            with pytest.raises(RegistrationFailed) as caught:
+                reconstruct(images, ref_intrinsics, dist, seed=0)
+        failures.append((caught.value.view_id, str(caught.value)))
+    assert failures[0] == failures[1]
+    assert failures[0][0] == 4 and "17.68 px" in failures[0][1]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_first_failing_view_in_input_order_is_raised(workers, ref_intrinsics,
+                                                      monkeypatch):
+    rng = np.random.default_rng(0)
+    textured = (rng.uniform(0, 255, (64, 64))).astype(np.uint8)
+    images = [textured, np.zeros((20, 40), np.uint8), textured,
+              np.zeros((10, 30), np.uint8)]
+    with ThreadPoolExecutor(workers) as pool:
+        monkeypatch.setattr(camkit.sfm, "_pool", lambda: pool)
+        with pytest.raises(ImageTooSmall, match="image 40x20 "):
+            reconstruct(images, ref_intrinsics, DistortionCoeffs())
 
 
 def test_identical_images_fail_initialization(cube_capture, ref_intrinsics):

@@ -179,6 +179,20 @@ def test_cube_render_matches_per_ray_oracle_on_rings(texture_seed, start_deg, di
     _assert_matches_oracle(scene, dist, pose)
 
 
+def test_only_a_lens_with_distortion_keeps_its_rays():
+    # Without distortion a ray is its sample's normalized coordinates, formed
+    # again on each request; undistortion iterates, so a lens keeps its rays.
+    scene = CubeScene(edge=200.0, texture_seed=7)
+    pose = sample_ring_poses(5, radius=450.0, elevation_deg=30.0, sweep_deg=48.0,
+                             start_deg=21.0)[0]
+    for dist, keeps in ((DistortionCoeffs(), False), (_README_DIST, True)):
+        subpixel_ray_grid.cache_clear()
+        render_cube_view(scene, _K, dist, pose, 640, 480)
+        grid = subpixel_ray_grid(_K, dist, 640, 480, CUBE_SUPERSAMPLE)
+        assert (grid._store is not None) == keeps
+        assert (grid._kept > 0) == keeps
+
+
 @pytest.mark.parametrize("center, target", [([130.0, 0.0, 20.0], [0.0, 200.0, 0.0]),
                                             ([30.0, -20.0, 40.0], [100.0, 0.0, 0.0])],
                          ids=["vertex-behind", "inside"])
