@@ -111,6 +111,17 @@ def _list_images(directory: str) -> list[Path]:
     return paths
 
 
+def _read_sized(path, size, owner: str) -> np.ndarray:
+    """The image at ``path``; IoFailure unless it is ``size`` (width, height)
+    pixels, the size of ``owner``. Any size passes when ``size`` is None."""
+    image = fileio.read_image(path)
+    got = (image.shape[1], image.shape[0])
+    if size is not None and got != size:
+        raise IoFailure(f"image {Path(path).name} is {got[0]}x{got[1]}, "
+                        f"not the {size[0]}x{size[1]} of {owner}")
+    return image
+
+
 def _detect(image: np.ndarray, board: CheckerboardSpec, name: str):
     try:
         return detect_corners(image, board, view_id=name)
@@ -122,11 +133,8 @@ def _detect_all(paths: list[Path], board: CheckerboardSpec):
     grids = []
     size = None
     for path in paths:
-        image = fileio.read_image(path)
-        if size is None:
-            size = (image.shape[1], image.shape[0])
-        elif (image.shape[1], image.shape[0]) != size:
-            raise IoFailure(f"image {path.name} size differs from the first image")
+        image = _read_sized(path, size, "the first image")
+        size = (image.shape[1], image.shape[0])
         grids.append(_detect(image, board, path.name))
     return grids, size
 
@@ -151,8 +159,8 @@ def _cmd_calibrate(args) -> int:
 
 
 def _cmd_pose(args) -> int:
-    _, intrinsics, distortion = fileio.read_camera(args.calib)
-    image = fileio.read_image(args.image)
+    size, intrinsics, distortion = fileio.read_camera(args.calib)
+    image = _read_sized(args.image, size, "the calibration")
     name = Path(args.image).name
     pose, err = estimate_board_pose(intrinsics, distortion,
                                     _detect(image, args.board, name), args.board)
@@ -162,17 +170,17 @@ def _cmd_pose(args) -> int:
 
 
 def _cmd_undistort(args) -> int:
-    _, intrinsics, distortion = fileio.read_camera(args.calib)
-    image = fileio.read_image(args.image)
+    size, intrinsics, distortion = fileio.read_camera(args.calib)
+    image = _read_sized(args.image, size, "the calibration")
     fileio.write_image(undistort_image(image, intrinsics, distortion), args.out)
     print(f"undistorted {Path(args.image).name} -> {args.out}")
     return 0
 
 
 def _cmd_sfm(args) -> int:
-    _, intrinsics, distortion = fileio.read_camera(args.calib)
+    size, intrinsics, distortion = fileio.read_camera(args.calib)
     paths = _list_images(args.images)
-    images = [fileio.read_image(p) for p in paths]
+    images = [_read_sized(p, size, "the calibration") for p in paths]
     scene = reconstruct(images, intrinsics, distortion, args.seed)
     cloud = export_point_cloud(scene)
     fileio.write_ply(cloud, args.out)

@@ -128,10 +128,16 @@ def test_render_board_without_a_fitting_pose_exits_two(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("case", ["calibrate-missing-directory", "calibrate-no-images",
-                                  "calibrate-mixed-sizes", "undistort-missing-calibration"])
-def test_io_failure_exits_two_and_writes_nothing(case, board_dataset, tmp_path, capsys):
+                                  "calibrate-mixed-sizes", "undistort-missing-calibration",
+                                  "pose-wider-image", "undistort-wider-image",
+                                  "sfm-calibration-size", "sfm-mixed-sizes"])
+def test_io_failure_exits_two_and_writes_nothing(case, board_dataset, calibration_file,
+                                                 tmp_path, capsys):
     images, out = tmp_path / "images", tmp_path / "out"
     first_view = sorted(board_dataset.glob("*.pgm"))[0]
+    # The first view padded 20 columns wider: its board is still detected.
+    wider = tmp_path / "wider.pgm"
+    write_image(np.pad(read_image(first_view), ((0, 0), (0, 20)), mode="edge"), wider)
     argv = ["calibrate", str(images), "--board", "10x7:23mm"]
     if case == "calibrate-no-images":
         images.mkdir()
@@ -144,8 +150,32 @@ def test_io_failure_exits_two_and_writes_nothing(case, board_dataset, tmp_path, 
         write_image(np.zeros((120, 160), dtype=np.uint8), images / "b.pgm")
     elif case == "undistort-missing-calibration":
         argv = ["undistort", str(first_view), "--calib", str(tmp_path / "absent.json")]
+    elif case in ("pose-wider-image", "undistort-wider-image"):
+        # The calibration is of 480x360 images.
+        argv = [case.split("-")[0], str(wider), "--calib", str(calibration_file)]
+        argv += ["--board", "10x7:23mm"] if case.startswith("pose") else []
+    elif case == "sfm-calibration-size":
+        calib = json.loads(calibration_file.read_text())
+        calib["image_size"] = {"width": 320, "height": 240}
+        (tmp_path / "calib.json").write_text(json.dumps(calib))
+        argv = ["sfm", str(board_dataset), "--calib", str(tmp_path / "calib.json")]
+    elif case == "sfm-mixed-sizes":
+        # The first image has the calibration's size, the second does not.
+        images.mkdir()
+        for name in ("a.pgm", "c.pgm"):
+            (images / name).write_bytes(first_view.read_bytes())
+        (images / "b.pgm").write_bytes(wider.read_bytes())
+        argv = ["sfm", str(images), "--calib", str(calibration_file)]
     assert run_cli([*argv, "--out", str(out)]) == 2
-    assert "IoFailure" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "IoFailure" in err
+    wider_message = "image wider.pgm is 500x360, not the 480x360 of the calibration"
+    assert {"calibrate-mixed-sizes": "image b.pgm is 160x120, not the 480x360 of the first image",
+            "pose-wider-image": wider_message,
+            "undistort-wider-image": wider_message,
+            "sfm-calibration-size": "image view_000.pgm is 480x360, not the 320x240 of the calibration",
+            "sfm-mixed-sizes": "image b.pgm is 500x360, not the 480x360 of the calibration",
+            }.get(case, "IoFailure") in err
     assert not out.exists()
 
 
@@ -207,6 +237,7 @@ def test_render_scene_and_sfm_commands(tmp_path, calibration_file):
 
     # Calibration file matching the render camera, distortion-free.
     calib = json.loads(calibration_file.read_text())
+    calib["image_size"] = spec["image_size"]
     calib["intrinsics"].update(fx=REF_FX, fy=REF_FY, cx=REF_CX, cy=REF_CY,
                                skew=0.0)
     calib["distortion"] = {"k1": 0.0, "k2": 0.0, "k3": 0.0, "p1": 0.0, "p2": 0.0}
@@ -276,7 +307,7 @@ def test_render_scene_from_listed_poses(tmp_path):
 
 def test_pose_without_board_exits_two(calibration_file, tmp_path, capsys):
     image = tmp_path / "blank.pgm"
-    write_image(np.full((120, 160), 128, dtype=np.uint8), image)
+    write_image(np.full((360, 480), 128, dtype=np.uint8), image)
     code = run_cli(["pose", str(image), "--calib", str(calibration_file),
                     "--board", "10x7:23mm", "--out", str(tmp_path / "p.json")])
     assert code == 2
