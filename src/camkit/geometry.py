@@ -293,7 +293,9 @@ class RayGrid:
         u, v = np.broadcast_arrays(self._u[col, None, :], self._v[row, :, None])
         intrinsics, dist, tol = self._lens
         xy = pixel_to_normalized(np.column_stack([u.ravel(), v.ravel()]), intrinsics)
-        return undistort_normalized(xy, dist, tol=tol).reshape(u.shape + (2,))
+        if not dist.is_zero:
+            xy = undistort_normalized(xy, dist, tol=tol)
+        return xy.reshape(u.shape + (2,))
 
     def tile_corners(self) -> np.ndarray:
         """The corners of each tile's ray box as unit-depth rays, shaped

@@ -1,4 +1,8 @@
 import os
+import signal
+import sys
+import time
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
@@ -118,12 +122,18 @@ def test_reconstruction_is_deterministic(cube_capture, cube_reconstruction,
     assert np.array_equal(pts_a, pts_b)
 
 
-@pytest.fixture
-def one_worker(monkeypatch):
-    """reconstruct's pool swapped for a pool of one worker."""
-    with ThreadPoolExecutor(1) as pool:
-        monkeypatch.setattr(camkit.sfm, "_pool", lambda: pool)
-        yield
+@pytest.fixture(params=[1, 4], ids=["1-worker", "4-workers"])
+def swapped_pool(request, monkeypatch):
+    """reconstruct's pool swapped for one of 1 worker, or of 4, more than the
+    CPUs, with threads switched every 10 us."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(request.param) as pool:
+            monkeypatch.setattr(camkit.sfm, "_pool", lambda: pool)
+            yield request.param
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def scene_state(scene):
@@ -143,10 +153,31 @@ def test_pool_has_a_worker_per_cpu_up_to_two():
     assert camkit.sfm._pool() is camkit.sfm._pool()
 
 
-def test_one_worker_reconstructs_bit_for_bit(cube_capture, cube_reconstruction,
-                                             ref_intrinsics, one_worker):
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_a_forked_child_makes_its_own_pool():
+    # The parent's workers do not exist in a forked child, so work given to
+    # the parent's pool there would wait forever.
+    pool = camkit.sfm._pool()
+    assert list(pool.map(abs, [-1, -2])) == [1, 2]
+    with warnings.catch_warnings():  # Python 3.12 warns on forking with threads
+        warnings.simplefilter("ignore", DeprecationWarning)
+        pid = os.fork()
+    if pid == 0:
+        fresh = camkit.sfm._pool()
+        os._exit(0 if fresh is not pool and list(fresh.map(abs, [-3])) == [3] else 1)
+    deadline = time.monotonic() + 30.0
+    while not (ended := os.waitpid(pid, os.WNOHANG))[0] and time.monotonic() < deadline:
+        time.sleep(0.05)
+    if not ended[0]:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+    assert ended[0] == pid and os.waitstatus_to_exitcode(ended[1]) == 0
+
+
+def test_any_worker_count_reconstructs_bit_for_bit(cube_capture, cube_reconstruction,
+                                                   ref_intrinsics, swapped_pool):
     _, _, images, dist = cube_capture
-    assert camkit.sfm._pool()._max_workers == 1
+    assert camkit.sfm._pool()._max_workers == swapped_pool
     again = reconstruct(images, ref_intrinsics, dist, seed=0)
     assert scene_state(again) == scene_state(cube_reconstruction)
 
