@@ -9,6 +9,9 @@ homographies, refined by pose LM), triangulating newly covered tracks and
 bundle-adjusting after every registration. Intrinsics and distortion stay
 fixed throughout; the gauge is pinned by freezing the first registered pose
 and the largest-magnitude coordinate of the second pose's translation.
+Feature detection and the pairs' matching and RANSAC, which depend on
+nothing else, run on a pool of up to two threads; their results are taken
+in input order, so the outputs do not depend on the worker count.
 """
 
 from __future__ import annotations

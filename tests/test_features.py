@@ -438,13 +438,13 @@ def assert_equals_oracle(got, image, max_features):
     """``got`` holds every array of the oracle's features of ``image``, bit
     for bit, dtypes and shapes included."""
     want = _oracle_detect_features(image, max_features)
-    columns = {"positions": ([f.position for f in want], (0, 2)),
-               "scales": ([f.scale for f in want], (0,)),
-               "orientations": ([f.orientation for f in want], (0,)),
-               "descriptors": ([f.descriptor for f in want], (0, 64)),
-               "responses": ([f.response for f in want], (0,))}
-    for name, (column, empty) in columns.items():
-        expected = np.array(column, dtype=np.float64).reshape((len(want),) + empty[1:])
+    columns = {"positions": ([f.position for f in want], (2,)),
+               "scales": ([f.scale for f in want], ()),
+               "orientations": ([f.orientation for f in want], ()),
+               "descriptors": ([f.descriptor for f in want], (64,)),
+               "responses": ([f.response for f in want], ())}
+    for name, (column, row_shape) in columns.items():
+        expected = np.array(column, dtype=np.float64).reshape((len(want),) + row_shape)
         assert getattr(got, name).dtype == np.float64
         assert getattr(got, name).tobytes() == expected.tobytes(), name
         assert getattr(got, name).shape == expected.shape, name
