@@ -36,8 +36,6 @@ from camkit import (
 )
 from camkit.synthetic import sample_ring_poses
 
-from lm_reports import kept_reports  # scripts/lm_reports.py, beside this script
-
 SIZES = (500, 1000, 1500, 3000)
 RING_VIEWS = 20
 RING_POINTS = 10_000
@@ -75,12 +73,11 @@ def make_scene(n_views: int, n_points: int, sweep_deg: float, seen_by: int,
 
 
 def adjust(scene: SfmScene):
-    """Run ``bundle_adjust`` and keep the LM report it discards."""
-    with kept_reports("camkit.sfm") as reports:
-        start = time.perf_counter()
-        adjusted = bundle_adjust(scene, LmConfig())
-        seconds = time.perf_counter() - start
-    return adjusted, reports[0], seconds
+    """Run ``bundle_adjust``; return its scene, LM report and seconds."""
+    start = time.perf_counter()
+    adjusted = bundle_adjust(scene, LmConfig())
+    seconds = time.perf_counter() - start
+    return adjusted, adjusted.lm_report, seconds
 
 
 def peak_rss_mb() -> float:

@@ -38,7 +38,7 @@ from .geometry import (
 )
 from .homography import estimate_homography
 from .imageops import bilinear_sample, to_float
-from .optimize import LmConfig, levenberg_marquardt, standard_errors
+from .optimize import LmConfig, LmReport, levenberg_marquardt, standard_errors
 
 MIN_VIEWS = 3
 
@@ -63,7 +63,8 @@ class CalibrationResult:
     ``overall_error`` is the corner-count-weighted mean of the per-view mean
     Euclidean reprojection errors (metric recorded in ``error_metric``).
     Standard errors mirror the estimated parameters; entries for parameters
-    that were not estimated are absent.
+    that were not estimated are absent. ``lm_report`` is the refinement's
+    report, None for a result read from a file, which holds no solve.
     """
 
     intrinsics: CameraIntrinsics
@@ -76,6 +77,7 @@ class CalibrationResult:
     pose_stderr: np.ndarray  # (n_views, 6): axis-angle then translation
     image_size: tuple[int, int]  # (width, height)
     error_metric: str = "mean_euclidean"
+    lm_report: LmReport | None = None
 
 
 @dataclass(frozen=True)
@@ -218,6 +220,7 @@ def calibrate(dataset: CalibrationDataset, *, estimate_skew: bool = False,
         distortion_stderr={n: s for n, s in zip(free, stderr) if n in DISTORTION_NAMES},
         pose_stderr=stderr[len(free):].reshape(-1, 6),
         image_size=(dataset.image_width, dataset.image_height),
+        lm_report=report,
     )
 
 

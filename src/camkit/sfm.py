@@ -50,7 +50,7 @@ from .geometry import (
 )
 from .homography import projective_dlt
 from .imageops import bilinear_sample, to_float
-from .optimize import LmConfig, levenberg_marquardt
+from .optimize import LmConfig, LmReport, levenberg_marquardt
 from .pose import refine_pose
 from .tracks import Track, build_tracks
 
@@ -69,7 +69,8 @@ class SfmScene:
     ``features[v]`` holds the pixel positions of view v's features and
     ``intensities[v]`` the image intensity sampled at each of them, so the
     scene is self-contained for refinement and export. ``view_order`` is the
-    registration order; its first two entries pin the gauge.
+    registration order; its first two entries pin the gauge. ``lm_report`` is
+    the report of the bundle adjustment that returned the scene, if any.
     """
 
     intrinsics: CameraIntrinsics
@@ -80,6 +81,7 @@ class SfmScene:
     features: dict[int, np.ndarray]
     intensities: dict[int, np.ndarray]
     mean_reprojection_error: float = field(default=float("nan"))
+    lm_report: LmReport | None = None
 
     def valid_tracks(self) -> list[Track]:
         return [t for t in self.tracks if t.valid and t.point is not None]
@@ -366,7 +368,7 @@ def bundle_adjust(scene: SfmScene, lm_config: LmConfig | None = None) -> SfmScen
         new_tracks[ti] = Track(new_tracks[ti].observations, point, valid)
 
     errors = np.linalg.norm(report.residual.reshape(-1, 2), axis=1)[in_front[obs_track]]
-    return replace(scene, poses=new_poses, tracks=new_tracks,
+    return replace(scene, poses=new_poses, tracks=new_tracks, lm_report=report,
                    mean_reprojection_error=float(errors.mean()) if errors.size
                    else float("nan"))
 

@@ -101,6 +101,7 @@ def test_keyword_scene_goes_through_the_patched_sfm_solver(monkeypatch):
     monkeypatch.setattr(camkit.sfm, "levenberg_marquardt", solve)
     adjusted = camkit.bundle_adjust(scene, camkit.LmConfig())
     assert len(reports) == 1
+    assert adjusted.lm_report is reports[0]
     assert reports[0].final_cost < reports[0].initial_cost
     assert reports[0].reason in ("cost-tol", "step-tol")
     assert adjusted.mean_reprojection_error < 1.0

@@ -306,6 +306,26 @@ def test_refinement_does_not_increase_cost(board_spec, ref_intrinsics,
     assert final_stats.overall_mean <= init_mean
 
 
+def test_calibration_returns_its_refinement_report(board_spec, ref_intrinsics,
+                                                   ref_distortion, board_poses):
+    dataset = make_dataset(board_spec, ref_intrinsics, ref_distortion,
+                           board_poses, noise=0.5, seed=55)
+    result = calibrate(dataset)
+    report = result.lm_report
+    # The free globals lead the parameter vector in canonical order.
+    free = list(result.intrinsic_stderr) + list(result.distortion_stderr)
+    assert free == ["fx", "fy", "cx", "cy", "k1", "k2"]
+    camera = {n: getattr(result.intrinsics, n) for n in result.intrinsic_stderr}
+    camera |= {n: getattr(result.distortion, n) for n in result.distortion_stderr}
+    assert dict(zip(free, report.params.tolist())) == camera
+    per_view = np.linalg.norm(report.residual.reshape(len(dataset.views), -1, 2),
+                              axis=2).mean(axis=1)
+    assert np.array_equal(per_view, result.per_view_errors)
+    assert report.cost_history[0] == report.initial_cost
+    assert report.cost_history[-1] == report.final_cost < report.initial_cost
+    assert np.all(np.diff(report.cost_history) <= 0)
+
+
 def test_calibration_invariant_to_view_order(board_spec, ref_intrinsics,
                                              ref_distortion, board_poses):
     # Noiseless data has an exact zero-cost minimizer, so a tightly converged

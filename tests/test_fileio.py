@@ -337,6 +337,8 @@ def test_calibration_roundtrip(tmp_path, calibration_result):
         assert abs(a.intrinsic_stderr[key] - b.intrinsic_stderr[key]) <= 1e-12
     assert a.image_size == b.image_size
     assert a.error_metric == b.error_metric
+    # A file holds no solve, so a loaded calibration has no LM report.
+    assert a.lm_report is not None and b.lm_report is None
 
 
 def test_nan_standard_errors_roundtrip(tmp_path, calibration_result):

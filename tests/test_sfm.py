@@ -138,7 +138,10 @@ def swapped_pool(request, monkeypatch):
 
 def scene_state(scene):
     """Everything a scene holds, with arrays as their bytes."""
+    report = scene.lm_report
     return (scene.view_order, scene.mean_reprojection_error,
+            (report.params.tobytes(), report.residual.tobytes(),
+             report.iterations, report.reason),
             [(v, p.rotation.tobytes(), p.translation.tobytes())
              for v, p in sorted(scene.poses.items())],
             [(t.observations, t.valid, None if t.point is None else t.point.tobytes())
