@@ -48,6 +48,13 @@ def _parse_board(text: str) -> CheckerboardSpec:
     return CheckerboardSpec(int(m.group(1)), int(m.group(2)), float(m.group(3)))
 
 
+def _parse_seed(text: str) -> int:
+    if not re.fullmatch(r"[0-9]+", text):
+        raise argparse.ArgumentTypeError(
+            f"seed must be a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="camkit",
                      description="Checkerboard calibration, pose estimation, "
@@ -89,7 +96,7 @@ def _build_parser() -> _Parser:
         p = sub.add_parser(name, help=f"render a synthetic {what}")
         p.add_argument("spec", help="ground-truth spec JSON")
         p.add_argument("--out", required=True, help="output directory")
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=_parse_seed, default=0)
 
     p = sub.add_parser("extrinsics", help="export the extrinsics visualization")
     p.add_argument("--calib", required=True)

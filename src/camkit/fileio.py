@@ -300,13 +300,16 @@ def read_calibration(path) -> CalibrationResult:
 
     Raises CorruptFile for undecodable files and SchemaMismatch for missing
     fields, values the camera model rejects, malformed standard errors (NaN
-    is legal) or an image size that is not positive.
+    is legal), an image size that is not positive or no views. The result's
+    ``lm_report`` is None: a file holds no solve.
     """
     doc = _load_json(path)
     ctx = str(path)
     image_size, intrinsics, distortion = _calibration_camera(doc, ctx)
     with _schema(ctx):
         views = _require(doc, "views", ctx)
+        if not views:
+            raise SchemaMismatch(f"{ctx}: need at least one view, got 0")
         poses = _poses_from_json(views, ctx)
         errors = [_require(view, "mean_error", ctx) for view in views]
         pose_stderr = [np.array(view.get("stderr", [np.nan] * 6), dtype=np.float64)

@@ -392,6 +392,33 @@ def test_malformed_input_is_schema_mismatch(command, doc, calibration_file,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("mode", ["pattern", "camera"])
+def test_calibration_without_views_is_schema_mismatch(mode, calibration_file,
+                                                      tmp_path, capsys):
+    calib = json.loads(calibration_file.read_text())
+    calib["views"] = []
+    path = tmp_path / "calib.json"
+    path.write_text(json.dumps(calib))
+    out = tmp_path / "scene.json"
+    assert run_cli(["extrinsics", "--calib", str(path), "--board", "10x7:23mm",
+                    "--mode", mode, "--out", str(out)]) == 2
+    assert "SchemaMismatch" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, doc", [
+    ("render-board", board_spec_doc(views=3, width=160, height=120)),
+    ("render-scene", small_cube_spec_doc(views=3)),
+])
+def test_negative_render_seed_is_usage_error(command, doc, tmp_path, capsys):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(doc))
+    out = tmp_path / "views"
+    assert run_cli([command, str(spec), "--out", str(out), "--seed", "-1"]) == 1
+    assert "seed must be a non-negative integer" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_camera_commands_read_only_the_camera_block(board_dataset, calibration_file,
                                                    tmp_path):
     # pose and undistort take the image size, intrinsics and distortion
