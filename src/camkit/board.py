@@ -192,5 +192,5 @@ def render_board(spec: CheckerboardSpec, intrinsics: CameraIntrinsics,
                  & ((x_lo + y_lo) % 2 == 0))
     decided = front & (beyond | ((x_lo == x_hi) & (y_lo == y_hi)))
     tiles = np.where(beyond, BACKGROUND_GRAY, np.where(black, BLACK, WHITE))
-    return render_tiles(grid, width, height, SUPERSAMPLE, tiles,
-                        np.where(decided, -1, 0), lambda rays, case: shade(rays), 1.0)
+    return render_tiles(grid, tiles, np.where(decided, -1, 0),
+                        lambda rays, case: shade(rays), 1.0)

@@ -261,13 +261,15 @@ class RayGrid:
     tile's rays again on its first request and, when undistortion iterates
     (a lens with distortion), keeps them; a lens without distortion keeps
     nothing, as its rays are only the pixels' normalized coordinates.
+    ``size`` is the image's (width, height) and ``side`` a tile side's samples.
     """
 
     def __init__(self, intrinsics: CameraIntrinsics, dist: DistortionCoeffs,
-                 tol: float, u: np.ndarray, v: np.ndarray):
+                 tol: float, u: np.ndarray, v: np.ndarray, size: tuple[int, int]):
         self._lens = (intrinsics, dist, tol)
-        self._u, self._v = u, v
+        self._u, self._v, self.size = u, v, size
         n_tiles, side = len(u) * len(v), u.shape[1]
+        self.side = side
         bounds = np.empty((2, n_tiles, 2))
         # In blocks of about 2^16 rays: the lens model's temporaries for every
         # ray at once would outweigh the bounds many times over.
@@ -339,11 +341,12 @@ def subpixel_ray_grid(intrinsics: CameraIntrinsics, dist: DistortionCoeffs,
     v = (np.arange(height)[:, None] + sub[None, :]).ravel()
     u = np.pad(u, (0, n_tx * side - u.size), mode="edge")
     v = np.pad(v, (0, n_ty * side - v.size), mode="edge")
-    return RayGrid(intrinsics, dist, tol, u.reshape(n_tx, side), v.reshape(n_ty, side))
+    return RayGrid(intrinsics, dist, tol, u.reshape(n_tx, side), v.reshape(n_ty, side),
+                   (width, height))
 
 
-def render_tiles(grid: RayGrid, width: int, height: int, supersample: int,
-                 shades: np.ndarray, cases: np.ndarray, shade, gain: float) -> np.ndarray:
+def render_tiles(grid: RayGrid, shades: np.ndarray, cases: np.ndarray, shade,
+                 gain: float) -> np.ndarray:
     """The one render loop, for scenes that decide whole tiles of ``grid``.
 
     ``cases`` (tile rows, tile columns) is -1 where a tile takes its pixel
@@ -357,7 +360,7 @@ def render_tiles(grid: RayGrid, width: int, height: int, supersample: int,
     n_ty, n_tx = cases.shape
     image = np.empty((n_ty, RENDER_TILE, n_tx, RENDER_TILE), dtype=np.uint8)
     image[:] = shades[:, None, :, None]
-    ss, side = supersample, RENDER_TILE * supersample
+    ss, side = grid.side // RENDER_TILE, grid.side
     tiles_per_block = max(1, SHADE_BLOCK // side ** 2)
     for case in np.unique(cases[cases >= 0]):
         tiles = np.flatnonzero(cases == case)
@@ -369,6 +372,7 @@ def render_tiles(grid: RayGrid, width: int, height: int, supersample: int,
             image[row, :, col, :] = np.rint(values.reshape(
                 -1, RENDER_TILE, ss, RENDER_TILE, ss).mean(axis=(2, 4)) * gain)
     image = image.reshape(n_ty * RENDER_TILE, n_tx * RENDER_TILE)
+    width, height = grid.size
     return np.ascontiguousarray(image[:height, :width])
 
 

@@ -259,8 +259,8 @@ def render_cube_view(scene: CubeScene, intrinsics: CameraIntrinsics,
         return scene.face_shade(origin, dirs, case)
 
     cases = scene.tile_cases(pose, grid)
-    return render_tiles(grid, width, height, CUBE_SUPERSAMPLE,
-                        np.full(cases.shape, _CUBE_BACKGROUND), cases, shade, 255.0)
+    return render_tiles(grid, np.full(cases.shape, _CUBE_BACKGROUND), cases, shade,
+                        255.0)
 
 
 def sample_ring_poses(n_views: int, radius: float, elevation_deg: float,

@@ -353,9 +353,9 @@ def test_grid_keeps_the_rays_of_the_tiles_renders_shaded(
     # either render left undecided, and rendering a view again keeps no more.
     cases = []
 
-    def recording_render_tiles(grid, width, height, ss, shades, tile_cases, *rest):
+    def recording_render_tiles(grid, shades, tile_cases, *rest):
         cases.append(tile_cases)
-        return render_tiles(grid, width, height, ss, shades, tile_cases, *rest)
+        return render_tiles(grid, shades, tile_cases, *rest)
 
     monkeypatch.setattr("camkit.board.render_tiles", recording_render_tiles)
     subpixel_ray_grid.cache_clear()
