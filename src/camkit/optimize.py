@@ -81,11 +81,11 @@ class BlockLayout:
         is_block[block_cols[self.block_free]] = True
         self.kept_at = np.flatnonzero(~is_block)  # column of each kept row
         n_kept = len(self.kept_at)
-        # The masks give frozen entries zero values, so their (clipped)
-        # index adds nothing.
+        # The masks give frozen entries zero values, so their index, clipped
+        # to row 0 (a valid index even when no column is kept), adds nothing.
         self.kept_free = kept_cols[:, None, :] >= 0
         self.block_free_of = self.block_free[block][:, None, :]
-        kept_row = (np.cumsum(~is_block) - 1)[np.maximum(kept_cols, 0)]
+        kept_row = np.maximum(np.cumsum(~is_block) - 1, 0)[np.maximum(kept_cols, 0)]
         block_row = width * block[:, None] + axis  # (m, b) rows of V and W
         self.kept_row, self.block_row = kept_row, block_row
         self.u_index = kept_row[:, :, None] * n_kept + kept_row[:, None, :]

@@ -263,7 +263,7 @@ def elimination_per_call(jac, r):
     is_block = np.zeros(n_cols, dtype=bool)
     is_block[block_cols[block_free]] = True
     n_kept = n_cols - int(is_block.sum())
-    kept_row = (np.cumsum(~is_block) - 1)[np.maximum(kept_cols, 0)]
+    kept_row = np.maximum(np.cumsum(~is_block) - 1, 0)[np.maximum(kept_cols, 0)]
     a = np.where(kept_cols[:, None, :] >= 0, jac.kept, 0.0)
     b = np.where(block_free[block][:, None, :], jac.blocks, 0.0)
     a_t = np.ascontiguousarray(a.transpose(0, 2, 1))
@@ -310,6 +310,7 @@ def elimination_per_call(jac, r):
 
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1), kind=st.sampled_from(KINDS))
+@example(seed=227009140, kind="points")  # every pose entry frozen: no kept column
 def test_elimination_matches_per_call_assembly_bit_for_bit(seed, kind):
     problem, x0 = random_reprojection_problem(np.random.default_rng(seed), kind)
     x = x0 + np.random.default_rng(seed).normal(0.0, 1e-4, x0.shape)
