@@ -2,10 +2,9 @@
 
 Pipeline: per-view homographies (DLT), closed-form intrinsics from the
 image-of-the-absolute-conic constraints, homography decomposition for the
-per-view extrinsics, a linear bootstrap of the radial coefficients, then a
-joint Levenberg-Marquardt refinement of intrinsics, distortion, and all view
-poses against every corner observation, which eliminates each view's pose
-block. Reported uncertainties are first-order standard errors of the same
+per-view extrinsics, then one joint Levenberg-Marquardt refinement of
+intrinsics, distortion, and all view poses against every corner observation,
+started from zero distortion, which eliminates each view's pose block. Reported uncertainties are first-order standard errors of the same
 elimination at the final parameters.
 """
 
@@ -167,10 +166,10 @@ def calibrate(dataset: CalibrationDataset, *, estimate_skew: bool = False,
               lm_config: LmConfig | None = None) -> CalibrationResult:
     """Run the full calibration pipeline on a corner dataset.
 
-    The radial bootstrap and the refinement solve one
-    :func:`camkit.geometry.reprojection_problem` over every corner: the
-    first frees only the radial terms, the second the estimated intrinsics
-    and distortion and every view pose. Standard errors, from
+    One Levenberg-Marquardt solve refines the closed-form start and zero
+    distortion on one :func:`camkit.geometry.reprojection_problem` over
+    every corner, with the estimated intrinsics and distortion and every
+    view pose free. Standard errors, from
     :func:`camkit.optimize.standard_errors`, are NaN when the data do not fix
     every estimated parameter. Deterministic. Raises InsufficientViews for
     fewer than three views and propagates degeneracy errors from the
@@ -191,15 +190,7 @@ def calibrate(dataset: CalibrationDataset, *, estimate_skew: bool = False,
     optional = {"skew": estimate_skew, "k3": estimate_k3,
                 "p1": estimate_tangential, "p2": estimate_tangential}
     free = tuple(n for n in INTRINSIC_NAMES + DISTORTION_NAMES if optional.get(n, True))
-    # Pixels are linear in the distortion coefficients: one Gauss-Newton step
-    # from zero distortion, with only the radial terms free, solves for them.
-    radial = tuple(n for n in free if n in ("k1", "k2", "k3"))
-    problem, x0, unpack = _corner_problem(world, views, k0, DistortionCoeffs(),
-                                          poses0, free_globals=radial)
-    step, *_ = np.linalg.lstsq(problem.jacobian(x0), -problem.residual(x0), rcond=None)
-    _, d0, _, _ = unpack(x0 + step)
-
-    problem, x0, unpack = _corner_problem(world, views, k0, d0, poses0,
+    problem, x0, unpack = _corner_problem(world, views, k0, DistortionCoeffs(), poses0,
                                           free_globals=free, free_poses=True)
     report = levenberg_marquardt(problem, x0, lm_config or LmConfig())
 
