@@ -20,8 +20,8 @@ Orientation: one homography H maps the board's corners to the grid as
 assembled. Reversing the grid's rows or columns reflects the board frame
 about its centre, so the sign of ``det(H) w`` there (the Jacobian
 determinant is ``det(H) / w^3``), flipped once per reversal, keeps two of
-the four orderings; the board's is the one that sees a black square
-diagonally inward from the origin corner and a white one beside it.
+the four orderings; the board's is the one whose square diagonally inward
+from the origin corner reads ``_MIN_CONTRAST`` darker than the one beside it.
 """
 
 from __future__ import annotations
@@ -44,6 +44,9 @@ _RING_RADIUS = 4.0
 _RING_SAMPLES = 16
 _RING_ANGLES = 2 * np.pi * np.arange(_RING_SAMPLES) / _RING_SAMPLES
 _RING = _RING_RADIUS * np.column_stack([np.cos(_RING_ANGLES), np.sin(_RING_ANGLES)])
+# The least smoothed grey-level difference (on [0, 1]) that tells black from
+# white, across a candidate's ring and between the squares that orient a grid.
+_MIN_CONTRAST = 0.15
 # Detection reads the image's structure box grown by this many pixels: the
 # response filter's radius (8), the suppression reach (radius + 1 = 4) and
 # the ring test's reach (4, plus 1 for the bilinear neighbour).
@@ -88,29 +91,35 @@ def _x_junction_mask(img: np.ndarray, origin, candidates: np.ndarray) -> np.ndar
     contrast = vals.max(axis=1) - vals.min(axis=1)
     half = _RING_SAMPLES // 2
     asym = np.mean(np.abs(vals[:, :half] - vals[:, half:]), axis=1)
-    return (~np.isnan(vals).any(axis=1) & (contrast >= 0.15)
+    return (~np.isnan(vals).any(axis=1) & (contrast >= _MIN_CONTRAST)
             & (asym < 0.3 * contrast))
 
 
-def _grow_lattice(points: np.ndarray, responses: np.ndarray,
-                  min_separation: float) -> dict[tuple[int, int], int]:
-    """Greedy BFS assignment of candidates to integer lattice coordinates."""
+def _grow_lattice(points: np.ndarray, responses: np.ndarray, min_separation: float,
+                  smooth: np.ndarray, origin) -> dict[tuple[int, int], int]:
+    """Greedy BFS assignment of candidates to integer lattice coordinates.
+
+    A basis step from the seed counts only if ``smooth``, the smoothed crop
+    whose pixel (0, 0) is at ``origin``, reads the seed's level at its midpoint
+    within a quarter of the seed ring's contrast: an axis step's midpoint is
+    on a black-white edge, a diagonal's inside a square."""
     seed = int(np.argmax(responses))
     rel = points - points[seed]
     dist = np.linalg.norm(rel, axis=1)
     order = np.argsort(dist)
+    here = points[seed] - origin
+    contrast = np.ptp(bilinear_sample(smooth, *(here + _RING).T))
+    mids = bilinear_sample(smooth, *(here + rel / 2).T)  # mids[seed]: the seed's level
+    on_edge = np.abs(mids - mids[seed]) < 0.25 * contrast
 
-    va = None
-    vb = None
+    va = vb = None
     for idx in order[1:]:
         v = rel[idx]
-        if dist[idx] < min_separation:
+        if dist[idx] < min_separation or not on_edge[idx]:
             continue
         if va is None:
             va = v
-            continue
-        sin_angle = abs(va[0] * v[1] - va[1] * v[0]) / (np.linalg.norm(va) * dist[idx])
-        if sin_angle > 0.5:
+        elif abs(va[0] * v[1] - va[1] * v[0]) / (np.linalg.norm(va) * dist[idx]) > 0.5:
             vb = v
             break
     if va is None or vb is None:
@@ -179,7 +188,7 @@ def detect_corners(image: np.ndarray, spec: CheckerboardSpec,
         raise BoardNotFound("too few X-junction candidates")
     responses = resp[vs[keep], us[keep]]
 
-    lattice = _grow_lattice(refined, responses, min_separation=4.0)
+    lattice = _grow_lattice(refined, responses, 4.0, smooth, origin)
     if len(lattice) < 4:
         raise BoardNotFound("lattice growth collapsed")
 
@@ -223,7 +232,7 @@ def _orient_grid(grid: np.ndarray, smooth: np.ndarray, origin,
                 continue
             mirrored = np.where([flip_i, flip_j], far - probes, probes)
             inner, outer = bilinear_sample(smooth, *(apply_homography(h, mirrored) - origin).T)
-            if inner < 0.4 and outer > 0.6:
+            if outer - inner > _MIN_CONTRAST:
                 if accepted is not None:
                     raise AmbiguousGrid("two orientations both look valid")
                 cand = grid[::-1] if flip_j else grid
