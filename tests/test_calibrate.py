@@ -244,6 +244,25 @@ def test_recovery_across_random_cameras(board_spec):
         assert result.overall_error < 1e-3
 
 
+@pytest.mark.parametrize("coeffs, estimate_k3", [((-0.35, 0.12, 0.0), False),
+                                                 ((-0.6, 0.4, -0.1), True)])
+def test_calibrate_under_strong_lenses(board_spec, ref_intrinsics, coeffs,
+                                       estimate_k3):
+    # The refinement starts from zero distortion, far from these lenses.
+    truth_d = DistortionCoeffs(*coeffs)
+    rng = np.random.default_rng(1)
+    poses = sample_board_poses(board_spec, ref_intrinsics, truth_d,
+                               IMAGE_WIDTH, IMAGE_HEIGHT, 20, rng)
+    grids = synthesize_corner_views(board_spec, ref_intrinsics, truth_d, poses,
+                                    noise_sigma=0.1, rng=rng)
+    result = calibrate(CalibrationDataset(board_spec, tuple(grids), IMAGE_WIDTH,
+                                          IMAGE_HEIGHT), estimate_k3=estimate_k3)
+    assert result.lm_report.reason == "cost-tol"
+    assert result.overall_error < 0.15
+    assert abs(result.intrinsics.fx - REF_FX) < 5.0
+    assert abs(result.intrinsics.fy - REF_FY) < 5.0
+
+
 def test_calibrate_with_noise_stays_under_a_pixel(board_spec, ref_intrinsics,
                                                   ref_distortion, board_poses):
     dataset = make_dataset(board_spec, ref_intrinsics, ref_distortion,
