@@ -6,10 +6,11 @@ name and build configuration (``blas unknown`` before numpy 1.25, which has no
 ``np.show_config(mode="dicts")``), the machine, the CPU count and the BLAS
 thread variables. Then one digest for each of:
 
-- ``detect_corners`` over 232 images: the 20 README views of pose seeds
+- ``detect_corners`` over 252 images: the 20 README views of pose seeds
   40-49, 24 README views (pose seed 42) blurred at sigma 0.7-3 with noise of
   5 grey levels and requantised to uint8, 4 head-on boards whose squares
-  (40-70 px) reach the frame edge, and 4 head-on 64x48 frames. Each image
+  (40-70 px) reach the frame edge, 4 head-on 64x48 frames, and the 20 README
+  views of pose seed 42 at half exposure (``np.rint(0.5 * I)``). Each image
   adds its corners, or its exception's type and message;
 - ``calibrate`` on the detected corners of the 20 README views (seed 42);
 - ``estimate_board_pose`` on those views under that calibration;
@@ -222,6 +223,7 @@ def main():
     images += degraded(readme)
     images += head_on((40.0, 50.0, 60.0, 70.0), K, WIDTH, HEIGHT)
     images += head_on((3.0, 4.0, 5.0, 6.0), small, 64, 48)
+    images += [np.rint(0.5 * image).astype(np.uint8) for image in readme]
 
     corners = hashlib.sha256()
     for image in images:
