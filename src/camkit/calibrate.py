@@ -2,10 +2,10 @@
 
 Pipeline: per-view homographies (DLT), closed-form intrinsics from the
 image-of-the-absolute-conic constraints, homography decomposition for the
-per-view extrinsics, then one joint Levenberg-Marquardt refinement of
-intrinsics, distortion, and all view poses against every corner observation,
-started from zero distortion, which eliminates each view's pose block. Reported uncertainties are first-order standard errors of the same
-elimination at the final parameters.
+per-view extrinsics, then one joint Levenberg-Marquardt refinement, from zero
+distortion, of intrinsics, distortion and all view poses against every corner
+observation, which eliminates each view's pose block. Uncertainties are the
+first-order standard errors of the same elimination at the final parameters.
 """
 
 from __future__ import annotations
