@@ -1,21 +1,21 @@
 """Damped nonlinear least squares (Levenberg-Marquardt).
 
 The cost minimized is ``0.5 * sum(r(x)**2)``. The damped normal equations
-``(J^T J + lambda diag(J^T J)) step = -J^T r`` are solved by numpy's dense
-Cholesky factorization when the Jacobian is an ndarray or not supplied.
-When it is a :class:`BlockJacobian`, as every reprojection Jacobian is, its
-blocks are eliminated first and only the reduced system of the kept columns
-(the Schur complement) is factored; :func:`standard_errors` reads the same
-elimination. Which column each block entry lands in, a :class:`BlockLayout`,
-is built once per problem and shared by all its Jacobians, so each
-iteration only masks and sums new values; a reprojection Jacobian forms
-only the blocks of parameters that are free. Only that linear solve
-differs: damping over all free parameters, step acceptance and termination
-are shared. A ``scipy.sparse`` Jacobian is not accepted; converting it
-fails with an error. The damping starts at 1e-3 and is multiplied by 10
-after a rejected step and by 0.1 after an accepted one. Steps are accepted
-only when the cost strictly decreases, so the accepted-cost sequence is
-monotonically non-increasing. Everything is deterministic.
+``(J^T J + lambda diag(J^T J)) step = -J^T r`` have one solve: the blocks of
+a :class:`BlockJacobian`, as every reprojection Jacobian is, are eliminated
+and only the reduced system of the kept columns (the Schur complement) is
+factored, by numpy's Cholesky factorization. A matrix Jacobian, analytic or
+by central differences when none is supplied, is a :class:`BlockJacobian`
+that eliminates nothing, so its reduced system is the whole ``J^T J``.
+:func:`standard_errors` reads the same elimination. Which column each block
+entry lands in, a :class:`BlockLayout`, is built once per problem and shared
+by all its Jacobians, so each iteration only masks and sums new values; a
+reprojection Jacobian forms only the blocks of parameters that are free. A
+``scipy.sparse`` Jacobian is not accepted; converting it fails with an
+error. The damping starts at 1e-3 and is multiplied by 10 after a rejected
+step and by 0.1 after an accepted one. Steps are accepted only when the cost
+strictly decreases, so the accepted-cost sequence is monotonically
+non-increasing. Everything is deterministic.
 """
 
 from __future__ import annotations
@@ -40,9 +40,9 @@ class LeastSquaresProblem:
 
     The evaluator must be deterministic and return a fixed-length residual
     vector of dimension >= the parameter dimension. The Jacobian is anything
-    ``np.asarray`` turns into a float matrix, or a :class:`BlockJacobian`;
-    its type selects the linear solve. A ``scipy.sparse`` array is neither,
-    and the solver raises on it.
+    ``np.asarray`` turns into a float matrix, which the solver takes as
+    :meth:`BlockJacobian.dense`, or a :class:`BlockJacobian`. A
+    ``scipy.sparse`` array is neither, and the solver raises on it.
     """
 
     residual: Callable[[np.ndarray], np.ndarray]
@@ -53,9 +53,10 @@ class BlockLayout:
     """Where each entry of a :class:`BlockJacobian` lands: everything about
     the Jacobian that does not change while its values do.
 
-    Observation k owns residual rows 2k and 2k+1; its only nonzero entries
-    are ``kept[k]``, (2, c), in the columns ``kept_cols[k]``, and
-    ``blocks[k]``, (2, b), in the columns ``block_cols[block[k]]``. A column
+    Observation k owns residual rows hk to hk+h-1, h the blocks' height (2
+    for a reprojection); its only nonzero entries are ``kept[k]``, (h, c), in
+    the columns ``kept_cols[k]``, and ``blocks[k]``, (h, b), in the columns
+    ``block_cols[block[k]]``, where b = 0 eliminates nothing. A column
     index of -1 marks a frozen entry, whose values are ignored. Columns that
     no block owns are kept; observations may share a block and its kept
     columns. The Jacobian is ``shape``.
@@ -107,15 +108,24 @@ class BlockLayout:
 
 @dataclass(eq=False)
 class BlockJacobian:
-    """A Jacobian stored as per-observation blocks, ``kept`` (m, 2, c) and
-    ``blocks`` (m, 2, b), placed by a :class:`BlockLayout` that every
+    """A Jacobian stored as per-observation blocks, ``kept`` (m, h, c) and
+    ``blocks`` (m, h, b), placed by a :class:`BlockLayout` that every
     Jacobian of one problem shares. ``np.asarray`` gives the dense
-    ``shape`` matrix.
+    ``shape`` matrix, and :meth:`dense` takes a matrix back.
     """
 
-    kept: np.ndarray  # (m, 2, c) float
-    blocks: np.ndarray  # (m, 2, b) float
+    kept: np.ndarray  # (m, h, c) float
+    blocks: np.ndarray  # (m, h, b) float
     layout: BlockLayout
+
+    @classmethod
+    def dense(cls, matrix) -> BlockJacobian:
+        """A matrix as one observation that keeps every column and has
+        zero-width blocks, so that a solve eliminates nothing."""
+        matrix = np.asarray(matrix, dtype=np.float64)
+        layout = BlockLayout(np.arange(matrix.shape[1])[None], np.zeros(1, dtype=np.intp),
+                             np.empty((1, 0), dtype=np.intp), matrix.shape)
+        return cls(matrix[None], np.empty((1, len(matrix), 0)), layout)
 
     @property
     def shape(self) -> tuple:
@@ -126,7 +136,7 @@ class BlockJacobian:
         cols = np.concatenate([layout.kept_cols, layout.block_cols[layout.block]], axis=1)
         values = np.concatenate([self.kept, self.blocks], axis=2)
         obs, slot = np.nonzero(cols >= 0)
-        dense = np.zeros((len(cols), 2, self.shape[1]))
+        dense = np.zeros((len(cols), values.shape[1], self.shape[1]))
         dense[obs, :, cols[obs, slot]] = values[obs, :, slot]
         dense = dense.reshape(self.shape)
         return dense if dtype is None else dense.astype(dtype, copy=False)
@@ -210,14 +220,6 @@ def _spd_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 _SINGULAR = (np.linalg.LinAlgError, ValueError)
 
 
-def _dense_solver(jac: np.ndarray, r: np.ndarray):
-    """The damped step of a dense Jacobian, by Cholesky factorization of the
-    damped normal equations."""
-    jtj = jac.T @ jac
-    grad = jac.T @ r
-    return lambda lam: _spd_solve(jtj + lam * np.diag(jtj.diagonal()), -grad)
-
-
 def _elimination(jac: BlockJacobian, r: np.ndarray):
     """The normal equations of a block Jacobian by block (Triggs et al.,
     "Bundle Adjustment - A Modern Synthesis", 2000, sec. 6).
@@ -238,7 +240,7 @@ def _elimination(jac: BlockJacobian, r: np.ndarray):
     # faster with a contiguous left operand.
     a_t = np.ascontiguousarray(a.transpose(0, 2, 1))
     b_t = np.ascontiguousarray(b.transpose(0, 2, 1))
-    res = r.reshape(-1, 2, 1)
+    res = r.reshape(a.shape[0], a.shape[1], 1)
 
     def sums(index, values, size):
         return np.bincount(index.ravel(), values.ravel(), size)[:size]
@@ -264,7 +266,7 @@ def _reduce(normal, lam: float):
     n_blocks, width, _ = v.shape
     n_kept = len(u)
     axis = np.arange(width)
-    v_damped = v.copy()
+    v_damped = v.astype(float)  # an empty sum is an integer array
     v_damped[:, axis, axis] += lam * v[:, axis, axis]
     v_inv = np.linalg.inv(v_damped)
     v_inv_w = (v_inv @ w.reshape(n_blocks, width, n_kept)).reshape(w.shape)
@@ -329,14 +331,11 @@ def levenberg_marquardt(problem: LeastSquaresProblem, x0,
     for iteration in range(1, cfg.max_iters + 1):
         jac = (numeric_jacobian(problem, x) if problem.jacobian is None
                else problem.jacobian(x))
-        if isinstance(jac, BlockJacobian):
-            values, solver = (jac.kept, jac.blocks), _block_solver
-        else:
-            jac = np.asarray(jac, dtype=np.float64)
-            values, solver = (jac,), _dense_solver
-        if not all(np.all(np.isfinite(v)) for v in values):
+        if not isinstance(jac, BlockJacobian):
+            jac = BlockJacobian.dense(jac)
+        if not (np.all(np.isfinite(jac.kept)) and np.all(np.isfinite(jac.blocks))):
             raise NonFiniteResidual("Jacobian evaluator returned non-finite values")
-        solve = solver(jac, r)
+        solve = _block_solver(jac, r)
 
         while True:
             try:

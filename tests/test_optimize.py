@@ -21,7 +21,6 @@ from camkit.optimize import (
     BlockJacobian,
     BlockLayout,
     _block_solver,
-    _dense_solver,
     _SINGULAR,
     _elimination,
     _spd_solve,
@@ -133,6 +132,37 @@ def test_lm_raises_on_dead_parameter():
         levenberg_marquardt(problem, np.zeros(2))
 
 
+def dense_solver(jac, r):
+    """The damped step of a dense Jacobian by Cholesky factorization of the
+    whole damped normal equations: the reference for the block solve."""
+    jac = np.asarray(jac)
+    jtj = jac.T @ jac
+    grad = jac.T @ r
+    return lambda lam: _spd_solve(jtj + lam * np.diag(jtj.diagonal()), -grad)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 12), extra=st.integers(0, 27))
+@example(seed=0, n=5, extra=0)  # square
+@example(seed=1, n=4, extra=7)  # odd row count
+def test_matrix_jacobian_is_a_block_jacobian_that_eliminates_nothing(seed, n, extra):
+    rng = np.random.default_rng(seed)
+    m = n + extra
+    jac = rng.normal(size=(m, n)) * 10.0 ** rng.uniform(-2.0, 2.0, n)
+    r = rng.normal(size=m)
+    blocks = BlockJacobian.dense(jac)
+    assert blocks.blocks.shape == (1, m, 0)
+    assert np.asarray(blocks).tobytes() == jac.tobytes()
+    for lam in (1e-3, 1.0):
+        expected = dense_solver(jac, r)(lam)
+        step = _block_solver(blocks, r)(lam)
+        assert np.linalg.norm(step - expected) <= 1e-12 * np.linalg.norm(expected)
+    if m > n and conditioned(jac, 1e-4):
+        sigma2 = float(r @ r) / (m - n)
+        expected = np.sqrt(sigma2 * np.diag(np.linalg.inv(jac.T @ jac)))
+        assert np.max(np.abs(standard_errors(blocks, r) - expected) / expected) < 1e-6
+
+
 KINDS = ("points", "points+globals", "poses", "pose")
 
 
@@ -220,7 +250,7 @@ def test_point_block_solve_matches_dense_cholesky(seed, kind):
     r = problem.residual(x0)
     for lam in (1e-3, 1.0):  # the starting damping and a heavy one
         blocks = _block_solver(jac, r)(lam)
-        dense = _dense_solver(dense_jac, r)(lam)
+        dense = dense_solver(dense_jac, r)(lam)
         assert np.linalg.norm(blocks - dense) <= 1e-9 * np.linalg.norm(dense)
 
     # Whole solves agree only where the data fix the answer: with a nearly
@@ -244,8 +274,8 @@ def test_point_block_solve_matches_dense_cholesky(seed, kind):
     # a slow valley: the pinned example stops after 65 iterations a step of
     # 1.3 from stationary, the two solves 1.3e-5 apart.
     bound = 1e-8 * max(1.0, np.max(np.abs(via_dense.params)))
-    if all(np.max(np.abs(_dense_solver(np.asarray(problem.jacobian(lm.params)),
-                                       lm.residual)(0.0))) <= bound / 2
+    if all(np.max(np.abs(dense_solver(problem.jacobian(lm.params), lm.residual)(0.0)))
+           <= bound / 2
            for lm in (via_blocks, via_dense)):
         assert np.max(np.abs(via_blocks.params - via_dense.params)) <= bound
 
