@@ -4,6 +4,7 @@ import pytest
 from camkit import (
     CameraPose,
     CalibrationDataset,
+    DistortionCoeffs,
     board_outline,
     board_world_points,
     calibrate,
@@ -12,6 +13,7 @@ from camkit import (
     project,
     refine_pose,
 )
+from camkit.errors import SingularNormalEquations
 from camkit.synthetic import pose_error, sample_board_poses, synthesize_corner_views
 
 from conftest import IMAGE_HEIGHT, IMAGE_WIDTH
@@ -76,6 +78,14 @@ def test_refine_pose_rejects_a_pixel_count_that_is_not_the_point_count(
     px = project(world, pose, ref_intrinsics, ref_distortion)
     with pytest.raises(ValueError, match="one pose, point and pixel"):
         refine_pose(world, px[take], ref_intrinsics, ref_distortion, pose)
+
+
+def test_refine_pose_without_points_raises_a_camkit_error(ref_intrinsics):
+    # No residual fixes any pose entry, so every damped system is singular.
+    pose = CameraPose.from_axis_angle([0.1, -0.1, 0.05], [-100.0, -70.0, 600.0])
+    with pytest.raises(SingularNormalEquations):
+        refine_pose(np.empty((0, 3)), np.empty((0, 2)), ref_intrinsics,
+                    DistortionCoeffs(), pose)
 
 
 @pytest.fixture(scope="module")
