@@ -35,9 +35,17 @@ thread variables. Then one digest for each of:
 - ``detect_features`` (at ``reconstruct``'s feature budget) on those 40
   renders: each view adds its features' positions, scales, orientations,
   descriptors and responses, and each pair of adjacent views in a ring then
-  adds its ``match_features`` result.
+  adds its ``match_features`` result;
+- ``lm matrix``: six Levenberg-Marquardt solves through a matrix Jacobian,
+  which no other line reaches. Five take central differences: the linear
+  problem ``x - (1, 2)`` of the acceptance suite, Rosenbrock from (-1.2, 1),
+  (3, -3) and (0, 0), and the 3-residual problem with a nonzero residual at
+  its optimum from ``tests/test_optimize.py``. The sixth is ``refine_pose``'s
+  problem on the first README view (seed 42) under the calibration above,
+  from its homography start, given its block Jacobian as a dense matrix.
+  Each solve adds its params, final cost, iterations and reason.
 
-A refactor that must not move any output prints the same seven digests as
+A refactor that must not move any output prints the same eight digests as
 its parent. Digests compare only under an equal host line: the solvers'
 last bits follow the BLAS build and its thread count, so the
 ``bundle_adjust`` digest differs between one and two OpenBLAS threads on the
@@ -63,17 +71,28 @@ from camkit import (
     CameraIntrinsics,
     CheckerboardSpec,
     DistortionCoeffs,
+    LeastSquaresProblem,
     LmConfig,
+    board_world_points,
     bundle_adjust,
     calibrate,
     detect_corners,
     detect_features,
     estimate_board_pose,
+    levenberg_marquardt,
     match_features,
     render_board,
 )
+from camkit.calibrate import extrinsics_from_homography
 from camkit.cli import run_cli
 from camkit.errors import CamkitError
+from camkit.geometry import (
+    normalized_to_pixel,
+    pixel_to_normalized,
+    reprojection_problem,
+    undistort_normalized,
+)
+from camkit.homography import estimate_homography
 from camkit.sfm import MAX_FEATURES
 from camkit.synthetic import (
     CubeScene,
@@ -196,6 +215,39 @@ def features_digest(rings):
     return digest.hexdigest()
 
 
+def rosenbrock(x):
+    return np.array([10.0 * (x[1] - x[0] ** 2), 1.0 - x[0]])
+
+
+def inconsistent(x):
+    return np.array([x[0] ** 2 - 2.0, x[0] * x[1] - 1.0, x[1] - 0.5])
+
+
+def lm_matrix_digest(grid, intrinsics, dist):
+    """The digest of the ``lm matrix`` solves; ``grid`` holds the corners of
+    the view that ``refine_pose``'s problem is built on."""
+    world = board_world_points(SPEC)
+    ideal = normalized_to_pixel(undistort_normalized(
+        pixel_to_normalized(grid.corners, intrinsics), dist), intrinsics)
+    start = extrinsics_from_homography(
+        intrinsics, estimate_homography(world[:, :2], ideal))
+    pose, pose0, _ = reprojection_problem(
+        world, [start], intrinsics, dist, np.zeros(len(world), dtype=np.int64),
+        np.arange(len(world)), grid.corners, free_poses=True)
+    solves = [(LeastSquaresProblem(lambda x: x - np.array([1.0, 2.0])), np.zeros(2))]
+    solves += [(LeastSquaresProblem(rosenbrock), np.array(x0))
+               for x0 in ([-1.2, 1.0], [3.0, -3.0], [0.0, 0.0])]
+    solves += [(LeastSquaresProblem(inconsistent), np.ones(2)),
+               (LeastSquaresProblem(pose.residual,
+                                    lambda x: np.asarray(pose.jacobian(x))), pose0)]
+    digest = hashlib.sha256()
+    for problem, x0 in solves:
+        report = levenberg_marquardt(problem, x0)
+        add(digest, report.params, [report.final_cost, report.iterations])
+        digest.update(report.reason.encode())
+    return digest.hexdigest()
+
+
 def host_line():
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
@@ -282,6 +334,7 @@ def main():
     n_views = sum(map(len, rings))
     print(f"render_cube_view    {n_views} views   {renders.hexdigest()}")
     print(f"detect_features     {n_views} views   {features_digest(rings)}")
+    print(f"lm matrix           6 solves  {lm_matrix_digest(grids[0], k, d)}")
 
 
 if __name__ == "__main__":
