@@ -4,14 +4,15 @@ Reconstruction plan: detect features, match adjacent and skip-one image
 pairs, filter every pair through essential-matrix RANSAC, build tracks from
 the inlier matches, initialize from the surviving pair with the most inliers
 and enough triangulation angle, then register the remaining views one at a
-time by 3D-2D resection (the conditioned DLT that also fits the board
-homographies, refined by pose LM), triangulating newly covered tracks and
-bundle-adjusting after every registration. Intrinsics and distortion stay
-fixed throughout; the gauge is pinned by freezing the first registered pose
-and the largest-magnitude coordinate of the second pose's translation.
-Feature detection and the pairs' matching and RANSAC, which depend on
-nothing else, run on a pool of up to two threads; their results are taken
-in input order, so the outputs do not depend on the worker count.
+time by 3D-2D resection (pose LM started from the pose of the registered
+view that shares the most tracks with the new one), triangulating newly
+covered tracks and bundle-adjusting after every registration. Intrinsics
+and distortion stay fixed throughout; the gauge is pinned by freezing the
+first registered pose and the largest-magnitude coordinate of the second
+pose's translation. Feature detection and the pairs' matching and RANSAC,
+which depend on nothing else, run on a pool of up to two threads; their
+results are taken in input order, so the outputs do not depend on the
+worker count.
 """
 
 from __future__ import annotations
@@ -27,11 +28,9 @@ import numpy as np
 from .epipolar import essential_ransac, recover_relative_pose, triangulate_views
 from .errors import (
     CheiralityAmbiguous,
-    DegenerateConfiguration,
     EmptyScene,
     InitializationFailed,
     InsufficientMatches,
-    InvalidRotation,
     NoModelFound,
     NonFiniteResidual,
     RegistrationFailed,
@@ -43,12 +42,10 @@ from .geometry import (
     CameraPose,
     DistortionCoeffs,
     camera_depths,
-    nearest_rotation,
     pixel_to_normalized,
     reprojection_problem,
     undistort_normalized,
 )
-from .homography import projective_dlt
 from .imageops import bilinear_sample, to_float
 from .optimize import LmConfig, LmReport, levenberg_marquardt
 from .pose import refine_pose
@@ -154,19 +151,6 @@ def _pair_seed(seed: int, i: int, j: int) -> int:
     return (seed * 1_000_003 + i * 8191 + j) % (2 ** 32)
 
 
-def _linear_resection(world: np.ndarray, norm_xy: np.ndarray) -> CameraPose:
-    """Pose from >= 6 3D points and their normalized images: the
-    :func:`camkit.homography.projective_dlt` camera matrix, scaled to a unit
-    third rotation row, signed for a positive median depth, and with its
-    left 3x3 block projected onto the nearest rotation. Raises
-    DegenerateConfiguration when either point set coincides."""
-    p, _ = projective_dlt(world, norm_xy)
-    scale = 1.0 / np.linalg.norm(p[2, :3])
-    if np.median(world @ p[2, :3] + p[2, 3]) < 0:
-        scale = -scale
-    return CameraPose(nearest_rotation(scale * p[:, :3]), scale * p[:, 3])
-
-
 def _refresh_triangulations(scene: SfmScene, normalized) -> None:
     """Triangulate, in one batch, every track that is not yet valid and has
     at least two registered observations, replacing each in ``scene.tracks``."""
@@ -236,7 +220,7 @@ def reconstruct(images, intrinsics: CameraIntrinsics, dist: DistortionCoeffs,
 
     while len(scene.poses) < n_views:
         view = _next_view(scene)
-        scene = _register_view(scene, view, normalized)
+        scene = _register_view(scene, view)
         _refresh_triangulations(scene, normalized)
         scene = bundle_adjust(scene)
     return scene
@@ -275,21 +259,23 @@ def _next_view(scene: SfmScene) -> int:
     return max(unregistered, key=lambda v: np.count_nonzero(views == v))
 
 
-def _register_view(scene: SfmScene, view: int, normalized) -> SfmScene:
+def _register_view(scene: SfmScene, view: int) -> SfmScene:
+    """Resect ``view`` by pose LM over its valid tracks, started from the
+    pose of the registered view that sees the most of them, the first in
+    ``view_order`` on a tie (Schönberger & Frahm, CVPR 2016, §4.2)."""
     tracks = scene.valid_tracks()
     owner, _, feature = _observations(tracks, (view,))
     if len(owner) < MIN_RESECTION_POINTS:
         raise RegistrationFailed(
             view, f"view {view}: only {len(owner)} usable track observations")
-    world = np.array([tracks[k].point for k in owner])
-    obs_px = scene.features[view][feature]
-    obs_norm = normalized[view][feature]
+    seen = [tracks[k] for k in owner]
+    _, seen_by, _ = _observations(seen, scene.view_order)
+    neighbour = max(scene.view_order, key=lambda v: np.count_nonzero(seen_by == v))
     try:
-        pose0 = _linear_resection(world, obs_norm)
-        pose, err = refine_pose(world, obs_px, scene.intrinsics,
-                                scene.distortion, pose0)
-    except (np.linalg.LinAlgError, DegenerateConfiguration, InvalidRotation,
-            SingularNormalEquations, NonFiniteResidual) as exc:
+        pose, err = refine_pose(np.array([t.point for t in seen]),
+                                scene.features[view][feature], scene.intrinsics,
+                                scene.distortion, scene.poses[neighbour])
+    except (SingularNormalEquations, NonFiniteResidual) as exc:
         raise RegistrationFailed(
             view, f"view {view}: resection failed ({exc})") from exc
     if err > MAX_RESECTION_ERROR:

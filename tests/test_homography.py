@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from camkit import apply_homography, estimate_homography
 from camkit.errors import DegenerateConfiguration
 from camkit.homography import (_MAX_CONDITION, _MIN_SPREAD,
-                               conditioning_transforms, projective_dlt)
+                               conditioning_transforms)
 
 
 def test_identity_from_fixed_points():
@@ -96,9 +96,8 @@ def test_shared_conditioning_matches_the_homography_oracle():
     assert t[0, 0, 0] == t[0, 1, 1] == np.sqrt(2.0) / 1e-12
 
 
-# Oracle: the 3-D conditioning SfM resection carried inline before it used
-# projective_dlt, kept verbatim so the shared version can be checked bit for
-# bit at d = 3.
+# Oracle: the 3-D conditioning an earlier SfM resection carried inline, kept
+# verbatim so the shared version can be checked bit for bit at d = 3.
 
 def _oracle_resection_conditioning(world):
     centroid = world.mean(axis=0)
@@ -122,8 +121,8 @@ def test_shared_conditioning_matches_the_resection_oracle():
     assert t[0, 0, 0] == t[0, 1, 1] == t[0, 2, 2] == np.sqrt(3.0) / 1e-12
 
 
-# Oracle: estimate_homography as it was before it fitted through
-# projective_dlt, kept verbatim so the shared DLT can be checked bit for bit.
+# Oracle: estimate_homography as it was before it shared its DLT with SfM
+# resection, kept verbatim so the fit can be checked bit for bit.
 
 def _oracle_estimate_homography(world_xy, image_xy) -> np.ndarray:
     src = np.atleast_2d(np.asarray(world_xy, dtype=np.float64))
@@ -206,16 +205,3 @@ def test_homography_matches_the_pre_dlt_oracle(seed, n, log_scale, shape):
             dst = np.repeat(dst[:1], n, axis=0)
     assert (_outcome(estimate_homography, src, dst)
             == _outcome(_oracle_estimate_homography, src, dst))
-
-
-@pytest.mark.parametrize("which", ["src", "dst"])
-def test_dlt_rejects_coincident_points(which):
-    rng = np.random.default_rng(8)
-    world = rng.uniform(-100, 100, (10, 3))
-    img = rng.uniform(-1, 1, (10, 2))
-    if which == "src":
-        world[:] = world[0]
-    else:
-        img[:] = img[0]
-    with pytest.raises(DegenerateConfiguration, match="all points coincide"):
-        projective_dlt(world, img)
