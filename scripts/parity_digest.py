@@ -43,9 +43,13 @@ thread variables. Then one digest for each of:
   its optimum from ``tests/test_optimize.py``. The sixth is ``refine_pose``'s
   problem on the first README view (seed 42) under the calibration above,
   from its homography start, given its block Jacobian as a dense matrix.
-  Each solve adds its params, final cost, iterations and reason.
+  Each solve adds its params, final cost, iterations and reason;
+- ``reconstruct`` at RANSAC seed 0 on the 8 rings of those renders, under
+  their true calibration: each ring adds its view order, poses, track points
+  (NaN where a track has none), track validity and mean error, or its
+  exception's type and message.
 
-A refactor that must not move any output prints the same eight digests as
+A refactor that must not move any output prints the same nine digests as
 its parent. Digests compare only under an equal host line: the solvers'
 last bits follow the BLAS build and its thread count, so the
 ``bundle_adjust`` digest differs between one and two OpenBLAS threads on the
@@ -81,6 +85,7 @@ from camkit import (
     estimate_board_pose,
     levenberg_marquardt,
     match_features,
+    reconstruct,
     render_board,
 )
 from camkit.calibrate import extrinsics_from_homography
@@ -215,6 +220,24 @@ def features_digest(rings):
     return digest.hexdigest()
 
 
+def reconstruct_digest(rings):
+    """The digest of ``reconstruct`` at RANSAC seed 0 on every ring."""
+    digest = hashlib.sha256()
+    for (_, _, lens), ring in zip(CUBE_RINGS, rings):
+        try:
+            scene = reconstruct(ring, K, lens, seed=0)
+        except CamkitError as exc:
+            digest.update(f"{type(exc).__name__}: {exc}".encode())
+            continue
+        add(digest, scene.view_order)
+        for v in scene.view_order:
+            add(digest, scene.poses[v].rotation, scene.poses[v].translation)
+        add(digest, [np.full(3, np.nan) if t.point is None else t.point
+                     for t in scene.tracks],
+            [t.valid for t in scene.tracks], [scene.mean_reprojection_error])
+    return digest.hexdigest()
+
+
 def rosenbrock(x):
     return np.array([10.0 * (x[1] - x[0] ** 2), 1.0 - x[0]])
 
@@ -335,6 +358,7 @@ def main():
     print(f"render_cube_view    {n_views} views   {renders.hexdigest()}")
     print(f"detect_features     {n_views} views   {features_digest(rings)}")
     print(f"lm matrix           6 solves  {lm_matrix_digest(grids[0], k, d)}")
+    print(f"reconstruct         {len(rings)} rings   {reconstruct_digest(rings)}")
 
 
 if __name__ == "__main__":
