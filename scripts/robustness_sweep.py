@@ -62,8 +62,7 @@ def sweep(textures, starts, lenses, seeds, n_views, sweep_deg, elevation_deg):
 
 
 def main():
-    parser = argparse.ArgumentParser(
-        description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--textures", type=int, nargs="+", default=[7, 11, 3])
     parser.add_argument("--starts", type=float, nargs="+",
                         default=[21.0, 111.0, 201.0, 291.0])
