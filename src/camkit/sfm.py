@@ -6,7 +6,8 @@ the inlier matches, initialize from the surviving pair with the most inliers
 and enough triangulation angle, then register the remaining views one at a
 time by 3D-2D resection (pose LM started from the pose of the registered
 view that shares the most tracks with the new one), triangulating newly
-covered tracks and bundle-adjusting after every registration. Intrinsics
+covered tracks after each, and bundle-adjust the whole scene once, after
+the last registration. Intrinsics
 and distortion stay fixed throughout; the gauge is pinned by freezing the
 first registered pose and the largest-magnitude coordinate of the second
 pose's translation. Feature detection and the pairs' matching and RANSAC,
@@ -216,14 +217,10 @@ def reconstruct(images, intrinsics: CameraIntrinsics, dist: DistortionCoeffs,
         intensities=intensities,
     )
     _refresh_triangulations(scene, normalized)
-    scene = bundle_adjust(scene)
-
     while len(scene.poses) < n_views:
-        view = _next_view(scene)
-        scene = _register_view(scene, view)
+        scene = _register_view(scene, _next_view(scene))
         _refresh_triangulations(scene, normalized)
-        scene = bundle_adjust(scene)
-    return scene
+    return bundle_adjust(scene)
 
 
 def _choose_initial_pair(pair_models, normalized):
