@@ -153,6 +153,15 @@ def _whole(doc: dict, key: str, context: str, default: int | None = None) -> int
     return int(value)
 
 
+def _real(doc: dict, key: str, context: str, default: float | None = None) -> float:
+    """Field ``key`` of ``doc`` (``default`` when absent, if given) as a float:
+    a JSON number. Raises SchemaMismatch for anything else (true, "3")."""
+    value = _require(doc, key, context) if default is None else doc.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise SchemaMismatch(f"{context}: {key} must be a number, got {value!r}")
+    return float(value)
+
+
 @contextmanager
 def _schema(context: str):
     """Report a value that the camkit types reject, or that does not convert
@@ -181,12 +190,13 @@ def _camera_from_json(doc: dict, context: str):
     k = _require(doc, "intrinsics", context)
     d = doc.get("distortion", {"k1": 0.0, "k2": 0.0})
     return (width, height), CameraIntrinsics(
-        fx=_require(k, "fx", context), fy=_require(k, "fy", context),
-        cx=_require(k, "cx", context), cy=_require(k, "cy", context),
-        skew=k.get("skew", 0.0),
+        fx=_real(k, "fx", context), fy=_real(k, "fy", context),
+        cx=_real(k, "cx", context), cy=_real(k, "cy", context),
+        skew=_real(k, "skew", context, 0.0),
     ), DistortionCoeffs(
-        k1=_require(d, "k1", context), k2=_require(d, "k2", context),
-        k3=d.get("k3", 0.0), p1=d.get("p1", 0.0), p2=d.get("p2", 0.0),
+        k1=_real(d, "k1", context), k2=_real(d, "k2", context),
+        k3=_real(d, "k3", context, 0.0), p1=_real(d, "p1", context, 0.0),
+        p2=_real(d, "p2", context, 0.0),
     )
 
 
@@ -195,7 +205,7 @@ def _stderr_from_json(doc: dict, key: str, names, context: str) -> dict:
     stderr = _require(doc, key, context)
     if not isinstance(stderr, dict) or not set(stderr) <= set(names):
         raise SchemaMismatch(f"{context}: {key} standard errors need names from {names}")
-    return {name: float(value) for name, value in stderr.items()}
+    return {name: _real(stderr, name, context) for name in stderr}
 
 
 def _pose_to_json(pose: CameraPose) -> dict:
@@ -311,7 +321,7 @@ def read_calibration(path) -> CalibrationResult:
         if not views:
             raise SchemaMismatch(f"{ctx}: need at least one view, got 0")
         poses = _poses_from_json(views, ctx)
-        errors = [_require(view, "mean_error", ctx) for view in views]
+        errors = [_real(view, "mean_error", ctx) for view in views]
         pose_stderr = [np.array(view.get("stderr", [np.nan] * 6), dtype=np.float64)
                        for view in views]
         if any(row.shape != (6,) for row in pose_stderr):
@@ -322,7 +332,7 @@ def read_calibration(path) -> CalibrationResult:
             distortion=distortion,
             poses=tuple(poses),
             per_view_errors=np.array(errors, dtype=np.float64),
-            overall_error=float(_require(doc, "overall_mean_error", ctx)),
+            overall_error=_real(doc, "overall_mean_error", ctx),
             intrinsic_stderr=_stderr_from_json(stderr, "intrinsics", INTRINSIC_NAMES,
                                                ctx),
             distortion_stderr=_stderr_from_json(stderr, "distortion", DISTORTION_NAMES,
@@ -417,14 +427,14 @@ def read_render_spec(path, subject: str) -> dict:
             out["board"] = CheckerboardSpec(
                 squares_x=_whole(section, "squares_x", ctx),
                 squares_y=_whole(section, "squares_y", ctx),
-                square_size=float(_require(section, "square_size", ctx)),
+                square_size=_real(section, "square_size", ctx),
             )
         else:
-            edge = float(_require(section, "edge", ctx))
+            edge = _real(section, "edge", ctx)
             out["cube"] = {"edge": edge,
                            "texture_seed": _whole(section, "texture_seed", ctx, 7)}
             ring = dict(doc.get("ring", {}))
-            out["ring"] = {key: float(ring.get(key, default)) for key, default in (
+            out["ring"] = {key: _real(ring, key, ctx, default) for key, default in (
                 ("radius", 2.5 * edge), ("elevation_deg", 30.0),
                 ("sweep_deg", 48.0), ("start_deg", 21.0))}
         if "poses" in doc:

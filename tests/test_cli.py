@@ -351,9 +351,27 @@ MALFORMED = {
     "cube-boolean-views": _cube_with(views=True),
     "cube-zero-ring-radius": _cube_with(ring={"radius": 0.0}),
     "cube-infinite-ring-angle": _cube_with(ring={"sweep_deg": float("inf")}),
+    # Reals must be JSON numbers: not booleans, not numeric strings.
+    "board-boolean-square": _board_with(board={"squares_x": 10, "squares_y": 7,
+                                               "square_size": True}),
+    "board-text-k1": _board_with(distortion={"k1": "0.01", "k2": 0.0}),
+    "board-boolean-k2": _board_with(distortion={"k1": 0.0, "k2": False}),
+    "cube-boolean-edge": _cube_with(cube={"edge": True}),
+    "cube-text-fx": _cube_with(intrinsics=dict(small_cube_spec_doc()["intrinsics"],
+                                               fx="80")),
+    "cube-boolean-skew": _cube_with(intrinsics=dict(small_cube_spec_doc()["intrinsics"],
+                                                    skew=False)),
+    "cube-text-ring-radius": _cube_with(ring={"radius": "450"}),
+    "cube-boolean-ring-angle": _cube_with(ring={"start_deg": True}),
     # A calibration case is a command and the fields it overwrites, by
     # section (in every view for ``views``), in a written calibration.
     "calibration-negative-fx": ("undistort", {"intrinsics": {"fx": -80.0}}),
+    "calibration-text-fx": ("undistort", {"intrinsics": {"fx": "80"}}),
+    "calibration-boolean-k1": ("undistort", {"distortion": {"k1": True}}),
+    "calibration-text-p2": ("undistort", {"distortion": {"p2": "0"}}),
+    "calibration-boolean-view-error": ("extrinsics", {"views": {"mean_error": True}}),
+    "calibration-numeric-text-stderr": ("extrinsics",
+                                        {"stderr": {"intrinsics": {"fx": "0.25"}}}),
     "calibration-zero-width": ("extrinsics", {"image_size": {"width": 0}}),
     "calibration-infinite-width": ("extrinsics",
                                    {"image_size": {"width": float("inf")}}),
