@@ -11,9 +11,10 @@ Every axis can be narrowed, or the ring changed, from the command line.
 
 One row per cell: the outcome (``ok`` when every view registers, else the
 exception's type), the failing view and the exception's reason, the number
-of valid points, the mean reprojection error in px and the RMS of
-``camkit.synthetic.cloud_error`` in mm. The last line is a summary: the
-number of cells that register every view, and the failures by type.
+of valid points, the mean reprojection error in px, the RMS of
+``camkit.synthetic.cloud_error`` in mm and the wall time of ``reconstruct``
+in seconds. The last line is a summary: the number of cells that register
+every view, and the failures by type.
 
 Usage: python scripts/robustness_sweep.py [--textures 7 11 3]
     [--starts 21 111 201 291] [--lenses none readme] [--seeds 0 1 2 3]
@@ -21,6 +22,7 @@ Usage: python scripts/robustness_sweep.py [--textures 7 11 3]
 """
 
 import argparse
+import time
 from collections import Counter
 
 from camkit import CameraIntrinsics, DistortionCoeffs, reconstruct
@@ -39,10 +41,11 @@ LENSES = {"none": DistortionCoeffs(),
 
 
 def sweep(textures, starts, lenses, seeds, n_views, sweep_deg, elevation_deg):
-    """Yield ``(texture, start, lens, seed, outcome)`` for every cell, where
-    ``outcome`` is the reconstructed scene with its ``cloud_error``, or the
-    exception ``reconstruct`` raised. Each ring is rendered once for all of
-    its RANSAC seeds."""
+    """Yield ``(texture, start, lens, seed, outcome, seconds)`` for every
+    cell, where ``outcome`` is the reconstructed scene with its
+    ``cloud_error``, or the exception ``reconstruct`` raised, and ``seconds``
+    the wall time of that ``reconstruct`` call. Each ring is rendered once for
+    all of its RANSAC seeds."""
     for texture in textures:
         cube = CubeScene(edge=200.0, texture_seed=texture)
         for start in starts:
@@ -53,12 +56,15 @@ def sweep(textures, starts, lenses, seeds, n_views, sweep_deg, elevation_deg):
                 images = [render_cube_view(cube, K, LENSES[lens], p, WIDTH, HEIGHT)
                           for p in poses]
                 for seed in seeds:
+                    began = time.perf_counter()
                     try:
-                        scene = reconstruct(images, K, LENSES[lens], seed=seed)
-                        outcome = (scene, cloud_error(scene, cube, poses))
+                        outcome = reconstruct(images, K, LENSES[lens], seed=seed)
                     except CamkitError as exc:
                         outcome = exc
-                    yield texture, start, lens, seed, outcome
+                    seconds = time.perf_counter() - began
+                    if not isinstance(outcome, CamkitError):
+                        outcome = (outcome, cloud_error(outcome, cube, poses))
+                    yield texture, start, lens, seed, outcome, seconds
 
 
 def main():
@@ -75,9 +81,9 @@ def main():
     args = parser.parse_args()
 
     print(f"{'texture':>7} {'start':>5} {'lens':>6} {'seed':>4} {'outcome':<20} "
-          f"{'view':>4} {'points':>6} {'mean px':>9} {'rms mm':>8}  reason")
+          f"{'view':>4} {'points':>6} {'mean px':>9} {'rms mm':>8} {'recon s':>7}  reason")
     cells, failures = 0, Counter()
-    for texture, start, lens, seed, outcome in sweep(
+    for texture, start, lens, seed, outcome, seconds in sweep(
             args.textures, args.starts, args.lenses, args.seeds, args.views,
             args.sweep, args.elevation):
         cells += 1
@@ -86,12 +92,12 @@ def main():
             failures[type(outcome).__name__] += 1
             view = getattr(outcome, "view_id", None)
             print(f"{head} {type(outcome).__name__:<20} "
-                  f"{'-' if view is None else view:>4} {'-':>6} {'-':>9} {'-':>8}  "
-                  f"{outcome}")
+                  f"{'-' if view is None else view:>4} {'-':>6} {'-':>9} {'-':>8} "
+                  f"{seconds:7.3f}  {outcome}")
             continue
         scene, err = outcome
         print(f"{head} {'ok':<20} {'-':>4} {len(scene.valid_tracks()):6d} "
-              f"{scene.mean_reprojection_error:9.6f} {err.rms:8.4f}")
+              f"{scene.mean_reprojection_error:9.6f} {err.rms:8.4f} {seconds:7.3f}")
     failed = ", ".join(f"{name} {n}" for name, n in sorted(failures.items()))
     print(f"summary: {cells - sum(failures.values())} of {cells} cells register "
           f"{args.views} of {args.views} views; failed: {failed or 'none'}")
