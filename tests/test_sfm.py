@@ -87,8 +87,8 @@ def test_neighbour_start_registers_every_view(cube_capture, ref_intrinsics,
 
 
 def test_reconstruct_bundle_adjusts_once(cube_capture, ref_intrinsics, monkeypatch):
-    # One adjustment after the last registration, not one after the initial
-    # pair and after each registration; the scene carries its report.
+    # The whole scene is adjusted once, after the last registration, and the
+    # returned scene carries that adjustment's report.
     _, _, images, dist = cube_capture
     adjusted = []
 
