@@ -7,13 +7,12 @@ and enough triangulation angle, then register the remaining views one at a
 time by 3D-2D resection (pose LM started from the pose of the registered
 view that shares the most tracks with the new one), triangulating newly
 covered tracks after each, and bundle-adjust the whole scene once, after
-the last registration. Intrinsics
-and distortion stay fixed throughout; the gauge is pinned by freezing the
-first registered pose and the largest-magnitude coordinate of the second
-pose's translation. Feature detection and the pairs' matching and RANSAC,
-which depend on nothing else, run on a pool of up to two threads; their
-results are taken in input order, so the outputs do not depend on the
-worker count.
+the last registration. Intrinsics and distortion stay fixed throughout; the
+gauge is pinned by freezing the first registered pose and the
+largest-magnitude coordinate of the second pose's translation. Feature
+detection and the pairs' matching and RANSAC, which depend on nothing else,
+run on a pool of up to two threads; their results are taken in input order,
+so the outputs do not depend on the worker count.
 """
 
 from __future__ import annotations
